@@ -13,11 +13,10 @@ import (
 	"os"
 
 	"hmmer3gpu/internal/alphabet"
-	"hmmer3gpu/internal/cpu"
 	"hmmer3gpu/internal/hmm"
 	"hmmer3gpu/internal/msa"
+	"hmmer3gpu/internal/pipeline"
 	"hmmer3gpu/internal/profile"
-	"hmmer3gpu/internal/refimpl"
 	"hmmer3gpu/internal/stats"
 )
 
@@ -53,32 +52,13 @@ func main() {
 	if *calibrate {
 		p := profile.Config(model)
 		p.SetLength(*calLen)
-		mp := profile.NewMSVProfile(p)
-		vp := profile.NewVitProfile(p)
-		copts := stats.DefaultCalibration()
-		copts.L = *calLen
-		bg := abc.Backgrounds()
-
-		msvEng := cpu.NewMSVEngine(mp)
-		g1, err := stats.CalibrateGumbel(func(dsq []byte) float64 {
-			return stats.BitsFromNats(msvEng.Filter(dsq).Score)
-		}, bg, copts)
-		check(err)
-		copts.Seed++
-		vitEng := cpu.NewVitEngine(vp)
-		g2, err := stats.CalibrateGumbel(func(dsq []byte) float64 {
-			return stats.BitsFromNats(vitEng.Filter(dsq).Score)
-		}, bg, copts)
-		check(err)
-		copts.Seed++
-		e3, err := stats.CalibrateExponential(func(dsq []byte) float64 {
-			return stats.BitsFromNats(refimpl.Forward(p, dsq))
-		}, bg, copts)
+		cal, err := pipeline.Calibrate(p, profile.NewMSVProfile(p), profile.NewVitProfile(p),
+			stats.DefaultCalibration(), 0, false)
 		check(err)
 		model.Stats = hmm.CalibrationStats{
-			MSVMu: g1.Mu, MSVLambda: g1.Lambda,
-			VitMu: g2.Mu, VitLambda: g2.Lambda,
-			FwdTau: e3.Tau, FwdLambda: e3.Lambda,
+			MSVMu: cal.MSV.Mu, MSVLambda: cal.MSV.Lambda,
+			VitMu: cal.Vit.Mu, VitLambda: cal.Vit.Lambda,
+			FwdTau: cal.Fwd.Tau, FwdLambda: cal.Fwd.Lambda,
 			Calibrated: true,
 		}
 	}

@@ -69,6 +69,13 @@ func (e Engine) ViterbiAllContext(ctx context.Context, vp *profile.VitProfile, d
 	return out, nil
 }
 
+// ForEach calls do(i) for every i in [0, n) on the worker pool: the
+// indexed fan-out for per-sequence work that needs no filter engine
+// (host Forward). do must confine its writes to slot i.
+func (e Engine) ForEach(n int, do func(i int)) {
+	_ = e.parallel(context.Background(), n, func() any { return nil }, func(_ any, i int) { do(i) })
+}
+
 // parallel fans n indexed tasks out over the worker pool. newState
 // constructs per-worker private state (a filter engine). ctx is
 // checked before every task; the first non-nil ctx.Err() stops all

@@ -17,10 +17,13 @@ const (
 	// (three states, four-way max trees, lazy-F bookkeeping).
 	vitCPUCellsPerCycle = 0.55
 
-	// fwdCPUCellsPerCycle is the per-core throughput of the
-	// full-precision Forward stage (log-sum-exp in floating point, no
-	// effective SIMD) — the reason 0.1% of sequences account for ~5%
-	// of pipeline time in Figure 1.
+	// fwdCPUCellsPerCycle is the modelled per-core throughput of the
+	// full-precision Forward stage on the paper's baseline host — the
+	// reason 0.1% of sequences account for ~5% of pipeline time in
+	// Figure 1. It is a constant of the model, not a measurement of
+	// refimpl.Forward: that function left log-sum-exp for odds-ratio
+	// multiply-adds and runs tens of times faster on this host, and the
+	// Figure 1 / E6 output deliberately does not follow it.
 	fwdCPUCellsPerCycle = 0.05
 
 	// dualIssueBonus is the fraction of a second instruction slot the

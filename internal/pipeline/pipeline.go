@@ -181,50 +181,72 @@ func New(h *hmm.Plan7, targetLen int, opts Options) (*Pipeline, error) {
 		consensus: h.Consensus(),
 		Opts:      opts,
 	}
-	if err := pl.calibrate(); err != nil {
+	cal, err := Calibrate(p, pl.MSV, pl.Vit, opts.Calibration, opts.Workers, opts.SkipForward)
+	if err != nil {
 		return nil, err
 	}
+	pl.MSVGumbel, pl.VitGumbel, pl.FwdExp = cal.MSV, cal.Vit, cal.Fwd
 	return pl, nil
 }
 
-// calibrate fits the three score distributions by random-sequence
-// simulation using the same scorers the pipeline will apply.
-func (pl *Pipeline) calibrate() error {
-	bg := pl.Prof.Abc.Backgrounds()
-	opts := pl.Opts.Calibration
+// Calibration is the three fitted score distributions of one query.
+type Calibration struct {
+	MSV, Vit stats.Gumbel
+	Fwd      stats.Exponential
+}
+
+// Calibrate fits the three score distributions by random-sequence
+// simulation with the scorers the pipeline applies: the striped MSV
+// and Viterbi filters and host Forward, on seeds opts.Seed, +1 and +2.
+// The samples are scored on a pool of the given number of workers
+// (0 = GOMAXPROCS) and fitted in the order they were drawn, so the
+// result does not depend on the worker count. The calibration length
+// is the profile's configured length, whatever opts.L says: it must
+// match the scoring configuration (see the package comment).
+// skipForward leaves Fwd zero.
+func Calibrate(p *profile.Profile, mp *profile.MSVProfile, vp *profile.VitProfile,
+	opts stats.CalibrateOptions, workers int, skipForward bool) (Calibration, error) {
+
+	var cal Calibration
 	var err error
+	bg := p.Abc.Backgrounds()
+	opts.L = p.L
+	eng := cpu.Engine{Workers: workers}
+	// sample draws the next seed's sequences.
+	sample := func() *seq.Database {
+		db := seq.NewDatabase("calibration")
+		for _, dsq := range stats.SampleSeqs(opts, bg) {
+			db.Add(&seq.Sequence{Residues: dsq})
+		}
+		opts.Seed++
+		return db
+	}
+	filterBits := func(results []cpu.FilterResult) []float64 {
+		bits := make([]float64, len(results))
+		for i, r := range results {
+			bits[i] = stats.BitsFromNats(r.Score)
+		}
+		return bits
+	}
 
-	// The calibration length must match the scoring configuration; we
-	// deliberately calibrate at the pipeline's configured length
-	// rather than HMMER's fixed L=100 (see the package comment).
-	opts.L = pl.Prof.L
-
-	msvEng := cpu.NewMSVEngine(pl.MSV)
-	pl.MSVGumbel, err = stats.CalibrateGumbel(func(dsq []byte) float64 {
-		return stats.BitsFromNats(msvEng.Filter(dsq).Score)
-	}, bg, opts)
-	if err != nil {
-		return fmt.Errorf("pipeline: MSV calibration: %w", err)
+	if cal.MSV, err = stats.FitGumbelFixedLambda(filterBits(eng.MSVAll(mp, sample())), stats.Lambda); err != nil {
+		return cal, fmt.Errorf("pipeline: MSV calibration: %w", err)
 	}
-	opts.Seed++
-	vitEng := cpu.NewVitEngine(pl.Vit)
-	pl.VitGumbel, err = stats.CalibrateGumbel(func(dsq []byte) float64 {
-		return stats.BitsFromNats(vitEng.Filter(dsq).Score)
-	}, bg, opts)
-	if err != nil {
-		return fmt.Errorf("pipeline: Viterbi calibration: %w", err)
+	if cal.Vit, err = stats.FitGumbelFixedLambda(filterBits(eng.ViterbiAll(vp, sample())), stats.Lambda); err != nil {
+		return cal, fmt.Errorf("pipeline: Viterbi calibration: %w", err)
 	}
-	if pl.Opts.SkipForward {
-		return nil
+	if skipForward {
+		return cal, nil
 	}
-	opts.Seed++
-	pl.FwdExp, err = stats.CalibrateExponential(func(dsq []byte) float64 {
-		return stats.BitsFromNats(refimpl.Forward(pl.Prof, dsq))
-	}, bg, opts)
-	if err != nil {
-		return fmt.Errorf("pipeline: Forward calibration: %w", err)
+	db := sample()
+	bits := make([]float64, db.NumSeqs())
+	eng.ForEach(len(bits), func(i int) {
+		bits[i] = stats.BitsFromNats(refimpl.Forward(p, db.Seqs[i].Residues))
+	})
+	if cal.Fwd, err = stats.FitExpTailFixedLambda(bits, stats.Lambda, opts.TailMass); err != nil {
+		return cal, fmt.Errorf("pipeline: Forward calibration: %w", err)
 	}
-	return nil
+	return cal, nil
 }
 
 // msvPass reports whether an MSV filter result survives the threshold.

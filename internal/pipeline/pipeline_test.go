@@ -6,9 +6,12 @@ import (
 	"testing"
 
 	"hmmer3gpu/internal/alphabet"
+	"hmmer3gpu/internal/cpu"
 	"hmmer3gpu/internal/gpu"
+	"hmmer3gpu/internal/refimpl"
 	"hmmer3gpu/internal/seq"
 	"hmmer3gpu/internal/simt"
+	"hmmer3gpu/internal/stats"
 	"hmmer3gpu/internal/workload"
 )
 
@@ -235,6 +238,84 @@ func TestCalibrationSeparatesStages(t *testing.T) {
 	// above must have a small one.
 	if p := pl.MSVGumbel.Surv(pl.MSVGumbel.Mu + 30); p > 1e-6 {
 		t.Errorf("strong score P-value %g", p)
+	}
+}
+
+// TestCalibrationIndependentOfWorkers: the samples are scored on a
+// pool but fitted in the order they were drawn, so every worker count
+// gives the same bits — and for the two filters, the bits of the
+// serial stats.CalibrateGumbel over the single-sequence engines.
+func TestCalibrationIndependentOfWorkers(t *testing.T) {
+	h, err := workload.Model("cal", 70, abc, 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *Pipeline
+	for _, workers := range []int{1, 2, 8} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		pl, err := New(h, 200, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = pl
+			continue
+		}
+		if pl.MSVGumbel != first.MSVGumbel || pl.VitGumbel != first.VitGumbel || pl.FwdExp != first.FwdExp {
+			t.Errorf("Workers=%d: calibration {%v %v %v} differs from Workers=1 {%v %v %v}", workers,
+				pl.MSVGumbel, pl.VitGumbel, pl.FwdExp, first.MSVGumbel, first.VitGumbel, first.FwdExp)
+		}
+	}
+
+	bg := abc.Backgrounds()
+	copts := DefaultOptions().Calibration
+	copts.L = first.Prof.L
+	msvEng := cpu.NewMSVEngine(first.MSV)
+	msv, err := stats.CalibrateGumbel(func(dsq []byte) float64 {
+		return stats.BitsFromNats(msvEng.Filter(dsq).Score)
+	}, bg, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copts.Seed++
+	vitEng := cpu.NewVitEngine(first.Vit)
+	vit, err := stats.CalibrateGumbel(func(dsq []byte) float64 {
+		return stats.BitsFromNats(vitEng.Filter(dsq).Score)
+	}, bg, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.MSVGumbel != msv || first.VitGumbel != vit {
+		t.Errorf("pooled calibration {%v %v} differs from the serial fit {%v %v}", first.MSVGumbel, first.VitGumbel, msv, vit)
+	}
+	copts.Seed++
+	fwd, err := stats.CalibrateExponential(func(dsq []byte) float64 {
+		return stats.BitsFromNats(refimpl.Forward(first.Prof, dsq))
+	}, bg, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.FwdExp != fwd {
+		t.Errorf("pooled Forward calibration %v differs from the serial fit %v", first.FwdExp, fwd)
+	}
+}
+
+// TestForwardPathAllocatesOneRow: a Forward call on a configured
+// pipeline allocates its DP row and nothing else — the odds tables
+// were built once, with the profile.
+func TestForwardPathAllocatesOneRow(t *testing.T) {
+	pl := testPipeline(t, 100, 200)
+	dsq := make([]byte, 200)
+	for i := range dsq {
+		dsq[i] = byte(i % abc.Size())
+	}
+	var sink float64
+	if allocs := testing.AllocsPerRun(50, func() { sink += refimpl.Forward(pl.Prof, dsq) }); allocs != 1 {
+		t.Errorf("Forward made %v allocations per call, want 1 (the DP row)", allocs)
+	}
+	if math.IsNaN(sink) {
+		t.Error("Forward returned NaN")
 	}
 }
 

@@ -2,14 +2,18 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"hmmer3gpu/internal/checkpoint"
 	"hmmer3gpu/internal/cluster"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/obs"
+	"hmmer3gpu/internal/seq"
 	"hmmer3gpu/internal/simt"
 )
 
@@ -87,12 +91,41 @@ func TestClusterStreamFaultedMatchesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Worker 0's kill fires on its second assignment and worker 1's torn
+	// frame on its first. Left alone, a fast third worker can drain the
+	// fixture's six batches before worker 0 is handed a second one, so it
+	// holds whatever it is given until the injector has logged both faults.
+	// They cannot fail to fire: with the third worker held, worker 1
+	// loses its first batch and worker 0 is next in line for the rest.
+	bothFired := func() bool {
+		sched := strings.Join(inject.Schedule(), "\n")
+		return strings.Contains(sched, "w0 kill batch #1") && strings.Contains(sched, "w1 torn-frame batch #0")
+	}
+	workers := 0
+	mkExec := func() cluster.Exec {
+		exec := pl.ClusterExecCPU()
+		if workers++; workers < 3 {
+			return exec
+		}
+		return func(ctx context.Context, seqNo uint64, db *seq.Database) ([]byte, error) {
+			for !bothFired() && ctx.Err() == nil {
+				time.Sleep(time.Millisecond)
+			}
+			return exec(ctx, seqNo, db)
+		}
+	}
 	res, err := clusterRun(t, pl, fasta, batchResidues, 3,
-		func(cfg *StreamConfig, ccfg *ClusterConfig) { ccfg.Inject = inject })
+		func(cfg *StreamConfig, ccfg *ClusterConfig) {
+			ccfg.Inject = inject
+			ccfg.Workers = pl.InProcessClusterWorkers(*cfg, 0, 3, 1, mkExec)
+		})
 	if err != nil {
 		t.Fatalf("faulted cluster run failed: %v", err)
 	}
 	sameHits(t, "faulted cluster", whole, res)
+	if !bothFired() {
+		t.Errorf("an injected fault did not fire: %q", inject.Schedule())
+	}
 
 	rep := res.Extra.(*ClusterStreamExtra).Cluster
 	if rep.Requeues < 2 {

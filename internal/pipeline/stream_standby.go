@@ -126,27 +126,39 @@ func (pl *Pipeline) RunStandbyClusterStreamContext(ctx context.Context, r io.Rea
 	// still-forming file is retried.
 	var fo *checkpoint.Follower
 	var got lease
-	haveLease := false
+	haveLease, waiting := false, false
 	for fo == nil {
 		f, err := checkpoint.OpenFollower(ck.Path, fp, checkpoint.FollowerOptions{Mode: ccfg.Mode})
 		if err == nil {
 			fo = f
 			break
 		}
-		if hardFollowerError(err) {
+		switch {
+		case hardFollowerError(err):
+			if haveLease {
+				got.release()
+			}
 			return nil, err
+		case haveLease:
+			// Leadership, and after it still no journal: the primary died
+			// (or never started) pre-header. There is nothing to take
+			// over; refuse rather than silently running a fresh primary
+			// under a flag that promised a takeover.
+			got.release()
+			return nil, fmt.Errorf("pipeline: standby acquired leadership but no journal exists at %s: primary never started a run", ck.Path)
+		case !waiting:
+			waiting = true
+			logf("standby: no journal at %s yet, waiting for the primary to start", ck.Path)
 		}
 		select {
 		case got = <-leaseCh:
 			if got.err != nil {
 				return nil, got.err
 			}
-			// Leadership before the journal exists: the primary died (or
-			// never started) pre-header. There is nothing to take over;
-			// refuse rather than silently running a fresh primary under a
-			// flag that promised a takeover.
-			got.release()
-			return nil, fmt.Errorf("pipeline: standby acquired leadership but no journal exists at %s: primary never started a run", ck.Path)
+			// The primary may have written its journal and died since the
+			// failed open above, so look once more now that the lease
+			// says it is gone for good.
+			haveLease = true
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-time.After(ha.tailPoll()):

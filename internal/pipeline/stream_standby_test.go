@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -121,6 +123,65 @@ func TestStandbyTakeoverMatchesSingleNode(t *testing.T) {
 	replay := res.Extra.(*ClusterStreamExtra)
 	if replay.Cluster.Batches != 0 {
 		t.Errorf("replay dispatched %d batches, want 0 (journal must cover the whole stream)", replay.Cluster.Batches)
+	}
+}
+
+// TestStandbyLeaseBeforeJournalSeen pins the schedule a loaded host
+// produces: the standby looks for the journal before the primary has
+// created it, and the primary then writes its journal and dies before
+// the standby looks again. The lease is what wakes the standby, and it
+// must look once more before concluding there is nothing to take over.
+// The poll interval is an hour, so nothing but the lease can wake it.
+func TestStandbyLeaseBeforeJournalSeen(t *testing.T) {
+	pl, fasta, whole, batchResidues := faultStreamFixture(t)
+	cfg := StreamConfig{BatchResidues: batchResidues,
+		Checkpoint: &CheckpointConfig{Path: filepath.Join(t.TempDir(), "run.ckpt")}}
+	server := pl.NewWorkerServer(cfg, 0, "w0", 1, pl.ClusterExecCPU())
+	specs := []cluster.WorkerSpec{InProcessWorkerSpec(server)}
+
+	acquire, grantLease := chanLeadership()
+	parked := make(chan struct{})
+	var parkOnce sync.Once
+	type outcome struct {
+		res *Result
+		err error
+	}
+	standbyDone := make(chan outcome, 1)
+	go func() {
+		res, err := pl.RunStandbyClusterStream(bytes.NewReader(fasta), cfg,
+			ClusterConfig{Workers: specs, Logf: func(format string, _ ...any) {
+				if strings.Contains(format, "no journal") {
+					parkOnce.Do(func() { close(parked) })
+				}
+			}},
+			StandbyClusterConfig{Acquire: acquire, TailPoll: time.Hour})
+		standbyDone <- outcome{res, err}
+	}()
+
+	select {
+	case <-parked:
+	case got := <-standbyDone:
+		t.Fatalf("standby returned before the primary started: %v", got.err)
+	}
+	inject, err := cluster.ParseFaults("kill-coordinator@3", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = pl.RunClusterStream(bytes.NewReader(fasta), cfg, ClusterConfig{Workers: specs, Inject: inject})
+	if !errors.Is(err, cluster.ErrInjectedCoordinatorKill) {
+		t.Fatalf("primary returned %v, want ErrInjectedCoordinatorKill", err)
+	}
+	grantLease()
+
+	got := <-standbyDone
+	if got.err != nil {
+		t.Fatalf("standby refused a journal that exists: %v", got.err)
+	}
+	sameHits(t, "takeover of a journal first seen after the lease", whole, got.res)
+	extra := got.res.Extra.(*ClusterStreamExtra)
+	if extra.Cluster.Failovers != 1 || extra.Cluster.StandbyTailed == 0 || extra.Cluster.StandbyTailed != extra.Replayed {
+		t.Errorf("Failovers = %d, StandbyTailed = %d, Replayed = %d: want one failover that merged the primary's batches from the journal",
+			extra.Cluster.Failovers, extra.Cluster.StandbyTailed, extra.Replayed)
 	}
 }
 

@@ -53,6 +53,59 @@ type Profile struct {
 
 	// Stats carries the calibration parameters from the source model.
 	Stats hmm.CalibrationStats
+
+	// Odds is every score above exponentiated once, for recurrences
+	// that run in linear space. Config builds the tables and SetLength
+	// sets its length model; nothing else may write to it.
+	Odds Odds
+}
+
+// Odds holds a profile's scores as odds ratios, exp(score), with
+// exp(NegInf) = 0: a sum over paths becomes multiply-adds instead of
+// a log-sum-exp per term. The tables are read-only once built, so
+// copies of a Profile may share them.
+type Odds struct {
+	// MSC[r][k] is exp(Profile.MSC[r][k]).
+	MSC [][]float64
+	// T[k] is the odds of the seven transitions out of node k.
+	T []OddsNode
+
+	TBM, TEC, TEJ float64
+	// TLoop and TMove are set by SetLength.
+	TLoop, TMove float64
+}
+
+// OddsNode is one node's transition odds, side by side because a DP
+// cell reads them together. Field XY mirrors Profile.TXY[k].
+type OddsNode struct {
+	MM, IM, DM, MI, II, MD, DD float64
+}
+
+// newOdds exponentiates a profile's length-independent score tables.
+func newOdds(p *Profile) Odds {
+	m := p.M
+	o := Odds{
+		MSC: make([][]float64, len(p.MSC)),
+		T:   make([]OddsNode, m+1),
+		TBM: math.Exp(p.TBM),
+		TEC: math.Exp(p.TEC),
+		TEJ: math.Exp(p.TEJ),
+	}
+	flat := make([]float64, len(p.MSC)*(m+1))
+	for r, row := range p.MSC {
+		o.MSC[r] = flat[r*(m+1) : (r+1)*(m+1) : (r+1)*(m+1)]
+		for k, sc := range row {
+			o.MSC[r][k] = math.Exp(sc)
+		}
+	}
+	for k := range o.T {
+		o.T[k] = OddsNode{
+			MM: math.Exp(p.TMM[k]), IM: math.Exp(p.TIM[k]), DM: math.Exp(p.TDM[k]),
+			MI: math.Exp(p.TMI[k]), II: math.Exp(p.TII[k]),
+			MD: math.Exp(p.TMD[k]), DD: math.Exp(p.TDD[k]),
+		}
+	}
+	return o
 }
 
 // Config builds a multihit-local search profile from a validated core
@@ -128,6 +181,7 @@ func Config(h *hmm.Plan7) *Profile {
 	p.TBM = math.Log(2.0 / (float64(m) * float64(m+1)))
 	p.TEC = math.Log(0.5)
 	p.TEJ = math.Log(0.5)
+	p.Odds = newOdds(p)
 	return p
 }
 
@@ -137,6 +191,7 @@ func (p *Profile) SetLength(L int) {
 	fl := float64(L)
 	p.TLoop = math.Log(fl / (fl + 3))
 	p.TMove = math.Log(3 / (fl + 3))
+	p.Odds.TLoop, p.Odds.TMove = fl/(fl+3), 3/(fl+3)
 }
 
 // MatchScore returns the match emission log-odds for residue code r at

@@ -3,6 +3,8 @@ package refimpl
 import (
 	"math/rand"
 	"testing"
+
+	"hmmer3gpu/internal/profile"
 )
 
 func BenchmarkGenericViterbi(b *testing.B) {
@@ -17,7 +19,7 @@ func BenchmarkGenericViterbi(b *testing.B) {
 	}
 }
 
-func BenchmarkGenericForward(b *testing.B) {
+func benchmarkForward(b *testing.B, forward func(*profile.Profile, []byte) float64) {
 	rng := rand.New(rand.NewSource(2))
 	p := testProfile(b, 100, 2)
 	p.SetLength(200)
@@ -25,9 +27,15 @@ func BenchmarkGenericForward(b *testing.B) {
 	b.SetBytes(int64(100 * 200))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Forward(p, dsq)
+		forward(p, dsq)
 	}
 }
+
+func BenchmarkGenericForward(b *testing.B) { benchmarkForward(b, Forward) }
+
+// The log-space oracle on the same input, so that bench-smoke shows the
+// ratio the odds-space recurrence buys (MB/s here is Mcell/s).
+func BenchmarkGenericForwardLogSpace(b *testing.B) { benchmarkForward(b, forwardLogSpace) }
 
 func BenchmarkViterbiTrace(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))

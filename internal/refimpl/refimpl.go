@@ -3,7 +3,9 @@
 // Viterbi, Forward and Backward. They are deliberately simple — row
 // matrices, no vectorisation — and serve as the ground truth every
 // optimised engine (striped CPU filters, GPU kernels) is validated
-// against.
+// against. Forward is also the pipeline's host Forward stage, so it
+// alone runs in odds-ratio space with rescaling; the package's tests
+// hold it to the log-space recurrence and to the log-space Backward.
 package refimpl
 
 import (
@@ -118,50 +120,67 @@ func Viterbi(p *profile.Profile, dsq []byte) float64 {
 	return xC + p.TMove
 }
 
+// The window the Forward row's mass is kept in, [2^-256, 2^256]. A row
+// multiplies the mass by at most the largest emission odds, far below
+// 2^256, so checking once per row keeps every live value clear of
+// overflow and of the subnormals.
+var fwdHigh, fwdLow = math.Ldexp(1, 256), math.Ldexp(1, -256)
+
 // Forward computes the full-precision Forward score (nats): the total
 // log-likelihood ratio summed over all alignments, the scoring system
 // HMMER 3.0 introduced over optimal-alignment Viterbi scores.
+//
+// The recurrence runs in odds-ratio space over p.Odds, as HMMER's own
+// Forward does: multiply-adds, no logarithm per cell. One row is
+// updated in place. Whenever the row's mass leaves the safe window —
+// upward on a homolog, downward on a target far longer than the
+// configured length — the row and the specials are rescaled by an
+// exact power of two, and the exponents add back into the score.
 func Forward(p *profile.Profile, dsq []byte) float64 {
+	o := &p.Odds
 	m := p.M
-	type row struct{ mx, ix, dx []float64 }
-	newRow := func() row {
-		r := row{
-			mx: make([]float64, m+1),
-			ix: make([]float64, m+1),
-			dx: make([]float64, m+1),
-		}
-		for k := 0; k <= m; k++ {
-			r.mx[k], r.ix[k], r.dx[k] = profile.NegInf, profile.NegInf, profile.NegInf
-		}
-		return r
-	}
-	prev, cur := newRow(), newRow()
-	xN := 0.0
-	xB := p.TMove
-	xJ, xC := profile.NegInf, profile.NegInf
+	// row[3k], row[3k+1], row[3k+2] are M_k, I_k, D_k; node 0 stays 0.
+	row := make([]float64, 3*(m+1))
+	xN, xJ, xC := 1.0, 0.0, 0.0
+	xB := o.TMove
+	shift := 0 // the true values are the stored ones times 2^shift
 
-	for i := 0; i < len(dsq); i++ {
-		msc := p.MSC[dsq[i]]
-		xE := profile.NegInf
-		cur.mx[0], cur.ix[0], cur.dx[0] = profile.NegInf, profile.NegInf, profile.NegInf
+	for _, x := range dsq {
+		msc := o.MSC[x][:m+1]
+		entry := xB * o.TBM
+		xE := 0.0
+		var pm, pi, pd float64 // previous row, node k-1
+		var cm, cd float64     // this row, node k-1
 		for k := 1; k <= m; k++ {
-			mv := logSum(
-				logSum(prev.mx[k-1]+p.TMM[k-1], prev.ix[k-1]+p.TIM[k-1]),
-				logSum(prev.dx[k-1]+p.TDM[k-1], xB+p.TBM),
-			) + msc[k]
-			cur.mx[k] = mv
-			cur.ix[k] = logSum(prev.mx[k]+p.TMI[k], prev.ix[k]+p.TII[k])
-			cur.dx[k] = logSum(cur.mx[k-1]+p.TMD[k-1], cur.dx[k-1]+p.TDD[k-1])
-			xE = logSum(xE, mv)
+			in, at := &o.T[k-1], &o.T[k] // transitions into node k, and within it
+			cell := row[3*k : 3*k+3]
+			om, oi, od := cell[0], cell[1], cell[2]
+			mv := (pm*in.MM + pi*in.IM + pd*in.DM + entry) * msc[k]
+			dv := cm*in.MD + cd*in.DD
+			cell[0] = mv
+			cell[1] = om*at.MI + oi*at.II
+			cell[2] = dv
+			xE += mv
+			pm, pi, pd = om, oi, od
+			cm, cd = mv, dv
 		}
-		xE = logSum(xE, cur.dx[m])
-		xJ = logSum(xJ+p.TLoop, xE+p.TEJ)
-		xC = logSum(xC+p.TLoop, xE+p.TEC)
-		xN += p.TLoop
-		xB = logSum(xN, xJ) + p.TMove
-		prev, cur = cur, prev
+		xE += cd // local exit from D_M
+		xJ = xJ*o.TLoop + xE*o.TEJ
+		xC = xC*o.TLoop + xE*o.TEC
+		xN *= o.TLoop
+		xB = (xN + xJ) * o.TMove
+
+		if mass := xN + xJ + xC + xE; mass > fwdHigh || (mass < fwdLow && mass > 0) {
+			_, e := math.Frexp(mass)
+			scale := math.Ldexp(1, -e)
+			for i := range row {
+				row[i] *= scale
+			}
+			xN, xB, xJ, xC = xN*scale, xB*scale, xJ*scale, xC*scale
+			shift += e
+		}
 	}
-	return xC + p.TMove
+	return math.Log(xC) + p.TMove + float64(shift)*math.Ln2
 }
 
 // Backward computes the full-precision Backward score (nats). For a

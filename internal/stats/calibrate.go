@@ -28,12 +28,18 @@ func DefaultCalibration() CalibrateOptions {
 // Scorer scores one digital sequence, returning a bit score.
 type Scorer func(dsq []byte) float64
 
-// sampleSeqs draws N background sequences of length L over the
-// canonical residues with the given frequencies.
-func sampleSeqs(opts CalibrateOptions, bg []float64, fn func(dsq []byte)) {
+// SampleSeqs draws the N background sequences of length L a fit with
+// these options scores, over the canonical residues with the given
+// frequencies. The draw depends on nothing but opts and bg, so a
+// caller may score the sequences in any order, or in parallel, and fit
+// the scores in index order to get what CalibrateGumbel and
+// CalibrateExponential compute.
+func SampleSeqs(opts CalibrateOptions, bg []float64) [][]byte {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	dsq := make([]byte, opts.L)
-	for i := 0; i < opts.N; i++ {
+	flat := make([]byte, opts.N*opts.L)
+	seqs := make([][]byte, opts.N)
+	for i := range seqs {
+		dsq := flat[i*opts.L : (i+1)*opts.L : (i+1)*opts.L]
 		for j := range dsq {
 			u, acc := rng.Float64(), 0.0
 			dsq[j] = byte(len(bg) - 1)
@@ -45,26 +51,27 @@ func sampleSeqs(opts CalibrateOptions, bg []float64, fn func(dsq []byte)) {
 				}
 			}
 		}
-		fn(dsq)
+		seqs[i] = dsq
 	}
+	return seqs
+}
+
+func scoreAll(score Scorer, seqs [][]byte) []float64 {
+	samples := make([]float64, len(seqs))
+	for i, dsq := range seqs {
+		samples[i] = score(dsq)
+	}
+	return samples
 }
 
 // CalibrateGumbel simulates random sequences, scores them, and fits a
 // Gumbel with lambda = log 2 — used for the MSV and Viterbi filters.
 func CalibrateGumbel(score Scorer, bg []float64, opts CalibrateOptions) (Gumbel, error) {
-	samples := make([]float64, 0, opts.N)
-	sampleSeqs(opts, bg, func(dsq []byte) {
-		samples = append(samples, score(dsq))
-	})
-	return FitGumbelFixedLambda(samples, Lambda)
+	return FitGumbelFixedLambda(scoreAll(score, SampleSeqs(opts, bg)), Lambda)
 }
 
 // CalibrateExponential simulates random sequences, scores them, and
 // anchors the exponential tail — used for Forward scores.
 func CalibrateExponential(score Scorer, bg []float64, opts CalibrateOptions) (Exponential, error) {
-	samples := make([]float64, 0, opts.N)
-	sampleSeqs(opts, bg, func(dsq []byte) {
-		samples = append(samples, score(dsq))
-	})
-	return FitExpTailFixedLambda(samples, Lambda, opts.TailMass)
+	return FitExpTailFixedLambda(scoreAll(score, SampleSeqs(opts, bg)), Lambda, opts.TailMass)
 }

@@ -148,12 +148,12 @@ func TestSampleSeqsRespectsBackground(t *testing.T) {
 	bg := []float64{0.7, 0.2, 0.1}
 	counts := make([]int, 3)
 	total := 0
-	sampleSeqs(CalibrateOptions{N: 200, L: 100, Seed: 5}, bg, func(dsq []byte) {
+	for _, dsq := range SampleSeqs(CalibrateOptions{N: 200, L: 100, Seed: 5}, bg) {
 		for _, c := range dsq {
 			counts[c]++
 			total++
 		}
-	})
+	}
 	for r, want := range bg {
 		got := float64(counts[r]) / float64(total)
 		if math.Abs(got-want) > 0.02 {

@@ -1,7 +1,7 @@
 // Package cpu implements the HMMER 3.0 CPU baseline the paper compares
 // against: the 8-bit saturating MSV filter and the 16-bit P7Viterbi
-// filter in Farrar-striped SIMD form (vector lanes emulated on byte and
-// word slices), plus a multicore database driver.
+// filter in Farrar-striped SIMD form (a 128-bit vector is two uint64
+// words of satmath SWAR lanes), plus a multicore database driver.
 //
 // The package also provides scalar "golden" filters that evaluate the
 // same quantised recurrences sequentially. The golden filters define

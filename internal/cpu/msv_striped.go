@@ -7,6 +7,25 @@ import (
 	"hmmer3gpu/internal/satmath"
 )
 
+// HMMER 3.0's filters use 128-bit SSE registers: 16 unsigned byte
+// lanes for MSV, 8 signed word lanes for the Viterbi filter. The
+// paper's CPU baseline is exactly this configuration. Here one such
+// vector is two uint64 words of satmath SWAR lanes, the low word
+// holding the low lanes.
+const (
+	// MSVWidth is the byte-lane count of the MSV filter vectors.
+	MSVWidth = 16
+	// VitWidth is the word-lane count of the Viterbi filter vectors.
+	VitWidth = 8
+)
+
+// shiftU8 moves every byte lane of the vector (w0, w1) up by one (lane
+// l takes lane l-1, lane 8 takes the top lane of w0) and fills lane 0
+// with fill — the striped-diagonal wrap (SSE pslldq by one element).
+func shiftU8(w0, w1 uint64, fill uint8) (uint64, uint64) {
+	return w0<<8 | uint64(fill), w1<<8 | w0>>56
+}
+
 // MSVEngine is the striped 16-lane byte MSV filter — the CPU side of
 // the paper's comparison ("16, 8-bit SIMD registers thus achieving
 // 16-fold speedup on a commodity processor"). Build one per profile and
@@ -14,26 +33,27 @@ import (
 // worker goroutine owns its own engine).
 type MSVEngine struct {
 	mp *profile.MSVProfile
-	q  int
-	// rsc[r][q] is the striped emission cost vector for residue r.
-	rsc [][]vecU8
-	dp  []vecU8
+	// rsc[r] is the striped emission cost row for residue r, two words
+	// per stripe: rsc[r][2*q] holds lanes 0-7 of stripe q, rsc[r][2*q+1]
+	// lanes 8-15.
+	rsc [][]uint64
+	dp  []uint64
 }
 
 // NewMSVEngine prepares the striped emission layout for mp.
 func NewMSVEngine(mp *profile.MSVProfile) *MSVEngine {
 	q := profile.StripedSegments(mp.M, MSVWidth)
 	striped := mp.Striped(MSVWidth)
-	e := &MSVEngine{mp: mp, q: q}
-	e.rsc = make([][]vecU8, len(striped))
+	e := &MSVEngine{mp: mp}
+	e.rsc = make([][]uint64, len(striped))
 	for r := range striped {
-		row := make([]vecU8, q)
-		for qi := 0; qi < q; qi++ {
-			copy(row[qi][:], striped[r][qi*MSVWidth:(qi+1)*MSVWidth])
+		row := make([]uint64, 2*q)
+		for i, c := range striped[r] {
+			row[i/8] |= uint64(c) << (8 * (i % 8))
 		}
 		e.rsc[r] = row
 	}
-	e.dp = make([]vecU8, q)
+	e.dp = make([]uint64, 2*q)
 	return e
 }
 
@@ -41,12 +61,18 @@ func NewMSVEngine(mp *profile.MSVProfile) *MSVEngine {
 // bit-identical to MSVFilterScalar.
 func (e *MSVEngine) Filter(dsq []byte) FilterResult {
 	mp := e.mp
-	q := e.q
 	dp := e.dp
-	zero := splatU8(0)
-	biasv := splatU8(mp.Bias)
+	// dp holds every cell with the emission bias already added, so the
+	// inner loop pays a plain word add for it instead of a saturating
+	// one. Saturating add distributes over max, so Algorithm 1's
+	// max(cell, xB) + bias is max(cell + bias, xB + bias) with only the
+	// splatted xB term still saturating; and cell + bias cannot reach
+	// 255, let alone carry into the next lane, because a row whose
+	// largest cell reaches 255 - bias returns overflow before anything
+	// reads that row back.
+	biasv := satmath.SplatU8(mp.Bias)
 	for i := range dp {
-		dp[i] = zero
+		dp[i] = biasv
 	}
 
 	const base = uint8(profile.MSVBase)
@@ -55,23 +81,23 @@ func (e *MSVEngine) Filter(dsq []byte) FilterResult {
 	xB := satmath.SubU8(base, mp.TJB)
 
 	for i := 0; i < len(dsq); i++ {
-		rsc := e.rsc[dsq[i]]
-		xEv := zero
-		xBv := splatU8(satmath.SubU8(xB, mp.TBM))
+		rsc := e.rsc[dsq[i]][:len(dp)]
+		var xE0, xE1 uint64
+		xBv := satmath.SplatU8(satmath.AddU8(satmath.SubU8(xB, mp.TBM), mp.Bias))
 
 		// The striped diagonal: the previous row's last stripe, lanes
 		// shifted up one, feeds stripe 0.
-		mpv := shiftU8(dp[q-1], 0)
-		for qi := 0; qi < q; qi++ {
-			sv := maxU8v(mpv, xBv)
-			sv = addsU8v(sv, biasv)
-			sv = subsU8v(sv, rsc[qi])
-			xEv = maxU8v(xEv, sv)
-			mpv = dp[qi]
-			dp[qi] = sv
+		mp0, mp1 := shiftU8(dp[len(dp)-2], dp[len(dp)-1], mp.Bias)
+		for j := 0; j+1 < len(dp); j += 2 {
+			sv0 := satmath.SubU8x8(satmath.MaxU8x8(mp0, xBv), rsc[j])
+			sv1 := satmath.SubU8x8(satmath.MaxU8x8(mp1, xBv), rsc[j+1])
+			xE0 = satmath.MaxU8x8(xE0, sv0)
+			xE1 = satmath.MaxU8x8(xE1, sv1)
+			mp0, mp1 = dp[j], dp[j+1]
+			dp[j], dp[j+1] = sv0+biasv, sv1+biasv
 		}
 
-		xE := hmaxU8(xEv)
+		xE := satmath.HMaxU8x8(satmath.MaxU8x8(xE0, xE1))
 		if xE >= overflowAt {
 			return FilterResult{Score: math.Inf(1), Overflowed: true}
 		}

@@ -11,25 +11,29 @@ import (
 // lazy-F treatment of the D-D chain — HMMER 3.0's ViterbiFilter, the
 // second stage of the paper's CPU baseline. Not safe for concurrent
 // use; each worker owns its own engine.
+//
+// Every striped table and DP row is two words per stripe: index 2*q
+// holds lanes 0-3 of stripe q, index 2*q+1 lanes 4-7.
 type VitEngine struct {
 	vp *profile.VitProfile
 	q  int
 
-	// msc[r][q] is the striped emission vector for residue r
-	// (lane l of stripe q holds node q + l*Q + 1).
-	msc [][]vecI16
-	// Source-aligned transition vectors for the M update: lane l of
+	// msc[r] is the striped emission row for residue r (lane l of
+	// stripe q holds node q + l*Q + 1).
+	msc [][]uint64
+	// Source-aligned transition rows for the M update: lane l of
 	// stripe q holds the transition out of node q + l*Q (= k-1).
-	tMM, tIM, tDM []vecI16
-	// Same-node transition vectors: lane l of stripe q holds the
+	tMM, tIM, tDM []uint64
+	// Same-node transition rows: lane l of stripe q holds the
 	// transition out of node q + l*Q + 1 (= k).
-	tMI, tII, tMD, tDD []vecI16
+	tMI, tII, tMD, tDD []uint64
 
-	mmx, imx, dmx []vecI16
+	mmx, imx, dmx []uint64
 
-	// qM and lM are the striped coordinates of node M (for the D_M
-	// local exit contribution to E).
-	qM, lM int
+	// wM and sM locate node M in dmx (word index, bit offset of its
+	// lane) for the D_M local exit contribution to E.
+	wM int
+	sM uint
 }
 
 // LazyFInfo counts the work done by the lazy-F correction loop over
@@ -44,59 +48,51 @@ type LazyFInfo struct {
 	IteratedPasses int // total iterated passes
 }
 
+// shiftI16 is shiftU8 for word lanes.
+func shiftI16(w0, w1 uint64, fill int16) (uint64, uint64) {
+	return w0<<16 | uint64(uint16(fill)), w1<<16 | w0>>48
+}
+
 // NewVitEngine prepares the striped layouts for vp.
 func NewVitEngine(vp *profile.VitProfile) *VitEngine {
 	q := profile.StripedSegments(vp.M, VitWidth)
 	e := &VitEngine{vp: vp, q: q}
 
-	neg := satmath.NegInf16
-	stripeByTarget := func(src []int16) []vecI16 {
-		out := make([]vecI16, q)
+	// stripe puts src[k-back] in lane l of stripe qi for node
+	// k = qi + l*q + 1, minus infinity past M.
+	stripe := func(src []int16, back int) []uint64 {
+		out := make([]uint64, 2*q)
 		for qi := 0; qi < q; qi++ {
 			for l := 0; l < VitWidth; l++ {
-				k := qi + l*q + 1
-				if k <= vp.M {
-					out[qi][l] = src[k]
-				} else {
-					out[qi][l] = neg
+				v := satmath.NegInf16
+				if k := qi + l*q + 1; k <= vp.M {
+					v = src[k-back]
 				}
-			}
-		}
-		return out
-	}
-	stripeBySource := func(src []int16) []vecI16 {
-		out := make([]vecI16, q)
-		for qi := 0; qi < q; qi++ {
-			for l := 0; l < VitWidth; l++ {
-				k := qi + l*q + 1
-				if k <= vp.M {
-					out[qi][l] = src[k-1]
-				} else {
-					out[qi][l] = neg
-				}
+				out[2*qi+l/4] |= uint64(uint16(v)) << (16 * (l % 4))
 			}
 		}
 		return out
 	}
 
-	e.msc = make([][]vecI16, len(vp.MatUnit))
+	e.msc = make([][]uint64, len(vp.MatUnit))
 	for r := range vp.MatUnit {
-		e.msc[r] = stripeByTarget(vp.MatUnit[r])
+		e.msc[r] = stripe(vp.MatUnit[r], 0)
 	}
-	e.tMM = stripeBySource(vp.TMM)
-	e.tIM = stripeBySource(vp.TIM)
-	e.tDM = stripeBySource(vp.TDM)
-	e.tMI = stripeByTarget(vp.TMI)
-	e.tII = stripeByTarget(vp.TII)
-	e.tMD = stripeByTarget(vp.TMD)
-	e.tDD = stripeByTarget(vp.TDD)
+	e.tMM = stripe(vp.TMM, 1)
+	e.tIM = stripe(vp.TIM, 1)
+	e.tDM = stripe(vp.TDM, 1)
+	e.tMI = stripe(vp.TMI, 0)
+	e.tII = stripe(vp.TII, 0)
+	e.tMD = stripe(vp.TMD, 0)
+	e.tDD = stripe(vp.TDD, 0)
 
-	e.mmx = make([]vecI16, q)
-	e.imx = make([]vecI16, q)
-	e.dmx = make([]vecI16, q)
+	e.mmx = make([]uint64, 2*q)
+	e.imx = make([]uint64, 2*q)
+	e.dmx = make([]uint64, 2*q)
 
-	e.qM = (vp.M - 1) % q
-	e.lM = (vp.M - 1) / q
+	qM, lM := (vp.M-1)%q, (vp.M-1)/q
+	e.wM = 2*qM + lM/4
+	e.sM = uint(16 * (lM % 4))
 	return e
 }
 
@@ -115,52 +111,62 @@ func (e *VitEngine) FilterWithStats(dsq []byte) (FilterResult, LazyFInfo) {
 
 func (e *VitEngine) run(dsq []byte) (FilterResult, LazyFInfo) {
 	vp := e.vp
-	q := e.q
+	n := 2 * e.q
 	neg := satmath.NegInf16
-	negv := splatI16(neg)
+	negv := satmath.SplatI16(neg)
 	var info LazyFInfo
-	for i := 0; i < q; i++ {
-		e.mmx[i], e.imx[i], e.dmx[i] = negv, negv, negv
+	// Reslicing every row to one length lets the compiler drop the
+	// bounds checks in the stripe loops.
+	mmx, imx, dmx := e.mmx[:n], e.imx[:n], e.dmx[:n]
+	tMM, tIM, tDM := e.tMM[:n], e.tIM[:n], e.tDM[:n]
+	tMI, tII, tMD, tDD := e.tMI[:n], e.tII[:n], e.tMD[:n], e.tDD[:n]
+	for j := range mmx {
+		mmx[j], imx[j], dmx[j] = negv, negv, negv
 	}
 
 	xJ, xC := neg, neg
 	xB := vp.TMove
 
 	for i := 0; i < len(dsq); i++ {
-		msc := e.msc[dsq[i]]
-		xEv := negv
-		xBv := splatI16(satmath.AddI16(xB, vp.TBM))
+		msc := e.msc[dsq[i]][:n]
+		xE0, xE1 := negv, negv
+		xBv := satmath.SplatI16(satmath.AddI16(xB, vp.TBM))
 
-		mpv := shiftI16(e.mmx[q-1], neg)
-		ipv := shiftI16(e.imx[q-1], neg)
-		dpv := shiftI16(e.dmx[q-1], neg)
-		dcv := negv
+		mp0, mp1 := shiftI16(mmx[n-2], mmx[n-1], neg)
+		ip0, ip1 := shiftI16(imx[n-2], imx[n-1], neg)
+		dp0, dp1 := shiftI16(dmx[n-2], dmx[n-1], neg)
+		dc0, dc1 := negv, negv
 
-		for qi := 0; qi < q; qi++ {
-			oldM, oldI, oldD := e.mmx[qi], e.imx[qi], e.dmx[qi]
-
-			sv := maxI16v(
-				maxI16v(addsI16v(mpv, e.tMM[qi]), addsI16v(ipv, e.tIM[qi])),
-				maxI16v(addsI16v(dpv, e.tDM[qi]), xBv),
+		for j := 0; j+1 < n; j += 2 {
+			sv0 := satmath.MaxI16x4(
+				satmath.MaxI16x4(satmath.AddI16x4(mp0, tMM[j]), satmath.AddI16x4(ip0, tIM[j])),
+				satmath.MaxI16x4(satmath.AddI16x4(dp0, tDM[j]), xBv),
 			)
-			sv = addsI16v(sv, msc[qi])
-			xEv = maxI16v(xEv, sv)
+			sv1 := satmath.MaxI16x4(
+				satmath.MaxI16x4(satmath.AddI16x4(mp1, tMM[j+1]), satmath.AddI16x4(ip1, tIM[j+1])),
+				satmath.MaxI16x4(satmath.AddI16x4(dp1, tDM[j+1]), xBv),
+			)
+			sv0 = satmath.AddI16x4(sv0, msc[j])
+			sv1 = satmath.AddI16x4(sv1, msc[j+1])
+			xE0 = satmath.MaxI16x4(xE0, sv0)
+			xE1 = satmath.MaxI16x4(xE1, sv1)
 
-			iv := maxI16v(addsI16v(oldM, e.tMI[qi]), addsI16v(oldI, e.tII[qi]))
+			mp0, mp1, ip0, ip1, dp0, dp1 = mmx[j], mmx[j+1], imx[j], imx[j+1], dmx[j], dmx[j+1]
+			mmx[j], mmx[j+1] = sv0, sv1
+			imx[j] = satmath.MaxI16x4(satmath.AddI16x4(mp0, tMI[j]), satmath.AddI16x4(ip0, tII[j]))
+			imx[j+1] = satmath.MaxI16x4(satmath.AddI16x4(mp1, tMI[j+1]), satmath.AddI16x4(ip1, tII[j+1]))
 
-			newD := dcv
-			dcv = maxI16v(addsI16v(sv, e.tMD[qi]), addsI16v(newD, e.tDD[qi]))
-
-			e.mmx[qi], e.imx[qi], e.dmx[qi] = sv, iv, newD
-			mpv, ipv, dpv = oldM, oldI, oldD
+			dmx[j], dmx[j+1] = dc0, dc1
+			dc0 = satmath.MaxI16x4(satmath.AddI16x4(sv0, tMD[j]), satmath.AddI16x4(dc0, tDD[j]))
+			dc1 = satmath.MaxI16x4(satmath.AddI16x4(sv1, tMD[j+1]), satmath.AddI16x4(dc1, tDD[j+1]))
 		}
 
 		// Mandatory completion sweep: the D-D chain wraps from the last
 		// stripe into lane l+1 of stripe 0.
-		dcv = shiftI16(dcv, neg)
-		for qi := 0; qi < q; qi++ {
-			e.dmx[qi] = maxI16v(e.dmx[qi], dcv)
-			dcv = addsI16v(e.dmx[qi], e.tDD[qi])
+		dc0, dc1 = shiftI16(dc0, dc1, neg)
+		for j := 0; j+1 < n; j += 2 {
+			dmx[j], dmx[j+1] = satmath.MaxI16x4(dmx[j], dc0), satmath.MaxI16x4(dmx[j+1], dc1)
+			dc0, dc1 = satmath.AddI16x4(dmx[j], tDD[j]), satmath.AddI16x4(dmx[j+1], tDD[j+1])
 		}
 
 		// Lazy-F: iterate only while the wrapped chain still improves
@@ -174,14 +180,14 @@ func (e *VitEngine) run(dsq []byte) (FilterResult, LazyFInfo) {
 		rowPasses := 0
 	lazyf:
 		for pass := 0; pass < VitWidth-1; pass++ {
-			dcv = shiftI16(dcv, neg)
-			for qi := 0; qi < q; qi++ {
-				if !anyGtI16(dcv, e.dmx[qi]) {
+			dc0, dc1 = shiftI16(dc0, dc1, neg)
+			for j := 0; j+1 < n; j += 2 {
+				if !satmath.AnyGtI16x4(dc0, dmx[j]) && !satmath.AnyGtI16x4(dc1, dmx[j+1]) {
 					break lazyf
 				}
-				e.dmx[qi] = maxI16v(e.dmx[qi], dcv)
-				dcv = addsI16v(e.dmx[qi], e.tDD[qi])
-				if qi == 0 {
+				dmx[j], dmx[j+1] = satmath.MaxI16x4(dmx[j], dc0), satmath.MaxI16x4(dmx[j+1], dc1)
+				dc0, dc1 = satmath.AddI16x4(dmx[j], tDD[j]), satmath.AddI16x4(dmx[j+1], tDD[j+1])
+				if j == 0 {
 					rowPasses++
 				}
 			}
@@ -191,8 +197,8 @@ func (e *VitEngine) run(dsq []byte) (FilterResult, LazyFInfo) {
 			info.IteratedPasses += rowPasses
 		}
 
-		xE := hmaxI16(xEv)
-		xE = satmath.MaxI16(xE, e.dmx[e.qM][e.lM]) // local exit from D_M
+		xE := satmath.HMaxI16x4(satmath.MaxI16x4(xE0, xE1))
+		xE = satmath.MaxI16(xE, int16(dmx[e.wM]>>e.sM)) // local exit from D_M
 
 		xJ = satmath.MaxI16(xJ, satmath.AddI16(xE, vp.TEJ))
 		xC = satmath.MaxI16(xC, satmath.AddI16(xE, vp.TEC))

@@ -9,7 +9,13 @@ package perf
 const (
 	// msvCPUCellsPerCycle is the per-core throughput of HMMER3's
 	// 16-lane 8-bit striped MSV filter: the inner loop retires ~5
-	// SSE instructions per 16-cell vector on a superscalar core.
+	// SSE instructions per 16-cell vector on a superscalar core. Like
+	// fwdCPUCellsPerCycle below, this and vitCPUCellsPerCycle are
+	// constants of the paper's i5 baseline model, not measurements of
+	// cpu.MSVEngine / cpu.VitEngine: those run SWAR lanes in uint64
+	// words, several times below real SSE (EXPERIMENTS E16), and the
+	// Fig. 9–11 output and modelled_gcups deliberately do not follow
+	// them.
 	msvCPUCellsPerCycle = 3.0
 
 	// vitCPUCellsPerCycle is the per-core throughput of the 8-lane

@@ -1,9 +1,15 @@
 // Package satmath provides the saturating integer arithmetic used by
 // the quantised MSV (8-bit unsigned) and Viterbi (16-bit signed)
 // filters. These mirror the SSE psubusb/paddusb/paddsw/psubsw
-// semantics that HMMER3's vector filters rely on; every engine in this
-// repository (scalar golden, striped CPU, GPU kernels) goes through
-// these helpers so their scores agree bit-for-bit.
+// semantics that HMMER3's vector filters rely on, in two forms that
+// agree lane for lane, so every engine's scores agree bit-for-bit:
+//
+//   - one lane per call (this file): what the scalar golden filters and
+//     the simulated-GPU kernels in internal/gpu use, and the oracle the
+//     word-wide form is tested against;
+//   - SIMD within a register (swar.go): eight byte lanes or four word
+//     lanes per uint64, branch-free, what the striped CPU engines in
+//     internal/cpu run on.
 package satmath
 
 // AddU8 returns a+b saturated to 255.

@@ -1,0 +1,88 @@
+package satmath
+
+// SWAR lanes: eight unsigned byte lanes (U8x8) or four signed word
+// lanes (I16x4) packed into one uint64, lane 0 in the low bits. Every
+// operation is branch-free carry/borrow-mask arithmetic: the top bit
+// of each lane is masked out before the word-wide add or subtract so
+// nothing crosses a lane boundary, then put back from the operands'
+// top bits and the carry (borrow) into them. Results equal the scalar
+// helpers in satmath.go lane for lane; the tests hold the two together.
+const (
+	lsb8  = 0x0101010101010101
+	msb8  = 0x8080808080808080
+	lsb16 = 0x0001000100010001
+	msb16 = 0x8000800080008000
+)
+
+// SplatU8 returns x in all eight byte lanes.
+func SplatU8(x uint8) uint64 { return uint64(x) * lsb8 }
+
+// SplatI16 returns x in all four word lanes.
+func SplatI16(x int16) uint64 { return uint64(uint16(x)) * lsb16 }
+
+// ltU8x8 sets the top bit of every byte lane where a < b: the borrow
+// out of the lane's subtraction.
+func ltU8x8(a, b uint64) uint64 {
+	e := ^((a | msb8) - (b &^ msb8)) // top bit set = the low 7 bits borrowed
+	// Top bits differ: a < b where b's is the set one. Equal: the
+	// borrow decides.
+	return (e ^ ((a ^ b) & (e ^ b))) & msb8
+}
+
+// AddU8x8 is AddU8 on eight byte lanes.
+func AddU8x8(a, b uint64) uint64 {
+	s := (a &^ msb8) + (b &^ msb8) // top bit = carry out of the low 7 bits
+	carry := ((a & b) | ((a | b) & s)) & msb8
+	return (s ^ ((a ^ b) & msb8)) | ((carry >> 7) * 0xFF)
+}
+
+// SubU8x8 is SubU8 on eight byte lanes.
+func SubU8x8(a, b uint64) uint64 {
+	m := (ltU8x8(a, b) >> 7) * 0xFF
+	return (a ^ ((a ^ b) & m)) - b // max(a, b) - b; no lane goes negative
+}
+
+// MaxU8x8 is MaxU8 on eight byte lanes.
+func MaxU8x8(a, b uint64) uint64 {
+	return a ^ ((a ^ b) & ((ltU8x8(a, b) >> 7) * 0xFF))
+}
+
+// HMaxU8x8 returns the largest of the eight byte lanes.
+func HMaxU8x8(a uint64) uint8 {
+	a = MaxU8x8(a, a>>32)
+	a = MaxU8x8(a, a>>16)
+	return uint8(MaxU8x8(a, a>>8))
+}
+
+// gtI16x4 sets the top bit of every word lane where a > b (signed).
+func gtI16x4(a, b uint64) uint64 {
+	e := ^((b | msb16) - (a &^ msb16)) // top bit set = low 15 bits of b < those of a
+	// Signs differ: a > b where b is the negative one. Agree: the low
+	// bits decide.
+	return (e ^ ((a ^ b) & (e ^ b))) & msb16
+}
+
+// AddI16x4 is AddI16 on four word lanes.
+func AddI16x4(a, b uint64) uint64 {
+	s := ((a &^ msb16) + (b &^ msb16)) ^ ((a ^ b) & msb16) // wrapping sum
+	// Overflow: operands agree in sign and the sum does not. The
+	// saturated lane is 0x7FFF, or 0x8000 where a is negative.
+	ovf := ((^(a ^ b) & (a ^ s) & msb16) >> 15) * 0xFFFF
+	sat := ((a >> 15) & lsb16) + (msb16 - lsb16)
+	return s ^ ((s ^ sat) & ovf)
+}
+
+// MaxI16x4 is MaxI16 on four word lanes.
+func MaxI16x4(a, b uint64) uint64 {
+	return b ^ ((a ^ b) & ((gtI16x4(a, b) >> 15) * 0xFFFF))
+}
+
+// AnyGtI16x4 reports whether any word lane of a exceeds the matching
+// lane of b.
+func AnyGtI16x4(a, b uint64) bool { return gtI16x4(a, b) != 0 }
+
+// HMaxI16x4 returns the largest of the four word lanes.
+func HMaxI16x4(a uint64) int16 {
+	a = MaxI16x4(a, a>>32)
+	return int16(MaxI16x4(a, a>>16))
+}

@@ -11,15 +11,14 @@
 //	hmmbench -experiment chaos     fault-injection sweep (retry/quarantine/fallback)
 //	hmmbench -experiment sdc       silent-corruption sweep (bit flips vs integrity guards)
 //	hmmbench -experiment resume    crash-recovery sweep (journal fsync overhead, recovery time)
-//	hmmbench -experiment trajectory  wall-clock benchmark record (BENCH_<rev>.json)
-//	hmmbench -experiment all       everything above (except trajectory)
+//	hmmbench -experiment all       everything above
 //
 // The -sim flag selects the simulator's execution mode: "cycles" (the
 // default) runs the full cycle-accurate cost model; "fast" runs the
 // same kernels functionally with accounting skipped. Results are
 // byte-identical; the figure experiments' modelled columns are only
-// meaningful under -sim cycles, while -experiment trajectory is meant
-// for -sim fast.
+// meaningful under -sim cycles. Wall-clock is measured by the benchmark
+// of record (benchmark/), not here.
 package main
 
 import (
@@ -37,7 +36,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig1|fig9|fig10|fig11|pfam|ablation|extension|sensitivity|stream|chaos|sdc|resume|trajectory|all")
+		experiment = flag.String("experiment", "all", "fig1|fig9|fig10|fig11|pfam|ablation|extension|sensitivity|stream|chaos|sdc|resume|all")
 		quick      = flag.Bool("quick", false, "use reduced workloads (seconds instead of minutes)")
 		seed       = flag.Int64("seed", 0, "override the workload seed")
 		sizes      = flag.String("sizes", "", "comma-separated model sizes (default: the paper's sweep)")
@@ -46,11 +45,9 @@ func main() {
 		trace      = flag.String("trace", "", "write a span timeline of the pipeline-driven experiments to this file")
 		traceFmt   = flag.String("traceformat", "chrome", "trace file format: chrome|jsonl")
 		simMode    = flag.String("sim", "cycles", "simulator mode: cycles (cycle-accurate) or fast (functional)")
-		rev        = flag.String("rev", "dev", "revision label for -experiment trajectory (BENCH_<rev>.json)")
 		kprof      = flag.String("kprof", "", "write a kernel-grained profile of every launch to this file as JSON; render with hmmprof")
 		cpuprof    = flag.String("cpuprofile", "", "write a host CPU profile (runtime/pprof) to this file")
 		memprof    = flag.String("memprofile", "", "write a host heap profile (runtime/pprof) to this file on exit")
-		outDir     = flag.String("out", ".", "output directory for -experiment trajectory")
 	)
 	flag.Parse()
 
@@ -111,24 +108,6 @@ func main() {
 		return
 	}
 
-	// The trajectory is a wall-clock record, not a figure: it runs on
-	// its own, never under -experiment all.
-	if *experiment == "trajectory" {
-		run("trajectory", func() error {
-			rep, err := bench.Trajectory(cfg, *rev, os.Stdout)
-			if err != nil {
-				return err
-			}
-			path, err := rep.WriteFile(*outDir)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("benchmark record written to %s\n", path)
-			return nil
-		})
-		return
-	}
-
 	want := func(name string) bool { return *experiment == "all" || *experiment == name }
 	ran := false
 	if want("fig1") {
@@ -180,7 +159,7 @@ func main() {
 		ran = true
 	}
 	if !ran {
-		fatalf("unknown experiment %q (want fig1|fig9|fig10|fig11|pfam|ablation|extension|sensitivity|stream|chaos|sdc|resume|trajectory|all)", *experiment)
+		fatalf("unknown experiment %q (want fig1|fig9|fig10|fig11|pfam|ablation|extension|sensitivity|stream|chaos|sdc|resume|all)", *experiment)
 	}
 }
 

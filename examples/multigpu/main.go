@@ -86,13 +86,15 @@ func main() {
 	extra := res.Extra.(*pipeline.MultiGPUStreamExtra)
 	sched := extra.Schedule
 	fmt.Printf("streamed over 4 x %s: %d batches, wall %v\n", fermi.Name, sched.Batches, sched.Wall)
-	for i, u := range sched.Util {
-		var modelled float64
-		for _, rep := range extra.Launches[i] {
-			modelled += perf.GPUTime(fermi, rep)
+	modelled := make([]float64, len(sched.Util))
+	for _, b := range extra.Batches {
+		for _, rep := range b.Launches {
+			modelled[b.Device] += perf.GPUTime(fermi, rep)
 		}
+	}
+	for i, u := range sched.Util {
 		fmt.Printf("  device %d: %3d batches, %8d residues, modelled %.3fms, busy %v\n",
-			i, u.Batches, u.Residues, modelled*1e3, u.Busy)
+			i, u.Batches, u.Residues, modelled[i]*1e3, u.Busy)
 	}
 	fmt.Printf("filter outcome identical to the in-memory run: MSV %d/%d, Viterbi %d survivors\n",
 		res.MSV.Out, res.MSV.In, res.Viterbi.Out)

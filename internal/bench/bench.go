@@ -42,8 +42,8 @@ type Config struct {
 	// Mode selects the simulator's execution mode for every device the
 	// harness creates (hmmbench -sim). The zero value is cycle-accurate;
 	// ModeFast skips all cost accounting, so the figure experiments'
-	// modelled columns read zero and only wall-clock comparisons (the
-	// trajectory experiment) are meaningful.
+	// modelled columns read zero and only wall-clock comparisons are
+	// meaningful.
 	Mode simt.Mode
 	// Prof, when non-nil, is attached to every device the harness
 	// creates and collects kernel-grained profiles (hmmbench -kprof);
@@ -186,6 +186,6 @@ func (c Config) newSystem(spec simt.DeviceSpec, n int) *simt.System {
 func (c Config) modeBanner(w io.Writer) {
 	if c.Mode == simt.ModeFast {
 		fprintf(w, "NOTE: -sim fast skips cycle accounting; modelled speedup columns read zero.\n")
-		fprintf(w, "      Use -sim cycles for figures, -experiment trajectory for wall-clock.\n")
+		fprintf(w, "      Use -sim cycles for figures; benchmark/ measures wall-clock.\n")
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -163,6 +164,24 @@ func TestStreamScalingQuick(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Streamed scaling") {
 		t.Error("report text missing")
+	}
+
+	// Modelled numbers repeat bit for bit: a second run, on whatever
+	// schedule the host gives it, reports the same rows and prints the
+	// same bytes. Only Util, the host's split, may differ.
+	var buf2 bytes.Buffer
+	rows2, err := StreamScaling(cfg, &buf2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		rows[i].Util, rows2[i].Util = nil, nil
+	}
+	if !reflect.DeepEqual(rows, rows2) {
+		t.Errorf("two runs differ:\n%+v\n%+v", rows, rows2)
+	}
+	if buf.String() != buf2.String() {
+		t.Errorf("two runs print different reports:\n%s\n%s", buf.String(), buf2.String())
 	}
 }
 

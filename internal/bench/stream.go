@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"io"
+	"slices"
 
 	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/gpu"
@@ -22,18 +23,24 @@ type StreamScalingRow struct {
 	// Batches is the number of residue-balanced batches scheduled.
 	Batches int
 	// DeviceSeconds is the modelled busy time of the busiest device
-	// (the stage completes when the last device drains); modelled times
-	// make the row deterministic and host-independent like every other
-	// figure in this harness.
+	// (the stage completes when the last device drains) on the replayed
+	// timeline: which real device ran which batch is the host's
+	// goroutine schedule, but a batch's modelled time is the batch's
+	// alone, so the modelled run is those times list-scheduled in batch
+	// order onto Devices virtual devices — lowest clock first, ties to
+	// the lowest index — and repeats bit for bit on any host.
 	DeviceSeconds float64
 	// Throughput is residues per modelled second.
 	Throughput float64
 	// Speedup is DeviceSeconds(1 device) / DeviceSeconds(n devices).
 	Speedup float64
-	// Util is the scheduler's per-device utilization (measured busy
-	// wall time, residues, batches served).
+	// Util is the *host* split: how the scheduler's goroutines happened
+	// to share the batches in this run (measured busy wall time,
+	// residues, batches served). It differs run to run and feeds no
+	// modelled field.
 	Util []gpu.DeviceUtilization
-	// Imbalance is busiest/mean modelled device time (1.0 = perfect).
+	// Imbalance is busiest/mean modelled device time on the replayed
+	// timeline (1.0 = perfect).
 	Imbalance float64
 }
 
@@ -94,17 +101,23 @@ func StreamScaling(cfg Config, w io.Writer) ([]StreamScalingRow, error) {
 		}
 		extra := res.Extra.(*pipeline.MultiGPUStreamExtra)
 
-		var worst, sum float64
-		for _, launches := range extra.Launches {
+		clocks := make([]float64, n)
+		var sum float64
+		for _, b := range extra.Batches {
 			var t float64
-			for _, rep := range launches {
+			for _, rep := range b.Launches {
 				t += perf.GPUTime(spec, rep)
 			}
-			sum += t
-			if t > worst {
-				worst = t
+			next := 0
+			for i, c := range clocks {
+				if c < clocks[next] {
+					next = i
+				}
 			}
+			clocks[next] += t
+			sum += t
 		}
+		worst := slices.Max(clocks)
 		row := StreamScalingRow{
 			Devices:       n,
 			Batches:       extra.Schedule.Batches,
@@ -124,10 +137,6 @@ func StreamScaling(cfg Config, w io.Writer) ([]StreamScalingRow, error) {
 		rows = append(rows, row)
 		fprintf(w, "%8d %8d %12.3fms %16.0f %7.2fx %9.2fx\n",
 			n, row.Batches, row.DeviceSeconds*1e3, row.Throughput, row.Speedup, row.Imbalance)
-		for i, u := range row.Util {
-			fprintf(w, "%10s device %d: %3d batches, %8d residues, busy %v\n",
-				"", i, u.Batches, u.Residues, u.Busy)
-		}
 	}
 	fprintf(w, "dynamic batch scheduling keeps every device fed: speedup tracks device count\n")
 	return rows, nil

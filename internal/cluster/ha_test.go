@@ -7,6 +7,7 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -384,15 +385,25 @@ func TestStandbyCloseWithoutPromote(t *testing.T) {
 // A standby redials after its worker drops the connection.
 func TestStandbyRedialsLostWorker(t *testing.T) {
 	ws := &WorkerServer{Name: "w0", Capacity: 1, Fingerprint: testFP, Mode: 1, Exec: testExec}
+	// The standby dials on its own goroutine; mu guards what the dialer
+	// leaves for the test to read.
+	var mu sync.Mutex
 	var dials int
 	var lastServer net.Conn
 	spec := WorkerSpec{Name: "w0", Dial: func(ctx context.Context) (net.Conn, error) {
 		c1, c2 := net.Pipe()
 		go ws.ServeConn(context.Background(), c2)
+		mu.Lock()
 		dials++
 		lastServer = c2
+		mu.Unlock()
 		return c1, nil
 	}}
+	dialed := func() (int, net.Conn) {
+		mu.Lock()
+		defer mu.Unlock()
+		return dials, lastServer
+	}
 	sb := NewStandby(StandbyConfig{Workers: []WorkerSpec{spec}, Fingerprint: testFP,
 		Mode: 1, PingEvery: 10 * time.Millisecond,
 		BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond})
@@ -405,10 +416,15 @@ func TestStandbyRedialsLostWorker(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	lastServer.Close() // worker "crashes"
-	for dials < 2 || sb.Warm() < 1 {
+	_, server := dialed()
+	server.Close() // worker "crashes"
+	for {
+		n, _ := dialed()
+		if n >= 2 && sb.Warm() >= 1 {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("standby never re-warmed (dials=%d warm=%d)", dials, sb.Warm())
+			t.Fatalf("standby never re-warmed (dials=%d warm=%d)", n, sb.Warm())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hmmer3gpu/internal/checkpoint"
-	"hmmer3gpu/internal/gpu"
 )
 
 // CheckpointConfig enables crash-safe journaling of a streamed
@@ -34,55 +33,58 @@ type CheckpointConfig struct {
 	Crash *checkpoint.CrashPlan
 }
 
-// openStreamJournal opens (or resumes) the run's checkpoint journal
-// per cfg.Checkpoint, returning the journal and the set of already-
-// committed records keyed by batch ordinal. A nil cfg.Checkpoint
-// returns (nil, empty, nil). mode is the simulator mode stamped into
-// the header (and checked on resume), so a resumed run can never
-// silently mix cost models. Shared by the multi-device and cluster
-// streaming paths — the cluster coordinator reuses the same journal
-// as its commit log.
-func (pl *Pipeline) openStreamJournal(cfg StreamConfig, mode byte) (*checkpoint.Journal, map[uint64]checkpoint.Record, error) {
-	skip := make(map[uint64]checkpoint.Record)
+// openStreamRun starts a streamed run's state: it opens (or resumes)
+// the checkpoint journal per cfg.Checkpoint and indexes the records
+// already committed there by batch ordinal; a nil cfg.Checkpoint gives
+// an unjournaled run. mode is the simulator mode stamped into the
+// header (and checked on resume), so a resumed run can never silently
+// mix cost models. Shared by the multi-device and cluster streaming
+// paths — the cluster coordinator reuses the same journal as its
+// commit log.
+func (pl *Pipeline) openStreamRun(cfg StreamConfig, mode byte) (*streamRun, error) {
 	ck := cfg.Checkpoint
 	if ck == nil {
-		return nil, skip, nil
+		return &streamRun{}, nil
 	}
 	if pl.Opts.ComputeAlignments {
-		return nil, nil, fmt.Errorf("pipeline: checkpoint journaling does not support alignment output: domain alignments are not encoded in journal records")
+		return nil, fmt.Errorf("pipeline: checkpoint journaling does not support alignment output: domain alignments are not encoded in journal records")
 	}
-	fp := pl.fingerprint(cfg)
+	skip := make(map[uint64]checkpoint.Record)
+	fp := pl.Fingerprint(cfg)
 	opts := checkpoint.Options{SyncEvery: ck.SyncEvery, Crash: ck.Crash, Mode: mode}
 	if ck.Resume && checkpoint.Exists(ck.Path) {
 		journal, recs, err := checkpoint.Resume(ck.Path, fp, opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, rec := range recs {
 			if _, dup := skip[rec.Seq]; dup {
 				journal.Close()
-				return nil, nil, fmt.Errorf("pipeline: journal holds two records for batch %d: refusing to resume", rec.Seq)
+				return nil, fmt.Errorf("pipeline: journal holds two records for batch %d: refusing to resume", rec.Seq)
 			}
 			skip[rec.Seq] = rec
 		}
-		return journal, skip, nil
+		return &streamRun{journal: journal, skip: skip}, nil
 	}
 	journal, err := checkpoint.Create(ck.Path, fp, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return journal, skip, nil
+	return &streamRun{journal: journal}, nil
 }
 
-// fingerprint digests everything that determines batch identity and
+// Fingerprint digests everything that determines batch identity and
 // batch results: the model (via its name, size, and calibrated score
 // distributions — the calibration constants are a float-exact function
 // of the full model), the stage thresholds, the scoring options, and
 // the chunking budget. Two runs with equal fingerprints chunk the
 // stream identically and compute identical per-batch results, which is
 // what makes replaying a journal record equivalent to re-running its
-// batch.
-func (pl *Pipeline) fingerprint(cfg StreamConfig) checkpoint.Fingerprint {
+// batch. The cluster tier uses the same digest: the coordinator stamps
+// it into the worker handshake (a worker built from a different model,
+// thresholds, or batch budget is rejected at connect) and
+// cmd/hmmworker computes its own side from the same inputs.
+func (pl *Pipeline) Fingerprint(cfg StreamConfig) checkpoint.Fingerprint {
 	h := sha256.New()
 	w := func(vs ...uint64) {
 		var buf [8]byte
@@ -119,50 +121,14 @@ func (pl *Pipeline) fingerprint(cfg StreamConfig) checkpoint.Fingerprint {
 	return fp
 }
 
-// Fingerprint exposes the run-configuration digest to the cluster
-// tier: the coordinator stamps it into the worker handshake (a worker
-// built from a different model, thresholds, or batch budget is
-// rejected at connect) and cmd/hmmworker computes its own side from
-// the same inputs.
-func (pl *Pipeline) Fingerprint(cfg StreamConfig) checkpoint.Fingerprint {
-	return pl.fingerprint(cfg)
-}
-
-// EncodeResultPayload serialises one batch result with the journal's
-// bit-exact payload encoding. Cluster workers ship results to the
-// coordinator in this encoding, so the coordinator journals the wire
-// payload verbatim and a replayed record is indistinguishable from a
-// freshly received one.
+// EncodeResultPayload serialises one batch result — stage stats and
+// batch-local hits — with the journal's bit-exact payload encoding:
+// floats round-trip via their IEEE-754 bits, so a replayed merge is
+// indistinguishable from the original one. Cluster workers ship results
+// to the coordinator in this encoding, so the coordinator journals the
+// wire payload verbatim and a replayed record is indistinguishable
+// from a freshly received one.
 func EncodeResultPayload(res *Result) []byte {
-	return encodeResultPayload(res)
-}
-
-// DecodeResultPayload reverses EncodeResultPayload, validating the
-// payload's structure (a corrupt or version-skewed worker payload must
-// not merge).
-func DecodeResultPayload(p []byte) (*Result, error) {
-	return decodeBatchPayload(p)
-}
-
-// encodeBatchRecord serialises one committed batch's result as a
-// journal record. Hit indexes stay batch-local (the record's Offset
-// rebases them on replay) and floats round-trip bit-exactly via their
-// IEEE-754 encoding, so a replayed merge is indistinguishable from the
-// original one. Stage wall times are preserved as measured — the work
-// really was done, in the crashed run.
-func encodeBatchRecord(b gpu.Batch, res *Result) checkpoint.Record {
-	return checkpoint.Record{
-		Seq:      uint64(b.Seq),
-		Offset:   uint64(b.Offset),
-		NumSeqs:  uint64(b.DB.NumSeqs()),
-		Residues: uint64(b.DB.TotalResidues()),
-		Payload:  encodeResultPayload(res),
-	}
-}
-
-// encodeResultPayload is the record's batch-identity-free body: stage
-// stats and batch-local hits.
-func encodeResultPayload(res *Result) []byte {
 	var p []byte
 	u64 := func(vs ...uint64) {
 		var buf [8]byte
@@ -188,10 +154,12 @@ func encodeResultPayload(res *Result) []byte {
 	return p
 }
 
-// decodeBatchPayload reverses encodeBatchRecord. The journal's CRC
-// already rejects bit rot; the structural checks here catch encoding
-// drift (a journal from a different code version).
-func decodeBatchPayload(p []byte) (*Result, error) {
+// DecodeResultPayload reverses EncodeResultPayload, validating the
+// payload's structure: a corrupt or version-skewed worker payload must
+// not merge, and while the journal's CRC already rejects bit rot, the
+// structural checks catch encoding drift (a journal from a different
+// code version).
+func DecodeResultPayload(p []byte) (*Result, error) {
 	pos := 0
 	u64 := func() (uint64, error) {
 		if pos+8 > len(p) {

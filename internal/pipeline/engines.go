@@ -3,13 +3,13 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"sort"
+	"fmt"
 	"time"
 
 	"hmmer3gpu/internal/cpu"
 	"hmmer3gpu/internal/gpu"
+	"hmmer3gpu/internal/integrity"
 	"hmmer3gpu/internal/obs"
-	"hmmer3gpu/internal/perf"
 	"hmmer3gpu/internal/refimpl"
 	"hmmer3gpu/internal/seq"
 	"hmmer3gpu/internal/simt"
@@ -26,232 +26,100 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// CPUExtra carries the CPU engine's bookkeeping.
-type CPUExtra struct {
-	// MSVResults holds the raw per-sequence MSV filter results.
-	MSVResults []cpu.FilterResult
+// filterBackend is where the cascade runs its two filter stages: score
+// every sequence of db with the MSV filter, or with the P7Viterbi
+// filter, results in database order, honouring ctx mid-database. A
+// backend that launches kernels nests them under stage (nilable). There
+// are exactly three — the host, one device, the static multi-device
+// split — and each keeps what it last ran for its entry point's Extra.
+type filterBackend interface {
+	msv(ctx context.Context, db *seq.Database, stage *obs.Span) ([]cpu.FilterResult, error)
+	viterbi(ctx context.Context, db *seq.Database, stage *obs.Span) ([]cpu.FilterResult, error)
 }
 
-// RunCPU executes the pipeline with the striped multicore CPU engine —
-// the paper's baseline configuration.
-func (pl *Pipeline) RunCPU(db *seq.Database) (*Result, error) {
-	return pl.RunCPUContext(context.Background(), db)
-}
+// cascade is the pipeline of Figure 1, written once: MSV over db, the
+// survivors through P7Viterbi, their survivors through Forward (scored
+// by fwd) into thresholded, annotated, sorted hits. Every engine is
+// this function over a different backend, on a whole database or on
+// one streamed batch — hit indexes are relative to db, a streaming
+// caller rebases them. parent (nilable) parents the stage spans. chk
+// (nilable) runs the integrity guards on each stage's output before it
+// is used; a guard failure surfaces as a wrapped *integrity.Error
+// before any result is built, so a scheduler discards the attempt with
+// the batch's merge token untouched.
+func (pl *Pipeline) cascade(ctx context.Context, f filterBackend, fwd forwardScorer, chk *integrity.Checker,
+	db *seq.Database, parent *obs.Span) (*Result, error) {
 
-// RunCPUContext is RunCPU with cancellation: ctx is checked before
-// every sequence in the filter stages and before every Forward
-// rescore, so a deadline stops the engine mid-database rather than at
-// the next stage boundary.
-func (pl *Pipeline) RunCPUContext(ctx context.Context, db *seq.Database) (*Result, error) {
-	root := pl.startSearch("cpu", db)
-	defer root.End()
-	result, err := pl.runCPUContext(ctx, db, root)
-	if err == nil {
-		result.Record(pl.Opts.Metrics)
-	}
-	return result, err
-}
-
-// runCPU is the CPU engine body; root (nilable) parents the stage
-// spans, so the streamed engine can nest batches between the search
-// span and the stages.
-func (pl *Pipeline) runCPU(db *seq.Database, root *obs.Span) (*Result, error) {
-	return pl.runCPUContext(context.Background(), db, root)
-}
-
-// runCPUContext is runCPU with per-sequence cancellation checks in
-// every stage.
-func (pl *Pipeline) runCPUContext(ctx context.Context, db *seq.Database, root *obs.Span) (*Result, error) {
-	eng := cpu.Engine{Workers: pl.Opts.Workers}
 	result := &Result{}
+	m := int64(pl.Prof.M)
 
 	start := time.Now()
-	_, endMSV := startStage(root, "msv")
-	msvRes, err := eng.MSVAllContext(ctx, pl.MSV, db)
+	span, endStage := startStage(parent, "msv")
+	msvRes, err := f.msv(ctx, db, span)
 	if err != nil {
 		return nil, err
 	}
-	result.MSV.Wall = time.Since(start)
-	result.MSV.In = db.NumSeqs()
-	result.MSV.Cells = db.TotalResidues() * int64(pl.Prof.M)
-
-	msvBits := make(map[int]float64)
+	if chk != nil {
+		if err := chk.CheckMSV(msvRes); err != nil {
+			return nil, fmt.Errorf("pipeline: msv batch: %w", err)
+		}
+	}
+	result.MSV = StageStats{In: db.NumSeqs(), Cells: db.TotalResidues() * m, Wall: time.Since(start)}
 	var msvSurvivors []int
 	for i, res := range msvRes {
 		if pl.msvPass(res) {
 			msvSurvivors = append(msvSurvivors, i)
-			msvBits[i] = bitsOf(res)
 		}
 	}
 	result.MSV.Out = len(msvSurvivors)
-	endMSV(&result.MSV)
+	endStage(&result.MSV)
 
 	start = time.Now()
-	_, endVit := startStage(root, "viterbi")
+	span, endStage = startStage(parent, "viterbi")
 	sub := subDatabase(db, msvSurvivors)
-	vitRes, err := eng.ViterbiAllContext(ctx, pl.Vit, sub)
-	if err != nil {
-		return nil, err
-	}
-	result.Viterbi.Wall = time.Since(start)
-	result.Viterbi.In = len(msvSurvivors)
-	result.Viterbi.Cells = sub.TotalResidues() * int64(pl.Prof.M)
-
-	vitBits := make(map[int]float64)
-	var vitSurvivors []int
-	for j, res := range vitRes {
-		if pl.vitPass(res) {
-			idx := msvSurvivors[j]
-			vitSurvivors = append(vitSurvivors, idx)
-			vitBits[idx] = bitsOf(res)
-		}
-	}
-	result.Viterbi.Out = len(vitSurvivors)
-	endVit(&result.Viterbi)
-
-	if err := pl.finishForward(ctx, db, vitSurvivors, msvBits, vitBits, result, root); err != nil {
-		return nil, err
-	}
-	result.Extra = &CPUExtra{MSVResults: msvRes}
-	return result, nil
-}
-
-// GPUExtra carries the GPU engine's launch reports for the perf model.
-type GPUExtra struct {
-	MSVReport *gpu.SearchReport
-	VitReport *gpu.SearchReport
-	// FwdReport is set when Options.GPUForward ran the Forward stage
-	// on the device.
-	FwdReport *gpu.SearchReport
-}
-
-// RunGPU executes the MSV and P7Viterbi stages on the device (the
-// paper's accelerated configuration) with the Forward stage on the
-// host, as in the paper.
-func (pl *Pipeline) RunGPU(dev *simt.Device, mem gpu.MemConfig, db *seq.Database) (*Result, error) {
-	return pl.RunGPUContext(context.Background(), dev, mem, db)
-}
-
-// RunGPUContext is RunGPU with cancellation: kernel launches poll
-// ctx.Done() between blocks (mid-kernel cancellation), and the host
-// Forward stage checks ctx before every survivor.
-func (pl *Pipeline) RunGPUContext(ctx context.Context, dev *simt.Device, mem gpu.MemConfig, db *seq.Database) (*Result, error) {
-	root := pl.startSearch("gpu", db)
-	defer root.End()
-	pl.attachProfiler(mem, dev)
-	searcher := &gpu.Searcher{Dev: dev, Mem: mem, HostWorkers: pl.Opts.Workers, Cancel: ctx.Done()}
-	result := &Result{}
-	extra := &GPUExtra{}
-
-	start := time.Now()
-	msvSpan, endMSV := startStage(root, "msv")
-	searcher.Trace = msvSpan
-	ddb := gpu.UploadDB(dev, db)
-	dmp := gpu.UploadMSVProfile(dev, pl.MSV)
-	msvRep, err := searcher.MSVSearch(dmp, ddb)
-	if err != nil {
-		return nil, ctxErr(ctx, err)
-	}
-	result.MSV.Wall = time.Since(start)
-	result.MSV.In = db.NumSeqs()
-	result.MSV.Cells = db.TotalResidues() * int64(pl.Prof.M)
-	extra.MSVReport = msvRep
-
-	msvBits := make(map[int]float64)
-	var msvSurvivors []int
-	for i, res := range msvRep.Results {
-		if pl.msvPass(res) {
-			msvSurvivors = append(msvSurvivors, i)
-			msvBits[i] = bitsOf(res)
-		}
-	}
-	result.MSV.Out = len(msvSurvivors)
-	endMSV(&result.MSV)
-
-	start = time.Now()
-	vitSpan, endVit := startStage(root, "viterbi")
-	searcher.Trace = vitSpan
-	sub := subDatabase(db, msvSurvivors)
-	subDev := gpu.UploadDB(dev, sub)
-	dvp := gpu.UploadVitProfile(dev, pl.Vit)
-	var vitSurvivors []int
-	vitBits := make(map[int]float64)
-	if sub.NumSeqs() > 0 {
-		vitRep, err := searcher.ViterbiSearch(dvp, subDev)
+	var vitSurvivors []int // database indexes
+	var vitBits []float64  // and their Viterbi bit scores, in step
+	if sub.NumSeqs() > 0 { // nothing survived MSV: no Viterbi pass, no launch
+		vitRes, err := f.viterbi(ctx, sub, span)
 		if err != nil {
-			return nil, ctxErr(ctx, err)
+			return nil, err
 		}
-		extra.VitReport = vitRep
-		for j, res := range vitRep.Results {
+		if chk != nil {
+			if err := chk.CheckViterbi(vitRes); err != nil {
+				return nil, fmt.Errorf("pipeline: viterbi batch: %w", err)
+			}
+		}
+		for j, res := range vitRes {
 			if pl.vitPass(res) {
-				idx := msvSurvivors[j]
-				vitSurvivors = append(vitSurvivors, idx)
-				vitBits[idx] = bitsOf(res)
+				vitSurvivors = append(vitSurvivors, msvSurvivors[j])
+				vitBits = append(vitBits, bitsOf(res))
 			}
 		}
 	}
-	result.Viterbi.Wall = time.Since(start)
-	result.Viterbi.In = len(msvSurvivors)
-	result.Viterbi.Cells = sub.TotalResidues() * int64(pl.Prof.M)
-	result.Viterbi.Out = len(vitSurvivors)
-	endVit(&result.Viterbi)
+	result.Viterbi = StageStats{In: len(msvSurvivors), Out: len(vitSurvivors),
+		Cells: sub.TotalResidues() * m, Wall: time.Since(start)}
+	endStage(&result.Viterbi)
 
-	if pl.Opts.GPUForward && !pl.Opts.SkipForward {
-		if err := pl.gpuForward(ctx, dev, searcher, db, vitSurvivors, msvBits, vitBits, result, extra, root); err != nil {
+	result.Forward.In = len(vitSurvivors)
+	if pl.Opts.SkipForward {
+		return result, nil
+	}
+	start = time.Now()
+	span, endStage = startStage(parent, "forward")
+	var nats []float64
+	if len(vitSurvivors) > 0 { // nothing survived Viterbi: no scoring pass, no launch
+		sub = subDatabase(db, vitSurvivors)
+		if nats, err = fwd(ctx, span, sub); err != nil {
 			return nil, err
 		}
-	} else {
-		searcher.Trace = nil
-		if err := pl.finishForward(ctx, db, vitSurvivors, msvBits, vitBits, result, root); err != nil {
-			return nil, err
-		}
+		result.Forward.Cells = sub.TotalResidues() * m
 	}
-	result.Extra = extra
-	if reg := pl.Opts.Metrics; reg.Enabled() {
-		result.Record(reg)
-		if extra.MSVReport != nil {
-			perf.Record(reg, dev.Spec, "msv", extra.MSVReport.Launch)
-		}
-		if extra.VitReport != nil {
-			perf.Record(reg, dev.Spec, "p7viterbi", extra.VitReport.Launch)
-		}
-		if extra.FwdReport != nil {
-			perf.Record(reg, dev.Spec, "forward", extra.FwdReport.Launch)
-		}
-	}
-	return result, nil
-}
-
-// gpuForward runs the Forward stage on the device (the heterogeneous
-// extension): scores come from the float32 kernel, thresholds and
-// E-values from the same calibrated exponential tail.
-func (pl *Pipeline) gpuForward(ctx context.Context, dev *simt.Device, searcher *gpu.Searcher, db *seq.Database,
-	survivors []int, msvBits, vitBits map[int]float64, result *Result, extra *GPUExtra,
-	root *obs.Span) error {
-
-	start := time.Now()
-	result.Forward.In = len(survivors)
-	if len(survivors) == 0 {
-		return nil
-	}
-	fwdSpan, endFwd := startStage(root, "forward")
-	searcher.Trace = fwdSpan
-	defer func() { endFwd(&result.Forward) }()
-	sub := subDatabase(db, survivors)
-	ddb := gpu.UploadDB(dev, sub)
-	fp := gpu.UploadFwdProfile(dev, pl.Prof)
-	rep, scores, err := searcher.ForwardSearch(fp, ddb)
-	if err != nil {
-		return ctxErr(ctx, err)
-	}
-	extra.FwdReport = rep
-	result.Forward.Cells = sub.TotalResidues() * int64(pl.Prof.M)
-	for j, idx := range survivors {
+	for j, idx := range vitSurvivors {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		dsq := db.Seqs[idx].Residues
-		fwdNats := scores[j].Score
+		fwdNats := nats[j]
 		po := pl.maybeDecode(dsq)
 		if pl.Opts.UseNull2 && po != nil {
 			fwdNats -= refimpl.Null2Correction(pl.Prof, dsq, po)
@@ -264,8 +132,8 @@ func (pl *Pipeline) gpuForward(ctx context.Context, dev *simt.Device, searcher *
 		hit := Hit{
 			Index:   idx,
 			Name:    db.Seqs[idx].Name,
-			MSVBits: msvBits[idx],
-			VitBits: vitBits[idx],
+			MSVBits: bitsOf(msvRes[idx]),
+			VitBits: vitBits[j],
 			FwdBits: fwdBits,
 			PValue:  pv,
 			EValue:  stats.EValue(pv, db.NumSeqs()),
@@ -273,123 +141,222 @@ func (pl *Pipeline) gpuForward(ctx context.Context, dev *simt.Device, searcher *
 		pl.annotate(&hit, dsq, po)
 		result.Hits = append(result.Hits, hit)
 	}
-	result.Forward.Out = len(result.Hits)
-	result.Forward.Wall = time.Since(start)
-	sort.Slice(result.Hits, func(i, j int) bool {
-		if result.Hits[i].EValue != result.Hits[j].EValue {
-			return result.Hits[i].EValue < result.Hits[j].EValue
-		}
-		return result.Hits[i].Index < result.Hits[j].Index
-	})
-	return nil
-}
-
-// MultiGPUExtra carries the per-device reports.
-type MultiGPUExtra struct {
-	MSV *gpu.MultiReport
-	Vit *gpu.MultiReport
-}
-
-// RunMultiGPU executes the filter stages across all devices of a
-// system (the paper's 4x GTX 580 configuration).
-func (pl *Pipeline) RunMultiGPU(sys *simt.System, mem gpu.MemConfig, db *seq.Database) (*Result, error) {
-	return pl.RunMultiGPUContext(context.Background(), sys, mem, db)
-}
-
-// RunMultiGPUContext is RunMultiGPU with cancellation; every shard's
-// launch polls ctx.Done() between blocks.
-func (pl *Pipeline) RunMultiGPUContext(ctx context.Context, sys *simt.System, mem gpu.MemConfig, db *seq.Database) (*Result, error) {
-	root := pl.startSearch("multigpu", db)
-	defer root.End()
-	pl.attachProfiler(mem, sys.Devices...)
-	ms := &gpu.MultiSearcher{Sys: sys, Mem: mem, HostWorkers: pl.Opts.Workers, Cancel: ctx.Done()}
-	result := &Result{}
-	extra := &MultiGPUExtra{}
-
-	start := time.Now()
-	msvSpan, endMSV := startStage(root, "msv")
-	ms.Trace = msvSpan
-	msvRep, err := ms.MSVSearch(pl.MSV, db)
-	if err != nil {
-		return nil, ctxErr(ctx, err)
-	}
-	extra.MSV = msvRep
-	result.MSV.Wall = time.Since(start)
-	result.MSV.In = db.NumSeqs()
-	result.MSV.Cells = db.TotalResidues() * int64(pl.Prof.M)
-
-	msvBits := make(map[int]float64)
-	var msvSurvivors []int
-	for i, res := range msvRep.Results {
-		if pl.msvPass(res) {
-			msvSurvivors = append(msvSurvivors, i)
-			msvBits[i] = bitsOf(res)
-		}
-	}
-	result.MSV.Out = len(msvSurvivors)
-	endMSV(&result.MSV)
-
-	start = time.Now()
-	vitSpan, endVit := startStage(root, "viterbi")
-	ms.Trace = vitSpan
-	sub := subDatabase(db, msvSurvivors)
-	var vitSurvivors []int
-	vitBits := make(map[int]float64)
-	if sub.NumSeqs() > 0 {
-		vitRep, err := ms.ViterbiSearch(pl.Vit, sub)
-		if err != nil {
-			return nil, ctxErr(ctx, err)
-		}
-		extra.Vit = vitRep
-		for j, res := range vitRep.Results {
-			if pl.vitPass(res) {
-				idx := msvSurvivors[j]
-				vitSurvivors = append(vitSurvivors, idx)
-				vitBits[idx] = bitsOf(res)
-			}
-		}
-	}
-	result.Viterbi.Wall = time.Since(start)
-	result.Viterbi.In = len(msvSurvivors)
-	result.Viterbi.Cells = sub.TotalResidues() * int64(pl.Prof.M)
-	result.Viterbi.Out = len(vitSurvivors)
-	endVit(&result.Viterbi)
-
-	if err := pl.finishForward(ctx, db, vitSurvivors, msvBits, vitBits, result, root); err != nil {
-		return nil, err
-	}
-	result.Extra = extra
-	if reg := pl.Opts.Metrics; reg.Enabled() {
-		result.Record(reg)
-		if len(sys.Devices) > 0 {
-			spec := sys.Devices[0].Spec
-			if extra.MSV != nil {
-				perf.Record(reg, spec, "msv", launchesOf(extra.MSV)...)
-			}
-			if extra.Vit != nil {
-				perf.Record(reg, spec, "p7viterbi", launchesOf(extra.Vit)...)
+	result.Forward.Out, result.Forward.Wall = len(result.Hits), time.Since(start)
+	endStage(&result.Forward)
+	sortHits(result.Hits)
+	if chk != nil {
+		// The only guard spanning stages: a shared-memory flip that
+		// produced a wrong but on-grid filter score can still betray
+		// itself by breaking MSV <= Viterbi <= Forward on a hit.
+		for _, h := range result.Hits {
+			if err := chk.CheckHit(h.Index, h.MSVBits, h.VitBits, h.FwdBits); err != nil {
+				return nil, fmt.Errorf("pipeline: hit scores: %w", err)
 			}
 		}
 	}
 	return result, nil
 }
 
-// launchesOf flattens a multi-device report's launch reports.
-func launchesOf(mr *gpu.MultiReport) []*simt.LaunchReport {
-	var out []*simt.LaunchReport
-	for _, rep := range mr.PerDevice {
-		if rep != nil {
-			out = append(out, rep.Launch)
+// hostFilters runs the filter stages on the striped multicore CPU
+// engine. ctx is checked before every sequence.
+type hostFilters struct {
+	pl *Pipeline
+	// msvResults holds the last MSV pass's raw per-sequence results.
+	msvResults []cpu.FilterResult
+}
+
+func (h *hostFilters) msv(ctx context.Context, db *seq.Database, _ *obs.Span) ([]cpu.FilterResult, error) {
+	res, err := cpu.Engine{Workers: h.pl.Opts.Workers}.MSVAllContext(ctx, h.pl.MSV, db)
+	h.msvResults = res
+	return res, err
+}
+
+func (h *hostFilters) viterbi(ctx context.Context, db *seq.Database, _ *obs.Span) ([]cpu.FilterResult, error) {
+	return cpu.Engine{Workers: h.pl.Opts.Workers}.ViterbiAllContext(ctx, h.pl.Vit, db)
+}
+
+// deviceFilters runs the filter stages on one device through its bound
+// worker (profiles uploaded once, each database uploaded per pass).
+// Kernel launches poll ctx.Done() between blocks, so cancellation
+// interrupts a pass mid-kernel. One value serves one cascade.
+type deviceFilters struct {
+	w *gpu.DeviceWorker
+	// msvRep and vitRep are the passes' reports; vitRep stays nil when
+	// nothing survived MSV.
+	msvRep, vitRep *gpu.SearchReport
+}
+
+func (d *deviceFilters) msv(ctx context.Context, db *seq.Database, stage *obs.Span) ([]cpu.FilterResult, error) {
+	d.w.S.Trace, d.w.S.Cancel = stage, ctx.Done()
+	rep, err := d.w.MSVBatch(db)
+	if err != nil {
+		return nil, ctxErr(ctx, err)
+	}
+	d.msvRep = rep
+	return rep.Results, nil
+}
+
+func (d *deviceFilters) viterbi(ctx context.Context, db *seq.Database, stage *obs.Span) ([]cpu.FilterResult, error) {
+	d.w.S.Trace, d.w.S.Cancel = stage, ctx.Done()
+	rep, err := d.w.ViterbiBatch(db)
+	if err != nil {
+		return nil, ctxErr(ctx, err)
+	}
+	d.vitRep = rep
+	return rep.Results, nil
+}
+
+// launches lists the kernel launches of the cascade d served, in order.
+func (d *deviceFilters) launches() []*simt.LaunchReport {
+	return append(searchLaunch(d.msvRep), searchLaunch(d.vitRep)...)
+}
+
+// splitFilters runs the filter stages across all devices of a system
+// with the static Partition split of §IV-A; every shard's launch polls
+// ctx.Done() between blocks.
+type splitFilters struct {
+	pl             *Pipeline
+	ms             *gpu.MultiSearcher
+	msvRep, vitRep *gpu.MultiReport
+}
+
+func (s *splitFilters) msv(ctx context.Context, db *seq.Database, stage *obs.Span) ([]cpu.FilterResult, error) {
+	s.ms.Trace, s.ms.Cancel = stage, ctx.Done()
+	rep, err := s.ms.MSVSearch(s.pl.MSV, db)
+	if err != nil {
+		return nil, ctxErr(ctx, err)
+	}
+	s.msvRep = rep
+	return rep.Results, nil
+}
+
+func (s *splitFilters) viterbi(ctx context.Context, db *seq.Database, stage *obs.Span) ([]cpu.FilterResult, error) {
+	s.ms.Trace, s.ms.Cancel = stage, ctx.Done()
+	rep, err := s.ms.ViterbiSearch(s.pl.Vit, db)
+	if err != nil {
+		return nil, ctxErr(ctx, err)
+	}
+	s.vitRep = rep
+	return rep.Results, nil
+}
+
+// CPUExtra carries the CPU engine's bookkeeping.
+type CPUExtra struct {
+	// MSVResults holds the raw per-sequence MSV filter results.
+	MSVResults []cpu.FilterResult
+}
+
+// searchHost is the cascade on the host CPU: the body of RunCPU, of
+// every CPU-streamed batch, of the streamed engines' host fallback and
+// DMR rerun, and of the cluster's CPU workers and degraded local path.
+// ctx is checked before every sequence in the filter stages and before
+// every Forward rescore, so a deadline stops it mid-database.
+func (pl *Pipeline) searchHost(ctx context.Context, db *seq.Database, parent *obs.Span) (*Result, error) {
+	host := &hostFilters{pl: pl}
+	result, err := pl.cascade(ctx, host, pl.hostForward, nil, db, parent)
+	if err != nil {
+		return nil, err
+	}
+	result.Extra = &CPUExtra{MSVResults: host.msvResults}
+	return result, nil
+}
+
+// RunCPU executes the pipeline with the striped multicore CPU engine —
+// the paper's baseline configuration.
+func (pl *Pipeline) RunCPU(db *seq.Database) (*Result, error) {
+	root := pl.startSearch("cpu", db)
+	defer root.End()
+	result, err := pl.searchHost(context.Background(), db, root)
+	if err == nil {
+		result.Record(pl.Opts.Metrics)
+	}
+	return result, err
+}
+
+// GPUExtra carries the GPU engine's launch reports for the perf model.
+type GPUExtra struct {
+	MSVReport *gpu.SearchReport
+	VitReport *gpu.SearchReport
+	// FwdReport is set when Options.GPUForward ran the Forward stage
+	// on the device.
+	FwdReport *gpu.SearchReport
+
+	spec simt.DeviceSpec // the device's, for the modelled times Record derives
+}
+
+// RunGPU executes the MSV and P7Viterbi stages on the device (the
+// paper's accelerated configuration) with the Forward stage on the
+// host, as in the paper — or on the device too under
+// Options.GPUForward.
+func (pl *Pipeline) RunGPU(dev *simt.Device, mem gpu.MemConfig, db *seq.Database) (*Result, error) {
+	root := pl.startSearch("gpu", db)
+	defer root.End()
+	pl.attachProfiler(mem, dev)
+	filters := &deviceFilters{w: gpu.NewDeviceWorker(dev, mem, pl.Opts.Workers, pl.MSV, pl.Vit)}
+	extra := &GPUExtra{spec: dev.Spec}
+	fwd := pl.hostForward
+	if pl.Opts.GPUForward {
+		// The heterogeneous extension: scores come from the float32
+		// kernel, thresholds and E-values from the same calibrated
+		// exponential tail.
+		fwd = func(ctx context.Context, stage *obs.Span, survivors *seq.Database) ([]float64, error) {
+			s := filters.w.S
+			s.Trace, s.Cancel = stage, ctx.Done()
+			ddb := gpu.UploadDB(dev, survivors)
+			rep, scores, err := s.ForwardSearch(gpu.UploadFwdProfile(dev, pl.Prof), ddb)
+			if err != nil {
+				return nil, ctxErr(ctx, err)
+			}
+			extra.FwdReport = rep
+			nats := make([]float64, len(scores))
+			for j, sc := range scores {
+				nats[j] = sc.Score
+			}
+			return nats, nil
 		}
 	}
-	return out
+	result, err := pl.cascade(context.Background(), filters, fwd, nil, db, root)
+	if err != nil {
+		return nil, err
+	}
+	extra.MSVReport, extra.VitReport = filters.msvRep, filters.vitRep
+	result.Extra = extra
+	result.Record(pl.Opts.Metrics)
+	return result, nil
+}
+
+// MultiGPUExtra carries the per-device reports.
+type MultiGPUExtra struct {
+	MSV *gpu.MultiReport
+	Vit *gpu.MultiReport
+
+	spec simt.DeviceSpec // the devices', for the modelled times Record derives
+}
+
+// RunMultiGPU executes the filter stages across all devices of a
+// system (the paper's 4x GTX 580 configuration).
+func (pl *Pipeline) RunMultiGPU(sys *simt.System, mem gpu.MemConfig, db *seq.Database) (*Result, error) {
+	if sys == nil || len(sys.Devices) == 0 {
+		return nil, fmt.Errorf("pipeline: no devices")
+	}
+	root := pl.startSearch("multigpu", db)
+	defer root.End()
+	pl.attachProfiler(mem, sys.Devices...)
+	filters := &splitFilters{pl: pl, ms: &gpu.MultiSearcher{Sys: sys, Mem: mem, HostWorkers: pl.Opts.Workers}}
+	result, err := pl.cascade(context.Background(), filters, pl.hostForward, nil, db, root)
+	if err != nil {
+		return nil, err
+	}
+	result.Extra = &MultiGPUExtra{MSV: filters.msvRep, Vit: filters.vitRep, spec: sys.Devices[0].Spec}
+	result.Record(pl.Opts.Metrics)
+	return result, nil
 }
 
 // subDatabase builds a view holding the sequences at the given indexes.
 func subDatabase(db *seq.Database, idx []int) *seq.Database {
-	sub := seq.NewDatabase(db.Name + "-survivors")
-	for _, i := range idx {
-		sub.Add(db.Seqs[i])
+	sub := &seq.Database{Name: db.Name, Seqs: make([]*seq.Sequence, len(idx))}
+	for j, i := range idx {
+		sub.Seqs[j] = db.Seqs[i]
 	}
 	return sub
 }

@@ -8,10 +8,10 @@ package pipeline
 
 import (
 	"fmt"
-	"time"
 
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/obs"
+	"hmmer3gpu/internal/perf"
 	"hmmer3gpu/internal/seq"
 	"hmmer3gpu/internal/simt"
 )
@@ -43,37 +43,6 @@ func (pl *Pipeline) startSearch(engine string, db *seq.Database) *obs.Span {
 		obs.Int("model_m", int64(pl.Prof.M)),
 		obs.Int("seqs", int64(db.NumSeqs())),
 		obs.Int("residues", db.TotalResidues()))
-}
-
-// startExec opens the span one cluster-worker batch executes under
-// and returns it with the wall-clock start (for endExec's histogram).
-func (pl *Pipeline) startExec(engine string, seqNo uint64, db *seq.Database) (*obs.Span, time.Time) {
-	sp := pl.Opts.Trace.Start("host", "cluster-exec",
-		obs.String("engine", engine),
-		obs.Int("batch", int64(seqNo)),
-		obs.Int("seqs", int64(db.NumSeqs())),
-		obs.Int("residues", db.TotalResidues()))
-	return sp, time.Now()
-}
-
-// endExec closes a worker batch span and publishes the worker-side
-// counters: batches executed, failures, and a latency histogram — the
-// per-node numbers a cluster operator scrapes to find a slow or sick
-// worker.
-func (pl *Pipeline) endExec(sp *obs.Span, t0 time.Time, engine string, err error) {
-	if err != nil {
-		sp.Annotate(obs.String("error", err.Error()))
-	}
-	sp.End()
-	reg := pl.Opts.Metrics
-	if !reg.Enabled() {
-		return
-	}
-	reg.AddInt(obs.WithLabel("hmmer_worker_batches_total", "engine", engine), 1)
-	if err != nil {
-		reg.AddInt(obs.WithLabel("hmmer_worker_batch_errors_total", "engine", engine), 1)
-	}
-	reg.Observe("hmmer_worker_batch_seconds", time.Since(t0).Seconds(), obs.LatencyBuckets()...)
 }
 
 // startStage opens a stage span under parent and returns a closure
@@ -114,9 +83,10 @@ func (s StageStats) Summary() string {
 
 // Record merges the run's complete statistics into reg: the three
 // stage rows, plus whatever the engine left in Extra — kernel
-// counters from every launch (simt subsystem), the streaming
-// scheduler's utilization (sched subsystem), and per-device reports
-// of the static multi-GPU split.
+// counters from every launch (simt subsystem) beside their modelled
+// device seconds (perf subsystem), the streaming scheduler's
+// utilization (sched subsystem), and per-device reports of the static
+// multi-GPU split.
 func (res *Result) Record(reg *obs.Registry) {
 	if !reg.Enabled() {
 		return
@@ -128,18 +98,12 @@ func (res *Result) Record(reg *obs.Registry) {
 
 	switch x := res.Extra.(type) {
 	case *GPUExtra:
-		if x.MSVReport != nil {
-			x.MSVReport.Launch.Record(reg, "msv")
-		}
-		if x.VitReport != nil {
-			x.VitReport.Launch.Record(reg, "p7viterbi")
-		}
-		if x.FwdReport != nil {
-			x.FwdReport.Launch.Record(reg, "forward")
-		}
+		recordLaunches(reg, x.spec, "msv", searchLaunch(x.MSVReport)...)
+		recordLaunches(reg, x.spec, "p7viterbi", searchLaunch(x.VitReport)...)
+		recordLaunches(reg, x.spec, "forward", searchLaunch(x.FwdReport)...)
 	case *MultiGPUExtra:
-		recordMulti(reg, x.MSV, "msv")
-		recordMulti(reg, x.Vit, "p7viterbi")
+		recordLaunches(reg, x.spec, "msv", launchesOf(x.MSV)...)
+		recordLaunches(reg, x.spec, "p7viterbi", launchesOf(x.Vit)...)
 	case *MultiGPUStreamExtra:
 		if x.Schedule != nil {
 			x.Schedule.Record(reg)
@@ -147,13 +111,14 @@ func (res *Result) Record(reg *obs.Registry) {
 		if x.Checkpoint != nil {
 			x.Checkpoint.Record(reg)
 		}
-		for _, launches := range x.Launches {
-			for _, rep := range launches {
-				if rep != nil {
-					rep.Stats.Record(reg)
-				}
+		var all []*simt.LaunchReport
+		for _, b := range x.Batches {
+			for _, rep := range b.Launches {
+				rep.Stats.Record(reg)
 			}
+			all = append(all, b.Launches...)
 		}
+		perf.Record(reg, x.spec, x.kernel, all...)
 	case *ClusterStreamExtra:
 		if x.Cluster != nil {
 			x.Cluster.Record(reg)
@@ -164,13 +129,37 @@ func (res *Result) Record(reg *obs.Registry) {
 	}
 }
 
-func recordMulti(reg *obs.Registry, mr *gpu.MultiReport, kernel string) {
-	if mr == nil {
+// recordLaunches records one stage's launches — their counters and
+// their modelled time on spec — under the kernel's name. A stage that
+// did not run (no launches) leaves no series.
+func recordLaunches(reg *obs.Registry, spec simt.DeviceSpec, kernel string, launches ...*simt.LaunchReport) {
+	if len(launches) == 0 {
 		return
 	}
+	for _, launch := range launches {
+		launch.Record(reg, kernel)
+	}
+	perf.Record(reg, spec, kernel, launches...)
+}
+
+// searchLaunch is the launch of one single-device pass, if it ran.
+func searchLaunch(rep *gpu.SearchReport) []*simt.LaunchReport {
+	if rep == nil {
+		return nil
+	}
+	return []*simt.LaunchReport{rep.Launch}
+}
+
+// launchesOf flattens a multi-device report's launch reports.
+func launchesOf(mr *gpu.MultiReport) []*simt.LaunchReport {
+	if mr == nil {
+		return nil
+	}
+	var out []*simt.LaunchReport
 	for _, rep := range mr.PerDevice {
-		if rep != nil && rep.Launch != nil {
-			rep.Launch.Record(reg, kernel)
+		if rep != nil {
+			out = append(out, rep.Launch)
 		}
 	}
+	return out
 }

@@ -7,6 +7,12 @@
 // the lambda = log 2 conjecture that lets Viterbi-style scores
 // pre-screen for Forward scores.
 //
+// The cascade is one function (cascade) over a two-method seam with
+// three backends — the host, one device, the static multi-device split
+// — and a streamed run one driver (streamRun): batch source, journal
+// replay, executor, token-gated journal-then-merge commit, finalize.
+// The ten Run* entry points compose those and report identical hits.
+//
 // Documented simplifications relative to HMMER 3.0 (applied to every
 // engine, so cross-engine comparisons remain exact): no bias
 // composition filter between MSV and Viterbi, no domain
@@ -265,59 +271,37 @@ func (pl *Pipeline) vitPass(res cpu.FilterResult) bool {
 	return pl.VitGumbel.Surv(stats.BitsFromNats(res.Score)) <= pl.Opts.Thresholds.Viterbi
 }
 
-// finishForward runs the Forward stage over the Viterbi survivors and
-// assembles the final result. msvRes and vitRes are indexed like the
-// corresponding id slices. parent (nilable) is the span the forward
-// stage span nests under. ctx is checked before every survivor — the
-// Forward stage is the pipeline's most expensive per-sequence work, so
-// this is where a deadline lands mid-stage.
-func (pl *Pipeline) finishForward(ctx context.Context, db *seq.Database, survivors []int,
-	msvBits, vitBits map[int]float64, result *Result, parent *obs.Span) error {
+// forwardScorer scores the Viterbi survivors (a non-empty view of them,
+// in survivor order) with Forward: one score in nats per survivor. stage
+// is the Forward stage's span. Where the scores come from — the host's
+// odds-ratio recurrence or the device's float32 kernel — is all that
+// differs between engines in the Forward stage.
+type forwardScorer func(ctx context.Context, stage *obs.Span, survivors *seq.Database) ([]float64, error)
 
-	start := time.Now()
-	result.Forward.In = len(survivors)
-	if pl.Opts.SkipForward {
-		return nil
-	}
-	_, endStage := startStage(parent, "forward")
-	defer func() { endStage(&result.Forward) }()
-	for _, idx := range survivors {
+// hostForward is the forwardScorer of every engine but RunGPU under
+// Options.GPUForward. ctx is checked before every survivor — Forward
+// is the pipeline's most expensive per-sequence work, so this is where
+// a deadline lands mid-stage.
+func (pl *Pipeline) hostForward(ctx context.Context, _ *obs.Span, survivors *seq.Database) ([]float64, error) {
+	nats := make([]float64, survivors.NumSeqs())
+	for j, s := range survivors.Seqs {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		dsq := db.Seqs[idx].Residues
-		result.Forward.Cells += int64(len(dsq)) * int64(pl.Prof.M)
-		fwdNats := refimpl.Forward(pl.Prof, dsq)
-		po := pl.maybeDecode(dsq)
-		if pl.Opts.UseNull2 && po != nil {
-			fwdNats -= refimpl.Null2Correction(pl.Prof, dsq, po)
-		}
-		fwdBits := stats.BitsFromNats(fwdNats)
-		pv := pl.FwdExp.Surv(fwdBits)
-		if pv > pl.Opts.Thresholds.Forward {
-			continue
-		}
-		hit := Hit{
-			Index:   idx,
-			Name:    db.Seqs[idx].Name,
-			MSVBits: msvBits[idx],
-			VitBits: vitBits[idx],
-			FwdBits: fwdBits,
-			PValue:  pv,
-			EValue:  stats.EValue(pv, db.NumSeqs()),
-		}
-		pl.annotate(&hit, dsq, po)
-		result.Hits = append(result.Hits, hit)
+		nats[j] = refimpl.Forward(pl.Prof, s.Residues)
 	}
-	result.Forward.Out = len(result.Hits)
-	result.Forward.Wall = time.Since(start)
-	sort.Slice(result.Hits, func(i, j int) bool {
-		if result.Hits[i].EValue != result.Hits[j].EValue {
-			return result.Hits[i].EValue < result.Hits[j].EValue
+	return nats, nil
+}
+
+// sortHits applies the reporting order: best E-value first, ties by
+// database index.
+func sortHits(hits []Hit) {
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].EValue != hits[j].EValue {
+			return hits[i].EValue < hits[j].EValue
 		}
-		return result.Hits[i].Index < result.Hits[j].Index
+		return hits[i].Index < hits[j].Index
 	})
-	return nil
 }
 
 // cellCap returns the alignment/decoding matrix budget.

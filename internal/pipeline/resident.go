@@ -5,13 +5,9 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
-	"sync"
 
 	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/gpu"
-	"hmmer3gpu/internal/integrity"
-	"hmmer3gpu/internal/obs"
-	"hmmer3gpu/internal/perf"
 	"hmmer3gpu/internal/seq"
 	"hmmer3gpu/internal/simt"
 )
@@ -63,6 +59,16 @@ func LoadResidentDB(name string, r io.Reader, abc *alphabet.Alphabet, batchResid
 	return rdb, nil
 }
 
+// batches is the resident database as a batchSource.
+func (rdb *ResidentDB) batches(emit func(db *seq.Database) error) error {
+	for _, db := range rdb.Batches {
+		if err := emit(db); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunResidentStreamContext searches a resident database across the
 // devices of a system with the streamed multi-device engine: the same
 // scheduler, fault policy, exactly-once commit tokens, integrity
@@ -82,93 +88,7 @@ func (pl *Pipeline) RunResidentStreamContext(ctx context.Context, sys *simt.Syst
 	if cfg.Checkpoint != nil {
 		return nil, fmt.Errorf("pipeline: resident runs do not journal (checkpointing is the one-shot CLI's crash story; a service query is simply retried)")
 	}
-	pl.attachProfiler(mem, sys.Devices...)
-
-	workers := make([]*gpu.DeviceWorker, len(sys.Devices))
-	for i, dev := range sys.Devices {
-		workers[i] = gpu.NewDeviceWorker(dev, mem, pl.Opts.Workers, pl.MSV, pl.Vit)
-	}
-
-	root := pl.startSearch("resident-stream", nil)
-	defer root.End()
-
-	final := &Result{}
-	extra := &MultiGPUStreamExtra{Launches: make([][]*simt.LaunchReport, len(sys.Devices))}
-	var mu sync.Mutex
-
-	sched := &gpu.Scheduler{
-		Sys:             sys,
-		QueueDepth:      cfg.QueueDepth,
-		Trace:           root,
-		MaxRetries:      cfg.MaxRetries,
-		QuarantineAfter: cfg.QuarantineAfter,
-		BatchTimeout:    cfg.BatchTimeout,
-		Drain:           cfg.Drain,
-	}
-	commitMerge := func(b gpu.Batch, res *Result, devIdx int, launches []*simt.LaunchReport) (bool, error) {
-		if !b.Commit() {
-			return false, nil
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		mergeBatch(final, res, b.Offset)
-		if devIdx >= 0 {
-			extra.Launches[devIdx] = append(extra.Launches[devIdx], launches...)
-		}
-		return true, nil
-	}
-	hostRerun := func(b gpu.Batch) (bool, error) {
-		res, err := pl.runCPUContext(ctx, b.DB, b.Trace)
-		if err != nil {
-			return false, err
-		}
-		return commitMerge(b, res, -1, nil)
-	}
-	if !cfg.DisableFallback {
-		sched.Fallback = hostRerun
-	}
-	var chk *integrity.Checker
-	if cfg.Verify != VerifyOff {
-		chk = &integrity.Checker{MSV: pl.MSV, Vit: pl.Vit}
-	}
-	if cfg.Verify == VerifyDMR {
-		sched.DMR = hostRerun
-	}
-	rep, err := sched.RunBatches(ctx,
-		func(submit func(b gpu.Batch) error) error {
-			offset := 0
-			for i, db := range rdb.Batches {
-				if err := submit(gpu.Batch{Seq: i, Offset: offset, DB: db}); err != nil {
-					return err
-				}
-				offset += db.NumSeqs()
-			}
-			return nil
-		},
-		func(devIdx int, _ *simt.Device, b gpu.Batch) error {
-			res, launches, err := pl.searchBatchOnDevice(ctx, workers[devIdx], b.DB, chk, b.Trace)
-			if err != nil {
-				return err
-			}
-			_, err = commitMerge(b, res, devIdx, launches)
-			return err
-		})
-	if err != nil {
-		return nil, err
-	}
-	extra.Schedule = rep
-	extra.Drained = rep.Drained
-	finalizeStream(final, rep.Seqs)
-	final.Extra = extra
-	if reg := pl.Opts.Metrics; reg.Enabled() {
-		final.Record(reg)
-		var all []*simt.LaunchReport
-		for _, launches := range extra.Launches {
-			all = append(all, launches...)
-		}
-		perf.Record(reg, sys.Devices[0].Spec, "resident", all...)
-	}
-	return final, nil
+	return pl.runDeviceStream(ctx, "resident-stream", "resident", sys, mem, rdb.batches, cfg, &streamRun{})
 }
 
 // RunResidentCPUContext searches a resident database entirely on the
@@ -179,28 +99,5 @@ func (pl *Pipeline) RunResidentCPUContext(ctx context.Context, rdb *ResidentDB) 
 	if rdb == nil || len(rdb.Batches) == 0 {
 		return nil, fmt.Errorf("pipeline: resident database is empty")
 	}
-	root := pl.startSearch("resident-cpu", nil)
-	defer root.End()
-	final := &Result{}
-	offset := 0
-	for i, db := range rdb.Batches {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		batchSpan := root.Child(fmt.Sprintf("batch %d", i),
-			obs.Int("batch", int64(i)),
-			obs.Int("offset", int64(offset)),
-			obs.Int("seqs", int64(db.NumSeqs())),
-			obs.Int("residues", db.TotalResidues()))
-		res, err := pl.runCPUContext(ctx, db, batchSpan)
-		batchSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		mergeBatch(final, res, offset)
-		offset += db.NumSeqs()
-	}
-	finalizeStream(final, rdb.Seqs)
-	final.Record(pl.Opts.Metrics)
-	return final, nil
+	return pl.runHostStream(ctx, "resident-cpu", rdb.batches)
 }

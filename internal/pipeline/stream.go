@@ -12,11 +12,215 @@ import (
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/integrity"
 	"hmmer3gpu/internal/obs"
-	"hmmer3gpu/internal/perf"
 	"hmmer3gpu/internal/seq"
 	"hmmer3gpu/internal/simt"
 	"hmmer3gpu/internal/stats"
 )
+
+// batchSource walks a database as batches in stream order, calling
+// emit once per batch, and stops with emit's first error.
+type batchSource func(emit func(db *seq.Database) error) error
+
+// fastaBatches re-chunks r into residue-budgeted batches. A resumed run
+// re-chunks exactly as the original did (same parser, same budget —
+// enforced by the config fingerprint), so batch ordinals and offsets
+// line up with the journal's.
+func (pl *Pipeline) fastaBatches(r io.Reader, batchResidues int64) batchSource {
+	return func(emit func(db *seq.Database) error) error {
+		return seq.StreamFASTAResidues(r, pl.Prof.Abc, batchResidues, emit)
+	}
+}
+
+// streamBatch is one batch of a streamed run: its ordinal, the global
+// database index of its first sequence (its hit indexes are rebased by
+// it), and claim, which takes the one-shot commit token every attempt
+// at the batch shares — nil when only one attempt can exist.
+type streamBatch struct {
+	seq, offset int
+	db          *seq.Database
+	claim       func() bool
+}
+
+func deviceBatch(b gpu.Batch) streamBatch {
+	return streamBatch{seq: b.Seq, offset: b.Offset, db: b.DB, claim: b.Commit}
+}
+
+// BatchLaunches is the kernel launches of one committed batch of a
+// streamed multi-device run.
+type BatchLaunches struct {
+	// Seq is the batch ordinal; Device the index of the device the
+	// committed attempt ran on, which the host's goroutine schedule
+	// decides.
+	Seq, Device int
+	// Launches is the MSV launch, then the Viterbi launch when the
+	// batch had MSV survivors. On fault-free devices of one kind the
+	// reports depend on the batch alone.
+	Launches []*simt.LaunchReport
+}
+
+// streamRun is the state one streamed search shares between its
+// producer, its executor's attempts and its tail.
+type streamRun struct {
+	// journal (nil: not journaled) receives every committed batch
+	// before its merge; skip holds the records a previous run left
+	// there, keyed by batch ordinal.
+	journal *checkpoint.Journal
+	skip    map[uint64]checkpoint.Record
+
+	// seqs counts the sequences of the batches produced so far, replayed
+	// the batches merged from the journal; the producer owns both.
+	seqs, replayed int
+
+	mu       sync.Mutex // guards final and launches
+	final    Result
+	launches []BatchLaunches
+}
+
+// produce walks src in stream order, numbering the batches. A batch
+// the journal already holds merges from disk and is never executed;
+// every other batch goes to submit, which may block for backpressure.
+func (s *streamRun) produce(src batchSource, submit func(b streamBatch) error) error {
+	seqNo := 0
+	return src(func(db *seq.Database) error {
+		if rec, ok := s.skip[uint64(seqNo)]; ok {
+			if rec.Offset != uint64(s.seqs) || rec.NumSeqs != uint64(db.NumSeqs()) || rec.Residues != uint64(db.TotalResidues()) {
+				return fmt.Errorf("pipeline: journal record for batch %d does not match the input stream (journal: offset %d, %d seqs, %d residues; stream: offset %d, %d seqs, %d residues): was the database file changed?",
+					seqNo, rec.Offset, rec.NumSeqs, rec.Residues, s.seqs, db.NumSeqs(), db.TotalResidues())
+			}
+			res, err := DecodeResultPayload(rec.Payload)
+			if err != nil {
+				return fmt.Errorf("pipeline: journal record for batch %d: %v", seqNo, err)
+			}
+			s.mu.Lock()
+			mergeBatch(&s.final, res, s.seqs)
+			s.mu.Unlock()
+			delete(s.skip, uint64(seqNo))
+			s.replayed++
+		} else if err := submit(streamBatch{seq: seqNo, offset: s.seqs, db: db}); err != nil {
+			return err
+		}
+		seqNo++
+		s.seqs += db.NumSeqs()
+		return nil
+	})
+}
+
+// commit is the single commit path of every executor (device worker,
+// host fallback, DMR rerun, in-line batch, cluster worker, degraded
+// local path): claim the batch's one-shot token, make the result
+// durable, then merge; it reports whether this attempt merged. A
+// watchdog-abandoned attempt can complete late, after the batch was
+// reassigned — the token keeps the merge and its journal record
+// exactly-once. An attempt hands over its Result or, from a remote
+// worker, the encoded payload, which is validated before it is
+// journaled (a corrupt worker payload must never become a durable
+// record). The journal append happens strictly before the merge is
+// acknowledged (write-ahead ordering), so a batch an executor counts
+// complete is always recoverable; a crash between the two is resolved
+// on resume by replay-then-skip. launched has no Launches for a host
+// execution.
+func (s *streamRun) commit(b streamBatch, res *Result, payload []byte, launched BatchLaunches) (bool, error) {
+	if b.claim != nil && !b.claim() {
+		return false, nil
+	}
+	if res == nil {
+		var err error
+		if res, err = DecodeResultPayload(payload); err != nil {
+			return false, fmt.Errorf("pipeline: result payload for batch %d: %v", b.seq, err)
+		}
+	}
+	if s.journal != nil {
+		if payload == nil {
+			payload = EncodeResultPayload(res)
+		}
+		// Hit indexes stay batch-local in the record (its Offset rebases
+		// them on replay). Stage wall times are preserved as measured —
+		// the work really was done, in the crashed run.
+		err := s.journal.Append(checkpoint.Record{
+			Seq:      uint64(b.seq),
+			Offset:   uint64(b.offset),
+			NumSeqs:  uint64(b.db.NumSeqs()),
+			Residues: uint64(b.db.TotalResidues()),
+			Payload:  payload,
+		})
+		if err != nil {
+			return false, err
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mergeBatch(&s.final, res, b.offset)
+	if launched.Launches != nil {
+		s.launches = append(s.launches, launched)
+	}
+	return true, nil
+}
+
+// closeJournal closes the journal, if any. Every path out of a run
+// defers it; repeating it after finish is harmless.
+func (s *streamRun) closeJournal() error {
+	if s.journal == nil {
+		return nil
+	}
+	return s.journal.Close()
+}
+
+// finish is the tail of every streamed run whose executor returned
+// cleanly: check the journal held nothing the stream did not, close
+// it, finalize the merged Result. It returns the journal's counters
+// when the run was journaled.
+func (s *streamRun) finish(drained bool) (*Result, *checkpoint.Stats, error) {
+	if len(s.skip) > 0 && !drained {
+		return nil, nil, fmt.Errorf("pipeline: journal holds %d batches beyond the end of the input stream: was the database file changed?", len(s.skip))
+	}
+	var ckpt *checkpoint.Stats
+	if s.journal != nil {
+		// Surface close/sync errors: an unsynced tail the caller was
+		// told is durable would break the resume contract.
+		if err := s.closeJournal(); err != nil {
+			return nil, nil, err
+		}
+		st := s.journal.Stats()
+		ckpt = &st
+	}
+	finalizeStream(&s.final, s.seqs)
+	sort.Slice(s.launches, func(i, j int) bool { return s.launches[i].Seq < s.launches[j].Seq })
+	return &s.final, ckpt, nil
+}
+
+// runHostStream is the streamed run executed in line on the host CPU
+// engine. ctx is checked before every batch and every sequence.
+func (pl *Pipeline) runHostStream(ctx context.Context, engine string, src batchSource) (*Result, error) {
+	root := pl.startSearch(engine, nil)
+	defer root.End()
+	run := &streamRun{}
+	err := run.produce(src, func(b streamBatch) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		batchSpan := root.Child(fmt.Sprintf("batch %d", b.seq),
+			obs.Int("batch", int64(b.seq)),
+			obs.Int("offset", int64(b.offset)),
+			obs.Int("seqs", int64(b.db.NumSeqs())),
+			obs.Int("residues", b.db.TotalResidues()))
+		res, err := pl.searchHost(ctx, b.db, batchSpan)
+		batchSpan.End()
+		if err != nil {
+			return err
+		}
+		_, err = run.commit(b, res, nil, BatchLaunches{})
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	final, _, err := run.finish(false)
+	if err != nil {
+		return nil, err
+	}
+	final.Record(pl.Opts.Metrics)
+	return final, nil
+}
 
 // RunCPUStream searches a FASTA stream with the CPU engine in batches
 // of batchSize sequences, so the database never needs to fit in memory
@@ -25,42 +229,9 @@ import (
 // sequence count and the hit list is re-sorted at the end. Hit indexes
 // are global (position in the stream).
 func (pl *Pipeline) RunCPUStream(r io.Reader, batchSize int) (*Result, error) {
-	return pl.RunCPUStreamContext(context.Background(), r, batchSize)
-}
-
-// RunCPUStreamContext is RunCPUStream with cancellation: ctx is
-// checked before every batch and before every sequence within a batch.
-func (pl *Pipeline) RunCPUStreamContext(ctx context.Context, r io.Reader, batchSize int) (*Result, error) {
-	root := pl.startSearch("cpu-stream", nil)
-	defer root.End()
-	final := &Result{}
-	offset := 0
-	batchNo := 0
-	err := seq.StreamFASTA(r, pl.Prof.Abc, batchSize, func(batch *seq.Database) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		batchSpan := root.Child(fmt.Sprintf("batch %d", batchNo),
-			obs.Int("batch", int64(batchNo)),
-			obs.Int("offset", int64(offset)),
-			obs.Int("seqs", int64(batch.NumSeqs())),
-			obs.Int("residues", batch.TotalResidues()))
-		res, err := pl.runCPUContext(ctx, batch, batchSpan)
-		batchSpan.End()
-		if err != nil {
-			return err
-		}
-		mergeBatch(final, res, offset)
-		offset += batch.NumSeqs()
-		batchNo++
-		return nil
+	return pl.runHostStream(context.Background(), "cpu-stream", func(emit func(db *seq.Database) error) error {
+		return seq.StreamFASTA(r, pl.Prof.Abc, batchSize, emit)
 	})
-	if err != nil {
-		return nil, err
-	}
-	finalizeStream(final, offset)
-	final.Record(pl.Opts.Metrics)
-	return final, nil
 }
 
 // VerifyMode selects the result-integrity policy of a streamed
@@ -130,15 +301,15 @@ type StreamConfig struct {
 
 // MultiGPUStreamExtra carries the streamed multi-device run's
 // observability: the scheduler's utilization report and every kernel
-// launch, per device, for the perf model.
+// launch, per batch, for the perf model.
 type MultiGPUStreamExtra struct {
 	// Schedule reports wall time and per-device utilization (busy wall
 	// time, residues processed, batches served).
 	Schedule *gpu.ScheduleReport
-	// Launches[i] holds device i's kernel launch reports in processing
-	// order (one MSV launch per batch, plus one Viterbi launch when the
-	// batch had MSV survivors).
-	Launches [][]*simt.LaunchReport
+	// Batches holds the kernel launches of every batch a device
+	// committed, in batch order. Batches merged from the journal or
+	// executed on the host (fallback, DMR rerun) have no entry.
+	Batches []BatchLaunches
 	// Drained reports that the run stopped early at the caller's
 	// request (StreamConfig.Drain closed): every merged batch is
 	// durable, but the stream was not fully processed, so the Result is
@@ -150,6 +321,11 @@ type MultiGPUStreamExtra struct {
 	// Checkpoint carries the journal's counters when journaling was
 	// enabled.
 	Checkpoint *checkpoint.Stats
+
+	// spec is the devices' and kernel the series label, for the
+	// modelled time Record derives from Batches.
+	spec   simt.DeviceSpec
+	kernel string
 }
 
 // RunMultiGPUStream searches a FASTA stream across all devices of a
@@ -185,30 +361,33 @@ func (pl *Pipeline) RunMultiGPUStreamContext(ctx context.Context, sys *simt.Syst
 	if sys == nil || len(sys.Devices) == 0 {
 		return nil, fmt.Errorf("pipeline: no devices")
 	}
-	pl.attachProfiler(mem, sys.Devices...)
-
 	// The journal opens (and replays) before any device work starts:
 	// a fingerprint, mode, or corruption error must abort the run
 	// before it spends hours recomputing.
-	journal, skip, err := pl.openStreamJournal(cfg, byte(sys.Devices[0].Mode))
+	run, err := pl.openStreamRun(cfg, byte(sys.Devices[0].Mode))
 	if err != nil {
 		return nil, err
 	}
-	if journal != nil {
-		defer journal.Close()
-	}
+	return pl.runDeviceStream(ctx, "multigpu-stream", "stream", sys, mem,
+		pl.fastaBatches(r, cfg.BatchResidues), cfg, run)
+}
 
+// runDeviceStream is the streamed run with gpu.Scheduler as executor:
+// each batch of src runs the cascade on whichever device of sys frees
+// up first, under cfg's fault policy. engine names the search span,
+// kernel the modelled-time series.
+func (pl *Pipeline) runDeviceStream(ctx context.Context, engine, kernel string, sys *simt.System, mem gpu.MemConfig,
+	src batchSource, cfg StreamConfig, run *streamRun) (*Result, error) {
+
+	defer run.closeJournal()
+	pl.attachProfiler(mem, sys.Devices...)
 	workers := make([]*gpu.DeviceWorker, len(sys.Devices))
 	for i, dev := range sys.Devices {
 		workers[i] = gpu.NewDeviceWorker(dev, mem, pl.Opts.Workers, pl.MSV, pl.Vit)
 	}
 
-	root := pl.startSearch("multigpu-stream", nil)
+	root := pl.startSearch(engine, nil)
 	defer root.End()
-
-	final := &Result{}
-	extra := &MultiGPUStreamExtra{Launches: make([][]*simt.LaunchReport, len(sys.Devices))}
-	var mu sync.Mutex
 
 	sched := &gpu.Scheduler{
 		Sys:             sys,
@@ -219,42 +398,17 @@ func (pl *Pipeline) RunMultiGPUStreamContext(ctx context.Context, sys *simt.Syst
 		BatchTimeout:    cfg.BatchTimeout,
 		Drain:           cfg.Drain,
 	}
-	// commitMerge is the single commit path for every executor (device
-	// worker, host fallback, DMR rerun): claim the batch's one-shot
-	// merge token, make the result durable, then merge. The journal
-	// append happens strictly before the merge is acknowledged (the
-	// write-ahead ordering), so a batch the scheduler counts complete
-	// is always recoverable; a crash between append and merge-ack is
-	// resolved on resume by replay-then-skip. devIdx < 0 marks a host
-	// execution with no launch reports.
-	commitMerge := func(b gpu.Batch, res *Result, devIdx int, launches []*simt.LaunchReport) (bool, error) {
-		if !b.Commit() {
-			return false, nil
-		}
-		if journal != nil {
-			if err := journal.Append(encodeBatchRecord(b, res)); err != nil {
-				return false, err
-			}
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		mergeBatch(final, res, b.Offset)
-		if devIdx >= 0 {
-			extra.Launches[devIdx] = append(extra.Launches[devIdx], launches...)
-		}
-		return true, nil
-	}
 	// Host re-execution: the CPU engine computes the same hits as the
 	// device path, so a batch drained here merges bit-identically.
 	// Shared by the all-quarantined fallback and the DMR rerun. The
 	// per-sequence ctx check means a cancelled run stops promptly even
 	// when the host is grinding through a fallback batch.
 	hostRerun := func(b gpu.Batch) (bool, error) {
-		res, err := pl.runCPUContext(ctx, b.DB, b.Trace)
+		res, err := pl.searchHost(ctx, b.DB, b.Trace)
 		if err != nil {
 			return false, err
 		}
-		return commitMerge(b, res, -1, nil)
+		return run.commit(deviceBatch(b), res, nil, BatchLaunches{})
 	}
 	if !cfg.DisableFallback {
 		sched.Fallback = hostRerun
@@ -266,175 +420,36 @@ func (pl *Pipeline) RunMultiGPUStreamContext(ctx context.Context, sys *simt.Syst
 	if cfg.Verify == VerifyDMR {
 		sched.DMR = hostRerun
 	}
-	var replayedBatches, replayedSeqs int
 	rep, err := sched.RunBatches(ctx,
 		func(submit func(b gpu.Batch) error) error {
-			// The producer re-chunks the stream exactly as the original
-			// run did (same parser, same residue budget — enforced by the
-			// fingerprint), so batch ordinals and offsets line up with
-			// the journal's. Journaled batches merge from disk and are
-			// never submitted; everything else executes normally.
-			seqNo, offset := uint64(0), 0
-			return seq.StreamFASTAResidues(r, pl.Prof.Abc, cfg.BatchResidues, func(db *seq.Database) error {
-				if rec, ok := skip[seqNo]; ok {
-					if rec.Offset != uint64(offset) || rec.NumSeqs != uint64(db.NumSeqs()) || rec.Residues != uint64(db.TotalResidues()) {
-						return fmt.Errorf("pipeline: journal record for batch %d does not match the input stream (journal: offset %d, %d seqs, %d residues; stream: offset %d, %d seqs, %d residues): was the database file changed?",
-							seqNo, rec.Offset, rec.NumSeqs, rec.Residues, offset, db.NumSeqs(), db.TotalResidues())
-					}
-					res, err := decodeBatchPayload(rec.Payload)
-					if err != nil {
-						return fmt.Errorf("pipeline: journal record for batch %d: %v", seqNo, err)
-					}
-					mu.Lock()
-					mergeBatch(final, res, offset)
-					mu.Unlock()
-					delete(skip, seqNo)
-					replayedBatches++
-					replayedSeqs += db.NumSeqs()
-					seqNo++
-					offset += db.NumSeqs()
-					return nil
-				}
-				if err := submit(gpu.Batch{Seq: int(seqNo), Offset: offset, DB: db}); err != nil {
-					return err
-				}
-				seqNo++
-				offset += db.NumSeqs()
-				return nil
+			return run.produce(src, func(b streamBatch) error {
+				return submit(gpu.Batch{Seq: b.seq, Offset: b.offset, DB: b.db})
 			})
 		},
 		func(devIdx int, _ *simt.Device, b gpu.Batch) error {
-			res, launches, err := pl.searchBatchOnDevice(ctx, workers[devIdx], b.DB, chk, b.Trace)
+			// b.Trace is the batch's span on the device track; stage and
+			// kernel spans nest under it.
+			filters := &deviceFilters{w: workers[devIdx]}
+			res, err := pl.cascade(ctx, filters, pl.hostForward, chk, b.DB, b.Trace)
 			if err != nil {
 				return err
 			}
-			// A watchdog-abandoned attempt can complete late, after the
-			// batch was reassigned: the commit token inside commitMerge
-			// makes the merge (and its journal record) exactly-once.
-			_, err = commitMerge(b, res, devIdx, launches)
+			_, err = run.commit(deviceBatch(b), res, nil,
+				BatchLaunches{Seq: b.Seq, Device: devIdx, Launches: filters.launches()})
 			return err
 		})
 	if err != nil {
 		return nil, err
 	}
-	if len(skip) > 0 && !rep.Drained {
-		return nil, fmt.Errorf("pipeline: journal holds %d batches beyond the end of the input stream: was the database file changed?", len(skip))
-	}
-	extra.Schedule = rep
-	extra.Drained = rep.Drained
-	extra.Replayed = replayedBatches
-	if journal != nil {
-		// Surface close/sync errors: an unsynced tail the caller was
-		// told is durable would break the resume contract.
-		if err := journal.Close(); err != nil {
-			return nil, err
-		}
-		st := journal.Stats()
-		extra.Checkpoint = &st
-	}
-	finalizeStream(final, rep.Seqs+replayedSeqs)
-	final.Extra = extra
-	if reg := pl.Opts.Metrics; reg.Enabled() {
-		final.Record(reg)
-		var all []*simt.LaunchReport
-		for _, launches := range extra.Launches {
-			all = append(all, launches...)
-		}
-		perf.Record(reg, sys.Devices[0].Spec, "stream", all...)
-	}
-	return final, nil
-}
-
-// searchBatchOnDevice runs the full per-batch pipeline on one bound
-// device worker: MSV and P7Viterbi on the device (reusing the worker's
-// profile uploads), Forward on the host. Hit indexes are batch-local;
-// the caller rebases them. chk (nilable) runs the integrity guards on
-// each stage's output before it is used; a guard failure surfaces as a
-// wrapped *integrity.Error before any result is built, so the
-// scheduler discards the attempt with the batch's merge token
-// untouched. batchSpan (nilable) is the batch's span on the device
-// track; stage and kernel spans nest under it. Kernel launches poll
-// ctx.Done() between blocks, so cancellation interrupts a batch
-// mid-kernel rather than at the next stage boundary.
-func (pl *Pipeline) searchBatchOnDevice(ctx context.Context, w *gpu.DeviceWorker, db *seq.Database, chk *integrity.Checker, batchSpan *obs.Span) (*Result, []*simt.LaunchReport, error) {
-	result := &Result{}
-	var launches []*simt.LaunchReport
-
-	start := time.Now()
-	msvSpan, endMSV := startStage(batchSpan, "msv")
-	w.S.Trace = msvSpan
-	w.S.Cancel = ctx.Done()
-	msvRep, err := w.MSVBatch(db)
+	final, ckpt, err := run.finish(rep.Drained)
 	if err != nil {
-		return nil, nil, ctxErr(ctx, err)
+		return nil, err
 	}
-	if chk != nil {
-		if err := chk.CheckMSV(msvRep.Results); err != nil {
-			return nil, nil, fmt.Errorf("pipeline: msv batch: %w", err)
-		}
-	}
-	launches = append(launches, msvRep.Launch)
-	result.MSV.Wall = time.Since(start)
-	result.MSV.In = db.NumSeqs()
-	result.MSV.Cells = db.TotalResidues() * int64(pl.Prof.M)
-
-	msvBits := make(map[int]float64)
-	var msvSurvivors []int
-	for i, res := range msvRep.Results {
-		if pl.msvPass(res) {
-			msvSurvivors = append(msvSurvivors, i)
-			msvBits[i] = bitsOf(res)
-		}
-	}
-	result.MSV.Out = len(msvSurvivors)
-	endMSV(&result.MSV)
-
-	start = time.Now()
-	vitSpan, endVit := startStage(batchSpan, "viterbi")
-	w.S.Trace = vitSpan
-	sub := subDatabase(db, msvSurvivors)
-	var vitSurvivors []int
-	vitBits := make(map[int]float64)
-	if sub.NumSeqs() > 0 {
-		vitRep, err := w.ViterbiBatch(sub)
-		if err != nil {
-			return nil, nil, ctxErr(ctx, err)
-		}
-		if chk != nil {
-			if err := chk.CheckViterbi(vitRep.Results); err != nil {
-				return nil, nil, fmt.Errorf("pipeline: viterbi batch: %w", err)
-			}
-		}
-		launches = append(launches, vitRep.Launch)
-		for j, res := range vitRep.Results {
-			if pl.vitPass(res) {
-				idx := msvSurvivors[j]
-				vitSurvivors = append(vitSurvivors, idx)
-				vitBits[idx] = bitsOf(res)
-			}
-		}
-	}
-	result.Viterbi.Wall = time.Since(start)
-	result.Viterbi.In = len(msvSurvivors)
-	result.Viterbi.Cells = sub.TotalResidues() * int64(pl.Prof.M)
-	result.Viterbi.Out = len(vitSurvivors)
-	endVit(&result.Viterbi)
-
-	w.S.Trace = nil
-	if err := pl.finishForward(ctx, db, vitSurvivors, msvBits, vitBits, result, batchSpan); err != nil {
-		return nil, nil, err
-	}
-	if chk != nil {
-		// The only guard spanning stages: a shared-memory flip that
-		// produced a wrong but on-grid filter score can still betray
-		// itself by breaking MSV <= Viterbi <= Forward on a hit.
-		for _, h := range result.Hits {
-			if err := chk.CheckHit(h.Index, h.MSVBits, h.VitBits, h.FwdBits); err != nil {
-				return nil, nil, fmt.Errorf("pipeline: hit scores: %w", err)
-			}
-		}
-	}
-	return result, launches, nil
+	final.Extra = &MultiGPUStreamExtra{Schedule: rep, Batches: run.launches,
+		Drained: rep.Drained, Replayed: run.replayed, Checkpoint: ckpt,
+		spec: sys.Devices[0].Spec, kernel: kernel}
+	final.Record(pl.Opts.Metrics)
+	return final, nil
 }
 
 // mergeBatch folds one batch's result into the stream-wide result,
@@ -457,12 +472,7 @@ func finalizeStream(final *Result, totalSeqs int) {
 	for i := range final.Hits {
 		final.Hits[i].EValue = stats.EValue(final.Hits[i].PValue, totalSeqs)
 	}
-	sort.Slice(final.Hits, func(i, j int) bool {
-		if final.Hits[i].EValue != final.Hits[j].EValue {
-			return final.Hits[i].EValue < final.Hits[j].EValue
-		}
-		return final.Hits[i].Index < final.Hits[j].Index
-	})
+	sortHits(final.Hits)
 }
 
 func mergeStage(dst *StageStats, src StageStats) {

@@ -326,7 +326,7 @@ func TestRunCPUContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = pl.RunCPUContext(ctx, db)
+	_, err = pl.searchHost(ctx, db, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled CPU run returned %v, want context.Canceled", err)
 	}

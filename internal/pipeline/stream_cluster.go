@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"hmmer3gpu/internal/checkpoint"
 	"hmmer3gpu/internal/cluster"
 	"hmmer3gpu/internal/gpu"
+	"hmmer3gpu/internal/obs"
 	"hmmer3gpu/internal/seq"
 	"hmmer3gpu/internal/simt"
 )
@@ -89,7 +89,7 @@ func (pl *Pipeline) NewWorkerServer(cfg StreamConfig, mode byte, name string, ca
 	return &cluster.WorkerServer{
 		Name:        name,
 		Capacity:    capacity,
-		Fingerprint: pl.fingerprint(cfg),
+		Fingerprint: pl.Fingerprint(cfg),
 		Mode:        mode,
 		Exec:        exec,
 	}
@@ -100,15 +100,7 @@ func (pl *Pipeline) NewWorkerServer(cfg StreamConfig, mode byte, name string, ca
 // cluster mixing CPU and device workers still merges one consistent
 // result.
 func (pl *Pipeline) ClusterExecCPU() cluster.Exec {
-	return func(ctx context.Context, seqNo uint64, db *seq.Database) ([]byte, error) {
-		sp, t0 := pl.startExec("cpu", seqNo, db)
-		res, err := pl.runCPUContext(ctx, db, sp)
-		pl.endExec(sp, t0, "cpu", err)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeResultPayload(res), nil
-	}
+	return pl.clusterExec("cpu", pl.searchHost)
 }
 
 // ClusterExecGPU returns a worker Exec that runs each batch on one of
@@ -122,22 +114,45 @@ func (pl *Pipeline) ClusterExecGPU(sys *simt.System, mem gpu.MemConfig) cluster.
 	for _, dev := range sys.Devices {
 		pool <- gpu.NewDeviceWorker(dev, mem, pl.Opts.Workers, pl.MSV, pl.Vit)
 	}
-	return func(ctx context.Context, seqNo uint64, db *seq.Database) ([]byte, error) {
+	return pl.clusterExec("gpu", func(ctx context.Context, db *seq.Database, sp *obs.Span) (*Result, error) {
 		w := <-pool
 		defer func() { pool <- w }()
-		sp, t0 := pl.startExec("gpu", seqNo, db)
-		res, _, err := pl.searchBatchOnDevice(ctx, w, db, nil, sp)
-		pl.endExec(sp, t0, "gpu", err)
+		return pl.cascade(ctx, &deviceFilters{w: w}, pl.hostForward, nil, db, sp)
+	})
+}
+
+// clusterExec wraps one engine's batch search as a worker Exec: the
+// batch runs under a cluster-exec span, ships as its
+// EncodeResultPayload bytes, and publishes the worker-side counters —
+// batches executed, failures, and a latency histogram, the per-node
+// numbers a cluster operator scrapes to find a slow or sick worker.
+func (pl *Pipeline) clusterExec(engine string,
+	search func(ctx context.Context, db *seq.Database, parent *obs.Span) (*Result, error)) cluster.Exec {
+
+	return func(ctx context.Context, seqNo uint64, db *seq.Database) ([]byte, error) {
+		t0 := time.Now()
+		sp := pl.Opts.Trace.Start("host", "cluster-exec",
+			obs.String("engine", engine),
+			obs.Int("batch", int64(seqNo)),
+			obs.Int("seqs", int64(db.NumSeqs())),
+			obs.Int("residues", db.TotalResidues()))
+		res, err := search(ctx, db, sp)
+		if err != nil {
+			sp.Annotate(obs.String("error", err.Error()))
+		}
+		sp.End()
+		if reg := pl.Opts.Metrics; reg.Enabled() {
+			reg.AddInt(obs.WithLabel("hmmer_worker_batches_total", "engine", engine), 1)
+			if err != nil {
+				reg.AddInt(obs.WithLabel("hmmer_worker_batch_errors_total", "engine", engine), 1)
+			}
+			reg.Observe("hmmer_worker_batch_seconds", time.Since(t0).Seconds(), obs.LatencyBuckets()...)
+		}
 		if err != nil {
 			return nil, err
 		}
 		return EncodeResultPayload(res), nil
 	}
-}
-
-// RunClusterStream is RunClusterStreamContext without cancellation.
-func (pl *Pipeline) RunClusterStream(r io.Reader, cfg StreamConfig, ccfg ClusterConfig) (*Result, error) {
-	return pl.RunClusterStreamContext(context.Background(), r, cfg, ccfg)
 }
 
 // RunClusterStreamContext searches a FASTA stream across cluster
@@ -164,11 +179,11 @@ func (pl *Pipeline) RunClusterStreamContext(ctx context.Context, r io.Reader, cf
 	// fingerprint, mode, or corruption error must abort the run before
 	// it spends hours recomputing — and before any worker accepts a
 	// batch under a stale config.
-	journal, skip, err := pl.openStreamJournal(cfg, ccfg.Mode)
+	run, err := pl.openStreamRun(cfg, ccfg.Mode)
 	if err != nil {
 		return nil, err
 	}
-	return pl.runClusterCore(ctx, r, cfg, ccfg, journal, skip, haState{})
+	return pl.runClusterCore(ctx, r, cfg, ccfg, run, haState{})
 }
 
 // vetClusterRun is the shared precondition check for the primary and
@@ -197,54 +212,23 @@ type haState struct {
 	standbyTailed int
 }
 
-// runClusterCore is the shared body of the primary and standby cluster
-// paths: journal-gated commit, re-chunking producer, coordinator run,
-// merge. It owns journal (closes it on every path).
-func (pl *Pipeline) runClusterCore(ctx context.Context, r io.Reader, cfg StreamConfig, ccfg ClusterConfig, journal *checkpoint.Journal, skip map[uint64]checkpoint.Record, ha haState) (*Result, error) {
-	if journal != nil {
-		defer journal.Close()
-	}
+func clusterBatch(b cluster.Batch) streamBatch {
+	return streamBatch{seq: b.Seq, offset: b.Offset, db: b.DB, claim: b.Commit}
+}
+
+// runClusterCore is the streamed run with cluster.Coordinator as
+// executor, shared by the primary and standby paths: each batch of the
+// re-chunked stream ships to whichever worker slot frees up first and
+// its payload commits through run.commit.
+func (pl *Pipeline) runClusterCore(ctx context.Context, r io.Reader, cfg StreamConfig, ccfg ClusterConfig, run *streamRun, ha haState) (*Result, error) {
+	defer run.closeJournal()
 
 	root := pl.startSearch("cluster-stream", nil)
 	defer root.End()
 
-	final := &Result{}
-	var mu sync.Mutex
-
-	// commit is the single merge path for every executor (remote
-	// worker, degraded local path): the payload is validated before it
-	// is journaled (a corrupt worker payload must never become a
-	// durable record), the journal append happens strictly before the
-	// merge (write-ahead ordering), and the whole path is gated by the
-	// batch's one-shot commit token via the coordinator.
-	commit := func(b cluster.Batch, payload []byte) (bool, error) {
-		if !b.Commit() {
-			return false, nil
-		}
-		res, err := DecodeResultPayload(payload)
-		if err != nil {
-			return false, fmt.Errorf("pipeline: result payload for batch %d: %v", b.Seq, err)
-		}
-		if journal != nil {
-			if err := journal.Append(checkpoint.Record{
-				Seq:      uint64(b.Seq),
-				Offset:   uint64(b.Offset),
-				NumSeqs:  uint64(b.DB.NumSeqs()),
-				Residues: uint64(b.DB.TotalResidues()),
-				Payload:  payload,
-			}); err != nil {
-				return false, err
-			}
-		}
-		mu.Lock()
-		mergeBatch(final, res, b.Offset)
-		mu.Unlock()
-		return true, nil
-	}
-
 	coord := &cluster.Coordinator{Cfg: cluster.Config{
 		Workers:          ccfg.Workers,
-		Fingerprint:      pl.fingerprint(cfg),
+		Fingerprint:      pl.Fingerprint(cfg),
 		Mode:             ccfg.Mode,
 		Epoch:            ccfg.Epoch,
 		QueueDepth:       cfg.QueueDepth,
@@ -264,85 +248,48 @@ func (pl *Pipeline) runClusterCore(ctx context.Context, r io.Reader, cfg StreamC
 	}}
 	if !cfg.DisableFallback {
 		// Degraded local execution: the coordinator's own CPU engine
-		// computes the same payload a worker would have shipped, and
+		// computes the same result a worker would have shipped, and
 		// commits through the same journal-then-merge path.
 		coord.Cfg.Local = func(b cluster.Batch) (bool, error) {
-			res, err := pl.runCPUContext(ctx, b.DB, nil)
+			res, err := pl.searchHost(ctx, b.DB, nil)
 			if err != nil {
 				return false, err
 			}
-			return commit(b, EncodeResultPayload(res))
+			return run.commit(clusterBatch(b), res, nil, BatchLaunches{})
 		}
 	}
 
-	var replayedBatches, replayedSeqs int
 	rep, err := coord.Run(ctx,
 		func(submit func(b cluster.Batch) error) error {
-			// The producer re-chunks the stream exactly as the original
-			// run did (same parser, same residue budget — enforced by
-			// the fingerprint), so batch ordinals and offsets line up
-			// with the journal's. Journaled batches merge from disk and
-			// are never dispatched; everything else ships to a worker.
-			seqNo, offset := uint64(0), 0
-			return seq.StreamFASTAResidues(r, pl.Prof.Abc, cfg.BatchResidues, func(db *seq.Database) error {
-				if rec, ok := skip[seqNo]; ok {
-					if rec.Offset != uint64(offset) || rec.NumSeqs != uint64(db.NumSeqs()) || rec.Residues != uint64(db.TotalResidues()) {
-						return fmt.Errorf("pipeline: journal record for batch %d does not match the input stream (journal: offset %d, %d seqs, %d residues; stream: offset %d, %d seqs, %d residues): was the database file changed?",
-							seqNo, rec.Offset, rec.NumSeqs, rec.Residues, offset, db.NumSeqs(), db.TotalResidues())
-					}
-					res, err := decodeBatchPayload(rec.Payload)
-					if err != nil {
-						return fmt.Errorf("pipeline: journal record for batch %d: %v", seqNo, err)
-					}
-					mu.Lock()
-					mergeBatch(final, res, offset)
-					mu.Unlock()
-					delete(skip, seqNo)
-					replayedBatches++
-					replayedSeqs += db.NumSeqs()
-					seqNo++
-					offset += db.NumSeqs()
-					return nil
-				}
-				if err := submit(cluster.Batch{Seq: int(seqNo), Offset: offset, DB: db}); err != nil {
-					return err
-				}
-				seqNo++
-				offset += db.NumSeqs()
-				return nil
+			return run.produce(pl.fastaBatches(r, cfg.BatchResidues), func(b streamBatch) error {
+				return submit(cluster.Batch{Seq: b.seq, Offset: b.offset, DB: b.db})
 			})
 		},
-		commit)
+		func(b cluster.Batch, payload []byte) (bool, error) {
+			return run.commit(clusterBatch(b), nil, payload, BatchLaunches{})
+		})
 	if err != nil {
 		return nil, err
 	}
-	if len(skip) > 0 && !rep.Drained {
-		return nil, fmt.Errorf("pipeline: journal holds %d batches beyond the end of the input stream: was the database file changed?", len(skip))
+	final, ckpt, err := run.finish(rep.Drained)
+	if err != nil {
+		return nil, err
 	}
 	rep.Failovers = ha.failovers
 	rep.StandbyTailed = ha.standbyTailed
-
-	extra := &ClusterStreamExtra{Cluster: rep, Drained: rep.Drained, Replayed: replayedBatches}
-	if journal != nil {
-		// Surface close/sync errors: an unsynced tail the caller was
-		// told is durable would break the resume contract.
-		if err := journal.Close(); err != nil {
-			return nil, err
-		}
-		st := journal.Stats()
-		extra.Checkpoint = &st
-	}
-	finalizeStream(final, rep.Seqs+replayedSeqs)
-	final.Extra = extra
+	final.Extra = &ClusterStreamExtra{Cluster: rep, Drained: rep.Drained, Replayed: run.replayed, Checkpoint: ckpt}
 	final.Record(pl.Opts.Metrics)
 	return final, nil
 }
 
-// clusterInProcess returns a WorkerSpec served by ws inside this
+// InProcessWorkerSpec returns a WorkerSpec served by ws inside this
 // process: each dial is one end of a net.Pipe whose other end ws
 // serves, so in-process workers exercise the identical wire code as
-// TCP workers.
-func clusterInProcess(ws *cluster.WorkerServer) cluster.WorkerSpec {
+// TCP workers. It is exported for callers that must dial the same
+// WorkerServer across coordinator runs: the epoch fence lives in the
+// server, so a hot-standby exercising takeover in-process has to
+// promote against the instances the primary used, not fresh ones.
+func InProcessWorkerSpec(ws *cluster.WorkerServer) cluster.WorkerSpec {
 	return cluster.WorkerSpec{
 		Name: ws.Name,
 		Dial: func(ctx context.Context) (net.Conn, error) {
@@ -351,15 +298,6 @@ func clusterInProcess(ws *cluster.WorkerServer) cluster.WorkerSpec {
 			return c1, nil
 		},
 	}
-}
-
-// InProcessWorkerSpec exposes the net.Pipe transport for callers that
-// must dial the same WorkerServer across coordinator runs: the epoch
-// fence lives in the server, so a hot-standby exercising takeover
-// in-process has to promote against the instances the primary used,
-// not fresh ones.
-func InProcessWorkerSpec(ws *cluster.WorkerServer) cluster.WorkerSpec {
-	return clusterInProcess(ws)
 }
 
 // InProcessClusterWorkers builds n in-process worker nodes named
@@ -371,7 +309,7 @@ func (pl *Pipeline) InProcessClusterWorkers(cfg StreamConfig, mode byte, n, capa
 	specs := make([]cluster.WorkerSpec, n)
 	for i := range specs {
 		ws := pl.NewWorkerServer(cfg, mode, fmt.Sprintf("local-%d", i), capacity, exec())
-		specs[i] = clusterInProcess(ws)
+		specs[i] = InProcessWorkerSpec(ws)
 	}
 	return specs
 }

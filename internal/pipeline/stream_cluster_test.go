@@ -35,7 +35,7 @@ func clusterRun(t *testing.T, pl *Pipeline, fasta []byte, batchResidues int64, n
 	if ccfg.Workers == nil {
 		ccfg.Workers = cpuWorkers(pl, cfg, n)
 	}
-	return pl.RunClusterStream(bytes.NewReader(fasta), cfg, ccfg)
+	return pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg, ccfg)
 }
 
 // TestClusterStreamMatchesSingleNode: a clean sharded run across three
@@ -69,9 +69,9 @@ func TestClusterStreamMixedEnginesMatch(t *testing.T) {
 		Mode: mode,
 		Workers: append(
 			pl.InProcessClusterWorkers(cfg, mode, 1, 1, func() cluster.Exec { return pl.ClusterExecCPU() }),
-			clusterInProcess(gpuWorker)),
+			InProcessWorkerSpec(gpuWorker)),
 	}
-	res, err := pl.RunClusterStream(bytes.NewReader(fasta), cfg, ccfg)
+	res, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg, ccfg)
 	if err != nil {
 		t.Fatalf("mixed cluster run failed: %v", err)
 	}
@@ -335,8 +335,8 @@ func TestClusterStreamHandshakeMismatchDegrades(t *testing.T) {
 	// A worker fingerprinted under a different batch budget: same
 	// model, incompatible chunking.
 	wrong := pl.NewWorkerServer(StreamConfig{BatchResidues: batchResidues * 2}, 0, "skewed", 1, pl.ClusterExecCPU())
-	ccfg := ClusterConfig{Workers: append(cpuWorkers(pl, cfg, 1), clusterInProcess(wrong))}
-	res, err := pl.RunClusterStream(bytes.NewReader(fasta), cfg, ccfg)
+	ccfg := ClusterConfig{Workers: append(cpuWorkers(pl, cfg, 1), InProcessWorkerSpec(wrong))}
+	res, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg, ccfg)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}

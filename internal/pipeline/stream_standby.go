@@ -55,12 +55,6 @@ func (c *StandbyClusterConfig) tailPoll() time.Duration {
 	return cluster.DefaultLeadershipPoll
 }
 
-// RunStandbyClusterStream is RunStandbyClusterStreamContext without
-// cancellation.
-func (pl *Pipeline) RunStandbyClusterStream(r io.Reader, cfg StreamConfig, ccfg ClusterConfig, ha StandbyClusterConfig) (*Result, error) {
-	return pl.RunStandbyClusterStreamContext(context.Background(), r, cfg, ccfg, ha)
-}
-
 // RunStandbyClusterStreamContext runs the hot-standby protocol to
 // completion: warm the worker roster, tail the primary's journal,
 // block on the leadership lease, then take over and finish the
@@ -87,7 +81,7 @@ func (pl *Pipeline) RunStandbyClusterStreamContext(ctx context.Context, r io.Rea
 	if acquire == nil {
 		acquire = cluster.AcquireFileLeadership(ck.Path+".lock", ha.tailPoll())
 	}
-	fp := pl.fingerprint(cfg)
+	fp := pl.Fingerprint(cfg)
 	logf := ccfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -220,7 +214,7 @@ func (pl *Pipeline) RunStandbyClusterStreamContext(ctx context.Context, r io.Rea
 
 	ccfg.Workers = sb.Promote()
 	ccfg.Epoch = ha.epoch()
-	return pl.runClusterCore(ctx, r, cfg, ccfg, journal, skip,
+	return pl.runClusterCore(ctx, r, cfg, ccfg, &streamRun{journal: journal, skip: skip},
 		haState{failovers: 1, standbyTailed: tailed})
 }
 

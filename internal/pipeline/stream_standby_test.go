@@ -60,7 +60,7 @@ func TestStandbyTakeoverMatchesSingleNode(t *testing.T) {
 	}
 	standbyDone := make(chan outcome, 1)
 	go func() {
-		res, err := pl.RunStandbyClusterStream(bytes.NewReader(fasta),
+		res, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta),
 			cfg, ClusterConfig{Workers: specs},
 			StandbyClusterConfig{Acquire: acquire, PingEvery: 10 * time.Millisecond,
 				TailPoll: 5 * time.Millisecond})
@@ -72,7 +72,7 @@ func TestStandbyTakeoverMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pl.RunClusterStream(bytes.NewReader(fasta), cfg,
+	_, err = pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
 		ClusterConfig{Workers: specs, Inject: inject})
 	if !errors.Is(err, cluster.ErrInjectedCoordinatorKill) {
 		t.Fatalf("primary returned %v, want ErrInjectedCoordinatorKill", err)
@@ -112,7 +112,7 @@ func TestStandbyTakeoverMatchesSingleNode(t *testing.T) {
 	// hold exactly one record per batch (Resume's duplicate check plus
 	// the replay covering the whole stream) and replay to the same
 	// bytes with zero recomputation.
-	res, err := pl.RunClusterStream(bytes.NewReader(fasta),
+	res, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues,
 			Checkpoint: &CheckpointConfig{Path: path, Resume: true}},
 		ClusterConfig{Workers: specs})
@@ -148,7 +148,7 @@ func TestStandbyLeaseBeforeJournalSeen(t *testing.T) {
 	}
 	standbyDone := make(chan outcome, 1)
 	go func() {
-		res, err := pl.RunStandbyClusterStream(bytes.NewReader(fasta), cfg,
+		res, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
 			ClusterConfig{Workers: specs, Logf: func(format string, _ ...any) {
 				if strings.Contains(format, "no journal") {
 					parkOnce.Do(func() { close(parked) })
@@ -167,7 +167,7 @@ func TestStandbyLeaseBeforeJournalSeen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = pl.RunClusterStream(bytes.NewReader(fasta), cfg, ClusterConfig{Workers: specs, Inject: inject})
+	_, err = pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg, ClusterConfig{Workers: specs, Inject: inject})
 	if !errors.Is(err, cluster.ErrInjectedCoordinatorKill) {
 		t.Fatalf("primary returned %v, want ErrInjectedCoordinatorKill", err)
 	}
@@ -194,7 +194,7 @@ func TestStandbyRefusesWithoutJournal(t *testing.T) {
 		Checkpoint: &CheckpointConfig{Path: path}}
 	acquire, grant := chanLeadership()
 	grant()
-	_, err := pl.RunStandbyClusterStream(bytes.NewReader(fasta), cfg,
+	_, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
 		ClusterConfig{Workers: cpuWorkers(pl, cfg, 1)},
 		StandbyClusterConfig{Acquire: acquire, TailPoll: time.Millisecond})
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("no journal")) {
@@ -206,7 +206,7 @@ func TestStandbyRefusesWithoutJournal(t *testing.T) {
 func TestStandbyRequiresCheckpoint(t *testing.T) {
 	pl, fasta, _, batchResidues := faultStreamFixture(t)
 	cfg := StreamConfig{BatchResidues: batchResidues}
-	_, err := pl.RunStandbyClusterStream(bytes.NewReader(fasta), cfg,
+	_, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
 		ClusterConfig{Workers: cpuWorkers(pl, cfg, 1)}, StandbyClusterConfig{})
 	if err == nil {
 		t.Fatal("standby ran without a checkpoint journal")
@@ -230,7 +230,7 @@ func TestStandbyTakeoverSettlesTornTail(t *testing.T) {
 	}
 	standbyDone := make(chan outcome, 1)
 	go func() {
-		res, err := pl.RunStandbyClusterStream(bytes.NewReader(fasta),
+		res, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta),
 			cfg, ClusterConfig{Workers: specs},
 			StandbyClusterConfig{Acquire: acquire, PingEvery: 10 * time.Millisecond,
 				TailPoll: 5 * time.Millisecond})
@@ -242,7 +242,7 @@ func TestStandbyTakeoverSettlesTornTail(t *testing.T) {
 	crashCfg := cfg
 	crashCfg.Checkpoint = &CheckpointConfig{Path: path,
 		Crash: checkpoint.CrashAfter(1, checkpoint.WindowAfterAppend)}
-	_, err := pl.RunClusterStream(bytes.NewReader(fasta), crashCfg,
+	_, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), crashCfg,
 		ClusterConfig{Workers: specs})
 	if !errors.Is(err, checkpoint.ErrInjectedCrash) {
 		t.Fatalf("primary returned %v, want ErrInjectedCrash", err)

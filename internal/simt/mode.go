@@ -15,7 +15,7 @@ import "fmt"
 // cancellation points — so scores, tblout files, checkpoint journals
 // and DMR verdicts are byte-identical to cycle-accurate runs — but no
 // per-operation accounting. Correctness-only workloads (chaos tests,
-// CI, trajectory benchmarking) run several times faster.
+// CI, wall-clock benchmarking) run several times faster.
 type Mode int
 
 const (

@@ -221,8 +221,8 @@ func benchLaunch(b *testing.B, prof Profiler) {
 }
 
 // BenchmarkFastLaunchProfilerOff / ...On bound the cost of the
-// profiling seam on the fast path; Off is the number the bench
-// trajectory gate watches indirectly.
+// profiling seam on the fast path; Off is what the benchmark's
+// simt.launch_overhead_us.fast rung times.
 func BenchmarkFastLaunchProfilerOff(b *testing.B) { benchLaunch(b, nil) }
 func BenchmarkFastLaunchProfilerOn(b *testing.B) {
 	benchLaunch(b, &captureProfiler{period: 8})

@@ -46,7 +46,10 @@ func (r *syncedMSVRun) kernel(w *simt.Warp) {
 	const base = uint8(profile.MSVBase)
 	overflowAt := mp.OverflowThreshold()
 	threads := r.warps * lanes
-	rs := newReduceScratch(lanes)
+	// The per-warp reduction is the warp-synchronous kernel's, which
+	// takes its operand as register words.
+	xEvReg := make([]uint64, lanes/lanesPerWordU8)
+	partner := make([]uint64, lanes/lanesPerWordU8)
 	// Block shared layout: row buffer [0, M+1), then one byte per warp
 	// of reduction scratch (word-padded), then Fermi warp scratch.
 	redBase := (m + 1 + 3) &^ 3
@@ -145,7 +148,8 @@ func (r *syncedMSVRun) kernel(w *simt.Warp) {
 			// Cross-warp row-max reduction through shared memory:
 			// per-warp max, leaders publish, barrier, warp 0 reduces,
 			// barrier, everyone reads the result.
-			warpMax := warpMaxU8(w, xEv, warpScratch+w.WarpInBlock*reduceScratchU8, rs)
+			satmath.PackLanes(xEvReg, xEv)
+			warpMax := warpMaxU8(w, xEvReg, partner, warpScratch+w.WarpInBlock*reduceScratchU8)
 			w.SharedStoreU8([]int{redBase + w.WarpInBlock}, []uint8{warpMax})
 			r.sync(w)
 			var xE uint8

@@ -131,11 +131,22 @@ func UploadMSVProfile(dev *simt.Device, mp *profile.MSVProfile) *DeviceMSVProfil
 	return d
 }
 
-// DeviceVitProfile is the P7Viterbi filter profile in device layout.
+// DeviceVitProfile is the P7Viterbi filter profile in device layout:
+// every table the kernel reads per chunk, packed once at upload into
+// register words (four i16 lanes per uint64) aligned to the kernel's
+// warp-wide chunks, so a chunk's parameters are one subslice and no
+// launch or warp packs anything. Chunk c covers sources
+// s = c*lanes + l and targets t = s+1; lanes whose target lies past
+// the model hold NegInf16.
 type DeviceVitProfile struct {
 	VP *profile.VitProfile
-	// MatUnit[r][k] over the device alphabet.
-	MatUnit [][]int16
+	// Source-indexed transitions: lane l of chunk c holds T[s].
+	tmm, tim, tdm, tmd, tdd []uint64
+	// Target-indexed transitions and the match emissions over the
+	// device alphabet (row devInvalid is all NegInf16 so gap codes
+	// score as impossible): lane l of chunk c holds T[t].
+	tmi, tii []uint64
+	matUnit  [][]uint64
 	// TableAddr is the logical global address of the emission table;
 	// TransAddr of the transition block.
 	TableAddr int64
@@ -144,20 +155,33 @@ type DeviceVitProfile struct {
 
 // UploadVitProfile converts vp to device layout.
 func UploadVitProfile(dev *simt.Device, vp *profile.VitProfile) *DeviceVitProfile {
-	d := &DeviceVitProfile{VP: vp}
-	d.MatUnit = make([][]int16, devInvalid+1)
-	for r := 0; r <= devInvalid; r++ {
-		row := make([]int16, vp.M+1)
-		if r == devInvalid {
-			for k := range row {
-				row[k] = satmath.NegInf16
+	lanes, m := dev.Spec.WarpSize, vp.M
+	// pack lays arr[first+s] for s = 0..m-1 out in chunk-aligned
+	// register words, NegInf16 in the last chunk's tail lanes (and
+	// everywhere when arr is nil).
+	pack := func(arr []int16, first int) []uint64 {
+		chunks := (m + lanes - 1) / lanes
+		reg := make([]uint64, chunks*lanes/lanesPerWordI16)
+		for l := 0; l < chunks*lanes; l++ {
+			v := satmath.NegInf16
+			if arr != nil && l < m {
+				v = arr[first+l]
 			}
-		} else {
-			copy(row, vp.MatUnit[hostRowForDeviceResidue(r)])
-			row[0] = satmath.NegInf16
+			setLaneI16(reg, l, v)
 		}
-		d.MatUnit[r] = row
+		return reg
 	}
+	d := &DeviceVitProfile{
+		VP:  vp,
+		tmm: pack(vp.TMM, 0), tim: pack(vp.TIM, 0), tdm: pack(vp.TDM, 0),
+		tmd: pack(vp.TMD, 0), tdd: pack(vp.TDD, 0),
+		tmi: pack(vp.TMI, 1), tii: pack(vp.TII, 1),
+	}
+	d.matUnit = make([][]uint64, devInvalid+1)
+	for r := 0; r < devInvalid; r++ {
+		d.matUnit[r] = pack(vp.MatUnit[hostRowForDeviceResidue(r)], 1)
+	}
+	d.matUnit[devInvalid] = pack(nil, 1)
 	d.TableAddr = dev.AllocGlobal(int64(2 * deviceAlphaSize * (vp.M + 1)))
 	d.TransAddr = dev.AllocGlobal(int64(7 * 2 * (vp.M + 1)))
 	return d

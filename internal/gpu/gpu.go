@@ -26,6 +26,10 @@
 // for real. Model-parameter reads are metered through the simulator
 // (shared or global per the configuration) while their values come
 // from the host-side tables; DESIGN.md documents this simplification.
+//
+// A warp's registers are satmath SWAR words, not one slice element per
+// lane (reduce.go, DESIGN §2f): the device is charged for 32 lanes in
+// lock-step, the host computes them eight or four to a uint64.
 package gpu
 
 import (

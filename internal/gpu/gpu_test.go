@@ -60,7 +60,7 @@ func buildProfiles(t testing.TB, m, l int, seed int64) (*profile.MSVProfile, *pr
 func TestMSVKernelMatchesGoldenExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	specs := []simt.DeviceSpec{simt.TeslaK40(), simt.GTX580()}
-	for _, m := range []int{1, 31, 32, 33, 64, 100, 257} {
+	for _, m := range []int{1, 3, 4, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 257} {
 		mp, _ := buildProfiles(t, m, 180, int64(m))
 		db := testDB(t, rng, 40, 300)
 		want := make([]cpu.FilterResult, db.NumSeqs())
@@ -93,7 +93,7 @@ func TestMSVKernelMatchesGoldenExactly(t *testing.T) {
 func TestVitKernelMatchesGoldenExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	specs := []simt.DeviceSpec{simt.TeslaK40(), simt.GTX580()}
-	for _, m := range []int{1, 31, 32, 33, 65, 120} {
+	for _, m := range []int{1, 3, 4, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65, 120, 257} {
 		_, vp := buildProfiles(t, m, 150, int64(50+m))
 		db := testDB(t, rng, 30, 250)
 		want := make([]cpu.FilterResult, db.NumSeqs())

@@ -48,25 +48,26 @@ func (r *msvRun) modelBase(hasShuffle bool) int {
 	return base
 }
 
-// msvWarpState holds a warp's preallocated register buffers.
+// msvWarpState holds a warp's registers: 32 u8 lanes each, as
+// lanes/8 SWAR words.
 type msvWarpState struct {
-	cur  []uint8
-	next []uint8
-	temp []uint8
-	xEv  []uint8
-	zero []uint8
-	rs   *reduceScratch
+	cur  []uint64 // previous-row cells at sources p0+l
+	next []uint64 // the following chunk's, prefetched (Figure 5)
+	temp []uint64 // emission costs in, new cells out
+	xEv  []uint64 // running row maximum per lane
+	zero []uint64
+	tail []uint64 // the lanes a ragged last chunk keeps (M % lanes)
+	red  []uint64 // reduction partner register
 }
 
-func newMSVWarpState(lanes int) *msvWarpState {
-	return &msvWarpState{
-		cur:  make([]uint8, lanes),
-		next: make([]uint8, lanes),
-		temp: make([]uint8, lanes),
-		xEv:  make([]uint8, lanes),
-		zero: make([]uint8, lanes),
-		rs:   newReduceScratch(lanes),
+func newMSVWarpState(lanes, m int) *msvWarpState {
+	reg := func() []uint64 { return make([]uint64, lanes/lanesPerWordU8) }
+	st := &msvWarpState{
+		cur: reg(), next: reg(), temp: reg(), xEv: reg(),
+		zero: reg(), tail: reg(), red: reg(),
 	}
+	keepLanes(st.tail, m%lanes, lanesPerWordU8)
+	return st
 }
 
 // kernel is the warp-synchronous MSV alignment kernel (Algorithm 1).
@@ -80,10 +81,11 @@ func (r *msvRun) kernel(w *simt.Warp) {
 	scratchBase := r.scratchBase(w)
 	st, _ := r.states.Get().(*msvWarpState)
 	if st == nil {
-		st = newMSVWarpState(lanes)
+		st = newMSVWarpState(lanes, m)
 	}
 	defer r.states.Put(st)
 	cur, next := st.cur, st.next
+	bias := satmath.SplatU8(mp.Bias)
 
 	// Block prologue: with the model in shared memory, the block loads
 	// the emission table from global once (metered as the cooperative
@@ -127,7 +129,7 @@ func (r *msvRun) kernel(w *simt.Warp) {
 			if n > lanes {
 				n = lanes
 			}
-			w.SharedSpanStoreU8(st.zero, rowBase+p0, n)
+			w.SharedSpanStoreWords(st.zero, rowBase+p0, n, 1)
 		}
 
 		xJ := uint8(0)
@@ -153,10 +155,8 @@ func (r *msvRun) kernel(w *simt.Warp) {
 			w.ALU(2) // decode: shift + mask
 
 			costRow := r.prof.Cost[res]
-			xBtbm := satmath.SubU8(xB, mp.TBM)
-			for l := 0; l < lanes; l++ {
-				st.xEv[l] = 0
-			}
+			xBtbm := satmath.SplatU8(satmath.SubU8(xB, mp.TBM))
+			clear(st.xEv)
 			w.ALU(2)
 
 			// Step 1 (Figure 5): load the first 32 previous-row cells.
@@ -173,31 +173,30 @@ func (r *msvRun) kernel(w *simt.Warp) {
 				r.loadCosts(w, st.temp, costRow, res, p0, m)
 
 				// temp = max(mmx, xB) + bias - em(res, p)  (line 15).
-				for l := 0; l < lanes; l++ {
-					t := p0 + 1 + l
-					if t > m {
-						continue
+				// Lanes past the model in a ragged last chunk are
+				// inactive: they are forced to 0, the max identity, so
+				// they never reach the row maximum.
+				n := min(lanes, m-p0)
+				for j, c := range cur {
+					sv := satmath.MaxU8x8(c, xBtbm)
+					sv = satmath.AddU8x8(sv, bias)
+					sv = satmath.SubU8x8(sv, st.temp[j])
+					if n < lanes {
+						sv &= st.tail[j]
 					}
-					sv := satmath.MaxU8(cur[l], xBtbm)
-					sv = satmath.AddU8(sv, mp.Bias)
-					sv = satmath.SubU8(sv, st.temp[l])
-					st.temp[l] = sv
-					st.xEv[l] = satmath.MaxU8(st.xEv[l], sv)
+					st.temp[j] = sv
+					st.xEv[j] = satmath.MaxU8x8(st.xEv[j], sv)
 				}
 				w.ALU(4)
 
 				// Step 3: write the updated cells back (line 18).
-				n := m - p0
-				if n > lanes {
-					n = lanes
-				}
-				w.SharedSpanStoreU8(st.temp, rowBase+p0+1, n)
+				w.SharedSpanStoreWords(st.temp, rowBase+p0+1, n, 1)
 
 				cur, next = next, cur
 			}
 
 			// Warp-shuffled max reduction and broadcast (line 20).
-			xE := warpMaxU8(w, st.xEv, scratchBase, st.rs)
+			xE := warpMaxU8(w, st.xEv, st.red, scratchBase)
 			if xE >= overflowAt {
 				overflowed = true
 				break
@@ -219,27 +218,27 @@ func (r *msvRun) kernel(w *simt.Warp) {
 
 // loadRow reads previous-row cells at positions p0+l into dst through
 // shared memory (consecutive bytes: intrinsically conflict-free).
-func (r *msvRun) loadRow(w *simt.Warp, dst []uint8, rowBase, p0, m int) {
+func (r *msvRun) loadRow(w *simt.Warp, dst []uint64, rowBase, p0, m int) {
 	n := m + 1 - p0
 	if lanes := w.Lanes(); n > lanes {
 		n = lanes
 	}
-	w.SharedSpanLoadU8(dst, rowBase+p0, n)
+	w.SharedSpanLoadWords(dst, rowBase+p0, n, 1)
 }
 
 // loadCosts fetches the emission costs for targets p0+1+l into dst,
 // metering shared or global traffic per the launch's memory
 // configuration.
-func (r *msvRun) loadCosts(w *simt.Warp, dst []uint8, costRow []uint8, res byte, p0, m int) {
+func (r *msvRun) loadCosts(w *simt.Warp, dst []uint64, costRow []uint8, res byte, p0, m int) {
 	n := m - p0
 	if lanes := w.Lanes(); n > lanes {
 		n = lanes
 	}
 	if r.plan.MemConfig == MemShared {
 		mb := r.modelBase(w.HasShuffle())
-		w.SharedSpanLoadU8(dst, mb+int(res)*(m+1)+p0+1, n)
+		w.SharedSpanLoadWords(dst, mb+int(res)*(m+1)+p0+1, n, 1)
 		return
 	}
 	w.GlobalSpanLoadCached(r.prof.TableAddr+int64(int(res)*(m+1)+p0+1), 1, n)
-	copy(dst[:n], costRow[p0+1:p0+1+n])
+	satmath.PackLanes(dst, costRow[p0+1:p0+1+n])
 }

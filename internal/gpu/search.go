@@ -113,18 +113,16 @@ func (s *Searcher) ViterbiSearch(dp *DeviceVitProfile, db *DeviceDB) (*SearchRep
 	if err != nil {
 		return nil, err
 	}
-	nWarps := plan.Blocks * plan.WarpsPerBlock
 	run := &vitRun{
-		db:        db,
-		prof:      dp,
-		plan:      plan,
-		eager:     s.EagerLazyF,
-		ddScan:    s.DDScan && s.Dev.Spec.HasShuffle,
-		out:       make([]cpu.FilterResult, len(db.Packed)),
-		lazyRows:  make([]int64, nWarps),
-		lazyIters: make([]int64, nWarps),
+		db:     db,
+		prof:   dp,
+		plan:   plan,
+		eager:  s.EagerLazyF,
+		ddScan: s.DDScan && s.Dev.Spec.HasShuffle,
+		out:    make([]cpu.FilterResult, len(db.Packed)),
 	}
 	if plan.RowsInGlobal {
+		nWarps := plan.Blocks * plan.WarpsPerBlock
 		run.rowAddr = s.Dev.AllocGlobal(int64(nWarps) * int64(6*(dp.VP.M+1)))
 	}
 	rep, err := s.Dev.Launch(simt.LaunchConfig{
@@ -142,10 +140,8 @@ func (s *Searcher) ViterbiSearch(dp *DeviceVitProfile, db *DeviceDB) (*SearchRep
 		return nil, err
 	}
 	applyReadbackFaults(s.Dev, run.out)
-	out := &SearchReport{Results: run.out, Plan: plan, Launch: rep}
-	for i := range run.lazyRows {
-		out.LazyF.RowsIterated += run.lazyRows[i]
-		out.LazyF.Iterations += run.lazyIters[i]
-	}
-	return out, nil
+	return &SearchReport{
+		Results: run.out, Plan: plan, Launch: rep,
+		LazyF: LazyFStats{RowsIterated: run.lazyRows.Load(), Iterations: run.lazyIters.Load()},
+	}, nil
 }

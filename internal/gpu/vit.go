@@ -3,6 +3,7 @@ package gpu
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/cpu"
@@ -23,9 +24,9 @@ type vitRun struct {
 	rowAddr int64
 	out     []cpu.FilterResult
 	// lazyRows / lazyIters count rows needing >= 1 parallel lazy-F
-	// iteration and the total iterations, summed over all warps
-	// (written at launch end, read by the ablation benchmark).
-	lazyRows, lazyIters []int64 // indexed by global warp id
+	// iteration and the total iterations; every warp adds its share
+	// as it retires (read by the ablation benchmark).
+	lazyRows, lazyIters atomic.Int64
 	// states pools per-warp register buffers across blocks (the DP
 	// rows are re-initialised per sequence, so reuse is safe).
 	states sync.Pool
@@ -61,55 +62,50 @@ func (r *vitRun) modelBase(hasShuffle bool) int {
 	return base
 }
 
-// vitWarpState holds a warp's preallocated register buffers.
+// vitWarpState holds a warp's registers: 32 i16 lanes each, as
+// lanes/4 SWAR words.
 type vitWarpState struct {
-	curM   []int16
-	curI   []int16
-	curD   []int16
-	nextM  []int16
-	nextI  []int16
-	nextD  []int16
-	pmT    []int16
-	piT    []int16
-	mv     []int16
-	iv     []int16
-	dv     []int16
-	ddCand []int16
-	xEv    []int16
-	neg    []int16
-	wgt    []int16
-	// rowBuf backs the spilled DP rows (row-in-global variant only);
-	// M, I and D regions are laid out exactly as in shared memory.
-	rowBuf []int16
-	rs     *reduceScratch
-	scan   *ddScanState
+	// Previous-row M/I/D at sources p0+l, and the following chunk's,
+	// prefetched before the in-place update (Figure 5).
+	curM, curI, curD    []uint64
+	nextM, nextI, nextD []uint64
+	pmT, piT            []uint64 // previous-row M and I at targets p0+1+l
+	mv, iv, dv          []uint64 // the new row's cells
+	ddCand              []uint64 // Lazy-F D-D candidates
+	xEv                 []uint64 // running row maximum per lane
+	neg                 []uint64 // NegInf16 in every lane
+	tail                []uint64 // the lanes a ragged last chunk keeps (M % lanes)
+	red                 []uint64 // reduction partner register
+	// rowBuf backs the spilled DP rows (row-in-global variant only):
+	// the M, I and D regions laid out exactly as in shared memory, as
+	// the same little-endian bytes.
+	rowBuf []byte
+	// The §VI scan runs on lanes; these are its unpacked operands.
+	scanDV, scanWgt []int16
+	scan            *ddScanState
 }
 
-func newVitWarpState(lanes, rowCells int) *vitWarpState {
+func newVitWarpState(lanes, m int, spillRows, ddScan bool) *vitWarpState {
+	reg := func() []uint64 { return make([]uint64, lanes/lanesPerWordI16) }
 	st := &vitWarpState{
-		curM:   make([]int16, lanes),
-		curI:   make([]int16, lanes),
-		curD:   make([]int16, lanes),
-		nextM:  make([]int16, lanes),
-		nextI:  make([]int16, lanes),
-		nextD:  make([]int16, lanes),
-		pmT:    make([]int16, lanes),
-		piT:    make([]int16, lanes),
-		mv:     make([]int16, lanes),
-		iv:     make([]int16, lanes),
-		dv:     make([]int16, lanes),
-		ddCand: make([]int16, lanes),
-		xEv:    make([]int16, lanes),
-		neg:    make([]int16, lanes),
-		wgt:    make([]int16, lanes),
-		rs:     newReduceScratch(lanes),
-		scan:   newDDScanState(lanes),
+		curM: reg(), curI: reg(), curD: reg(),
+		nextM: reg(), nextI: reg(), nextD: reg(),
+		pmT: reg(), piT: reg(),
+		mv: reg(), iv: reg(), dv: reg(),
+		ddCand: reg(), xEv: reg(),
+		neg: reg(), tail: reg(), red: reg(),
 	}
-	if rowCells > 0 {
-		st.rowBuf = make([]int16, rowCells)
+	for j := range st.neg {
+		st.neg[j] = satmath.SplatI16(satmath.NegInf16)
 	}
-	for l := range st.neg {
-		st.neg[l] = satmath.NegInf16
+	keepLanes(st.tail, m%lanes, lanesPerWordI16)
+	if spillRows {
+		st.rowBuf = make([]byte, 6*(m+1))
+	}
+	if ddScan {
+		st.scanDV = make([]int16, lanes)
+		st.scanWgt = make([]int16, lanes)
+		st.scan = newDDScanState(lanes)
 	}
 	return st
 }
@@ -118,18 +114,16 @@ func newVitWarpState(lanes, rowCells int) *vitWarpState {
 // parallel Lazy-F (Figure 7).
 func (r *vitRun) kernel(w *simt.Warp) {
 	lanes := w.Lanes()
+	regWords := lanes / lanesPerWordI16
 	vp := r.prof.VP
 	m := vp.M
 	neg := satmath.NegInf16
+	negInf := satmath.SplatI16(neg)
 	rowBase := r.rowBase(w.WarpInBlock)
 	scratchBase := r.scratchBase(w)
 	st, _ := r.states.Get().(*vitWarpState)
 	if st == nil {
-		rowCells := 0
-		if r.plan.RowsInGlobal {
-			rowCells = 3 * (m + 1)
-		}
-		st = newVitWarpState(lanes, rowCells)
+		st = newVitWarpState(lanes, m, r.plan.RowsInGlobal, r.ddScan)
 	}
 	defer r.states.Put(st)
 	if r.plan.RowsInGlobal {
@@ -179,11 +173,9 @@ func (r *vitRun) kernel(w *simt.Warp) {
 			}
 			w.ALU(2)
 
-			mscRow := r.prof.MatUnit[res]
-			xBtbm := satmath.AddI16(xB, vp.TBM)
-			for l := 0; l < lanes; l++ {
-				st.xEv[l] = neg
-			}
+			mscRow := r.prof.matUnit[res]
+			xBtbm := satmath.SplatI16(satmath.AddI16(xB, vp.TBM))
+			copy(st.xEv, st.neg)
 			w.ALU(2)
 
 			dChain := neg // D value at the last completed position
@@ -206,32 +198,42 @@ func (r *vitRun) kernel(w *simt.Warp) {
 				r.loadAt(w, st, st.piT, r.iOff(rowBase, 0), p0+1, m)
 
 				// Model parameter fetches (metered per configuration).
-				r.meterModel(w, st, res, p0, m)
+				r.meterModel(w, res, p0, m)
+
+				// This chunk's parameters, and how many lanes are
+				// active: lanes past the model in a ragged last chunk
+				// are not, which on i16 cells means forced to NegInf16
+				// (a zero lane would win comparisons).
+				c0 := p0 / lanesPerWordI16
+				tmm, tim, tdm := r.prof.tmm[c0:c0+regWords], r.prof.tim[c0:c0+regWords], r.prof.tdm[c0:c0+regWords]
+				tmi, tii := r.prof.tmi[c0:c0+regWords], r.prof.tii[c0:c0+regWords]
+				tmd, tdd := r.prof.tmd[c0:c0+regWords], r.prof.tdd[c0:c0+regWords]
+				msc := mscRow[c0 : c0+regWords]
+				active := min(lanes, m-p0)
+				ragged := active < lanes
 
 				// temp_m / temp_i (Algorithm 2, lines 15-18).
-				for l := 0; l < lanes; l++ {
-					t := p0 + 1 + l
-					if t > m {
-						continue
-					}
-					s := t - 1
-					mv := satmath.MaxI16(
-						satmath.MaxI16(
-							satmath.AddI16(st.curM[l], vp.TMM[s]),
-							satmath.AddI16(st.curI[l], vp.TIM[s]),
+				for j := 0; j < regWords; j++ {
+					mv := satmath.MaxI16x4(
+						satmath.MaxI16x4(
+							satmath.AddI16x4(st.curM[j], tmm[j]),
+							satmath.AddI16x4(st.curI[j], tim[j]),
 						),
-						satmath.MaxI16(
-							satmath.AddI16(st.curD[l], vp.TDM[s]),
+						satmath.MaxI16x4(
+							satmath.AddI16x4(st.curD[j], tdm[j]),
 							xBtbm,
 						),
 					)
-					mv = satmath.AddI16(mv, mscRow[t])
-					st.mv[l] = mv
-					st.iv[l] = satmath.MaxI16(
-						satmath.AddI16(st.pmT[l], vp.TMI[t]),
-						satmath.AddI16(st.piT[l], vp.TII[t]),
+					mv = satmath.AddI16x4(mv, msc[j])
+					if ragged {
+						mv = mv&st.tail[j] | negInf&^st.tail[j]
+					}
+					st.mv[j] = mv
+					st.iv[j] = satmath.MaxI16x4(
+						satmath.AddI16x4(st.pmT[j], tmi[j]),
+						satmath.AddI16x4(st.piT[j], tii[j]),
 					)
-					st.xEv[l] = satmath.MaxI16(st.xEv[l], mv)
+					st.xEv[j] = satmath.MaxI16x4(st.xEv[j], mv)
 				}
 				w.ALU(10)
 
@@ -243,34 +245,29 @@ func (r *vitRun) kernel(w *simt.Warp) {
 				// t-1 is read back through shared memory — lane 0 picks
 				// up the previous chunk's boundary cell.
 				r.loadAt(w, st, st.pmT, r.mOff(rowBase, 0), p0, m)
-				for l := 0; l < lanes; l++ {
-					t := p0 + 1 + l
-					if t > m {
-						continue
-					}
-					st.dv[l] = satmath.AddI16(st.pmT[l], vp.TMD[t-1])
+				for j := 0; j < regWords; j++ {
+					st.dv[j] = satmath.AddI16x4(st.pmT[j], tmd[j])
 				}
 				// Cross-chunk D-D link into lane 0.
-				st.dv[0] = satmath.MaxI16(st.dv[0],
-					satmath.AddI16(dChain, vp.TDD[p0]))
+				setLaneI16(st.dv, 0, satmath.MaxI16(laneI16(st.dv, 0),
+					satmath.AddI16(dChain, vp.TDD[p0])))
 				w.ALU(3)
 
 				if r.ddScan {
 					// §VI extension: resolve every intra-chunk D-D
 					// chain with a 5-round weighted max-plus prefix
-					// scan over shuffles, then store once.
-					active := lanes
-					if m-p0 < active {
-						active = m - p0
-					}
+					// scan over shuffles, then store once. The scan
+					// works lane by lane: unpack its operands (the
+					// packed D-D weights already hold NegInf16 past
+					// the model) and repack its result.
 					for l := 0; l < lanes; l++ {
-						if t := p0 + 1 + l; t <= m {
-							st.wgt[l] = vp.TDD[t-1]
-						} else {
-							st.wgt[l] = satmath.NegInf16
-						}
+						st.scanDV[l] = laneI16(st.dv, l)
+						st.scanWgt[l] = laneI16(tdd, l)
 					}
-					ddScanResolve(w, st.scan, st.dv, st.wgt, active)
+					ddScanResolve(w, st.scan, st.scanDV, st.scanWgt, active)
+					for l := 0; l < lanes; l++ {
+						setLaneI16(st.dv, l, st.scanDV[l])
+					}
 					r.storeAt(w, st, st.dv, r.dOff(rowBase, 0), p0+1, m)
 				} else {
 					r.storeAt(w, st, st.dv, r.dOff(rowBase, 0), p0+1, m)
@@ -285,14 +282,13 @@ func (r *vitRun) kernel(w *simt.Warp) {
 						// The vote predicate folds into a host flag in
 						// the same pass that computes the candidates.
 						settled := true
-						for l := 0; l < lanes; l++ {
-							t := p0 + 1 + l
-							if t > m {
-								continue
+						for j := 0; j < regWords; j++ {
+							cand := satmath.AddI16x4(st.ddCand[j], tdd[j])
+							if ragged {
+								cand = cand&st.tail[j] | negInf&^st.tail[j]
 							}
-							cand := satmath.AddI16(st.ddCand[l], vp.TDD[t-1])
-							st.ddCand[l] = cand
-							if st.dv[l] < cand {
+							st.ddCand[j] = cand
+							if satmath.AnyGtI16x4(cand, st.dv[j]) {
 								settled = false
 							}
 						}
@@ -304,10 +300,8 @@ func (r *vitRun) kernel(w *simt.Warp) {
 							}
 						}
 						rowIters++
-						for l := 0; l < lanes; l++ {
-							if p0+1+l <= m {
-								st.dv[l] = satmath.MaxI16(st.dv[l], st.ddCand[l])
-							}
+						for j := 0; j < regWords; j++ {
+							st.dv[j] = satmath.MaxI16x4(st.dv[j], st.ddCand[j])
 						}
 						w.ALU(1)
 						r.storeAt(w, st, st.dv, r.dOff(rowBase, 0), p0+1, m)
@@ -315,13 +309,9 @@ func (r *vitRun) kernel(w *simt.Warp) {
 				}
 
 				// Carry the chunk boundary D value and remember D(M).
-				lastT := p0 + lanes
-				if lastT > m {
-					lastT = m
-				}
-				dChain = st.dv[lastT-p0-1]
-				if lastT == m {
-					dAtM = st.dv[m-p0-1]
+				dChain = laneI16(st.dv, active-1)
+				if p0+active == m {
+					dAtM = dChain
 				}
 				w.ALU(2)
 
@@ -337,7 +327,7 @@ func (r *vitRun) kernel(w *simt.Warp) {
 
 			// Row maximum (line 22) plus the D_M local exit, then the
 			// specials (line 24).
-			xE := warpMaxI16(w, st.xEv, scratchBase, st.rs)
+			xE := warpMaxI16(w, st.xEv, st.red, scratchBase)
 			xE = satmath.MaxI16(xE, dAtM)
 			xJ = satmath.MaxI16(xJ, satmath.AddI16(xE, vp.TEJ))
 			xC = satmath.MaxI16(xC, satmath.AddI16(xE, vp.TEC))
@@ -353,10 +343,8 @@ func (r *vitRun) kernel(w *simt.Warp) {
 		w.GlobalSpanStore(r.db.ScoreAddr+int64(8*seqID), 8, 1)
 	}
 
-	if r.lazyRows != nil {
-		r.lazyRows[w.GlobalWarpID()] += lazyRows
-		r.lazyIters[w.GlobalWarpID()] += lazyIters
-	}
+	r.lazyRows.Add(lazyRows)
+	r.lazyIters.Add(lazyIters)
 }
 
 // loadRow3 fills curM/curI/curD with previous-row values at positions
@@ -375,10 +363,11 @@ func (r *vitRun) prefetchRow3(w *simt.Warp, st *vitWarpState, rowBase, p0, m int
 	r.loadAt(w, st, st.nextD, r.dOff(rowBase, 0), p0, m)
 }
 
-// loadAt gathers int16 cells at positions p0+l (consecutive cells: a
+// loadAt loads the i16 cells at positions p0+l (consecutive cells: a
 // conflict-free span) from a row region whose position-0 byte offset
-// is base0 (warp-relative when rows are spilled to global memory).
-func (r *vitRun) loadAt(w *simt.Warp, st *vitWarpState, dst []int16, base0, p0, m int) {
+// is base0 (warp-relative when rows are spilled to global memory);
+// lanes past the row load as zero.
+func (r *vitRun) loadAt(w *simt.Warp, st *vitWarpState, dst []uint64, base0, p0, m int) {
 	n := m + 1 - p0
 	if lanes := w.Lanes(); n > lanes {
 		n = lanes
@@ -387,14 +376,14 @@ func (r *vitRun) loadAt(w *simt.Warp, st *vitWarpState, dst []int16, base0, p0, 
 	if r.plan.RowsInGlobal {
 		warpBase := r.rowAddr + int64(w.GlobalWarpID())*int64(6*(m+1))
 		w.GlobalSpanLoadCached(warpBase+int64(off0), 2, n)
-		copy(dst[:n], st.rowBuf[off0/2:off0/2+n])
+		satmath.PackLanes(dst, st.rowBuf[off0:off0+2*n])
 		return
 	}
-	w.SharedSpanLoadI16(dst, off0, n)
+	w.SharedSpanLoadWords(dst, off0, n, 2)
 }
 
-// storeAt scatters int16 cells to positions p0+l.
-func (r *vitRun) storeAt(w *simt.Warp, st *vitWarpState, vals []int16, base0, p0, m int) {
+// storeAt stores the first lanes of vals to positions p0+l.
+func (r *vitRun) storeAt(w *simt.Warp, st *vitWarpState, vals []uint64, base0, p0, m int) {
 	n := m + 1 - p0
 	if lanes := w.Lanes(); n > lanes {
 		n = lanes
@@ -403,15 +392,16 @@ func (r *vitRun) storeAt(w *simt.Warp, st *vitWarpState, vals []int16, base0, p0
 	if r.plan.RowsInGlobal {
 		warpBase := r.rowAddr + int64(w.GlobalWarpID())*int64(6*(m+1))
 		w.GlobalSpanStoreCached(warpBase+int64(off0), 2, n)
-		copy(st.rowBuf[off0/2:off0/2+n], vals[:n])
+		satmath.UnpackLanes(st.rowBuf[off0:off0+2*n], vals)
 		return
 	}
-	w.SharedSpanStoreI16(vals, off0, n)
+	w.SharedSpanStoreWords(vals, off0, n, 2)
 }
 
 // meterModel accounts the emission and transition parameter fetches
-// for one chunk (the values themselves come from the host tables).
-func (r *vitRun) meterModel(w *simt.Warp, st *vitWarpState, res byte, p0, m int) {
+// for one chunk (the values themselves come from the tables
+// UploadVitProfile packed).
+func (r *vitRun) meterModel(w *simt.Warp, res byte, p0, m int) {
 	n := m - p0
 	if lanes := w.Lanes(); n > lanes {
 		n = lanes

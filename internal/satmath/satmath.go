@@ -4,12 +4,13 @@
 // semantics that HMMER3's vector filters rely on, in two forms that
 // agree lane for lane, so every engine's scores agree bit-for-bit:
 //
-//   - one lane per call (this file): what the scalar golden filters and
-//     the simulated-GPU kernels in internal/gpu use, and the oracle the
-//     word-wide form is tested against;
+//   - one lane per call (this file): what the scalar golden filters
+//     use, what every engine's once-per-row specials use, and the oracle
+//     the word-wide form is tested against;
 //   - SIMD within a register (swar.go): eight byte lanes or four word
 //     lanes per uint64, branch-free, what the striped CPU engines in
-//     internal/cpu run on.
+//     internal/cpu and the simulated-GPU kernels in internal/gpu run
+//     their DP cells on.
 package satmath
 
 // AddU8 returns a+b saturated to 255.

@@ -1,5 +1,7 @@
 package satmath
 
+import "encoding/binary"
+
 // SWAR lanes: eight unsigned byte lanes (U8x8) or four signed word
 // lanes (I16x4) packed into one uint64, lane 0 in the low bits. Every
 // operation is branch-free carry/borrow-mask arithmetic: the top bit
@@ -7,12 +9,56 @@ package satmath
 // nothing crosses a lane boundary, then put back from the operands'
 // top bits and the carry (borrow) into them. Results equal the scalar
 // helpers in satmath.go lane for lane; the tests hold the two together.
+//
+// The layout is little-endian memory order: lane l of a row of cells
+// stored as consecutive little-endian bytes is lane l%8 (l%4) of word
+// l/8 (l/4). PackLanes/UnpackLanes move between the two, and are the
+// only place that knows it: the striped CPU engines run on these lanes,
+// and so does a simulated warp's register file in internal/gpu (32
+// lanes in four or eight words), which loads and stores them through
+// internal/simt's word-shaped shared-memory spans.
 const (
 	lsb8  = 0x0101010101010101
 	msb8  = 0x8080808080808080
 	lsb16 = 0x0001000100010001
 	msb16 = 0x8000800080008000
 )
+
+// PackLanes fills dst with the lanes held in src as consecutive
+// little-endian bytes (one byte per u8 lane, two per i16 lane), lane 0
+// first; lanes of dst past the end of src are zero.
+func PackLanes(dst []uint64, src []byte) {
+	i := 0
+	for ; i < len(dst) && len(src) >= 8; i++ {
+		dst[i] = binary.LittleEndian.Uint64(src)
+		src = src[8:]
+	}
+	if i == len(dst) {
+		return
+	}
+	var v uint64
+	for b := len(src) - 1; b >= 0; b-- {
+		v = v<<8 | uint64(src[b])
+	}
+	dst[i] = v
+	clear(dst[i+1:])
+}
+
+// UnpackLanes is the inverse of PackLanes: it writes the first
+// len(dst) lane bytes of src to dst and nothing past them.
+func UnpackLanes(dst []byte, src []uint64) {
+	i := 0
+	for ; i < len(src) && len(dst) >= 8; i++ {
+		binary.LittleEndian.PutUint64(dst, src[i])
+		dst = dst[8:]
+	}
+	if i == len(src) {
+		return
+	}
+	for b := range dst {
+		dst[b] = byte(src[i] >> (8 * b))
+	}
+}
 
 // SplatU8 returns x in all eight byte lanes.
 func SplatU8(x uint8) uint64 { return uint64(x) * lsb8 }

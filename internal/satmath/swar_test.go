@@ -218,3 +218,54 @@ func BenchmarkAddI16x4(b *testing.B) {
 		}
 	}
 }
+
+// TestPackLanesLayout holds PackLanes/UnpackLanes to the lane layout
+// the word ops assume — byte l of a little-endian row is u8 lane l%8 of
+// word l/8, byte pair l is i16 lane l%4 of word l/4 — for every source
+// length up to three words: whole words, a ragged tail, and a
+// destination longer or shorter than the source.
+func TestPackLanesLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for n := 0; n <= 24; n++ {
+		for words := 0; words <= 4; words++ {
+			src := make([]byte, n)
+			rng.Read(src)
+			reg := make([]uint64, words)
+			for i := range reg {
+				reg[i] = rng.Uint64() // stale lanes must be overwritten
+			}
+			PackLanes(reg, src)
+			for l := 0; l < 8*words; l++ {
+				want := byte(0)
+				if l < n {
+					want = src[l]
+				}
+				if got := byte(reg[l/8] >> (8 * (l % 8))); got != want {
+					t.Fatalf("PackLanes(%d words, %d bytes): u8 lane %d = %#x, want %#x", words, n, l, got, want)
+				}
+			}
+			for l := 0; l < 4*words && 2*l+1 < n; l++ {
+				want := int16(uint16(src[2*l]) | uint16(src[2*l+1])<<8)
+				if got := int16(reg[l/4] >> (16 * (l % 4))); got != want {
+					t.Fatalf("PackLanes(%d words, %d bytes): i16 lane %d = %d, want %d", words, n, l, got, want)
+				}
+			}
+
+			// Unpack into a longer buffer: the first min(n, 8*words)
+			// bytes come back, the guard bytes past dst stay.
+			buf := make([]byte, n+3)
+			for i := range buf {
+				buf[i] = 0xEE
+			}
+			UnpackLanes(buf[:n], reg)
+			for i, b := range buf {
+				switch {
+				case i < n && i < 8*words && b != src[i]:
+					t.Fatalf("UnpackLanes(%d bytes, %d words): byte %d = %#x, want %#x", n, words, i, b, src[i])
+				case (i >= n || i >= 8*words) && b != 0xEE:
+					t.Fatalf("UnpackLanes(%d bytes, %d words): wrote byte %d past the lanes it was given", n, words, i)
+				}
+			}
+		}
+	}
+}

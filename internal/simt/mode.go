@@ -14,8 +14,9 @@ import "fmt"
 // identical data movement, fault injection, race detection and
 // cancellation points — so scores, tblout files, checkpoint journals
 // and DMR verdicts are byte-identical to cycle-accurate runs — but no
-// per-operation accounting. Correctness-only workloads (chaos tests,
-// CI, wall-clock benchmarking) run several times faster.
+// per-operation accounting. It is the mode of the correctness-only
+// workloads (chaos tests, CI smokes, the cluster and service paths),
+// which read no counter.
 type Mode int
 
 const (

@@ -46,6 +46,7 @@ func TestFastModeRecordsNothing(t *testing.T) {
 		f := make([]float32, lanes)
 		i16 := make([]int16, lanes)
 		u8 := make([]uint8, lanes)
+		words := make([]uint64, lanes/4)
 		addrs64 := make([]int64, lanes)
 		for l := range addrs64 {
 			addrs64[l] = int64(4 * l)
@@ -57,15 +58,19 @@ func TestFastModeRecordsNothing(t *testing.T) {
 		w.SharedSpanLoadI16(i16, 0, lanes)
 		w.SharedSpanStoreU8(u8, 0, lanes)
 		w.SharedSpanLoadU8(u8, 0, lanes)
+		w.SharedSpanStoreWords(words, 0, lanes, 2)
+		w.SharedSpanLoadWords(words, 0, lanes, 2)
+		w.SharedSpanStoreWords(words, 3, lanes-5, 1)
+		w.SharedSpanLoadWords(words, 3, lanes-5, 1)
 		w.SharedSpanTouch(0, 4, lanes, false)
-		w.SharedBroadcastF32(0)
+		w.SharedBroadcastI16(0)
 		w.GlobalLoad(addrs64, 4)
 		w.GlobalSpanLoadCached(0, 4, lanes)
 		w.GlobalSpanStore(0, 8, 1)
 		w.GlobalBroadcastLoad(0, 4)
 		w.ShflXorF32Into(f, f, 1)
+		w.ShuffleTouch()
 		w.Vote()
-		w.VoteAll(make([]bool, lanes))
 	}
 	rep, err := dev.Launch(LaunchConfig{
 		Blocks: blocks, WarpsPerBlock: wpb, SharedBytesPerBlock: 1024,
@@ -92,13 +97,19 @@ func TestFastModeOpsAllocateNothing(t *testing.T) {
 		lanes := w.Lanes()
 		f := make([]float32, lanes)
 		i16 := make([]int16, lanes)
+		words := make([]uint64, lanes/4)
 		allocs = testing.AllocsPerRun(100, func() {
 			w.SharedSpanStoreF32(f, 0, lanes)
 			w.SharedSpanLoadF32(f, 0, lanes)
 			w.SharedSpanStoreI16(i16, 0, lanes)
 			w.SharedSpanLoadI16(i16, 0, lanes)
+			w.SharedSpanStoreWords(words, 0, lanes, 2)
+			w.SharedSpanLoadWords(words, 0, lanes, 2)
+			w.SharedSpanStoreWords(words, 3, lanes-5, 1)
+			w.SharedSpanLoadWords(words, 3, lanes-5, 1)
 			w.SharedSpanTouch(0, 4, lanes, false)
 			w.ALU(3)
+			w.ShuffleTouch()
 			w.Vote()
 		})
 	})

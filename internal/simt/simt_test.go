@@ -133,14 +133,12 @@ func TestSharedI16RoundTrip(t *testing.T) {
 	dev := NewDevice(TeslaK40())
 	var got [32]int16
 	kernel := func(w *Warp) {
-		addrs := make([]int, 32)
 		vals := make([]int16, 32)
 		for l := 0; l < 32; l++ {
-			addrs[l] = 2 * l
 			vals[l] = int16(-1000 + l*100)
 		}
-		w.SharedStoreI16(addrs, vals)
-		copy(got[:], w.SharedLoadI16(addrs))
+		w.SharedSpanStoreI16(vals, 0, 32)
+		w.SharedSpanLoadI16(got[:], 0, 32)
 	}
 	if _, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1, SharedBytesPerBlock: 64}, kernel); err != nil {
 		t.Fatal(err)
@@ -229,14 +227,15 @@ func TestCoalescingTransactions(t *testing.T) {
 
 func TestShuffleButterflyMax(t *testing.T) {
 	dev := NewDevice(TeslaK40())
-	var result []int32
+	var result []float32
 	kernel := func(w *Warp) {
-		vals := make([]int32, 32)
+		vals := make([]float32, 32)
+		other := make([]float32, 32)
 		for l := range vals {
-			vals[l] = int32((l * 7) % 31) // max 30 at l=... somewhere
+			vals[l] = float32((l * 7) % 31) // max 30 at l=... somewhere
 		}
 		for mask := 16; mask > 0; mask >>= 1 {
-			other := w.ShflXorI32(vals, mask)
+			w.ShflXorF32Into(other, vals, mask)
 			w.ALU(1)
 			for l := range vals {
 				if other[l] > vals[l] {
@@ -251,45 +250,51 @@ func TestShuffleButterflyMax(t *testing.T) {
 	}
 	for l, v := range result {
 		if v != 30 {
-			t.Fatalf("lane %d: butterfly max = %d, want 30 (broadcast to all lanes)", l, v)
+			t.Fatalf("lane %d: butterfly max = %v, want 30 (broadcast to all lanes)", l, v)
 		}
 	}
 }
 
+// TestShufflePanicsOnFermi: every shuffle form, the charge-only one
+// included, is an illegal instruction on a device without shuffle.
 func TestShufflePanicsOnFermi(t *testing.T) {
-	dev := NewDevice(GTX580())
-	_, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1}, func(w *Warp) {
-		w.ShflXorI32(make([]int32, 32), 16)
-	})
-	var kp *KernelPanicError
-	if !errors.As(err, &kp) {
-		t.Fatalf("shfl on Fermi: err = %v, want *KernelPanicError", err)
-	}
-	if kp.Op != "shfl.xor" {
-		t.Errorf("fault op = %q, want shfl.xor", kp.Op)
+	f := make([]float32, 32)
+	i := make([]int32, 32)
+	for _, c := range []struct {
+		op string
+		fn func(w *Warp)
+	}{
+		{"shfl.xor", func(w *Warp) { w.ShuffleTouch() }},
+		{"shfl.xor", func(w *Warp) { w.ShflXorF32Into(f, f, 16) }},
+		{"shfl.up", func(w *Warp) { w.ShflUpI32Into(i, i, 1) }},
+	} {
+		dev := NewDevice(GTX580())
+		_, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1}, c.fn)
+		var kp *KernelPanicError
+		if !errors.As(err, &kp) {
+			t.Fatalf("%s on Fermi: err = %v, want *KernelPanicError", c.op, err)
+		}
+		if kp.Op != c.op {
+			t.Errorf("fault op = %q, want %q", kp.Op, c.op)
+		}
 	}
 }
 
+// TestVote: a vote and a charge-only shuffle each cost one instruction
+// and one issue cycle, and move nothing else.
 func TestVote(t *testing.T) {
 	dev := NewDevice(TeslaK40())
-	var all1, all2, any1, any2 bool
-	kernel := func(w *Warp) {
-		tr := make([]bool, 32)
-		for i := range tr {
-			tr[i] = true
-		}
-		mixed := make([]bool, 32)
-		mixed[17] = true
-		all1 = w.VoteAll(tr)
-		all2 = w.VoteAll(mixed)
-		any1 = w.VoteAny(mixed)
-		any2 = w.VoteAny(make([]bool, 32))
-	}
-	if _, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1}, kernel); err != nil {
+	rep, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1}, func(w *Warp) {
+		w.Vote()
+		w.Vote()
+		w.ShuffleTouch()
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !all1 || all2 || !any1 || any2 {
-		t.Errorf("vote results: %v %v %v %v", all1, all2, any1, any2)
+	want := KernelStats{WarpsExecuted: 1, VoteOps: 2, ShuffleOps: 1, IssueCycles: 3}
+	if rep.Stats != want {
+		t.Errorf("stats = %+v, want %+v", rep.Stats, want)
 	}
 }
 

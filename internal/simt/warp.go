@@ -1,10 +1,14 @@
 package simt
 
 // Warp is the execution context handed to a kernel: one 32-lane SIMT
-// work unit. Kernels perform their lane arithmetic in ordinary Go and
-// report costs through the Warp's operations; shared and global memory
-// go through the Warp so that bank conflicts, coalescing, races and
-// cycles are accounted.
+// work unit. Kernels hold the warp's registers themselves — the MSV and
+// P7Viterbi kernels as satmath SWAR words, 32 lanes in four or eight
+// uint64s; the float kernels and the ablations as one slice element
+// per lane — and report costs through the Warp's operations; shared
+// and global memory go through the Warp so that bank conflicts,
+// coalescing, races and cycles are accounted. An exchange or vote
+// whose result the kernel can compute on its own registers is charged
+// without moving data (ShuffleTouch, Vote, SharedSpanTouch).
 //
 // A Warp is owned by a single goroutine for the duration of the kernel.
 type Warp struct {
@@ -105,35 +109,6 @@ func (w *Warp) SharedStoreU8(addrs []int, vals []uint8) {
 	}
 }
 
-// SharedLoadI16 gathers one 16-bit word per lane (addresses in bytes,
-// must be 2-aligned).
-func (w *Warp) SharedLoadI16(addrs []int) []int16 {
-	out := make([]int16, len(addrs))
-	w.SharedLoadI16Into(out, addrs)
-	return out
-}
-
-// SharedStoreI16 scatters one 16-bit word per lane.
-func (w *Warp) SharedStoreI16(addrs []int, vals []int16) {
-	sm := w.block.shared
-	if sm.concurrent {
-		sm.mu.Lock()
-		defer sm.mu.Unlock()
-	}
-	if w.cost != nil {
-		w.cost.SharedAccess(w, sm, addrs, true)
-	}
-	if sm.trackRaces {
-		sm.noteAccess(int32(w.WarpInBlock), addrs, 2, true)
-	}
-	for i, a := range addrs {
-		if a >= 0 {
-			sm.data[a] = byte(uint16(vals[i]))
-			sm.data[a+1] = byte(uint16(vals[i]) >> 8)
-		}
-	}
-}
-
 // GlobalLoad accounts a warp global-memory read of width bytes per
 // lane at the given logical byte addresses (negative = inactive lane),
 // counting 128-byte coalesced transactions. The caller reads the
@@ -142,24 +117,6 @@ func (w *Warp) SharedStoreI16(addrs []int, vals []int16) {
 func (w *Warp) GlobalLoad(addrs []int64, width int) {
 	if w.cost != nil {
 		w.cost.GlobalAccess(w, addrs, width, false, false)
-	}
-}
-
-// GlobalLoadCached accounts a warp read through the read-only data
-// cache path (LDG/texture): heavily reused data such as model
-// parameters. Transactions are counted separately so the performance
-// model can treat most of them as L2 hits rather than DRAM traffic.
-func (w *Warp) GlobalLoadCached(addrs []int64, width int) {
-	if w.cost != nil {
-		w.cost.GlobalAccess(w, addrs, width, true, false)
-	}
-}
-
-// GlobalStoreCached accounts a warp write whose working set stays in
-// L2 (e.g. spilled DP rows that are re-read within the same kernel).
-func (w *Warp) GlobalStoreCached(addrs []int64, width int) {
-	if w.cost != nil {
-		w.cost.GlobalAccess(w, addrs, width, true, true)
 	}
 }
 
@@ -198,50 +155,13 @@ func coalescedTransactions(addrs []int64, width int) int {
 	return n
 }
 
-// ShflXorI32 is the Kepler butterfly-exchange shuffle: lane l receives
-// the value of lane l XOR mask. On a device without shuffle support
-// (an illegal instruction on Fermi) it raises a structured kernel
-// fault that Device.Launch reports as a *KernelPanicError.
-func (w *Warp) ShflXorI32(vals []int32, mask int) []int32 {
-	out := make([]int32, len(vals))
-	w.ShflXorI32Into(out, vals, mask)
-	return out
-}
-
-// VoteAll is the warp-vote __all instruction: true iff the predicate
-// holds on every lane.
-func (w *Warp) VoteAll(pred []bool) bool {
-	if w.cost != nil {
-		w.cost.Vote(w)
-	}
-	for _, p := range pred {
-		if !p {
-			return false
-		}
-	}
-	return true
-}
-
-// Vote meters one warp-vote instruction without scanning a predicate
-// vector: the op for kernels that fold the per-lane predicate into a
-// host-side flag while computing it (one pass instead of two).
+// Vote meters one warp-vote instruction (__all / __any). The kernel
+// folds the per-lane predicate into a host-side flag in the same pass
+// that computes it, so there is no predicate vector to scan here.
 func (w *Warp) Vote() {
 	if w.cost != nil {
 		w.cost.Vote(w)
 	}
-}
-
-// VoteAny is the warp-vote __any instruction.
-func (w *Warp) VoteAny(pred []bool) bool {
-	if w.cost != nil {
-		w.cost.Vote(w)
-	}
-	for _, p := range pred {
-		if p {
-			return true
-		}
-	}
-	return false
 }
 
 // Sync executes a block-wide __syncthreads barrier. Only legal in a

@@ -1,7 +1,5 @@
 package simt
 
-import "math"
-
 // Allocation-free variants of the shared-memory and shuffle operations
 // for use in kernel inner loops. Semantics and accounting are identical
 // to the allocating versions; dst must have one element per lane.
@@ -26,37 +24,17 @@ func (w *Warp) SharedLoadU8Into(dst []uint8, addrs []int) {
 	}
 }
 
-// SharedLoadI16Into gathers one 16-bit word per lane into dst.
-func (w *Warp) SharedLoadI16Into(dst []int16, addrs []int) {
-	sm := w.block.shared
-	if sm.concurrent {
-		sm.mu.Lock()
-		defer sm.mu.Unlock()
-	}
-	if w.cost != nil {
-		w.cost.SharedAccess(w, sm, addrs, false)
-	}
-	if sm.trackRaces {
-		sm.noteAccess(int32(w.WarpInBlock), addrs, 2, false)
-	}
-	for i, a := range addrs {
-		if a >= 0 {
-			dst[i] = int16(uint16(sm.at(a)) | uint16(sm.at(a+1))<<8)
-		}
-	}
-}
-
-// ShflXorI32Into performs the butterfly exchange into dst (dst and
-// vals must not alias).
-func (w *Warp) ShflXorI32Into(dst, vals []int32, mask int) {
+// ShuffleTouch meters one warp-shuffle instruction without moving any
+// data: the op for an exchange whose result the kernel computes on its
+// SWAR register words (a butterfly max is a word fold), as
+// SharedSpanTouch is for memory. It costs what ShflXorF32Into costs
+// and, like it, is an illegal instruction on a device without shuffle.
+func (w *Warp) ShuffleTouch() {
 	if !w.dev.Spec.HasShuffle {
 		w.fail("shfl.xor", "no warp shuffle on this device")
 	}
 	if w.cost != nil {
 		w.cost.Shuffle(w)
-	}
-	for l := range vals {
-		dst[l] = vals[l^mask]
 	}
 }
 
@@ -75,52 +53,6 @@ func (w *Warp) ShflUpI32Into(dst, vals []int32, delta int) {
 			dst[l] = vals[l-delta]
 		} else {
 			dst[l] = vals[l]
-		}
-	}
-}
-
-// SharedLoadF32Into gathers one float32 per lane (byte addresses, 4-aligned).
-func (w *Warp) SharedLoadF32Into(dst []float32, addrs []int) {
-	sm := w.block.shared
-	if sm.concurrent {
-		sm.mu.Lock()
-		defer sm.mu.Unlock()
-	}
-	if w.cost != nil {
-		w.cost.SharedAccess(w, sm, addrs, false)
-	}
-	if sm.trackRaces {
-		sm.noteAccess(int32(w.WarpInBlock), addrs, 4, false)
-	}
-	for i, a := range addrs {
-		if a >= 0 {
-			bits := uint32(sm.at(a)) | uint32(sm.at(a+1))<<8 |
-				uint32(sm.at(a+2))<<16 | uint32(sm.at(a+3))<<24
-			dst[i] = math.Float32frombits(bits)
-		}
-	}
-}
-
-// SharedStoreF32 scatters one float32 per lane.
-func (w *Warp) SharedStoreF32(addrs []int, vals []float32) {
-	sm := w.block.shared
-	if sm.concurrent {
-		sm.mu.Lock()
-		defer sm.mu.Unlock()
-	}
-	if w.cost != nil {
-		w.cost.SharedAccess(w, sm, addrs, true)
-	}
-	if sm.trackRaces {
-		sm.noteAccess(int32(w.WarpInBlock), addrs, 4, true)
-	}
-	for i, a := range addrs {
-		if a >= 0 {
-			bits := math.Float32bits(vals[i])
-			sm.data[a] = byte(bits)
-			sm.data[a+1] = byte(bits >> 8)
-			sm.data[a+2] = byte(bits >> 16)
-			sm.data[a+3] = byte(bits >> 24)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package simt
 
-import "math"
+import (
+	"math"
+
+	"hmmer3gpu/internal/satmath"
+)
 
 // Span operations: the warp access patterns the paper's kernels
 // actually use — `active` lanes touching consecutive cells — expressed
@@ -114,6 +118,62 @@ func (w *Warp) SharedSpanStoreI16(src []int16, base, n int) {
 		dst[2*i] = byte(v)
 		dst[2*i+1] = byte(v >> 8)
 	}
+}
+
+// SharedSpanLoadWords is SharedSpanLoadU8 (width 1) or
+// SharedSpanLoadI16 (width 2) into a register file held as SWAR words:
+// lane l of the cells-long span lands in satmath's lane l of dst, the
+// remaining lanes of dst are zero. Accounting, race tracking and the
+// fault overlay are those of the slice form, call for call; only the
+// fault-free data path differs, moving eight bytes at a time.
+func (w *Warp) SharedSpanLoadWords(dst []uint64, base, cells, width int) {
+	if cells <= 0 {
+		clear(dst)
+		return
+	}
+	sm := w.block.shared
+	if sm.concurrent {
+		sm.mu.Lock()
+		defer sm.mu.Unlock()
+	}
+	if w.cost != nil {
+		w.cost.SharedSpan(w, cells, false)
+	}
+	n := cells * width
+	if sm.trackRaces {
+		sm.noteSpan(int32(w.WarpInBlock), base, n, false)
+	}
+	if sm.faults == nil {
+		satmath.PackLanes(dst, sm.data[base:base+n])
+		return
+	}
+	clear(dst)
+	for i := 0; i < n; i++ {
+		dst[i>>3] |= uint64(sm.at(base+i)) << (8 * (i & 7))
+	}
+}
+
+// SharedSpanStoreWords stores the first cells lanes of src (width 1 or
+// 2 bytes each) to the consecutive shared bytes at
+// [base, base+cells*width) and touches nothing past them: the word
+// form of SharedSpanStoreU8 / SharedSpanStoreI16.
+func (w *Warp) SharedSpanStoreWords(src []uint64, base, cells, width int) {
+	if cells <= 0 {
+		return
+	}
+	sm := w.block.shared
+	if sm.concurrent {
+		sm.mu.Lock()
+		defer sm.mu.Unlock()
+	}
+	if w.cost != nil {
+		w.cost.SharedSpan(w, cells, true)
+	}
+	n := cells * width
+	if sm.trackRaces {
+		sm.noteSpan(int32(w.WarpInBlock), base, n, true)
+	}
+	satmath.UnpackLanes(sm.data[base:base+n], src)
 }
 
 // SharedSpanLoadF32 loads n consecutive float32 cells starting at byte
@@ -236,24 +296,6 @@ func (w *Warp) SharedBroadcastI16(addr int) int16 {
 		sm.noteSpan(int32(w.WarpInBlock), addr, 2, false)
 	}
 	return int16(uint16(sm.at(addr)) | uint16(sm.at(addr+1))<<8)
-}
-
-// SharedBroadcastF32 is the float32 same-word broadcast read.
-func (w *Warp) SharedBroadcastF32(addr int) float32 {
-	sm := w.block.shared
-	if sm.concurrent {
-		sm.mu.Lock()
-		defer sm.mu.Unlock()
-	}
-	if w.cost != nil {
-		w.cost.SharedBroadcast(w)
-	}
-	if sm.trackRaces {
-		sm.noteSpan(int32(w.WarpInBlock), addr, 4, false)
-	}
-	bits := uint32(sm.at(addr)) | uint32(sm.at(addr+1))<<8 |
-		uint32(sm.at(addr+2))<<16 | uint32(sm.at(addr+3))<<24
-	return math.Float32frombits(bits)
 }
 
 // GlobalSpanLoad meters a fully-coalesced warp read: `active` lanes

@@ -9,55 +9,33 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hmmer3gpu/internal/gpu"
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/obs"
-	"hmmer3gpu/internal/seq"
 )
 
 // ErrAllWorkersLost reports that every worker was quarantined while
 // batches were still outstanding and no local executor was configured.
 var ErrAllWorkersLost = errors.New("cluster: all workers lost")
 
-// ErrDraining is the graceful-stop sentinel, shared with the
-// single-node scheduler so one producer serves both paths.
-var ErrDraining = gpu.ErrDraining
+// errAborted ends the sessions and connects of a failed run.
+var errAborted = errors.New("cluster: run aborted")
+
+// ErrDraining is dispatch.ErrDraining, the graceful-stop sentinel the
+// single-node scheduler shares, so one producer serves both paths.
+var ErrDraining = dispatch.ErrDraining
 
 // Default cluster knobs (used when the corresponding Config field is
-// zero).
+// zero); the retry and breaker defaults are dispatch's.
 const (
 	DefaultHeartbeatEvery   = 250 * time.Millisecond
 	DefaultHeartbeatTimeout = 2 * time.Second
 	DefaultMaxConnects      = 3
-	DefaultQuarantineAfter  = 3
-	DefaultMaxRetries       = 3
-	DefaultBackoffBase      = 5 * time.Millisecond
-	DefaultBackoffCap       = 500 * time.Millisecond
 )
 
-// Batch is one unit of sharded work, mirroring gpu.Batch: identity in
+// Batch is one unit of sharded work (see dispatch.Batch): identity in
 // the stream plus the one-shot merge token that makes requeues
-// exactly-once.
-type Batch struct {
-	// Seq is the batch ordinal in stream order.
-	Seq int
-	// Offset is the global database index of the batch's first
-	// sequence.
-	Offset int
-	// DB holds the batch's sequences.
-	DB *seq.Database
-
-	commit *atomic.Bool
-}
-
-// Commit claims the batch's one-shot merge token: exactly one caller
-// across every attempt at the batch — any worker, any epoch, or the
-// degraded local path — gets true. A zero Batch always commits.
-func (b Batch) Commit() bool {
-	if b.commit == nil {
-		return true
-	}
-	return b.commit.CompareAndSwap(false, true)
-}
+// exactly-once across workers, epochs and the degraded local path.
+type Batch = dispatch.Batch
 
 // WorkerSpec names one worker and knows how to reach it. Dial returns
 // a fresh connection; for in-process workers it returns one end of a
@@ -102,30 +80,24 @@ type Config struct {
 	// MaxConnects is the dial budget per (re)connect episode before the
 	// worker is quarantined; 0 means DefaultMaxConnects.
 	MaxConnects int
-	// QuarantineAfter is the circuit breaker: a worker with this many
-	// consecutive strikes (disconnects, deadlines, exec failures) is
-	// quarantined. 0 means DefaultQuarantineAfter.
+	// QuarantineAfter, MaxRetries, BackoffBase, BackoffCap and Clock are
+	// the run's dispatch.Policy: disconnects, deadlines and exec failures
+	// are strikes, only exec failures spend retry budget, and the backoff
+	// also paces reconnects.
 	QuarantineAfter int
-	// MaxRetries is the per-batch budget for remote execution failures
-	// (worker loss does not consume it); 0 means DefaultMaxRetries.
-	MaxRetries int
-	// BackoffBase and BackoffCap shape the capped exponential backoff
-	// between reconnects and retries.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
+	MaxRetries      int
+	BackoffBase     time.Duration
+	BackoffCap      time.Duration
+	// Clock is shared with the FaultInjector in tests.
+	Clock dispatch.Clock
 
-	// Local, when non-nil, executes a batch on the coordinator itself —
-	// the graceful degradation engaged once every worker is gone. It
-	// must merge its own results guarded by Batch.Commit and report
-	// whether that Commit succeeded.
+	// Local, when non-nil, executes a batch on the coordinator itself
+	// once every worker is gone (dispatch.Config.Fallback).
 	Local func(b Batch) (committed bool, err error)
 	// Drain, when non-nil, requests a graceful stop once closed:
 	// submitted batches finish (processed, committed, journaled), new
 	// submissions are refused with ErrDraining.
 	Drain <-chan struct{}
-	// Clock substitutes a fake time source in tests; nil means the wall
-	// clock. The FaultInjector should share it.
-	Clock gpu.Clock
 	// Inject, when non-nil, applies fault plans to dials and
 	// connections.
 	Inject *FaultInjector
@@ -136,79 +108,26 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) coordEpoch() uint64 {
-	if c.Epoch > 0 {
-		return c.Epoch
+// orDefault returns v when positive, else def.
+func orDefault[T int | uint64 | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return 1
+	return def
 }
 
-func (c *Config) clock() gpu.Clock {
-	if c.Clock != nil {
-		return c.Clock
-	}
-	return gpu.RealClock()
-}
-
+func (c *Config) coordEpoch() uint64 { return orDefault(c.Epoch, 1) }
 func (c *Config) heartbeatEvery() time.Duration {
-	if c.HeartbeatEvery > 0 {
-		return c.HeartbeatEvery
-	}
-	return DefaultHeartbeatEvery
+	return orDefault(c.HeartbeatEvery, DefaultHeartbeatEvery)
 }
-
 func (c *Config) heartbeatTimeout() time.Duration {
-	if c.HeartbeatTimeout > 0 {
-		return c.HeartbeatTimeout
-	}
-	return DefaultHeartbeatTimeout
+	return orDefault(c.HeartbeatTimeout, DefaultHeartbeatTimeout)
 }
+func (c *Config) maxConnects() int { return orDefault(c.MaxConnects, DefaultMaxConnects) }
 
-func (c *Config) maxConnects() int {
-	if c.MaxConnects > 0 {
-		return c.MaxConnects
-	}
-	return DefaultMaxConnects
-}
-
-func (c *Config) quarantineAfter() int {
-	if c.QuarantineAfter > 0 {
-		return c.QuarantineAfter
-	}
-	if c.QuarantineAfter < 0 {
-		return 0
-	}
-	return DefaultQuarantineAfter
-}
-
-func (c *Config) maxRetries() int {
-	if c.MaxRetries > 0 {
-		return c.MaxRetries
-	}
-	if c.MaxRetries < 0 {
-		return 0
-	}
-	return DefaultMaxRetries
-}
-
-func (c *Config) backoff(try int) time.Duration {
-	base := c.BackoffBase
-	if base <= 0 {
-		base = DefaultBackoffBase
-	}
-	max := c.BackoffCap
-	if max <= 0 {
-		max = DefaultBackoffCap
-	}
-	shift := try - 1
-	if shift > 20 {
-		shift = 20
-	}
-	d := base << shift
-	if d > max || d <= 0 {
-		d = max
-	}
-	return d
+func (c *Config) policy() dispatch.Policy {
+	return dispatch.Policy{MaxRetries: c.MaxRetries, QuarantineAfter: c.QuarantineAfter,
+		BackoffBase: c.BackoffBase, BackoffCap: c.BackoffCap, Clock: c.Clock}
 }
 
 func (c *Config) logf(format string, args ...any) {
@@ -218,18 +137,13 @@ func (c *Config) logf(format string, args ...any) {
 }
 
 // Coordinator shards a batch stream across the configured workers. It
-// is the cluster-level twin of gpu.Scheduler: same bounded pending
-// list, same claim/requeue discipline, with workers in place of
-// devices and the wire in place of function calls.
+// is the cluster executor on the dispatch core that gpu.Scheduler also
+// runs on: same pending list, token, breaker and host fallback, with
+// workers in place of devices and the wire in place of function calls.
+// The coordinator adds dial/handshake/heartbeat sessions, the
+// (seq, epoch) inflight fence, BatchDeadline and its Report.
 type Coordinator struct {
 	Cfg Config
-}
-
-// clusterAttempt is one batch's place in the pending list.
-type clusterAttempt struct {
-	b     Batch
-	tries int // failed remote executions so far
-	excl  int // worker index that last failed it (-1: none)
 }
 
 // flightResult is what the reader hands a waiting slot: a result
@@ -243,10 +157,10 @@ type flightResult struct {
 // The epoch is the fence — a result frame must match both the batch's
 // live flight and its epoch, or it is dropped.
 type flight struct {
-	att       *clusterAttempt
+	att       *dispatch.Attempt
 	epoch     uint64
 	ch        chan flightResult // buffered 1
-	delivered bool              // guarded by coordRun.mu
+	delivered bool              // guarded by the run's lock
 }
 
 // session is one live connection to a worker.
@@ -259,7 +173,7 @@ type session struct {
 	wmu sync.Mutex // serialises frame writes (slots + heartbeat)
 
 	// dead closes when the session is torn down; deadFlag and cause are
-	// guarded by coordRun.mu, set before dead closes.
+	// guarded by the run's lock, set before dead closes.
 	dead     chan struct{}
 	once     sync.Once
 	deadFlag bool
@@ -272,7 +186,7 @@ type session struct {
 	// not a worker loss.
 	closing atomic.Bool
 
-	inflight map[int]*flight // by batch Seq; guarded by coordRun.mu
+	inflight map[int]*flight // by batch Seq; guarded by the run's lock
 }
 
 func (s *session) write(body []byte) error {
@@ -289,13 +203,14 @@ func (s *session) touch(now time.Time) { s.lastSeen.Store(now.UnixNano()) }
 // and the connection is closed. A nil cause is a clean shutdown.
 func (s *session) kill(cr *coordRun, cause error) {
 	s.once.Do(func() {
-		cr.mu.Lock()
+		r := cr.run
+		r.Lock()
 		s.cause = cause
 		s.deadFlag = true
 		n := 0
 		for seqNo, fl := range s.inflight {
 			delete(s.inflight, seqNo)
-			cr.requeueLocked(fl.att, s.worker)
+			r.Requeue(fl.att, s.worker)
 			n++
 		}
 		if n > 0 {
@@ -303,8 +218,8 @@ func (s *session) kill(cr *coordRun, cause error) {
 			cr.rep.Workers[s.worker].Requeues += n
 		}
 		close(s.dead)
-		cr.cond.Broadcast()
-		cr.mu.Unlock()
+		r.Wake()
+		r.Unlock()
 		s.conn.Close()
 		if cause != nil {
 			cr.c.Cfg.logf("cluster: worker %s session ended: %v (%d batches requeued)", s.name, cause, n)
@@ -312,161 +227,99 @@ func (s *session) kill(cr *coordRun, cause error) {
 	})
 }
 
-// coordRun is the mutable state of one Run.
+// coordRun is one Run: the dispatch core plus the cluster state kept
+// under its lock.
 type coordRun struct {
 	c        *Coordinator
 	rep      *Report
 	ctx      context.Context
 	commitFn func(b Batch, payload []byte) (bool, error)
+	run      *dispatch.Run
+	policy   dispatch.Policy
+	clock    dispatch.Clock
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending []*clusterAttempt
-	// active counts batches claimed but not yet resolved; see
-	// gpu.schedRun for why drain detection needs it.
-	active   int
-	closed   bool
-	aborted  bool
-	draining bool
-	err      error
-	abortCh  chan struct{}
-	epoch    uint64 // next assignment epoch (globally unique)
-
-	quar         []bool
-	consec       []int
-	healthy      int
+	// Guarded by the run's lock.
+	epoch        uint64 // next assignment epoch (globally unique)
 	connectedOne []bool // worker has connected at least once
-	localStarted bool
 
-	wg sync.WaitGroup
+	// At Epoch > 1 fence counts the workers whose first connect episode
+	// is open, and no slot assigns before fenceOpen closes at zero.
+	fence     sync.WaitGroup
+	fenceOpen chan struct{}
 }
 
-func (cr *coordRun) failLocked(err error) {
-	if !cr.aborted {
-		cr.aborted = true
-		cr.err = err
-		close(cr.abortCh)
-	}
-	cr.cond.Broadcast()
-}
-
-func (cr *coordRun) fail(err error) {
-	cr.mu.Lock()
-	cr.failLocked(err)
-	cr.mu.Unlock()
-}
-
-func (cr *coordRun) doneLocked() bool {
-	return cr.closed && len(cr.pending) == 0 && cr.active == 0
-}
-
-// takeLocked claims the first pending attempt eligible for worker i
-// (i < 0: the local path, exclusions ignored).
-func (cr *coordRun) takeLocked(i int) *clusterAttempt {
-	for k, att := range cr.pending {
-		if i >= 0 && att.excl >= 0 && att.excl == i && cr.healthy > 1 {
-			continue
-		}
-		cr.pending = append(cr.pending[:k], cr.pending[k+1:]...)
-		cr.active++
-		cr.cond.Broadcast()
-		return att
-	}
-	return nil
-}
-
-func (cr *coordRun) requeueLocked(att *clusterAttempt, failedOn int) {
-	att.excl = failedOn
-	cr.pending = append(cr.pending, att)
-	cr.active--
-	cr.cond.Broadcast()
-}
-
-// quarantineLocked takes worker i out of service; losing the last
-// healthy worker degrades to the local executor when one is
-// configured, otherwise aborts the run if work is still outstanding.
-func (cr *coordRun) quarantineLocked(i int) {
-	if cr.quar[i] {
-		return
-	}
-	cr.quar[i] = true
-	cr.healthy--
+// quarantined books worker i leaving service (dispatch's hook).
+func (cr *coordRun) quarantined(i, healthy int) {
+	cfg := &cr.c.Cfg
 	cr.rep.Quarantines++
 	cr.rep.Workers[i].Quarantined = true
-	cr.c.Cfg.logf("cluster: worker %s quarantined (%d healthy left)", cr.c.Cfg.Workers[i].Name, cr.healthy)
-	if cr.healthy == 0 {
-		if cr.c.Cfg.Local != nil {
-			if !cr.localStarted {
-				cr.localStarted = true
-				cr.rep.Degraded = true
-				cr.c.Cfg.logf("cluster: all workers lost, degrading to local execution")
-				cr.wg.Add(1)
-				go cr.runLocal()
-			}
-		} else if !cr.doneLocked() {
-			cr.failLocked(fmt.Errorf("cluster: %d batches outstanding: %w",
-				len(cr.pending)+cr.active, ErrAllWorkersLost))
-		}
+	cfg.logf("cluster: worker %s quarantined (%d healthy left)", cfg.Workers[i].Name, healthy)
+	if healthy == 0 && cfg.Local != nil {
+		cr.rep.Degraded = true
+		cfg.logf("cluster: all workers lost, degrading to local execution")
 	}
-	cr.cond.Broadcast()
 }
 
-// strikeLocked charges worker i one breaker strike; returns true when
-// the breaker trips (the caller must then kill the session, outside
-// the lock).
-func (cr *coordRun) strikeLocked(i int) bool {
-	cr.consec[i]++
-	if k := cr.c.Cfg.quarantineAfter(); k > 0 && cr.consec[i] >= k {
-		cr.quarantineLocked(i)
-		return true
-	}
-	return false
+// local runs one batch on the coordinator itself once every worker is
+// quarantined (dispatch's host fallback).
+func (cr *coordRun) local(b Batch) (bool, error) {
+	span := cr.c.Cfg.Trace.ChildOn("local", fmt.Sprintf("batch %d (local degraded)", b.Seq),
+		obs.Int("batch", int64(b.Seq)),
+		obs.Bool("local_degraded", true))
+	defer span.End()
+	return cr.c.Cfg.Local(b)
 }
 
 // runWorker owns worker i for the run: connect (with backoff),
 // serve the session until it dies, strike, reconnect — until the run
 // completes, aborts, or the worker is quarantined.
 func (cr *coordRun) runWorker(i int) {
-	defer cr.wg.Done()
-	cfg := &cr.c.Cfg
+	r := cr.run
 	ws := &cr.rep.Workers[i]
+	// The first connect episode ends the worker's part in the fence:
+	// acked (the epoch), or quarantined.
+	passFence := func() {}
+	if cr.rep.Epoch > 1 {
+		passFence = sync.OnceFunc(cr.fence.Done)
+	}
+	defer passFence()
 	for {
-		cr.mu.Lock()
-		if cr.aborted || cr.quar[i] || cr.doneLocked() {
-			cr.mu.Unlock()
+		r.Lock()
+		stopped := r.Stopped(i)
+		r.Unlock()
+		if stopped {
 			return
 		}
-		cr.mu.Unlock()
 
 		sess, err := cr.connect(i)
 		if err != nil {
-			cr.mu.Lock()
+			r.Lock()
 			ws.LastError = err.Error()
-			cr.quarantineLocked(i)
-			cr.mu.Unlock()
+			r.Quarantine(i)
+			r.Unlock()
 			return
 		}
+		passFence()
 		cr.serveSession(i, sess)
 
-		cr.mu.Lock()
+		r.Lock()
 		if sess.cause != nil {
 			ws.Disconnects++
 			ws.LastError = sess.cause.Error()
 		}
-		if cr.aborted || cr.quar[i] || cr.doneLocked() {
-			cr.mu.Unlock()
+		if r.Stopped(i) {
+			r.Unlock()
 			return
 		}
 		// The session died with work remaining: strike and reconnect.
-		if cr.strikeLocked(i) {
-			cr.mu.Unlock()
+		strikes, tripped := r.Strike(i)
+		r.Unlock()
+		if tripped {
 			return
 		}
-		delay := cfg.backoff(cr.consec[i])
-		cr.mu.Unlock()
 		select {
-		case <-cfg.clock().After(delay):
-		case <-cr.abortCh:
+		case <-cr.clock.After(cr.policy.Backoff(strikes)):
+		case <-r.Aborted():
 			return
 		}
 	}
@@ -484,9 +337,9 @@ func (cr *coordRun) connect(i int) (*session, error) {
 	for attempt := 0; attempt < cfg.maxConnects(); attempt++ {
 		if attempt > 0 {
 			select {
-			case <-cfg.clock().After(cfg.backoff(attempt)):
-			case <-cr.abortCh:
-				return nil, cr.runErr()
+			case <-cr.clock.After(cr.policy.Backoff(attempt)):
+			case <-cr.run.Aborted():
+				return nil, errAborted
 			}
 		}
 		if err := cfg.Inject.AllowConnect(i); err != nil {
@@ -520,14 +373,14 @@ func (cr *coordRun) connect(i int) (*session, error) {
 			dead:     make(chan struct{}),
 			inflight: make(map[int]*flight),
 		}
-		sess.touch(cfg.clock().Now())
-		cr.mu.Lock()
+		sess.touch(cr.clock.Now())
+		cr.run.Lock()
 		if cr.connectedOne[i] {
 			cr.rep.Reconnects++
 			ws.Reconnects++
 		}
 		cr.connectedOne[i] = true
-		cr.mu.Unlock()
+		cr.run.Unlock()
 		cfg.logf("cluster: worker %s connected (capacity %d)", ack.Name, ack.Capacity)
 		return sess, nil
 	}
@@ -536,19 +389,10 @@ func (cr *coordRun) connect(i int) (*session, error) {
 }
 
 func (cr *coordRun) countConnectFailure(ws *WorkerStats) {
-	cr.mu.Lock()
+	cr.run.Lock()
 	cr.rep.ConnectFailures++
 	ws.ConnectFailures++
-	cr.mu.Unlock()
-}
-
-func (cr *coordRun) runErr() error {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	if cr.err != nil {
-		return cr.err
-	}
-	return errors.New("cluster: run aborted")
+	cr.run.Unlock()
 }
 
 // handshake sends hello and awaits the ack, bounded by the heartbeat
@@ -583,12 +427,12 @@ func (cr *coordRun) handshake(name string, conn net.Conn) (HelloAck, error) {
 	var r readRes
 	select {
 	case r = <-ch:
-	case <-cfg.clock().After(cfg.heartbeatTimeout()):
+	case <-cr.clock.After(cfg.heartbeatTimeout()):
 		conn.Close()
 		return ack, fmt.Errorf("cluster: handshake with %s timed out after %v", name, cfg.heartbeatTimeout())
-	case <-cr.abortCh:
+	case <-cr.run.Aborted():
 		conn.Close()
-		return ack, cr.runErr()
+		return ack, errAborted
 	}
 	if r.err != nil {
 		return ack, fmt.Errorf("cluster: reading handshake from %s: %w", name, r.err)
@@ -622,6 +466,12 @@ func (cr *coordRun) handshake(name string, conn net.Conn) (HelloAck, error) {
 // heartbeater, and capacity assignment slots. It returns once the
 // session is dead and all three have unwound.
 func (cr *coordRun) serveSession(i int, sess *session) {
+	select {
+	case <-cr.fenceOpen:
+	default:
+		cr.c.Cfg.logf("cluster: worker %s holds its assignments until every worker acks epoch %d or is quarantined",
+			sess.name, cr.rep.Epoch)
+	}
 	var aux sync.WaitGroup
 	aux.Add(2)
 	go func() { defer aux.Done(); cr.readLoop(sess) }()
@@ -646,7 +496,6 @@ func frameBodyGoodbye() []byte { return []byte{msgGoodbye} }
 // fenced by (seq, epoch) against the live inflight table and handed to
 // the waiting slot; anything malformed kills the session.
 func (cr *coordRun) readLoop(sess *session) {
-	clock := cr.c.Cfg.clock()
 	for {
 		typ, payload, err := readFrame(sess.conn)
 		if err != nil {
@@ -657,7 +506,7 @@ func (cr *coordRun) readLoop(sess *session) {
 			}
 			return
 		}
-		sess.touch(clock.Now())
+		sess.touch(cr.clock.Now())
 		switch typ {
 		case msgPong:
 			// touch above is the point of pongs
@@ -695,17 +544,17 @@ func (cr *coordRun) readLoop(sess *session) {
 // never merged: the commit token is the backstop, the fence means the
 // token race is never even entered.
 func (cr *coordRun) deliver(sess *session, seqNo int, epoch uint64, res flightResult) {
-	cr.mu.Lock()
+	cr.run.Lock()
 	fl := sess.inflight[seqNo]
 	if fl == nil || fl.epoch != epoch {
 		cr.rep.FencedResults++
-		cr.mu.Unlock()
+		cr.run.Unlock()
 		cr.c.Cfg.logf("cluster: fenced late result for batch %d (epoch %d) from worker %s", seqNo, epoch, sess.name)
 		return
 	}
 	delete(sess.inflight, seqNo)
 	fl.delivered = true
-	cr.mu.Unlock()
+	cr.run.Unlock()
 	fl.ch <- res
 }
 
@@ -713,15 +562,14 @@ func (cr *coordRun) deliver(sess *session, seqNo int, epoch uint64, res flightRe
 // arrived within the timeout.
 func (cr *coordRun) heartbeat(sess *session) {
 	cfg := &cr.c.Cfg
-	clock := cfg.clock()
 	nonce := uint64(0)
 	for {
 		select {
-		case <-clock.After(cfg.heartbeatEvery()):
+		case <-cr.clock.After(cfg.heartbeatEvery()):
 		case <-sess.dead:
 			return
-		case <-cr.abortCh:
-			sess.kill(cr, errors.New("cluster: run aborted"))
+		case <-cr.run.Aborted():
+			sess.kill(cr, errAborted)
 			return
 		}
 		nonce++
@@ -729,52 +577,51 @@ func (cr *coordRun) heartbeat(sess *session) {
 			sess.kill(cr, fmt.Errorf("cluster: ping to worker %s: %w", sess.name, err))
 			return
 		}
-		if idle := clock.Now().Sub(time.Unix(0, sess.lastSeen.Load())); idle > cfg.heartbeatTimeout() {
-			cr.mu.Lock()
+		if idle := cr.clock.Now().Sub(time.Unix(0, sess.lastSeen.Load())); idle > cfg.heartbeatTimeout() {
+			cr.run.Lock()
 			cr.rep.HeartbeatTimeouts++
-			cr.mu.Unlock()
+			cr.run.Unlock()
 			sess.kill(cr, fmt.Errorf("cluster: worker %s silent for %v (timeout %v)", sess.name, idle, cfg.heartbeatTimeout()))
 			return
 		}
 	}
 }
 
-// runSlot is one assignment slot on a session: claim a batch, ship it,
-// await the fenced reply (or deadline, or session death), commit.
+// runSlot is one assignment slot on a session: wait for the epoch
+// fence, then claim a batch, ship it, await the fenced reply (or
+// deadline, or session death), and settle.
 func (cr *coordRun) runSlot(i int, sess *session) {
 	cfg := &cr.c.Cfg
-	clock := cfg.clock()
+	r := cr.run
 	ws := &cr.rep.Workers[i]
+	select {
+	case <-cr.fenceOpen:
+	case <-sess.dead:
+		return
+	case <-r.Aborted():
+		return
+	}
+	gone := func() bool { return sess.deadFlag }
 	for {
-		cr.mu.Lock()
-		var att *clusterAttempt
-		for {
-			if cr.aborted || cr.quar[i] || sess.deadFlag {
-				cr.mu.Unlock()
-				return
-			}
-			if att = cr.takeLocked(i); att != nil {
-				break
-			}
-			if cr.doneLocked() {
-				cr.mu.Unlock()
-				return
-			}
-			cr.cond.Wait()
+		r.Lock()
+		att := r.Claim(i, gone)
+		if att == nil {
+			r.Unlock()
+			return
 		}
 		epoch := cr.epoch
 		cr.epoch++
 		fl := &flight{att: att, epoch: epoch, ch: make(chan flightResult, 1)}
-		sess.inflight[att.b.Seq] = fl
-		cr.mu.Unlock()
+		sess.inflight[att.Batch.Seq] = fl
+		r.Unlock()
 
-		b := att.b
+		b := att.Batch
 		span := cfg.Trace.ChildOn("worker:"+sess.name, fmt.Sprintf("batch %d", b.Seq),
 			obs.Int("batch", int64(b.Seq)),
 			obs.Int("epoch", int64(epoch)),
 			obs.Int("seqs", int64(b.DB.NumSeqs())),
 			obs.Int("residues", b.DB.TotalResidues()),
-			obs.Int("attempt", int64(att.tries)))
+			obs.Int("attempt", int64(att.Tries)))
 		if err := cfg.Inject.BeforeAssign(); err != nil {
 			// An injected coordinator kill: the "primary" dies here, with
 			// this batch assigned-but-unsent and others possibly in
@@ -783,10 +630,10 @@ func (cr *coordRun) runSlot(i int, sess *session) {
 			// (cmd/hmmsearch) exits without committing anything further.
 			span.Annotate(obs.String("error", err.Error()))
 			span.End()
-			cr.fail(err)
+			r.Fail(err)
 			return
 		}
-		t0 := clock.Now()
+		t0 := cr.clock.Now()
 		if err := sess.write(encodeBatchMsg(uint64(b.Seq), epoch, uint64(b.Offset), b.DB)); err != nil {
 			span.Annotate(obs.String("error", err.Error()))
 			span.End()
@@ -798,89 +645,68 @@ func (cr *coordRun) runSlot(i int, sess *session) {
 
 		var deadlineCh <-chan time.Time
 		if cfg.BatchDeadline > 0 {
-			deadlineCh = clock.After(cfg.BatchDeadline)
+			deadlineCh = cr.clock.After(cfg.BatchDeadline)
 		}
 		var res flightResult
-		gotRes := false
 		select {
 		case res = <-fl.ch:
-			gotRes = true
 		case <-deadlineCh:
 			// The reply may have raced the deadline; resolve under the
 			// lock — exactly one of {slot, reader} removes the flight.
-			cr.mu.Lock()
+			r.Lock()
 			if fl.delivered {
-				cr.mu.Unlock()
+				r.Unlock()
 				res = <-fl.ch
-				gotRes = true
-			} else {
-				delete(sess.inflight, b.Seq)
-				cr.rep.Deadlines++
-				ws.Deadlines++
-				cr.rep.Requeues++
-				ws.Requeues++
-				cr.requeueLocked(att, i)
-				tripped := cr.strikeLocked(i)
-				cr.mu.Unlock()
-				span.Annotate(obs.String("error", "assignment deadline expired"))
-				span.End()
-				if tripped {
-					sess.kill(cr, fmt.Errorf("cluster: worker %s blew %d assignment deadlines", sess.name, cr.c.Cfg.quarantineAfter()))
-					return
-				}
-				continue
+				break
 			}
+			delete(sess.inflight, b.Seq)
+			cr.rep.Deadlines++
+			ws.Deadlines++
+			cr.rep.Requeues++
+			ws.Requeues++
+			next := r.Settle(i, att, dispatch.Requeue, nil)
+			r.Unlock()
+			span.Annotate(obs.String("error", "assignment deadline expired"))
+			span.End()
+			if !next {
+				sess.kill(cr, fmt.Errorf("cluster: worker %s blew %d assignment deadlines", sess.name, cr.policy.Trip()))
+				return
+			}
+			continue
 		case <-sess.dead:
 			// kill requeued everything undelivered; but the reply may
 			// have been delivered just before death — then it is valid
 			// and must be processed, or the batch would be lost with the
 			// requeue already fenced off.
-			cr.mu.Lock()
+			r.Lock()
 			d := fl.delivered
-			cr.mu.Unlock()
+			r.Unlock()
 			if !d {
 				span.Annotate(obs.String("error", "session died"))
 				span.End()
 				return
 			}
 			res = <-fl.ch
-			gotRes = true
-		case <-cr.abortCh:
+		case <-r.Aborted():
 			span.End()
 			return
 		}
-		_ = gotRes
-		busy := clock.Now().Sub(t0)
+		busy := cr.clock.Now().Sub(t0)
 
 		if res.execErr != "" {
 			span.Annotate(obs.String("error", res.execErr))
 			span.End()
-			cr.mu.Lock()
+			r.Lock()
 			cr.rep.RemoteFailures++
 			ws.Failures++
-			att.tries++
-			if att.tries > cfg.maxRetries() {
-				cr.active--
-				cr.failLocked(fmt.Errorf("cluster: batch %d failed on workers after %d attempts: %s",
-					b.Seq, att.tries, res.execErr))
-				cr.mu.Unlock()
-				return
-			}
-			tripped := cr.strikeLocked(i)
-			delay := cfg.backoff(att.tries)
-			cr.mu.Unlock()
-			// Stay counted in active through the backoff so siblings do
-			// not mistake the stream for drained.
-			select {
-			case <-clock.After(delay):
-			case <-cr.abortCh:
-				return
-			}
-			cr.mu.Lock()
-			cr.requeueLocked(att, i)
-			cr.mu.Unlock()
+			next := r.Settle(i, att, dispatch.Retry, fmt.Errorf("cluster: batch %d failed on workers after %d attempts: %s",
+				b.Seq, att.Tries+1, res.execErr))
+			tripped := r.Quarantined(i)
+			r.Unlock()
 			if tripped {
-				sess.kill(cr, fmt.Errorf("cluster: worker %s failed %d executions in a row", sess.name, cr.c.Cfg.quarantineAfter()))
+				sess.kill(cr, fmt.Errorf("cluster: worker %s failed %d executions in a row", sess.name, cr.policy.Trip()))
+			}
+			if !next {
 				return
 			}
 			continue
@@ -888,11 +714,12 @@ func (cr *coordRun) runSlot(i int, sess *session) {
 
 		committed, err := cr.commitFn(b, res.payload)
 		span.End()
+		r.Lock()
 		if err != nil {
-			cr.fail(err)
+			r.Settle(i, att, dispatch.Fatal, err)
+			r.Unlock()
 			return
 		}
-		cr.mu.Lock()
 		if committed {
 			ws.Batches++
 			ws.Residues += b.DB.TotalResidues()
@@ -902,56 +729,8 @@ func (cr *coordRun) runSlot(i int, sess *session) {
 			// path) won the merge token first.
 			cr.rep.FencedCommits++
 		}
-		cr.consec[i] = 0
-		cr.active--
-		cr.cond.Broadcast()
-		cr.mu.Unlock()
-	}
-}
-
-// runLocal drains the remaining stream on the coordinator itself once
-// every worker is quarantined.
-func (cr *coordRun) runLocal() {
-	defer cr.wg.Done()
-	for {
-		cr.mu.Lock()
-		var att *clusterAttempt
-		for {
-			if cr.aborted {
-				cr.mu.Unlock()
-				return
-			}
-			if att = cr.takeLocked(-1); att != nil {
-				break
-			}
-			if cr.doneLocked() {
-				cr.mu.Unlock()
-				return
-			}
-			cr.cond.Wait()
-		}
-		cr.mu.Unlock()
-
-		span := cr.c.Cfg.Trace.ChildOn("local", fmt.Sprintf("batch %d (local degraded)", att.b.Seq),
-			obs.Int("batch", int64(att.b.Seq)),
-			obs.Bool("local_degraded", true))
-		committed, err := cr.c.Cfg.Local(att.b)
-		span.End()
-
-		cr.mu.Lock()
-		cr.active--
-		if err != nil {
-			cr.failLocked(err)
-			cr.mu.Unlock()
-			return
-		}
-		if committed {
-			cr.rep.LocalBatches++
-		} else {
-			cr.rep.FencedCommits++
-		}
-		cr.cond.Broadcast()
-		cr.mu.Unlock()
+		r.Settle(i, att, dispatch.Done, nil)
+		r.Unlock()
 	}
 }
 
@@ -962,6 +741,11 @@ func (cr *coordRun) runLocal() {
 // with the worker's result payload; it must claim Batch.Commit, then
 // journal and merge, and report whether the claim succeeded. The local
 // degraded path (Cfg.Local) merges for itself.
+//
+// At Epoch > 1 (a takeover) no batch is assigned until every worker
+// has acked the epoch or failed its connect episode and been
+// quarantined, so no worker that could still ack the old primary ever
+// sees a batch of this run.
 //
 // The report is returned for clean and drained runs; the first
 // unrecoverable error (produce, commit, context, all-workers-lost with
@@ -980,10 +764,6 @@ func (c *Coordinator) Run(ctx context.Context,
 		ctx = context.Background()
 	}
 	n := len(c.Cfg.Workers)
-	depth := c.Cfg.QueueDepth
-	if depth <= 0 {
-		depth = 2 * n
-	}
 	rep := &Report{Workers: make([]WorkerStats, n), Epoch: c.Cfg.coordEpoch()}
 	for i := range rep.Workers {
 		rep.Workers[i].Name = c.Cfg.Workers[i].Name
@@ -993,92 +773,51 @@ func (c *Coordinator) Run(ctx context.Context,
 		rep:          rep,
 		ctx:          ctx,
 		commitFn:     commit,
-		abortCh:      make(chan struct{}),
-		quar:         make([]bool, n),
-		consec:       make([]int, n),
+		policy:       c.Cfg.policy(),
+		clock:        dispatch.OrWall(c.Cfg.Clock),
 		connectedOne: make([]bool, n),
-		healthy:      n,
+		fenceOpen:    make(chan struct{}),
 	}
-	cr.cond = sync.NewCond(&cr.mu)
-
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			cr.fail(ctx.Err())
-		case <-watchDone:
-		}
-	}()
-	if c.Cfg.Drain != nil {
+	if rep.Epoch > 1 {
+		cr.fence.Add(n)
 		go func() {
-			select {
-			case <-c.Cfg.Drain:
-				cr.mu.Lock()
-				cr.draining = true
-				cr.cond.Broadcast()
-				cr.mu.Unlock()
-			case <-watchDone:
-			}
+			cr.fence.Wait()
+			close(cr.fenceOpen)
 		}()
+	} else {
+		close(cr.fenceOpen)
 	}
-
-	start := time.Now()
-	cr.wg.Add(n)
+	cfg := dispatch.Config{
+		Name:        "cluster",
+		Executors:   n,
+		QueueDepth:  c.Cfg.QueueDepth,
+		Policy:      cr.policy,
+		Drain:       c.Cfg.Drain,
+		ErrAllLost:  ErrAllWorkersLost,
+		Quarantined: cr.quarantined,
+	}
+	if c.Cfg.Local != nil {
+		cfg.Fallback = cr.local
+	}
+	cr.run = dispatch.New(cfg)
 	for i := 0; i < n; i++ {
-		go cr.runWorker(i)
+		cr.run.Go(func() { cr.runWorker(i) })
 	}
-
-	submit := func(b Batch) error {
-		if b.DB == nil {
-			return fmt.Errorf("cluster: submitted batch %d has no database", b.Seq)
-		}
-		cr.mu.Lock()
-		defer cr.mu.Unlock()
-		if !cr.draining && c.Cfg.Drain != nil {
-			select {
-			case <-c.Cfg.Drain:
-				cr.draining = true
-				cr.cond.Broadcast()
-			default:
+	tot, err := cr.run.Feed(ctx, produce)
+	if err != nil {
+		return nil, err
+	}
+	rep.Wall, rep.Drained = tot.Wall, tot.Drained
+	rep.Batches, rep.Seqs, rep.Residues = tot.Batches, tot.Seqs, tot.Residues
+	rep.LocalBatches = tot.Fallbacks
+	rep.FencedCommits += tot.FallbackLost
+	if rep.Epoch > 1 {
+		for i, ok := range cr.connectedOne {
+			if !ok {
+				rep.Workers[i].Unfenced = true
+				rep.Unfenced++
 			}
 		}
-		for len(cr.pending) >= depth && !cr.aborted && !cr.draining {
-			cr.cond.Wait()
-		}
-		if cr.aborted {
-			return fmt.Errorf("cluster: run aborted: %w", cr.err)
-		}
-		if cr.draining {
-			rep.Drained = true
-			return ErrDraining
-		}
-		b.commit = new(atomic.Bool)
-		cr.pending = append(cr.pending, &clusterAttempt{b: b, excl: -1})
-		rep.Batches++
-		rep.Seqs += b.DB.NumSeqs()
-		rep.Residues += b.DB.TotalResidues()
-		cr.cond.Broadcast()
-		return nil
-	}
-	perr := produce(submit)
-	if errors.Is(perr, ErrDraining) {
-		perr = nil
-	}
-	cr.mu.Lock()
-	cr.closed = true
-	cr.cond.Broadcast()
-	cr.mu.Unlock()
-	if perr != nil {
-		cr.fail(perr)
-	}
-	cr.wg.Wait()
-	rep.Wall = time.Since(start)
-	cr.mu.Lock()
-	ferr := cr.err
-	cr.mu.Unlock()
-	if ferr != nil {
-		return nil, ferr
 	}
 	return rep, nil
 }

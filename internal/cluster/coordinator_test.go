@@ -665,3 +665,42 @@ func TestCoordinatorSIGINTStyleCancel(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// A breaker trip on a remote execution error requeues the batch
+// without spending its retry budget, the policy the device scheduler
+// applies: with no retries allowed, the batch still completes on the
+// other worker instead of failing the run.
+func TestExecErrorTripSpendsNoBudget(t *testing.T) {
+	failed := make(chan struct{})
+	var once sync.Once
+	flaky := func(ctx context.Context, seqNo uint64, db *seq.Database) ([]byte, error) {
+		once.Do(func() { close(failed) })
+		return nil, errors.New("device fault")
+	}
+	workers := append(pipeWorkers(1, 0, flaky), pipeWorkers(1, 0, testExec)...)
+	workers[1].Name = "w1"
+	// w1 connects only once w0 has failed the batch, so the failure and
+	// the trip provably land on w0.
+	dial := workers[1].Dial
+	workers[1].Dial = func(ctx context.Context) (net.Conn, error) {
+		<-failed
+		return dial(ctx)
+	}
+	cl := newCommitLog()
+	c := &Coordinator{Cfg: Config{
+		Workers:         workers,
+		Fingerprint:     testFP,
+		MaxRetries:      -1,
+		QuarantineAfter: 1,
+		BackoffBase:     time.Millisecond,
+		BackoffCap:      2 * time.Millisecond,
+	}}
+	rep, err := c.Run(context.Background(), produceN(1), cl.fn)
+	if err != nil {
+		t.Fatalf("Run: %v (the breaker trip spent retry budget)", err)
+	}
+	wantExact(t, cl, 1)
+	if rep.RemoteFailures != 1 || !rep.Workers[0].Quarantined || rep.Workers[1].Batches != 1 {
+		t.Fatalf("want one remote failure, w0 quarantined and w1 completing the batch: %s", rep)
+	}
+}

@@ -11,7 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"hmmer3gpu/internal/gpu"
+	"hmmer3gpu/internal/dispatch"
 )
 
 // ErrInjectedRefusal marks a dial the fault injector refused, standing
@@ -73,7 +73,7 @@ func newFaultPlan() *FaultPlan {
 // the chaos determinism tests pin.
 type FaultInjector struct {
 	seed  int64
-	clock gpu.Clock
+	clock dispatch.Clock
 
 	mu    sync.Mutex
 	rngs  map[int]*rand.Rand
@@ -101,7 +101,6 @@ func NewFaultInjector(seed int64) *FaultInjector {
 		batches:     make(map[int]int),
 		dead:        make(map[int]bool),
 		logs:        make(map[int][]string),
-		clock:       gpu.RealClock(),
 		coordKillAt: -1,
 	}
 }
@@ -120,7 +119,7 @@ func (fi *FaultInjector) rngLocked(worker int) *rand.Rand {
 
 // SetClock substitutes the clock used for injected stalls (tests pass
 // the same fake clock the coordinator runs on).
-func (fi *FaultInjector) SetClock(c gpu.Clock) { fi.clock = c }
+func (fi *FaultInjector) SetClock(c dispatch.Clock) { fi.clock = c }
 
 // Plan registers a fault plan for one worker index, replacing any
 // previous plan.
@@ -286,7 +285,7 @@ func (fc *faultConn) Write(b []byte) (int, error) {
 	if (kill || torn) && fc.plan.StayDead {
 		fc.fi.dead[fc.worker] = true
 	}
-	clock := fc.fi.clock
+	clock := dispatch.OrWall(fc.fi.clock)
 	fc.fi.mu.Unlock()
 
 	switch {

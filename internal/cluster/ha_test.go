@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hmmer3gpu/internal/obs"
 	"hmmer3gpu/internal/seq"
 )
 
@@ -360,6 +361,83 @@ func TestStandbyPromoteTakesOverWorkers(t *testing.T) {
 		BackoffBase: time.Millisecond, BackoffCap: time.Millisecond}}
 	if _, err := stale.Run(context.Background(), produceN(1), newCommitLog().fn); err == nil {
 		t.Fatal("stale epoch-1 coordinator ran to completion after takeover")
+	}
+}
+
+// At a takeover epoch no batch is assigned until every worker has
+// acked the epoch: w1's hello is held on a channel while w0 is up, and
+// w0 may execute nothing before w1 is fenced.
+func TestTakeoverFencesEveryWorkerBeforeDispatch(t *testing.T) {
+	const epoch = 2
+	servers := make([]*WorkerServer, 2)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	exec := func(ctx context.Context, seqNo uint64, db *seq.Database) ([]byte, error) {
+		if got := servers[1].MaxEpoch(); got != epoch {
+			t.Errorf("batch %d executed while worker w1 is at epoch %d, want %d", seqNo, got, epoch)
+		}
+		open()
+		return execPayload(seqNo, db), nil
+	}
+	specs := make([]WorkerSpec, len(servers))
+	for i := range servers {
+		ws := &WorkerServer{Name: fmt.Sprintf("w%d", i), Capacity: 1, Fingerprint: testFP, Mode: 1, Exec: exec}
+		servers[i] = ws
+		specs[i] = WorkerSpec{Name: ws.Name, Dial: func(ctx context.Context) (net.Conn, error) {
+			c1, c2 := net.Pipe()
+			go func() {
+				if ws.Name == "w1" {
+					<-release
+				}
+				ws.ServeConn(context.Background(), c2)
+			}()
+			return c1, nil
+		}}
+	}
+	cl := newCommitLog()
+	c := &Coordinator{Cfg: Config{Workers: specs, Fingerprint: testFP, Mode: 1, Epoch: epoch,
+		Logf: func(format string, args ...any) {
+			// w0 is up and holding its slots at the fence: let w1 in.
+			if strings.Contains(format, "holds its assignments") {
+				open()
+			}
+		}}}
+	rep, err := c.Run(context.Background(), produceN(2), cl.fn)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	wantExact(t, cl, 2)
+	if rep.Unfenced != 0 {
+		t.Fatalf("Unfenced = %d, want 0: %s", rep.Unfenced, rep)
+	}
+}
+
+// A worker unreachable through a takeover run never acks its epoch: the
+// run proceeds without it and reports it unfenced.
+func TestTakeoverReportsUnfencedWorker(t *testing.T) {
+	inject, err := ParseFaults("1:refuse=999", 1)
+	if err != nil {
+		t.Fatalf("ParseFaults: %v", err)
+	}
+	cl := newCommitLog()
+	c := &Coordinator{Cfg: Config{Workers: pipeWorkers(2, 1, testExec), Fingerprint: testFP, Mode: 1,
+		Epoch: 2, Inject: inject, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond}}
+	rep, err := c.Run(context.Background(), produceN(3), cl.fn)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	wantExact(t, cl, 3)
+	if rep.Unfenced != 1 || !rep.Workers[1].Unfenced || rep.Workers[0].Unfenced {
+		t.Fatalf("want w1 alone unfenced: %s", rep)
+	}
+	if !strings.Contains(rep.String(), "[unfenced]") {
+		t.Fatalf("report does not mark the unfenced worker:\n%s", rep)
+	}
+	reg := obs.NewRegistry()
+	rep.Record(reg)
+	if got, ok := reg.Get("hmmer_cluster_unfenced_workers"); !ok || got != 1 {
+		t.Fatalf("hmmer_cluster_unfenced_workers = %v (present %v), want 1", got, ok)
 	}
 }
 

@@ -30,7 +30,10 @@ type WorkerStats struct {
 	// Deadlines counts assignments reclaimed on the per-batch deadline.
 	Deadlines   int
 	Quarantined bool
-	LastError   string
+	// Unfenced marks a worker that never acked a takeover run's epoch
+	// (Epoch > 1), so it would still ack the old primary.
+	Unfenced  bool
+	LastError string
 }
 
 // Report is the outcome of one Coordinator.Run.
@@ -77,6 +80,8 @@ type Report struct {
 	ConnectFailures   int
 	Reconnects        int
 	Quarantines       int
+	// Unfenced counts the workers marked WorkerStats.Unfenced.
+	Unfenced int
 	// Workers is the per-worker breakdown, indexed by roster position.
 	Workers []WorkerStats
 }
@@ -106,6 +111,9 @@ func (r *Report) String() string {
 			obs.Pct(float64(w.Residues), float64(r.Residues)), w.Busy)
 		if w.Quarantined {
 			b.WriteString(" [quarantined]")
+		}
+		if w.Unfenced {
+			b.WriteString(" [unfenced]")
 		}
 		if w.LastError != "" {
 			fmt.Fprintf(&b, " (last error: %s)", w.LastError)
@@ -146,6 +154,7 @@ func (r *Report) Record(reg *obs.Registry) {
 	reg.AddInt("hmmer_cluster_failovers_total", int64(r.Failovers))
 	reg.AddInt("hmmer_cluster_standby_tailed_total", int64(r.StandbyTailed))
 	reg.Set("hmmer_cluster_epoch", float64(r.Epoch))
+	reg.AddInt("hmmer_cluster_unfenced_workers", int64(r.Unfenced))
 	for _, w := range r.Workers {
 		reg.Add(obs.WithLabel("hmmer_cluster_worker_busy_seconds_total", "worker", w.Name), w.Busy.Seconds())
 		reg.AddInt(obs.WithLabel("hmmer_cluster_worker_batches_total", "worker", w.Name), int64(w.Batches))
@@ -167,6 +176,8 @@ func (r *Report) Record(reg *obs.Registry) {
 		"hot-standby takeovers performed by this run (journal assumed, workers promoted)")
 	reg.Help("hmmer_cluster_standby_tailed_total",
 		"journal records consumed while tailing the primary as a standby")
+	reg.Help("hmmer_cluster_unfenced_workers",
+		"workers that never acked this takeover run's epoch and could still ack the old primary")
 	reg.Help("hmmer_cluster_epoch",
 		"the coordinator fencing epoch this run executed under")
 }

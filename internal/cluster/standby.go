@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"hmmer3gpu/internal/gpu"
+	"hmmer3gpu/internal/dispatch"
 )
 
 // Standby holds warm connections to the worker roster on behalf of a
@@ -43,28 +43,17 @@ type StandbyConfig struct {
 	// Clock substitutes a fake time source for backoff pacing in
 	// tests; nil means the wall clock. (Ping read deadlines always use
 	// wall time — net.Conn deadlines cannot run on a fake clock.)
-	Clock gpu.Clock
+	Clock dispatch.Clock
 	// Logf, when set, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
 }
 
 func (c *StandbyConfig) pingEvery() time.Duration {
-	if c.PingEvery > 0 {
-		return c.PingEvery
-	}
-	return DefaultHeartbeatEvery
-}
-
-func (c *StandbyConfig) clock() gpu.Clock {
-	if c.Clock != nil {
-		return c.Clock
-	}
-	return gpu.RealClock()
+	return orDefault(c.PingEvery, DefaultHeartbeatEvery)
 }
 
 func (c *StandbyConfig) backoff(try int) time.Duration {
-	cfg := Config{BackoffBase: c.BackoffBase, BackoffCap: c.BackoffCap}
-	return cfg.backoff(try)
+	return dispatch.Policy{BackoffBase: c.BackoffBase, BackoffCap: c.BackoffCap}.Backoff(try)
 }
 
 func (c *StandbyConfig) logf(format string, args ...any) {
@@ -126,7 +115,7 @@ func (s *Standby) Warm() int {
 func (s *Standby) maintain(ctx context.Context, i int) {
 	defer s.wg.Done()
 	spec := s.cfg.Workers[i]
-	clock := s.cfg.clock()
+	clock := dispatch.OrWall(s.cfg.Clock)
 	fails := 0
 	nonce := uint64(0)
 	for {

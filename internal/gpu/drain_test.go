@@ -24,7 +24,7 @@ func TestSchedulerDrainStopsSubmission(t *testing.T) {
 	processed := map[int]bool{}
 	s := &Scheduler{Sys: sys, Drain: drain}
 	submitted := 0
-	rep, err := s.Run(func(submit func(*seq.Database) error) error {
+	rep, err := runDBs(context.Background(), s, func(submit func(*seq.Database) error) error {
 		for i := 0; i < 40; i++ {
 			if i == 5 {
 				close(drain)
@@ -71,7 +71,7 @@ func TestSchedulerDrainBeforeStart(t *testing.T) {
 	close(drain)
 
 	s := &Scheduler{Sys: sys, Drain: drain}
-	rep, err := s.Run(feedBatches(rng, []int{30, 30, 30}),
+	rep, err := runDBs(context.Background(), s, feedBatches(rng, []int{30, 30, 30}),
 		func(devIdx int, dev *simt.Device, b Batch) error { return nil })
 	if err != nil {
 		t.Fatalf("pre-drained run surfaced an error: %v", err)
@@ -87,7 +87,7 @@ func TestSchedulerDrainBeforeStart(t *testing.T) {
 func TestSchedulerDrainErrorIsSilenced(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 1)
 	s := &Scheduler{Sys: sys}
-	_, err := s.Run(func(submit func(*seq.Database) error) error {
+	_, err := runDBs(context.Background(), s, func(submit func(*seq.Database) error) error {
 		return ErrDraining
 	}, func(devIdx int, dev *simt.Device, b Batch) error { return nil })
 	if err != nil {
@@ -95,7 +95,7 @@ func TestSchedulerDrainErrorIsSilenced(t *testing.T) {
 	}
 	// A different producer error still surfaces.
 	boom := errors.New("boom")
-	_, err = s.Run(func(submit func(*seq.Database) error) error {
+	_, err = runDBs(context.Background(), s, func(submit func(*seq.Database) error) error {
 		return boom
 	}, func(devIdx int, dev *simt.Device, b Batch) error { return nil })
 	if !errors.Is(err, boom) {

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/integrity"
 	"hmmer3gpu/internal/simt"
 )
@@ -33,27 +33,10 @@ var errLateCommit = errors.New("gpu: abandoned attempt committed its result late
 // and the scheduler has no host fallback to drain the remaining work.
 var ErrAllQuarantined = errors.New("gpu: all devices quarantined")
 
-// ErrDraining is returned by the scheduler's submit once a graceful
-// drain has been requested (Scheduler.Drain closed): the producer
-// should stop submitting and return — RunBatches treats a producer
-// that returns ErrDraining as a clean stop.
-var ErrDraining = errors.New("gpu: scheduler draining")
-
-// Clock abstracts time for the scheduler so retry/backoff tests can
-// run without real sleeps. The zero Scheduler uses the wall clock.
-type Clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// RealClock returns the wall clock, for components outside this
-// package (the cluster coordinator) that share the Clock seam.
-func RealClock() Clock { return realClock{} }
+// ErrDraining is dispatch.ErrDraining: submit returns it once
+// Scheduler.Drain closes, and RunBatches treats a producer that returns
+// it as a clean stop.
+var ErrDraining = dispatch.ErrDraining
 
 // faultClass is the scheduler's triage of a processing error.
 type faultClass int

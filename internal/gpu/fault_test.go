@@ -54,7 +54,7 @@ func TestSchedulerRetriesTransientFaultWithBackoff(t *testing.T) {
 		BackoffBase: 10 * time.Millisecond, BackoffCap: 35 * time.Millisecond}
 
 	var attempts int32
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50}),
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			if atomic.AddInt32(&attempts, 1) <= 3 {
 				return transientErr(dev.Track())
@@ -92,7 +92,7 @@ func TestSchedulerRetriesTransientFaultWithBackoff(t *testing.T) {
 func TestSchedulerRetryBudgetExhaustionFailsRun(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 1)
 	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, MaxRetries: 2, QuarantineAfter: -1}
-	_, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50}),
+	_, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			return transientErr(dev.Track())
 		})
@@ -108,7 +108,7 @@ func TestSchedulerRetriesDisabled(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 1)
 	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, MaxRetries: -1, QuarantineAfter: -1}
 	var attempts int32
-	_, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50}),
+	_, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			atomic.AddInt32(&attempts, 1)
 			return transientErr(dev.Track())
@@ -127,7 +127,7 @@ func TestSchedulerRequeuesToDifferentDevice(t *testing.T) {
 	s := &Scheduler{Sys: sys, Clock: clock, QuarantineAfter: -1}
 	var mu sync.Mutex
 	served := map[int][]int{} // batch -> device sequence
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50}),
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			mu.Lock()
 			served[b.Seq] = append(served[b.Seq], devIdx)
@@ -159,7 +159,7 @@ func TestSchedulerQuarantinesAfterConsecutiveFailures(t *testing.T) {
 	var processed int32
 	tripped := make(chan struct{})
 	var fails int32
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50, 50, 50, 50}),
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50, 50, 50, 50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			if devIdx == 0 {
 				if atomic.AddInt32(&fails, 1) == 3 {
@@ -199,7 +199,7 @@ func TestSchedulerQuarantinesLostDeviceImmediately(t *testing.T) {
 	var failures int32
 	lost := make(chan struct{})
 	var lostOnce sync.Once
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50, 50}),
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50, 50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			if devIdx == 0 {
 				atomic.AddInt32(&failures, 1)
@@ -236,7 +236,7 @@ func TestSchedulerAllQuarantinedFallsBackToHost(t *testing.T) {
 		atomic.AddInt32(&fallbacks, 1)
 		return true, nil
 	}
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50, 50}),
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50, 50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			return &simt.FaultError{Device: dev.Track(), Persistent: true, Err: simt.ErrDeviceLost}
 		})
@@ -255,7 +255,7 @@ func TestSchedulerAllQuarantinedFallsBackToHost(t *testing.T) {
 func TestSchedulerAllQuarantinedNoFallbackAborts(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
 	s := &Scheduler{Sys: sys, Clock: &fakeClock{}}
-	_, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50, 50}),
+	_, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50, 50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			return &simt.FaultError{Device: dev.Track(), Persistent: true, Err: simt.ErrDeviceLost}
 		})
@@ -275,7 +275,7 @@ func TestSchedulerWatchdogTimeout(t *testing.T) {
 	var wedgeOnce sync.Once
 	var mu sync.Mutex
 	committed := map[int]int{}
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50}),
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			if devIdx == 0 {
 				wedgeOnce.Do(func() { close(wedged) })
@@ -315,36 +315,22 @@ func TestSchedulerWatchdogTimeout(t *testing.T) {
 // test says so; fire blocks until the scheduler consumes the expiry,
 // so a test can sequence "the watchdog has expired" deterministically.
 type manualClock struct {
-	mu  sync.Mutex
-	chs []chan time.Time
+	armed chan chan time.Time
 }
+
+func newManualClock() *manualClock { return &manualClock{armed: make(chan chan time.Time, 16)} }
 
 func (c *manualClock) Now() time.Time { return time.Unix(0, 0) }
 
 func (c *manualClock) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time)
-	c.mu.Lock()
-	c.chs = append(c.chs, ch)
-	c.mu.Unlock()
+	c.armed <- ch
 	return ch
 }
 
 // fire expires the oldest armed watchdog, waiting first for one to be
 // armed and then for the scheduler to consume the expiry.
-func (c *manualClock) fire() {
-	for {
-		c.mu.Lock()
-		if len(c.chs) > 0 {
-			ch := c.chs[0]
-			c.chs = c.chs[1:]
-			c.mu.Unlock()
-			ch <- time.Time{}
-			return
-		}
-		c.mu.Unlock()
-		time.Sleep(time.Millisecond)
-	}
-}
+func (c *manualClock) fire() { <-c.armed <- time.Time{} }
 
 // An attempt that commits its result just before the watchdog expires
 // must win: the scheduler waits for the in-flight merge and counts the
@@ -354,22 +340,27 @@ func (c *manualClock) fire() {
 // abort the fully-merged run.
 func TestSchedulerWatchdogLateCommitCompletesBatch(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 1)
-	clock := &manualClock{}
+	clock := newManualClock()
 	s := &Scheduler{Sys: sys, Clock: clock, BatchTimeout: time.Second}
 	committed := make(chan struct{})
 	release := make(chan struct{})
+	produced := make(chan struct{})
+	feed := feedBatches(rand.New(rand.NewSource(1)), []int{50})
 	var calls, merges int32
 	go func() {
 		<-committed
 		clock.fire() // expire the watchdog after the attempt committed
 		close(release)
 	}()
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50}),
+	rep, err := runDBs(context.Background(), s, func(submit func(*seq.Database) error) error {
+		defer close(produced)
+		return feed(submit)
+	},
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			atomic.AddInt32(&calls, 1)
-			// Give the producer time to close the stream, so the
+			// Hold the commit until the producer is done, so the
 			// quarantine below sees no outstanding work.
-			time.Sleep(20 * time.Millisecond)
+			<-produced
 			if b.Commit() {
 				atomic.AddInt32(&merges, 1)
 			}
@@ -412,7 +403,7 @@ func TestSchedulerQuarantineTripPreservesRetryBudget(t *testing.T) {
 	tripSeq := -1
 	dev1FailedTrip := false
 	tripped := make(chan struct{})
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50}),
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			if devIdx == 0 {
 				mu.Lock()
@@ -450,13 +441,43 @@ func TestSchedulerQuarantineTripPreservesRetryBudget(t *testing.T) {
 	}
 }
 
+// With retries disabled, a transient fault that trips the breaker
+// still requeues its batch: the trip spends no budget, so the run
+// completes on the other device instead of failing.
+func TestSchedulerBreakerTripSpendsNoBudget(t *testing.T) {
+	sys := simt.NewSystem(simt.GTX580(), 2)
+	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, QuarantineAfter: 1, MaxRetries: -1}
+	// Device 1 holds its batch until device 0 has failed one, so the
+	// trip provably lands on device 0.
+	tripped := make(chan struct{})
+	var once sync.Once
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50, 50}),
+		func(devIdx int, dev *simt.Device, b Batch) error {
+			if devIdx == 0 {
+				once.Do(func() { close(tripped) })
+				return transientErr(dev.Track())
+			}
+			<-tripped
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("run aborted: %v (the breaker trip spent retry budget)", err)
+	}
+	if !rep.Faults.Devices[0].Quarantined || rep.Faults.Retries != 0 {
+		t.Errorf("faults = %+v, want device 0 quarantined and no retries", rep.Faults)
+	}
+	if rep.Util[1].Batches != 2 {
+		t.Errorf("device 1 completed %d of 2 batches", rep.Util[1].Batches)
+	}
+}
+
 func TestSchedulerContextCancellation(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
 	s := &Scheduler{Sys: sys, QueueDepth: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var once sync.Once
-	_, err := s.RunContext(ctx,
+	_, err := runDBs(ctx, s,
 		func(submit func(db *seq.Database) error) error {
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 100; i++ {
@@ -485,7 +506,7 @@ func TestSchedulerAbortStopsQueuedWork(t *testing.T) {
 	s := &Scheduler{Sys: sys, QueueDepth: 8}
 	bang := errors.New("bang")
 	var processed int32
-	_, err := s.Run(
+	_, err := runDBs(context.Background(), s,
 		func(submit func(db *seq.Database) error) error {
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 8; i++ {
@@ -509,26 +530,31 @@ func TestSchedulerAbortStopsQueuedWork(t *testing.T) {
 	}
 }
 
+// tickClock advances a second on every reading, so any wait the
+// scheduler books spans at least a second.
+type tickClock struct{ ticks atomic.Int64 }
+
+func (c *tickClock) Now() time.Time { return time.Unix(c.ticks.Add(1), 0) }
+
+func (c *tickClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
 // QueueWait must reflect starvation while work was still flowing, not
 // the final wait that ends in shutdown.
 func TestSchedulerQueueWaitExcludesShutdown(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 4)
-	s := &Scheduler{Sys: sys}
-	rep, err := s.Run(
+	s := &Scheduler{Sys: sys, Clock: &tickClock{}}
+	rep, err := runDBs(context.Background(), s,
 		func(submit func(db *seq.Database) error) error {
 			db := seq.NewDatabase("qw")
 			db.Add(&seq.Sequence{Name: "b", Residues: randomSeq(rand.New(rand.NewSource(1)), 50)})
 			return submit(db)
 		},
-		func(devIdx int, dev *simt.Device, b Batch) error {
-			time.Sleep(30 * time.Millisecond)
-			return nil
-		})
+		func(devIdx int, dev *simt.Device, b Batch) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three of four workers never claim a batch; their 30ms park while
-	// the lone batch is processed must not be booked as starvation.
+	// Three of four workers never claim a batch; their park until the
+	// stream ends must not be booked as starvation.
 	for i, u := range rep.Util {
 		if u.Batches == 0 && u.QueueWait > 10*time.Millisecond {
 			t.Errorf("idle device %d booked %v queue-wait during shutdown", i, u.QueueWait)
@@ -664,7 +690,7 @@ func TestSchedulerIntegrityFailureRunsDMR(t *testing.T) {
 			return false, nil
 		}}
 	var attempts int32
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50, 60}),
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50, 60}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			if atomic.AddInt32(&attempts, 1) == 1 {
 				return integrityErr(b)
@@ -700,7 +726,7 @@ func TestSchedulerIntegrityFailureRequeuesWithoutDMR(t *testing.T) {
 	var mu sync.Mutex
 	devs := []int{}
 	first := true
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50}),
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			mu.Lock()
 			devs = append(devs, devIdx)
@@ -735,7 +761,7 @@ func TestSchedulerIntegrityRepeatOffenderQuarantined(t *testing.T) {
 	var strikes int32
 	tripped := make(chan struct{})
 	var once sync.Once
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50, 50}),
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50, 50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			if devIdx == 0 {
 				if atomic.AddInt32(&strikes, 1) >= 2 {
@@ -771,7 +797,7 @@ func TestSchedulerIntegrityRepeatOffenderQuarantined(t *testing.T) {
 func TestSchedulerIntegrityBudgetExhaustionFailsRun(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 1)
 	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, MaxRetries: 2, QuarantineAfter: -1}
-	_, err := s.Run(feedBatches(rand.New(rand.NewSource(1)), []int{50}),
+	_, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			return integrityErr(b)
 		})

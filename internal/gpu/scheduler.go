@@ -5,52 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/obs"
 	"hmmer3gpu/internal/profile"
 	"hmmer3gpu/internal/seq"
 	"hmmer3gpu/internal/simt"
 )
 
-// Batch is one unit of streamed work: a parsed slice of the input
-// database tagged with its global position in the stream.
-type Batch struct {
-	// Seq is the batch ordinal in stream order (0, 1, 2, ...).
-	Seq int
-	// Offset is the global database index of the batch's first
-	// sequence; per-batch hit indexes are rebased by it.
-	Offset int
-	// DB holds the batch's sequences.
-	DB *seq.Database
-	// Trace is the batch's span on the serving device's track (nil
-	// when the run is untraced); process callbacks parent their stage
-	// and kernel spans under it.
-	Trace *obs.Span
-
-	// commit is the batch's one-shot merge token, shared by retries and
-	// requeues of the batch — except after a watchdog expiry, which
-	// burns the token (so the abandoned attempt can never merge) and
-	// hands the requeued attempt a fresh one.
-	commit *atomic.Bool
-}
-
-// Commit claims the batch's one-shot merge token: exactly one caller
-// across all attempts at the batch gets true. When the watchdog
-// abandons an attempt it claims the token itself, so an abandoned
-// attempt that completes late loses the race and must discard its
-// results; if the abandoned attempt committed first, the scheduler
-// waits for its merge to land and counts the batch complete instead
-// of re-running it. A zero Batch (constructed outside the scheduler)
-// always commits.
-func (b Batch) Commit() bool {
-	if b.commit == nil {
-		return true
-	}
-	return b.commit.CompareAndSwap(false, true)
-}
+// Batch is one unit of streamed work (see dispatch.Batch); process
+// callbacks get it with Trace set to the batch's span on the serving
+// device's track.
+type Batch = dispatch.Batch
 
 // DeviceUtilization is one device's share of a scheduled run — the
 // observable load-balance picture the static Partition split cannot
@@ -77,7 +44,7 @@ func (u DeviceUtilization) BusyFraction(wall time.Duration) float64 {
 	return obs.Ratio(float64(u.Busy), float64(wall))
 }
 
-// ScheduleReport is the outcome of one Scheduler.Run.
+// ScheduleReport is the outcome of one Scheduler.RunBatches.
 type ScheduleReport struct {
 	// Wall is the end-to-end wall time of the run (parsing overlapped
 	// with processing).
@@ -199,59 +166,41 @@ func (r *ScheduleReport) Record(reg *obs.Registry) {
 		"re-executions that replaced discarded corrupt batch results")
 }
 
-// Default fault-tolerance knobs (used when the corresponding
-// Scheduler field is 0; negative values disable the mechanism).
-const (
-	DefaultMaxRetries      = 3
-	DefaultQuarantineAfter = 3
-	DefaultBackoffBase     = 5 * time.Millisecond
-	DefaultBackoffCap      = 500 * time.Millisecond
-)
-
 // Scheduler feeds a stream of batches to the devices of a System
-// through a bounded pending list: the producer (host-side parsing)
-// blocks once QueueDepth batches are parsed but unprocessed
-// (backpressure, so input memory stays bounded), and each batch is
-// claimed by whichever device worker gets to it first — the dynamic
-// load balancing that replaces the static Partition split for streamed
-// input (CUDAMPF++'s point about proactive resource exhaustion:
-// throughput at scale comes from keeping every device saturated, not
-// from one up-front split).
+// through the dispatch core's bounded pending list: the producer
+// (host-side parsing) blocks once QueueDepth batches are parsed but
+// unprocessed (backpressure, so input memory stays bounded), and each
+// batch is claimed by whichever device worker gets to it first — the
+// dynamic load balancing that replaces the static Partition split for
+// streamed input (CUDAMPF++'s point about proactive resource
+// exhaustion: throughput at scale comes from keeping every device
+// saturated, not from one up-front split).
 //
-// The scheduler is fault-tolerant: a batch that fails transiently is
-// retried with capped exponential backoff, preferring a different
-// device; a device that fails persistently (lost) or accumulates
-// QuarantineAfter consecutive failures is quarantined and its share of
-// the stream drains to the healthy devices; when every device is
-// quarantined the Fallback callback (if set) completes the remaining
-// batches on the host CPU. Kernel panics are deterministic bugs, never
-// retried: they abort the run as errors.
+// The retry, breaker and host-fallback policy is dispatch's; the
+// scheduler adds what is device-specific: classifyFault's triage of
+// simt faults, the per-batch watchdog, DMR, and the per-device
+// ScheduleReport. Kernel panics are deterministic bugs, never retried:
+// they abort the run as errors.
 type Scheduler struct {
 	Sys *simt.System
 	// QueueDepth bounds parsed-but-unprocessed batches; 0 means two
 	// per device (enough to hide parse latency without unbounding
-	// memory). Requeued batches are exempt from the bound.
+	// memory).
 	QueueDepth int
 	// Trace, when non-nil, parents one span per batch attempt on the
 	// serving device's track (the per-device gantt a Chrome trace
-	// renders); the span is handed to the process callback via
-	// Batch.Trace.
+	// renders), handed to process as Batch.Trace.
 	Trace *obs.Span
 
-	// MaxRetries is the per-batch budget of retries after transient
-	// faults: 0 means DefaultMaxRetries, negative disables retrying
-	// (the first transient fault aborts the run).
-	MaxRetries int
-	// QuarantineAfter is the circuit breaker: a device with this many
-	// consecutive failures is quarantined. 0 means
-	// DefaultQuarantineAfter, negative disables the breaker
-	// (persistent device-lost faults still quarantine).
+	// MaxRetries, QuarantineAfter, BackoffBase, BackoffCap and Clock are
+	// the dispatch.Policy of the run. A transient fault spends retry
+	// budget; persistent device-lost faults quarantine whatever the
+	// breaker says.
+	MaxRetries      int
 	QuarantineAfter int
-	// BackoffBase and BackoffCap shape the exponential backoff between
-	// retries (base, 2*base, 4*base, ... capped); zero values use
-	// DefaultBackoffBase/Cap.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
+	BackoffBase     time.Duration
+	BackoffCap      time.Duration
+	Clock           dispatch.Clock
 	// BatchTimeout is the per-batch watchdog: an attempt that has not
 	// returned within it is abandoned, the device quarantined, and the
 	// batch requeued with a fresh commit token (the watchdog claims the
@@ -260,187 +209,29 @@ type Scheduler struct {
 	// is awaited and the batch counts as complete instead). 0 disables
 	// the watchdog.
 	BatchTimeout time.Duration
-	// Fallback, when non-nil, processes a batch on the host CPU; it is
-	// engaged only once every device is quarantined. It must merge its
-	// own results (guarded by Batch.Commit), report whether that
-	// Commit succeeded, and be safe to call from a dedicated
-	// goroutine.
+	// Fallback, when non-nil, processes a batch on the host CPU once
+	// every device is quarantined (dispatch.Config.Fallback).
 	Fallback func(b Batch) (committed bool, err error)
-	// DMR, when non-nil, re-executes a batch whose device results
-	// failed an integrity check on the host CPU — dual-modular
-	// redundancy on suspicion only, so the clean path pays nothing.
-	// Like Fallback it must merge its own results (guarded by
-	// Batch.Commit) and report whether that Commit succeeded. When
-	// nil, an integrity failure consumes retry budget and requeues the
-	// batch to a different device instead.
+	// DMR, when non-nil, re-executes on the host CPU a batch whose
+	// device results failed an integrity check — dual-modular
+	// redundancy on suspicion only, so the clean path pays nothing —
+	// under Fallback's contract. When nil, an integrity failure spends
+	// retry budget on a different device instead.
 	DMR func(b Batch) (committed bool, err error)
 	// Drain, when non-nil, requests a graceful stop once closed:
-	// batches already submitted finish normally (processed, committed,
-	// journaled), but submit refuses further batches with ErrDraining.
-	// This is the SIGINT path — in-flight work lands durably, then the
-	// run returns with ScheduleReport.Drained set, distinguishable from
-	// both completion and the hard abort of a cancelled context.
+	// submitted batches finish (processed, committed, journaled), and
+	// submit refuses further batches with ErrDraining. This is the
+	// SIGINT path; the run returns with ScheduleReport.Drained set.
 	Drain <-chan struct{}
-	// Clock substitutes a fake time source in tests; nil means the
-	// wall clock.
-	Clock Clock
 }
 
-func (s *Scheduler) clock() Clock {
-	if s.Clock != nil {
-		return s.Clock
-	}
-	return realClock{}
-}
-
-func (s *Scheduler) maxRetries() int {
-	if s.MaxRetries == 0 {
-		return DefaultMaxRetries
-	}
-	if s.MaxRetries < 0 {
-		return 0
-	}
-	return s.MaxRetries
-}
-
-func (s *Scheduler) quarantineAfter() int {
-	if s.QuarantineAfter == 0 {
-		return DefaultQuarantineAfter
-	}
-	if s.QuarantineAfter < 0 {
-		return 0
-	}
-	return s.QuarantineAfter
-}
-
-// backoff returns the delay before retry number `try` (1-based),
-// doubling from BackoffBase up to BackoffCap.
-func (s *Scheduler) backoff(try int) time.Duration {
-	base := s.BackoffBase
-	if base <= 0 {
-		base = DefaultBackoffBase
-	}
-	max := s.BackoffCap
-	if max <= 0 {
-		max = DefaultBackoffCap
-	}
-	shift := try - 1
-	if shift > 20 {
-		shift = 20
-	}
-	d := base << shift
-	if d > max || d <= 0 {
-		d = max
-	}
-	return d
-}
-
-// schedAttempt is one batch's place in the pending list, carrying its
-// retry count and the device that must not reclaim it.
-type schedAttempt struct {
-	b     Batch
-	tries int // failed attempts so far
-	excl  int // device index that last failed it (-1: none)
-}
-
-// schedRun is the mutable state of one Run: a cond-guarded pending
-// list replaces a channel so that requeues, quarantine and targeted
-// claiming ("any device but the one that just failed it") are
-// expressible.
+// schedRun is one RunBatches: the dispatch core and the report the
+// device workers keep under its lock.
 type schedRun struct {
-	s   *Scheduler
-	rep *ScheduleReport
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending []*schedAttempt
-	// active counts batches claimed but not yet resolved (success,
-	// requeue, or abort); workers may only exit the claim loop when
-	// the producer is done, pending is empty AND active is zero,
-	// because an active batch may still be requeued.
-	active   int
-	closed   bool
-	aborted  bool
-	draining bool
-	err      error
-	abortCh  chan struct{}
-
-	quar            []bool
-	consec          []int
-	healthy         int
-	fallbackStarted bool
-
-	wg sync.WaitGroup
-}
-
-func (st *schedRun) failLocked(err error) {
-	if !st.aborted {
-		st.aborted = true
-		st.err = err
-		close(st.abortCh)
-	}
-	st.cond.Broadcast()
-}
-
-func (st *schedRun) fail(err error) {
-	st.mu.Lock()
-	st.failLocked(err)
-	st.mu.Unlock()
-}
-
-// takeLocked claims the first pending attempt eligible for device i
-// (any=true ignores exclusions — the host fallback path). A batch is
-// ineligible for the device that just failed it unless that device is
-// the only one left in service.
-func (st *schedRun) takeLocked(i int, any bool) *schedAttempt {
-	for k, att := range st.pending {
-		if !any && att.excl >= 0 && att.excl == i && st.healthy > 1 {
-			continue
-		}
-		st.pending = append(st.pending[:k], st.pending[k+1:]...)
-		st.active++
-		st.cond.Broadcast() // pending shrank: wake the producer
-		return att
-	}
-	return nil
-}
-
-// requeueLocked puts a claimed attempt back on the pending list,
-// excluding the device that failed it.
-func (st *schedRun) requeueLocked(att *schedAttempt, failedOn int) {
-	att.excl = failedOn
-	st.pending = append(st.pending, att)
-	st.active--
-	st.cond.Broadcast()
-}
-
-// quarantineLocked takes device i out of service; when it was the last
-// healthy device, the host fallback (if any) is started, otherwise the
-// run aborts.
-func (st *schedRun) quarantineLocked(i int) {
-	if st.quar[i] {
-		return
-	}
-	st.quar[i] = true
-	st.healthy--
-	st.rep.Faults.Quarantines++
-	st.rep.Faults.Devices[i].Quarantined = true
-	if st.healthy == 0 {
-		if st.s.Fallback != nil {
-			if !st.fallbackStarted {
-				st.fallbackStarted = true
-				st.wg.Add(1)
-				go st.runFallback()
-			}
-		} else if !st.closed || len(st.pending) > 0 || st.active > 0 {
-			// Losing every device only fails the run while work is
-			// still outstanding; quarantining the last device on the
-			// stream's final batch (a late-committed watchdog expiry)
-			// leaves nothing to execute.
-			st.failLocked(fmt.Errorf("gpu: no devices left in service: %w", ErrAllQuarantined))
-		}
-	}
-	st.cond.Broadcast()
+	s     *Scheduler
+	run   *dispatch.Run
+	rep   *ScheduleReport
+	clock dispatch.Clock
 }
 
 // runBatch executes one processing attempt, racing it against the
@@ -461,7 +252,7 @@ func (st *schedRun) runBatch(i int, dev *simt.Device, b Batch,
 	select {
 	case err := <-done:
 		return err
-	case <-st.s.clock().After(st.s.BatchTimeout):
+	case <-st.clock.After(st.s.BatchTimeout):
 		if b.Commit() {
 			return fmt.Errorf("gpu: batch %d on device %d: %w after %v", b.Seq, i, ErrBatchTimeout, st.s.BatchTimeout)
 		}
@@ -470,49 +261,38 @@ func (st *schedRun) runBatch(i int, dev *simt.Device, b Batch,
 	}
 }
 
-// runWorker is device i's claim-process loop. It exits on abort, on
-// quarantine of its device, or when the stream is fully drained.
+// runWorker is device i's executor: claim, process, settle. It exits
+// on abort, on quarantine of its device, or when the stream is fully
+// drained.
 func (st *schedRun) runWorker(i int, dev *simt.Device,
 	process func(devIdx int, dev *simt.Device, b Batch) error) {
-	defer st.wg.Done()
-	s := st.s
-	util := &st.rep.Util[i]
-	dstats := &st.rep.Faults.Devices[i]
+	s, r := st.s, st.run
+	util, dstats := &st.rep.Util[i], &st.rep.Faults.Devices[i]
+	r.Lock()
+	defer r.Unlock()
 	for {
-		st.mu.Lock()
-		tw := s.clock().Now()
-		var att *schedAttempt
-		for {
-			if st.aborted || st.quar[i] {
-				st.mu.Unlock()
-				return
-			}
-			if att = st.takeLocked(i, false); att != nil {
-				break
-			}
-			if st.closed && len(st.pending) == 0 && st.active == 0 {
-				st.mu.Unlock()
-				return
-			}
-			st.cond.Wait()
+		tw := st.clock.Now()
+		att := r.Claim(i, nil)
+		if att == nil {
+			return
 		}
 		// Only a wait that ends in claiming work counts as starvation;
-		// the shutdown/abort/quarantine exits above accrue nothing.
-		wait := s.clock().Now().Sub(tw)
+		// the shutdown/abort/quarantine exits accrue nothing.
+		wait := st.clock.Now().Sub(tw)
 		util.QueueWait += wait
 		st.rep.QueueWaitSeconds.Observe(wait.Seconds())
-		if att.excl >= 0 && att.excl != i {
+		if att.Moved(i) {
 			st.rep.Faults.Requeues++
 		}
-		st.mu.Unlock()
+		r.Unlock()
 
-		b := att.b
-		b.Trace = s.Trace.ChildOn(dev.Track(), fmt.Sprintf("batch %d", b.Seq),
-			obs.Int("batch", int64(b.Seq)),
-			obs.Int("offset", int64(b.Offset)),
-			obs.Int("seqs", int64(b.DB.NumSeqs())),
-			obs.Int("residues", b.DB.TotalResidues()),
-			obs.Int("attempt", int64(att.tries)))
+		att.Batch.Trace = s.Trace.ChildOn(dev.Track(), fmt.Sprintf("batch %d", att.Batch.Seq),
+			obs.Int("batch", int64(att.Batch.Seq)),
+			obs.Int("offset", int64(att.Batch.Offset)),
+			obs.Int("seqs", int64(att.Batch.DB.NumSeqs())),
+			obs.Int("residues", att.Batch.DB.TotalResidues()),
+			obs.Int("attempt", int64(att.Tries)))
+		b := att.Batch
 		t0 := time.Now()
 		err := st.runBatch(i, dev, b, process)
 		dur := time.Since(t0)
@@ -522,257 +302,114 @@ func (st *schedRun) runWorker(i int, dev *simt.Device,
 		}
 		b.Trace.End()
 
-		st.mu.Lock()
+		r.Lock()
 		st.rep.BatchSeconds.Observe(dur.Seconds())
-		if err == nil {
-			util.Residues += b.DB.TotalResidues()
-			util.Batches++
-			st.consec[i] = 0
-			st.active--
-			st.cond.Broadcast()
-			st.mu.Unlock()
-			continue
+		out, class, err := st.outcome(i, att, err)
+		if !r.Settle(i, att, out, err) {
+			return
 		}
-		if errors.Is(err, errLateCommit) {
-			// The watchdog expired, but the abandoned attempt had
-			// already committed and merged: the batch is complete on
-			// this device. The deadline was still blown, so the
-			// timeout is recorded and the device quarantined.
-			util.Residues += b.DB.TotalResidues()
-			util.Batches++
+		if out == dispatch.Retry {
+			if class == faultIntegrity {
+				st.rep.Faults.SDCReruns++
+			} else {
+				st.rep.Faults.Retries++
+				dstats.Retries++
+			}
+		}
+	}
+}
+
+// outcome books device i's result for att and maps it to the core's
+// outcome. For Retry the returned error is the one that ends the run
+// should the batch's budget run out.
+func (st *schedRun) outcome(i int, att *dispatch.Attempt, err error) (dispatch.Outcome, faultClass, error) {
+	util, dstats := &st.rep.Util[i], &st.rep.Faults.Devices[i]
+	b := att.Batch
+	if err == nil {
+		util.Residues += b.DB.TotalResidues()
+		util.Batches++
+		return dispatch.Done, faultRunFatal, nil
+	}
+	if errors.Is(err, errLateCommit) {
+		// The watchdog expired, but the abandoned attempt had already
+		// committed and merged: the batch is complete on this device.
+		// The deadline was still blown, so the timeout is recorded and
+		// the device quarantined.
+		util.Residues += b.DB.TotalResidues()
+		util.Batches++
+		st.rep.Faults.Timeouts++
+		dstats.Timeouts++
+		return dispatch.LateDone, faultRunFatal, nil
+	}
+	dstats.Failures++
+	class := classifyFault(err)
+	switch class {
+	case faultDeviceFatal:
+		// The device is gone (lost) or suspect (a watchdog-abandoned
+		// attempt may still be running on it).
+		if errors.Is(err, ErrBatchTimeout) {
 			st.rep.Faults.Timeouts++
 			dstats.Timeouts++
-			st.active--
-			st.quarantineLocked(i)
-			st.mu.Unlock()
-			return
+			return dispatch.Burned, class, err
 		}
-		dstats.Failures++
-		switch classifyFault(err) {
-		case faultDeviceFatal:
-			// The device is gone (lost) or suspect (a watchdog-abandoned
-			// attempt may still be running on it): quarantine it and hand
-			// the batch to another device without consuming retry budget.
-			if errors.Is(err, ErrBatchTimeout) {
-				st.rep.Faults.Timeouts++
-				dstats.Timeouts++
-				// The watchdog burned the batch's merge token when it
-				// abandoned the attempt; the requeued batch needs a
-				// live one.
-				att.b.commit = new(atomic.Bool)
-			}
-			st.quarantineLocked(i)
-			st.requeueLocked(att, i)
-			st.mu.Unlock()
-			return
-		case faultIntegrity:
-			// The launch succeeded but the results are corrupt: the
-			// failed attempt returned before committing, so the batch's
-			// merge token is untouched and the corrupt result can never
-			// land. Count the detection, charge the device a health
-			// strike (a card that silently corrupts is on its way out),
-			// then replace the result: host DMR when configured,
-			// otherwise requeue to a different device on retry budget.
-			st.rep.Faults.SDCDetected++
-			dstats.SDCs++
-			st.consec[i]++
-			quarantined := false
-			if k := s.quarantineAfter(); k > 0 && st.consec[i] >= k {
-				st.quarantineLocked(i)
-				quarantined = true
-			}
-			if s.DMR != nil {
-				st.mu.Unlock()
-				span := s.Trace.ChildOn("host", fmt.Sprintf("batch %d (dmr re-execution)", b.Seq),
-					obs.Int("batch", int64(b.Seq)),
-					obs.Int("offset", int64(b.Offset)),
-					obs.Bool("sdc_rerun", true))
-				committed, derr := s.DMR(b)
-				span.End()
-				st.mu.Lock()
-				st.active--
-				if derr != nil {
-					st.failLocked(derr)
-					st.mu.Unlock()
-					return
-				}
-				// Mirrors Fallbacks: only a rerun that won the merge
-				// token actually replaced the result.
-				if committed {
-					st.rep.Faults.SDCReruns++
-				}
-				st.cond.Broadcast()
-				st.mu.Unlock()
-				if quarantined {
-					return
-				}
-				continue
-			}
-			if quarantined {
-				// A breaker trip is a device-health event, not the
-				// batch's fault: requeue without consuming its budget.
-				st.requeueLocked(att, i)
-				st.mu.Unlock()
-				return
-			}
-			att.tries++
-			if att.tries > s.maxRetries() {
-				st.active--
-				st.failLocked(fmt.Errorf("gpu: batch %d failed integrity checks after %d attempts: %w", b.Seq, att.tries, err))
-				st.mu.Unlock()
-				return
-			}
-			st.rep.Faults.SDCReruns++
-			delay := s.backoff(att.tries)
-			st.mu.Unlock()
-			select {
-			case <-s.clock().After(delay):
-			case <-st.abortCh:
-				return
-			}
-			st.mu.Lock()
-			st.requeueLocked(att, i)
-			st.mu.Unlock()
-		case faultTransient:
-			st.consec[i]++
-			if k := s.quarantineAfter(); k > 0 && st.consec[i] >= k {
-				// A device-health trip, not the batch's fault: like the
-				// device-fatal path, requeue without consuming the
-				// batch's retry budget.
-				st.quarantineLocked(i)
-				st.requeueLocked(att, i)
-				st.mu.Unlock()
-				return
-			}
-			att.tries++
-			if att.tries > s.maxRetries() {
-				st.active--
-				st.failLocked(fmt.Errorf("gpu: batch %d failed after %d attempts: %w", b.Seq, att.tries, err))
-				st.mu.Unlock()
-				return
-			}
-			st.rep.Faults.Retries++
-			dstats.Retries++
-			delay := s.backoff(att.tries)
-			st.mu.Unlock()
-			// The attempt stays counted in active during the backoff so
-			// sibling workers do not mistake the stream for drained.
-			select {
-			case <-s.clock().After(delay):
-			case <-st.abortCh:
-				return
-			}
-			st.mu.Lock()
-			st.requeueLocked(att, i)
-			st.mu.Unlock()
-		default:
-			st.active--
-			st.failLocked(err)
-			st.mu.Unlock()
-			return
+		return dispatch.Lost, class, err
+	case faultIntegrity:
+		// The launch succeeded but the results are corrupt: the failed
+		// attempt returned before committing, so the corrupt result can
+		// never land. A card that silently corrupts takes a health
+		// strike; host DMR replaces the result when configured,
+		// otherwise a different device does, on retry budget.
+		st.rep.Faults.SDCDetected++
+		dstats.SDCs++
+		if st.s.DMR != nil {
+			return dispatch.Rerun, class, err
 		}
+		return dispatch.Retry, class, fmt.Errorf("gpu: batch %d failed integrity checks after %d attempts: %w", b.Seq, att.Tries+1, err)
+	case faultTransient:
+		return dispatch.Retry, class, fmt.Errorf("gpu: batch %d failed after %d attempts: %w", b.Seq, att.Tries+1, err)
 	}
+	return dispatch.Fatal, class, err
 }
 
-// runFallback drains the remaining stream through the host CPU once
-// every device is quarantined. Exclusions do not apply: the host is
-// the only executor left.
-func (st *schedRun) runFallback() {
-	defer st.wg.Done()
-	s := st.s
-	for {
-		st.mu.Lock()
-		var att *schedAttempt
-		for {
-			if st.aborted {
-				st.mu.Unlock()
-				return
-			}
-			if att = st.takeLocked(-1, true); att != nil {
-				break
-			}
-			if st.closed && len(st.pending) == 0 && st.active == 0 {
-				st.mu.Unlock()
-				return
-			}
-			st.cond.Wait()
-		}
-		st.mu.Unlock()
-
-		b := att.b
-		b.Trace = s.Trace.ChildOn("host", fmt.Sprintf("batch %d (cpu fallback)", b.Seq),
-			obs.Int("batch", int64(b.Seq)),
-			obs.Int("offset", int64(b.Offset)),
-			obs.Bool("cpu_fallback", true))
-		t0 := time.Now()
-		committed, err := s.Fallback(b)
-		dur := time.Since(t0)
-		b.Trace.End()
-
-		st.mu.Lock()
-		st.rep.BatchSeconds.Observe(dur.Seconds())
-		st.active--
-		if err != nil {
-			st.failLocked(err)
-			st.mu.Unlock()
-			return
-		}
-		// Only batches the fallback actually committed count toward
-		// Fallbacks; a batch that was already merged elsewhere was not
-		// completed by the host.
-		if committed {
-			st.rep.Faults.Fallbacks++
-		}
-		st.cond.Broadcast()
-		st.mu.Unlock()
-	}
+// dmr re-executes a corrupt batch on the host, under the device span
+// of the attempt whose result it replaces.
+func (st *schedRun) dmr(b Batch) (bool, error) {
+	span := st.s.Trace.ChildOn("host", fmt.Sprintf("batch %d (dmr re-execution)", b.Seq),
+		obs.Int("batch", int64(b.Seq)),
+		obs.Int("offset", int64(b.Offset)),
+		obs.Bool("sdc_rerun", true))
+	defer span.End()
+	return st.s.DMR(b)
 }
 
-// Run overlaps produce with per-device processing; see RunContext.
-func (s *Scheduler) Run(
-	produce func(submit func(db *seq.Database) error) error,
-	process func(devIdx int, dev *simt.Device, b Batch) error,
-) (*ScheduleReport, error) {
-	return s.RunContext(context.Background(), produce, process)
+// fallback runs one batch on the host CPU once every device is
+// quarantined.
+func (st *schedRun) fallback(b Batch) (bool, error) {
+	b.Trace = st.s.Trace.ChildOn("host", fmt.Sprintf("batch %d (cpu fallback)", b.Seq),
+		obs.Int("batch", int64(b.Seq)),
+		obs.Int("offset", int64(b.Offset)),
+		obs.Bool("cpu_fallback", true))
+	t0 := time.Now()
+	committed, err := st.s.Fallback(b)
+	dur := time.Since(t0)
+	b.Trace.End()
+	st.run.Lock()
+	st.rep.BatchSeconds.Observe(dur.Seconds())
+	st.run.Unlock()
+	return committed, err
 }
 
-// RunContext overlaps produce with per-device processing. produce must
-// call submit once per batch, in stream order; submit blocks for
-// backpressure and returns an error once the run is aborted. process
-// runs concurrently, one invocation at a time per healthy device, and
-// must be safe for concurrent calls across devices; results must be
-// merged only after Batch.Commit reports true. Transient device faults
-// are retried per the scheduler's fault-tolerance knobs; the first
-// unrecoverable error (from produce, process, or ctx) aborts the run
-// and is returned.
-//
-// Batch identity is assigned here: consecutive ordinals and offsets in
-// submission order. A producer that needs to skip batches (resuming
-// from a checkpoint journal) must assign identity itself via
-// RunBatches.
-func (s *Scheduler) RunContext(ctx context.Context,
-	produce func(submit func(db *seq.Database) error) error,
-	process func(devIdx int, dev *simt.Device, b Batch) error,
-) (*ScheduleReport, error) {
-	seqNo, offset := 0, 0
-	return s.RunBatches(ctx, func(submit func(b Batch) error) error {
-		return produce(func(db *seq.Database) error {
-			if err := submit(Batch{Seq: seqNo, Offset: offset, DB: db}); err != nil {
-				return err
-			}
-			seqNo++
-			offset += db.NumSeqs()
-			return nil
-		})
-	}, process)
-}
-
-// RunBatches is RunContext with caller-assigned batch identity: the
-// producer submits fully-formed Batch values (Seq, Offset, DB) and the
-// scheduler only attaches the merge token. This is the entry point for
-// resumed runs, whose producer skips journaled batches — ordinals then
-// have holes, and offsets must match the original chunking rather than
-// restart at zero.
+// RunBatches overlaps produce with per-device processing. produce
+// must call submit once per batch, in stream order, with fully-formed
+// Batch values (Seq, Offset, DB); the scheduler only attaches the
+// merge token. Resumed runs skip journaled batches, so ordinals may
+// have holes and offsets follow the original chunking. submit blocks
+// for backpressure and returns an error once the run is aborted.
+// process runs concurrently, one invocation at a time per healthy
+// device, and must merge results only after Batch.Commit reports true.
+// Transient device faults are retried per the scheduler's
+// fault-tolerance knobs; the first unrecoverable error (from produce,
+// process, or ctx) aborts the run and is returned.
 //
 // A closed Drain channel stops the run gracefully: submit refuses the
 // batch with ErrDraining (unwrapped, so the producer can detect it),
@@ -785,14 +422,6 @@ func (s *Scheduler) RunBatches(ctx context.Context,
 	if s.Sys == nil || len(s.Sys.Devices) == 0 {
 		return nil, fmt.Errorf("gpu: scheduler has no devices")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	depth := s.QueueDepth
-	if depth <= 0 {
-		depth = 2 * len(s.Sys.Devices)
-	}
-
 	n := len(s.Sys.Devices)
 	rep := &ScheduleReport{
 		Util:             make([]DeviceUtilization, n),
@@ -800,105 +429,38 @@ func (s *Scheduler) RunBatches(ctx context.Context,
 		BatchSeconds:     obs.NewHist(obs.LatencyBuckets()),
 		QueueWaitSeconds: obs.NewHist(obs.LatencyBuckets()),
 	}
-	st := &schedRun{
-		s:       s,
-		rep:     rep,
-		abortCh: make(chan struct{}),
-		quar:    make([]bool, n),
-		consec:  make([]int, n),
-		healthy: n,
+	st := &schedRun{s: s, rep: rep, clock: dispatch.OrWall(s.Clock)}
+	cfg := dispatch.Config{
+		Name:       "gpu",
+		Executors:  n,
+		QueueDepth: s.QueueDepth,
+		Policy: dispatch.Policy{MaxRetries: s.MaxRetries, QuarantineAfter: s.QuarantineAfter,
+			BackoffBase: s.BackoffBase, BackoffCap: s.BackoffCap, Clock: s.Clock},
+		Drain:      s.Drain,
+		ErrAllLost: ErrAllQuarantined,
+		Quarantined: func(i, _ int) {
+			rep.Faults.Quarantines++
+			rep.Faults.Devices[i].Quarantined = true
+		},
 	}
-	st.cond = sync.NewCond(&st.mu)
-
-	// Cancellation propagates as an abort; a drain request only flips
-	// the flag so submit starts refusing. Both watchers die with the run.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			st.fail(ctx.Err())
-		case <-watchDone:
-		}
-	}()
-	if s.Drain != nil {
-		go func() {
-			select {
-			case <-s.Drain:
-				st.mu.Lock()
-				st.draining = true
-				st.cond.Broadcast()
-				st.mu.Unlock()
-			case <-watchDone:
-			}
-		}()
+	if s.Fallback != nil {
+		cfg.Fallback = st.fallback
 	}
-
-	start := time.Now()
-	st.wg.Add(n)
+	if s.DMR != nil {
+		cfg.Rerun = st.dmr
+	}
+	st.run = dispatch.New(cfg)
 	for i, dev := range s.Sys.Devices {
-		go st.runWorker(i, dev, process)
+		st.run.Go(func() { st.runWorker(i, dev, process) })
 	}
-
-	// The producer runs on this goroutine so parse errors surface with
-	// no extra synchronisation; workers overlap with it via the pending
-	// list.
-	submit := func(b Batch) error {
-		if b.DB == nil {
-			return fmt.Errorf("gpu: submitted batch %d has no database", b.Seq)
-		}
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		// The watcher goroutine delivers drains asynchronously; also poll
-		// the channel here so a drain requested before the watcher was
-		// scheduled (or between broadcasts) refuses this submit rather
-		// than the next one.
-		if !st.draining && s.Drain != nil {
-			select {
-			case <-s.Drain:
-				st.draining = true
-				st.cond.Broadcast()
-			default:
-			}
-		}
-		for len(st.pending) >= depth && !st.aborted && !st.draining {
-			st.cond.Wait()
-		}
-		if st.aborted {
-			return fmt.Errorf("gpu: scheduler aborted: %w", st.err)
-		}
-		if st.draining {
-			rep.Drained = true
-			return ErrDraining
-		}
-		b.Trace = nil
-		b.commit = new(atomic.Bool)
-		st.pending = append(st.pending, &schedAttempt{b: b, excl: -1})
-		rep.Batches++
-		rep.Seqs += b.DB.NumSeqs()
-		rep.Residues += b.DB.TotalResidues()
-		st.cond.Broadcast()
-		return nil
+	tot, err := st.run.Feed(ctx, produce)
+	if err != nil {
+		return nil, err
 	}
-	perr := produce(submit)
-	if errors.Is(perr, ErrDraining) {
-		perr = nil
-	}
-	st.mu.Lock()
-	st.closed = true
-	st.cond.Broadcast()
-	st.mu.Unlock()
-	if perr != nil {
-		st.fail(perr)
-	}
-	st.wg.Wait()
-	rep.Wall = time.Since(start)
-	st.mu.Lock()
-	ferr := st.err
-	st.mu.Unlock()
-	if ferr != nil {
-		return nil, ferr
-	}
+	rep.Wall, rep.Drained = tot.Wall, tot.Drained
+	rep.Batches, rep.Seqs, rep.Residues = tot.Batches, tot.Seqs, tot.Residues
+	rep.Faults.Fallbacks = tot.Fallbacks
+	rep.Faults.SDCReruns += tot.Reruns
 	return rep, nil
 }
 

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -14,6 +15,25 @@ import (
 	"hmmer3gpu/internal/seq"
 	"hmmer3gpu/internal/simt"
 )
+
+// runDBs runs s over a producer of bare databases, numbering the
+// batches and their offsets in submission order.
+func runDBs(ctx context.Context, s *Scheduler,
+	produce func(submit func(db *seq.Database) error) error,
+	process func(devIdx int, dev *simt.Device, b Batch) error,
+) (*ScheduleReport, error) {
+	seqNo, offset := 0, 0
+	return s.RunBatches(ctx, func(submit func(b Batch) error) error {
+		return produce(func(db *seq.Database) error {
+			if err := submit(Batch{Seq: seqNo, Offset: offset, DB: db}); err != nil {
+				return err
+			}
+			seqNo++
+			offset += db.NumSeqs()
+			return nil
+		})
+	}, process)
+}
 
 // feedBatches submits n small databases with the given per-batch
 // residue counts.
@@ -44,7 +64,7 @@ func TestSchedulerProcessesEveryBatchOnce(t *testing.T) {
 	seen := map[int]int{}    // batch ordinal -> times processed
 	offsets := map[int]int{} // batch ordinal -> offset
 	s := &Scheduler{Sys: sys}
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(2)), lens),
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(2)), lens),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			if dev != sys.Devices[devIdx] {
 				t.Error("devIdx does not match the device")
@@ -94,22 +114,24 @@ func TestSchedulerProcessesEveryBatchOnce(t *testing.T) {
 }
 
 func TestSchedulerBalancesAroundSlowDevice(t *testing.T) {
-	// Device 0 is 30x slower per batch; dynamic assignment must route
-	// most of the work to the fast devices instead of stalling on the
-	// static 1/N share.
+	// Device 0 holds its first batch until the fast devices have served
+	// every other one; dynamic assignment must route the work to them
+	// instead of stalling on the static 1/N share.
 	sys := simt.NewSystem(simt.GTX580(), 3)
 	lens := make([]int, 30)
 	for i := range lens {
 		lens[i] = 20
 	}
+	var fastDone atomic.Int32
+	slowFree := make(chan struct{})
 	s := &Scheduler{Sys: sys, QueueDepth: 1}
-	rep, err := s.Run(feedBatches(rand.New(rand.NewSource(3)), lens),
+	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(3)), lens),
 		func(devIdx int, dev *simt.Device, b Batch) error {
-			d := time.Millisecond
 			if devIdx == 0 {
-				d = 30 * time.Millisecond
+				<-slowFree
+			} else if fastDone.Add(1) == int32(len(lens)-1) {
+				close(slowFree)
 			}
-			time.Sleep(d)
 			return nil
 		})
 	if err != nil {
@@ -127,13 +149,18 @@ func TestSchedulerBalancesAroundSlowDevice(t *testing.T) {
 func TestSchedulerBackpressureBoundsQueue(t *testing.T) {
 	// With QueueDepth=2 and workers blocked, at most depth+devices
 	// batches can be submitted before the producer blocks.
+	// The bound is checked at every submit: the workers stay blocked
+	// until the queue is full and both hold a batch.
 	sys := simt.NewSystem(simt.GTX580(), 2)
 	release := make(chan struct{})
+	var released atomic.Bool
+	full := make(chan struct{})
+	claimed := make(chan struct{}, 2)
 	var submitted atomic.Int64
 	done := make(chan error, 1)
 	s := &Scheduler{Sys: sys, QueueDepth: 2}
 	go func() {
-		_, err := s.Run(func(submit func(*seq.Database) error) error {
+		_, err := runDBs(context.Background(), s, func(submit func(*seq.Database) error) error {
 			rng := rand.New(rand.NewSource(4))
 			for i := 0; i < 20; i++ {
 				db := seq.NewDatabase("bp")
@@ -141,19 +168,28 @@ func TestSchedulerBackpressureBoundsQueue(t *testing.T) {
 				if err := submit(db); err != nil {
 					return err
 				}
-				submitted.Add(1)
+				switch n := submitted.Add(1); {
+				case n > 4 && !released.Load():
+					t.Errorf("%d batches submitted while workers blocked; backpressure bound is 4", n)
+				case n == 4:
+					close(full)
+				}
 			}
 			return nil
 		}, func(devIdx int, dev *simt.Device, b Batch) error {
+			select {
+			case claimed <- struct{}{}:
+			default:
+			}
 			<-release
 			return nil
 		})
 		done <- err
 	}()
-	time.Sleep(100 * time.Millisecond)
-	if n := submitted.Load(); n > 4 {
-		t.Errorf("%d batches submitted while workers blocked; backpressure bound is 4", n)
-	}
+	<-full
+	<-claimed
+	<-claimed
+	released.Store(true)
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -167,7 +203,7 @@ func TestSchedulerPropagatesErrors(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
 	sentinel := errors.New("kernel fault")
 	s := &Scheduler{Sys: sys, QueueDepth: 1}
-	_, err := s.Run(feedBatches(rand.New(rand.NewSource(5)), make([]int, 50)),
+	_, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(5)), make([]int, 50)),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			if b.Seq == 3 {
 				return sentinel
@@ -179,7 +215,7 @@ func TestSchedulerPropagatesErrors(t *testing.T) {
 	}
 
 	parseErr := errors.New("bad fasta")
-	_, err = s.Run(func(submit func(*seq.Database) error) error {
+	_, err = runDBs(context.Background(), s, func(submit func(*seq.Database) error) error {
 		return parseErr
 	}, func(devIdx int, dev *simt.Device, b Batch) error { return nil })
 	if !errors.Is(err, parseErr) {
@@ -187,7 +223,7 @@ func TestSchedulerPropagatesErrors(t *testing.T) {
 	}
 
 	empty := &Scheduler{Sys: &simt.System{}}
-	if _, err := empty.Run(nil, nil); err == nil {
+	if _, err := runDBs(context.Background(), empty, nil, nil); err == nil {
 		t.Error("scheduler with no devices accepted")
 	}
 }
@@ -244,11 +280,8 @@ func TestSchedulerLatencyHistograms(t *testing.T) {
 		lens[i] = 20
 	}
 	s := &Scheduler{Sys: sys}
-	rep, err := s.Run(feedBatches(rng, lens),
-		func(devIdx int, dev *simt.Device, b Batch) error {
-			time.Sleep(time.Millisecond)
-			return nil
-		})
+	rep, err := runDBs(context.Background(), s, feedBatches(rng, lens),
+		func(devIdx int, dev *simt.Device, b Batch) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

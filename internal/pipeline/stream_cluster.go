@@ -18,6 +18,7 @@ import (
 
 	"hmmer3gpu/internal/checkpoint"
 	"hmmer3gpu/internal/cluster"
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/obs"
 	"hmmer3gpu/internal/seq"
@@ -59,7 +60,7 @@ type ClusterConfig struct {
 	// and connections (chaos testing; see cluster.ParseFaults).
 	Inject *cluster.FaultInjector
 	// Clock substitutes a fake time source (tests); nil = wall clock.
-	Clock gpu.Clock
+	Clock dispatch.Clock
 	// Logf, when set, receives one line per cluster lifecycle event.
 	Logf func(format string, args ...any)
 }

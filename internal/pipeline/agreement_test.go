@@ -297,6 +297,89 @@ func TestRunGPUKernelStatsPinned(t *testing.T) {
 	}
 }
 
+// TestRunGPUKernelStatsPinnedFermi is TestRunGPUKernelStatsPinned on
+// the GTX 580, whose row maxima go through the shared-memory scratch
+// reduction, with a fast-mode run of every launch beside it: the same
+// hits and the warps it ran, nothing else recorded.
+func TestRunGPUKernelStatsPinnedFermi(t *testing.T) {
+	pins := []struct {
+		m        int
+		mem      gpu.MemConfig
+		msv, vit string // as in TestRunGPUKernelStatsPinned
+	}{
+		{48, gpu.MemShared,
+			"{512 266890 126980 102482 0 2302 65 302976 0 0 0 27904 0 0 0 0 0 3536472 7418528 498719}",
+			"{256 51270 26746 12556 0 485 7 62976 0 0 0 49100 0 6584 0 0 0 881689 1273408 97648}"},
+		{48, gpu.MemGlobal,
+			"{512 266890 101584 101714 0 2142 65 282496 28738 0 3678464 618592 0 0 0 0 0 3512952 7388832 501133}",
+			"{256 51270 17258 12556 0 101 7 13824 12857 0 1645696 455884 0 6584 0 0 0 869529 1261120 100633}"},
+		{400, gpu.MemShared,
+			"{512 763202 375616 228859 0 3197 65 417536 0 0 0 162428 0 0 0 0 0 15858328 19447584 1370939}",
+			"{128 1515036 844818 322062 0 3681 8 472192 0 0 0 400132 0 214454 0 0 0 35338699 37458208 2900059}"},
+		{400, gpu.MemGlobal,
+			"{512 763202 223022 223867 0 1981 65 261888 186151 0 23827328 4703644 0 0 0 0 0 15665848 19248928 1398288}",
+			"{256 1515036 496106 322062 0 561 8 72832 492418 0 63029504 21461508 0 214454 0 0 0 35239243 37358368 3040645}"},
+		{1056, gpu.MemShared, "", ""}, // the Viterbi tables do not fit a GTX 580's shared memory
+		{1056, gpu.MemGlobal,
+			"{512 1525197 410163 412373 0 1779 65 236032 434034 0 55556352 11113588 0 0 0 0 0 34768696 37486112 2783611}",
+			"{96 8556788 2803210 1772740 0 1305 7 167936 2956181 0 378391168 131996828 0 1209562 0 0 0 210451796 212468160 17299793}"},
+	}
+	pls := map[int]*Pipeline{}
+	dbs := map[int]*seq.Database{}
+	for _, pin := range pins {
+		pl, db := pls[pin.m], dbs[pin.m]
+		if pl == nil {
+			h, err := workload.Model("pin", pin.m, abc, int64(pin.m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := workload.EnvnrLike(0.00001, 41)
+			spec.HomologFrac = 0.1
+			if db, err = workload.Generate(spec, h, abc); err != nil {
+				t.Fatal(err)
+			}
+			opts := DefaultOptions()
+			opts.SkipForward = true
+			opts.Calibration = stats.CalibrateOptions{N: 64, L: 100, Seed: 1, TailMass: 0.04}
+			if pl, err = New(h, int(db.MeanLen()), opts); err != nil {
+				t.Fatal(err)
+			}
+			pls[pin.m], dbs[pin.m] = pl, db
+		}
+		res, err := pl.RunGPU(simt.NewDevice(simt.GTX580()), pin.mem, db)
+		if pin.msv == "" {
+			if err == nil {
+				t.Errorf("M=%d %v: ran, want the plan refused as at the parent", pin.m, pin.mem)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("M=%d %v: %v", pin.m, pin.mem, err)
+		}
+		extra := res.Extra.(*GPUExtra)
+		msv, vit := extra.MSVReport.Launch.Stats, extra.VitReport.Launch.Stats
+		if got := fmt.Sprint(msv); got != pin.msv {
+			t.Errorf("M=%d %v MSV stats\n got %s\nwant %s", pin.m, pin.mem, got, pin.msv)
+		}
+		if got := fmt.Sprint(vit); got != pin.vit {
+			t.Errorf("M=%d %v Viterbi stats\n got %s\nwant %s", pin.m, pin.mem, got, pin.vit)
+		}
+		dev := simt.NewDevice(simt.GTX580())
+		dev.Mode = simt.ModeFast
+		fast, err := pl.RunGPU(dev, pin.mem, db)
+		if err != nil {
+			t.Fatalf("M=%d %v fast: %v", pin.m, pin.mem, err)
+		}
+		sameHits(t, fmt.Sprintf("M=%d %v fast", pin.m, pin.mem), res, fast)
+		fx := fast.Extra.(*GPUExtra)
+		if fx.MSVReport.Launch.Stats != (simt.KernelStats{WarpsExecuted: msv.WarpsExecuted}) ||
+			fx.VitReport.Launch.Stats != (simt.KernelStats{WarpsExecuted: vit.WarpsExecuted}) {
+			t.Errorf("M=%d %v fast mode recorded %v / %v", pin.m, pin.mem,
+				fx.MSVReport.Launch.Stats, fx.VitReport.Launch.Stats)
+		}
+	}
+}
+
 // TestBatchModelledTimeIgnoresDeviceHistory is the assumption the
 // replayed stream-scaling timeline (bench.StreamScaling) rests on: what
 // a batch costs on the model depends on the batch alone, not on what

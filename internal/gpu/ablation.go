@@ -49,6 +49,7 @@ func (r *syncedMSVRun) kernel(w *simt.Warp) {
 	// The per-warp reduction is the warp-synchronous kernel's, which
 	// takes its operand as register words.
 	xEvReg := make([]uint64, lanes/lanesPerWordU8)
+	vals := make([]uint64, lanes/lanesPerWordU8)
 	partner := make([]uint64, lanes/lanesPerWordU8)
 	// Block shared layout: row buffer [0, M+1), then one byte per warp
 	// of reduction scratch (word-padded), then Fermi warp scratch.
@@ -149,7 +150,11 @@ func (r *syncedMSVRun) kernel(w *simt.Warp) {
 			// per-warp max, leaders publish, barrier, warp 0 reduces,
 			// barrier, everyone reads the result.
 			satmath.PackLanes(xEvReg, xEv)
-			warpMax := warpMaxU8(w, xEvReg, partner, warpScratch+w.WarpInBlock*reduceScratchU8)
+			var acc uint64
+			for _, v := range xEvReg {
+				acc = satmath.MaxU8x8(acc, v)
+			}
+			warpMax := warpMaxU8(w, xEvReg, acc, vals, partner, warpScratch+w.WarpInBlock*reduceScratchU8)
 			w.SharedStoreU8([]int{redBase + w.WarpInBlock}, []uint8{warpMax})
 			r.sync(w)
 			var xE uint8

@@ -15,8 +15,10 @@ type CostModel interface {
 	// mark inactive lanes) including bank-conflict replays.
 	SharedAccess(w *Warp, sm *SharedMem, addrs []int, store bool)
 	// SharedSpan accounts a contiguous shared access of `active`
-	// consecutive cells: at most `banks` consecutive words, which map
-	// to pairwise-distinct banks — conflict-free by construction.
+	// consecutive cells as the run of warp-wide accesses it stands for:
+	// one per warp-width chunk, the last one ragged. Each covers at most
+	// `banks` consecutive words, which map to pairwise-distinct banks —
+	// conflict-free by construction.
 	SharedSpan(w *Warp, active int, store bool)
 	// SharedBroadcast accounts an all-lanes-same-word shared read
 	// (hardware broadcast: one conflict-free access).
@@ -24,8 +26,9 @@ type CostModel interface {
 	// GlobalAccess accounts one generic per-lane global access of
 	// width bytes per lane, counting 128-byte coalesced transactions.
 	GlobalAccess(w *Warp, addrs []int64, width int, cached, store bool)
-	// GlobalSpan accounts a fully-coalesced global access: `active`
-	// lanes covering [base, base+active*width).
+	// GlobalSpan accounts a fully-coalesced global access of `active`
+	// cells covering [base, base+active*width), chunked like SharedSpan:
+	// each warp-width chunk counts the 128-byte segments it touches.
 	GlobalSpan(w *Warp, base int64, width, active int, cached, store bool)
 	// GlobalBroadcast accounts an all-lanes-same-address global read.
 	GlobalBroadcast(w *Warp, addr int64, width int, cached bool)
@@ -60,14 +63,16 @@ func (cycleModel) SharedAccess(w *Warp, sm *SharedMem, addrs []int, store bool) 
 }
 
 func (cycleModel) SharedSpan(w *Warp, active int, store bool) {
-	w.stats.TotalLaneSlots += int64(w.dev.Spec.WarpSize)
+	lanes := w.dev.Spec.WarpSize
+	chunks := int64((active + lanes - 1) / lanes)
+	w.stats.TotalLaneSlots += chunks * int64(lanes)
 	w.stats.ActiveLaneSlots += int64(active)
 	if store {
-		w.stats.SharedStores++
+		w.stats.SharedStores += chunks
 	} else {
-		w.stats.SharedLoads++
+		w.stats.SharedLoads += chunks
 	}
-	w.addCycles(1)
+	w.addCycles(chunks)
 }
 
 func (cycleModel) SharedBroadcast(w *Warp) {
@@ -87,11 +92,17 @@ func (cycleModel) GlobalAccess(w *Warp, addrs []int64, width int, cached, store 
 }
 
 func (cycleModel) GlobalSpan(w *Warp, base int64, width, active int, cached, store bool) {
-	w.stats.TotalLaneSlots += int64(w.dev.Spec.WarpSize)
+	lanes := w.dev.Spec.WarpSize
+	var t int64
+	for c := 0; c < active; c += lanes {
+		// Distinct 128-byte segments touched by this chunk's bytes.
+		lo := base + int64(c*width)
+		hi := lo + int64(min(lanes, active-c)*width) - 1
+		t += hi>>7 - lo>>7 + 1
+		w.stats.TotalLaneSlots += int64(lanes)
+	}
 	w.stats.ActiveLaneSlots += int64(active)
 	w.stats.GlobalRequestedBytes += int64(active * width)
-	// Distinct 128-byte segments touched by [base, base+active*width).
-	t := (base+int64(active*width)-1)>>7 - base>>7 + 1
 	globalCharge(w, t, cached, store)
 }
 

@@ -203,7 +203,7 @@ func TestKernelPanicRecoveredWithContext(t *testing.T) {
 	_, err := dev.Launch(LaunchConfig{Blocks: 3, WarpsPerBlock: 1, Name: "msv", HostWorkers: 1},
 		func(w *Warp) {
 			if w.BlockIdx == 1 {
-				w.ShuffleTouch()
+				w.ShuffleTouch(1)
 			}
 		})
 	var kp *KernelPanicError

@@ -69,7 +69,7 @@ func TestFastModeRecordsNothing(t *testing.T) {
 		w.GlobalSpanStore(0, 8, 1)
 		w.GlobalBroadcastLoad(0, 4)
 		w.ShflXorF32Into(f, f, 1)
-		w.ShuffleTouch()
+		w.ShuffleTouch(1)
 		w.Vote()
 	}
 	rep, err := dev.Launch(LaunchConfig{
@@ -109,7 +109,7 @@ func TestFastModeOpsAllocateNothing(t *testing.T) {
 			w.SharedSpanLoadWords(words, 3, lanes-5, 1)
 			w.SharedSpanTouch(0, 4, lanes, false)
 			w.ALU(3)
-			w.ShuffleTouch()
+			w.ShuffleTouch(1)
 			w.Vote()
 		})
 	})

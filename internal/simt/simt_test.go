@@ -264,7 +264,7 @@ func TestShufflePanicsOnFermi(t *testing.T) {
 		op string
 		fn func(w *Warp)
 	}{
-		{"shfl.xor", func(w *Warp) { w.ShuffleTouch() }},
+		{"shfl.xor", func(w *Warp) { w.ShuffleTouch(1) }},
 		{"shfl.xor", func(w *Warp) { w.ShflXorF32Into(f, f, 16) }},
 		{"shfl.up", func(w *Warp) { w.ShflUpI32Into(i, i, 1) }},
 	} {
@@ -287,7 +287,7 @@ func TestVote(t *testing.T) {
 	rep, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1}, func(w *Warp) {
 		w.Vote()
 		w.Vote()
-		w.ShuffleTouch()
+		w.ShuffleTouch(1)
 	})
 	if err != nil {
 		t.Fatal(err)

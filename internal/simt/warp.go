@@ -2,13 +2,16 @@ package simt
 
 // Warp is the execution context handed to a kernel: one 32-lane SIMT
 // work unit. Kernels hold the warp's registers themselves — the MSV and
-// P7Viterbi kernels as satmath SWAR words, 32 lanes in four or eight
-// uint64s; the float kernels and the ablations as one slice element
-// per lane — and report costs through the Warp's operations; shared
-// and global memory go through the Warp so that bank conflicts,
-// coalescing, races and cycles are accounted. An exchange or vote
-// whose result the kernel can compute on its own registers is charged
-// without moving data (ShuffleTouch, Vote, SharedSpanTouch).
+// P7Viterbi kernels as satmath SWAR words, a whole DP row of 32-lane
+// chunks at a time; the float kernels and the ablations as one slice
+// element per lane — and report costs through the Warp's operations;
+// shared and global memory go through the Warp so that bank conflicts,
+// coalescing, races and cycles are accounted. A span longer than the
+// warp is charged as the warp-wide spans it stands for (warp_span.go).
+// An exchange, vote or read-back whose result the kernel can compute
+// on its own registers is charged without moving data (ShuffleTouch,
+// Vote, SharedSpanTouch); for a read-back that holds only while the
+// block's shared memory is exact (SharedExact).
 //
 // A Warp is owned by a single goroutine for the duration of the kernel.
 type Warp struct {
@@ -47,6 +50,18 @@ func (w *Warp) TotalWarps() int { return w.NumBlocks * w.WarpsPerBlock }
 // instructions (Kepler); Fermi kernels must take the shared-memory
 // reduction path instead.
 func (w *Warp) HasShuffle() bool { return w.dev.Spec.HasShuffle }
+
+// SharedExact reports whether this block's shared memory is exact: no
+// flip@shared= overlay and no race tracking, so a load returns the
+// bytes last stored and the order of a warp's accesses is
+// unobservable. A kernel may then take a read-back of bytes the warp
+// itself stored from its registers, charging the load it stands for
+// (SharedSpanTouch of the same shape). Otherwise such reads must be
+// real loads, issued where the device would issue them.
+func (w *Warp) SharedExact() bool {
+	sm := w.block.shared
+	return sm.faults == nil && !sm.trackRaces
+}
 
 func (w *Warp) addCycles(n int64) {
 	w.stats.IssueCycles += n

@@ -24,17 +24,19 @@ func (w *Warp) SharedLoadU8Into(dst []uint8, addrs []int) {
 	}
 }
 
-// ShuffleTouch meters one warp-shuffle instruction without moving any
-// data: the op for an exchange whose result the kernel computes on its
+// ShuffleTouch meters n warp-shuffle instructions without moving any
+// data: the op for exchanges whose result the kernel computes on its
 // SWAR register words (a butterfly max is a word fold), as
-// SharedSpanTouch is for memory. It costs what ShflXorF32Into costs
+// SharedSpanTouch is for memory. Each costs what ShflXorF32Into costs
 // and, like it, is an illegal instruction on a device without shuffle.
-func (w *Warp) ShuffleTouch() {
+func (w *Warp) ShuffleTouch(n int) {
 	if !w.dev.Spec.HasShuffle {
 		w.fail("shfl.xor", "no warp shuffle on this device")
 	}
 	if w.cost != nil {
-		w.cost.Shuffle(w)
+		for range n {
+			w.cost.Shuffle(w)
+		}
 	}
 }
 

@@ -135,7 +135,7 @@ func main() {
 		ran = true
 	}
 	if want("extension") {
-		run("extension", func() error { _, err := bench.Extension(cfg, os.Stdout); return err })
+		run("extension", func() error { _, err := bench.SpillStudy(cfg, os.Stdout); return err })
 		ran = true
 	}
 	if want("sensitivity") {

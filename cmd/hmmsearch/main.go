@@ -48,7 +48,6 @@ func main() {
 		evalue   = flag.Float64("E", 10.0, "report hits with E-value <= this")
 		aligns   = flag.Bool("alignments", false, "render domain alignments for reported hits")
 		null2    = flag.Bool("null2", false, "apply the biased-composition score correction")
-		gpufwd   = flag.Bool("gpufwd", false, "run the Forward stage on the device too (-engine gpu)")
 		tblout   = flag.String("tblout", "", "write a machine-readable per-target table to this file")
 		stream   = flag.Int("stream", 0, "stream the database in batches of this many sequences (constant memory); 0 loads it whole (-engine cpu or multigpu)")
 		batchres = flag.Int64("batchres", 0, "multigpu streaming: residue budget per batch (0 = stream * targlen)")
@@ -98,6 +97,10 @@ func main() {
 	sk := newSinks(*trace, *traceFmt, *metrics, *kprof)
 	simMode, err = simt.ParseMode(*sim)
 	check(err)
+	memCfg, err := gpu.ParseMemConfig(*mem)
+	check(err)
+	verifyMode, err := pipeline.ParseVerifyMode(*verify)
+	check(err)
 
 	if *stream > 0 {
 		budget := *batchres
@@ -140,7 +143,7 @@ func main() {
 				standby:         *haStandby,
 				epoch:           *haEpoch,
 			}
-			runClusterStreaming(abc, flag.Arg(0), flag.Arg(1), memConfig(*mem), *devices,
+			runClusterStreaming(abc, flag.Arg(0), flag.Arg(1), memCfg, *devices,
 				budget, *targlen, *workers, *evalue, *tblout, sk, cl, co)
 			flushSinks(sk)
 			return
@@ -159,9 +162,9 @@ func main() {
 				quarantineAfter: *quarAfter,
 				batchTimeout:    *batchTimeout,
 				noFallback:      *noFallback,
-				verify:          verifyMode(*verify),
+				verify:          verifyMode,
 			}
-			runMultiStreaming(abc, flag.Arg(0), flag.Arg(1), memConfig(*mem), *devices,
+			runMultiStreaming(abc, flag.Arg(0), flag.Arg(1), memCfg, *devices,
 				budget, *targlen, *workers, *evalue, *tblout, sk, fo, co)
 		default:
 			fatalf("-stream requires -engine cpu or multigpu")
@@ -182,12 +185,9 @@ func main() {
 	opts.Workers = *workers
 	opts.ComputeAlignments = *aligns
 	opts.UseNull2 = *null2
-	opts.GPUForward = *gpufwd
 	sk.Apply(&opts)
 	pl, err := pipeline.New(query, int(db.MeanLen()), opts)
 	check(err)
-
-	memCfg := memConfig(*mem)
 
 	var res *pipeline.Result
 	switch *engine {
@@ -296,21 +296,6 @@ func printWrapped(dom refimpl.DomainAlignment, qname, tname string) {
 	}
 }
 
-// memConfig parses the -mem flag.
-func memConfig(name string) gpu.MemConfig {
-	switch name {
-	case "auto":
-		return gpu.MemAuto
-	case "shared":
-		return gpu.MemShared
-	case "global":
-		return gpu.MemGlobal
-	default:
-		fatalf("unknown -mem %q", name)
-		panic("unreachable")
-	}
-}
-
 // runStreaming searches a FASTA stream without loading it into memory.
 func runStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, batch, targetLen, workers int, evalue float64, tblout string, sk *sinks) {
 	hf, err := os.Open(hmmPath)
@@ -332,24 +317,7 @@ func runStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, batch, targ
 	check(err)
 
 	fmt.Printf("Query:    %s (M=%d, streamed in batches of %d)\n", query.Name, query.M, batch)
-	fmt.Printf("Pipeline: MSV %d/%d passed; Viterbi %d; Forward hits %d\n\n",
-		res.MSV.Out, res.MSV.In, res.Viterbi.Out, len(res.Hits))
-	fmt.Printf("%-12s %-28s %10s\n", "E-value", "sequence", "fwd bits")
-	shown := 0
-	for _, h := range res.Hits {
-		if h.EValue > evalue {
-			continue
-		}
-		fmt.Printf("%-12.3g %-28s %10.2f\n", h.EValue, h.Name, h.FwdBits)
-		shown++
-	}
-	if shown == 0 {
-		fmt.Println("  (no hits below the E-value threshold)")
-	}
-	if tblout != "" {
-		check(writeTblout(tblout, query.Name, res))
-		fmt.Printf("\nper-target table written to %s\n", tblout)
-	}
+	printStreamed(query.Name, res, evalue, tblout)
 }
 
 // faultOpts carries the chaos-engineering flags into the multigpu
@@ -402,20 +370,6 @@ type clusterOpts struct {
 // in internal/drainctx so hmmworker and hmmserved share it.
 func drainOnInterrupt() (ctx context.Context, drain <-chan struct{}, stop func()) {
 	return drainctx.Notify("hmmsearch", os.Stderr, os.Interrupt)
-}
-
-// verifyMode parses the -verify flag.
-func verifyMode(s string) pipeline.VerifyMode {
-	switch s {
-	case "off":
-		return pipeline.VerifyOff
-	case "guards":
-		return pipeline.VerifyGuards
-	case "dmr":
-		return pipeline.VerifyDMR
-	}
-	fatalf("unknown -verify mode %q (want off, guards, or dmr)", s)
-	return pipeline.VerifyOff
 }
 
 // runMultiStreaming searches a FASTA stream across simulated devices:
@@ -497,35 +451,8 @@ func runMultiStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, mem gp
 		query.Name, query.M, sched.Batches, batchResidues)
 	fmt.Printf("Devices:  %d x %s\n", devices, sys.Devices[0].Spec.Name)
 	fmt.Println(sched.String())
-	if st := extra.Checkpoint; st != nil {
-		fmt.Printf("Journal:  %s (%d batches journaled, %d replayed, %d torn-tail dropped, %d fsyncs)\n",
-			co.path, st.Journaled, st.Replayed, st.DroppedTail, st.Syncs)
-	}
-	if extra.Drained {
-		fmt.Printf("Run drained before the end of the stream: partial results only.\n")
-		if co.path != "" {
-			fmt.Printf("Resume with: hmmsearch -engine multigpu -stream -batchres %d -journal %s -resume ...\n",
-				batchResidues, co.path)
-		}
-	}
-	fmt.Printf("Pipeline: MSV %d/%d passed; Viterbi %d; Forward hits %d\n\n",
-		res.MSV.Out, res.MSV.In, res.Viterbi.Out, len(res.Hits))
-	fmt.Printf("%-12s %-28s %10s\n", "E-value", "sequence", "fwd bits")
-	shown := 0
-	for _, h := range res.Hits {
-		if h.EValue > evalue {
-			continue
-		}
-		fmt.Printf("%-12.3g %-28s %10.2f\n", h.EValue, h.Name, h.FwdBits)
-		shown++
-	}
-	if shown == 0 {
-		fmt.Println("  (no hits below the E-value threshold)")
-	}
-	if tblout != "" {
-		check(writeTblout(tblout, query.Name, res))
-		fmt.Printf("\nper-target table written to %s\n", tblout)
-	}
+	printRecovery(co, extra.Checkpoint, extra.Drained, "hmmsearch -engine multigpu -stream", batchResidues)
+	printStreamed(query.Name, res, evalue, tblout)
 }
 
 // runClusterStreaming shards a FASTA stream across cluster workers:
@@ -649,17 +576,30 @@ func runClusterStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, mem 
 		fmt.Printf("Failover: took over at epoch %d after tailing %d committed batches from the primary's journal\n",
 			rep.Epoch, rep.StandbyTailed)
 	}
-	if st := extra.Checkpoint; st != nil {
+	printRecovery(co, extra.Checkpoint, extra.Drained, "hmmsearch -stream", batchResidues)
+	printStreamed(query.Name, res, evalue, tblout)
+}
+
+// printRecovery prints a journaled streamed run's Journal: line and,
+// when the run drained before the end of the stream, how to resume it;
+// resume is the command line up to its -batchres flag.
+func printRecovery(co ckptOpts, st *checkpoint.Stats, drained bool, resume string, batchResidues int64) {
+	if st != nil {
 		fmt.Printf("Journal:  %s (%d batches journaled, %d replayed, %d torn-tail dropped, %d fsyncs)\n",
 			co.path, st.Journaled, st.Replayed, st.DroppedTail, st.Syncs)
 	}
-	if extra.Drained {
+	if drained {
 		fmt.Printf("Run drained before the end of the stream: partial results only.\n")
 		if co.path != "" {
-			fmt.Printf("Resume with: hmmsearch -stream -batchres %d -journal %s -resume ...\n",
-				batchResidues, co.path)
+			fmt.Printf("Resume with: %s -batchres %d -journal %s -resume ...\n",
+				resume, batchResidues, co.path)
 		}
 	}
+}
+
+// printStreamed prints a streamed run's stage counts and its hits up to
+// evalue, and writes the -tblout table when one is asked for.
+func printStreamed(queryName string, res *pipeline.Result, evalue float64, tblout string) {
 	fmt.Printf("Pipeline: MSV %d/%d passed; Viterbi %d; Forward hits %d\n\n",
 		res.MSV.Out, res.MSV.In, res.Viterbi.Out, len(res.Hits))
 	fmt.Printf("%-12s %-28s %10s\n", "E-value", "sequence", "fwd bits")
@@ -675,7 +615,7 @@ func runClusterStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, mem 
 		fmt.Println("  (no hits below the E-value threshold)")
 	}
 	if tblout != "" {
-		check(writeTblout(tblout, query.Name, res))
+		check(writeTblout(tblout, queryName, res))
 		fmt.Printf("\nper-target table written to %s\n", tblout)
 	}
 }

@@ -114,6 +114,10 @@ func main() {
 	}
 	mode, err := simt.ParseMode(*sim)
 	check(err)
+	memCfg, err := gpu.ParseMemConfig(*mem)
+	check(err)
+	verifyMode, err := pipeline.ParseVerifyMode(*verify)
+	check(err)
 
 	abc := alphabet.New()
 	resident := make(map[string]*pipeline.ResidentDB, len(dbs))
@@ -134,7 +138,7 @@ func main() {
 		DBs:             resident,
 		TargetLen:       *targlen,
 		BatchResidues:   budget,
-		Mem:             memConfig(*mem),
+		Mem:             memCfg,
 		Mode:            mode,
 		Devices:         *devices,
 		DevsPerQuery:    *devsPerQ,
@@ -148,7 +152,7 @@ func main() {
 		QueryTimeout:    *qTimeout,
 		MaxRetries:      *maxRetries,
 		QuarantineAfter: *quarAfter,
-		Verify:          verifyMode(*verify),
+		Verify:          verifyMode,
 		Workers:         *workers,
 		ProfileCap:      *profileCap,
 		ResultCap:       *resultCap,
@@ -211,34 +215,6 @@ func main() {
 	if ctx.Err() != nil {
 		os.Exit(1)
 	}
-}
-
-// memConfig parses the -mem flag (same vocabulary as hmmsearch).
-func memConfig(name string) gpu.MemConfig {
-	switch name {
-	case "auto":
-		return gpu.MemAuto
-	case "shared":
-		return gpu.MemShared
-	case "global":
-		return gpu.MemGlobal
-	}
-	fatalf("unknown -mem %q", name)
-	panic("unreachable")
-}
-
-// verifyMode parses the -verify flag (same vocabulary as hmmsearch).
-func verifyMode(s string) pipeline.VerifyMode {
-	switch s {
-	case "off":
-		return pipeline.VerifyOff
-	case "guards":
-		return pipeline.VerifyGuards
-	case "dmr":
-		return pipeline.VerifyDMR
-	}
-	fatalf("unknown -verify mode %q (want off, guards, or dmr)", s)
-	panic("unreachable")
 }
 
 func check(err error) {

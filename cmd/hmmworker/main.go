@@ -65,7 +65,8 @@ func main() {
 
 	simMode, err := simt.ParseMode(*sim)
 	check(err)
-	memCfg := memConfig(*mem)
+	memCfg, err := gpu.ParseMemConfig(*mem)
+	check(err)
 
 	hf, err := os.Open(flag.Arg(0))
 	check(err)
@@ -138,20 +139,6 @@ func main() {
 	check(sk.Flush(func(format string, args ...any) {
 		fmt.Printf(format+"\n", args...)
 	}))
-}
-
-func memConfig(name string) gpu.MemConfig {
-	switch name {
-	case "auto":
-		return gpu.MemAuto
-	case "shared":
-		return gpu.MemShared
-	case "global":
-		return gpu.MemGlobal
-	default:
-		fatalf("unknown -mem %q", name)
-		panic("unreachable")
-	}
 }
 
 func check(err error) {

@@ -284,30 +284,6 @@ func TestAblationsQuick(t *testing.T) {
 	}
 }
 
-func TestExtensionQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness simulation is slow")
-	}
-	cfg := QuickConfig()
-	var buf bytes.Buffer
-	rows, err := Extension(cfg, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.OverallGPUFwd <= r.OverallHostFwd {
-			t.Errorf("%s: accelerating Forward should raise the overall speedup: %.2f vs %.2f",
-				r.DB, r.OverallGPUFwd, r.OverallHostFwd)
-		}
-		if r.FwdShare <= 0 || r.FwdShare >= 1 {
-			t.Errorf("%s: implausible Forward share %.3f", r.DB, r.FwdShare)
-		}
-	}
-}
-
 func TestSpillStudyQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness simulation is slow")

@@ -3,29 +3,9 @@ package bench
 import (
 	"io"
 
-	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/perf"
-	"hmmer3gpu/internal/pipeline"
-	"hmmer3gpu/internal/simt"
-	"hmmer3gpu/internal/stats"
-	"hmmer3gpu/internal/workload"
 )
-
-// ExtensionRow is one point of the heterogeneous-pipeline study (the
-// §VI direction): the full three-stage pipeline with the Forward stage
-// on the host (as in the paper) vs on the device.
-type ExtensionRow struct {
-	DB DBKind
-	M  int
-	// OverallHostFwd and OverallGPUFwd are full-pipeline speedups vs
-	// the all-CPU baseline (MSV+Viterbi+Forward).
-	OverallHostFwd float64
-	OverallGPUFwd  float64
-	// FwdShare is Forward's share of the remaining host time in the
-	// paper's configuration (the Amdahl term the extension removes).
-	FwdShare float64
-}
 
 // SpillRow is one point of the row-spill study: Viterbi on very large
 // models with the paper's global configuration vs the spill variant.
@@ -35,29 +15,6 @@ type SpillRow struct {
 	SpillSpeedup  float64
 	GlobalOcc     float64
 	SpillOcc      float64
-}
-
-// Extension runs the heterogeneous-pipeline study at M=400 on both
-// databases, then the Viterbi row-spill study on the large models.
-func Extension(cfg Config, w io.Writer) ([]ExtensionRow, error) {
-	spec := k40()
-	fprintf(w, "Extension (§VI direction) — Forward stage on the device, Tesla K40\n")
-	fprintf(w, "%12s %8s %16s %16s %10s\n", "DB", "M", "host-fwd overall", "gpu-fwd overall", "fwd share")
-	var rows []ExtensionRow
-	const m = 400
-	for _, db := range []DBKind{Swissprot, Envnr} {
-		row, err := extensionPoint(cfg, spec, db, m)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-		fprintf(w, "%12s %8d %15.2fx %15.2fx %9.1f%%\n",
-			db, m, row.OverallHostFwd, row.OverallGPUFwd, row.FwdShare*100)
-	}
-	if _, err := SpillStudy(cfg, w); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // SpillStudy measures the P7Viterbi row-spill variant against the
@@ -99,56 +56,4 @@ func SpillStudy(cfg Config, w io.Writer) ([]SpillRow, error) {
 			m, row.GlobalSpeedup, row.SpillSpeedup, row.GlobalOcc*100, row.SpillOcc*100)
 	}
 	return rows, nil
-}
-
-func extensionPoint(cfg Config, spec simt.DeviceSpec, db DBKind, m int) (ExtensionRow, error) {
-	row := ExtensionRow{DB: db, M: m}
-	h, err := cfg.model(m)
-	if err != nil {
-		return row, err
-	}
-	dbSpec := db.specMinSeqs(cfg.MSVCellBudget, m, cfg.Seed+int64(m)*3+int64(db), 300)
-	data, err := workload.Generate(dbSpec, h, alphabet.New())
-	if err != nil {
-		return row, err
-	}
-	opts := pipeline.DefaultOptions()
-	opts.Workers = cfg.Workers
-	opts.Calibration = stats.CalibrateOptions{N: 64, L: 100, Seed: cfg.Seed, TailMass: 0.04}
-	pl, err := pipeline.New(h, int(data.MeanLen()), opts)
-	if err != nil {
-		return row, err
-	}
-	pl.Opts.GPUForward = true
-
-	res, err := pl.RunGPU(cfg.newDevice(spec), gpu.MemAuto, data)
-	if err != nil {
-		return row, err
-	}
-	extra := res.Extra.(*pipeline.GPUExtra)
-	scale := float64(db.FullResidues()) / float64(data.TotalResidues())
-
-	c := perf.BaselineI5()
-	cpuMSV := perf.CPUTimeMSV(c, int64(float64(res.MSV.Cells)*scale))
-	cpuVit := perf.CPUTimeVit(c, int64(float64(res.Viterbi.Cells)*scale))
-	cpuFwd := perf.CPUTimeFwd(c, int64(float64(res.Forward.Cells)*scale))
-	cpuTotal := cpuMSV + cpuVit + cpuFwd
-
-	gpuMSV := perf.GPUTimeScaled(spec, extra.MSVReport.Launch, scale)
-	var gpuVit, gpuFwd float64
-	if extra.VitReport != nil {
-		gpuVit = perf.GPUTimeScaled(spec, extra.VitReport.Launch, scale)
-	}
-	if extra.FwdReport != nil {
-		gpuFwd = perf.GPUTimeScaled(spec, extra.FwdReport.Launch, scale)
-	}
-
-	// Paper configuration: filters on device, Forward stays on host.
-	row.OverallHostFwd = perf.Speedup(cpuTotal, gpuMSV+gpuVit+cpuFwd)
-	// Extension: all three stages on the device.
-	row.OverallGPUFwd = perf.Speedup(cpuTotal, gpuMSV+gpuVit+gpuFwd)
-	if rem := gpuMSV + gpuVit + cpuFwd; rem > 0 {
-		row.FwdShare = cpuFwd / rem
-	}
-	return row, nil
 }

@@ -85,6 +85,21 @@ func (m MemConfig) String() string {
 	}
 }
 
+// ParseMemConfig parses the CLI spelling of a memory configuration
+// (the -mem flag of hmmsearch, hmmworker and hmmserved). MemSpill is
+// for the spill study only and has no spelling.
+func ParseMemConfig(s string) (MemConfig, error) {
+	switch s {
+	case "auto":
+		return MemAuto, nil
+	case "shared":
+		return MemShared, nil
+	case "global":
+		return MemGlobal, nil
+	}
+	return 0, fmt.Errorf("gpu: unknown -mem %q (want auto, shared or global)", s)
+}
+
 // Kernel kind, used for resource accounting.
 type kernelKind int
 

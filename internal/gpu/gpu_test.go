@@ -10,7 +10,6 @@ import (
 	"hmmer3gpu/internal/cpu"
 	"hmmer3gpu/internal/hmm"
 	"hmmer3gpu/internal/profile"
-	"hmmer3gpu/internal/refimpl"
 	"hmmer3gpu/internal/seq"
 	"hmmer3gpu/internal/simt"
 )
@@ -570,103 +569,6 @@ func TestDDScanIgnoredOnFermi(t *testing.T) {
 	}
 }
 
-// TestForwardKernelMatchesReference: the GPU Forward extension must
-// track the float64 reference within float32 accumulation error, on
-// both architectures (Fermi takes the serial D-chain path).
-func TestForwardKernelMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for _, spec := range []simt.DeviceSpec{simt.TeslaK40(), simt.GTX580()} {
-		for _, m := range []int{31, 33, 80} {
-			h, err := hmm.Random("fwd", m, abc, hmm.DefaultBuildParams(), rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := profile.Config(h)
-			p.SetLength(150)
-			db := testDB(t, rng, 15, 250)
-			dev := simt.NewDevice(spec)
-			ddb := UploadDB(dev, db)
-			s := &Searcher{Dev: dev, Mem: MemShared}
-			rep, results, err := s.ForwardSearch(UploadFwdProfile(dev, p), ddb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Launch.Stats.WarpsExecuted == 0 {
-				t.Fatal("no warps executed")
-			}
-			for i, sq := range db.Seqs {
-				want := refimpl.Forward(p, sq.Residues)
-				got := results[i].Score
-				if relErr := math.Abs(got-want) / (1 + math.Abs(want)); relErr > 2e-4 {
-					t.Fatalf("%s M=%d seq %d: gpu fwd %.6f vs reference %.6f (rel %g)",
-						spec.Arch, m, i, got, want, relErr)
-				}
-			}
-		}
-	}
-}
-
-// TestForwardKernelGappy drives the log-semiring D scan on a
-// delete-heavy model where the D chain carries real probability mass.
-func TestForwardKernelGappy(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	h, err := hmm.Random("fwdgappy", 64, abc,
-		hmm.BuildParams{MatchIdentity: 0.7, GapOpen: 0.2, GapExtend: 0.9}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := profile.Config(h)
-	p.SetLength(120)
-	db := testDB(t, rng, 12, 200)
-	dev := simt.NewDevice(simt.TeslaK40())
-	ddb := UploadDB(dev, db)
-	s := &Searcher{Dev: dev}
-	_, results, err := s.ForwardSearch(UploadFwdProfile(dev, p), ddb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sq := range db.Seqs {
-		want := refimpl.Forward(p, sq.Residues)
-		got := results[i].Score
-		if relErr := math.Abs(got-want) / (1 + math.Abs(want)); relErr > 5e-4 {
-			t.Fatalf("seq %d: gpu fwd %.6f vs reference %.6f (rel %g)", i, got, want, relErr)
-		}
-	}
-}
-
-// TestForwardOrderingVsViterbi: Forward >= Viterbi must survive the
-// GPU paths (up to quantisation of the Viterbi filter).
-func TestForwardOrderingVsViterbi(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	h, err := hmm.Random("ord", 48, abc, hmm.DefaultBuildParams(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := profile.Config(h)
-	p.SetLength(150)
-	vp := profile.NewVitProfile(p)
-	db := testDB(t, rng, 10, 200)
-	dev := simt.NewDevice(simt.TeslaK40())
-	ddb := UploadDB(dev, db)
-	s := &Searcher{Dev: dev}
-	vrep, err := s.ViterbiSearch(UploadVitProfile(dev, vp), ddb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, fres, err := s.ForwardSearch(UploadFwdProfile(dev, p), ddb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range db.Seqs {
-		if vrep.Results[i].Overflowed {
-			continue
-		}
-		if fres[i].Score < vrep.Results[i].Score-1.0 {
-			t.Errorf("seq %d: Forward %.3f far below Viterbi %.3f", i, fres[i].Score, vrep.Results[i].Score)
-		}
-	}
-}
-
 // TestLaunchDeterministicAcrossHostWorkers: host-side parallelism must
 // not change results or counters (the stats merge is ordered).
 func TestLaunchDeterministicAcrossHostWorkers(t *testing.T) {
@@ -825,27 +727,15 @@ func TestLaneUtilizationRaggedModels(t *testing.T) {
 	}
 }
 
-func TestPlanForwardConfigs(t *testing.T) {
-	spec := simt.TeslaK40()
-	shared, err := PlanForward(spec, 100, MemShared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	global, err := PlanForward(spec, 100, MemGlobal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shared.Occupancy.BlocksPerSM == 0 || global.Occupancy.BlocksPerSM == 0 {
-		t.Fatal("plans should fit at M=100")
-	}
-	// Forward's float rows (12 bytes/cell/warp) exhaust shared memory
-	// sooner than Viterbi's: huge models must fail in shared config.
-	if _, err := PlanForward(spec, 2405, MemShared); err == nil {
-		if p, _ := PlanForward(spec, 2405, MemShared); p.Occupancy.Fraction > 0.25 {
-			t.Errorf("M=2405 shared forward occupancy %.2f implausible", p.Occupancy.Fraction)
+func TestParseMemConfig(t *testing.T) {
+	for _, want := range []MemConfig{MemAuto, MemShared, MemGlobal} {
+		if got, err := ParseMemConfig(want.String()); err != nil || got != want {
+			t.Errorf("ParseMemConfig(%q) = %v, %v; want %v", want.String(), got, err, want)
 		}
 	}
-	if _, err := PlanForward(spec, 100, MemAuto); err != nil {
-		t.Errorf("auto plan failed: %v", err)
+	for _, bad := range []string{"", "spill", "Shared", "l2"} {
+		if _, err := ParseMemConfig(bad); err == nil {
+			t.Errorf("ParseMemConfig(%q) accepted", bad)
+		}
 	}
 }

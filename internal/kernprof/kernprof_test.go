@@ -14,12 +14,12 @@ import (
 // global span traffic, shuffle and vote.
 func testKernel(w *simt.Warp) {
 	lanes := w.Lanes()
-	f := make([]float32, lanes)
+	words := make([]uint64, lanes/4)
 	w.ALU(7)
-	w.SharedSpanStoreF32(f, 0, lanes)
-	w.SharedSpanLoadF32(f, 0, lanes)
+	w.SharedSpanStoreWords(words, 0, lanes, 2)
+	w.SharedSpanLoadWords(words, 0, lanes, 2)
 	w.GlobalSpanLoad(0, 4, lanes)
-	w.ShflXorF32Into(f, f, 1)
+	w.ShuffleTouch(1)
 	w.Vote()
 }
 

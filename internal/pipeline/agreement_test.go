@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
 	"testing"
 	"time"
@@ -161,7 +160,6 @@ func TestEntryPointsAgree(t *testing.T) {
 		{"no-msv-survivors", quiet, func(*Options) {}},
 		{"one-sequence", one, func(*Options) {}},
 		{"skip-forward", homologs, func(o *Options) { o.SkipForward = true }},
-		{"gpu-forward", homologs, func(o *Options) { o.GPUForward = true }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -174,19 +172,14 @@ func TestEntryPointsAgree(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", ep.name, err)
 				}
-				switch {
-				case want == nil:
+				if want == nil {
 					want = got // RunCPU, the baseline configuration
-				case pl.Opts.GPUForward && ep.name == "RunGPU":
-					// The one engine the option applies to: float32
-					// device scores, so the same hits within rounding.
-					sameHitsWithin(t, ep.name, want, got, 1e-2)
-				default:
-					sameHits(t, ep.name, want, got)
+					continue
 				}
+				sameHits(t, ep.name, want, got)
 			}
 			switch c.name {
-			case "homologs", "one-sequence", "gpu-forward":
+			case "homologs", "one-sequence":
 				if len(want.Hits) == 0 {
 					t.Error("no hits: the case does not reach hit assembly")
 				}
@@ -200,30 +193,6 @@ func TestEntryPointsAgree(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// sameHitsWithin is sameHits for a Forward stage scored in float32:
-// the same sequences in the same order and identical filter stages,
-// Forward bits within a relative tolerance.
-func sameHitsWithin(t *testing.T, label string, want, got *Result, tol float64) {
-	t.Helper()
-	if len(want.Hits) != len(got.Hits) {
-		t.Fatalf("%s: hit counts differ: want %d, got %d", label, len(want.Hits), len(got.Hits))
-	}
-	for i := range want.Hits {
-		a, b := want.Hits[i], got.Hits[i]
-		if a.Index != b.Index || a.MSVBits != b.MSVBits || a.VitBits != b.VitBits {
-			t.Errorf("%s: hit %d differs before Forward: %+v vs %+v", label, i, a, b)
-		}
-		if math.Abs(a.FwdBits-b.FwdBits) > tol*(1+math.Abs(a.FwdBits)) {
-			t.Errorf("%s: hit %d: fwd bits %g vs %g", label, i, a.FwdBits, b.FwdBits)
-		}
-	}
-	if counts(want.MSV) != counts(got.MSV) || counts(want.Viterbi) != counts(got.Viterbi) ||
-		want.Forward.In != got.Forward.In || want.Forward.Cells != got.Forward.Cells {
-		t.Errorf("%s: stage counts differ: %+v %+v %+v vs %+v %+v %+v", label,
-			want.MSV, want.Viterbi, want.Forward, got.MSV, got.Viterbi, got.Forward)
 	}
 }
 
@@ -403,7 +372,7 @@ func TestBatchModelledTimeIgnoresDeviceHistory(t *testing.T) {
 		spec := simt.GTX580()
 		search := func(w *gpu.DeviceWorker, batch *seq.Database) []*simt.LaunchReport {
 			filters := &deviceFilters{w: w}
-			if _, err := pl.cascade(context.Background(), filters, pl.hostForward, nil, batch, nil); err != nil {
+			if _, err := pl.cascade(context.Background(), filters, nil, batch, nil); err != nil {
 				t.Fatal(err)
 			}
 			return filters.launches()

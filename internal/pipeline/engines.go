@@ -38,8 +38,8 @@ type filterBackend interface {
 }
 
 // cascade is the pipeline of Figure 1, written once: MSV over db, the
-// survivors through P7Viterbi, their survivors through Forward (scored
-// by fwd) into thresholded, annotated, sorted hits. Every engine is
+// survivors through P7Viterbi, their survivors through host Forward
+// into thresholded, annotated, sorted hits. Every engine is
 // this function over a different backend, on a whole database or on
 // one streamed batch — hit indexes are relative to db, a streaming
 // caller rebases them. parent (nilable) parents the stage spans. chk
@@ -47,7 +47,7 @@ type filterBackend interface {
 // is used; a guard failure surfaces as a wrapped *integrity.Error
 // before any result is built, so a scheduler discards the attempt with
 // the batch's merge token untouched.
-func (pl *Pipeline) cascade(ctx context.Context, f filterBackend, fwd forwardScorer, chk *integrity.Checker,
+func (pl *Pipeline) cascade(ctx context.Context, f filterBackend, chk *integrity.Checker,
 	db *seq.Database, parent *obs.Span) (*Result, error) {
 
 	result := &Result{}
@@ -105,11 +105,11 @@ func (pl *Pipeline) cascade(ctx context.Context, f filterBackend, fwd forwardSco
 		return result, nil
 	}
 	start = time.Now()
-	span, endStage = startStage(parent, "forward")
+	_, endStage = startStage(parent, "forward")
 	var nats []float64
-	if len(vitSurvivors) > 0 { // nothing survived Viterbi: no scoring pass, no launch
+	if len(vitSurvivors) > 0 { // nothing survived Viterbi: no scoring pass
 		sub = subDatabase(db, vitSurvivors)
-		if nats, err = fwd(ctx, span, sub); err != nil {
+		if nats, err = pl.hostForward(ctx, sub); err != nil {
 			return nil, err
 		}
 		result.Forward.Cells = sub.TotalResidues() * m
@@ -253,7 +253,7 @@ type CPUExtra struct {
 // every Forward rescore, so a deadline stops it mid-database.
 func (pl *Pipeline) searchHost(ctx context.Context, db *seq.Database, parent *obs.Span) (*Result, error) {
 	host := &hostFilters{pl: pl}
-	result, err := pl.cascade(ctx, host, pl.hostForward, nil, db, parent)
+	result, err := pl.cascade(ctx, host, nil, db, parent)
 	if err != nil {
 		return nil, err
 	}
@@ -277,50 +277,23 @@ func (pl *Pipeline) RunCPU(db *seq.Database) (*Result, error) {
 type GPUExtra struct {
 	MSVReport *gpu.SearchReport
 	VitReport *gpu.SearchReport
-	// FwdReport is set when Options.GPUForward ran the Forward stage
-	// on the device.
-	FwdReport *gpu.SearchReport
 
 	spec simt.DeviceSpec // the device's, for the modelled times Record derives
 }
 
 // RunGPU executes the MSV and P7Viterbi stages on the device (the
 // paper's accelerated configuration) with the Forward stage on the
-// host, as in the paper — or on the device too under
-// Options.GPUForward.
+// host, as in the paper.
 func (pl *Pipeline) RunGPU(dev *simt.Device, mem gpu.MemConfig, db *seq.Database) (*Result, error) {
 	root := pl.startSearch("gpu", db)
 	defer root.End()
 	pl.attachProfiler(mem, dev)
 	filters := &deviceFilters{w: gpu.NewDeviceWorker(dev, mem, pl.Opts.Workers, pl.MSV, pl.Vit)}
-	extra := &GPUExtra{spec: dev.Spec}
-	fwd := pl.hostForward
-	if pl.Opts.GPUForward {
-		// The heterogeneous extension: scores come from the float32
-		// kernel, thresholds and E-values from the same calibrated
-		// exponential tail.
-		fwd = func(ctx context.Context, stage *obs.Span, survivors *seq.Database) ([]float64, error) {
-			s := filters.w.S
-			s.Trace, s.Cancel = stage, ctx.Done()
-			ddb := gpu.UploadDB(dev, survivors)
-			rep, scores, err := s.ForwardSearch(gpu.UploadFwdProfile(dev, pl.Prof), ddb)
-			if err != nil {
-				return nil, ctxErr(ctx, err)
-			}
-			extra.FwdReport = rep
-			nats := make([]float64, len(scores))
-			for j, sc := range scores {
-				nats[j] = sc.Score
-			}
-			return nats, nil
-		}
-	}
-	result, err := pl.cascade(context.Background(), filters, fwd, nil, db, root)
+	result, err := pl.cascade(context.Background(), filters, nil, db, root)
 	if err != nil {
 		return nil, err
 	}
-	extra.MSVReport, extra.VitReport = filters.msvRep, filters.vitRep
-	result.Extra = extra
+	result.Extra = &GPUExtra{MSVReport: filters.msvRep, VitReport: filters.vitRep, spec: dev.Spec}
 	result.Record(pl.Opts.Metrics)
 	return result, nil
 }
@@ -343,7 +316,7 @@ func (pl *Pipeline) RunMultiGPU(sys *simt.System, mem gpu.MemConfig, db *seq.Dat
 	defer root.End()
 	pl.attachProfiler(mem, sys.Devices...)
 	filters := &splitFilters{pl: pl, ms: &gpu.MultiSearcher{Sys: sys, Mem: mem, HostWorkers: pl.Opts.Workers}}
-	result, err := pl.cascade(context.Background(), filters, pl.hostForward, nil, db, root)
+	result, err := pl.cascade(context.Background(), filters, nil, db, root)
 	if err != nil {
 		return nil, err
 	}

@@ -100,7 +100,6 @@ func (res *Result) Record(reg *obs.Registry) {
 	case *GPUExtra:
 		recordLaunches(reg, x.spec, "msv", searchLaunch(x.MSVReport)...)
 		recordLaunches(reg, x.spec, "p7viterbi", searchLaunch(x.VitReport)...)
-		recordLaunches(reg, x.spec, "forward", searchLaunch(x.FwdReport)...)
 	case *MultiGPUExtra:
 		recordLaunches(reg, x.spec, "msv", launchesOf(x.MSV)...)
 		recordLaunches(reg, x.spec, "p7viterbi", launchesOf(x.Vit)...)

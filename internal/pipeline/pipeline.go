@@ -64,11 +64,6 @@ type Options struct {
 	// the benchmark harness uses this because the paper's speedup
 	// figures cover the MSV and Viterbi stages only.
 	SkipForward bool
-	// GPUForward runs the Forward stage on the device too (the §VI
-	// heterogeneous-acceleration extension) instead of the host;
-	// applies to RunGPU only. Scores are float32 on the device, so
-	// P-values can differ in the last digits from the CPU engine.
-	GPUForward bool
 	// ComputeAlignments attaches Viterbi-traceback domain alignments
 	// and posterior envelopes to each hit (O(L*M) memory per hit;
 	// skipped for hits beyond AlignmentCellCap DP cells).
@@ -271,18 +266,12 @@ func (pl *Pipeline) vitPass(res cpu.FilterResult) bool {
 	return pl.VitGumbel.Surv(stats.BitsFromNats(res.Score)) <= pl.Opts.Thresholds.Viterbi
 }
 
-// forwardScorer scores the Viterbi survivors (a non-empty view of them,
-// in survivor order) with Forward: one score in nats per survivor. stage
-// is the Forward stage's span. Where the scores come from — the host's
-// odds-ratio recurrence or the device's float32 kernel — is all that
-// differs between engines in the Forward stage.
-type forwardScorer func(ctx context.Context, stage *obs.Span, survivors *seq.Database) ([]float64, error)
-
-// hostForward is the forwardScorer of every engine but RunGPU under
-// Options.GPUForward. ctx is checked before every survivor — Forward
-// is the pipeline's most expensive per-sequence work, so this is where
-// a deadline lands mid-stage.
-func (pl *Pipeline) hostForward(ctx context.Context, _ *obs.Span, survivors *seq.Database) ([]float64, error) {
+// hostForward scores the Viterbi survivors (a view of them, in survivor
+// order) with the host's Forward recurrence: one score in nats per
+// survivor. It is the Forward stage of every engine. ctx is checked
+// before every survivor — Forward is the pipeline's most expensive
+// per-sequence work, so this is where a deadline lands mid-stage.
+func (pl *Pipeline) hostForward(ctx context.Context, survivors *seq.Database) ([]float64, error) {
 	nats := make([]float64, survivors.NumSeqs())
 	for j, s := range survivors.Seqs {
 		if err := ctx.Err(); err != nil {

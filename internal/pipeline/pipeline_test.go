@@ -362,52 +362,6 @@ func TestComputeAlignments(t *testing.T) {
 	}
 }
 
-func TestGPUForwardStageAgreesWithHost(t *testing.T) {
-	// The heterogeneous extension: Forward on the device must retrieve
-	// the same hits as the host Forward stage, with bit scores within
-	// float32 accumulation error.
-	h, err := workload.Model("gfwd", 70, abc, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := workload.EnvnrLike(0.0002, 16)
-	spec.HomologFrac = 0.03
-	db, err := workload.Generate(spec, h, abc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := New(h, int(db.MeanLen()), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := simt.NewDevice(simt.TeslaK40())
-	hostRes, err := pl.RunGPU(dev, gpu.MemAuto, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.Opts.GPUForward = true
-	devRes, err := pl.RunGPU(simt.NewDevice(simt.TeslaK40()), gpu.MemAuto, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hostRes.Hits) != len(devRes.Hits) {
-		t.Fatalf("hit counts differ: host %d vs device %d", len(hostRes.Hits), len(devRes.Hits))
-	}
-	for i := range hostRes.Hits {
-		a, b := hostRes.Hits[i], devRes.Hits[i]
-		if a.Index != b.Index {
-			t.Fatalf("hit %d index differs", i)
-		}
-		if math.Abs(a.FwdBits-b.FwdBits) > 1e-2*(1+math.Abs(a.FwdBits)) {
-			t.Errorf("hit %d: fwd bits %g vs %g", i, a.FwdBits, b.FwdBits)
-		}
-	}
-	extra := devRes.Extra.(*GPUExtra)
-	if extra.FwdReport == nil {
-		t.Error("device Forward report missing")
-	}
-}
-
 func TestNull2ReducesScores(t *testing.T) {
 	h, err := workload.Model("n2", 60, abc, 17)
 	if err != nil {

@@ -258,6 +258,20 @@ const (
 	VerifyDMR
 )
 
+// ParseVerifyMode parses the CLI spelling of an integrity policy (the
+// -verify flag of hmmsearch and hmmserved).
+func ParseVerifyMode(s string) (VerifyMode, error) {
+	switch s {
+	case "off":
+		return VerifyOff, nil
+	case "guards":
+		return VerifyGuards, nil
+	case "dmr":
+		return VerifyDMR, nil
+	}
+	return 0, fmt.Errorf("pipeline: unknown -verify mode %q (want off, guards, or dmr)", s)
+}
+
 // StreamConfig configures a streamed multi-device search.
 type StreamConfig struct {
 	// BatchResidues is the residue budget per batch (see
@@ -430,7 +444,7 @@ func (pl *Pipeline) runDeviceStream(ctx context.Context, engine, kernel string, 
 			// b.Trace is the batch's span on the device track; stage and
 			// kernel spans nest under it.
 			filters := &deviceFilters{w: workers[devIdx]}
-			res, err := pl.cascade(ctx, filters, pl.hostForward, chk, b.DB, b.Trace)
+			res, err := pl.cascade(ctx, filters, chk, b.DB, b.Trace)
 			if err != nil {
 				return err
 			}

@@ -118,7 +118,7 @@ func (pl *Pipeline) ClusterExecGPU(sys *simt.System, mem gpu.MemConfig) cluster.
 	return pl.clusterExec("gpu", func(ctx context.Context, db *seq.Database, sp *obs.Span) (*Result, error) {
 		w := <-pool
 		defer func() { pool <- w }()
-		return pl.cascade(ctx, &deviceFilters{w: w}, pl.hostForward, nil, db, sp)
+		return pl.cascade(ctx, &deviceFilters{w: w}, nil, db, sp)
 	})
 }
 

@@ -175,3 +175,16 @@ func TestCleanPipelineOrderingInvariant(t *testing.T) {
 		t.Errorf("clean device run tripped %d integrity detections", rep.Faults.SDCDetected)
 	}
 }
+
+func TestParseVerifyMode(t *testing.T) {
+	for in, want := range map[string]VerifyMode{"off": VerifyOff, "guards": VerifyGuards, "dmr": VerifyDMR} {
+		if got, err := ParseVerifyMode(in); err != nil || got != want {
+			t.Errorf("ParseVerifyMode(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "DMR", "tmr"} {
+		if _, err := ParseVerifyMode(bad); err == nil {
+			t.Errorf("ParseVerifyMode(%q) accepted", bad)
+		}
+	}
+}

@@ -103,7 +103,7 @@ type LaunchConfig struct {
 	// HostWorkers caps the number of host goroutines executing blocks;
 	// 0 means GOMAXPROCS.
 	HostWorkers int
-	// Name labels the kernel in traces ("msv", "p7viterbi", "forward").
+	// Name labels the kernel in traces ("msv", "p7viterbi").
 	Name string
 	// Cancel, when non-nil, aborts the launch once closed: the grid
 	// stops scheduling new blocks and Launch returns ErrLaunchCanceled

@@ -43,7 +43,6 @@ func TestFastModeRecordsNothing(t *testing.T) {
 	const blocks, wpb = 4, 2
 	kernel := func(w *Warp) {
 		lanes := w.Lanes()
-		f := make([]float32, lanes)
 		i16 := make([]int16, lanes)
 		u8 := make([]uint8, lanes)
 		words := make([]uint64, lanes/4)
@@ -52,8 +51,6 @@ func TestFastModeRecordsNothing(t *testing.T) {
 			addrs64[l] = int64(4 * l)
 		}
 		w.ALU(7)
-		w.SharedSpanStoreF32(f, 0, lanes)
-		w.SharedSpanLoadF32(f, 0, lanes)
 		w.SharedSpanStoreI16(i16, 0, lanes)
 		w.SharedSpanLoadI16(i16, 0, lanes)
 		w.SharedSpanStoreU8(u8, 0, lanes)
@@ -68,7 +65,6 @@ func TestFastModeRecordsNothing(t *testing.T) {
 		w.GlobalSpanLoadCached(0, 4, lanes)
 		w.GlobalSpanStore(0, 8, 1)
 		w.GlobalBroadcastLoad(0, 4)
-		w.ShflXorF32Into(f, f, 1)
 		w.ShuffleTouch(1)
 		w.Vote()
 	}
@@ -95,12 +91,9 @@ func TestFastModeOpsAllocateNothing(t *testing.T) {
 		Blocks: 1, WarpsPerBlock: 1, SharedBytesPerBlock: 1024,
 	}, func(w *Warp) {
 		lanes := w.Lanes()
-		f := make([]float32, lanes)
 		i16 := make([]int16, lanes)
 		words := make([]uint64, lanes/4)
 		allocs = testing.AllocsPerRun(100, func() {
-			w.SharedSpanStoreF32(f, 0, lanes)
-			w.SharedSpanLoadF32(f, 0, lanes)
 			w.SharedSpanStoreI16(i16, 0, lanes)
 			w.SharedSpanLoadI16(i16, 0, lanes)
 			w.SharedSpanStoreWords(words, 0, lanes, 2)

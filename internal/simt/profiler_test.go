@@ -21,10 +21,10 @@ func (c *captureProfiler) OnLaunch(p *LaunchProfile) {
 
 func profKernel(w *Warp) {
 	lanes := w.Lanes()
-	f := make([]float32, lanes)
+	words := make([]uint64, lanes/4)
 	w.ALU(5)
-	w.SharedSpanStoreF32(f, 0, lanes)
-	w.SharedSpanLoadF32(f, 0, lanes)
+	w.SharedSpanStoreWords(words, 0, lanes, 2)
+	w.SharedSpanLoadWords(words, 0, lanes, 2)
 	w.GlobalSpanLoad(0, 4, lanes)
 	w.Vote()
 }
@@ -204,11 +204,11 @@ func benchLaunch(b *testing.B, prof Profiler) {
 	cfg := LaunchConfig{Blocks: 30, WarpsPerBlock: 4, SharedBytesPerBlock: 1024, HostWorkers: 1}
 	kernel := func(w *Warp) {
 		lanes := w.Lanes()
-		f := make([]float32, lanes)
+		words := make([]uint64, lanes/4)
 		for i := 0; i < 64; i++ {
 			w.ALU(3)
-			w.SharedSpanStoreF32(f, 0, lanes)
-			w.SharedSpanLoadF32(f, 0, lanes)
+			w.SharedSpanStoreWords(words, 0, lanes, 2)
+			w.SharedSpanLoadWords(words, 0, lanes, 2)
 		}
 	}
 	b.ReportAllocs()

@@ -225,47 +225,15 @@ func TestCoalescingTransactions(t *testing.T) {
 	}
 }
 
-func TestShuffleButterflyMax(t *testing.T) {
-	dev := NewDevice(TeslaK40())
-	var result []float32
-	kernel := func(w *Warp) {
-		vals := make([]float32, 32)
-		other := make([]float32, 32)
-		for l := range vals {
-			vals[l] = float32((l * 7) % 31) // max 30 at l=... somewhere
-		}
-		for mask := 16; mask > 0; mask >>= 1 {
-			w.ShflXorF32Into(other, vals, mask)
-			w.ALU(1)
-			for l := range vals {
-				if other[l] > vals[l] {
-					vals[l] = other[l]
-				}
-			}
-		}
-		result = vals
-	}
-	if _, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1}, kernel); err != nil {
-		t.Fatal(err)
-	}
-	for l, v := range result {
-		if v != 30 {
-			t.Fatalf("lane %d: butterfly max = %v, want 30 (broadcast to all lanes)", l, v)
-		}
-	}
-}
-
 // TestShufflePanicsOnFermi: every shuffle form, the charge-only one
 // included, is an illegal instruction on a device without shuffle.
 func TestShufflePanicsOnFermi(t *testing.T) {
-	f := make([]float32, 32)
 	i := make([]int32, 32)
 	for _, c := range []struct {
 		op string
 		fn func(w *Warp)
 	}{
 		{"shfl.xor", func(w *Warp) { w.ShuffleTouch(1) }},
-		{"shfl.xor", func(w *Warp) { w.ShflXorF32Into(f, f, 16) }},
 		{"shfl.up", func(w *Warp) { w.ShflUpI32Into(i, i, 1) }},
 	} {
 		dev := NewDevice(GTX580())

@@ -27,7 +27,7 @@ func (w *Warp) SharedLoadU8Into(dst []uint8, addrs []int) {
 // ShuffleTouch meters n warp-shuffle instructions without moving any
 // data: the op for exchanges whose result the kernel computes on its
 // SWAR register words (a butterfly max is a word fold), as
-// SharedSpanTouch is for memory. Each costs what ShflXorF32Into costs
+// SharedSpanTouch is for memory. Each costs what ShflUpI32Into costs
 // and, like it, is an illegal instruction on a device without shuffle.
 func (w *Warp) ShuffleTouch(n int) {
 	if !w.dev.Spec.HasShuffle {
@@ -44,36 +44,6 @@ func (w *Warp) ShuffleTouch(n int) {
 // l-delta's value; the low delta lanes keep their own (dst and vals
 // must not alias).
 func (w *Warp) ShflUpI32Into(dst, vals []int32, delta int) {
-	if !w.dev.Spec.HasShuffle {
-		w.fail("shfl.up", "no warp shuffle on this device")
-	}
-	if w.cost != nil {
-		w.cost.Shuffle(w)
-	}
-	for l := range vals {
-		if l >= delta {
-			dst[l] = vals[l-delta]
-		} else {
-			dst[l] = vals[l]
-		}
-	}
-}
-
-// ShflXorF32Into is the float butterfly exchange.
-func (w *Warp) ShflXorF32Into(dst, vals []float32, mask int) {
-	if !w.dev.Spec.HasShuffle {
-		w.fail("shfl.xor", "no warp shuffle on this device")
-	}
-	if w.cost != nil {
-		w.cost.Shuffle(w)
-	}
-	for l := range vals {
-		dst[l] = vals[l^mask]
-	}
-}
-
-// ShflUpF32Into is the float shuffle-up exchange.
-func (w *Warp) ShflUpF32Into(dst, vals []float32, delta int) {
 	if !w.dev.Spec.HasShuffle {
 		w.fail("shfl.up", "no warp shuffle on this device")
 	}

@@ -1,10 +1,6 @@
 package simt
 
-import (
-	"math"
-
-	"hmmer3gpu/internal/satmath"
-)
+import "hmmer3gpu/internal/satmath"
 
 // Span operations: the warp access patterns the paper's kernels
 // actually use — `active` lanes touching consecutive cells — expressed
@@ -181,67 +177,6 @@ func (w *Warp) SharedSpanStoreWords(src []uint64, base, cells, width int) {
 		sm.noteSpan(int32(w.WarpInBlock), base, n, true)
 	}
 	satmath.UnpackLanes(sm.data[base:base+n], src)
-}
-
-// SharedSpanLoadF32 loads n consecutive float32 cells starting at byte
-// offset base (4-aligned) into dst[0:n].
-func (w *Warp) SharedSpanLoadF32(dst []float32, base, n int) {
-	if n <= 0 {
-		return
-	}
-	sm := w.block.shared
-	if sm.concurrent {
-		sm.mu.Lock()
-		defer sm.mu.Unlock()
-	}
-	if w.cost != nil {
-		w.cost.SharedSpan(w, n, false)
-	}
-	if sm.trackRaces {
-		sm.noteSpan(int32(w.WarpInBlock), base, 4*n, false)
-	}
-	if sm.faults == nil {
-		src := sm.data[base : base+4*n : base+4*n]
-		for i := 0; i < n; i++ {
-			bits := uint32(src[4*i]) | uint32(src[4*i+1])<<8 |
-				uint32(src[4*i+2])<<16 | uint32(src[4*i+3])<<24
-			dst[i] = math.Float32frombits(bits)
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		a := base + 4*i
-		bits := uint32(sm.at(a)) | uint32(sm.at(a+1))<<8 |
-			uint32(sm.at(a+2))<<16 | uint32(sm.at(a+3))<<24
-		dst[i] = math.Float32frombits(bits)
-	}
-}
-
-// SharedSpanStoreF32 stores src[0:n] to n consecutive float32 cells
-// starting at byte offset base.
-func (w *Warp) SharedSpanStoreF32(src []float32, base, n int) {
-	if n <= 0 {
-		return
-	}
-	sm := w.block.shared
-	if sm.concurrent {
-		sm.mu.Lock()
-		defer sm.mu.Unlock()
-	}
-	if w.cost != nil {
-		w.cost.SharedSpan(w, n, true)
-	}
-	if sm.trackRaces {
-		sm.noteSpan(int32(w.WarpInBlock), base, 4*n, true)
-	}
-	dst := sm.data[base : base+4*n : base+4*n]
-	for i := 0; i < n; i++ {
-		bits := math.Float32bits(src[i])
-		dst[4*i] = byte(bits)
-		dst[4*i+1] = byte(bits >> 8)
-		dst[4*i+2] = byte(bits >> 16)
-		dst[4*i+3] = byte(bits >> 24)
-	}
 }
 
 // SharedSpanTouch meters a contiguous shared span access — n cells of

@@ -62,14 +62,8 @@ func NewMSVEngine(mp *profile.MSVProfile) *MSVEngine {
 func (e *MSVEngine) Filter(dsq []byte) FilterResult {
 	mp := e.mp
 	dp := e.dp
-	// dp holds every cell with the emission bias already added, so the
-	// inner loop pays a plain word add for it instead of a saturating
-	// one. Saturating add distributes over max, so Algorithm 1's
-	// max(cell, xB) + bias is max(cell + bias, xB + bias) with only the
-	// splatted xB term still saturating; and cell + bias cannot reach
-	// 255, let alone carry into the next lane, because a row whose
-	// largest cell reaches 255 - bias returns overflow before anything
-	// reads that row back.
+	// dp is a biased row (satmath.MSVStepU8x8): every cell carries
+	// +bias, so the inner loop pays a plain word add for it.
 	biasv := satmath.SplatU8(mp.Bias)
 	for i := range dp {
 		dp[i] = biasv
@@ -89,8 +83,8 @@ func (e *MSVEngine) Filter(dsq []byte) FilterResult {
 		// shifted up one, feeds stripe 0.
 		mp0, mp1 := shiftU8(dp[len(dp)-2], dp[len(dp)-1], mp.Bias)
 		for j := 0; j+1 < len(dp); j += 2 {
-			sv0 := satmath.SubU8x8(satmath.MaxU8x8(mp0, xBv), rsc[j])
-			sv1 := satmath.SubU8x8(satmath.MaxU8x8(mp1, xBv), rsc[j+1])
+			sv0 := satmath.MSVStepU8x8(mp0, xBv, rsc[j])
+			sv1 := satmath.MSVStepU8x8(mp1, xBv, rsc[j+1])
 			xE0 = satmath.MaxU8x8(xE0, sv0)
 			xE1 = satmath.MaxU8x8(xE1, sv1)
 			mp0, mp1 = dp[j], dp[j+1]

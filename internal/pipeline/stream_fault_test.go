@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"hmmer3gpu/internal/gpu"
@@ -44,6 +45,30 @@ func faultStreamFixture(t *testing.T) (*Pipeline, []byte, *Result, int64) {
 	return pl, fasta.Bytes(), whole, batchResidues
 }
 
+// holdUntilClaimed makes every device of sys but dead hold its first
+// successful launch until the dead device has launched — and so failed
+// — once: the healthy devices cannot drain the stream before the dead
+// one claims a batch, whatever the host schedule.
+func holdUntilClaimed(sys *simt.System, dead int) {
+	for i, d := range sys.Devices {
+		if i != dead {
+			d.Profiler = claimGate{sys.Devices[dead].Faults}
+		}
+	}
+}
+
+// claimGate is the simt.Profiler holdUntilClaimed attaches; it collects
+// nothing.
+type claimGate struct{ dead *simt.FaultInjector }
+
+func (claimGate) SamplePeriod() int { return 1 }
+
+func (g claimGate) OnLaunch(*simt.LaunchProfile) {
+	for g.dead.Launches() == 0 {
+		runtime.Gosched()
+	}
+}
+
 // A streamed run with seeded transient faults on two devices and one
 // permanently dead device must complete with results bit-identical to
 // the fault-free run.
@@ -54,31 +79,22 @@ func TestStreamFaultedRunMatchesClean(t *testing.T) {
 	pl.Opts.Metrics = reg
 	defer func() { pl.Opts.Metrics = nil }()
 
-	// The dead device only trips its quarantine when its worker claims a
-	// batch; under heavy host load the healthy devices can occasionally
-	// drain the whole stream first, so allow a few fresh attempts.
-	var res *Result
-	var rep *gpu.ScheduleReport
-	for attempt := 0; attempt < 5; attempt++ {
-		sys := simt.NewSystem(simt.GTX580(), 4)
-		faults, err := simt.ParseFaults("0:p=0.3;1:at=1,hang=3;2:dead", 99, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.ApplyFaults(faults); err != nil {
-			t.Fatal(err)
-		}
-		res, err = pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
-			StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameHits(t, "faulted 4-device stream", whole, res)
-		rep = res.Extra.(*MultiGPUStreamExtra).Schedule
-		if rep.Faults.Devices[2].Quarantined {
-			break
-		}
+	sys := simt.NewSystem(simt.GTX580(), 4)
+	faults, err := simt.ParseFaults("0:p=0.3;1:at=1,hang=3;2:dead", 99, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := sys.ApplyFaults(faults); err != nil {
+		t.Fatal(err)
+	}
+	holdUntilClaimed(sys, 2)
+	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
+		StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameHits(t, "faulted 4-device stream", whole, res)
+	rep := res.Extra.(*MultiGPUStreamExtra).Schedule
 	if !rep.Faults.Any() {
 		t.Fatal("fault report empty despite injected faults")
 	}
@@ -206,6 +222,7 @@ func TestStreamSeededFaultDeterminism(t *testing.T) {
 		if err := sys.ApplyFaults(faults); err != nil {
 			t.Fatal(err)
 		}
+		holdUntilClaimed(sys, 2)
 		res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
 			StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})
 		if err != nil {

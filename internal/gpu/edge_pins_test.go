@@ -280,8 +280,8 @@ func TestSharedFlipScoresPinnedAtChunkEdges(t *testing.T) {
 		"M=1 vit/shared":    "0x694943d0ca63ebbe",
 		"M=1 vit/global":    "0x694943d0ca63ebbe",
 		"M=1 vit/spill":     "0x983f2618eb275f89",
-		"M=31 msv/shared":   "0xe0b58994b6993302",
-		"M=31 msv/global":   "0x8d975d320dccd20f",
+		"M=31 msv/shared":   "0x4a5762ad22e82f4b",
+		"M=31 msv/global":   "0xf739364a7a1bce58",
 		"M=31 vit/shared":   "0xd2c363603efbfb04",
 		"M=31 vit/global":   "0xd2c363603efbfb04",
 		"M=31 vit/spill":    "0xd2c363603efbfb04",
@@ -310,8 +310,8 @@ func TestSharedFlipScoresPinnedAtChunkEdges(t *testing.T) {
 		"M=257 vit/shared":  "0xe3293ca43daf5a06",
 		"M=257 vit/global":  "0x8705287f01e3d9fe",
 		"M=257 vit/spill":   "0x721dc77464414b9f",
-		"M=1056 msv/shared": "0xd143a8e701e0b4c5",
-		"M=1056 msv/global": "0xd143a8e701e0b4c5",
+		"M=1056 msv/shared": "0x78e8befa6f7ae22d",
+		"M=1056 msv/global": "0x78e8befa6f7ae22d",
 		"M=1056 vit/global": "0x6911ab892c1033e3",
 		"M=1056 vit/spill":  "0x5876a1247cbaa712",
 	}

@@ -45,9 +45,11 @@ func TestU8x8Exhaustive(t *testing.T) {
 					a[i], b[i] = uint8(ra>>(8*i)), uint8(rb>>(8*i))
 				}
 				a[pos], b[pos] = uint8(x), uint8(y)
-				checkU8x8(t, "AddU8x8", AddU8x8, AddU8, a, b)
-				checkU8x8(t, "SubU8x8", SubU8x8, SubU8, a, b)
 				checkU8x8(t, "MaxU8x8", MaxU8x8, MaxU8, a, b)
+				checkU8x8(t, "MSVStepU8x8 as max", func(a, b uint64) uint64 { return MSVStepU8x8(a, b, 0) }, MaxU8, a, b)
+				checkU8x8(t, "MSVStepU8x8 as sub", func(a, b uint64) uint64 { return MSVStepU8x8(a, 0, b) }, SubU8, a, b)
+				checkU8x8(t, "MSVStepU8x8", func(a, b uint64) uint64 { return MSVStepU8x8(a, b, a^b) },
+					func(a, b uint8) uint8 { return SubU8(MaxU8(a, b), a^b) }, a, b)
 			}
 		}
 	}
@@ -156,40 +158,12 @@ func TestI16x4SplatAndHMax(t *testing.T) {
 	}
 }
 
-// The lane benchmarks run one saturating add over the same 4096
+// The lane benchmarks run one saturating i16 add over the same 4096
 // random lanes, a lane at a time and a word at a time; SetBytes counts
 // lanes, so MB/s reads as Mlane/s and the two rows of a pair compare
 // directly. (The benchmark of record's satmath.*_mlanes_per_s rungs
 // time the scalar helpers only.)
 const benchLanes = 4096
-
-func BenchmarkAddU8(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x, y, out := make([]uint8, benchLanes), make([]uint8, benchLanes), make([]uint8, benchLanes)
-	for i := range x {
-		x[i], y[i] = uint8(rng.Uint32()), uint8(rng.Uint32())
-	}
-	b.SetBytes(benchLanes)
-	for i := 0; i < b.N; i++ {
-		for j := range out {
-			out[j] = AddU8(x[j], y[j])
-		}
-	}
-}
-
-func BenchmarkAddU8x8(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x, y, out := make([]uint64, benchLanes/8), make([]uint64, benchLanes/8), make([]uint64, benchLanes/8)
-	for i := range x {
-		x[i], y[i] = rng.Uint64(), rng.Uint64()
-	}
-	b.SetBytes(benchLanes)
-	for i := 0; i < b.N; i++ {
-		for j := range out {
-			out[j] = AddU8x8(x[j], y[j])
-		}
-	}
-}
 
 func BenchmarkAddI16(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

@@ -25,10 +25,8 @@ func (w *Warp) SharedLoadU8Into(dst []uint8, addrs []int) {
 }
 
 // ShuffleTouch meters n warp-shuffle instructions without moving any
-// data: the op for exchanges whose result the kernel computes on its
-// SWAR register words (a butterfly max is a word fold), as
-// SharedSpanTouch is for memory. Each costs what ShflUpI32Into costs
-// and, like it, is an illegal instruction on a device without shuffle.
+// data. Each costs what ShflUpI32Into costs and, like it, is an
+// illegal instruction on a device without shuffle.
 func (w *Warp) ShuffleTouch(n int) {
 	if !w.dev.Spec.HasShuffle {
 		w.fail("shfl.xor", "no warp shuffle on this device")

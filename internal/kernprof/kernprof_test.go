@@ -15,11 +15,12 @@ import (
 func testKernel(w *simt.Warp) {
 	lanes := w.Lanes()
 	words := make([]uint64, lanes/4)
+	src, dst := make([]int32, lanes), make([]int32, lanes)
 	w.ALU(7)
 	w.SharedSpanStoreWords(words, 0, lanes, 2)
 	w.SharedSpanLoadWords(words, 0, lanes, 2)
 	w.GlobalSpanLoad(0, 4, lanes)
-	w.ShuffleTouch(1)
+	w.ShflUpI32Into(dst, src, 1)
 	w.Vote()
 }
 

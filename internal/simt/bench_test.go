@@ -15,29 +15,6 @@ func BenchmarkLaunchOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkSharedAccess measures the simulator's per-warp-access cost,
-// the dominant term in kernel simulation throughput.
-func BenchmarkSharedAccess(b *testing.B) {
-	dev := NewDevice(TeslaK40())
-	kernel := func(w *Warp) {
-		addrs := make([]int, 32)
-		vals := make([]uint8, 32)
-		for l := range addrs {
-			addrs[l] = l
-		}
-		for i := 0; i < 1000; i++ {
-			w.SharedStoreU8(addrs, vals)
-			w.SharedLoadU8Into(vals, addrs)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1, SharedBytesPerBlock: 64}, kernel); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkOccupancyCalc measures the planner's core primitive.
 func BenchmarkOccupancyCalc(b *testing.B) {
 	spec := TeslaK40()

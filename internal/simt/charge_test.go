@@ -14,7 +14,10 @@ func TestChargeEqualsOps(t *testing.T) {
 		ops := func(w *Warp) {
 			w.ALU(5)
 			if w.HasShuffle() {
-				w.ShuffleTouch(5)
+				src, dst := make([]int32, 32), make([]int32, 32)
+				for range 5 {
+					w.ShflUpI32Into(dst, src, 1)
+				}
 			}
 			w.SharedSpanTouch(0, 1, 32, true)
 			w.SharedSpanTouch(0, 2, 7, false)

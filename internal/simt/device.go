@@ -36,7 +36,7 @@ type Device struct {
 	// discarded). 0 disables the watchdog.
 	LaunchTimeout time.Duration
 	// Mode selects cycle-accurate accounting (the default) or fast
-	// functional execution with a nil CostModel; see Mode.
+	// functional execution with accounting off; see Mode.
 	Mode Mode
 	// Profiler, when non-nil, receives a per-block counter profile of
 	// every successful launch (see Profiler in profiler.go). Nil — the
@@ -191,12 +191,9 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 	// how the host schedules the blocks below.
 	memPlan := d.Faults.memPlan(spec.ECC, cfg.SharedBytesPerBlock, cfg.Blocks)
 
-	// The launch's cost model: nil in fast mode, so every warp
-	// operation's accounting collapses to one predictable branch.
-	var cost CostModel
-	if d.Mode != ModeFast {
-		cost = cycleModel{}
-	}
+	// Whether the launch records accounting: off in fast mode, so every
+	// warp operation's accounting collapses to one predictable branch.
+	costed := d.Mode != ModeFast
 
 	// Profiling stride: 0 disables collection entirely (the common
 	// case), 1 profiles every block (always in cycle mode), and a
@@ -205,7 +202,7 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 	stride := 0
 	if prof != nil {
 		stride = 1
-		if cost == nil {
+		if !costed {
 			if s := prof.SamplePeriod(); s > 1 {
 				stride = s
 			}
@@ -259,7 +256,7 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 	newCtx := func() *blockCtx {
 		return &blockCtx{
 			run: blockRun{
-				shared: newSharedMem(cfg.SharedBytesPerBlock, spec.SharedMemBanks, cfg.DetectRaces),
+				shared: newSharedMem(cfg.SharedBytesPerBlock, cfg.DetectRaces),
 			},
 			warps: make([]Warp, cfg.WarpsPerBlock),
 		}
@@ -295,15 +292,11 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 			// A one-warp cooperative block syncs trivially (n=1).
 			br.barrier = newBlockBarrier(cfg.WarpsPerBlock)
 		}
+		// Fast-mode sampling: a sampled block runs with full cycle
+		// accounting. Accounting is pure bookkeeping — data movement,
+		// faults and races are identical — so results stay
+		// byte-identical to an unprofiled fast run.
 		sampled := stride > 0 && b%stride == 0
-		bcost := cost
-		if sampled && bcost == nil {
-			// Fast-mode sampling: the sampled block runs with full cycle
-			// accounting attached. Accounting is pure bookkeeping — data
-			// movement, faults and races are identical — so results stay
-			// byte-identical to an unprofiled fast run.
-			bcost = cycleModel{}
-		}
 		for wi := range bc.warps {
 			bc.warps[wi] = Warp{
 				BlockIdx:      b,
@@ -312,7 +305,7 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 				WarpsPerBlock: cfg.WarpsPerBlock,
 				dev:           d,
 				block:         br,
-				cost:          bcost,
+				costed:        costed || sampled,
 			}
 		}
 		if concurrent {

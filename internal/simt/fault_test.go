@@ -200,18 +200,19 @@ func TestApplyFaults(t *testing.T) {
 
 func TestKernelPanicRecoveredWithContext(t *testing.T) {
 	dev := NewDevice(GTX580())
+	src, dst := make([]int32, 32), make([]int32, 32)
 	_, err := dev.Launch(LaunchConfig{Blocks: 3, WarpsPerBlock: 1, Name: "msv", HostWorkers: 1},
 		func(w *Warp) {
 			if w.BlockIdx == 1 {
-				w.ShuffleTouch(1)
+				w.ShflUpI32Into(dst, src, 1)
 			}
 		})
 	var kp *KernelPanicError
 	if !errors.As(err, &kp) {
 		t.Fatalf("err = %v, want *KernelPanicError", err)
 	}
-	if kp.Op != "shfl.xor" || kp.Block != 1 || kp.Warp != 0 || kp.Kernel != "msv" {
-		t.Errorf("panic context = op %q block %d warp %d kernel %q; want shfl.xor/1/0/msv",
+	if kp.Op != "shfl.up" || kp.Block != 1 || kp.Warp != 0 || kp.Kernel != "msv" {
+		t.Errorf("panic context = op %q block %d warp %d kernel %q; want shfl.up/1/0/msv",
 			kp.Op, kp.Block, kp.Warp, kp.Kernel)
 	}
 	if kp.Device != dev.Track() {

@@ -17,15 +17,15 @@ func flipProbe(t *testing.T, spec DeviceSpec, mem *MemFaultInjector) []int {
 	var bad []int
 	_, err := dev.Launch(LaunchConfig{Blocks: 4, WarpsPerBlock: 1, SharedBytesPerBlock: sharedBytes, HostWorkers: 1},
 		func(w *Warp) {
-			addrs := make([]int, w.Lanes())
-			vals := make([]uint8, w.Lanes())
-			for off := 0; off < sharedBytes; off += w.Lanes() {
-				for l := range addrs {
-					addrs[l] = off + l
+			lanes := w.Lanes()
+			vals := make([]uint8, lanes)
+			got := make([]uint8, lanes)
+			for off := 0; off < sharedBytes; off += lanes {
+				for l := range vals {
 					vals[l] = uint8(off + l)
 				}
-				w.SharedStoreU8(addrs, vals)
-				got := w.SharedLoadU8(addrs)
+				w.SharedSpanStoreU8(vals, off, lanes)
+				w.SharedSpanLoadU8(got, off, lanes)
 				for l := range got {
 					if got[l] != vals[l] {
 						bad = append(bad, w.BlockIdx*sharedBytes+off+l)

@@ -6,11 +6,11 @@ import "fmt"
 // while executing kernels.
 //
 // ModeCycleAccurate (the zero value, so existing callers are
-// unchanged) runs the full cost model: bank conflicts, coalesced
+// unchanged) runs the full cost model: shared accesses, coalesced
 // transaction counting, issue cycles, lane occupancy and sync stalls —
 // everything the perf package needs to reproduce the paper's figures.
 //
-// ModeFast executes kernels functionally with a nil CostModel:
+// ModeFast executes kernels functionally with accounting off:
 // identical data movement, fault injection, race detection and
 // cancellation points — so scores, tblout files, checkpoint journals
 // and DMR verdicts are byte-identical to cycle-accurate runs — but no

@@ -33,7 +33,7 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-// TestFastModeRecordsNothing pins the nil-CostModel contract: a fast
+// TestFastModeRecordsNothing pins the uncosted-warp contract: a fast
 // launch that exercises every metered operation class reports stats
 // equal to the zero KernelStats apart from WarpsExecuted — no cycles,
 // no transactions, no lane occupancy.
@@ -46,10 +46,7 @@ func TestFastModeRecordsNothing(t *testing.T) {
 		i16 := make([]int16, lanes)
 		u8 := make([]uint8, lanes)
 		words := make([]uint64, lanes/4)
-		addrs64 := make([]int64, lanes)
-		for l := range addrs64 {
-			addrs64[l] = int64(4 * l)
-		}
+		src, dst := make([]int32, lanes), make([]int32, lanes)
 		w.ALU(7)
 		w.SharedSpanStoreI16(i16, 0, lanes)
 		w.SharedSpanLoadI16(i16, 0, lanes)
@@ -61,11 +58,10 @@ func TestFastModeRecordsNothing(t *testing.T) {
 		w.SharedSpanLoadWords(words, 3, lanes-5, 1)
 		w.SharedSpanTouch(0, 4, lanes, false)
 		w.SharedBroadcastI16(0)
-		w.GlobalLoad(addrs64, 4)
 		w.GlobalSpanLoadCached(0, 4, lanes)
 		w.GlobalSpanStore(0, 8, 1)
 		w.GlobalBroadcastLoad(0, 4)
-		w.ShuffleTouch(1)
+		w.ShflUpI32Into(dst, src, 1)
 		w.Vote()
 	}
 	rep, err := dev.Launch(LaunchConfig{
@@ -82,7 +78,7 @@ func TestFastModeRecordsNothing(t *testing.T) {
 
 // TestFastModeOpsAllocateNothing asserts the fast-path ops a kernel's
 // inner loop issues are allocation-free: the whole point of ModeFast
-// is that per-op overhead collapses to a nil check and a slice copy.
+// is that per-op overhead collapses to one branch and a slice copy.
 func TestFastModeOpsAllocateNothing(t *testing.T) {
 	dev := NewDevice(TeslaK40())
 	dev.Mode = ModeFast
@@ -93,6 +89,7 @@ func TestFastModeOpsAllocateNothing(t *testing.T) {
 		lanes := w.Lanes()
 		i16 := make([]int16, lanes)
 		words := make([]uint64, lanes/4)
+		src, dst := make([]int32, lanes), make([]int32, lanes)
 		allocs = testing.AllocsPerRun(100, func() {
 			w.SharedSpanStoreI16(i16, 0, lanes)
 			w.SharedSpanLoadI16(i16, 0, lanes)
@@ -102,7 +99,7 @@ func TestFastModeOpsAllocateNothing(t *testing.T) {
 			w.SharedSpanLoadWords(words, 3, lanes-5, 1)
 			w.SharedSpanTouch(0, 4, lanes, false)
 			w.ALU(3)
-			w.ShuffleTouch(1)
+			w.ShflUpI32Into(dst, src, 1)
 			w.Vote()
 		})
 	})

@@ -2,8 +2,8 @@ package simt
 
 // The profiler seam: a Device with a non-nil Profiler hands every
 // successful launch a LaunchProfile of per-block counter deltas. The
-// hook follows the package's nil-cost-when-off discipline (like the
-// nil CostModel and the obs nil receivers): with Profiler nil the
+// hook follows the package's no-cost-when-off discipline (like an
+// uncosted warp and the obs nil receivers): with Profiler nil the
 // launch path performs exactly one extra comparison per block and
 // allocates nothing.
 //
@@ -11,10 +11,10 @@ package simt
 //   - ModeCycleAccurate: every block is profiled (SamplePeriod 1);
 //     the per-block deltas partition the launch's aggregate stats.
 //   - ModeFast: only blocks with index % SamplePeriod() == 0 are
-//     profiled. A sampled block runs with the cycle-accurate cost
-//     model attached — accounting is pure bookkeeping, so results
-//     stay byte-identical — while unsampled blocks keep the nil cost
-//     model and its zero per-operation overhead. The sampled blocks'
+//     profiled. A sampled block runs with cycle-accurate accounting
+//     — pure bookkeeping, so results stay byte-identical — while
+//     unsampled blocks keep accounting off and its zero
+//     per-operation overhead. The sampled blocks'
 //     counters also flow into LaunchReport.Stats, so a fast-mode
 //     report is no longer all-zero when a profiler is attached.
 //

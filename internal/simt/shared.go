@@ -3,9 +3,9 @@ package simt
 import "sync"
 
 // SharedMem models a block's on-chip shared memory: byte-addressable
-// storage divided into 32 four-byte-wide banks, with bank-conflict
-// accounting per warp access and optional cross-warp race detection
-// between barriers.
+// storage with optional cross-warp race detection between barriers.
+// Warps reach it only through spans and broadcasts (warp_span.go),
+// which never conflict on the banks, so no bank state is kept.
 //
 // The mutex serialises warp accesses within a block so that a
 // simulated racy kernel (the paper's synchronised multi-warp baseline
@@ -13,9 +13,8 @@ import "sync"
 // tracker rather than corrupting the host process: lost updates are a
 // modelled hazard, not Go-level undefined behaviour.
 type SharedMem struct {
-	mu    sync.Mutex
-	data  []byte
-	banks int
+	mu   sync.Mutex
+	data []byte
 
 	// concurrent is set per block by the scheduler: true only when a
 	// cooperative multi-warp block runs its warps on separate
@@ -44,10 +43,9 @@ type SharedMem struct {
 	races      int64
 }
 
-func newSharedMem(size, banks int, trackRaces bool) *SharedMem {
+func newSharedMem(size int, trackRaces bool) *SharedMem {
 	sm := &SharedMem{
 		data:       make([]byte, size),
-		banks:      banks,
 		trackRaces: trackRaces,
 	}
 	if trackRaces {
@@ -93,95 +91,9 @@ func (sm *SharedMem) at(a int) byte {
 	return b
 }
 
-// conflictDegree computes the bank-conflict replay factor of one warp
-// access: the maximum, over banks, of the number of distinct 4-byte
-// words the warp touches in that bank. Lanes hitting the same word
-// broadcast and do not conflict. addrs entries < 0 denote inactive
-// lanes.
-func (sm *SharedMem) conflictDegree(addrs []int) int {
-	// Fast path: a warp access whose active addresses span fewer than
-	// banks*4 bytes touches at most `banks` contiguous words, which
-	// map to pairwise-distinct banks — conflict-free by construction.
-	// This covers the kernels' consecutive-cell access patterns.
-	lo, hi := -1, -1
-	for _, a := range addrs {
-		if a < 0 {
-			continue
-		}
-		if lo < 0 || a < lo {
-			lo = a
-		}
-		if a > hi {
-			hi = a
-		}
-	}
-	if lo < 0 {
-		return 1 // fully inactive access
-	}
-	if (hi>>2)-(lo>>2) < sm.banks {
-		// At most `banks` consecutive word slots: pairwise-distinct
-		// banks, so no replay is possible.
-		return 1
-	}
-	// A warp has at most 32 lanes; linear scan over small sets beats
-	// map allocation here.
-	type wb struct{ word, bank int }
-	var seen [32]wb
-	n := 0
-	var perBank [32]int8
-	degree := 1
-	for _, a := range addrs {
-		if a < 0 {
-			continue
-		}
-		word := a >> 2
-		bank := word % sm.banks
-		dup := false
-		for i := 0; i < n; i++ {
-			if seen[i].word == word {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[n] = wb{word, bank}
-		n++
-		perBank[bank]++
-		if int(perBank[bank]) > degree {
-			degree = int(perBank[bank])
-		}
-	}
-	return degree
-}
-
-func (sm *SharedMem) noteAccess(warp int32, addrs []int, width int, isWrite bool) {
-	if !sm.trackRaces {
-		return
-	}
-	for _, a := range addrs {
-		if a < 0 {
-			continue
-		}
-		for b := a; b < a+width && b < len(sm.lastWarp); b++ {
-			if sm.lastEpoch[b] == sm.epoch && sm.lastWarp[b] >= 0 && sm.lastWarp[b] != warp &&
-				(isWrite || sm.lastWrite[b]) {
-				sm.races++
-			}
-			// Writes claim the byte; reads only claim unowned bytes so
-			// a later conflicting write is still caught.
-			if isWrite || sm.lastEpoch[b] != sm.epoch || sm.lastWarp[b] < 0 {
-				sm.lastWarp[b] = warp
-				sm.lastEpoch[b] = sm.epoch
-				sm.lastWrite[b] = isWrite
-			}
-		}
-	}
-}
-
-// noteSpan is noteAccess for a contiguous byte range [base, base+n):
-// the same per-byte epoch bookkeeping without the address vector.
+// noteSpan records one warp access to the bytes [base, base+n) for
+// race detection: a byte races when a different warp touched it in the
+// same epoch and at least one of the two accesses was a write.
 func (sm *SharedMem) noteSpan(warp int32, base, n int, isWrite bool) {
 	if !sm.trackRaces {
 		return
@@ -194,6 +106,8 @@ func (sm *SharedMem) noteSpan(warp int32, base, n int, isWrite bool) {
 			(isWrite || sm.lastWrite[b]) {
 			sm.races++
 		}
+		// Writes claim the byte; reads only claim unowned bytes so a
+		// later conflicting write is still caught.
 		if isWrite || sm.lastEpoch[b] != sm.epoch || sm.lastWarp[b] < 0 {
 			sm.lastWarp[b] = warp
 			sm.lastEpoch[b] = sm.epoch

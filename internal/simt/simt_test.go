@@ -79,12 +79,9 @@ func TestLaunchCountsDeterministic(t *testing.T) {
 	cfg := LaunchConfig{Blocks: 7, WarpsPerBlock: 3, SharedBytesPerBlock: 1024, RegsPerThread: 32}
 	kernel := func(w *Warp) {
 		w.ALU(10 + w.GlobalWarpID())
-		addrs := make([]int, 32)
-		for l := range addrs {
-			addrs[l] = l
-		}
-		w.SharedStoreU8(addrs, make([]uint8, 32))
-		w.SharedLoadU8(addrs)
+		buf := make([]uint8, 32)
+		w.SharedSpanStoreU8(buf, 0, 32)
+		w.SharedSpanLoadU8(buf, 0, 32)
 	}
 	var first KernelStats
 	for trial := 0; trial < 3; trial++ {
@@ -109,15 +106,12 @@ func TestSharedMemoryDataFlow(t *testing.T) {
 	dev := NewDevice(TeslaK40())
 	got := make([]uint8, 32)
 	kernel := func(w *Warp) {
-		addrs := make([]int, 32)
 		vals := make([]uint8, 32)
 		for l := 0; l < 32; l++ {
-			addrs[l] = l
 			vals[l] = uint8(l * 3)
 		}
-		w.SharedStoreU8(addrs, vals)
-		back := w.SharedLoadU8(addrs)
-		copy(got, back)
+		w.SharedSpanStoreU8(vals, 0, 32)
+		w.SharedSpanLoadU8(got, 0, 32)
 	}
 	if _, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1, SharedBytesPerBlock: 64}, kernel); err != nil {
 		t.Fatal(err)
@@ -150,112 +144,51 @@ func TestSharedI16RoundTrip(t *testing.T) {
 	}
 }
 
-func TestBankConflictAccounting(t *testing.T) {
-	dev := NewDevice(TeslaK40())
-	var conflictFree, conflicted KernelStats
-	kernel := func(w *Warp) {
-		// Consecutive bytes: 32 lanes over 8 words in 8 distinct banks
-		// -> conflict-free (the paper's "intrinsic conflict-free
-		// access").
-		addrs := make([]int, 32)
-		for l := range addrs {
-			addrs[l] = l
-		}
-		w.SharedLoadU8(addrs)
-		conflictFree = w.stats
-
-		// Stride of 128 bytes = 32 words: every lane hits bank 0 with
-		// a distinct word -> 32-way conflict.
-		for l := range addrs {
-			addrs[l] = l * 128
-		}
-		w.SharedLoadU8(addrs)
-		conflicted = w.stats
-	}
-	if _, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1, SharedBytesPerBlock: 4096}, kernel); err != nil {
-		t.Fatal(err)
-	}
-	if conflictFree.BankConflictReplays != 0 || conflictFree.SharedLoads != 1 {
-		t.Errorf("consecutive bytes: %+v", conflictFree)
-	}
-	if conflicted.BankConflictReplays-conflictFree.BankConflictReplays != 31 {
-		t.Errorf("strided access should replay 31 times: %+v", conflicted)
-	}
-}
-
-func TestBroadcastIsConflictFree(t *testing.T) {
-	dev := NewDevice(TeslaK40())
-	var st KernelStats
-	kernel := func(w *Warp) {
-		addrs := make([]int, 32)
-		for l := range addrs {
-			addrs[l] = 40 // same word: broadcast
-		}
-		w.SharedLoadU8(addrs)
-		st = w.stats
-	}
-	if _, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1, SharedBytesPerBlock: 256}, kernel); err != nil {
-		t.Fatal(err)
-	}
-	if st.BankConflictReplays != 0 {
-		t.Errorf("broadcast should not conflict: %+v", st)
-	}
-}
-
 func TestCoalescingTransactions(t *testing.T) {
 	cases := []struct {
-		name  string
-		gen   func(l int) int64
-		width int
-		want  int
+		name string
+		load func(w *Warp)
+		want int64
 	}{
-		{"sequential-int", func(l int) int64 { return int64(4 * l) }, 4, 1},
-		{"strided-256", func(l int) int64 { return int64(256 * l) }, 4, 32},
-		{"same-address", func(l int) int64 { return 512 }, 4, 1},
-		{"two-segments", func(l int) int64 { return int64(8 * l) }, 4, 2},
+		{"sequential-int", func(w *Warp) { w.GlobalSpanLoad(0, 4, 32) }, 1},
+		{"same-address", func(w *Warp) { w.GlobalBroadcastLoad(512, 4) }, 1},
+		{"two-segments", func(w *Warp) { w.GlobalSpanLoad(0, 8, 32) }, 2},
 	}
 	for _, c := range cases {
-		addrs := make([]int64, 32)
-		for l := range addrs {
-			addrs[l] = c.gen(l)
+		rep, err := NewDevice(TeslaK40()).Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1}, c.load)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := coalescedTransactions(addrs, c.width); got != c.want {
+		if got := rep.Stats.GlobalLoadTransactions; got != c.want {
 			t.Errorf("%s: %d transactions, want %d", c.name, got, c.want)
 		}
 	}
 }
 
-// TestShufflePanicsOnFermi: every shuffle form, the charge-only one
-// included, is an illegal instruction on a device without shuffle.
+// TestShufflePanicsOnFermi: a shuffle is an illegal instruction on a
+// device without shuffle.
 func TestShufflePanicsOnFermi(t *testing.T) {
-	i := make([]int32, 32)
-	for _, c := range []struct {
-		op string
-		fn func(w *Warp)
-	}{
-		{"shfl.xor", func(w *Warp) { w.ShuffleTouch(1) }},
-		{"shfl.up", func(w *Warp) { w.ShflUpI32Into(i, i, 1) }},
-	} {
-		dev := NewDevice(GTX580())
-		_, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1}, c.fn)
-		var kp *KernelPanicError
-		if !errors.As(err, &kp) {
-			t.Fatalf("%s on Fermi: err = %v, want *KernelPanicError", c.op, err)
-		}
-		if kp.Op != c.op {
-			t.Errorf("fault op = %q, want %q", kp.Op, c.op)
-		}
+	src, dst := make([]int32, 32), make([]int32, 32)
+	dev := NewDevice(GTX580())
+	_, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1}, func(w *Warp) { w.ShflUpI32Into(dst, src, 1) })
+	var kp *KernelPanicError
+	if !errors.As(err, &kp) {
+		t.Fatalf("shfl.up on Fermi: err = %v, want *KernelPanicError", err)
+	}
+	if kp.Op != "shfl.up" {
+		t.Errorf("fault op = %q, want shfl.up", kp.Op)
 	}
 }
 
-// TestVote: a vote and a charge-only shuffle each cost one instruction
-// and one issue cycle, and move nothing else.
+// TestVote: a vote and a shuffle each cost one instruction and one
+// issue cycle, and move nothing else.
 func TestVote(t *testing.T) {
 	dev := NewDevice(TeslaK40())
+	src, dst := make([]int32, 32), make([]int32, 32)
 	rep, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1}, func(w *Warp) {
 		w.Vote()
 		w.Vote()
-		w.ShuffleTouch(1)
+		w.ShflUpI32Into(dst, src, 1)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -284,20 +217,17 @@ func TestCooperativeBarrierOrdersWrites(t *testing.T) {
 	// and with races detection on, no race may be reported.
 	var seen uint8
 	kernel := func(w *Warp) {
-		addrs := make([]int, 32)
-		for l := range addrs {
-			addrs[l] = l
-		}
+		vals := make([]uint8, 32)
 		if w.WarpInBlock == 0 {
-			vals := make([]uint8, 32)
 			for l := range vals {
 				vals[l] = 42
 			}
-			w.SharedStoreU8(addrs, vals)
+			w.SharedSpanStoreU8(vals, 0, 32)
 		}
 		w.Sync()
 		if w.WarpInBlock == 1 {
-			seen = w.SharedLoadU8(addrs)[5]
+			w.SharedSpanLoadU8(vals, 0, 32)
+			seen = vals[5]
 		}
 	}
 	rep, err := dev.Launch(LaunchConfig{
@@ -323,11 +253,7 @@ func TestRaceDetectionFlagsUnsyncedAccess(t *testing.T) {
 	// Two warps write the same shared word with no barrier — the
 	// hazard of Figure 4 when the synchronisation calls are omitted.
 	kernel := func(w *Warp) {
-		addrs := make([]int, 32)
-		for l := range addrs {
-			addrs[l] = l
-		}
-		w.SharedStoreU8(addrs, make([]uint8, 32))
+		w.SharedSpanStoreU8(make([]uint8, 32), 0, 32)
 	}
 	rep, err := dev.Launch(LaunchConfig{
 		Blocks: 1, WarpsPerBlock: 2, SharedBytesPerBlock: 64,
@@ -458,21 +384,11 @@ func contains(s, sub string) bool {
 func TestLaneUtilizationAccounting(t *testing.T) {
 	dev := NewDevice(TeslaK40())
 	kernel := func(w *Warp) {
-		addrs := make([]int, 32)
+		buf := make([]uint8, 32)
 		// Full warp access.
-		for l := range addrs {
-			addrs[l] = l
-		}
-		w.SharedLoadU8(addrs)
+		w.SharedSpanLoadU8(buf, 0, 32)
 		// Quarter-active access.
-		for l := range addrs {
-			if l < 8 {
-				addrs[l] = l
-			} else {
-				addrs[l] = -1
-			}
-		}
-		w.SharedLoadU8(addrs)
+		w.SharedSpanLoadU8(buf, 0, 8)
 	}
 	rep, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1, SharedBytesPerBlock: 64}, kernel)
 	if err != nil {

@@ -2,18 +2,15 @@ package simt
 
 import "hmmer3gpu/internal/satmath"
 
-// Span operations: the warp access patterns the paper's kernels
-// actually use — `active` lanes touching consecutive cells — expressed
-// as contiguous slice transfers instead of per-lane address gathers.
-// A span of at most 32 cells of width <= 4 covers at most `banks`
-// consecutive words, which map to pairwise-distinct banks, so the
-// access is conflict-free by construction and its cost is computed
-// analytically (CostModel.SharedSpan / GlobalSpan) rather than by
-// scanning an address vector. The data paths are tight loops over
-// adjacent bytes that the compiler can bounds-check-eliminate and keep
-// in cache; accounting, fault overlays and race tracking are
-// bit-identical to the equivalent gather/scatter call with addresses
-// base + lane*width (inactive tail lanes negative).
+// Span operations: the warp access patterns the simulated kernels
+// use — `active` lanes touching consecutive cells, or every lane
+// reading one word — expressed as contiguous slice transfers. A span
+// of at most 32 cells of width <= 4 covers at most 32 consecutive
+// words, which map to pairwise-distinct banks, so the access is
+// conflict-free by construction and its cost is computed analytically
+// (cost.go). The data paths are tight loops over adjacent bytes that
+// the compiler can bounds-check-eliminate and keep in cache. A span of
+// no cells is neither charged nor race-noted.
 //
 // A span longer than the warp is a whole DP row moved at once. It
 // stands for the run of warp-wide spans at consecutive offsets that a
@@ -33,8 +30,8 @@ func (w *Warp) SharedSpanLoadU8(dst []uint8, base, n int) {
 		sm.mu.Lock()
 		defer sm.mu.Unlock()
 	}
-	if w.cost != nil {
-		w.cost.SharedSpan(w, n, false)
+	if w.costed {
+		w.chargeSharedSpan(n, false)
 	}
 	if sm.trackRaces {
 		sm.noteSpan(int32(w.WarpInBlock), base, n, false)
@@ -59,8 +56,8 @@ func (w *Warp) SharedSpanStoreU8(src []uint8, base, n int) {
 		sm.mu.Lock()
 		defer sm.mu.Unlock()
 	}
-	if w.cost != nil {
-		w.cost.SharedSpan(w, n, true)
+	if w.costed {
+		w.chargeSharedSpan(n, true)
 	}
 	if sm.trackRaces {
 		sm.noteSpan(int32(w.WarpInBlock), base, n, true)
@@ -79,8 +76,8 @@ func (w *Warp) SharedSpanLoadI16(dst []int16, base, n int) {
 		sm.mu.Lock()
 		defer sm.mu.Unlock()
 	}
-	if w.cost != nil {
-		w.cost.SharedSpan(w, n, false)
+	if w.costed {
+		w.chargeSharedSpan(n, false)
 	}
 	if sm.trackRaces {
 		sm.noteSpan(int32(w.WarpInBlock), base, 2*n, false)
@@ -109,8 +106,8 @@ func (w *Warp) SharedSpanStoreI16(src []int16, base, n int) {
 		sm.mu.Lock()
 		defer sm.mu.Unlock()
 	}
-	if w.cost != nil {
-		w.cost.SharedSpan(w, n, true)
+	if w.costed {
+		w.chargeSharedSpan(n, true)
 	}
 	if sm.trackRaces {
 		sm.noteSpan(int32(w.WarpInBlock), base, 2*n, true)
@@ -139,8 +136,8 @@ func (w *Warp) SharedSpanLoadWords(dst []uint64, base, cells, width int) {
 		sm.mu.Lock()
 		defer sm.mu.Unlock()
 	}
-	if w.cost != nil {
-		w.cost.SharedSpan(w, cells, false)
+	if w.costed {
+		w.chargeSharedSpan(cells, false)
 	}
 	n := cells * width
 	if sm.trackRaces {
@@ -169,8 +166,8 @@ func (w *Warp) SharedSpanStoreWords(src []uint64, base, cells, width int) {
 		sm.mu.Lock()
 		defer sm.mu.Unlock()
 	}
-	if w.cost != nil {
-		w.cost.SharedSpan(w, cells, true)
+	if w.costed {
+		w.chargeSharedSpan(cells, true)
 	}
 	n := cells * width
 	if sm.trackRaces {
@@ -198,8 +195,8 @@ func (w *Warp) SharedSpanTouch(base, width, n int, store bool) {
 	}
 	// Keep the load/store ops' out-of-bounds failure mode.
 	_ = sm.data[base+width*n-1]
-	if w.cost != nil {
-		w.cost.SharedSpan(w, n, store)
+	if w.costed {
+		w.chargeSharedSpan(n, store)
 	}
 	if sm.trackRaces {
 		sm.noteSpan(int32(w.WarpInBlock), base, width*n, store)
@@ -215,8 +212,8 @@ func (w *Warp) SharedBroadcastU8(addr int) uint8 {
 		sm.mu.Lock()
 		defer sm.mu.Unlock()
 	}
-	if w.cost != nil {
-		w.cost.SharedBroadcast(w)
+	if w.costed {
+		w.chargeSharedBroadcast()
 	}
 	if sm.trackRaces {
 		sm.noteSpan(int32(w.WarpInBlock), addr, 1, false)
@@ -231,8 +228,8 @@ func (w *Warp) SharedBroadcastI16(addr int) int16 {
 		sm.mu.Lock()
 		defer sm.mu.Unlock()
 	}
-	if w.cost != nil {
-		w.cost.SharedBroadcast(w)
+	if w.costed {
+		w.chargeSharedBroadcast()
 	}
 	if sm.trackRaces {
 		sm.noteSpan(int32(w.WarpInBlock), addr, 2, false)
@@ -243,14 +240,14 @@ func (w *Warp) SharedBroadcastI16(addr int) int16 {
 // GlobalSpanLoad meters a fully-coalesced warp read: `active` lanes
 // reading width bytes each from consecutive addresses starting at
 // base (lane l reads base + l*width; tail lanes inactive; longer spans
-// as above). Like GlobalLoad, only the traffic is metered — data lives
-// in host buffers.
+// as above). Only the traffic is metered — data lives in host
+// buffers.
 func (w *Warp) GlobalSpanLoad(base int64, width, active int) {
 	if active <= 0 {
 		return
 	}
-	if w.cost != nil {
-		w.cost.GlobalSpan(w, base, width, active, false, false)
+	if w.costed {
+		w.chargeGlobalSpan(base, width, active, false, false)
 	}
 }
 
@@ -260,8 +257,8 @@ func (w *Warp) GlobalSpanLoadCached(base int64, width, active int) {
 	if active <= 0 {
 		return
 	}
-	if w.cost != nil {
-		w.cost.GlobalSpan(w, base, width, active, true, false)
+	if w.costed {
+		w.chargeGlobalSpan(base, width, active, true, false)
 	}
 }
 
@@ -270,8 +267,8 @@ func (w *Warp) GlobalSpanStore(base int64, width, active int) {
 	if active <= 0 {
 		return
 	}
-	if w.cost != nil {
-		w.cost.GlobalSpan(w, base, width, active, false, true)
+	if w.costed {
+		w.chargeGlobalSpan(base, width, active, false, true)
 	}
 }
 
@@ -280,8 +277,8 @@ func (w *Warp) GlobalSpanStoreCached(base int64, width, active int) {
 	if active <= 0 {
 		return
 	}
-	if w.cost != nil {
-		w.cost.GlobalSpan(w, base, width, active, true, true)
+	if w.costed {
+		w.chargeGlobalSpan(base, width, active, true, true)
 	}
 }
 
@@ -289,7 +286,7 @@ func (w *Warp) GlobalSpanStoreCached(base int64, width, active int) {
 // width bytes (the packed-residue word fetch: one transaction,
 // hardware broadcast).
 func (w *Warp) GlobalBroadcastLoad(addr int64, width int) {
-	if w.cost != nil {
-		w.cost.GlobalBroadcast(w, addr, width, false)
+	if w.costed {
+		w.chargeGlobalBroadcast(addr, width)
 	}
 }

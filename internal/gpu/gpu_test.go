@@ -305,11 +305,20 @@ func TestMSVKernelConflictAndRaceFree(t *testing.T) {
 	}
 }
 
+// kernelNames records the kernel name of every launch a device
+// profiles.
+type kernelNames []string
+
+func (*kernelNames) SamplePeriod() int                { return 1 }
+func (k *kernelNames) OnLaunch(p *simt.LaunchProfile) { *k = append(*k, p.Kernel) }
+
 func TestSyncedBaselineMatchesGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	mp, _ := buildProfiles(t, 70, 150, 14)
 	db := testDB(t, rng, 15, 200)
 	dev := simt.NewDevice(simt.TeslaK40())
+	var names kernelNames
+	dev.Profiler = &names
 	ddb := UploadDB(dev, db)
 	s := &Searcher{Dev: dev}
 	rep, err := s.MSVSearchSynced(UploadMSVProfile(dev, mp), ddb, false)
@@ -327,6 +336,9 @@ func TestSyncedBaselineMatchesGolden(t *testing.T) {
 	}
 	if rep.Launch.Stats.SharedRaces != 0 {
 		t.Errorf("synced baseline raced: %d", rep.Launch.Stats.SharedRaces)
+	}
+	if len(names) != 1 || names[0] != "msv_synced" {
+		t.Errorf("synced baseline launches %q, want [msv_synced]", names)
 	}
 }
 

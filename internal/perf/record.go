@@ -24,21 +24,3 @@ func Record(reg *obs.Registry, spec simt.DeviceSpec, kernel string, reps ...*sim
 	reg.Help("hmmer_perf_modelled_gpu_seconds_total",
 		"modelled device execution time (issue/DRAM bound + launch overhead) per kernel")
 }
-
-// RecordBaseline gauges the modelled baseline CPU time for a stage's
-// DP-cell count, so speedups can be derived straight from the table.
-func RecordBaseline(reg *obs.Registry, c CPUSpec, stage string, cells int64) {
-	if !reg.Enabled() {
-		return
-	}
-	var sec float64
-	switch stage {
-	case "msv":
-		sec = CPUTimeMSV(c, cells)
-	case "viterbi":
-		sec = CPUTimeVit(c, cells)
-	default:
-		sec = CPUTimeFwd(c, cells)
-	}
-	reg.Add(obs.WithLabel("hmmer_perf_modelled_cpu_seconds_total", "stage", stage), sec)
-}

@@ -471,14 +471,18 @@ func TestSchedulerBreakerTripSpendsNoBudget(t *testing.T) {
 	}
 }
 
+// The first exec cancels the run. Every exec then holds until the run
+// has refused a submit, so the cancellation is seen before the run can
+// drain: backpressure stops the producer after three of its 100
+// batches, with two held by the devices and one pending.
 func TestSchedulerContextCancellation(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
 	s := &Scheduler{Sys: sys, QueueDepth: 1}
 	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	var once sync.Once
+	refused := make(chan struct{})
 	_, err := runDBs(ctx, s,
 		func(submit func(db *seq.Database) error) error {
+			defer close(refused)
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 100; i++ {
 				db := seq.NewDatabase("ctx")
@@ -490,10 +494,10 @@ func TestSchedulerContextCancellation(t *testing.T) {
 			return nil
 		},
 		func(devIdx int, dev *simt.Device, b Batch) error {
-			once.Do(func() { close(started); cancel() })
+			cancel()
+			<-refused
 			return nil
 		})
-	<-started
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

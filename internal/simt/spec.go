@@ -1,10 +1,10 @@
 // Package simt is a warp-accurate simulator of the CUDA SIMT execution
 // model, built as the stand-in for the NVIDIA hardware the paper runs
 // on (Tesla K40 Kepler and GTX 580 Fermi). Kernels are ordinary Go
-// functions written against a Warp context that provides 32-lane
-// shared-memory access with bank-conflict accounting, global-memory
-// access with coalescing-transaction accounting, Kepler warp shuffles,
-// warp votes, and block barriers. The simulator enforces the warp as
+// functions written against a Warp context that provides shared-memory
+// spans and broadcasts (conflict-free by construction), global-memory
+// spans and broadcasts with 128-byte transaction accounting, Kepler
+// warp shuffles, warp votes, and block barriers. The simulator enforces the warp as
 // the atomic unit of execution, detects cross-warp shared-memory races
 // between barriers, and records the instruction and memory counters
 // that the performance model (internal/perf) converts into kernel

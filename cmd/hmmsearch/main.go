@@ -28,6 +28,7 @@ import (
 	"hmmer3gpu/internal/checkpoint"
 	"hmmer3gpu/internal/cluster"
 	"hmmer3gpu/internal/drainctx"
+	"hmmer3gpu/internal/faults"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/hmm"
 	"hmmer3gpu/internal/obsio"
@@ -62,8 +63,8 @@ func main() {
 		memprof  = flag.String("memprofile", "", "write a host heap profile (runtime/pprof) to this file on exit")
 		sim      = flag.String("sim", "cycles", "simulator mode: cycles (cycle-accurate counters) or fast (functional, no accounting); results are identical")
 
-		faultSpec    = flag.String("faults", "", "inject device faults (multigpu streaming): \"<dev>:<fault>[,...][;...]\" with faults p=<prob>, at=<ordinal>, hang=<ordinal>, dead[=<ordinal>], flip@p=<prob>, flip@shared=<prob>, flip@launch=<ordinal> — e.g. \"0:p=0.2;2:dead\" or \"0:flip@p=1e-4\"")
-		faultSeed    = flag.Int64("fault-seed", 1, "seed for probabilistic fault injection (-faults p=)")
+		faultSpec    = flag.String("faults", "", "inject faults: \"<scope>:<fault>[,...][;...]\" with scopes dev<N> (-engine multigpu -stream: p=P, at=N, hang=N, dead[=N], flip@p=P, flip@shared=P, flip@launch=N), w<N> (-cluster/-cluster-workers: refuse=N, kill=N, killp=P, torn=N, stall=N@D, dead=1, hello=bad), coord (kill=N, exit status 3) and journal (-journal: crash=N[@before-append|@after-append|@after-sync], exit status 3) — e.g. \"dev0:p=0.2;dev2:dead\" or \"w0:kill=1,dead=1;journal:crash=3\"")
+		faultSeed    = flag.Int64("fault-seed", 1, "seed for the probabilistic faults of -faults (p=, killp=, flip@p=, flip@shared=)")
 		maxRetries   = flag.Int("max-retries", 0, "per-batch retry budget after transient device faults (0 = default, negative disables)")
 		quarAfter    = flag.Int("quarantine-after", 0, "consecutive device failures before quarantine (0 = default, negative disables)")
 		batchTimeout = flag.Duration("batch-timeout", 0, "per-batch watchdog deadline (0 disables); a timed-out batch is reassigned and its device quarantined")
@@ -72,8 +73,6 @@ func main() {
 
 		clusterN       = flag.Int("cluster", 0, "shard the streamed search across this many in-process worker nodes, each with -devices simulated devices (exercises the full cluster wire protocol; see cmd/hmmworker for real worker processes)")
 		clusterWorkers = flag.String("cluster-workers", "", "comma-separated hmmworker addresses (host:port) to shard the streamed search across over TCP")
-		clusterFaults  = flag.String("cluster-faults", "", "inject cluster faults: \"<worker>:<fault>[,...][;...]\" with faults refuse=N, kill=N, killp=P, torn=N, stall=N@D, dead=1, hello=bad — e.g. \"0:kill=1,dead=1\"")
-		clusterSeed    = flag.Int64("cluster-fault-seed", 1, "seed for probabilistic cluster fault injection (-cluster-faults killp=)")
 		clusterDeadl   = flag.Duration("cluster-deadline", 0, "per-batch assignment deadline in cluster mode (0 disables); a batch not answered in time is reclaimed and requeued, the late reply fenced")
 		haStandby      = flag.Bool("ha-standby", false, "run as the hot-standby coordinator: keep warm connections to -cluster-workers, tail the -journal, and take over the run (fencing the dead primary by epoch) when the primary's <journal>.lock frees")
 		haEpoch        = flag.Uint64("ha-epoch", 0, "coordinator epoch for fencing: the primary runs at 1 (default), a standby takes over at 2; chain further standbys with higher epochs")
@@ -81,7 +80,6 @@ func main() {
 		journalPath = flag.String("journal", "", "journal committed batches to this crash-safe file (multigpu streaming); an interrupted run resumes with -resume")
 		resume      = flag.Bool("resume", false, "resume from the -journal file when it exists: journaled batches merge from disk and are not re-executed")
 		journalSync = flag.Int("journal-sync", 1, "fsync the journal every N appended batches (1 = every batch; larger trades re-executing up to N-1 batches after a crash for append throughput)")
-		crashSpec   = flag.String("crash", "", "inject a crash after N journal appends, for recovery testing: \"<n>[:before-append|after-append|after-sync]\" (exit status 3)")
 	)
 	flag.Parse()
 	if flag.NArg() != 2 {
@@ -102,24 +100,21 @@ func main() {
 	verifyMode, err := pipeline.ParseVerifyMode(*verify)
 	check(err)
 
+	addrs := splitAddrs(*clusterWorkers)
+	clustered := *clusterN > 0 || len(addrs) > 0
+	plan, err := faultPlan(*faultSpec, *faultSeed, *engine, *stream, *devices, *clusterN+len(addrs), *journalPath)
+	check(err)
+
 	if *stream > 0 {
 		budget := *batchres
 		if budget <= 0 {
 			budget = int64(*stream) * int64(*targlen)
 		}
-		co := ckptOpts{path: *journalPath, resume: *resume, syncEvery: *journalSync}
-		if *crashSpec != "" {
-			if *journalPath == "" {
-				fatalf("-crash requires -journal")
-			}
-			plan, err := checkpoint.ParseCrash(*crashSpec)
-			check(err)
-			co.crash = plan
-		}
+		co := ckptOpts{path: *journalPath, resume: *resume, syncEvery: *journalSync, crash: plan.Crash}
 		if *resume && *journalPath == "" {
 			fatalf("-resume requires -journal")
 		}
-		if *clusterN > 0 || *clusterWorkers != "" {
+		if clustered {
 			if *haStandby {
 				if *clusterWorkers == "" || *clusterN > 0 {
 					fatalf("-ha-standby requires TCP workers (-cluster-workers): the standby must reach the same worker processes the primary used")
@@ -133,9 +128,8 @@ func main() {
 			}
 			cl := clusterOpts{
 				inProcess:       *clusterN,
-				addrs:           *clusterWorkers,
-				faults:          *clusterFaults,
-				faultSeed:       *clusterSeed,
+				addrs:           addrs,
+				inject:          plan.Cluster,
 				batchDeadline:   *clusterDeadl,
 				maxRetries:      *maxRetries,
 				quarantineAfter: *quarAfter,
@@ -156,8 +150,7 @@ func main() {
 			runStreaming(abc, flag.Arg(0), flag.Arg(1), *stream, *targlen, *workers, *evalue, *tblout, sk)
 		case "multigpu":
 			fo := faultOpts{
-				spec:            *faultSpec,
-				seed:            *faultSeed,
+				faults:          plan.Devices,
 				maxRetries:      *maxRetries,
 				quarantineAfter: *quarAfter,
 				batchTimeout:    *batchTimeout,
@@ -172,7 +165,7 @@ func main() {
 		flushSinks(sk)
 		return
 	}
-	if *clusterN > 0 || *clusterWorkers != "" {
+	if clustered {
 		fatalf("-cluster/-cluster-workers require -stream")
 	}
 	if *journalPath != "" || *resume {
@@ -320,11 +313,10 @@ func runStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, batch, targ
 	printStreamed(query.Name, res, evalue, tblout)
 }
 
-// faultOpts carries the chaos-engineering flags into the multigpu
-// streaming path.
+// faultOpts carries the device faults of -faults and the recovery
+// flags into the multigpu streaming path.
 type faultOpts struct {
-	spec            string
-	seed            int64
+	faults          map[int]*simt.FaultInjector
 	maxRetries      int
 	quarantineAfter int
 	batchTimeout    time.Duration
@@ -344,12 +336,11 @@ type ckptOpts struct {
 // clusterOpts carries the cluster-mode flags.
 type clusterOpts struct {
 	// inProcess spins up this many in-process worker nodes; addrs lists
-	// TCP hmmworker addresses. Both can be combined.
+	// TCP hmmworker addresses. Both can be combined, in-process first.
 	inProcess int
-	addrs     string
-	// faults/faultSeed drive the deterministic cluster fault injector.
-	faults    string
-	faultSeed int64
+	addrs     []string
+	// inject carries the worker and coordinator faults of -faults.
+	inject *cluster.FaultInjector
 	// batchDeadline bounds one assignment (0 disables).
 	batchDeadline time.Duration
 	// maxRetries/quarantineAfter/noFallback mirror the single-node
@@ -409,11 +400,7 @@ func runMultiStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, mem gp
 	check(err)
 	defer ff.Close()
 	sys := simt.NewSystem(simt.GTX580(), devices).SetMode(simMode)
-	if fo.spec != "" {
-		faults, err := simt.ParseFaults(fo.spec, fo.seed, devices)
-		check(err)
-		check(sys.ApplyFaults(faults))
-	}
+	check(sys.ApplyFaults(fo.faults))
 
 	cfg := pipeline.StreamConfig{
 		BatchResidues:   batchResidues,
@@ -461,9 +448,9 @@ func runMultiStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, mem gp
 // (-cluster-workers), or both. Worker loss is detected by heartbeat
 // and repaired by exactly-once requeue; with every worker gone the
 // run degrades to the local CPU unless -no-fallback. Journaling,
-// -resume, -crash, and the SIGINT drain behave exactly as in the
-// single-node streamed path — the coordinator reuses the same journal
-// as its commit log.
+// -resume, injected journal crashes, and the SIGINT drain behave
+// exactly as in the single-node streamed path — the coordinator reuses
+// the same journal as its commit log.
 func runClusterStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, mem gpu.MemConfig,
 	devicesPerWorker int, batchResidues int64, targetLen, workers int, evalue float64,
 	tblout string, sk *sinks, cl clusterOpts, co ckptOpts) {
@@ -503,14 +490,10 @@ func runClusterStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, mem 
 	ccfg := pipeline.ClusterConfig{
 		Mode:          mode,
 		BatchDeadline: cl.batchDeadline,
+		Inject:        cl.inject,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "hmmsearch: "+format+"\n", args...)
 		},
-	}
-	if cl.faults != "" {
-		inject, err := cluster.ParseFaults(cl.faults, cl.faultSeed)
-		check(err)
-		ccfg.Inject = inject
 	}
 	if cl.inProcess > 0 {
 		ccfg.Workers = pl.InProcessClusterWorkers(cfg, mode, cl.inProcess, devicesPerWorker,
@@ -519,21 +502,15 @@ func runClusterStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, mem 
 				return pl.ClusterExecGPU(sys, mem)
 			})
 	}
-	if cl.addrs != "" {
-		for _, addr := range strings.Split(cl.addrs, ",") {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				continue
-			}
-			a := addr
-			ccfg.Workers = append(ccfg.Workers, cluster.WorkerSpec{
-				Name: a,
-				Dial: func(ctx context.Context) (net.Conn, error) {
-					var d net.Dialer
-					return d.DialContext(ctx, "tcp", a)
-				},
-			})
-		}
+	for _, addr := range cl.addrs {
+		a := addr
+		ccfg.Workers = append(ccfg.Workers, cluster.WorkerSpec{
+			Name: a,
+			Dial: func(ctx context.Context) (net.Conn, error) {
+				var d net.Dialer
+				return d.DialContext(ctx, "tcp", a)
+			},
+		})
 	}
 
 	ff, err := os.Open(fastaPath)
@@ -618,6 +595,40 @@ func printStreamed(queryName string, res *pipeline.Result, evalue float64, tblou
 		check(writeTblout(tblout, queryName, res))
 		fmt.Printf("\nper-target table written to %s\n", tblout)
 	}
+}
+
+// faultPlan parses -faults for the run the other flags configure and
+// refuses a clause the run cannot honour: device faults need the
+// single-node multigpu streamed path, worker and coordinator faults a
+// cluster of workers, and a journal crash a journal.
+func faultPlan(spec string, seed int64, engine string, stream, devices, workers int, journal string) (*faults.Plan, error) {
+	if spec == "" {
+		return &faults.Plan{}, nil
+	}
+	plan, err := faults.Parse(spec, seed, devices, workers)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(plan.Devices) > 0 && (engine != "multigpu" || stream == 0 || workers > 0):
+		return nil, errors.New("-faults dev<N> clauses require -engine multigpu -stream without -cluster/-cluster-workers")
+	case plan.Cluster != nil && workers == 0:
+		return nil, errors.New("-faults w<N>/coord clauses require -cluster or -cluster-workers")
+	case plan.Crash != nil && journal == "":
+		return nil, errors.New("-faults journal clauses require -journal")
+	}
+	return plan, nil
+}
+
+// splitAddrs splits the comma-separated -cluster-workers list, dropping
+// empty entries.
+func splitAddrs(list string) []string {
+	var addrs []string
+	for _, addr := range strings.Split(list, ",") {
+		if addr = strings.TrimSpace(addr); addr != "" {
+			addrs = append(addrs, addr)
+		}
+	}
+	return addrs
 }
 
 func loadInputs(abc *alphabet.Alphabet, hmmPath, fastaPath string) (*hmm.Plan7, *seq.Database) {

@@ -86,7 +86,7 @@ func main() {
 		profileCap = flag.Int("profiles", 16, "calibrated-profile LRU capacity")
 		resultCap  = flag.Int("cache", 256, "result cache capacity (entries)")
 
-		faultSpec   = flag.String("faults", "", "inject device faults at startup, hmmsearch -faults syntax (chaos testing)")
+		faultSpec   = flag.String("faults", "", "inject device faults at startup (chaos testing): the dev<N> clauses of the hmmsearch -faults grammar, e.g. \"dev0:dead;dev1:p=0.2\"")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for probabilistic fault injection")
 		cordonAfter = flag.Int("cordon-after", 2, "consecutive quarantined leases before a device is cordoned out of the pool")
 		maxRetries  = flag.Int("max-retries", 0, "per-batch retry budget after transient device faults (0 = default)")

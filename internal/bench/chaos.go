@@ -6,10 +6,10 @@ import (
 	"io"
 
 	"hmmer3gpu/internal/alphabet"
+	"hmmer3gpu/internal/faults"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/pipeline"
 	"hmmer3gpu/internal/seq"
-	"hmmer3gpu/internal/simt"
 	"hmmer3gpu/internal/stats"
 	"hmmer3gpu/internal/workload"
 )
@@ -43,10 +43,10 @@ var chaosScenarios = []struct {
 	Spec string
 }{
 	{"clean", ""},
-	{"flaky dev0+dev1 (p=0.3)", "0:p=0.3;1:p=0.3"},
-	{"dev2 lost at launch 2", "2:dead=2"},
-	{"2 flaky + 1 dead", "0:p=0.3;1:p=0.3;2:dead"},
-	{"all devices dead", "0:dead;1:dead;2:dead;3:dead"},
+	{"flaky dev0+dev1 (p=0.3)", "dev0:p=0.3;dev1:p=0.3"},
+	{"dev2 lost at launch 2", "dev2:dead=2"},
+	{"2 flaky + 1 dead", "dev0:p=0.3;dev1:p=0.3;dev2:dead"},
+	{"all devices dead", "dev0:dead;dev1:dead;dev2:dead;dev3:dead"},
 }
 
 // Chaos runs the fault-injection sweep: a streamed 4-device search
@@ -95,11 +95,11 @@ func Chaos(cfg Config, w io.Writer) ([]ChaosRow, error) {
 	for _, sc := range chaosScenarios {
 		sys := cfg.newSystem(gtx580(), 4)
 		if sc.Spec != "" {
-			faults, err := simt.ParseFaults(sc.Spec, cfg.Seed+303, 4)
+			plan, err := faults.Parse(sc.Spec, cfg.Seed+303, 4, 0)
 			if err != nil {
 				return nil, err
 			}
-			if err := sys.ApplyFaults(faults); err != nil {
+			if err := sys.ApplyFaults(plan.Devices); err != nil {
 				return nil, err
 			}
 		}

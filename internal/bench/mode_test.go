@@ -8,6 +8,7 @@ import (
 
 	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/checkpoint"
+	"hmmer3gpu/internal/faults"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/pipeline"
 	"hmmer3gpu/internal/seq"
@@ -58,11 +59,11 @@ func TestModeEquivalenceQuick(t *testing.T) {
 		c.Mode = mode
 		sys := c.newSystem(gtx580(), 2)
 		if faultSpec != "" {
-			faults, err := simt.ParseFaults(faultSpec, cfg.Seed+505, 2)
+			plan, err := faults.Parse(faultSpec, cfg.Seed+505, 2, 0)
 			if err != nil {
 				return nil, err
 			}
-			if err := sys.ApplyFaults(faults); err != nil {
+			if err := sys.ApplyFaults(plan.Devices); err != nil {
 				return nil, err
 			}
 		}
@@ -89,7 +90,7 @@ func TestModeEquivalenceQuick(t *testing.T) {
 	})
 
 	t.Run("faulted", func(t *testing.T) {
-		res, err := run(simt.ModeFast, "0:at=0,at=2;1:dead", pipeline.StreamConfig{MaxRetries: 10})
+		res, err := run(simt.ModeFast, "dev0:at=0,at=2;dev1:dead", pipeline.StreamConfig{MaxRetries: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func TestModeEquivalenceQuick(t *testing.T) {
 	})
 
 	t.Run("sdc-dmr", func(t *testing.T) {
-		res, err := run(simt.ModeFast, "0:flip@launch=0",
+		res, err := run(simt.ModeFast, "dev0:flip@launch=0",
 			pipeline.StreamConfig{MaxRetries: 10, Verify: pipeline.VerifyDMR})
 		if err != nil {
 			t.Fatal(err)

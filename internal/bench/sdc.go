@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hmmer3gpu/internal/alphabet"
+	"hmmer3gpu/internal/faults"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/pipeline"
 	"hmmer3gpu/internal/seq"
@@ -57,11 +58,11 @@ var sdcScenarios = []struct {
 }{
 	{"clean / off", "", false, pipeline.VerifyOff},
 	{"clean / guards", "", false, pipeline.VerifyGuards},
-	{"readback p=5e-2 / off", "0:flip@p=5e-2", false, pipeline.VerifyOff},
-	{"readback p=5e-2 / dmr", "0:flip@p=5e-2", false, pipeline.VerifyDMR},
-	{"burst@launch0 / guards", "0:flip@launch=0", false, pipeline.VerifyGuards},
-	{"shared p=1e-5 / dmr", "0:flip@shared=1e-5", false, pipeline.VerifyDMR},
-	{"readback p=5e-2 / ecc k40", "0:flip@p=5e-2", true, pipeline.VerifyOff},
+	{"readback p=5e-2 / off", "dev0:flip@p=5e-2", false, pipeline.VerifyOff},
+	{"readback p=5e-2 / dmr", "dev0:flip@p=5e-2", false, pipeline.VerifyDMR},
+	{"burst@launch0 / guards", "dev0:flip@launch=0", false, pipeline.VerifyGuards},
+	{"shared p=1e-5 / dmr", "dev0:flip@shared=1e-5", false, pipeline.VerifyDMR},
+	{"readback p=5e-2 / ecc k40", "dev0:flip@p=5e-2", true, pipeline.VerifyOff},
 }
 
 // SDC runs the silent-data-corruption sweep: seeded bit flips in
@@ -113,11 +114,11 @@ func SDC(cfg Config, w io.Writer) ([]SDCRow, error) {
 		}
 		sys := cfg.newSystem(spec, 1)
 		if sc.Spec != "" {
-			faults, err := simt.ParseFaults(sc.Spec, cfg.Seed+505, 1)
+			plan, err := faults.Parse(sc.Spec, cfg.Seed+505, 1, 0)
 			if err != nil {
 				return nil, err
 			}
-			if err := sys.ApplyFaults(faults); err != nil {
+			if err := sys.ApplyFaults(plan.Devices); err != nil {
 				return nil, err
 			}
 		}

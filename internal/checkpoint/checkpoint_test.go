@@ -418,32 +418,6 @@ func TestResumeAfterResumeConverges(t *testing.T) {
 	}
 }
 
-func TestParseCrash(t *testing.T) {
-	ok := []struct {
-		spec string
-		want CrashPlan
-	}{
-		{"3", CrashPlan{After: 3, Window: WindowAfterSync}},
-		{"0:before-append", CrashPlan{After: 0, Window: WindowBeforeAppend}},
-		{"7:after-append", CrashPlan{After: 7, Window: WindowAfterAppend}},
-		{"2:after-sync", CrashPlan{After: 2, Window: WindowAfterSync}},
-	}
-	for _, tc := range ok {
-		got, err := ParseCrash(tc.spec)
-		if err != nil {
-			t.Fatalf("ParseCrash(%q): %v", tc.spec, err)
-		}
-		if *got != tc.want {
-			t.Fatalf("ParseCrash(%q) = %+v, want %+v", tc.spec, *got, tc.want)
-		}
-	}
-	for _, bad := range []string{"", "x", "-1", "3:mid-append", "3:"} {
-		if _, err := ParseCrash(bad); err == nil {
-			t.Fatalf("ParseCrash(%q) accepted", bad)
-		}
-	}
-}
-
 func TestSyncEveryCadence(t *testing.T) {
 	path := tmpJournal(t)
 	j, err := Create(path, fp(1), Options{SyncEvery: 4})

@@ -3,8 +3,6 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
 // ErrInjectedCrash is returned by Journal.Append when a CrashPlan
@@ -63,31 +61,4 @@ func CrashAfter(n int, w Window) *CrashPlan {
 
 func (p *CrashPlan) fires(ordinal int, w Window) bool {
 	return p != nil && p.After == ordinal && p.Window == w
-}
-
-// ParseCrash parses a CLI crash spec of the form "<n>" or
-// "<n>:<window>", window one of before-append, after-append,
-// after-sync (default after-sync — the window that exercises the
-// duplicate-merge hazard).
-func ParseCrash(spec string) (*CrashPlan, error) {
-	numPart, winPart := spec, "after-sync"
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		numPart, winPart = spec[:i], strings.TrimSpace(spec[i+1:])
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(numPart))
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("checkpoint: bad crash spec %q: want \"<n>[:before-append|after-append|after-sync]\"", spec)
-	}
-	var w Window
-	switch winPart {
-	case "after-sync":
-		w = WindowAfterSync
-	case "before-append":
-		w = WindowBeforeAppend
-	case "after-append":
-		w = WindowAfterAppend
-	default:
-		return nil, fmt.Errorf("checkpoint: bad crash window %q: want before-append, after-append, or after-sync", winPart)
-	}
-	return CrashAfter(n, w), nil
 }

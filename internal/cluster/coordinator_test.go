@@ -191,6 +191,16 @@ func TestTCPShardedRun(t *testing.T) {
 	}
 }
 
+// injectWorker returns an injector drawing from seed whose plan for
+// worker w is a NewFaultPlan adjusted by set.
+func injectWorker(seed int64, w int, set func(p *FaultPlan)) *FaultInjector {
+	p := NewFaultPlan()
+	set(p)
+	fi := NewFaultInjector(seed)
+	fi.Plan(w, p)
+	return fi
+}
+
 // delayDial postpones a worker's first connection so a sibling worker
 // deterministically claims the stream's early batches.
 func delayDial(spec WorkerSpec, d time.Duration) WorkerSpec {
@@ -203,10 +213,7 @@ func delayDial(spec WorkerSpec, d time.Duration) WorkerSpec {
 }
 
 func TestWorkerKillRequeuesExactlyOnce(t *testing.T) {
-	inject, err := ParseFaults("0:kill=0,dead=1", 1)
-	if err != nil {
-		t.Fatalf("ParseFaults: %v", err)
-	}
+	inject := injectWorker(1, 0, func(p *FaultPlan) { p.KillAtBatch, p.StayDead = 0, true })
 	cl := newCommitLog()
 	workers := pipeWorkers(2, 0, testExec)
 	workers[1] = delayDial(workers[1], 100*time.Millisecond)
@@ -237,10 +244,7 @@ func TestWorkerKillRequeuesExactlyOnce(t *testing.T) {
 }
 
 func TestTornFrameDiscardedAndRequeuedOnce(t *testing.T) {
-	inject, err := ParseFaults("0:torn=0,dead=1", 1)
-	if err != nil {
-		t.Fatalf("ParseFaults: %v", err)
-	}
+	inject := injectWorker(1, 0, func(p *FaultPlan) { p.TornAtBatch, p.StayDead = 0, true })
 	cl := newCommitLog()
 	workers := pipeWorkers(2, 0, testExec)
 	workers[1] = delayDial(workers[1], 100*time.Millisecond)
@@ -417,10 +421,7 @@ func TestDrainWithWorkersAttached(t *testing.T) {
 }
 
 func TestAllWorkersLostDegradesToLocal(t *testing.T) {
-	inject, err := ParseFaults("0:refuse=999", 1)
-	if err != nil {
-		t.Fatalf("ParseFaults: %v", err)
-	}
+	inject := injectWorker(1, 0, func(p *FaultPlan) { p.RefuseConnects = 999 })
 	cl := newCommitLog()
 	c := &Coordinator{Cfg: Config{
 		Workers:     pipeWorkers(1, 0, testExec),
@@ -447,10 +448,7 @@ func TestAllWorkersLostDegradesToLocal(t *testing.T) {
 }
 
 func TestAllWorkersLostWithoutLocalFails(t *testing.T) {
-	inject, err := ParseFaults("0:refuse=999", 1)
-	if err != nil {
-		t.Fatalf("ParseFaults: %v", err)
-	}
+	inject := injectWorker(1, 0, func(p *FaultPlan) { p.RefuseConnects = 999 })
 	c := &Coordinator{Cfg: Config{
 		Workers:     pipeWorkers(1, 0, testExec),
 		Fingerprint: testFP,
@@ -458,7 +456,7 @@ func TestAllWorkersLostWithoutLocalFails(t *testing.T) {
 		BackoffCap:  2 * time.Millisecond,
 		Inject:      inject,
 	}}
-	_, err = c.Run(context.Background(), produceN(3), newCommitLog().fn)
+	_, err := c.Run(context.Background(), produceN(3), newCommitLog().fn)
 	if !errors.Is(err, ErrAllWorkersLost) {
 		t.Fatalf("err = %v, want ErrAllWorkersLost", err)
 	}
@@ -525,10 +523,7 @@ func TestHandshakeRejectsMismatchedMode(t *testing.T) {
 }
 
 func TestCorruptHandshakeQuarantinesWorker(t *testing.T) {
-	inject, err := ParseFaults("0:hello=bad", 1)
-	if err != nil {
-		t.Fatalf("ParseFaults: %v", err)
-	}
+	inject := injectWorker(1, 0, func(p *FaultPlan) { p.CorruptHello = true })
 	cl := newCommitLog()
 	c := &Coordinator{Cfg: Config{
 		Workers:          pipeWorkers(1, 0, testExec),
@@ -555,10 +550,7 @@ func TestCorruptHandshakeQuarantinesWorker(t *testing.T) {
 // fault schedule plus the committed payloads.
 func chaosRun(t *testing.T, seed int64) ([]string, map[int][]byte) {
 	t.Helper()
-	inject, err := ParseFaults("0:killp=0.4", seed)
-	if err != nil {
-		t.Fatalf("ParseFaults: %v", err)
-	}
+	inject := injectWorker(seed, 0, func(p *FaultPlan) { p.KillProb = 0.4 })
 	cl := newCommitLog()
 	c := &Coordinator{Cfg: Config{
 		Workers:         pipeWorkers(1, 0, testExec),
@@ -616,28 +608,6 @@ func TestReportRecordEmitsStableSeries(t *testing.T) {
 		if got != want {
 			t.Fatalf("%s = %v, want %v", name, got, want)
 		}
-	}
-}
-
-func TestParseFaultsErrors(t *testing.T) {
-	for _, spec := range []string{"nocolon", "x:kill=1", "0:kill", "0:kill=abc", "0:stall=1", "0:hello=good", "0:bogus=1"} {
-		if _, err := ParseFaults(spec, 0); err == nil {
-			t.Fatalf("spec %q accepted", spec)
-		}
-	}
-	fi, err := ParseFaults("1:kill=2,refuse=3,stall=4@250ms,hello=bad;2:torn=0,killp=0.5", 9)
-	if err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
-	}
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	p1, p2 := fi.plans[1], fi.plans[2]
-	if p1 == nil || p1.KillAtBatch != 2 || p1.RefuseConnects != 3 || p1.StallAtBatch != 4 ||
-		p1.StallFor != 250*time.Millisecond || !p1.CorruptHello {
-		t.Fatalf("plan 1 = %+v", p1)
-	}
-	if p2 == nil || p2.TornAtBatch != 0 || p2.KillProb != 0.5 || p2.KillAtBatch != -1 {
-		t.Fatalf("plan 2 = %+v", p2)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"net"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -61,7 +59,9 @@ type FaultPlan struct {
 	CorruptHello bool
 }
 
-func newFaultPlan() *FaultPlan {
+// NewFaultPlan returns a plan with every ordinal-triggered fault
+// disabled, ready for its fields to be set.
+func NewFaultPlan() *FaultPlan {
 	return &FaultPlan{KillAtBatch: -1, TornAtBatch: -1, StallAtBatch: -1}
 }
 
@@ -308,99 +308,4 @@ func (fc *faultConn) Write(b []byte) (int, error) {
 	}
 	fc.mu.Unlock()
 	return fc.Conn.Write(b)
-}
-
-// ParseFaults parses a fault specification of the form
-//
-//	worker:fault[,fault...][;worker:fault...]
-//
-// with faults
-//
-//	refuse=N    refuse the first N dials
-//	kill=N      sever the connection at batch frame N (0-based)
-//	killp=P     sever before each batch frame with probability P
-//	torn=N      write half of batch frame N, then sever
-//	stall=N@D   delay batch frame N by duration D (e.g. 2@3s)
-//	dead=1      refuse every dial after the first injected kill/torn
-//	hello=bad   corrupt the first handshake frame of every connection
-//
-// plus one worker-less clause
-//
-//	kill-coordinator@N   abort the run (ErrInjectedCoordinatorKill) at
-//	                     the Nth (0-based) batch assignment, counted
-//	                     across all workers — the coordinator process
-//	                     dies; a hot standby must take over
-//
-// e.g. "1:kill=1,refuse=999;2:torn=0" or "kill-coordinator@4". An
-// empty spec yields no plans.
-func ParseFaults(spec string, seed int64) (*FaultInjector, error) {
-	fi := NewFaultInjector(seed)
-	if strings.TrimSpace(spec) == "" {
-		return fi, nil
-	}
-	for _, clause := range strings.Split(spec, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		if at, ok := strings.CutPrefix(clause, "kill-coordinator@"); ok {
-			n, err := strconv.Atoi(at)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("cluster: fault clause %q: want kill-coordinator@N", clause)
-			}
-			fi.SetCoordinatorKill(n)
-			continue
-		}
-		worker, rest, ok := strings.Cut(clause, ":")
-		if !ok {
-			return nil, fmt.Errorf("cluster: fault clause %q: want worker:fault[,fault...] or kill-coordinator@N", clause)
-		}
-		w, err := strconv.Atoi(strings.TrimSpace(worker))
-		if err != nil || w < 0 {
-			return nil, fmt.Errorf("cluster: fault clause %q: bad worker index %q", clause, worker)
-		}
-		p := newFaultPlan()
-		for _, f := range strings.Split(rest, ",") {
-			key, val, ok := strings.Cut(strings.TrimSpace(f), "=")
-			if !ok {
-				return nil, fmt.Errorf("cluster: fault %q: want key=value", f)
-			}
-			switch key {
-			case "refuse":
-				p.RefuseConnects, err = strconv.Atoi(val)
-			case "kill":
-				p.KillAtBatch, err = strconv.Atoi(val)
-			case "torn":
-				p.TornAtBatch, err = strconv.Atoi(val)
-			case "killp":
-				p.KillProb, err = strconv.ParseFloat(val, 64)
-			case "stall":
-				at, dur, ok := strings.Cut(val, "@")
-				if !ok {
-					return nil, fmt.Errorf("cluster: fault %q: want stall=N@duration", f)
-				}
-				p.StallAtBatch, err = strconv.Atoi(at)
-				if err == nil {
-					p.StallFor, err = time.ParseDuration(dur)
-				}
-			case "dead":
-				if val != "1" {
-					return nil, fmt.Errorf("cluster: fault %q: want dead=1", f)
-				}
-				p.StayDead = true
-			case "hello":
-				if val != "bad" {
-					return nil, fmt.Errorf("cluster: fault %q: want hello=bad", f)
-				}
-				p.CorruptHello = true
-			default:
-				return nil, fmt.Errorf("cluster: unknown fault %q", key)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("cluster: fault %q: %v", f, err)
-			}
-		}
-		fi.Plan(w, p)
-	}
-	return fi, nil
 }

@@ -205,17 +205,17 @@ func TestStalePromotionNacked(t *testing.T) {
 	}
 }
 
-func TestParseFaultsKillCoordinator(t *testing.T) {
-	fi, err := ParseFaults("kill-coordinator@2", 1)
-	if err != nil {
-		t.Fatalf("ParseFaults: %v", err)
-	}
+// The coordinator kill fires once, at its assignment ordinal, and is
+// logged in the schedule.
+func TestCoordinatorKillFiresOnce(t *testing.T) {
+	fi := NewFaultInjector(1)
+	fi.SetCoordinatorKill(2)
 	for n := 0; n < 2; n++ {
 		if err := fi.BeforeAssign(); err != nil {
 			t.Fatalf("assignment %d: unexpected kill: %v", n, err)
 		}
 	}
-	err = fi.BeforeAssign()
+	err := fi.BeforeAssign()
 	if !errors.Is(err, ErrInjectedCoordinatorKill) {
 		t.Fatalf("assignment 2: err = %v, want ErrInjectedCoordinatorKill", err)
 	}
@@ -225,17 +225,6 @@ func TestParseFaultsKillCoordinator(t *testing.T) {
 	}
 	if sched := strings.Join(fi.Schedule(), "\n"); !strings.Contains(sched, "coordinator kill") {
 		t.Fatalf("schedule does not record the coordinator kill: %s", sched)
-	}
-
-	// Grammar errors.
-	for _, bad := range []string{"kill-coordinator@", "kill-coordinator@-1", "kill-coordinator@x"} {
-		if _, err := ParseFaults(bad, 1); err == nil {
-			t.Fatalf("ParseFaults(%q) accepted", bad)
-		}
-	}
-	// Mixes with per-worker clauses.
-	if _, err := ParseFaults("0:kill=1;kill-coordinator@4", 1); err != nil {
-		t.Fatalf("mixed grammar rejected: %v", err)
 	}
 }
 
@@ -416,10 +405,7 @@ func TestTakeoverFencesEveryWorkerBeforeDispatch(t *testing.T) {
 // A worker unreachable through a takeover run never acks its epoch: the
 // run proceeds without it and reports it unfenced.
 func TestTakeoverReportsUnfencedWorker(t *testing.T) {
-	inject, err := ParseFaults("1:refuse=999", 1)
-	if err != nil {
-		t.Fatalf("ParseFaults: %v", err)
-	}
+	inject := injectWorker(1, 1, func(p *FaultPlan) { p.RefuseConnects = 999 })
 	cl := newCommitLog()
 	c := &Coordinator{Cfg: Config{Workers: pipeWorkers(2, 1, testExec), Fingerprint: testFP, Mode: 1,
 		Epoch: 2, Inject: inject, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond}}

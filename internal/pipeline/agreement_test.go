@@ -101,12 +101,8 @@ var entryPoints = []struct {
 		// The primary dies at its second assignment (a one-batch stream
 		// it finishes instead); the standby finds its journal, is handed
 		// the lease at once, and completes the run at epoch 2.
-		inject, err := cluster.ParseFaults("kill-coordinator@2", 1)
-		if err != nil {
-			return nil, err
-		}
-		_, err = pl.RunClusterStreamContext(context.Background(), bytes.NewReader(in.fasta), cfg,
-			ClusterConfig{Workers: specs, Inject: inject})
+		_, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(in.fasta), cfg,
+			ClusterConfig{Workers: specs, Inject: clusterFaults(t, "coord:kill=2", 1, len(specs))})
 		if err != nil && !errors.Is(err, cluster.ErrInjectedCoordinatorKill) {
 			return nil, fmt.Errorf("primary: %w", err)
 		}

@@ -80,13 +80,7 @@ func TestResidentStreamFaultedMatchesClean(t *testing.T) {
 	}
 
 	sys := simt.NewSystem(simt.GTX580(), 2).SetMode(simt.ModeFast)
-	faults, err := simt.ParseFaults("0:dead;1:dead", 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ApplyFaults(faults); err != nil {
-		t.Fatal(err)
-	}
+	applyFaults(t, sys, "dev0:dead;dev1:dead", 7)
 	res, err := pl.RunResidentStreamContext(t.Context(), sys, gpu.MemAuto, rdb,
 		StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})
 	if err != nil {

@@ -83,13 +83,7 @@ func TestStreamCrashResumeUnderFaults(t *testing.T) {
 	withFaults := func(cfg *StreamConfig) { cfg.MaxRetries = 8 }
 	faultedSys := func() *simt.System {
 		sys := simt.NewSystem(simt.GTX580(), 3)
-		faults, err := simt.ParseFaults("0:at=0,at=2;1:at=1", 7, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.ApplyFaults(faults); err != nil {
-			t.Fatal(err)
-		}
+		applyFaults(t, sys, "dev0:at=0,at=2;dev1:at=1", 7)
 		return sys
 	}
 
@@ -121,13 +115,7 @@ func TestStreamCrashResumeUnderDMR(t *testing.T) {
 
 	flippedSys := func() *simt.System {
 		sys := simt.NewSystem(simt.GTX580(), 1)
-		faults, err := simt.ParseFaults("0:flip@launch=0,flip@launch=3", 7, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.ApplyFaults(faults); err != nil {
-			t.Fatal(err)
-		}
+		applyFaults(t, sys, "dev0:flip@launch=0,flip@launch=3", 7)
 		return sys
 	}
 

@@ -57,7 +57,7 @@ type ClusterConfig struct {
 	Epoch uint64
 
 	// Inject, when non-nil, applies deterministic fault plans to dials
-	// and connections (chaos testing; see cluster.ParseFaults).
+	// and connections (chaos testing; see internal/faults).
 	Inject *cluster.FaultInjector
 	// Clock substitutes a fake time source (tests); nil = wall clock.
 	Clock dispatch.Clock

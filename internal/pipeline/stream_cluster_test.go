@@ -4,18 +4,32 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hmmer3gpu/internal/checkpoint"
 	"hmmer3gpu/internal/cluster"
+	"hmmer3gpu/internal/faults"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/obs"
 	"hmmer3gpu/internal/seq"
 	"hmmer3gpu/internal/simt"
 )
+
+// clusterFaults parses a fault spec of w<N> and coord clauses for a
+// cluster of the given number of workers.
+func clusterFaults(t *testing.T, spec string, seed int64, workers int) *cluster.FaultInjector {
+	t.Helper()
+	plan, err := faults.Parse(spec, seed, 0, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.Cluster
+}
 
 // cpuWorkers builds n in-process CPU-engine workers for pl.
 func cpuWorkers(pl *Pipeline, cfg StreamConfig, n int) []cluster.WorkerSpec {
@@ -87,10 +101,7 @@ func TestClusterStreamFaultedMatchesClean(t *testing.T) {
 	pl.Opts.Metrics = reg
 	defer func() { pl.Opts.Metrics = nil }()
 
-	inject, err := cluster.ParseFaults("0:kill=1,dead=1;1:torn=0,dead=1", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inject := clusterFaults(t, "w0:kill=1,dead=1;w1:torn=0,dead=1", 7, 3)
 	// Worker 0's kill fires on its second assignment and worker 1's torn
 	// frame on its first. Left alone, a fast third worker can drain the
 	// fixture's six batches before worker 0 is handed a second one, so it
@@ -179,10 +190,7 @@ func TestClusterStreamCrashResumeUnderFaults(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 
 	chaos := func() *cluster.FaultInjector {
-		inject, err := cluster.ParseFaults("0:kill=1,dead=1", 11)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inject := clusterFaults(t, "w0:kill=1,dead=1", 11, 3)
 		return inject
 	}
 	_, err := clusterRun(t, pl, fasta, batchResidues, 3,
@@ -209,10 +217,7 @@ func TestClusterStreamCrashResumeUnderFaults(t *testing.T) {
 // coordinator finishes the whole stream on its own CPU, bit-identical.
 func TestClusterStreamDegradesToLocal(t *testing.T) {
 	pl, fasta, whole, batchResidues := faultStreamFixture(t)
-	inject, err := cluster.ParseFaults("0:refuse=999;1:refuse=999", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inject := clusterFaults(t, "w0:refuse=999;w1:refuse=999", 3, 2)
 	res, err := clusterRun(t, pl, fasta, batchResidues, 2,
 		func(cfg *StreamConfig, ccfg *ClusterConfig) { ccfg.Inject = inject })
 	if err != nil {
@@ -233,11 +238,8 @@ func TestClusterStreamDegradesToLocal(t *testing.T) {
 // silently truncate.
 func TestClusterStreamAllWorkersLostFails(t *testing.T) {
 	pl, fasta, _, batchResidues := faultStreamFixture(t)
-	inject, err := cluster.ParseFaults("0:refuse=999;1:refuse=999", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = clusterRun(t, pl, fasta, batchResidues, 2,
+	inject := clusterFaults(t, "w0:refuse=999;w1:refuse=999", 3, 2)
+	_, err := clusterRun(t, pl, fasta, batchResidues, 2,
 		func(cfg *StreamConfig, ccfg *ClusterConfig) {
 			ccfg.Inject = inject
 			cfg.DisableFallback = true
@@ -335,7 +337,31 @@ func TestClusterStreamHandshakeMismatchDegrades(t *testing.T) {
 	// A worker fingerprinted under a different batch budget: same
 	// model, incompatible chunking.
 	wrong := pl.NewWorkerServer(StreamConfig{BatchResidues: batchResidues * 2}, 0, "skewed", 1, pl.ClusterExecCPU())
-	ccfg := ClusterConfig{Workers: append(cpuWorkers(pl, cfg, 1), InProcessWorkerSpec(wrong))}
+	// Left alone, the healthy worker can drain every batch before the
+	// skewed handshake is rejected, and the skewed worker then ends
+	// neither quarantined nor used. So the healthy worker holds each
+	// batch until the coordinator has quarantined the skewed one.
+	rejected := make(chan struct{})
+	var once sync.Once
+	held := func() cluster.Exec {
+		exec := pl.ClusterExecCPU()
+		return func(ctx context.Context, seqNo uint64, db *seq.Database) ([]byte, error) {
+			select {
+			case <-rejected:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return exec(ctx, seqNo, db)
+		}
+	}
+	ccfg := ClusterConfig{
+		Workers: append(pl.InProcessClusterWorkers(cfg, 0, 1, 1, held), InProcessWorkerSpec(wrong)),
+		Logf: func(format string, args ...any) {
+			if strings.Contains(fmt.Sprintf(format, args...), "worker skewed quarantined") {
+				once.Do(func() { close(rejected) })
+			}
+		},
+	}
 	res, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg, ccfg)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)

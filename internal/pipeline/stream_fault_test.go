@@ -9,12 +9,25 @@ import (
 	"runtime"
 	"testing"
 
+	"hmmer3gpu/internal/faults"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/obs"
 	"hmmer3gpu/internal/seq"
 	"hmmer3gpu/internal/simt"
 	"hmmer3gpu/internal/workload"
 )
+
+// applyFaults attaches the dev<N> clauses of a fault spec to sys.
+func applyFaults(t *testing.T, sys *simt.System, spec string, seed int64) {
+	t.Helper()
+	plan, err := faults.Parse(spec, seed, len(sys.Devices), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.ApplyFaults(plan.Devices); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // faultStreamFixture builds a clustered workload, its FASTA bytes, the
 // pipeline, and the fault-free whole-database reference result.
@@ -80,13 +93,7 @@ func TestStreamFaultedRunMatchesClean(t *testing.T) {
 	defer func() { pl.Opts.Metrics = nil }()
 
 	sys := simt.NewSystem(simt.GTX580(), 4)
-	faults, err := simt.ParseFaults("0:p=0.3;1:at=1,hang=3;2:dead", 99, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ApplyFaults(faults); err != nil {
-		t.Fatal(err)
-	}
+	applyFaults(t, sys, "dev0:p=0.3;dev1:at=1,hang=3;dev2:dead", 99)
 	holdUntilClaimed(sys, 2)
 	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})
@@ -123,13 +130,7 @@ func TestStreamAllDevicesDeadFallsBackToCPU(t *testing.T) {
 	pl, fasta, whole, batchResidues := faultStreamFixture(t)
 
 	sys := simt.NewSystem(simt.GTX580(), 2)
-	faults, err := simt.ParseFaults("0:dead;1:dead", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ApplyFaults(faults); err != nil {
-		t.Fatal(err)
-	}
+	applyFaults(t, sys, "dev0:dead;dev1:dead", 0)
 	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues})
 	if err != nil {
@@ -148,14 +149,8 @@ func TestStreamAllDevicesDeadFallsBackToCPU(t *testing.T) {
 func TestStreamFallbackDisabledFailsWhenAllDead(t *testing.T) {
 	pl, fasta, _, batchResidues := faultStreamFixture(t)
 	sys := simt.NewSystem(simt.GTX580(), 2)
-	faults, err := simt.ParseFaults("0:dead;1:dead", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ApplyFaults(faults); err != nil {
-		t.Fatal(err)
-	}
-	_, err = pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
+	applyFaults(t, sys, "dev0:dead;dev1:dead", 0)
+	_, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues, DisableFallback: true})
 	if !errors.Is(err, gpu.ErrAllQuarantined) {
 		t.Fatalf("err = %v, want ErrAllQuarantined", err)
@@ -215,13 +210,7 @@ func TestStreamSeededFaultDeterminism(t *testing.T) {
 	pl, fasta, whole, batchResidues := faultStreamFixture(t)
 	run := func() (*Result, *gpu.ScheduleReport) {
 		sys := simt.NewSystem(simt.GTX580(), 3)
-		faults, err := simt.ParseFaults("0:at=0,at=2;1:at=1;2:dead", 7, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.ApplyFaults(faults); err != nil {
-			t.Fatal(err)
-		}
+		applyFaults(t, sys, "dev0:at=0,at=2;dev1:at=1;dev2:dead", 7)
 		holdUntilClaimed(sys, 2)
 		res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
 			StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})

@@ -19,13 +19,7 @@ func runSDCStream(t *testing.T, pl *Pipeline, fasta []byte, batchResidues int64,
 	t.Helper()
 	sys := simt.NewSystem(simt.GTX580(), 1)
 	if spec != "" {
-		faults, err := simt.ParseFaults(spec, seed, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.ApplyFaults(faults); err != nil {
-			t.Fatal(err)
-		}
+		applyFaults(t, sys, spec, seed)
 	}
 	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues, MaxRetries: 8, Verify: mode})
@@ -57,7 +51,7 @@ func hitsIdentical(a, b *Result) bool {
 // repaired by host re-execution, restoring bit-identical results.
 func TestStreamSDCDetectedAndRepairedByDMR(t *testing.T) {
 	pl, fasta, whole, batchResidues := faultStreamFixture(t)
-	const spec = "0:flip@p=0.05"
+	const spec = "dev0:flip@p=0.05"
 	const seed = 11
 
 	off, offRep := runSDCStream(t, pl, fasta, batchResidues, spec, seed, VerifyOff)
@@ -108,7 +102,7 @@ func TestStreamSDCDetectedAndRepairedByDMR(t *testing.T) {
 // even on the same device.
 func TestStreamSDCGuardsRequeueRepairs(t *testing.T) {
 	pl, fasta, whole, batchResidues := faultStreamFixture(t)
-	res, rep := runSDCStream(t, pl, fasta, batchResidues, "0:flip@launch=0", 1, VerifyGuards)
+	res, rep := runSDCStream(t, pl, fasta, batchResidues, "dev0:flip@launch=0", 1, VerifyGuards)
 	sameHits(t, "verify=guards under a one-shot flip burst", whole, res)
 	if rep.Faults.SDCDetected != 1 {
 		t.Errorf("SDCDetected = %d, want 1 (the forced launch-0 burst)", rep.Faults.SDCDetected)
@@ -127,13 +121,7 @@ func TestStreamSDCGuardsRequeueRepairs(t *testing.T) {
 func TestStreamSDCECCDeviceImmune(t *testing.T) {
 	pl, fasta, whole, batchResidues := faultStreamFixture(t)
 	sys := simt.NewSystem(simt.TeslaK40(), 1)
-	faults, err := simt.ParseFaults("0:flip@p=0.05,flip@launch=0", 11, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ApplyFaults(faults); err != nil {
-		t.Fatal(err)
-	}
+	applyFaults(t, sys, "dev0:flip@p=0.05,flip@launch=0", 11)
 	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues, Verify: VerifyDMR})
 	if err != nil {

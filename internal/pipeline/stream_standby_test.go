@@ -68,11 +68,8 @@ func TestStandbyTakeoverMatchesSingleNode(t *testing.T) {
 	}()
 
 	// The primary dies after its third batch assignment.
-	inject, err := cluster.ParseFaults("kill-coordinator@3", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
+	inject := clusterFaults(t, "coord:kill=3", 1, len(specs))
+	_, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
 		ClusterConfig{Workers: specs, Inject: inject})
 	if !errors.Is(err, cluster.ErrInjectedCoordinatorKill) {
 		t.Fatalf("primary returned %v, want ErrInjectedCoordinatorKill", err)
@@ -163,11 +160,8 @@ func TestStandbyLeaseBeforeJournalSeen(t *testing.T) {
 	case got := <-standbyDone:
 		t.Fatalf("standby returned before the primary started: %v", got.err)
 	}
-	inject, err := cluster.ParseFaults("kill-coordinator@3", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg, ClusterConfig{Workers: specs, Inject: inject})
+	inject := clusterFaults(t, "coord:kill=3", 1, len(specs))
+	_, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg, ClusterConfig{Workers: specs, Inject: inject})
 	if !errors.Is(err, cluster.ErrInjectedCoordinatorKill) {
 		t.Fatalf("primary returned %v, want ErrInjectedCoordinatorKill", err)
 	}

@@ -42,6 +42,7 @@ import (
 
 	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/checkpoint"
+	"hmmer3gpu/internal/faults"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/hmm"
 	"hmmer3gpu/internal/obs"
@@ -73,7 +74,7 @@ type Config struct {
 	// (default 1: concurrency across queries, not within one).
 	DevsPerQuery int
 	// Faults/FaultSeed inject device faults at pool creation (chaos
-	// testing, mirrors hmmsearch -faults).
+	// testing): a faults.Parse spec of dev<N> clauses only.
 	Faults    string
 	FaultSeed int64
 	// CordonAfter is how many consecutive quarantined leases cordon a
@@ -245,11 +246,14 @@ func New(cfg Config) (*Server, error) {
 
 	sys := simt.NewSystem(cfg.Spec, cfg.Devices).SetMode(cfg.Mode)
 	if cfg.Faults != "" {
-		faults, err := simt.ParseFaults(cfg.Faults, cfg.FaultSeed, cfg.Devices)
+		plan, err := faults.Parse(cfg.Faults, cfg.FaultSeed, cfg.Devices, 0)
 		if err != nil {
 			return nil, err
 		}
-		if err := sys.ApplyFaults(faults); err != nil {
+		if plan.Cluster != nil || plan.Crash != nil {
+			return nil, fmt.Errorf("serve: fault spec %q: only dev<N> clauses apply to a server", cfg.Faults)
+		}
+		if err := sys.ApplyFaults(plan.Devices); err != nil {
 			return nil, err
 		}
 	}

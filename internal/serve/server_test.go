@@ -240,6 +240,23 @@ func TestServedJSONFormat(t *testing.T) {
 	}
 }
 
+// A server injects only device faults: a clause for any other layer,
+// or for a device the pool does not have, is refused at start-up.
+func TestNewRejectsFaultsItCannotHonour(t *testing.T) {
+	f := fixture(t)
+	rdb, err := pipeline.LoadResidentDB("test", bytes.NewReader(f.fasta), abc, f.budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"w0:kill=1", "coord:kill=1", "journal:crash=1", "dev0:dead;coord:kill=1", "dev2:dead"} {
+		_, err := New(Config{DBs: map[string]*pipeline.ResidentDB{"test": rdb}, BatchResidues: f.budget,
+			Devices: 2, Faults: spec})
+		if err == nil {
+			t.Errorf("New with Faults %q accepted, want error", spec)
+		}
+	}
+}
+
 // Mid-query quarantine: with every device dead the scheduler's host
 // fallback finishes the run, the response is flagged degraded, and the
 // bytes still match. The next query finds the pool cordoned and runs
@@ -247,7 +264,7 @@ func TestServedJSONFormat(t *testing.T) {
 func TestServedDegradedByteIdentical(t *testing.T) {
 	f := fixture(t)
 	s, ts := newTestServer(t, func(cfg *Config) {
-		cfg.Faults = "0:dead;1:dead"
+		cfg.Faults = "dev0:dead;dev1:dead"
 		cfg.CordonAfter = 1
 		// One lease spans both devices, so the first faulted query
 		// strikes out the whole pool.

@@ -26,8 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -192,17 +190,6 @@ func (f *FaultInjector) Injected() int64 {
 	return f.injected
 }
 
-// memInjector returns the silent-corruption injector, creating it
-// with the given seed on first use.
-func (f *FaultInjector) memInjector(seed int64) *MemFaultInjector {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.Mem == nil {
-		f.Mem = NewMemFaultInjector(seed)
-	}
-	return f.Mem
-}
-
 // memPlan forwards to the silent-corruption injector (nil-safe); it
 // is called only for launches that passed fail-stop arbitration, so
 // flip@launch ordinals count executed launches and stay deterministic
@@ -244,113 +231,6 @@ func (f *FaultInjector) onLaunch(device string) error {
 		return fault(ErrLaunchFailed, false)
 	}
 	return nil
-}
-
-// ParseFaults parses a fault-injection spec of the form
-//
-//	<dev>:<fault>[,<fault>...][;<dev>:<fault>...]
-//
-// where <dev> is a device index and <fault> is one of
-//
-//	p=<prob>       probabilistic transient launch failures
-//	at=<ordinal>   transient failure of that launch ordinal
-//	hang=<ordinal> deadline-exceeded fault at that ordinal
-//	dead[=<ordinal>] device permanently lost from that ordinal (default 0)
-//	flip@p=<prob>       silent readback bit flips, per 64-bit result word
-//	flip@shared=<prob>  silent shared-memory bit flips, per 32-bit word
-//	flip@launch=<ordinal> forced corruption burst on that executed launch
-//
-// devices, when positive, bounds the valid device indices: a clause
-// naming an ordinal outside [0, devices) is rejected rather than left
-// silently inert. Pass 0 when the device count is not yet known.
-//
-// Example: "0:p=0.2;1:at=1,at=3;2:flip@p=1e-6". Each device's
-// injector draws probabilistic faults from seed+<dev> (silent flips
-// from an independent stream of the same seed), so a spec plus a seed
-// fully determines the fault schedule.
-func ParseFaults(spec string, seed int64, devices int) (map[int]*FaultInjector, error) {
-	out := make(map[int]*FaultInjector)
-	for _, clause := range strings.Split(spec, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		devStr, faults, ok := strings.Cut(clause, ":")
-		if !ok {
-			return nil, fmt.Errorf("simt: fault clause %q lacks a device prefix (want \"<dev>:<fault>\")", clause)
-		}
-		dev, err := strconv.Atoi(strings.TrimSpace(devStr))
-		if err != nil || dev < 0 {
-			return nil, fmt.Errorf("simt: bad device index %q in fault clause %q", devStr, clause)
-		}
-		if devices > 0 && dev >= devices {
-			return nil, fmt.Errorf("simt: fault clause %q names device %d, but only devices 0..%d are configured",
-				clause, dev, devices-1)
-		}
-		inj := out[dev]
-		if inj == nil {
-			inj = NewFaultInjector(seed + int64(dev))
-			out[dev] = inj
-		}
-		// Silent flips draw from a stream distinct from the fail-stop
-		// one so adding a flip clause never perturbs an existing
-		// fail-stop schedule (and vice versa).
-		mem := func() *MemFaultInjector { return inj.memInjector(seed + int64(dev) + 0x5DC) }
-		for _, tok := range strings.Split(faults, ",") {
-			tok = strings.TrimSpace(tok)
-			key, val, hasVal := strings.Cut(tok, "=")
-			switch key {
-			case "p":
-				p, err := strconv.ParseFloat(val, 64)
-				if !hasVal || err != nil || p < 0 || p > 1 {
-					return nil, fmt.Errorf("simt: bad fault probability %q in clause %q", tok, clause)
-				}
-				inj.FailProb(p)
-			case "at", "hang":
-				ord, err := strconv.ParseInt(val, 10, 64)
-				if !hasVal || err != nil || ord < 0 {
-					return nil, fmt.Errorf("simt: bad launch ordinal %q in clause %q", tok, clause)
-				}
-				kind := FaultLaunch
-				if key == "hang" {
-					kind = FaultHang
-				}
-				inj.FailAt(ord, kind)
-			case "dead":
-				ord := int64(0)
-				if hasVal {
-					var err error
-					ord, err = strconv.ParseInt(val, 10, 64)
-					if err != nil || ord < 0 {
-						return nil, fmt.Errorf("simt: bad launch ordinal %q in clause %q", tok, clause)
-					}
-				}
-				inj.LoseFrom(ord)
-			case "flip@p", "flip@shared":
-				p, err := strconv.ParseFloat(val, 64)
-				if !hasVal || err != nil || p < 0 || p > 1 {
-					return nil, fmt.Errorf("simt: bad flip probability %q in clause %q", tok, clause)
-				}
-				if key == "flip@p" {
-					mem().FlipProb(p)
-				} else {
-					mem().FlipShared(p)
-				}
-			case "flip@launch":
-				ord, err := strconv.ParseInt(val, 10, 64)
-				if !hasVal || err != nil || ord < 0 {
-					return nil, fmt.Errorf("simt: bad launch ordinal %q in clause %q", tok, clause)
-				}
-				mem().FlipAt(ord)
-			default:
-				return nil, fmt.Errorf("simt: unknown fault %q in clause %q (want p=, at=, hang=, dead, flip@p=, flip@shared=, flip@launch=)", tok, clause)
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("simt: fault spec %q names no devices", spec)
-	}
-	return out, nil
 }
 
 // KernelPanicError is a kernel-goroutine panic recovered by

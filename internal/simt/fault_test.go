@@ -2,7 +2,6 @@ package simt
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 )
@@ -115,85 +114,15 @@ func TestFaultInjectorProbDeterminism(t *testing.T) {
 	}
 }
 
-func TestParseFaults(t *testing.T) {
-	inj, err := ParseFaults("0:p=0.2;1:at=1,hang=3;2:dead", 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inj) != 3 {
-		t.Fatalf("parsed %d devices, want 3", len(inj))
-	}
-	if inj[0].p != 0.2 {
-		t.Errorf("device 0 p = %v, want 0.2", inj[0].p)
-	}
-	if inj[1].at[1] != FaultLaunch || inj[1].at[3] != FaultHang {
-		t.Errorf("device 1 schedule = %v, want at=1 launch, at=3 hang", inj[1].at)
-	}
-	if inj[2].lostFrom != 0 {
-		t.Errorf("device 2 lostFrom = %d, want 0", inj[2].lostFrom)
-	}
-
-	if _, err := ParseFaults("3:dead=5", 0, 0); err != nil {
-		t.Errorf("dead=<ordinal>: unexpected error %v", err)
-	}
-
-	for _, bad := range []string{
-		"", "p=0.5", "x:p=0.5", "0:p=2", "0:at=x", "0:frob=1", "0:at", "-1:dead",
-		"0:flip", "0:flip@p", "0:flip@p=2", "0:flip@p=x", "0:flip@shared=-1",
-		"0:flip@launch", "0:flip@launch=-1", "0:flip@launch=x", "0:flip@global=0.1",
-	} {
-		if _, err := ParseFaults(bad, 0, 0); err == nil {
-			t.Errorf("ParseFaults(%q) accepted, want error", bad)
-		}
-	}
-}
-
-func TestParseFaultsFlipSyntax(t *testing.T) {
-	inj, err := ParseFaults("0:flip@p=1e-6;1:flip@shared=0.01,flip@launch=7;2:p=0.1", 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inj[0].Mem == nil || inj[0].Mem.readbackP != 1e-6 {
-		t.Errorf("device 0 readback flip prob not wired: %+v", inj[0].Mem)
-	}
-	if inj[1].Mem == nil || inj[1].Mem.sharedP != 0.01 || !inj[1].Mem.atLaunch[7] {
-		t.Errorf("device 1 shared/launch flips not wired: %+v", inj[1].Mem)
-	}
-	if inj[2].Mem != nil {
-		t.Error("device 2 has a memory-fault injector despite no flip clause")
-	}
-	if inj[1].p != 0 {
-		t.Error("flip clauses leaked into the fail-stop probability")
-	}
-}
-
-func TestParseFaultsRejectsOutOfRangeDevice(t *testing.T) {
-	if _, err := ParseFaults("3:dead", 0, 4); err != nil {
-		t.Errorf("device 3 of 4: unexpected error %v", err)
-	}
-	_, err := ParseFaults("4:flip@p=0.5", 0, 4)
-	if err == nil {
-		t.Fatal("device 4 of 4 accepted, want error")
-	}
-	if !strings.Contains(err.Error(), "only devices 0..3 are configured") {
-		t.Errorf("error %q does not name the configured range", err)
-	}
-}
-
 func TestApplyFaults(t *testing.T) {
 	sys := NewSystem(TeslaK40(), 2)
-	inj, err := ParseFaults("1:dead", 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.ApplyFaults(inj); err != nil {
+	if err := sys.ApplyFaults(map[int]*FaultInjector{1: NewFaultInjector(0).LoseFrom(0)}); err != nil {
 		t.Fatal(err)
 	}
 	if sys.Devices[0].Faults != nil || sys.Devices[1].Faults == nil {
 		t.Error("ApplyFaults attached injectors to the wrong devices")
 	}
-	bad, _ := ParseFaults("5:dead", 0, 0)
-	if err := sys.ApplyFaults(bad); err == nil {
+	if err := sys.ApplyFaults(map[int]*FaultInjector{5: NewFaultInjector(0)}); err == nil {
 		t.Error("ApplyFaults accepted an out-of-range device index")
 	}
 }

@@ -43,8 +43,8 @@ type ReadbackFlip struct {
 }
 
 // MemFaultInjector injects silent memory corruption into a device's
-// launches. Attach one via FaultInjector.Mem (ParseFaults does this
-// for flip@ clauses); a nil injector flips nothing. All draws come
+// launches. Attach one via FaultInjector.Mem (internal/faults does
+// this for flip@ clauses); a nil injector flips nothing. All draws come
 // from a seeded generator and are consumed in deterministic order
 // (launch plan, then readback, per executed launch), so a spec plus a
 // seed fully determines the corruption schedule.

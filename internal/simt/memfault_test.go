@@ -125,28 +125,3 @@ func TestReadbackFaultsNilSafety(t *testing.T) {
 		t.Fatalf("no memory injector: got %v", flips)
 	}
 }
-
-func FuzzParseFaults(f *testing.F) {
-	f.Add("0:p=0.2;1:at=1,hang=3;2:dead", int64(7), 4)
-	f.Add("0:flip@p=1e-6,flip@launch=7;1:flip@shared=0.01", int64(0), 2)
-	f.Add("3:dead=5", int64(1), 0)
-	f.Add("0:frob=1", int64(0), 1)
-	f.Add(";;;", int64(0), 0)
-	f.Fuzz(func(t *testing.T, spec string, seed int64, devices int) {
-		inj, err := ParseFaults(spec, seed, devices)
-		if err != nil {
-			return
-		}
-		if len(inj) == 0 {
-			t.Errorf("ParseFaults(%q) returned no injectors and no error", spec)
-		}
-		for dev := range inj {
-			if dev < 0 {
-				t.Errorf("ParseFaults(%q) accepted negative device %d", spec, dev)
-			}
-			if devices > 0 && dev >= devices {
-				t.Errorf("ParseFaults(%q) accepted device %d outside 0..%d", spec, dev, devices-1)
-			}
-		}
-	})
-}

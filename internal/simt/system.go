@@ -33,9 +33,9 @@ func (sys *System) SetMode(m Mode) *System {
 	return sys
 }
 
-// ApplyFaults attaches one injector per device index (the map
-// ParseFaults returns); an index beyond the system's devices is an
-// error.
+// ApplyFaults attaches one injector per device index (a fault plan's
+// Devices, see internal/faults); an index beyond the system's devices
+// is an error.
 func (sys *System) ApplyFaults(faults map[int]*FaultInjector) error {
 	for i, inj := range faults {
 		if i < 0 || i >= len(sys.Devices) {

@@ -8,9 +8,6 @@
 //	hmmbench -experiment pfam      Pfam model-size statistics (§IV)
 //	hmmbench -experiment ablation  §III design-choice ablations
 //	hmmbench -experiment stream    streamed multi-device scaling (dynamic scheduler)
-//	hmmbench -experiment chaos     fault-injection sweep (retry/quarantine/fallback)
-//	hmmbench -experiment sdc       silent-corruption sweep (bit flips vs integrity guards)
-//	hmmbench -experiment resume    crash-recovery sweep (journal fsync overhead, recovery time)
 //	hmmbench -experiment all       everything above
 //
 // The -sim flag selects the simulator's execution mode: "cycles" (the
@@ -36,7 +33,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig1|fig9|fig10|fig11|pfam|ablation|extension|sensitivity|stream|chaos|sdc|resume|all")
+		experiment = flag.String("experiment", "all", "fig1|fig9|fig10|fig11|pfam|ablation|extension|sensitivity|stream|all")
 		quick      = flag.Bool("quick", false, "use reduced workloads (seconds instead of minutes)")
 		seed       = flag.Int64("seed", 0, "override the workload seed")
 		sizes      = flag.String("sizes", "", "comma-separated model sizes (default: the paper's sweep)")
@@ -146,20 +143,8 @@ func main() {
 		run("stream", func() error { _, err := bench.StreamScaling(cfg, os.Stdout); return err })
 		ran = true
 	}
-	if want("chaos") {
-		run("chaos", func() error { _, err := bench.Chaos(cfg, os.Stdout); return err })
-		ran = true
-	}
-	if want("sdc") {
-		run("sdc", func() error { _, err := bench.SDC(cfg, os.Stdout); return err })
-		ran = true
-	}
-	if want("resume") {
-		run("resume", func() error { _, err := bench.Resume(cfg, os.Stdout); return err })
-		ran = true
-	}
 	if !ran {
-		fatalf("unknown experiment %q (want fig1|fig9|fig10|fig11|pfam|ablation|extension|sensitivity|stream|chaos|sdc|resume|all)", *experiment)
+		fatalf("unknown experiment %q (want fig1|fig9|fig10|fig11|pfam|ablation|extension|sensitivity|stream|all)", *experiment)
 	}
 }
 

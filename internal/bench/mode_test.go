@@ -132,3 +132,20 @@ func TestModeEquivalenceQuick(t *testing.T) {
 		}
 	})
 }
+
+// identicalHits reports whether two results carry bit-identical hit
+// lists (same order, identities, scores and E-values).
+func identicalHits(a, b *pipeline.Result) bool {
+	if len(a.Hits) != len(b.Hits) {
+		return false
+	}
+	for i := range a.Hits {
+		x, y := a.Hits[i], b.Hits[i]
+		if x.Index != y.Index || x.Name != y.Name ||
+			x.MSVBits != y.MSVBits || x.VitBits != y.VitBits || x.FwdBits != y.FwdBits ||
+			x.PValue != y.PValue || x.EValue != y.EValue {
+			return false
+		}
+	}
+	return true
+}

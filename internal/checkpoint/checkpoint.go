@@ -28,6 +28,7 @@ package checkpoint
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -259,99 +260,131 @@ func Resume(path string, fp Fingerprint, opts Options) (*Journal, []Record, erro
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	j := &Journal{f: f, opts: opts}
-	recs, good, err := j.replay(fp)
-	if err != nil {
+	if err := readHeader(f, fp, opts.Mode); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	// Drop the torn tail (if any) so appends resume on a frame
-	// boundary, and make the truncation durable before reporting the
-	// journal open.
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("checkpoint: truncating torn tail: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	j.stats.Syncs++
-	j.written, j.synced = good, good
-	j.stats.Replayed = len(recs)
-	return j, recs, nil
+	return settle(f, opts, int64(headerSize), 0)
 }
 
-// replay reads the header and every record, returning the intact
-// records and the file offset just past the last intact one.
-func (j *Journal) replay(fp Fingerprint) ([]Record, int64, error) {
+// readHeader validates the journal prologue at the start of f.
+func readHeader(f *os.File, fp Fingerprint, mode byte) error {
 	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(j.f, hdr); err != nil {
-		return nil, 0, fmt.Errorf("checkpoint: journal header unreadable (file shorter than %d bytes): %w", headerSize, err)
+	if _, err := f.ReadAt(hdr, 0); err != nil {
+		return fmt.Errorf("checkpoint: journal header unreadable (file shorter than %d bytes): %w", headerSize, err)
 	}
 	if string(hdr[:len(magic)-1]) != magic[:len(magic)-1] {
-		return nil, 0, fmt.Errorf("checkpoint: not a journal file (bad magic)")
+		return fmt.Errorf("checkpoint: not a journal file (bad magic)")
 	}
 	if hdr[len(magic)-1] != magic[len(magic)-1] {
-		return nil, 0, &VersionError{Want: magic[len(magic)-1], Got: hdr[len(magic)-1]}
+		return &VersionError{Want: magic[len(magic)-1], Got: hdr[len(magic)-1]}
 	}
 	var got Fingerprint
 	copy(got[:], hdr[len(magic):len(magic)+32])
 	if got != fp {
-		return nil, 0, &FingerprintError{Want: fp, Got: got}
+		return &FingerprintError{Want: fp, Got: got}
 	}
-	if mode := hdr[len(magic)+32]; mode != j.opts.Mode {
-		return nil, 0, &ModeMismatchError{Want: j.opts.Mode, Got: mode}
+	if m := hdr[len(magic)+32]; m != mode {
+		return &ModeMismatchError{Want: mode, Got: m}
 	}
+	return nil
+}
 
+// errTornFrame marks bytes at a frame offset that do not (yet) form a
+// complete frame: a short frame header or a short body.
+var errTornFrame = errors.New("checkpoint: incomplete frame")
+
+// readFrameAt reads the record framed at offset off of a file of the
+// given size and returns it with the offset just past it. Bytes too
+// short to hold the frame are errTornFrame; an implausible length or a
+// complete body failing its checksum is a *CorruptError (Index unset).
+func readFrameAt(f *os.File, off, size int64) (Record, int64, error) {
+	if off+recordHeaderSize > size {
+		return Record{}, 0, errTornFrame
+	}
+	var hdr [recordHeaderSize]byte
+	if _, err := f.ReadAt(hdr[:], off); err != nil {
+		return Record{}, 0, fmt.Errorf("checkpoint: %w", err)
+	}
+	length := binary.LittleEndian.Uint32(hdr[0:4])
+	sum := binary.LittleEndian.Uint32(hdr[4:8])
+	if length < bodyFixedSize || length > MaxRecordSize {
+		return Record{}, 0, &CorruptError{Off: off, Reason: fmt.Sprintf("implausible frame length %d", length)}
+	}
+	next := off + recordHeaderSize + int64(length)
+	if next > size {
+		return Record{}, 0, errTornFrame
+	}
+	body := make([]byte, length)
+	if _, err := f.ReadAt(body, off+recordHeaderSize); err != nil {
+		return Record{}, 0, fmt.Errorf("checkpoint: %w", err)
+	}
+	if crc32.ChecksumIEEE(body) != sum {
+		// A torn write cannot produce a full-length body.
+		return Record{}, 0, &CorruptError{Off: off, Reason: "checksum mismatch"}
+	}
+	return Record{
+		Seq:      binary.LittleEndian.Uint64(body[0:8]),
+		Offset:   binary.LittleEndian.Uint64(body[8:16]),
+		NumSeqs:  binary.LittleEndian.Uint64(body[16:24]),
+		Residues: binary.LittleEndian.Uint64(body[24:32]),
+		Payload:  body[bodyFixedSize:],
+	}, next, nil
+}
+
+// settle reads f's records from offset off to its end and returns a
+// Journal appending just past the last intact one. It is the strict
+// reader a resumed or promoted appender needs: a corrupt frame refuses
+// with *CorruptError (index is the ordinal of the record at off), and
+// a torn tail — the signature of dying mid-append — is truncated away
+// and counted in Stats.DroppedTail, durably, before settle returns. f
+// is closed on error.
+func settle(f *os.File, opts Options, off int64, index int) (*Journal, []Record, error) {
+	fail := func(err error) (*Journal, []Record, error) {
+		f.Close()
+		return nil, nil, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return fail(fmt.Errorf("checkpoint: %w", err))
+	}
+	size := fi.Size()
+	if size < off {
+		return fail(fmt.Errorf("checkpoint: journal shrank from %d to %d bytes: truncated or replaced underneath the reader", off, size))
+	}
+	j := &Journal{f: f, opts: opts}
 	var recs []Record
-	good := int64(headerSize)
-	frame := make([]byte, recordHeaderSize)
-	for i := 0; ; i++ {
-		_, err := io.ReadFull(j.f, frame)
-		if err == io.EOF {
-			return recs, good, nil
+	for i := index; ; i++ {
+		rec, next, err := readFrameAt(f, off, size)
+		if errors.Is(err, errTornFrame) {
+			if off < size {
+				j.stats.DroppedTail++
+			}
+			break
 		}
-		if err == io.ErrUnexpectedEOF {
-			// Torn frame header: the process died mid-append.
-			j.stats.DroppedTail++
-			return recs, good, nil
+		var ce *CorruptError
+		if errors.As(err, &ce) {
+			ce.Index = i
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("checkpoint: %w", err)
+			return fail(err)
 		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if length < bodyFixedSize || length > MaxRecordSize {
-			return nil, 0, &CorruptError{Index: i, Off: good, Reason: fmt.Sprintf("implausible frame length %d", length)}
-		}
-		body := make([]byte, length)
-		if _, err := io.ReadFull(j.f, body); err != nil {
-			if err == io.ErrUnexpectedEOF {
-				// Torn body: same mid-append death, later window.
-				j.stats.DroppedTail++
-				return recs, good, nil
-			}
-			return nil, 0, fmt.Errorf("checkpoint: %w", err)
-		}
-		if crc32.ChecksumIEEE(body) != sum {
-			// A complete frame with a wrong sum is bit rot, not a torn
-			// write; a torn write cannot produce a full-length body.
-			return nil, 0, &CorruptError{Index: i, Off: good, Reason: "checksum mismatch"}
-		}
-		recs = append(recs, Record{
-			Seq:      binary.LittleEndian.Uint64(body[0:8]),
-			Offset:   binary.LittleEndian.Uint64(body[8:16]),
-			NumSeqs:  binary.LittleEndian.Uint64(body[16:24]),
-			Residues: binary.LittleEndian.Uint64(body[24:32]),
-			Payload:  body[bodyFixedSize:],
-		})
-		good += int64(recordHeaderSize) + int64(length)
+		recs = append(recs, rec)
+		off = next
 	}
+	if err := f.Truncate(off); err != nil {
+		return fail(fmt.Errorf("checkpoint: truncating torn tail: %w", err))
+	}
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return fail(fmt.Errorf("checkpoint: %w", err))
+	}
+	if err := f.Sync(); err != nil {
+		return fail(fmt.Errorf("checkpoint: %w", err))
+	}
+	j.stats.Syncs++
+	j.written, j.synced = off, off
+	j.stats.Replayed = len(recs)
+	return j, recs, nil
 }
 
 // Append journals one batch result. The record is made durable (per

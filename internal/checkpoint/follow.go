@@ -28,10 +28,8 @@
 package checkpoint
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 )
 
@@ -82,31 +80,6 @@ func OpenFollower(path string, fp Fingerprint, opts FollowerOptions) (*Follower,
 	return &Follower{f: f, fp: fp, mode: opts.Mode, off: off}, nil
 }
 
-// readHeader validates the journal prologue at the start of f,
-// leaving the read position just past it. The checks (and their typed
-// errors) mirror Journal.replay.
-func readHeader(f *os.File, fp Fingerprint, mode byte) error {
-	hdr := make([]byte, headerSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return fmt.Errorf("checkpoint: journal header unreadable (file shorter than %d bytes): %w", headerSize, err)
-	}
-	if string(hdr[:len(magic)-1]) != magic[:len(magic)-1] {
-		return fmt.Errorf("checkpoint: not a journal file (bad magic)")
-	}
-	if hdr[len(magic)-1] != magic[len(magic)-1] {
-		return &VersionError{Want: magic[len(magic)-1], Got: hdr[len(magic)-1]}
-	}
-	var got Fingerprint
-	copy(got[:], hdr[len(magic):len(magic)+32])
-	if got != fp {
-		return &FingerprintError{Want: fp, Got: got}
-	}
-	if m := hdr[len(magic)+32]; m != mode {
-		return &ModeMismatchError{Want: mode, Got: m}
-	}
-	return nil
-}
-
 // Poll reads every complete record appended since the previous Poll
 // (or since opts.Offset) and returns them in journal order. An
 // incomplete or checksum-failing tail is not an error — the appender
@@ -129,58 +102,22 @@ func (fo *Follower) Poll() ([]Record, error) {
 	}
 	var recs []Record
 	for {
-		rec, next, ok, err := readRecordAt(fo.f, fo.off, size)
+		rec, next, err := readFrameAt(fo.f, fo.off, size)
+		var ce *CorruptError
+		if errors.Is(err, errTornFrame) || errors.As(err, &ce) {
+			// The appender may be mid-record: a short frame, an
+			// implausible length from a half-written header, or body
+			// bytes still landing out of order. Wait for it to finish,
+			// or for TakeOver's strict pass to judge the tail.
+			return recs, nil
+		}
 		if err != nil {
 			return recs, err
-		}
-		if !ok {
-			return recs, nil
 		}
 		recs = append(recs, rec)
 		fo.delivered++
 		fo.off = next
 	}
-}
-
-// readRecordAt attempts to read one complete record at offset off in a
-// file of the given size. ok=false with a nil error means the bytes at
-// off do not (yet) form a complete valid record — the tail frontier.
-func readRecordAt(f *os.File, off, size int64) (rec Record, next int64, ok bool, err error) {
-	if off+recordHeaderSize > size {
-		return rec, 0, false, nil
-	}
-	var hdr [recordHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
-		return rec, 0, false, fmt.Errorf("checkpoint: %w", err)
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length < bodyFixedSize || length > MaxRecordSize {
-		// An implausible length at the frontier is indistinguishable
-		// from a torn frame header mid-write; wait for the appender to
-		// finish (or for TakeOver's strict pass to judge it).
-		return rec, 0, false, nil
-	}
-	if off+recordHeaderSize+int64(length) > size {
-		return rec, 0, false, nil
-	}
-	body := make([]byte, length)
-	if _, err := f.ReadAt(body, off+recordHeaderSize); err != nil {
-		return rec, 0, false, fmt.Errorf("checkpoint: %w", err)
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		// The body bytes may still be landing out of order; treat as
-		// pending and re-read next poll.
-		return rec, 0, false, nil
-	}
-	rec = Record{
-		Seq:      binary.LittleEndian.Uint64(body[0:8]),
-		Offset:   binary.LittleEndian.Uint64(body[8:16]),
-		NumSeqs:  binary.LittleEndian.Uint64(body[16:24]),
-		Residues: binary.LittleEndian.Uint64(body[24:32]),
-		Payload:  body[bodyFixedSize:],
-	}
-	return rec, off + recordHeaderSize + int64(length), true, nil
 }
 
 // Offset returns the current read frontier — the file offset just past
@@ -204,7 +141,7 @@ func (fo *Follower) Close() error {
 
 // TakeOver promotes the follower into the journal's appender: the
 // standby has decided the primary is dead and is assuming its commit
-// log. The file is reopened read-write and settled with Resume's
+// log. The file is reopened read-write and settled by Resume's
 // strict semantics — any records past the frontier not yet returned by
 // Poll are returned here (tail records), a torn tail is truncated
 // away (counted in Stats.DroppedTail), and a complete frame with a bad
@@ -227,77 +164,14 @@ func (fo *Follower) TakeOver(opts Options) (*Journal, []Record, error) {
 		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	opts.Mode = fo.mode
-	j := &Journal{f: f, opts: opts}
 	if err := readHeader(f, fo.fp, fo.mode); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	fi, err := f.Stat()
+	j, tail, err := settle(f, opts, frontier, prior)
 	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
+		return nil, nil, err
 	}
-	size := fi.Size()
-	if size < frontier {
-		f.Close()
-		return nil, nil, fmt.Errorf("checkpoint: journal shrank from %d to %d bytes: truncated or replaced underneath the follower", frontier, size)
-	}
-
-	// Strict settle of the tail past the frontier: complete valid
-	// frames are records; a complete frame failing its CRC is bit rot
-	// (the primary is dead — nobody is still writing it); anything
-	// shorter is the torn tail.
-	var tail []Record
-	good := frontier
-	for i := prior; ; i++ {
-		rec, next, ok, err := readRecordAt(f, good, size)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if !ok {
-			if good+recordHeaderSize <= size {
-				// A full frame header fits; decide torn vs corrupt the
-				// way Resume does: a full-length body with a bad sum is
-				// corruption, anything truncated is a torn tail.
-				var hdr [recordHeaderSize]byte
-				if _, err := f.ReadAt(hdr[:], good); err != nil {
-					f.Close()
-					return nil, nil, fmt.Errorf("checkpoint: %w", err)
-				}
-				length := binary.LittleEndian.Uint32(hdr[0:4])
-				if length < bodyFixedSize || length > MaxRecordSize {
-					f.Close()
-					return nil, nil, &CorruptError{Index: i, Off: good, Reason: fmt.Sprintf("implausible frame length %d", length)}
-				}
-				if good+recordHeaderSize+int64(length) <= size {
-					f.Close()
-					return nil, nil, &CorruptError{Index: i, Off: good, Reason: "checksum mismatch"}
-				}
-			}
-			if good < size {
-				j.stats.DroppedTail++
-			}
-			break
-		}
-		tail = append(tail, rec)
-		good = next
-	}
-
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("checkpoint: truncating torn tail: %w", err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	j.stats.Syncs++
-	j.written, j.synced = good, good
-	j.stats.Replayed = prior + len(tail)
+	j.stats.Replayed += prior
 	return j, tail, nil
 }

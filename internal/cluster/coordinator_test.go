@@ -201,28 +201,43 @@ func injectWorker(seed int64, w int, set func(p *FaultPlan)) *FaultInjector {
 	return fi
 }
 
-// delayDial postpones a worker's first connection so a sibling worker
-// deterministically claims the stream's early batches.
-func delayDial(spec WorkerSpec, d time.Duration) WorkerSpec {
+// afterLog holds spec's dials until the coordinator logs a line that
+// starts with prefix. The returned logf goes in Config.Logf.
+func afterLog(spec WorkerSpec, prefix string) (WorkerSpec, func(string, ...any)) {
+	seen := make(chan struct{})
+	var once sync.Once
+	logf := func(format string, args ...any) {
+		if strings.HasPrefix(fmt.Sprintf(format, args...), prefix) {
+			once.Do(func() { close(seen) })
+		}
+	}
 	dial := spec.Dial
 	spec.Dial = func(ctx context.Context) (net.Conn, error) {
-		time.Sleep(d)
+		select {
+		case <-seen:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 		return dial(ctx)
 	}
-	return spec
+	return spec, logf
 }
 
 func TestWorkerKillRequeuesExactlyOnce(t *testing.T) {
 	inject := injectWorker(1, 0, func(p *FaultPlan) { p.KillAtBatch, p.StayDead = 0, true })
 	cl := newCommitLog()
 	workers := pipeWorkers(2, 0, testExec)
-	workers[1] = delayDial(workers[1], 100*time.Millisecond)
+	// Worker 1 connects only once worker 0 has taken batch 0, lost it
+	// to the injected fault and been quarantined on its refused redial.
+	var logf func(string, ...any)
+	workers[1], logf = afterLog(workers[1], "cluster: worker w0 quarantined")
 	c := &Coordinator{Cfg: Config{
 		Workers:     workers,
 		Fingerprint: testFP,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  2 * time.Millisecond,
 		Inject:      inject,
+		Logf:        logf,
 	}}
 	rep, err := c.Run(context.Background(), produceN(4), cl.fn)
 	if err != nil {
@@ -247,13 +262,17 @@ func TestTornFrameDiscardedAndRequeuedOnce(t *testing.T) {
 	inject := injectWorker(1, 0, func(p *FaultPlan) { p.TornAtBatch, p.StayDead = 0, true })
 	cl := newCommitLog()
 	workers := pipeWorkers(2, 0, testExec)
-	workers[1] = delayDial(workers[1], 100*time.Millisecond)
+	// Worker 1 connects only once worker 0 has taken batch 0, lost it
+	// to the injected fault and been quarantined on its refused redial.
+	var logf func(string, ...any)
+	workers[1], logf = afterLog(workers[1], "cluster: worker w0 quarantined")
 	c := &Coordinator{Cfg: Config{
 		Workers:     workers,
 		Fingerprint: testFP,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  2 * time.Millisecond,
 		Inject:      inject,
+		Logf:        logf,
 	}}
 	rep, err := c.Run(context.Background(), produceN(4), cl.fn)
 	if err != nil {

@@ -113,18 +113,6 @@ func TestMeanMatchEntropyPositiveForPeakedModel(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	h := testModel(t, 20, 3)
-	h.ComputeCompo()
-	c := h.Clone()
-	c.Mat[1][0] = 0.999
-	c.T[2][TMM] = 0.123
-	c.Compo[0] = 42
-	if h.Mat[1][0] == 0.999 || h.T[2][TMM] == 0.123 || h.Compo[0] == 42 {
-		t.Error("Clone shares storage with original")
-	}
-}
-
 func TestSampleSequencePlausible(t *testing.T) {
 	h := testModel(t, 100, 4)
 	rng := rand.New(rand.NewSource(9))

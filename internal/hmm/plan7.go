@@ -190,21 +190,6 @@ func (h *Plan7) MeanMatchEntropy() float64 {
 	return total / float64(h.M)
 }
 
-// Clone returns a deep copy of the model.
-func (h *Plan7) Clone() *Plan7 {
-	c, _ := New(h.M, h.Abc)
-	c.Name, c.Acc, c.Desc, c.Stats = h.Name, h.Acc, h.Desc, h.Stats
-	for k := 0; k <= h.M; k++ {
-		copy(c.Mat[k], h.Mat[k])
-		copy(c.Ins[k], h.Ins[k])
-		copy(c.T[k], h.T[k])
-	}
-	if h.Compo != nil {
-		c.Compo = append([]float64(nil), h.Compo...)
-	}
-	return c
-}
-
 // ComputeCompo fills Compo with the mean match emission distribution.
 func (h *Plan7) ComputeCompo() {
 	compo := make([]float64, h.Abc.Size())

@@ -17,11 +17,7 @@
 // (one calibration, documented in constants.go and DESIGN.md §5).
 package perf
 
-import (
-	"fmt"
-
-	"hmmer3gpu/internal/simt"
-)
+import "hmmer3gpu/internal/simt"
 
 // CPUSpec models the baseline host: HMMER 3.0 with SSE on a multicore
 // CPU.
@@ -117,25 +113,4 @@ func Speedup(cpuSec, gpuSec float64) float64 {
 		return 0
 	}
 	return cpuSec / gpuSec
-}
-
-// Explain renders the time model's view of a launch: which bound
-// (issue or DRAM) governs, the efficiency factor, and the headline
-// counters — the report cmd/hmmbench prints in verbose contexts.
-func Explain(spec simt.DeviceSpec, rep *simt.LaunchReport) string {
-	ipc := effectiveIPC(spec)
-	eff := issueEfficiency(rep.Occupancy)
-	issueCap := float64(spec.SMCount) * ipc * eff * spec.ClockHz
-	tIssue := float64(rep.Stats.IssueCycles+rep.Stats.SyncStallCycles) / issueCap
-	dramBytes := float64(rep.Stats.GlobalBytes) + float64(rep.Stats.CachedBytes)*l2MissRate
-	tDram := dramBytes / spec.MemBandwidth
-	bound := "issue"
-	if tDram > tIssue {
-		bound = "DRAM-bandwidth"
-	}
-	return fmt.Sprintf(
-		"%s: %s-bound; issue %.3gs (eff %.2f, ipc %.1f, occ %s), dram %.3gs (%.3g MB eff), lanes %.0f%%, total %.3gs",
-		spec.Name, bound, tIssue, eff, ipc, rep.Occupancy.String(),
-		tDram, dramBytes/1e6, rep.Stats.LaneUtilization()*100,
-		GPUTime(spec, rep))
 }

@@ -2,7 +2,6 @@ package perf
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"hmmer3gpu/internal/alphabet"
@@ -204,21 +203,5 @@ func TestSpeedupGuards(t *testing.T) {
 	}
 	if Speedup(2, 1) != 2 {
 		t.Error("speedup arithmetic")
-	}
-}
-
-func TestExplain(t *testing.T) {
-	spec := simt.TeslaK40()
-	rep := &simt.LaunchReport{Occupancy: simt.Occupancy{WarpsPerSM: 64, Fraction: 1, Limiter: "warps"}}
-	rep.Stats.IssueCycles = 1e8
-	got := Explain(spec, rep)
-	for _, want := range []string{"issue-bound", "Tesla K40", "100%"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("Explain() = %q, missing %q", got, want)
-		}
-	}
-	rep.Stats.GlobalBytes = 1e13
-	if got := Explain(spec, rep); !strings.Contains(got, "DRAM-bandwidth-bound") {
-		t.Errorf("Explain() = %q, want DRAM bound", got)
 	}
 }

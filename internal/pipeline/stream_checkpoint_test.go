@@ -73,6 +73,35 @@ func TestStreamCrashResumeMatchesClean(t *testing.T) {
 	}
 }
 
+// TestStreamJournalsEveryBatch pins the uninterrupted journaled run:
+// every batch is journaled, fsync-per-append issues at least one sync
+// per record, an amortised cadence issues fewer, and neither changes
+// the hits.
+func TestStreamJournalsEveryBatch(t *testing.T) {
+	pl, fasta, whole, batchResidues := faultStreamFixture(t)
+	run := func(syncEvery int) (*checkpoint.Stats, int) {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		res, err := ckptRun(t, pl, fasta, batchResidues, 2,
+			&CheckpointConfig{Path: path, SyncEvery: syncEvery}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameHits(t, "journaled run", whole, res)
+		extra := res.Extra.(*MultiGPUStreamExtra)
+		return extra.Checkpoint, extra.Schedule.Batches
+	}
+	perBatch, batches := run(1)
+	if perBatch.Journaled != batches || perBatch.Syncs < perBatch.Journaled {
+		t.Errorf("fsync per batch: journaled %d of %d batches with %d syncs",
+			perBatch.Journaled, batches, perBatch.Syncs)
+	}
+	amortised, _ := run(16)
+	if amortised.Journaled != batches || amortised.Syncs >= perBatch.Syncs {
+		t.Errorf("fsync every 16: journaled %d of %d batches with %d syncs (per batch: %d)",
+			amortised.Journaled, batches, amortised.Syncs, perBatch.Syncs)
+	}
+}
+
 // TestStreamCrashResumeUnderFaults combines the journal with device
 // fault injection: a crashed chaotic run resumed under the same chaos
 // must still match the clean whole-database result bit for bit.

@@ -59,25 +59,28 @@ func faultStreamFixture(t *testing.T) (*Pipeline, []byte, *Result, int64) {
 }
 
 // holdUntilClaimed makes every device of sys but dead hold its first
-// successful launch until the dead device has launched — and so failed
-// — once: the healthy devices cannot drain the stream before the dead
-// one claims a batch, whatever the host schedule.
-func holdUntilClaimed(sys *simt.System, dead int) {
+// successful launch until the dead device has arbitrated launch lostAt
+// — and so failed: the healthy devices cannot drain the stream before
+// the dead one reaches its loss, whatever the host schedule.
+func holdUntilClaimed(sys *simt.System, dead int, lostAt int64) {
 	for i, d := range sys.Devices {
 		if i != dead {
-			d.Profiler = claimGate{sys.Devices[dead].Faults}
+			d.Profiler = claimGate{sys.Devices[dead].Faults, lostAt}
 		}
 	}
 }
 
 // claimGate is the simt.Profiler holdUntilClaimed attaches; it collects
 // nothing.
-type claimGate struct{ dead *simt.FaultInjector }
+type claimGate struct {
+	dead   *simt.FaultInjector
+	lostAt int64
+}
 
 func (claimGate) SamplePeriod() int { return 1 }
 
 func (g claimGate) OnLaunch(*simt.LaunchProfile) {
-	for g.dead.Launches() == 0 {
+	for g.dead.Launches() <= g.lostAt {
 		runtime.Gosched()
 	}
 }
@@ -94,7 +97,7 @@ func TestStreamFaultedRunMatchesClean(t *testing.T) {
 
 	sys := simt.NewSystem(simt.GTX580(), 4)
 	applyFaults(t, sys, "dev0:p=0.3;dev1:at=1,hang=3;dev2:dead", 99)
-	holdUntilClaimed(sys, 2)
+	holdUntilClaimed(sys, 2, 0)
 	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})
 	if err != nil {
@@ -143,6 +146,28 @@ func TestStreamAllDevicesDeadFallsBackToCPU(t *testing.T) {
 	}
 	if rep.Faults.Fallbacks != rep.Batches {
 		t.Errorf("fallback completed %d of %d batches", rep.Faults.Fallbacks, rep.Batches)
+	}
+}
+
+// A device lost mid-run, after it has completed work, is quarantined
+// and its in-flight batch finishes elsewhere with bit-identical
+// results.
+func TestStreamDeviceLostMidRunQuarantined(t *testing.T) {
+	pl, fasta, whole, batchResidues := faultStreamFixture(t)
+
+	sys := simt.NewSystem(simt.GTX580(), 2)
+	applyFaults(t, sys, "dev1:dead=2", 0)
+	holdUntilClaimed(sys, 1, 2)
+	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
+		StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameHits(t, "device lost at launch 2", whole, res)
+	rep := res.Extra.(*MultiGPUStreamExtra).Schedule
+	if rep.Faults.Quarantines != 1 || !rep.Faults.Devices[1].Quarantined {
+		t.Errorf("quarantines = %d (device 1 %v), want exactly device 1",
+			rep.Faults.Quarantines, rep.Faults.Devices[1].Quarantined)
 	}
 }
 
@@ -211,7 +236,7 @@ func TestStreamSeededFaultDeterminism(t *testing.T) {
 	run := func() (*Result, *gpu.ScheduleReport) {
 		sys := simt.NewSystem(simt.GTX580(), 3)
 		applyFaults(t, sys, "dev0:at=0,at=2;dev1:at=1;dev2:dead", 7)
-		holdUntilClaimed(sys, 2)
+		holdUntilClaimed(sys, 2, 0)
 		res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
 			StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})
 		if err != nil {

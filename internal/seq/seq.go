@@ -5,7 +5,6 @@ package seq
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"hmmer3gpu/internal/alphabet"
 )
@@ -85,26 +84,6 @@ func (db *Database) MeanLen() float64 {
 		return 0
 	}
 	return float64(db.TotalResidues()) / float64(len(db.Seqs))
-}
-
-// LengthQuantile returns the q-quantile (0..1) of sequence length.
-func (db *Database) LengthQuantile(q float64) int {
-	if len(db.Seqs) == 0 {
-		return 0
-	}
-	lens := make([]int, len(db.Seqs))
-	for i, s := range db.Seqs {
-		lens[i] = s.Len()
-	}
-	sort.Ints(lens)
-	idx := int(q * float64(len(lens)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(lens) {
-		idx = len(lens) - 1
-	}
-	return lens[idx]
 }
 
 // Slice returns a shallow sub-database covering Seqs[lo:hi], used to

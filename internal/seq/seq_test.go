@@ -39,14 +39,11 @@ func TestDatabaseStats(t *testing.T) {
 	if got := db.MeanLen(); got != 16.0/3.0 {
 		t.Errorf("MeanLen = %g", got)
 	}
-	if got := db.LengthQuantile(0.5); got != 4 {
-		t.Errorf("median length = %d, want 4", got)
-	}
 }
 
 func TestEmptyDatabaseStats(t *testing.T) {
 	db := NewDatabase("empty")
-	if db.MeanLen() != 0 || db.MaxLen() != 0 || db.LengthQuantile(0.5) != 0 {
+	if db.MeanLen() != 0 || db.MaxLen() != 0 {
 		t.Error("empty database stats should all be zero")
 	}
 }
@@ -207,22 +204,6 @@ func TestPackedAccessor(t *testing.T) {
 	got := alphabet.Unpack(words, s.Len())
 	if !bytes.Equal(got, s.Residues) {
 		t.Error("Packed/Unpack mismatch")
-	}
-}
-
-func TestLengthQuantileBounds(t *testing.T) {
-	db := NewDatabase("q")
-	for _, n := range []int{5, 1, 9, 3} {
-		db.Add(&Sequence{Name: "s", Residues: make([]byte, n)})
-	}
-	if got := db.LengthQuantile(0); got != 1 {
-		t.Errorf("q0 = %d, want 1", got)
-	}
-	if got := db.LengthQuantile(1); got != 9 {
-		t.Errorf("q1 = %d, want 9", got)
-	}
-	if got := db.LengthQuantile(-0.5); got != 1 {
-		t.Errorf("q<0 = %d, want clamp to min", got)
 	}
 }
 

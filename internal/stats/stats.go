@@ -137,33 +137,3 @@ func BitsFromNats(nats float64) float64 { return nats / math.Ln2 }
 // EValue converts a P-value to an E-value over n independent trials
 // (database sequences).
 func EValue(pvalue float64, n int) float64 { return pvalue * float64(n) }
-
-// EmpiricalFDR estimates the false-discovery rate at each target hit
-// using the target-decoy strategy: hits on shuffled decoys estimate
-// the false-positive count. Both slices hold E-values (any monotone
-// score works); the result, aligned with sorted targetEValues, is
-// FDR(i) = (#decoys <= e_i) / (i+1), made monotone non-decreasing.
-func EmpiricalFDR(targetEValues, decoyEValues []float64) []float64 {
-	targets := append([]float64(nil), targetEValues...)
-	decoys := append([]float64(nil), decoyEValues...)
-	sort.Float64s(targets)
-	sort.Float64s(decoys)
-	out := make([]float64, len(targets))
-	d := 0
-	for i, e := range targets {
-		for d < len(decoys) && decoys[d] <= e {
-			d++
-		}
-		out[i] = float64(d) / float64(i+1)
-		if out[i] > 1 {
-			out[i] = 1
-		}
-	}
-	// Enforce monotonicity from the bottom (step-up).
-	for i := len(out) - 2; i >= 0; i-- {
-		if out[i] > out[i+1] {
-			out[i] = out[i+1]
-		}
-	}
-	return out
-}

@@ -173,38 +173,3 @@ func TestBitsFromNats(t *testing.T) {
 		t.Error("BitsFromNats")
 	}
 }
-
-func TestEmpiricalFDR(t *testing.T) {
-	// Strong targets, weak decoys: FDR ~ 0 at the top.
-	targets := []float64{1e-30, 1e-20, 1e-10, 0.5, 2, 8}
-	decoys := []float64{1, 3, 9}
-	fdr := EmpiricalFDR(targets, decoys)
-	if len(fdr) != len(targets) {
-		t.Fatalf("got %d entries", len(fdr))
-	}
-	if fdr[0] != 0 || fdr[2] != 0 {
-		t.Errorf("top hits should have FDR 0: %v", fdr)
-	}
-	// At E=2 (5th target), one decoy (E=1) is at or below -> 1/5.
-	if math.Abs(fdr[4]-0.2) > 1e-12 {
-		t.Errorf("fdr[4] = %g, want 0.2", fdr[4])
-	}
-	// At E=8 (6th target), two decoys -> 2/6.
-	if math.Abs(fdr[5]-2.0/6) > 1e-12 {
-		t.Errorf("fdr[5] = %g, want 1/3", fdr[5])
-	}
-	// Monotone non-decreasing.
-	for i := 1; i < len(fdr); i++ {
-		if fdr[i] < fdr[i-1] {
-			t.Fatalf("FDR not monotone: %v", fdr)
-		}
-	}
-	// All decoys, no signal: FDR -> 1.
-	all := EmpiricalFDR([]float64{1, 2}, []float64{0.1, 0.2, 0.3})
-	if all[0] != 1 || all[1] != 1 {
-		t.Errorf("pure-noise FDR = %v, want 1s", all)
-	}
-	if got := EmpiricalFDR(nil, nil); len(got) != 0 {
-		t.Error("empty input should yield empty output")
-	}
-}

@@ -26,60 +26,65 @@ import (
 	"strings"
 
 	"hmmer3gpu/internal/bench"
-	"hmmer3gpu/internal/kernprof"
-	"hmmer3gpu/internal/obs"
-	"hmmer3gpu/internal/simt"
+	"hmmer3gpu/internal/obsio"
+	"hmmer3gpu/internal/pipeline"
 )
 
+// config is hmmbench's command line: -workers, -sim and the
+// observability flags it shares with hmmsearch, plus its own.
+type config struct {
+	run                       *pipeline.Flags
+	obs                       obsio.Flags
+	experiment, sizes, csvDir string
+	quick                     bool
+	seed                      int64
+}
+
+// newConfig declares hmmbench's flags on fs.
+func newConfig(fs *flag.FlagSet) *config {
+	c := &config{run: pipeline.NewFlags()}
+	c.run.Register(fs, "workers", "sim")
+	c.obs.Register(fs, "trace", "traceformat", "kprof", "cpuprofile", "memprofile")
+	fs.StringVar(&c.experiment, "experiment", "all", "fig1|fig9|fig10|fig11|pfam|ablation|extension|sensitivity|stream|all")
+	fs.BoolVar(&c.quick, "quick", false, "use reduced workloads (seconds instead of minutes)")
+	fs.Int64Var(&c.seed, "seed", 0, "override the workload seed")
+	fs.StringVar(&c.sizes, "sizes", "", "comma-separated model sizes (default: the paper's sweep)")
+	fs.StringVar(&c.csvDir, "csv", "", "also write fig9/fig10/fig11 CSV files into this directory")
+	return c
+}
+
 func main() {
-	var (
-		experiment = flag.String("experiment", "all", "fig1|fig9|fig10|fig11|pfam|ablation|extension|sensitivity|stream|all")
-		quick      = flag.Bool("quick", false, "use reduced workloads (seconds instead of minutes)")
-		seed       = flag.Int64("seed", 0, "override the workload seed")
-		sizes      = flag.String("sizes", "", "comma-separated model sizes (default: the paper's sweep)")
-		workers    = flag.Int("workers", 0, "host worker goroutines (0 = GOMAXPROCS)")
-		csvDir     = flag.String("csv", "", "also write fig9/fig10/fig11 CSV files into this directory")
-		trace      = flag.String("trace", "", "write a span timeline of the pipeline-driven experiments to this file")
-		traceFmt   = flag.String("traceformat", "chrome", "trace file format: chrome|jsonl")
-		simMode    = flag.String("sim", "cycles", "simulator mode: cycles (cycle-accurate) or fast (functional)")
-		kprof      = flag.String("kprof", "", "write a kernel-grained profile of every launch to this file as JSON; render with hmmprof")
-		cpuprof    = flag.String("cpuprofile", "", "write a host CPU profile (runtime/pprof) to this file")
-		memprof    = flag.String("memprofile", "", "write a host heap profile (runtime/pprof) to this file on exit")
-	)
+	c := newConfig(flag.CommandLine)
 	flag.Parse()
+	if err := c.run.Resolve(); err != nil {
+		fatalf("%v", err)
+	}
 
 	cfg := bench.DefaultConfig()
-	if *quick {
+	if c.quick {
 		cfg = bench.QuickConfig()
 	}
-	if *seed != 0 {
-		cfg.Seed = *seed
+	if c.seed != 0 {
+		cfg.Seed = c.seed
 	}
-	cfg.Workers = *workers
-	mode, err := simt.ParseMode(*simMode)
+	cfg.Workers, cfg.Mode = c.run.Opts.Workers, c.run.Mode
+	sk, err := c.obs.Open()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	cfg.Mode = mode
-	stopProf, err := startProfiles(*cpuprof, *memprof)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer stopProf()
-	if *kprof != "" {
-		cfg.Prof = kernprof.NewCollector()
-		defer flushKprof(cfg.Prof, *kprof)
-	}
-	if *trace != "" {
-		if *traceFmt != "chrome" && *traceFmt != "jsonl" {
-			fatalf("unknown -traceformat %q (want chrome or jsonl)", *traceFmt)
+	// The trace carries the spans of the pipeline-driven experiments,
+	// the kernel profile every launch.
+	cfg.Trace, cfg.Prof = sk.Tracer, sk.Collector
+	defer func() {
+		if err := sk.Flush(func(format string, args ...any) {
+			fmt.Printf(format+"\n", args...)
+		}); err != nil {
+			fatalf("%v", err)
 		}
-		cfg.Trace = obs.New()
-		defer flushTrace(cfg.Trace, *trace, *traceFmt)
-	}
-	if *sizes != "" {
+	}()
+	if c.sizes != "" {
 		cfg.Sizes = nil
-		for _, tok := range strings.Split(*sizes, ",") {
+		for _, tok := range strings.Split(c.sizes, ",") {
 			m, err := strconv.Atoi(strings.TrimSpace(tok))
 			if err != nil || m < 1 {
 				fatalf("bad -sizes entry %q", tok)
@@ -88,94 +93,43 @@ func main() {
 		}
 	}
 
-	run := func(name string, f func() error) {
-		fmt.Printf("==> %s\n", name)
-		if err := f(); err != nil {
-			fatalf("%s: %v", name, err)
-		}
-		fmt.Println()
-	}
-
-	if *csvDir != "" {
-		fmt.Printf("==> csv export to %s\n", *csvDir)
-		if err := bench.ExportCSV(cfg, *csvDir, os.Stdout); err != nil {
+	if c.csvDir != "" {
+		fmt.Printf("==> csv export to %s\n", c.csvDir)
+		if err := bench.ExportCSV(cfg, c.csvDir, os.Stdout); err != nil {
 			fatalf("csv export: %v", err)
 		}
 		fmt.Println()
 		return
 	}
 
-	want := func(name string) bool { return *experiment == "all" || *experiment == name }
 	ran := false
-	if want("fig1") {
-		run("fig1", func() error { _, err := bench.Fig1(cfg, os.Stdout); return err })
-		ran = true
-	}
-	if want("fig9") {
-		run("fig9", func() error { _, err := bench.Fig9(cfg, os.Stdout); return err })
-		ran = true
-	}
-	if want("fig10") {
-		run("fig10", func() error { _, err := bench.Fig10(cfg, os.Stdout); return err })
-		ran = true
-	}
-	if want("fig11") {
-		run("fig11", func() error { _, err := bench.Fig11(cfg, os.Stdout); return err })
-		ran = true
-	}
-	if want("pfam") {
-		run("pfam", func() error { _, err := bench.Pfam(cfg, os.Stdout); return err })
-		ran = true
-	}
-	if want("ablation") {
-		run("ablation", func() error { _, err := bench.Ablations(cfg, os.Stdout); return err })
-		ran = true
-	}
-	if want("extension") {
-		run("extension", func() error { _, err := bench.SpillStudy(cfg, os.Stdout); return err })
-		ran = true
-	}
-	if want("sensitivity") {
-		run("sensitivity", func() error { _, err := bench.Sensitivity(cfg, os.Stdout); return err })
-		ran = true
-	}
-	if want("stream") {
-		run("stream", func() error { _, err := bench.StreamScaling(cfg, os.Stdout); return err })
+	for _, e := range []struct {
+		name string
+		run  func() error
+	}{
+		{"fig1", func() error { _, err := bench.Fig1(cfg, os.Stdout); return err }},
+		{"fig9", func() error { _, err := bench.Fig9(cfg, os.Stdout); return err }},
+		{"fig10", func() error { _, err := bench.Fig10(cfg, os.Stdout); return err }},
+		{"fig11", func() error { _, err := bench.Fig11(cfg, os.Stdout); return err }},
+		{"pfam", func() error { _, err := bench.Pfam(cfg, os.Stdout); return err }},
+		{"ablation", func() error { _, err := bench.Ablations(cfg, os.Stdout); return err }},
+		{"extension", func() error { _, err := bench.SpillStudy(cfg, os.Stdout); return err }},
+		{"sensitivity", func() error { _, err := bench.Sensitivity(cfg, os.Stdout); return err }},
+		{"stream", func() error { _, err := bench.StreamScaling(cfg, os.Stdout); return err }},
+	} {
+		if c.experiment != "all" && c.experiment != e.name {
+			continue
+		}
+		fmt.Printf("==> %s\n", e.name)
+		if err := e.run(); err != nil {
+			fatalf("%s: %v", e.name, err)
+		}
+		fmt.Println()
 		ran = true
 	}
 	if !ran {
-		fatalf("unknown experiment %q (want fig1|fig9|fig10|fig11|pfam|ablation|extension|sensitivity|stream|all)", *experiment)
+		fatalf("unknown experiment %q (want fig1|fig9|fig10|fig11|pfam|ablation|extension|sensitivity|stream|all)", c.experiment)
 	}
-}
-
-// flushKprof writes the accumulated kernel profile on exit.
-func flushKprof(c *kernprof.Collector, path string) {
-	prof := c.Profile()
-	if err := prof.WriteFile(path); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("kernel profile (%d launches) written to %s; render with: hmmprof %s\n",
-		len(prof.Launches), path, path)
-}
-
-// flushTrace writes the experiments' accumulated spans on exit.
-func flushTrace(tr *obs.Tracer, path, format string) {
-	fh, err := os.Create(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if format == "jsonl" {
-		err = tr.WriteJSONL(fh)
-	} else {
-		err = tr.WriteChromeTrace(fh)
-	}
-	if err == nil {
-		err = fh.Close()
-	}
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("trace (%s, %d spans) written to %s\n", format, len(tr.Spans()), path)
 }
 
 func fatalf(format string, args ...any) {

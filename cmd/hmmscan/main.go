@@ -21,11 +21,12 @@ import (
 
 func main() {
 	var (
-		engine  = flag.String("engine", "cpu", "cpu|gpu")
-		evalue  = flag.Float64("E", 10.0, "report hits with E-value <= this")
-		workers = flag.Int("workers", 0, "host worker goroutines (0 = GOMAXPROCS)")
-		top     = flag.Int("top", 3, "hits to list per model")
+		engine = flag.String("engine", "cpu", "cpu|gpu")
+		evalue = flag.Float64("E", 10.0, "report hits with E-value <= this")
+		top    = flag.Int("top", 3, "hits to list per model")
 	)
+	run := pipeline.NewFlags()
+	run.Register(flag.CommandLine, "workers")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: hmmscan [flags] <library.hmm> <targets.fasta>")
@@ -58,9 +59,7 @@ func main() {
 	}
 
 	for _, model := range models {
-		opts := pipeline.DefaultOptions()
-		opts.Workers = *workers
-		pl, err := pipeline.New(model, int(db.MeanLen()), opts)
+		pl, err := pipeline.New(model, int(db.MeanLen()), run.Opts)
 		check(err)
 		var res *pipeline.Result
 		if dev != nil {

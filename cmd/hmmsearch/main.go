@@ -19,17 +19,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
-	"time"
 
 	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/checkpoint"
 	"hmmer3gpu/internal/cluster"
 	"hmmer3gpu/internal/drainctx"
 	"hmmer3gpu/internal/faults"
-	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/hmm"
 	"hmmer3gpu/internal/obsio"
 	"hmmer3gpu/internal/pipeline"
@@ -38,162 +37,172 @@ import (
 	"hmmer3gpu/internal/simt"
 )
 
-// simMode is the parsed -sim flag; every device this command creates
-// runs in this mode.
-var simMode simt.Mode
+// config is hmmsearch's command line. The flags it shares with
+// hmmworker, hmmserved and hmmbench come from pipeline.Flags and
+// obsio.Flags; its own flags bind straight into the structs they
+// configure.
+type config struct {
+	run     *pipeline.Flags
+	obs     obsio.Flags
+	ckpt    pipeline.CheckpointConfig
+	cluster pipeline.ClusterConfig
+
+	engine, tblout, workerList string
+	evalue                     float64
+	devices, inProcess         int
+	standby                    bool
+
+	// Set by vet: the -cluster-workers addresses and the parsed -faults.
+	addrs []string
+	plan  *faults.Plan
+}
+
+// newConfig declares hmmsearch's flags on fs.
+func newConfig(fs *flag.FlagSet) *config {
+	c := &config{run: pipeline.NewFlags()}
+	c.run.Register(fs, "stream", "batchres", "targlen", "workers", "mem", "sim",
+		"faults", "fault-seed", "max-retries", "quarantine-after", "verify")
+	c.obs.Register(fs, "trace", "traceformat", "metrics", "kprof", "cpuprofile", "memprofile")
+	opts, st := &c.run.Opts, &c.run.Stream
+
+	fs.StringVar(&c.engine, "engine", "cpu", "cpu|gpu|multigpu")
+	fs.Float64Var(&c.evalue, "E", 10.0, "report hits with E-value <= this")
+	fs.BoolVar(&opts.ComputeAlignments, "alignments", false, "render domain alignments for reported hits (whole-database runs only)")
+	fs.BoolVar(&opts.UseNull2, "null2", false, "apply the biased-composition score correction (not with -cluster/-cluster-workers: hmmworker cannot mirror it)")
+	fs.StringVar(&c.tblout, "tblout", "", "write a machine-readable per-target table to this file")
+	fs.IntVar(&c.devices, "devices", 4, "device count for -engine multigpu (per worker node with -cluster)")
+
+	fs.DurationVar(&st.BatchTimeout, "batch-timeout", 0, "per-batch watchdog deadline for -engine multigpu -stream (0 disables); a timed-out batch is reassigned and its device quarantined")
+	fs.BoolVar(&st.DisableFallback, "no-fallback", false, "fail instead of completing on the host CPU when every device (or cluster worker) is quarantined")
+
+	fs.IntVar(&c.inProcess, "cluster", 0, "shard the streamed search across this many in-process worker nodes, each with -devices simulated devices (exercises the full cluster wire protocol; see cmd/hmmworker for real worker processes)")
+	fs.StringVar(&c.workerList, "cluster-workers", "", "comma-separated hmmworker addresses (host:port) to shard the streamed search across over TCP")
+	fs.DurationVar(&c.cluster.BatchDeadline, "cluster-deadline", 0, "per-batch assignment deadline in cluster mode (0 disables); a batch not answered in time is reclaimed and requeued, the late reply fenced")
+	fs.BoolVar(&c.standby, "ha-standby", false, "run as the hot-standby coordinator: keep warm connections to -cluster-workers, tail the -journal, and take over the run (fencing the dead primary by epoch) when the primary's <journal>.lock frees")
+	fs.Uint64Var(&c.cluster.Epoch, "ha-epoch", 0, "coordinator epoch for fencing: the primary runs at 1 (default), a standby takes over at 2; chain further standbys with higher epochs")
+
+	fs.StringVar(&c.ckpt.Path, "journal", "", "journal committed batches to this crash-safe file (-engine multigpu -stream, or a cluster); an interrupted run resumes with -resume")
+	fs.BoolVar(&c.ckpt.Resume, "resume", false, "resume from the -journal file when it exists: journaled batches merge from disk and are not re-executed")
+	fs.IntVar(&c.ckpt.SyncEvery, "journal-sync", 1, "fsync the journal every N appended batches (1 = every batch; larger trades re-executing up to N-1 batches after a crash for append throughput)")
+	return c
+}
+
+// clustered reports whether the run shards across cluster workers.
+func (c *config) clustered() bool { return c.inProcess+len(c.addrs) > 0 }
+
+// vet resolves the parsed flags and refuses a combination the run
+// cannot honour, rather than dropping a flag silently.
+func (c *config) vet() (err error) {
+	if err = c.run.Resolve(); err != nil {
+		return err
+	}
+	c.addrs = splitAddrs(c.workerList)
+	workers := c.inProcess + len(c.addrs)
+	streamed, clustered := c.run.Batch > 0, c.clustered()
+	journaled := c.ckpt.Path != "" || c.ckpt.Resume
+	if c.plan, err = faultPlan(c.run.Faults, c.run.FaultSeed, c.engine, c.run.Batch, c.devices, workers, c.ckpt.Path); err != nil {
+		return err
+	}
+	c.ckpt.Crash = c.plan.Crash
+	switch {
+	case streamed && c.ckpt.Resume && c.ckpt.Path == "":
+		return errors.New("-resume requires -journal")
+	case streamed && clustered && c.standby && (c.workerList == "" || c.inProcess > 0):
+		return errors.New("-ha-standby requires TCP workers (-cluster-workers): the standby must reach the same worker processes the primary used")
+	case streamed && clustered && c.standby && c.ckpt.Path == "":
+		return errors.New("-ha-standby requires -journal: the primary's commit log is the handoff medium")
+	case streamed && clustered && c.standby && c.ckpt.Resume:
+		return errors.New("-ha-standby replaces -resume: the standby tails the journal live and settles it at takeover")
+	case streamed && !clustered && c.engine == "cpu" && journaled:
+		return errors.New("-journal/-resume require -engine multigpu or -cluster/-cluster-workers")
+	case streamed && !clustered && c.engine != "cpu" && c.engine != "multigpu":
+		return errors.New("-stream requires -engine cpu or multigpu")
+	case !streamed && clustered:
+		return errors.New("-cluster/-cluster-workers require -stream")
+	case !streamed && journaled:
+		return errors.New("-journal/-resume require -engine multigpu -stream")
+	case !streamed && c.engine != "cpu" && c.engine != "gpu" && c.engine != "multigpu":
+		return fmt.Errorf("unknown -engine %q", c.engine)
+	case streamed && c.run.Opts.ComputeAlignments:
+		return errors.New("-alignments requires a whole-database run: streamed output, journal records and cluster payloads carry no alignments")
+	case clustered && c.run.Opts.UseNull2:
+		return errors.New("-null2 is not supported with -cluster/-cluster-workers: hmmworker cannot mirror it, so every handshake would fail")
+	case (c.run.Stream.Verify != pipeline.VerifyOff || c.run.Stream.BatchTimeout != 0) &&
+		(c.engine != "multigpu" || !streamed || clustered):
+		return errors.New("-verify and -batch-timeout require -engine multigpu -stream without -cluster/-cluster-workers")
+	}
+	return nil
+}
 
 func main() {
-	var (
-		engine   = flag.String("engine", "cpu", "cpu|gpu|multigpu")
-		mem      = flag.String("mem", "auto", "GPU memory configuration: auto|shared|global")
-		evalue   = flag.Float64("E", 10.0, "report hits with E-value <= this")
-		aligns   = flag.Bool("alignments", false, "render domain alignments for reported hits")
-		null2    = flag.Bool("null2", false, "apply the biased-composition score correction")
-		tblout   = flag.String("tblout", "", "write a machine-readable per-target table to this file")
-		stream   = flag.Int("stream", 0, "stream the database in batches of this many sequences (constant memory); 0 loads it whole (-engine cpu or multigpu)")
-		batchres = flag.Int64("batchres", 0, "multigpu streaming: residue budget per batch (0 = stream * targlen)")
-		targlen  = flag.Int("targlen", 350, "assumed typical target length for -stream (the length model cannot be derived from an unread stream)")
-		workers  = flag.Int("workers", 0, "host worker goroutines (0 = GOMAXPROCS)")
-		devices  = flag.Int("devices", 4, "device count for -engine multigpu")
-		trace    = flag.String("trace", "", "write a span timeline of the run to this file (search, stage, batch, and kernel spans)")
-		traceFmt = flag.String("traceformat", "chrome", "trace file format: chrome (load in ui.perfetto.dev or chrome://tracing) | jsonl")
-		metrics  = flag.String("metrics", "", "write run counters to this file in Prometheus text format")
-		kprof    = flag.String("kprof", "", "write a kernel-grained profile (occupancy, stall attribution, counters) to this file as JSON; render with hmmprof")
-		cpuprof  = flag.String("cpuprofile", "", "write a host CPU profile (runtime/pprof) to this file")
-		memprof  = flag.String("memprofile", "", "write a host heap profile (runtime/pprof) to this file on exit")
-		sim      = flag.String("sim", "cycles", "simulator mode: cycles (cycle-accurate counters) or fast (functional, no accounting); results are identical")
-
-		faultSpec    = flag.String("faults", "", "inject faults: \"<scope>:<fault>[,...][;...]\" with scopes dev<N> (-engine multigpu -stream: p=P, at=N, hang=N, dead[=N], flip@p=P, flip@shared=P, flip@launch=N), w<N> (-cluster/-cluster-workers: refuse=N, kill=N, killp=P, torn=N, stall=N@D, dead=1, hello=bad), coord (kill=N, exit status 3) and journal (-journal: crash=N[@before-append|@after-append|@after-sync], exit status 3) — e.g. \"dev0:p=0.2;dev2:dead\" or \"w0:kill=1,dead=1;journal:crash=3\"")
-		faultSeed    = flag.Int64("fault-seed", 1, "seed for the probabilistic faults of -faults (p=, killp=, flip@p=, flip@shared=)")
-		maxRetries   = flag.Int("max-retries", 0, "per-batch retry budget after transient device faults (0 = default, negative disables)")
-		quarAfter    = flag.Int("quarantine-after", 0, "consecutive device failures before quarantine (0 = default, negative disables)")
-		batchTimeout = flag.Duration("batch-timeout", 0, "per-batch watchdog deadline (0 disables); a timed-out batch is reassigned and its device quarantined")
-		noFallback   = flag.Bool("no-fallback", false, "fail instead of completing on the host CPU when every device is quarantined")
-		verify       = flag.String("verify", "off", "result-integrity policy against silent data corruption (multigpu streaming): off | guards (discard and requeue corrupt batches) | dmr (re-execute corrupt batches on the host CPU)")
-
-		clusterN       = flag.Int("cluster", 0, "shard the streamed search across this many in-process worker nodes, each with -devices simulated devices (exercises the full cluster wire protocol; see cmd/hmmworker for real worker processes)")
-		clusterWorkers = flag.String("cluster-workers", "", "comma-separated hmmworker addresses (host:port) to shard the streamed search across over TCP")
-		clusterDeadl   = flag.Duration("cluster-deadline", 0, "per-batch assignment deadline in cluster mode (0 disables); a batch not answered in time is reclaimed and requeued, the late reply fenced")
-		haStandby      = flag.Bool("ha-standby", false, "run as the hot-standby coordinator: keep warm connections to -cluster-workers, tail the -journal, and take over the run (fencing the dead primary by epoch) when the primary's <journal>.lock frees")
-		haEpoch        = flag.Uint64("ha-epoch", 0, "coordinator epoch for fencing: the primary runs at 1 (default), a standby takes over at 2; chain further standbys with higher epochs")
-
-		journalPath = flag.String("journal", "", "journal committed batches to this crash-safe file (multigpu streaming); an interrupted run resumes with -resume")
-		resume      = flag.Bool("resume", false, "resume from the -journal file when it exists: journaled batches merge from disk and are not re-executed")
-		journalSync = flag.Int("journal-sync", 1, "fsync the journal every N appended batches (1 = every batch; larger trades re-executing up to N-1 batches after a crash for append throughput)")
-	)
+	c := newConfig(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: hmmsearch [flags] <query.hmm> <targets.fasta>")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
+	check(c.vet())
+	sk, err := c.obs.Open()
+	check(err)
+	sk.Apply(&c.run.Opts)
+	streamed := c.run.Batch > 0
+
+	// The resumable streamed runs install the two-stage SIGINT policy
+	// (internal/drainctx) before the slow calibration in pipeline.New,
+	// so an early SIGINT is drained, not fatal: the first drains —
+	// in-flight batches finish and are journaled, then the run returns
+	// a partial result — and the second aborts via ctx.
+	ctx, drain := context.Background(), (<-chan struct{})(nil)
+	if streamed && (c.engine == "multigpu" || c.clustered()) {
+		var stop func()
+		ctx, drain, stop = drainctx.Notify("hmmsearch", os.Stderr, os.Interrupt)
+		defer stop()
+	}
 
 	abc := alphabet.New()
-	stopProf, err := startProfiles(*cpuprof, *memprof)
+	hf, err := os.Open(flag.Arg(0))
 	check(err)
-	defer stopProf()
-	sk := newSinks(*trace, *traceFmt, *metrics, *kprof)
-	simMode, err = simt.ParseMode(*sim)
+	query, err := hmm.Read(hf, abc)
+	hf.Close()
 	check(err)
-	memCfg, err := gpu.ParseMemConfig(*mem)
+	ff, err := os.Open(flag.Arg(1))
 	check(err)
-	verifyMode, err := pipeline.ParseVerifyMode(*verify)
-	check(err)
-
-	addrs := splitAddrs(*clusterWorkers)
-	clustered := *clusterN > 0 || len(addrs) > 0
-	plan, err := faultPlan(*faultSpec, *faultSeed, *engine, *stream, *devices, *clusterN+len(addrs), *journalPath)
-	check(err)
-
-	if *stream > 0 {
-		budget := *batchres
-		if budget <= 0 {
-			budget = int64(*stream) * int64(*targlen)
-		}
-		co := ckptOpts{path: *journalPath, resume: *resume, syncEvery: *journalSync, crash: plan.Crash}
-		if *resume && *journalPath == "" {
-			fatalf("-resume requires -journal")
-		}
-		if clustered {
-			if *haStandby {
-				if *clusterWorkers == "" || *clusterN > 0 {
-					fatalf("-ha-standby requires TCP workers (-cluster-workers): the standby must reach the same worker processes the primary used")
-				}
-				if *journalPath == "" {
-					fatalf("-ha-standby requires -journal: the primary's commit log is the handoff medium")
-				}
-				if *resume {
-					fatalf("-ha-standby replaces -resume: the standby tails the journal live and settles it at takeover")
-				}
-			}
-			cl := clusterOpts{
-				inProcess:       *clusterN,
-				addrs:           addrs,
-				inject:          plan.Cluster,
-				batchDeadline:   *clusterDeadl,
-				maxRetries:      *maxRetries,
-				quarantineAfter: *quarAfter,
-				noFallback:      *noFallback,
-				standby:         *haStandby,
-				epoch:           *haEpoch,
-			}
-			runClusterStreaming(abc, flag.Arg(0), flag.Arg(1), memCfg, *devices,
-				budget, *targlen, *workers, *evalue, *tblout, sk, cl, co)
-			flushSinks(sk)
-			return
-		}
-		switch *engine {
-		case "cpu":
-			if *journalPath != "" || *resume {
-				fatalf("-journal/-resume require -engine multigpu or -cluster/-cluster-workers")
-			}
-			runStreaming(abc, flag.Arg(0), flag.Arg(1), *stream, *targlen, *workers, *evalue, *tblout, sk)
-		case "multigpu":
-			fo := faultOpts{
-				faults:          plan.Devices,
-				maxRetries:      *maxRetries,
-				quarantineAfter: *quarAfter,
-				batchTimeout:    *batchTimeout,
-				noFallback:      *noFallback,
-				verify:          verifyMode,
-			}
-			runMultiStreaming(abc, flag.Arg(0), flag.Arg(1), memCfg, *devices,
-				budget, *targlen, *workers, *evalue, *tblout, sk, fo, co)
-		default:
-			fatalf("-stream requires -engine cpu or multigpu")
-		}
-		flushSinks(sk)
-		return
+	defer ff.Close()
+	var db *seq.Database
+	targetLen := c.run.TargetLen
+	if !streamed {
+		db, err = seq.ReadFASTA(ff, abc)
+		check(err)
+		targetLen = int(db.MeanLen())
 	}
-	if clustered {
-		fatalf("-cluster/-cluster-workers require -stream")
-	}
-	if *journalPath != "" || *resume {
-		fatalf("-journal/-resume require -engine multigpu -stream")
-	}
-
-	query, db := loadInputs(abc, flag.Arg(0), flag.Arg(1))
-
-	opts := pipeline.DefaultOptions()
-	opts.Workers = *workers
-	opts.ComputeAlignments = *aligns
-	opts.UseNull2 = *null2
-	sk.Apply(&opts)
-	pl, err := pipeline.New(query, int(db.MeanLen()), opts)
+	pl, err := pipeline.New(query, targetLen, c.run.Opts)
 	check(err)
 
+	if streamed {
+		c.stream(ctx, drain, pl, query, ff)
+	} else {
+		c.search(pl, query, db)
+	}
+	check(sk.Flush(func(format string, args ...any) {
+		fmt.Printf(format+"\n", args...)
+	}))
+}
+
+// search runs the whole-database search on the -engine and prints its
+// hits, with alignments when asked.
+func (c *config) search(pl *pipeline.Pipeline, query *hmm.Plan7, db *seq.Database) {
 	var res *pipeline.Result
-	switch *engine {
+	var err error
+	switch c.engine {
 	case "cpu":
 		res, err = pl.RunCPU(db)
 	case "gpu":
 		dev := simt.NewDevice(simt.TeslaK40())
-		dev.Mode = simMode
-		res, err = pl.RunGPU(dev, memCfg, db)
+		dev.Mode = c.run.Mode
+		res, err = pl.RunGPU(dev, c.run.Mem, db)
 	case "multigpu":
-		res, err = pl.RunMultiGPU(simt.NewSystem(simt.GTX580(), *devices).SetMode(simMode), memCfg, db)
-	default:
-		fatalf("unknown -engine %q", *engine)
+		res, err = pl.RunMultiGPU(simt.NewSystem(simt.GTX580(), c.devices).SetMode(c.run.Mode), c.run.Mem, db)
 	}
 	check(err)
 
@@ -207,13 +216,13 @@ func main() {
 		"E-value", "sequence", "fwd bits", "vit bits", "msv bits", "P-value")
 	shown := 0
 	for _, h := range res.Hits {
-		if h.EValue > *evalue {
+		if h.EValue > c.evalue {
 			continue
 		}
 		fmt.Printf("%-12.3g %-28s %10.2f %10.2f %10.2f %10.3g\n",
 			h.EValue, h.Name, h.FwdBits, h.VitBits, h.MSVBits, h.PValue)
 		shown++
-		if *aligns {
+		if c.run.Opts.ComputeAlignments {
 			for d, dom := range h.Domains {
 				fmt.Printf("\n  domain %d: hmm %d..%d, seq %d..%d\n", d+1,
 					dom.HMMFrom, dom.HMMTo, dom.SeqFrom, dom.SeqTo)
@@ -233,44 +242,24 @@ func main() {
 		fmt.Println("  (no hits below the E-value threshold)")
 	}
 
-	if *tblout != "" {
-		check(writeTblout(*tblout, query.Name, res))
-		fmt.Printf("\nper-target table written to %s\n", *tblout)
-	}
-	flushSinks(sk)
+	c.writeTblout(query.Name, res)
 }
 
-// sinks is the shared observability sink set (internal/obsio); the
-// trace/metrics/kprof flag handling lives there so hmmworker and
-// hmmserved interpret the flags identically.
-type sinks = obsio.Sinks
-
-func newSinks(tracePath, traceFmt, metricsPath, kprofPath string) *sinks {
-	s, err := obsio.New(tracePath, traceFmt, metricsPath, kprofPath)
+// writeTblout writes the -tblout table when one is asked for, in the
+// shared pipeline.WriteTblout format, so hmmserved responses byte-diff
+// cleanly against this file.
+func (c *config) writeTblout(queryName string, res *pipeline.Result) {
+	if c.tblout == "" {
+		return
+	}
+	fh, err := os.Create(c.tblout)
 	check(err)
-	return s
-}
-
-// flushSinks writes the artifact files, logging one line per artifact.
-func flushSinks(s *sinks) {
-	check(s.Flush(func(format string, args ...any) {
-		fmt.Printf(format+"\n", args...)
-	}))
-}
-
-// writeTblout emits a HMMER-style space-separated per-target table
-// (the shared pipeline.WriteTblout format, so hmmserved responses
-// byte-diff cleanly against this file).
-func writeTblout(path, queryName string, res *pipeline.Result) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
+	err = pipeline.WriteTblout(fh, queryName, res)
+	if cerr := fh.Close(); err == nil {
+		err = cerr
 	}
-	if err := pipeline.WriteTblout(fh, queryName, res); err != nil {
-		fh.Close()
-		return err
-	}
-	return fh.Close()
+	check(err)
+	fmt.Printf("\nper-target table written to %s\n", c.tblout)
 }
 
 // printWrapped renders a three-row alignment in 60-column blocks.
@@ -289,300 +278,137 @@ func printWrapped(dom refimpl.DomainAlignment, qname, tname string) {
 	}
 }
 
-// runStreaming searches a FASTA stream without loading it into memory.
-func runStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, batch, targetLen, workers int, evalue float64, tblout string, sk *sinks) {
-	hf, err := os.Open(hmmPath)
-	check(err)
-	query, err := hmm.Read(hf, abc)
-	check(err)
-	hf.Close()
-
-	opts := pipeline.DefaultOptions()
-	opts.Workers = workers
-	sk.Apply(&opts)
-	pl, err := pipeline.New(query, targetLen, opts)
-	check(err)
-
-	ff, err := os.Open(fastaPath)
-	check(err)
-	defer ff.Close()
-	res, err := pl.RunCPUStream(ff, batch)
-	check(err)
-
-	fmt.Printf("Query:    %s (M=%d, streamed in batches of %d)\n", query.Name, query.M, batch)
-	printStreamed(query.Name, res, evalue, tblout)
-}
-
-// faultOpts carries the device faults of -faults and the recovery
-// flags into the multigpu streaming path.
-type faultOpts struct {
-	faults          map[int]*simt.FaultInjector
-	maxRetries      int
-	quarantineAfter int
-	batchTimeout    time.Duration
-	noFallback      bool
-	verify          pipeline.VerifyMode
-}
-
-// ckptOpts carries the crash-safety flags into the multigpu streaming
-// path.
-type ckptOpts struct {
-	path      string
-	resume    bool
-	syncEvery int
-	crash     *checkpoint.CrashPlan
-}
-
-// clusterOpts carries the cluster-mode flags.
-type clusterOpts struct {
-	// inProcess spins up this many in-process worker nodes; addrs lists
-	// TCP hmmworker addresses. Both can be combined, in-process first.
-	inProcess int
-	addrs     []string
-	// inject carries the worker and coordinator faults of -faults.
-	inject *cluster.FaultInjector
-	// batchDeadline bounds one assignment (0 disables).
-	batchDeadline time.Duration
-	// maxRetries/quarantineAfter/noFallback mirror the single-node
-	// recovery knobs at the worker tier.
-	maxRetries      int
-	quarantineAfter int
-	noFallback      bool
-	// standby runs the hot-standby protocol instead of a primary
-	// coordinator; epoch overrides the coordinator epoch for fencing.
-	standby bool
-	epoch   uint64
-}
-
-// drainOnInterrupt installs the two-stage SIGINT policy shared by the
-// resumable streaming paths: the first interrupt drains gracefully
-// (in-flight batches finish and are journaled), the second aborts via
-// context cancellation. stop uninstalls the handler. The policy lives
-// in internal/drainctx so hmmworker and hmmserved share it.
-func drainOnInterrupt() (ctx context.Context, drain <-chan struct{}, stop func()) {
-	return drainctx.Notify("hmmsearch", os.Stderr, os.Interrupt)
-}
-
-// runMultiStreaming searches a FASTA stream across simulated devices:
-// residue-balanced batches, dynamic device assignment, per-device
-// utilization in the summary. fo optionally injects device faults and
-// tunes the scheduler's recovery knobs; co optionally journals
-// committed batches and resumes from a previous run's journal.
-//
-// With journaling active, SIGINT drains gracefully: in-flight batches
-// finish and land in the journal, then the run exits cleanly with a
-// resume hint. A second SIGINT aborts immediately.
-func runMultiStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, mem gpu.MemConfig,
-	devices int, batchResidues int64, targetLen, workers int, evalue float64, tblout string, sk *sinks, fo faultOpts, co ckptOpts) {
-
-	// The handler installs before the (slow) calibration in
-	// pipeline.New, so an early SIGINT is drained, not fatal.
-	// First SIGINT: graceful drain — in-flight batches finish (and are
-	// journaled), then the run returns with a partial result. Second
-	// SIGINT: hard abort via context cancellation (kernels poll the
-	// cancel channel between blocks).
-	ctx, drain, stop := drainOnInterrupt()
-	defer stop()
-
-	hf, err := os.Open(hmmPath)
-	check(err)
-	query, err := hmm.Read(hf, abc)
-	check(err)
-	hf.Close()
-
-	opts := pipeline.DefaultOptions()
-	opts.Workers = workers
-	sk.Apply(&opts)
-	pl, err := pipeline.New(query, targetLen, opts)
-	check(err)
-
-	ff, err := os.Open(fastaPath)
-	check(err)
-	defer ff.Close()
-	sys := simt.NewSystem(simt.GTX580(), devices).SetMode(simMode)
-	check(sys.ApplyFaults(fo.faults))
-
-	cfg := pipeline.StreamConfig{
-		BatchResidues:   batchResidues,
-		MaxRetries:      fo.maxRetries,
-		QuarantineAfter: fo.quarantineAfter,
-		BatchTimeout:    fo.batchTimeout,
-		DisableFallback: fo.noFallback,
-		Verify:          fo.verify,
-	}
-	if co.path != "" {
-		cfg.Checkpoint = &pipeline.CheckpointConfig{
-			Path:      co.path,
-			Resume:    co.resume,
-			SyncEvery: co.syncEvery,
-			Crash:     co.crash,
-		}
-	}
-
+// stream runs the streamed search the flags select — on the host CPU,
+// across -devices simulated devices (residue-balanced batches fed to
+// whichever device frees up first), or sharded over cluster workers as
+// primary or hot standby — and prints its report. The runs differ only
+// in the pipeline.Run* call and the lines above the hits. An injected
+// journal crash or coordinator kill exits with status 3, so recovery
+// tests can tell the simulated death from a real failure.
+func (c *config) stream(ctx context.Context, drain <-chan struct{}, pl *pipeline.Pipeline, query *hmm.Plan7, fasta io.Reader) {
+	cfg := c.run.Stream
 	cfg.Drain = drain
-
-	res, err := pl.RunMultiGPUStreamContext(ctx, sys, mem, ff, cfg)
-	if err != nil {
-		if errors.Is(err, checkpoint.ErrInjectedCrash) {
-			// Distinct exit status so recovery tests can assert the
-			// simulated crash happened (and was not a real failure).
-			fmt.Fprintf(os.Stderr, "hmmsearch: %v\n", err)
-			os.Exit(3)
-		}
+	if c.ckpt.Path != "" {
+		cfg.Checkpoint = &c.ckpt
+	}
+	if c.clustered() && !c.standby && c.ckpt.Path != "" {
+		// Hold the journal's flock for the whole run so a hot standby's
+		// takeover gates on this process's death: the kernel frees the
+		// lock when we exit, however we exit.
+		release, err := cluster.AcquireFileLeadership(c.ckpt.Path+".lock", cluster.DefaultLeadershipPoll)(ctx)
 		check(err)
+		defer release()
 	}
 
-	extra := res.Extra.(*pipeline.MultiGPUStreamExtra)
-	sched := extra.Schedule
-	fmt.Printf("Query:    %s (M=%d, streamed in %d residue-balanced batches of ~%d residues)\n",
-		query.Name, query.M, sched.Batches, batchResidues)
-	fmt.Printf("Devices:  %d x %s\n", devices, sys.Devices[0].Spec.Name)
-	fmt.Println(sched.String())
-	printRecovery(co, extra.Checkpoint, extra.Drained, "hmmsearch -engine multigpu -stream", batchResidues)
-	printStreamed(query.Name, res, evalue, tblout)
+	var res *pipeline.Result
+	var err error
+	switch {
+	case c.clustered():
+		res, err = c.runCluster(ctx, pl, fasta, cfg)
+	case c.engine == "multigpu":
+		sys := simt.NewSystem(simt.GTX580(), c.devices).SetMode(c.run.Mode)
+		check(sys.ApplyFaults(c.plan.Devices))
+		res, err = pl.RunMultiGPUStreamContext(ctx, sys, c.run.Mem, fasta, cfg)
+	default:
+		res, err = pl.RunCPUStream(fasta, c.run.Batch)
+	}
+	if errors.Is(err, checkpoint.ErrInjectedCrash) || errors.Is(err, cluster.ErrInjectedCoordinatorKill) {
+		fmt.Fprintf(os.Stderr, "hmmsearch: %v\n", err)
+		os.Exit(3)
+	}
+	check(err)
+
+	budget := cfg.BatchResidues
+	balanced := func(batches int) {
+		fmt.Printf("Query:    %s (M=%d, streamed in %d residue-balanced batches of ~%d residues)\n",
+			query.Name, query.M, batches, budget)
+	}
+	switch extra := res.Extra.(type) {
+	case *pipeline.MultiGPUStreamExtra:
+		balanced(extra.Schedule.Batches)
+		fmt.Printf("Devices:  %d x %s\n", c.devices, simt.GTX580().Name)
+		fmt.Println(extra.Schedule.String())
+		c.printRecovery(extra.Checkpoint, extra.Drained, "hmmsearch -engine multigpu -stream", budget)
+	case *pipeline.ClusterStreamExtra:
+		rep := extra.Cluster
+		balanced(rep.Batches)
+		fmt.Println(rep.String())
+		if rep.Failovers > 0 {
+			fmt.Printf("Failover: took over at epoch %d after tailing %d committed batches from the primary's journal\n",
+				rep.Epoch, rep.StandbyTailed)
+		}
+		c.printRecovery(extra.Checkpoint, extra.Drained, "hmmsearch -stream", budget)
+	default:
+		fmt.Printf("Query:    %s (M=%d, streamed in batches of %d)\n", query.Name, query.M, c.run.Batch)
+	}
+	c.printStreamed(query.Name, res)
 }
 
-// runClusterStreaming shards a FASTA stream across cluster workers:
-// in-process worker nodes (-cluster n, each driving -devices simulated
-// devices over the full wire protocol), TCP hmmworker processes
-// (-cluster-workers), or both. Worker loss is detected by heartbeat
-// and repaired by exactly-once requeue; with every worker gone the
-// run degrades to the local CPU unless -no-fallback. Journaling,
-// -resume, injected journal crashes, and the SIGINT drain behave
-// exactly as in the single-node streamed path — the coordinator reuses
-// the same journal as its commit log.
-func runClusterStreaming(abc *alphabet.Alphabet, hmmPath, fastaPath string, mem gpu.MemConfig,
-	devicesPerWorker int, batchResidues int64, targetLen, workers int, evalue float64,
-	tblout string, sk *sinks, cl clusterOpts, co ckptOpts) {
-
-	ctx, drain, stop := drainOnInterrupt()
-	defer stop()
-
-	hf, err := os.Open(hmmPath)
-	check(err)
-	query, err := hmm.Read(hf, abc)
-	check(err)
-	hf.Close()
-
-	opts := pipeline.DefaultOptions()
-	opts.Workers = workers
-	sk.Apply(&opts)
-	pl, err := pipeline.New(query, targetLen, opts)
-	check(err)
-
-	cfg := pipeline.StreamConfig{
-		BatchResidues:   batchResidues,
-		MaxRetries:      cl.maxRetries,
-		QuarantineAfter: cl.quarantineAfter,
-		DisableFallback: cl.noFallback,
-		Drain:           drain,
+// runCluster shards the stream across the cluster workers: in-process
+// nodes (-cluster, each driving -devices simulated devices over the
+// full wire protocol), TCP hmmworker processes (-cluster-workers), or
+// both, in-process first. Worker loss is detected by heartbeat and
+// repaired by exactly-once requeue; with every worker gone the run
+// degrades to the local CPU unless -no-fallback. The coordinator
+// reuses the streamed run's journal as its commit log.
+func (c *config) runCluster(ctx context.Context, pl *pipeline.Pipeline, fasta io.Reader, cfg pipeline.StreamConfig) (*pipeline.Result, error) {
+	ccfg := c.cluster
+	ccfg.Mode = byte(c.run.Mode)
+	ccfg.Inject = c.plan.Cluster
+	ccfg.Logf = func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "hmmsearch: "+format+"\n", args...)
 	}
-	if co.path != "" {
-		cfg.Checkpoint = &pipeline.CheckpointConfig{
-			Path:      co.path,
-			Resume:    co.resume,
-			SyncEvery: co.syncEvery,
-			Crash:     co.crash,
-		}
-	}
-
-	mode := byte(simMode)
-	ccfg := pipeline.ClusterConfig{
-		Mode:          mode,
-		BatchDeadline: cl.batchDeadline,
-		Inject:        cl.inject,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "hmmsearch: "+format+"\n", args...)
-		},
-	}
-	if cl.inProcess > 0 {
-		ccfg.Workers = pl.InProcessClusterWorkers(cfg, mode, cl.inProcess, devicesPerWorker,
+	if c.inProcess > 0 {
+		ccfg.Workers = pl.InProcessClusterWorkers(cfg, ccfg.Mode, c.inProcess, c.devices,
 			func() cluster.Exec {
-				sys := simt.NewSystem(simt.GTX580(), devicesPerWorker).SetMode(simMode)
-				return pl.ClusterExecGPU(sys, mem)
+				return pl.ClusterExecGPU(simt.NewSystem(simt.GTX580(), c.devices).SetMode(c.run.Mode), c.run.Mem)
 			})
 	}
-	for _, addr := range cl.addrs {
-		a := addr
+	for _, addr := range c.addrs {
 		ccfg.Workers = append(ccfg.Workers, cluster.WorkerSpec{
-			Name: a,
+			Name: addr,
 			Dial: func(ctx context.Context) (net.Conn, error) {
 				var d net.Dialer
-				return d.DialContext(ctx, "tcp", a)
+				return d.DialContext(ctx, "tcp", addr)
 			},
 		})
 	}
-
-	ff, err := os.Open(fastaPath)
-	check(err)
-	defer ff.Close()
-	var res *pipeline.Result
-	if cl.standby {
-		res, err = pl.RunStandbyClusterStreamContext(ctx, ff, cfg, ccfg,
-			pipeline.StandbyClusterConfig{Epoch: cl.epoch})
-	} else {
-		if co.path != "" {
-			// Hold the journal's flock for the whole run so a hot
-			// standby's takeover gates on this process's death: the
-			// kernel frees the lock when we exit, however we exit.
-			release, lerr := cluster.AcquireFileLeadership(co.path+".lock",
-				cluster.DefaultLeadershipPoll)(ctx)
-			check(lerr)
-			defer release()
-		}
-		ccfg.Epoch = cl.epoch
-		res, err = pl.RunClusterStreamContext(ctx, ff, cfg, ccfg)
+	if c.standby {
+		// -ha-epoch is the epoch the standby takes over at; the
+		// primary's stays the default.
+		ha := pipeline.StandbyClusterConfig{Epoch: ccfg.Epoch}
+		ccfg.Epoch = 0
+		return pl.RunStandbyClusterStreamContext(ctx, fasta, cfg, ccfg, ha)
 	}
-	if err != nil {
-		if errors.Is(err, checkpoint.ErrInjectedCrash) || errors.Is(err, cluster.ErrInjectedCoordinatorKill) {
-			// Distinct exit status so recovery and failover tests can
-			// assert the simulated death happened (and was not a real
-			// failure).
-			fmt.Fprintf(os.Stderr, "hmmsearch: %v\n", err)
-			os.Exit(3)
-		}
-		check(err)
-	}
-
-	extra := res.Extra.(*pipeline.ClusterStreamExtra)
-	rep := extra.Cluster
-	fmt.Printf("Query:    %s (M=%d, streamed in %d residue-balanced batches of ~%d residues)\n",
-		query.Name, query.M, rep.Batches, batchResidues)
-	fmt.Println(rep.String())
-	if rep.Failovers > 0 {
-		fmt.Printf("Failover: took over at epoch %d after tailing %d committed batches from the primary's journal\n",
-			rep.Epoch, rep.StandbyTailed)
-	}
-	printRecovery(co, extra.Checkpoint, extra.Drained, "hmmsearch -stream", batchResidues)
-	printStreamed(query.Name, res, evalue, tblout)
+	return pl.RunClusterStreamContext(ctx, fasta, cfg, ccfg)
 }
 
 // printRecovery prints a journaled streamed run's Journal: line and,
 // when the run drained before the end of the stream, how to resume it;
 // resume is the command line up to its -batchres flag.
-func printRecovery(co ckptOpts, st *checkpoint.Stats, drained bool, resume string, batchResidues int64) {
+func (c *config) printRecovery(st *checkpoint.Stats, drained bool, resume string, batchResidues int64) {
 	if st != nil {
 		fmt.Printf("Journal:  %s (%d batches journaled, %d replayed, %d torn-tail dropped, %d fsyncs)\n",
-			co.path, st.Journaled, st.Replayed, st.DroppedTail, st.Syncs)
+			c.ckpt.Path, st.Journaled, st.Replayed, st.DroppedTail, st.Syncs)
 	}
 	if drained {
 		fmt.Printf("Run drained before the end of the stream: partial results only.\n")
-		if co.path != "" {
+		if c.ckpt.Path != "" {
 			fmt.Printf("Resume with: %s -batchres %d -journal %s -resume ...\n",
-				resume, batchResidues, co.path)
+				resume, batchResidues, c.ckpt.Path)
 		}
 	}
 }
 
 // printStreamed prints a streamed run's stage counts and its hits up to
-// evalue, and writes the -tblout table when one is asked for.
-func printStreamed(queryName string, res *pipeline.Result, evalue float64, tblout string) {
+// -E, and writes the -tblout table.
+func (c *config) printStreamed(queryName string, res *pipeline.Result) {
 	fmt.Printf("Pipeline: MSV %d/%d passed; Viterbi %d; Forward hits %d\n\n",
 		res.MSV.Out, res.MSV.In, res.Viterbi.Out, len(res.Hits))
 	fmt.Printf("%-12s %-28s %10s\n", "E-value", "sequence", "fwd bits")
 	shown := 0
 	for _, h := range res.Hits {
-		if h.EValue > evalue {
+		if h.EValue > c.evalue {
 			continue
 		}
 		fmt.Printf("%-12.3g %-28s %10.2f\n", h.EValue, h.Name, h.FwdBits)
@@ -591,10 +417,7 @@ func printStreamed(queryName string, res *pipeline.Result, evalue float64, tblou
 	if shown == 0 {
 		fmt.Println("  (no hits below the E-value threshold)")
 	}
-	if tblout != "" {
-		check(writeTblout(tblout, queryName, res))
-		fmt.Printf("\nper-target table written to %s\n", tblout)
-	}
+	c.writeTblout(queryName, res)
 }
 
 // faultPlan parses -faults for the run the other flags configure and
@@ -631,28 +454,9 @@ func splitAddrs(list string) []string {
 	return addrs
 }
 
-func loadInputs(abc *alphabet.Alphabet, hmmPath, fastaPath string) (*hmm.Plan7, *seq.Database) {
-	hf, err := os.Open(hmmPath)
-	check(err)
-	defer hf.Close()
-	query, err := hmm.Read(hf, abc)
-	check(err)
-
-	ff, err := os.Open(fastaPath)
-	check(err)
-	defer ff.Close()
-	db, err := seq.ReadFASTA(ff, abc)
-	check(err)
-	return query, db
-}
-
 func check(err error) {
 	if err != nil {
-		fatalf("%v", err)
+		fmt.Fprintf(os.Stderr, "hmmsearch: %v\n", err)
+		os.Exit(1)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "hmmsearch: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -23,6 +23,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -34,10 +35,8 @@ import (
 
 	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/drainctx"
-	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/pipeline"
 	"hmmer3gpu/internal/serve"
-	"hmmer3gpu/internal/simt"
 )
 
 // dbFlags collects repeatable -db name=path mappings.
@@ -63,107 +62,94 @@ func (d dbFlags) Set(v string) error {
 	return nil
 }
 
+// config is hmmserved's command line: the batching, device and
+// recovery flags it shares with hmmsearch, plus its own.
+type config struct {
+	run *pipeline.Flags
+	dbs dbFlags
+	srv serve.Config
+
+	listen, replayOut string
+}
+
+// newConfig declares hmmserved's flags on fs.
+func newConfig(fs *flag.FlagSet) *config {
+	c := &config{run: pipeline.NewFlags(), dbs: dbFlags{}}
+	c.run.Register(fs, "stream", "batchres", "targlen", "workers", "mem", "sim",
+		"faults", "fault-seed", "max-retries", "quarantine-after", "verify")
+	srv := &c.srv
+	fs.Var(c.dbs, "db", "serve this database as name=path/to/targets.fasta (repeatable)")
+	fs.StringVar(&c.listen, "listen", ":8731", "HTTP listen address")
+	fs.IntVar(&srv.Devices, "devices", 2, "simulated device pool size")
+	fs.IntVar(&srv.DevsPerQuery, "devs-per-query", 1, "devices one query's scheduler spans (pool/devs-per-query queries run concurrently)")
+
+	fs.Float64Var(&srv.Rate, "rate", 0, "admission token bucket: sustained queries/second (0 disables the bucket)")
+	fs.Float64Var(&srv.Burst, "burst", 0, "admission token bucket: burst size")
+	fs.IntVar(&srv.MaxConcurrent, "max-concurrent", 0, "queries executing simultaneously (0 = devices / devs-per-query)")
+	fs.IntVar(&srv.MaxQueue, "max-queue", 0, "queries waiting for a slot before shedding (0 = max-concurrent, negative = no queue)")
+	fs.DurationVar(&srv.QueryTimeout, "query-timeout", 2*time.Minute, "per-query deadline; requests may ask for less via ?timeout= but never more")
+
+	fs.IntVar(&srv.ProfileCap, "profiles", 16, "calibrated-profile LRU capacity")
+	fs.IntVar(&srv.ResultCap, "cache", 256, "result cache capacity (entries)")
+	fs.IntVar(&srv.CordonAfter, "cordon-after", 2, "consecutive quarantined leases before a device is cordoned out of the pool")
+
+	fs.StringVar(&srv.DrainJournal, "drain-journal", "", "journal queries refused during drain to this file, one JSON line each; on startup any existing journal is replayed before /readyz flips healthy")
+	fs.StringVar(&c.replayOut, "replay-out", "", "write each replayed query's response to this directory as replay-<n>.tbl (audit artifacts)")
+	return c
+}
+
+// vet refuses a server without databases or chunking, then resolves
+// the shared flags into the serve.Config.
+func (c *config) vet() error {
+	if len(c.dbs) == 0 {
+		return errors.New("no databases: give at least one -db name=path")
+	}
+	if c.run.BatchRes <= 0 && c.run.Batch <= 0 {
+		return errors.New("set -stream or -batchres (the chunking must match the one-shot CLI)")
+	}
+	if err := c.run.Resolve(); err != nil {
+		return err
+	}
+	r, srv := c.run, &c.srv
+	srv.TargetLen, srv.BatchResidues = r.TargetLen, r.Stream.BatchResidues
+	srv.Mem, srv.Mode, srv.Workers = r.Mem, r.Mode, r.Opts.Workers
+	srv.Faults, srv.FaultSeed = r.Faults, r.FaultSeed
+	srv.MaxRetries, srv.QuarantineAfter, srv.Verify = r.Stream.MaxRetries, r.Stream.QuarantineAfter, r.Stream.Verify
+	srv.Logf = func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "hmmserved: "+format+"\n", args...)
+	}
+	return nil
+}
+
 func main() {
-	dbs := dbFlags{}
-	flag.Var(dbs, "db", "serve this database as name=path/to/targets.fasta (repeatable)")
-	var (
-		listen   = flag.String("listen", ":8731", "HTTP listen address")
-		stream   = flag.Int("stream", 0, "database chunking: batches of this many sequences (must match the one-shot CLI's -stream for byte-identical output)")
-		batchres = flag.Int64("batchres", 0, "residue budget per batch (0 = stream * targlen; must match the CLI's -batchres)")
-		targlen  = flag.Int("targlen", 350, "assumed typical target length for calibration (must match the CLI's -targlen)")
-		workers  = flag.Int("workers", 0, "host worker goroutines per query (0 = GOMAXPROCS)")
-		mem      = flag.String("mem", "auto", "GPU memory configuration: auto|shared|global")
-		sim      = flag.String("sim", "cycles", "simulator mode: cycles or fast; results are identical")
-		devices  = flag.Int("devices", 2, "simulated device pool size")
-		devsPerQ = flag.Int("devs-per-query", 1, "devices one query's scheduler spans (pool/devs-per-query queries run concurrently)")
-
-		rate     = flag.Float64("rate", 0, "admission token bucket: sustained queries/second (0 disables the bucket)")
-		burst    = flag.Float64("burst", 0, "admission token bucket: burst size")
-		maxConc  = flag.Int("max-concurrent", 0, "queries executing simultaneously (0 = devices / devs-per-query)")
-		maxQueue = flag.Int("max-queue", 0, "queries waiting for a slot before shedding (0 = max-concurrent, negative = no queue)")
-		qTimeout = flag.Duration("query-timeout", 2*time.Minute, "per-query deadline; requests may ask for less via ?timeout= but never more")
-
-		profileCap = flag.Int("profiles", 16, "calibrated-profile LRU capacity")
-		resultCap  = flag.Int("cache", 256, "result cache capacity (entries)")
-
-		faultSpec   = flag.String("faults", "", "inject device faults at startup (chaos testing): the dev<N> clauses of the hmmsearch -faults grammar, e.g. \"dev0:dead;dev1:p=0.2\"")
-		faultSeed   = flag.Int64("fault-seed", 1, "seed for probabilistic fault injection")
-		cordonAfter = flag.Int("cordon-after", 2, "consecutive quarantined leases before a device is cordoned out of the pool")
-		maxRetries  = flag.Int("max-retries", 0, "per-batch retry budget after transient device faults (0 = default)")
-		quarAfter   = flag.Int("quarantine-after", 0, "consecutive device failures before in-run quarantine (0 = default)")
-		verify      = flag.String("verify", "off", "result-integrity policy: off | guards | dmr")
-
-		drainJournal = flag.String("drain-journal", "", "journal queries refused during drain to this file, one JSON line each; on startup any existing journal is replayed before /readyz flips healthy")
-		replayOut    = flag.String("replay-out", "", "write each replayed query's response to this directory as replay-<n>.tbl (audit artifacts)")
-	)
+	c := newConfig(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: hmmserved -db name=targets.fasta [flags]")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	if len(dbs) == 0 {
-		fatalf("no databases: give at least one -db name=path")
-	}
-	budget := *batchres
-	if budget <= 0 {
-		if *stream <= 0 {
-			fatalf("set -stream or -batchres (the chunking must match the one-shot CLI)")
-		}
-		budget = int64(*stream) * int64(*targlen)
-	}
-	mode, err := simt.ParseMode(*sim)
-	check(err)
-	memCfg, err := gpu.ParseMemConfig(*mem)
-	check(err)
-	verifyMode, err := pipeline.ParseVerifyMode(*verify)
-	check(err)
+	check(c.vet())
 
 	abc := alphabet.New()
-	resident := make(map[string]*pipeline.ResidentDB, len(dbs))
-	for name, path := range dbs {
+	c.srv.DBs = make(map[string]*pipeline.ResidentDB, len(c.dbs))
+	for name, path := range c.dbs {
 		fh, err := os.Open(path)
 		check(err)
-		rdb, err := pipeline.LoadResidentDB(name, fh, abc, budget)
+		rdb, err := pipeline.LoadResidentDB(name, fh, abc, c.srv.BatchResidues)
 		fh.Close()
 		if err != nil {
 			fatalf("load %s: %v", path, err)
 		}
-		resident[name] = rdb
+		c.srv.DBs[name] = rdb
 		fmt.Printf("hmmserved: loaded %s: %d sequences, %d residues in %d batches\n",
 			name, rdb.Seqs, rdb.Residues, len(rdb.Batches))
 	}
 
-	srv, err := serve.New(serve.Config{
-		DBs:             resident,
-		TargetLen:       *targlen,
-		BatchResidues:   budget,
-		Mem:             memCfg,
-		Mode:            mode,
-		Devices:         *devices,
-		DevsPerQuery:    *devsPerQ,
-		Faults:          *faultSpec,
-		FaultSeed:       *faultSeed,
-		CordonAfter:     *cordonAfter,
-		Rate:            *rate,
-		Burst:           *burst,
-		MaxConcurrent:   *maxConc,
-		MaxQueue:        *maxQueue,
-		QueryTimeout:    *qTimeout,
-		MaxRetries:      *maxRetries,
-		QuarantineAfter: *quarAfter,
-		Verify:          verifyMode,
-		Workers:         *workers,
-		ProfileCap:      *profileCap,
-		ResultCap:       *resultCap,
-		DrainJournal:    *drainJournal,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "hmmserved: "+format+"\n", args...)
-		},
-	})
+	srv, err := serve.New(c.srv)
 	check(err)
 
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", c.listen)
 	check(err)
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	fmt.Printf("hmmserved: listening on %s\n", ln.Addr())
@@ -176,8 +162,8 @@ func main() {
 	// process answers every query it accepted before dying, and /readyz
 	// stays 503 until it has. Replay errors are logged, not fatal — a
 	// corrupt journal must not turn a restart into a crash loop.
-	if *drainJournal != "" {
-		rsum, err := srv.ReplayDrainJournal(*drainJournal, *replayOut)
+	if c.srv.DrainJournal != "" {
+		rsum, err := srv.ReplayDrainJournal(c.srv.DrainJournal, c.replayOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hmmserved: drain-journal replay: %v\n", err)
 		}

@@ -10,11 +10,13 @@
 // The handshake carries a fingerprint of the model, thresholds,
 // calibration, and batch residue budget; a worker whose fingerprint
 // disagrees with the coordinator's is rejected at connect, so
-// -batchres/-stream/-targlen here must mirror the coordinator's
-// flags. The simulator cost-model mode (-sim) must match too.
+// -batchres/-stream/-targlen here must mirror the coordinator's flags:
+// both derive the budget with pipeline.Flags.Budget. The simulator
+// cost-model mode (-sim) must match too.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -23,50 +25,52 @@ import (
 
 	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/drainctx"
-	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/hmm"
 	"hmmer3gpu/internal/obsio"
 	"hmmer3gpu/internal/pipeline"
 	"hmmer3gpu/internal/simt"
 )
 
+// config is hmmworker's command line: the batching, device and
+// observability flags it shares with hmmsearch, plus its own.
+type config struct {
+	run                  *pipeline.Flags
+	obs                  obsio.Flags
+	listen, name, engine string
+	capacity, devices    int
+}
+
+// newConfig declares hmmworker's flags on fs.
+func newConfig(fs *flag.FlagSet) *config {
+	c := &config{run: pipeline.NewFlags()}
+	c.run.Register(fs, "stream", "batchres", "targlen", "workers", "mem", "sim")
+	c.obs.Register(fs, "trace", "traceformat", "metrics", "kprof")
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:0", "TCP address to accept coordinator connections on (port 0 picks a free port, printed on startup)")
+	fs.StringVar(&c.name, "name", "", "worker name reported in handshakes and coordinator logs (default: the listen address)")
+	fs.IntVar(&c.capacity, "capacity", 0, "batches accepted in flight (0 = -devices)")
+	fs.StringVar(&c.engine, "engine", "gpu", "batch engine: gpu (simulated devices) | cpu")
+	fs.IntVar(&c.devices, "devices", 1, "simulated device count for -engine gpu")
+	return c
+}
+
+// vet refuses a worker without the coordinator's batch budget, then
+// resolves the shared flags.
+func (c *config) vet() error {
+	if c.run.Budget() <= 0 {
+		return errors.New("a batch residue budget is required: set -batchres, or -stream (with -targlen) to mirror the coordinator")
+	}
+	return c.run.Resolve()
+}
+
 func main() {
-	var (
-		listen   = flag.String("listen", "127.0.0.1:0", "TCP address to accept coordinator connections on (port 0 picks a free port, printed on startup)")
-		name     = flag.String("name", "", "worker name reported in handshakes and coordinator logs (default: the listen address)")
-		capacity = flag.Int("capacity", 0, "batches accepted in flight (0 = -devices)")
-		engine   = flag.String("engine", "gpu", "batch engine: gpu (simulated devices) | cpu")
-		devices  = flag.Int("devices", 1, "simulated device count for -engine gpu")
-		mem      = flag.String("mem", "auto", "GPU memory configuration: auto|shared|global")
-		sim      = flag.String("sim", "cycles", "simulator mode: cycles or fast (must match the coordinator's -sim)")
-		workers  = flag.Int("workers", 0, "host worker goroutines (0 = GOMAXPROCS)")
-		stream   = flag.Int("stream", 0, "coordinator's -stream value (with -targlen, derives the batch residue budget when -batchres is 0)")
-		batchres = flag.Int64("batchres", 0, "coordinator's residue budget per batch (0 = stream * targlen); part of the handshake fingerprint")
-		targlen  = flag.Int("targlen", 350, "coordinator's assumed target length for -stream")
-		trace    = flag.String("trace", "", "write a span timeline of this worker's batches to this file on exit")
-		traceFmt = flag.String("traceformat", "chrome", "trace file format: chrome | jsonl")
-		metrics  = flag.String("metrics", "", "write this worker's counters to this file in Prometheus text format on exit")
-		kprof    = flag.String("kprof", "", "write a kernel-grained profile of this worker's launches to this file as JSON on exit")
-	)
+	c := newConfig(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: hmmworker [flags] <query.hmm>")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-
-	budget := *batchres
-	if budget <= 0 {
-		budget = int64(*stream) * int64(*targlen)
-	}
-	if budget <= 0 {
-		fatalf("a batch residue budget is required: set -batchres, or -stream (with -targlen) to mirror the coordinator")
-	}
-
-	simMode, err := simt.ParseMode(*sim)
-	check(err)
-	memCfg, err := gpu.ParseMemConfig(*mem)
-	check(err)
+	check(c.vet())
 
 	hf, err := os.Open(flag.Arg(0))
 	check(err)
@@ -77,53 +81,47 @@ func main() {
 
 	// Observability sinks share the hmmsearch flag semantics (same
 	// internal/obsio code): spans per batch, Prometheus counters, and a
-	// kernel-grained profile, written on exit. Apply guards against the
-	// typed-nil hazard — an unset *kernprof.Collector must never be
-	// assigned into the device's Profiler interface.
-	sk, err := obsio.New(*trace, *traceFmt, *metrics, *kprof)
+	// kernel-grained profile, written on exit.
+	sk, err := c.obs.Open()
 	check(err)
+	sk.Apply(&c.run.Opts)
 
 	// The pipeline must calibrate exactly as the coordinator's does —
 	// pipeline.New is deterministic given (query, targlen, opts), and
 	// the resulting Gumbel/exponential parameters are part of the
 	// handshake fingerprint (observability options are excluded from
 	// the fingerprint; they cannot change results).
-	opts := pipeline.DefaultOptions()
-	opts.Workers = *workers
-	sk.Apply(&opts)
-	pl, err := pipeline.New(query, *targlen, opts)
+	pl, err := pipeline.New(query, c.run.TargetLen, c.run.Opts)
 	check(err)
 
-	cfg := pipeline.StreamConfig{BatchResidues: budget}
-	slots := *capacity
+	slots := c.capacity
 	if slots <= 0 {
-		slots = *devices
+		slots = c.devices
 	}
-	wname := *name
-
 	var exec = pl.ClusterExecCPU()
-	switch *engine {
+	switch c.engine {
 	case "cpu":
 	case "gpu":
-		sys := simt.NewSystem(simt.GTX580(), *devices).SetMode(simMode)
-		exec = pl.ClusterExecGPU(sys, memCfg)
+		sys := simt.NewSystem(simt.GTX580(), c.devices).SetMode(c.run.Mode)
+		exec = pl.ClusterExecGPU(sys, c.run.Mem)
 	default:
-		fatalf("unknown -engine %q (want gpu or cpu)", *engine)
+		fatalf("unknown -engine %q (want gpu or cpu)", c.engine)
 	}
 
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", c.listen)
 	check(err)
+	wname := c.name
 	if wname == "" {
 		wname = ln.Addr().String()
 	}
-	ws := pl.NewWorkerServer(cfg, byte(simMode), wname, slots, exec)
+	ws := pl.NewWorkerServer(c.run.Stream, byte(c.run.Mode), wname, slots, exec)
 	ws.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "hmmworker: "+format+"\n", args...)
 	}
 
 	// Scripts scrape this line to learn the bound port under -listen :0.
 	fmt.Printf("hmmworker: %s listening on %s (%s, capacity %d, batchres %d)\n",
-		wname, ln.Addr(), *engine, slots, budget)
+		wname, ln.Addr(), c.engine, slots, c.run.Stream.BatchResidues)
 	os.Stdout.Sync()
 
 	// Two-stage shutdown: the first SIGINT/SIGTERM drains — in-flight

@@ -134,7 +134,7 @@ func TestFlagsBindIntoRunConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, ck, cl := c.run.Stream, c.ckpt, c.cluster
-	if c.run.Opts.Workers != 3 || st.MaxRetries != 5 || st.QuarantineAfter != -1 || !st.DisableFallback {
+	if c.run.Opts.Workers != 3 || st.Policy.MaxRetries != 5 || st.Policy.QuarantineAfter != -1 || !st.DisableFallback {
 		t.Errorf("options %+v, stream config %+v", c.run.Opts, st)
 	}
 	if ck.Path != "run.ckpt" || !ck.Resume || ck.SyncEvery != 4 || ck.Crash == nil {

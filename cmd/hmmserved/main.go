@@ -91,7 +91,7 @@ func newConfig(fs *flag.FlagSet) *config {
 
 	fs.IntVar(&srv.ProfileCap, "profiles", 16, "calibrated-profile LRU capacity")
 	fs.IntVar(&srv.ResultCap, "cache", 256, "result cache capacity (entries)")
-	fs.IntVar(&srv.CordonAfter, "cordon-after", 2, "consecutive quarantined leases before a device is cordoned out of the pool")
+	fs.IntVar(&srv.CordonAfter, "cordon-after", 2, "consecutive quarantined leases before a device is cordoned out of the pool (0 = default, negative never cordons)")
 
 	fs.StringVar(&srv.DrainJournal, "drain-journal", "", "journal queries refused during drain to this file, one JSON line each; on startup any existing journal is replayed before /readyz flips healthy")
 	fs.StringVar(&c.replayOut, "replay-out", "", "write each replayed query's response to this directory as replay-<n>.tbl (audit artifacts)")
@@ -114,7 +114,7 @@ func (c *config) vet() error {
 	srv.TargetLen, srv.BatchResidues = r.TargetLen, r.Stream.BatchResidues
 	srv.Mem, srv.Mode, srv.Workers = r.Mem, r.Mode, r.Opts.Workers
 	srv.Faults, srv.FaultSeed = r.Faults, r.FaultSeed
-	srv.MaxRetries, srv.QuarantineAfter, srv.Verify = r.Stream.MaxRetries, r.Stream.QuarantineAfter, r.Stream.Verify
+	srv.Policy, srv.Verify = r.Stream.Policy, r.Stream.Verify
 	srv.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "hmmserved: "+format+"\n", args...)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/checkpoint"
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/faults"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/pipeline"
@@ -71,7 +72,7 @@ func TestModeEquivalenceQuick(t *testing.T) {
 		return pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta.Bytes()), sc)
 	}
 
-	clean, err := run(simt.ModeCycleAccurate, "", pipeline.StreamConfig{MaxRetries: 10})
+	clean, err := run(simt.ModeCycleAccurate, "", pipeline.StreamConfig{Policy: dispatch.Policy{MaxRetries: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestModeEquivalenceQuick(t *testing.T) {
 	}
 
 	t.Run("clean", func(t *testing.T) {
-		res, err := run(simt.ModeFast, "", pipeline.StreamConfig{MaxRetries: 10})
+		res, err := run(simt.ModeFast, "", pipeline.StreamConfig{Policy: dispatch.Policy{MaxRetries: 10}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestModeEquivalenceQuick(t *testing.T) {
 	})
 
 	t.Run("faulted", func(t *testing.T) {
-		res, err := run(simt.ModeFast, "dev0:at=0,at=2;dev1:dead", pipeline.StreamConfig{MaxRetries: 10})
+		res, err := run(simt.ModeFast, "dev0:at=0,at=2;dev1:dead", pipeline.StreamConfig{Policy: dispatch.Policy{MaxRetries: 10}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func TestModeEquivalenceQuick(t *testing.T) {
 
 	t.Run("sdc-dmr", func(t *testing.T) {
 		res, err := run(simt.ModeFast, "dev0:flip@launch=0",
-			pipeline.StreamConfig{MaxRetries: 10, Verify: pipeline.VerifyDMR})
+			pipeline.StreamConfig{Policy: dispatch.Policy{MaxRetries: 10}, Verify: pipeline.VerifyDMR})
 		if err != nil {
 			t.Fatal(err)
 		}

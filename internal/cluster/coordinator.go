@@ -80,16 +80,11 @@ type Config struct {
 	// MaxConnects is the dial budget per (re)connect episode before the
 	// worker is quarantined; 0 means DefaultMaxConnects.
 	MaxConnects int
-	// QuarantineAfter, MaxRetries, BackoffBase, BackoffCap and Clock are
-	// the run's dispatch.Policy: disconnects, deadlines and exec failures
-	// are strikes, only exec failures spend retry budget, and the backoff
-	// also paces reconnects.
-	QuarantineAfter int
-	MaxRetries      int
-	BackoffBase     time.Duration
-	BackoffCap      time.Duration
-	// Clock is shared with the FaultInjector in tests.
-	Clock dispatch.Clock
+	// Policy is the run's fault policy: disconnects, deadlines and exec
+	// failures are strikes, only exec failures spend retry budget, and
+	// the backoff also paces reconnects. Its Clock is shared with the
+	// FaultInjector in tests.
+	Policy dispatch.Policy
 
 	// Local, when non-nil, executes a batch on the coordinator itself
 	// once every worker is gone (dispatch.Config.Fallback).
@@ -124,11 +119,6 @@ func (c *Config) heartbeatTimeout() time.Duration {
 	return orDefault(c.HeartbeatTimeout, DefaultHeartbeatTimeout)
 }
 func (c *Config) maxConnects() int { return orDefault(c.MaxConnects, DefaultMaxConnects) }
-
-func (c *Config) policy() dispatch.Policy {
-	return dispatch.Policy{MaxRetries: c.MaxRetries, QuarantineAfter: c.QuarantineAfter,
-		BackoffBase: c.BackoffBase, BackoffCap: c.BackoffCap, Clock: c.Clock}
-}
 
 func (c *Config) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -235,7 +225,6 @@ type coordRun struct {
 	ctx      context.Context
 	commitFn func(b Batch, payload []byte) (bool, error)
 	run      *dispatch.Run
-	policy   dispatch.Policy
 	clock    dispatch.Clock
 
 	// Guarded by the run's lock.
@@ -318,7 +307,7 @@ func (cr *coordRun) runWorker(i int) {
 			return
 		}
 		select {
-		case <-cr.clock.After(cr.policy.Backoff(strikes)):
+		case <-cr.clock.After(cr.c.Cfg.Policy.Backoff(strikes)):
 		case <-r.Aborted():
 			return
 		}
@@ -337,7 +326,7 @@ func (cr *coordRun) connect(i int) (*session, error) {
 	for attempt := 0; attempt < cfg.maxConnects(); attempt++ {
 		if attempt > 0 {
 			select {
-			case <-cr.clock.After(cr.policy.Backoff(attempt)):
+			case <-cr.clock.After(cr.c.Cfg.Policy.Backoff(attempt)):
 			case <-cr.run.Aborted():
 				return nil, errAborted
 			}
@@ -669,7 +658,7 @@ func (cr *coordRun) runSlot(i int, sess *session) {
 			span.Annotate(obs.String("error", "assignment deadline expired"))
 			span.End()
 			if !next {
-				sess.kill(cr, fmt.Errorf("cluster: worker %s blew %d assignment deadlines", sess.name, cr.policy.Trip()))
+				sess.kill(cr, fmt.Errorf("cluster: worker %s blew %d assignment deadlines", sess.name, cr.c.Cfg.Policy.Trip()))
 				return
 			}
 			continue
@@ -704,7 +693,7 @@ func (cr *coordRun) runSlot(i int, sess *session) {
 			tripped := r.Quarantined(i)
 			r.Unlock()
 			if tripped {
-				sess.kill(cr, fmt.Errorf("cluster: worker %s failed %d executions in a row", sess.name, cr.policy.Trip()))
+				sess.kill(cr, fmt.Errorf("cluster: worker %s failed %d executions in a row", sess.name, cr.c.Cfg.Policy.Trip()))
 			}
 			if !next {
 				return
@@ -773,8 +762,7 @@ func (c *Coordinator) Run(ctx context.Context,
 		rep:          rep,
 		ctx:          ctx,
 		commitFn:     commit,
-		policy:       c.Cfg.policy(),
-		clock:        dispatch.OrWall(c.Cfg.Clock),
+		clock:        dispatch.OrWall(c.Cfg.Policy.Clock),
 		connectedOne: make([]bool, n),
 		fenceOpen:    make(chan struct{}),
 	}
@@ -791,7 +779,7 @@ func (c *Coordinator) Run(ctx context.Context,
 		Name:        "cluster",
 		Executors:   n,
 		QueueDepth:  c.Cfg.QueueDepth,
-		Policy:      cr.policy,
+		Policy:      c.Cfg.Policy,
 		Drain:       c.Cfg.Drain,
 		ErrAllLost:  ErrAllWorkersLost,
 		Quarantined: cr.quarantined,

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/obs"
 	"hmmer3gpu/internal/seq"
 )
@@ -234,8 +235,7 @@ func TestWorkerKillRequeuesExactlyOnce(t *testing.T) {
 	c := &Coordinator{Cfg: Config{
 		Workers:     workers,
 		Fingerprint: testFP,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  2 * time.Millisecond,
+		Policy:      dispatch.Policy{BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond},
 		Inject:      inject,
 		Logf:        logf,
 	}}
@@ -269,8 +269,7 @@ func TestTornFrameDiscardedAndRequeuedOnce(t *testing.T) {
 	c := &Coordinator{Cfg: Config{
 		Workers:     workers,
 		Fingerprint: testFP,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  2 * time.Millisecond,
+		Policy:      dispatch.Policy{BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond},
 		Inject:      inject,
 		Logf:        logf,
 	}}
@@ -343,10 +342,10 @@ func TestLateResultAfterDeadlineIsFenced(t *testing.T) {
 				return c1, nil
 			},
 		}},
-		Fingerprint:     testFP,
-		HeartbeatEvery:  time.Hour, // keep pings out of the stub's frame stream
-		BatchDeadline:   50 * time.Millisecond,
-		QuarantineAfter: -1, // the deadline strike must not quarantine the only worker
+		Fingerprint:    testFP,
+		HeartbeatEvery: time.Hour, // keep pings out of the stub's frame stream
+		BatchDeadline:  50 * time.Millisecond,
+		Policy:         dispatch.Policy{QuarantineAfter: -1}, // the deadline strike must not quarantine the only worker
 	}}
 	rep, err := c.Run(context.Background(), produceN(1), cl.fn)
 	if err != nil {
@@ -395,8 +394,7 @@ func TestKillAfterCommitBeforeAckDoesNotRequeue(t *testing.T) {
 		}},
 		Fingerprint:    testFP,
 		HeartbeatEvery: time.Hour,
-		BackoffBase:    time.Millisecond,
-		BackoffCap:     2 * time.Millisecond,
+		Policy:         dispatch.Policy{BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond},
 	}}
 	rep, err := c.Run(context.Background(), produceN(1), cl.fn)
 	if err != nil {
@@ -445,8 +443,7 @@ func TestAllWorkersLostDegradesToLocal(t *testing.T) {
 	c := &Coordinator{Cfg: Config{
 		Workers:     pipeWorkers(1, 0, testExec),
 		Fingerprint: testFP,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  2 * time.Millisecond,
+		Policy:      dispatch.Policy{BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond},
 		Inject:      inject,
 		Local: func(b Batch) (bool, error) {
 			return cl.fn(b, execPayload(uint64(b.Seq), b.DB))
@@ -471,8 +468,7 @@ func TestAllWorkersLostWithoutLocalFails(t *testing.T) {
 	c := &Coordinator{Cfg: Config{
 		Workers:     pipeWorkers(1, 0, testExec),
 		Fingerprint: testFP,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  2 * time.Millisecond,
+		Policy:      dispatch.Policy{BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond},
 		Inject:      inject,
 	}}
 	_, err := c.Run(context.Background(), produceN(3), newCommitLog().fn)
@@ -547,8 +543,7 @@ func TestCorruptHandshakeQuarantinesWorker(t *testing.T) {
 	c := &Coordinator{Cfg: Config{
 		Workers:          pipeWorkers(1, 0, testExec),
 		Fingerprint:      testFP,
-		BackoffBase:      time.Millisecond,
-		BackoffCap:       2 * time.Millisecond,
+		Policy:           dispatch.Policy{BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond},
 		HeartbeatTimeout: 100 * time.Millisecond, // bounds each corrupt-handshake wait
 		Inject:           inject,
 		Local: func(b Batch) (bool, error) {
@@ -572,12 +567,11 @@ func chaosRun(t *testing.T, seed int64) ([]string, map[int][]byte) {
 	inject := injectWorker(seed, 0, func(p *FaultPlan) { p.KillProb = 0.4 })
 	cl := newCommitLog()
 	c := &Coordinator{Cfg: Config{
-		Workers:         pipeWorkers(1, 0, testExec),
-		Fingerprint:     testFP,
-		BackoffBase:     time.Millisecond,
-		BackoffCap:      2 * time.Millisecond,
-		QuarantineAfter: -1, // chaos may kill repeatedly; keep reconnecting
-		Inject:          inject,
+		Workers:     pipeWorkers(1, 0, testExec),
+		Fingerprint: testFP,
+		// Chaos may kill repeatedly; keep reconnecting.
+		Policy: dispatch.Policy{BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond, QuarantineAfter: -1},
+		Inject: inject,
 	}}
 	if _, err := c.Run(context.Background(), produceN(6), cl.fn); err != nil {
 		t.Fatalf("chaos Run: %v", err)
@@ -677,12 +671,9 @@ func TestExecErrorTripSpendsNoBudget(t *testing.T) {
 	}
 	cl := newCommitLog()
 	c := &Coordinator{Cfg: Config{
-		Workers:         workers,
-		Fingerprint:     testFP,
-		MaxRetries:      -1,
-		QuarantineAfter: 1,
-		BackoffBase:     time.Millisecond,
-		BackoffCap:      2 * time.Millisecond,
+		Workers:     workers,
+		Fingerprint: testFP,
+		Policy:      dispatch.Policy{MaxRetries: -1, QuarantineAfter: 1, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond},
 	}}
 	rep, err := c.Run(context.Background(), produceN(1), cl.fn)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/obs"
 	"hmmer3gpu/internal/seq"
 )
@@ -239,7 +240,7 @@ func TestCoordinatorKillStopsRun(t *testing.T) {
 		Workers:     pipeWorkers(1, 0, testExec),
 		Fingerprint: testFP,
 		Inject:      fi,
-		MaxRetries:  1,
+		Policy:      dispatch.Policy{MaxRetries: 1},
 	}}
 	_, err := c.Run(context.Background(), produceN(8), cl.fn)
 	if !errors.Is(err, ErrInjectedCoordinatorKill) {
@@ -347,7 +348,7 @@ func TestStandbyPromoteTakesOverWorkers(t *testing.T) {
 	}
 	stale := &Coordinator{Cfg: Config{Workers: specs, Fingerprint: testFP,
 		Mode: 1, Epoch: 1, MaxConnects: 1,
-		BackoffBase: time.Millisecond, BackoffCap: time.Millisecond}}
+		Policy: dispatch.Policy{BackoffBase: time.Millisecond, BackoffCap: time.Millisecond}}}
 	if _, err := stale.Run(context.Background(), produceN(1), newCommitLog().fn); err == nil {
 		t.Fatal("stale epoch-1 coordinator ran to completion after takeover")
 	}
@@ -408,7 +409,7 @@ func TestTakeoverReportsUnfencedWorker(t *testing.T) {
 	inject := injectWorker(1, 1, func(p *FaultPlan) { p.RefuseConnects = 999 })
 	cl := newCommitLog()
 	c := &Coordinator{Cfg: Config{Workers: pipeWorkers(2, 1, testExec), Fingerprint: testFP, Mode: 1,
-		Epoch: 2, Inject: inject, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond}}
+		Epoch: 2, Inject: inject, Policy: dispatch.Policy{BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond}}}
 	rep, err := c.Run(context.Background(), produceN(3), cl.fn)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -470,7 +471,7 @@ func TestStandbyRedialsLostWorker(t *testing.T) {
 	}
 	sb := NewStandby(StandbyConfig{Workers: []WorkerSpec{spec}, Fingerprint: testFP,
 		Mode: 1, PingEvery: 10 * time.Millisecond,
-		BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond})
+		Policy: dispatch.Policy{BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond}})
 	sb.Start(context.Background())
 	defer sb.Close()
 	deadline := time.Now().Add(5 * time.Second)

@@ -36,24 +36,17 @@ type StandbyConfig struct {
 	// deadline of 4x the cadence; a silent worker's connection is torn
 	// down and redialled with capped backoff.
 	PingEvery time.Duration
-	// BackoffBase and BackoffCap pace redials (cluster defaults when
-	// zero).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// Clock substitutes a fake time source for backoff pacing in
-	// tests; nil means the wall clock. (Ping read deadlines always use
-	// wall time — net.Conn deadlines cannot run on a fake clock.)
-	Clock dispatch.Clock
+	// Policy is the run's fault policy; the standby uses its backoff
+	// to pace redials and its Clock to pace pings and redials (nil: the
+	// wall clock). Ping read deadlines always use wall time: net.Conn
+	// deadlines cannot run on a fake clock.
+	Policy dispatch.Policy
 	// Logf, when set, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
 }
 
 func (c *StandbyConfig) pingEvery() time.Duration {
 	return orDefault(c.PingEvery, DefaultHeartbeatEvery)
-}
-
-func (c *StandbyConfig) backoff(try int) time.Duration {
-	return dispatch.Policy{BackoffBase: c.BackoffBase, BackoffCap: c.BackoffCap}.Backoff(try)
 }
 
 func (c *StandbyConfig) logf(format string, args ...any) {
@@ -115,7 +108,7 @@ func (s *Standby) Warm() int {
 func (s *Standby) maintain(ctx context.Context, i int) {
 	defer s.wg.Done()
 	spec := s.cfg.Workers[i]
-	clock := dispatch.OrWall(s.cfg.Clock)
+	clock := dispatch.OrWall(s.cfg.Policy.Clock)
 	fails := 0
 	nonce := uint64(0)
 	for {
@@ -137,7 +130,7 @@ func (s *Standby) maintain(ctx context.Context, i int) {
 				fails++
 				s.cfg.logf("cluster: standby: worker %s unreachable: %v", spec.Name, err)
 				select {
-				case <-clock.After(s.cfg.backoff(fails)):
+				case <-clock.After(s.cfg.Policy.Backoff(fails)):
 				case <-s.stop:
 					return
 				case <-ctx.Done():

@@ -108,6 +108,51 @@ func (p Policy) Backoff(try int) time.Duration {
 	return limit
 }
 
+// Breaker is the consecutive-strike breaker over n executors: Strike
+// charges one, Done clears them, and a trip is the caller's cue to
+// Quarantine, which is for good. Run keeps one per run under its lock;
+// serve's device pool keeps one for the life of the process. It is not
+// safe for concurrent use.
+type Breaker struct {
+	trip    int // consecutive strikes that trip (0: never)
+	consec  []int
+	quar    []bool
+	healthy int
+}
+
+// NewBreaker returns a Breaker over n healthy executors that trips at
+// trip consecutive strikes; trip <= 0 never trips.
+func NewBreaker(n, trip int) *Breaker {
+	return &Breaker{trip: trip, consec: make([]int, n), quar: make([]bool, n), healthy: n}
+}
+
+// Strike charges executor i a strike and returns its consecutive
+// strikes and whether they reach the trip.
+func (b *Breaker) Strike(i int) (strikes int, tripped bool) {
+	b.consec[i]++
+	return b.consec[i], b.trip > 0 && b.consec[i] >= b.trip
+}
+
+// Done clears executor i's strikes after a clean outcome.
+func (b *Breaker) Done(i int) { b.consec[i] = 0 }
+
+// Quarantine takes executor i out of service and reports whether it
+// was in service.
+func (b *Breaker) Quarantine(i int) bool {
+	if b.quar[i] {
+		return false
+	}
+	b.quar[i] = true
+	b.healthy--
+	return true
+}
+
+// Quarantined reports whether executor i left service.
+func (b *Breaker) Quarantined(i int) bool { return b.quar[i] }
+
+// Healthy is the number of executors in service.
+func (b *Breaker) Healthy() int { return b.healthy }
+
 // Attempt is one batch's place in the pending list.
 type Attempt struct {
 	Batch Batch
@@ -189,9 +234,7 @@ type Run struct {
 	abortCh chan struct{}
 
 	draining  bool
-	quar      []bool
-	consec    []int
-	healthy   int
+	br        *Breaker
 	hostOn    bool
 	startHost func() // the schedule enumerator drives the host by hand
 }
@@ -199,8 +242,7 @@ type Run struct {
 // New returns an idle Run for cfg.
 func New(cfg Config) *Run {
 	r := &Run{cfg: cfg, clock: OrWall(cfg.Policy.Clock), depth: cfg.QueueDepth,
-		abortCh: make(chan struct{}), quar: make([]bool, cfg.Executors),
-		consec: make([]int, cfg.Executors), healthy: cfg.Executors}
+		abortCh: make(chan struct{}), br: NewBreaker(cfg.Executors, cfg.Policy.Trip())}
 	if r.depth <= 0 {
 		r.depth = 2 * cfg.Executors
 	}
@@ -240,10 +282,10 @@ func (r *Run) done() bool { return r.closed && len(r.pending) == 0 && r.active =
 
 // Stopped (lock held) reports that executor i is done: the run aborted,
 // i was quarantined, or every batch is resolved.
-func (r *Run) Stopped(i int) bool { return r.aborted || r.quar[i] || r.done() }
+func (r *Run) Stopped(i int) bool { return r.aborted || r.br.Quarantined(i) || r.done() }
 
 // Quarantined (lock held) reports whether executor i left service.
-func (r *Run) Quarantined(i int) bool { return r.quar[i] }
+func (r *Run) Quarantined(i int) bool { return r.br.Quarantined(i) }
 
 // Wake (lock held) makes every waiting Claim re-check.
 func (r *Run) Wake() { r.cond.Broadcast() }
@@ -262,11 +304,11 @@ func (r *Run) Claim(i int, gone func() bool) *Attempt {
 }
 
 func (r *Run) next(i int, gone func() bool) (att *Attempt, stop bool) {
-	if r.aborted || i >= 0 && r.quar[i] || gone != nil && gone() {
+	if r.aborted || i >= 0 && r.br.Quarantined(i) || gone != nil && gone() {
 		return nil, true
 	}
 	for k, a := range r.pending {
-		if i >= 0 && a.excl == i && r.healthy > 1 {
+		if i >= 0 && a.excl == i && r.br.Healthy() > 1 {
 			continue
 		}
 		r.pending = append(r.pending[:k], r.pending[k+1:]...)
@@ -295,16 +337,14 @@ func (r *Run) resolve() {
 // last one starts the host fallback or, without one, fails the run if
 // work is outstanding.
 func (r *Run) Quarantine(i int) {
-	if r.quar[i] {
+	if !r.br.Quarantine(i) {
 		return
 	}
-	r.quar[i] = true
-	r.healthy--
 	if r.cfg.Quarantined != nil {
-		r.cfg.Quarantined(i, r.healthy)
+		r.cfg.Quarantined(i, r.br.Healthy())
 	}
 	switch {
-	case r.healthy > 0:
+	case r.br.Healthy() > 0:
 	case r.cfg.Fallback != nil:
 		if !r.hostOn {
 			r.hostOn = true
@@ -319,12 +359,10 @@ func (r *Run) Quarantine(i int) {
 // Strike (lock held) charges executor i a breaker strike, quarantining
 // it on a trip, and returns its consecutive strikes.
 func (r *Run) Strike(i int) (strikes int, tripped bool) {
-	r.consec[i]++
-	if k := r.cfg.Policy.Trip(); k > 0 && r.consec[i] >= k {
+	if strikes, tripped = r.br.Strike(i); tripped {
 		r.Quarantine(i)
-		return r.consec[i], true
 	}
-	return r.consec[i], false
+	return strikes, tripped
 }
 
 // Settle (lock held) applies the policy to executor i's outcome for
@@ -333,7 +371,7 @@ func (r *Run) Strike(i int) (strikes int, tripped bool) {
 func (r *Run) Settle(i int, att *Attempt, out Outcome, err error) bool {
 	switch out {
 	case Done:
-		r.consec[i] = 0
+		r.br.Done(i)
 		r.resolve()
 		return true
 	case LateDone:

@@ -350,7 +350,7 @@ func (w *world) end() {
 	}
 	if !r.done() {
 		w.failf("stalled: closed=%v pending=%d active=%d healthy=%d host=%v",
-			r.closed, len(r.pending), r.active, r.healthy, w.hostOn)
+			r.closed, len(r.pending), r.active, r.br.Healthy(), w.hostOn)
 	}
 	for b, n := range w.commits {
 		if n != 1 {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/integrity"
 	"hmmer3gpu/internal/obs"
 	"hmmer3gpu/internal/seq"
@@ -50,8 +51,8 @@ func transientErr(dev string) error {
 func TestSchedulerRetriesTransientFaultWithBackoff(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 1)
 	clock := &fakeClock{}
-	s := &Scheduler{Sys: sys, Clock: clock, MaxRetries: 5, QuarantineAfter: -1,
-		BackoffBase: 10 * time.Millisecond, BackoffCap: 35 * time.Millisecond}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: clock, MaxRetries: 5, QuarantineAfter: -1,
+		BackoffBase: 10 * time.Millisecond, BackoffCap: 35 * time.Millisecond}}
 
 	var attempts int32
 	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50}),
@@ -91,7 +92,7 @@ func TestSchedulerRetriesTransientFaultWithBackoff(t *testing.T) {
 
 func TestSchedulerRetryBudgetExhaustionFailsRun(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 1)
-	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, MaxRetries: 2, QuarantineAfter: -1}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: &fakeClock{}, MaxRetries: 2, QuarantineAfter: -1}}
 	_, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			return transientErr(dev.Track())
@@ -106,7 +107,7 @@ func TestSchedulerRetryBudgetExhaustionFailsRun(t *testing.T) {
 
 func TestSchedulerRetriesDisabled(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 1)
-	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, MaxRetries: -1, QuarantineAfter: -1}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: &fakeClock{}, MaxRetries: -1, QuarantineAfter: -1}}
 	var attempts int32
 	_, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
@@ -124,7 +125,7 @@ func TestSchedulerRetriesDisabled(t *testing.T) {
 func TestSchedulerRequeuesToDifferentDevice(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
 	clock := &fakeClock{}
-	s := &Scheduler{Sys: sys, Clock: clock, QuarantineAfter: -1}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: clock, QuarantineAfter: -1}}
 	var mu sync.Mutex
 	served := map[int][]int{} // batch -> device sequence
 	rep, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50}),
@@ -152,7 +153,7 @@ func TestSchedulerRequeuesToDifferentDevice(t *testing.T) {
 
 func TestSchedulerQuarantinesAfterConsecutiveFailures(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
-	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, QuarantineAfter: 3, MaxRetries: 100}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: &fakeClock{}, QuarantineAfter: 3, MaxRetries: 100}}
 	// Device 0 always fails; device 1 succeeds but holds its first
 	// batch until device 0 has tripped the breaker, so the failures are
 	// guaranteed to land on device 0 regardless of host scheduling.
@@ -193,7 +194,7 @@ func TestSchedulerQuarantinesAfterConsecutiveFailures(t *testing.T) {
 
 func TestSchedulerQuarantinesLostDeviceImmediately(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
-	s := &Scheduler{Sys: sys, Clock: &fakeClock{}}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: &fakeClock{}}}
 	// Device 1 holds its first batch until device 0 has faulted, so the
 	// lost device is guaranteed to see (exactly) one batch.
 	var failures int32
@@ -226,7 +227,7 @@ func TestSchedulerQuarantinesLostDeviceImmediately(t *testing.T) {
 
 func TestSchedulerAllQuarantinedFallsBackToHost(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
-	s := &Scheduler{Sys: sys, Clock: &fakeClock{}}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: &fakeClock{}}}
 	var fallbacks int32
 	s.Fallback = func(b Batch) (bool, error) {
 		if !b.Commit() {
@@ -254,7 +255,7 @@ func TestSchedulerAllQuarantinedFallsBackToHost(t *testing.T) {
 
 func TestSchedulerAllQuarantinedNoFallbackAborts(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
-	s := &Scheduler{Sys: sys, Clock: &fakeClock{}}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: &fakeClock{}}}
 	_, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50, 50, 50, 50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			return &simt.FaultError{Device: dev.Track(), Persistent: true, Err: simt.ErrDeviceLost}
@@ -341,7 +342,7 @@ func (c *manualClock) fire() { <-c.armed <- time.Time{} }
 func TestSchedulerWatchdogLateCommitCompletesBatch(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 1)
 	clock := newManualClock()
-	s := &Scheduler{Sys: sys, Clock: clock, BatchTimeout: time.Second}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: clock}, BatchTimeout: time.Second}
 	committed := make(chan struct{})
 	release := make(chan struct{})
 	produced := make(chan struct{})
@@ -391,7 +392,7 @@ func TestSchedulerWatchdogLateCommitCompletesBatch(t *testing.T) {
 // devices is not aborted for their failures.
 func TestSchedulerQuarantineTripPreservesRetryBudget(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
-	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, QuarantineAfter: 2, MaxRetries: 1}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: &fakeClock{}, QuarantineAfter: 2, MaxRetries: 1}}
 	// Device 0 fails every attempt, tripping its breaker on the second;
 	// device 1 (gated until the trip, so the trip provably lands on
 	// device 0) then fails the tripped batch once more before letting
@@ -446,7 +447,7 @@ func TestSchedulerQuarantineTripPreservesRetryBudget(t *testing.T) {
 // completes on the other device instead of failing.
 func TestSchedulerBreakerTripSpendsNoBudget(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
-	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, QuarantineAfter: 1, MaxRetries: -1}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: &fakeClock{}, QuarantineAfter: 1, MaxRetries: -1}}
 	// Device 1 holds its batch until device 0 has failed one, so the
 	// trip provably lands on device 0.
 	tripped := make(chan struct{})
@@ -546,7 +547,7 @@ func (c *tickClock) After(d time.Duration) <-chan time.Time { return time.After(
 // the final wait that ends in shutdown.
 func TestSchedulerQueueWaitExcludesShutdown(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 4)
-	s := &Scheduler{Sys: sys, Clock: &tickClock{}}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: &tickClock{}}}
 	rep, err := runDBs(context.Background(), s,
 		func(submit func(db *seq.Database) error) error {
 			db := seq.NewDatabase("qw")
@@ -684,7 +685,8 @@ func integrityErr(b Batch) error {
 func TestSchedulerIntegrityFailureRunsDMR(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 1)
 	var dmrRuns, committed int32
-	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, QuarantineAfter: -1,
+	s := &Scheduler{Sys: sys,
+		Policy: dispatch.Policy{Clock: &fakeClock{}, QuarantineAfter: -1},
 		DMR: func(b Batch) (bool, error) {
 			atomic.AddInt32(&dmrRuns, 1)
 			if b.Commit() {
@@ -726,7 +728,7 @@ func TestSchedulerIntegrityFailureRunsDMR(t *testing.T) {
 // the batch on retry budget, preferring a different device.
 func TestSchedulerIntegrityFailureRequeuesWithoutDMR(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
-	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, MaxRetries: 5, QuarantineAfter: -1}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: &fakeClock{}, MaxRetries: 5, QuarantineAfter: -1}}
 	var mu sync.Mutex
 	devs := []int{}
 	first := true
@@ -758,7 +760,7 @@ func TestSchedulerIntegrityFailureRequeuesWithoutDMR(t *testing.T) {
 // device.
 func TestSchedulerIntegrityRepeatOffenderQuarantined(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
-	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, MaxRetries: 20, QuarantineAfter: 2}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: &fakeClock{}, MaxRetries: 20, QuarantineAfter: 2}}
 	// The healthy device waits for the offender's second strike before
 	// completing anything, so it cannot drain the stream while device 0
 	// is still one failure short of the breaker.
@@ -800,7 +802,7 @@ func TestSchedulerIntegrityRepeatOffenderQuarantined(t *testing.T) {
 // also fails integrity must fail the run with the integrity error.
 func TestSchedulerIntegrityBudgetExhaustionFailsRun(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 1)
-	s := &Scheduler{Sys: sys, Clock: &fakeClock{}, MaxRetries: 2, QuarantineAfter: -1}
+	s := &Scheduler{Sys: sys, Policy: dispatch.Policy{Clock: &fakeClock{}, MaxRetries: 2, QuarantineAfter: -1}}
 	_, err := runDBs(context.Background(), s, feedBatches(rand.New(rand.NewSource(1)), []int{50}),
 		func(devIdx int, dev *simt.Device, b Batch) error {
 			return integrityErr(b)

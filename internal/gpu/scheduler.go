@@ -192,15 +192,10 @@ type Scheduler struct {
 	// renders), handed to process as Batch.Trace.
 	Trace *obs.Span
 
-	// MaxRetries, QuarantineAfter, BackoffBase, BackoffCap and Clock are
-	// the dispatch.Policy of the run. A transient fault spends retry
-	// budget; persistent device-lost faults quarantine whatever the
-	// breaker says.
-	MaxRetries      int
-	QuarantineAfter int
-	BackoffBase     time.Duration
-	BackoffCap      time.Duration
-	Clock           dispatch.Clock
+	// Policy is the run's retry, breaker and backoff policy, and its
+	// clock. A transient fault spends retry budget; persistent
+	// device-lost faults quarantine whatever the breaker says.
+	Policy dispatch.Policy
 	// BatchTimeout is the per-batch watchdog: an attempt that has not
 	// returned within it is abandoned, the device quarantined, and the
 	// batch requeued with a fresh commit token (the watchdog claims the
@@ -429,13 +424,12 @@ func (s *Scheduler) RunBatches(ctx context.Context,
 		BatchSeconds:     obs.NewHist(obs.LatencyBuckets()),
 		QueueWaitSeconds: obs.NewHist(obs.LatencyBuckets()),
 	}
-	st := &schedRun{s: s, rep: rep, clock: dispatch.OrWall(s.Clock)}
+	st := &schedRun{s: s, rep: rep, clock: dispatch.OrWall(s.Policy.Clock)}
 	cfg := dispatch.Config{
 		Name:       "gpu",
 		Executors:  n,
 		QueueDepth: s.QueueDepth,
-		Policy: dispatch.Policy{MaxRetries: s.MaxRetries, QuarantineAfter: s.QuarantineAfter,
-			BackoffBase: s.BackoffBase, BackoffCap: s.BackoffCap, Clock: s.Clock},
+		Policy:     s.Policy,
 		Drain:      s.Drain,
 		ErrAllLost: ErrAllQuarantined,
 		Quarantined: func(i, _ int) {

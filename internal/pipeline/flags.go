@@ -16,8 +16,8 @@ import (
 type Flags struct {
 	// Opts receives -workers.
 	Opts Options
-	// Stream receives -max-retries, -quarantine-after and -verify;
-	// Resolve sets its BatchResidues to Budget.
+	// Stream receives -max-retries and -quarantine-after into its
+	// Policy, and -verify; Resolve sets its BatchResidues to Budget.
 	Stream StreamConfig
 	// Batch (-stream) is sequences per streamed batch, 0 loads the
 	// database whole; BatchRes (-batchres) and TargetLen (-targlen)
@@ -66,9 +66,9 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 		case "fault-seed":
 			fs.Int64Var(&f.FaultSeed, name, f.FaultSeed, "seed for the probabilistic faults of -faults (p=, killp=, flip@p=, flip@shared=)")
 		case "max-retries":
-			fs.IntVar(&f.Stream.MaxRetries, name, f.Stream.MaxRetries, "per-batch retry budget after transient device faults (0 = default, negative disables)")
+			fs.IntVar(&f.Stream.Policy.MaxRetries, name, f.Stream.Policy.MaxRetries, "per-batch retry budget after transient device faults (0 = default, negative disables)")
 		case "quarantine-after":
-			fs.IntVar(&f.Stream.QuarantineAfter, name, f.Stream.QuarantineAfter, "consecutive device failures before quarantine (0 = default, negative disables)")
+			fs.IntVar(&f.Stream.Policy.QuarantineAfter, name, f.Stream.Policy.QuarantineAfter, "consecutive device failures before quarantine (0 = default, negative disables)")
 		case "verify":
 			fs.StringVar(&f.verify, name, f.verify, "result-integrity policy against silent data corruption on devices: off | guards (discard and requeue corrupt batches) | dmr (re-execute corrupt batches on the host CPU)")
 		default:

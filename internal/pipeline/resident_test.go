@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"testing"
 
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/simt"
 )
@@ -82,7 +83,7 @@ func TestResidentStreamFaultedMatchesClean(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2).SetMode(simt.ModeFast)
 	applyFaults(t, sys, "dev0:dead;dev1:dead", 7)
 	res, err := pl.RunResidentStreamContext(t.Context(), sys, gpu.MemAuto, rdb,
-		StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})
+		StreamConfig{BatchResidues: batchResidues, Policy: dispatch.Policy{MaxRetries: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hmmer3gpu/internal/checkpoint"
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/integrity"
 	"hmmer3gpu/internal/obs"
@@ -284,13 +285,10 @@ type StreamConfig struct {
 	// (QueueDepth + devices) * BatchResidues bytes of residues.
 	QueueDepth int
 
-	// MaxRetries is the per-batch retry budget after transient device
-	// faults (0: scheduler default, negative: disabled); see
-	// gpu.Scheduler.
-	MaxRetries int
-	// QuarantineAfter is the consecutive-failure circuit breaker per
-	// device (0: scheduler default, negative: disabled).
-	QuarantineAfter int
+	// Policy is the run's retry budget, breaker, backoff and clock
+	// (dispatch's defaults for zero fields), carried whole to the
+	// device scheduler or the cluster coordinator and its standby.
+	Policy dispatch.Policy
 	// BatchTimeout is the per-batch watchdog deadline (0: disabled).
 	BatchTimeout time.Duration
 	// DisableFallback turns off the host-CPU fallback engaged when
@@ -404,13 +402,12 @@ func (pl *Pipeline) runDeviceStream(ctx context.Context, engine, kernel string, 
 	defer root.End()
 
 	sched := &gpu.Scheduler{
-		Sys:             sys,
-		QueueDepth:      cfg.QueueDepth,
-		Trace:           root,
-		MaxRetries:      cfg.MaxRetries,
-		QuarantineAfter: cfg.QuarantineAfter,
-		BatchTimeout:    cfg.BatchTimeout,
-		Drain:           cfg.Drain,
+		Sys:          sys,
+		QueueDepth:   cfg.QueueDepth,
+		Trace:        root,
+		Policy:       cfg.Policy,
+		BatchTimeout: cfg.BatchTimeout,
+		Drain:        cfg.Drain,
 	}
 	// Host re-execution: the CPU engine computes the same hits as the
 	// device path, so a batch drained here merges bit-identically.

@@ -109,7 +109,7 @@ func TestStreamCrashResumeUnderFaults(t *testing.T) {
 	pl, fasta, whole, batchResidues := faultStreamFixture(t)
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 
-	withFaults := func(cfg *StreamConfig) { cfg.MaxRetries = 8 }
+	withFaults := func(cfg *StreamConfig) { cfg.Policy.MaxRetries = 8 }
 	faultedSys := func() *simt.System {
 		sys := simt.NewSystem(simt.GTX580(), 3)
 		applyFaults(t, sys, "dev0:at=0,at=2;dev1:at=1", 7)

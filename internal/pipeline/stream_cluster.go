@@ -26,44 +26,14 @@ import (
 )
 
 // ClusterConfig configures the cluster tier of a streamed search. The
-// batching, retry, drain, and checkpoint knobs come from the
-// StreamConfig passed alongside it, so a cluster run journals and
-// resumes exactly like a single-node streamed run — the coordinator
-// reuses the checkpoint journal as its commit log.
-type ClusterConfig struct {
-	// Workers is the roster (required). Build specs with
-	// cluster.InProcess for same-process workers or a TCP dialer for
-	// worker processes; both run the same wire code.
-	Workers []cluster.WorkerSpec
-	// Mode is the simulator mode tag carried in the handshake and
-	// stamped into the journal header; a worker running a different
-	// cost model is rejected at connect, and a resume under a different
-	// mode refuses with a checkpoint.ModeMismatchError.
-	Mode byte
-
-	// HeartbeatEvery / HeartbeatTimeout / BatchDeadline / MaxConnects /
-	// BackoffBase / BackoffCap tune worker-loss detection and reconnect
-	// pacing; zero values use the cluster defaults.
-	HeartbeatEvery   time.Duration
-	HeartbeatTimeout time.Duration
-	BatchDeadline    time.Duration
-	MaxConnects      int
-	BackoffBase      time.Duration
-	BackoffCap       time.Duration
-
-	// Epoch is the coordinator fencing epoch (cluster.Config.Epoch):
-	// zero means 1, a plain primary run. A hot-standby takeover runs at
-	// a higher epoch so workers fence the presumed-dead primary.
-	Epoch uint64
-
-	// Inject, when non-nil, applies deterministic fault plans to dials
-	// and connections (chaos testing; see internal/faults).
-	Inject *cluster.FaultInjector
-	// Clock substitutes a fake time source (tests); nil = wall clock.
-	Clock dispatch.Clock
-	// Logf, when set, receives one line per cluster lifecycle event.
-	Logf func(format string, args ...any)
-}
+// caller sets the roster, Mode (also stamped into the journal header),
+// Epoch, the heartbeat and deadline knobs, Inject and Logf. The run
+// owns Fingerprint, QueueDepth, Policy, Drain, Local and Trace, and
+// fills them from the pipeline and the StreamConfig passed alongside,
+// so a cluster run journals and resumes exactly like a single-node
+// streamed run: the coordinator reuses the checkpoint journal as its
+// commit log.
+type ClusterConfig = cluster.Config
 
 // ClusterStreamExtra carries a cluster run's observability.
 type ClusterStreamExtra struct {
@@ -202,6 +172,21 @@ func (pl *Pipeline) vetClusterRun(cfg StreamConfig, ccfg ClusterConfig) error {
 	if pl.Opts.ComputeAlignments {
 		return fmt.Errorf("pipeline: cluster mode does not support alignment output: domain alignments are not encoded in result payloads")
 	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Fingerprint", ccfg.Fingerprint != [32]byte{}},
+		{"QueueDepth", ccfg.QueueDepth != 0},
+		{"Policy", ccfg.Policy != dispatch.Policy{}},
+		{"Drain", ccfg.Drain != nil},
+		{"Local", ccfg.Local != nil},
+		{"Trace", ccfg.Trace != nil},
+	} {
+		if f.set {
+			return fmt.Errorf("pipeline: ClusterConfig.%s is the run's to set (from the pipeline and StreamConfig)", f.name)
+		}
+	}
 	return nil
 }
 
@@ -220,38 +205,24 @@ func clusterBatch(b cluster.Batch) streamBatch {
 // runClusterCore is the streamed run with cluster.Coordinator as
 // executor, shared by the primary and standby paths: each batch of the
 // re-chunked stream ships to whichever worker slot frees up first and
-// its payload commits through run.commit.
+// its payload commits through run.commit. It fills in the fields of the
+// caller's ccfg that the run owns (see ClusterConfig).
 func (pl *Pipeline) runClusterCore(ctx context.Context, r io.Reader, cfg StreamConfig, ccfg ClusterConfig, run *streamRun, ha haState) (*Result, error) {
 	defer run.closeJournal()
 
 	root := pl.startSearch("cluster-stream", nil)
 	defer root.End()
 
-	coord := &cluster.Coordinator{Cfg: cluster.Config{
-		Workers:          ccfg.Workers,
-		Fingerprint:      pl.Fingerprint(cfg),
-		Mode:             ccfg.Mode,
-		Epoch:            ccfg.Epoch,
-		QueueDepth:       cfg.QueueDepth,
-		HeartbeatEvery:   ccfg.HeartbeatEvery,
-		HeartbeatTimeout: ccfg.HeartbeatTimeout,
-		BatchDeadline:    ccfg.BatchDeadline,
-		MaxConnects:      ccfg.MaxConnects,
-		QuarantineAfter:  cfg.QuarantineAfter,
-		MaxRetries:       cfg.MaxRetries,
-		BackoffBase:      ccfg.BackoffBase,
-		BackoffCap:       ccfg.BackoffCap,
-		Drain:            cfg.Drain,
-		Clock:            ccfg.Clock,
-		Inject:           ccfg.Inject,
-		Trace:            root,
-		Logf:             ccfg.Logf,
-	}}
+	ccfg.Fingerprint = pl.Fingerprint(cfg)
+	ccfg.QueueDepth = cfg.QueueDepth
+	ccfg.Policy = cfg.Policy
+	ccfg.Drain = cfg.Drain
+	ccfg.Trace = root
 	if !cfg.DisableFallback {
 		// Degraded local execution: the coordinator's own CPU engine
 		// computes the same result a worker would have shipped, and
 		// commits through the same journal-then-merge path.
-		coord.Cfg.Local = func(b cluster.Batch) (bool, error) {
+		ccfg.Local = func(b cluster.Batch) (bool, error) {
 			res, err := pl.searchHost(ctx, b.DB, nil)
 			if err != nil {
 				return false, err
@@ -259,6 +230,7 @@ func (pl *Pipeline) runClusterCore(ctx context.Context, r io.Reader, cfg StreamC
 			return run.commit(clusterBatch(b), res, nil, BatchLaunches{})
 		}
 	}
+	coord := &cluster.Coordinator{Cfg: ccfg}
 
 	rep, err := coord.Run(ctx,
 		func(submit func(b cluster.Batch) error) error {

@@ -307,8 +307,9 @@ func TestClusterStreamResumeRefusesModeMismatch(t *testing.T) {
 }
 
 // TestClusterStreamRejectsUnsupportedOptions: alignment output cannot
-// cross the wire and -verify belongs to device execution; both must
-// refuse upfront.
+// cross the wire, -verify belongs to device execution, and the
+// ClusterConfig fields the run fills in are not the caller's; each
+// must refuse upfront.
 func TestClusterStreamRejectsUnsupportedOptions(t *testing.T) {
 	pl, fasta, _, batchResidues := faultStreamFixture(t)
 
@@ -319,10 +320,24 @@ func TestClusterStreamRejectsUnsupportedOptions(t *testing.T) {
 		t.Error("cluster run with ComputeAlignments accepted")
 	}
 
-	_, err = clusterRun(t, pl, fasta, batchResidues, 2,
-		func(cfg *StreamConfig, ccfg *ClusterConfig) { cfg.Verify = VerifyGuards })
-	if err == nil {
-		t.Error("cluster run with Verify accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(cfg *StreamConfig, ccfg *ClusterConfig)
+	}{
+		{"Verify", func(cfg *StreamConfig, _ *ClusterConfig) { cfg.Verify = VerifyGuards }},
+		{"Fingerprint", func(_ *StreamConfig, ccfg *ClusterConfig) { ccfg.Fingerprint[0] = 1 }},
+		{"QueueDepth", func(_ *StreamConfig, ccfg *ClusterConfig) { ccfg.QueueDepth = 4 }},
+		{"Policy", func(_ *StreamConfig, ccfg *ClusterConfig) { ccfg.Policy.MaxRetries = 1 }},
+		{"Drain", func(_ *StreamConfig, ccfg *ClusterConfig) { ccfg.Drain = make(chan struct{}) }},
+		{"Local", func(_ *StreamConfig, ccfg *ClusterConfig) {
+			ccfg.Local = func(cluster.Batch) (bool, error) { return false, nil }
+		}},
+		{"Trace", func(_ *StreamConfig, ccfg *ClusterConfig) { ccfg.Trace = obs.New().Start("host", "caller") }},
+	} {
+		_, err := clusterRun(t, pl, fasta, batchResidues, 2, tc.mutate)
+		if err == nil || !strings.Contains(strings.ToLower(err.Error()), strings.ToLower(tc.name)) {
+			t.Errorf("cluster run with %s set: err = %v, want a refusal naming it", tc.name, err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/faults"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/obs"
@@ -99,7 +100,7 @@ func TestStreamFaultedRunMatchesClean(t *testing.T) {
 	applyFaults(t, sys, "dev0:p=0.3;dev1:at=1,hang=3;dev2:dead", 99)
 	holdUntilClaimed(sys, 2, 0)
 	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
-		StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})
+		StreamConfig{BatchResidues: batchResidues, Policy: dispatch.Policy{MaxRetries: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestStreamDeviceLostMidRunQuarantined(t *testing.T) {
 	applyFaults(t, sys, "dev1:dead=2", 0)
 	holdUntilClaimed(sys, 1, 2)
 	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
-		StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})
+		StreamConfig{BatchResidues: batchResidues, Policy: dispatch.Policy{MaxRetries: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestStreamProcessErrorOnLaterBatch(t *testing.T) {
 	sys.Devices[0].Faults = simt.NewFaultInjector(1).FailAt(2, simt.FaultLaunch)
 	sys.Devices[1].Faults = simt.NewFaultInjector(1).FailAt(2, simt.FaultLaunch)
 	_, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
-		StreamConfig{BatchResidues: batchResidues, MaxRetries: -1, QuarantineAfter: -1})
+		StreamConfig{BatchResidues: batchResidues, Policy: dispatch.Policy{MaxRetries: -1, QuarantineAfter: -1}})
 	if !errors.Is(err, simt.ErrLaunchFailed) {
 		t.Fatalf("err = %v, want wrapped ErrLaunchFailed", err)
 	}
@@ -238,7 +239,7 @@ func TestStreamSeededFaultDeterminism(t *testing.T) {
 		applyFaults(t, sys, "dev0:at=0,at=2;dev1:at=1;dev2:dead", 7)
 		holdUntilClaimed(sys, 2, 0)
 		res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
-			StreamConfig{BatchResidues: batchResidues, MaxRetries: 8})
+			StreamConfig{BatchResidues: batchResidues, Policy: dispatch.Policy{MaxRetries: 8}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/integrity"
 	"hmmer3gpu/internal/obs"
@@ -22,7 +23,7 @@ func runSDCStream(t *testing.T, pl *Pipeline, fasta []byte, batchResidues int64,
 		applyFaults(t, sys, spec, seed)
 	}
 	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
-		StreamConfig{BatchResidues: batchResidues, MaxRetries: 8, Verify: mode})
+		StreamConfig{BatchResidues: batchResidues, Policy: dispatch.Policy{MaxRetries: 8}, Verify: mode})
 	if err != nil {
 		t.Fatal(err)
 	}

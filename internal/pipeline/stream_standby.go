@@ -95,8 +95,7 @@ func (pl *Pipeline) RunStandbyClusterStreamContext(ctx context.Context, r io.Rea
 		Fingerprint: fp,
 		Mode:        ccfg.Mode,
 		PingEvery:   ha.PingEvery,
-		BackoffBase: ccfg.BackoffBase,
-		BackoffCap:  ccfg.BackoffCap,
+		Policy:      cfg.Policy,
 		Logf:        ccfg.Logf,
 	})
 	sb.Start(ctx)

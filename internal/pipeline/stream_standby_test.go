@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"hmmer3gpu/internal/checkpoint"
 	"hmmer3gpu/internal/cluster"
+	"hmmer3gpu/internal/dispatch"
 )
 
 // chanLeadership grants the lease when the returned trigger is called
@@ -193,6 +195,93 @@ func TestStandbyRefusesWithoutJournal(t *testing.T) {
 		StandbyClusterConfig{Acquire: acquire, TailPoll: time.Millisecond})
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("no journal")) {
 		t.Fatalf("err = %v, want a no-journal refusal", err)
+	}
+}
+
+// instantClock fires every wait at once: under it, only the clock can
+// end a wait of an hour.
+type instantClock struct{}
+
+func (instantClock) Now() time.Time { return time.Unix(0, 0) }
+
+func (instantClock) After(time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	ch <- time.Unix(0, 0)
+	return ch
+}
+
+// frameConn calls wrote after every frame written through it (each
+// frame is one Write).
+type frameConn struct {
+	net.Conn
+	wrote func()
+}
+
+func (c frameConn) Write(p []byte) (int, error) {
+	c.wrote()
+	return c.Conn.Write(p)
+}
+
+// TestStandbyRunsOnTheRunsClock: the standby's redial backoff and its
+// warm-connection pings wait on the run's Policy.Clock. The backoff
+// and the ping cadence are an hour each, and the clock fires at once,
+// so the standby redials the worker that refused its first dial and
+// then pings it again and again, all before any wall-clock hour ends.
+func TestStandbyRunsOnTheRunsClock(t *testing.T) {
+	pl, fasta, _, batchResidues := faultStreamFixture(t)
+	cfg := StreamConfig{BatchResidues: batchResidues,
+		Checkpoint: &CheckpointConfig{Path: filepath.Join(t.TempDir(), "never-created.ckpt")},
+		Policy:     dispatch.Policy{BackoffBase: time.Hour, BackoffCap: time.Hour, Clock: instantClock{}}}
+	inner := InProcessWorkerSpec(pl.NewWorkerServer(cfg, 0, "w0", 1, pl.ClusterExecCPU()))
+
+	// Frames out of the standby: its hello, then one ping per round.
+	const want = 1 + 3
+	var mu sync.Mutex
+	dials, frames := 0, 0
+	pinged := make(chan struct{})
+	spec := cluster.WorkerSpec{Name: inner.Name, Dial: func(ctx context.Context) (net.Conn, error) {
+		mu.Lock()
+		dials++
+		refuse := dials == 1
+		mu.Unlock()
+		if refuse {
+			return nil, errors.New("connection refused")
+		}
+		conn, err := inner.Dial(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return frameConn{conn, func() {
+			mu.Lock()
+			defer mu.Unlock()
+			if frames++; frames == want {
+				close(pinged)
+			}
+		}}, nil
+	}}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	acquire, _ := chanLeadership()
+	done := make(chan error, 1)
+	go func() {
+		_, err := pl.RunStandbyClusterStreamContext(ctx, bytes.NewReader(fasta), cfg,
+			ClusterConfig{Workers: []cluster.WorkerSpec{spec}},
+			StandbyClusterConfig{Acquire: acquire, PingEvery: time.Hour, TailPoll: time.Hour})
+		done <- err
+	}()
+	select {
+	case <-pinged:
+	case err := <-done:
+		t.Fatalf("standby returned before it pinged: %v", err)
+	case <-time.After(30 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("after %d dials the standby wrote %d frames, want %d: its waits are not on the run's clock", dials, frames, want)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("standby returned %v after cancellation, want context.Canceled", err)
 	}
 }
 

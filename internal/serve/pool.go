@@ -4,37 +4,38 @@ import (
 	"context"
 	"sync"
 
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/simt"
 )
 
 // devicePool owns the daemon's simulated devices and leases them to
 // queries. Unlike the one-shot CLI — where a quarantined device just
-// sits out the rest of the run — the pool remembers: a device whose
-// lease ends quarantined collects a strike, and at strikes >= cordon
-// threshold it is cordoned out of the pool for the life of the
-// process. A clean lease resets the strikes, so devices with one
-// transient bad run recover. With every device cordoned, leases come
-// back empty and the caller degrades to the host CPU.
+// sits out the rest of the run — the pool remembers: a lease that ends
+// with its device quarantined is a strike on the pool's
+// dispatch.Breaker, a clean lease clears the device's strikes, and a
+// trip cordons the device out of the pool for the life of the process.
+// With every device cordoned, leases come back empty and the caller
+// degrades to the host CPU.
 type devicePool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	devs    []*poolDevice
-	strikes int // cordon after this many consecutive quarantined leases
+	mu   sync.Mutex
+	cond *sync.Cond
+	devs []*poolDevice
+	br   *dispatch.Breaker // indexed like devs; quarantined means cordoned
 }
 
 type poolDevice struct {
-	index    int
-	dev      *simt.Device
-	busy     bool
-	strikes  int
-	cordoned bool
+	index int
+	dev   *simt.Device
+	busy  bool
 }
 
+// newDevicePool cordons a device after cordonAfter consecutive
+// quarantined leases: 0 means 2, and a negative value never cordons.
 func newDevicePool(devs []*simt.Device, cordonAfter int) *devicePool {
-	if cordonAfter < 1 {
+	if cordonAfter == 0 {
 		cordonAfter = 2
 	}
-	p := &devicePool{strikes: cordonAfter}
+	p := &devicePool{br: dispatch.NewBreaker(len(devs), cordonAfter)}
 	p.cond = sync.NewCond(&p.mu)
 	for i, d := range devs {
 		p.devs = append(p.devs, &poolDevice{index: i, dev: d})
@@ -63,19 +64,14 @@ func (p *devicePool) lease(ctx context.Context, n int) ([]*poolDevice, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		if p.br.Healthy() == 0 {
+			return nil, nil
+		}
 		var got []*poolDevice
-		healthy := 0
 		for _, d := range p.devs {
-			if d.cordoned {
-				continue
-			}
-			healthy++
-			if !d.busy && len(got) < n {
+			if !d.busy && !p.br.Quarantined(d.index) && len(got) < n {
 				got = append(got, d)
 			}
-		}
-		if healthy == 0 {
-			return nil, nil
 		}
 		if len(got) > 0 {
 			for _, d := range got {
@@ -96,35 +92,31 @@ func (p *devicePool) release(lease []*poolDevice, quarantined []bool) {
 	defer p.mu.Unlock()
 	for i, d := range lease {
 		d.busy = false
-		if quarantined != nil {
-			if i < len(quarantined) && quarantined[i] {
-				d.strikes++
-				if d.strikes >= p.strikes {
-					d.cordoned = true
-				}
-			} else {
-				d.strikes = 0
+		switch {
+		case quarantined == nil:
+		case i < len(quarantined) && quarantined[i]:
+			if _, tripped := p.br.Strike(d.index); tripped {
+				p.br.Quarantine(d.index)
 			}
+		default:
+			p.br.Done(d.index)
 		}
 	}
 	p.cond.Broadcast()
 }
 
-// health reports pool state for /healthz, /readyz, and gauges.
+// health reports pool state for /healthz, /readyz, and gauges. A
+// cordoned device is never busy: release frees it before it can trip.
 func (p *devicePool) health() (healthy, cordoned, busy int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, d := range p.devs {
-		if d.cordoned {
-			cordoned++
-			continue
-		}
-		healthy++
 		if d.busy {
 			busy++
 		}
 	}
-	return
+	healthy = p.br.Healthy()
+	return healthy, len(p.devs) - healthy, busy
 }
 
 // cordonedIndexes lists cordoned device indexes (for health payloads).
@@ -133,7 +125,7 @@ func (p *devicePool) cordonedIndexes() []int {
 	defer p.mu.Unlock()
 	var out []int
 	for _, d := range p.devs {
-		if d.cordoned {
+		if p.br.Quarantined(d.index) {
 			out = append(out, d.index)
 		}
 	}

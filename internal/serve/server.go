@@ -42,6 +42,7 @@ import (
 
 	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/checkpoint"
+	"hmmer3gpu/internal/dispatch"
 	"hmmer3gpu/internal/faults"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/hmm"
@@ -78,7 +79,8 @@ type Config struct {
 	Faults    string
 	FaultSeed int64
 	// CordonAfter is how many consecutive quarantined leases cordon a
-	// device out of the pool (default 2).
+	// device out of the pool: 0 means 2, and a negative value never
+	// cordons (dispatch.Policy's convention).
 	CordonAfter int
 
 	// Rate/Burst shape the admission token bucket (queries per second;
@@ -94,11 +96,10 @@ type Config struct {
 	// ask for less via ?timeout= but never more.
 	QueryTimeout time.Duration
 
-	// MaxRetries/QuarantineAfter/Verify tune each query's scheduler
-	// (see pipeline.StreamConfig).
-	MaxRetries      int
-	QuarantineAfter int
-	Verify          pipeline.VerifyMode
+	// Policy and Verify tune each query's scheduler (see
+	// pipeline.StreamConfig).
+	Policy dispatch.Policy
+	Verify pipeline.VerifyMode
 	// Workers is the host worker goroutine count per query (0 =
 	// GOMAXPROCS).
 	Workers int
@@ -641,10 +642,9 @@ func (s *Server) execute(ctx context.Context, entry *profileEntry, rdb *pipeline
 		devs[i] = d.dev
 	}
 	scfg := pipeline.StreamConfig{
-		BatchResidues:   s.cfg.BatchResidues,
-		MaxRetries:      s.cfg.MaxRetries,
-		QuarantineAfter: s.cfg.QuarantineAfter,
-		Verify:          s.cfg.Verify,
+		BatchResidues: s.cfg.BatchResidues,
+		Policy:        s.cfg.Policy,
+		Verify:        s.cfg.Verify,
 	}
 	res, err = entry.pl.RunResidentStreamContext(ctx, &simt.System{Devices: devs}, s.cfg.Mem, rdb, scfg)
 	if err != nil {

@@ -11,7 +11,12 @@ import (
 // lanes for MSV, 8 signed word lanes for the Viterbi filter. The
 // paper's CPU baseline is exactly this configuration. Here one such
 // vector is two uint64 words of satmath SWAR lanes, the low word
-// holding the low lanes.
+// holding the low lanes, and on amd64 it is an SSE2 register again:
+// the engines run each row through satmath's row primitives, which
+// are HMMER's intrinsics in Go assembly — _mm_max_epu8 and
+// _mm_subs_epu8 for the MSV step, _mm_adds_epi16 and _mm_max_epi16 for
+// the Viterbi M/I update, its D seeds and the D-D chain — and the
+// single-word SWAR ops elsewhere.
 const (
 	// MSVWidth is the byte-lane count of the MSV filter vectors.
 	MSVWidth = 16
@@ -37,7 +42,10 @@ type MSVEngine struct {
 	// per stripe: rsc[r][2*q] holds lanes 0-7 of stripe q, rsc[r][2*q+1]
 	// lanes 8-15.
 	rsc [][]uint64
-	dp  []uint64
+	// rows double-buffers the DP row: two words of wrap (the row's last
+	// stripe shifted up one lane, which feeds the next row's stripe 0)
+	// and then the row, so the next row reads stripe q-1 at word 2*q.
+	rows [2][]uint64
 }
 
 // NewMSVEngine prepares the striped emission layout for mp.
@@ -53,7 +61,8 @@ func NewMSVEngine(mp *profile.MSVProfile) *MSVEngine {
 		}
 		e.rsc[r] = row
 	}
-	e.dp = make([]uint64, 2*q)
+	rows := make([]uint64, 2*(2*q+2))
+	e.rows = [2][]uint64{rows[:2*q+2], rows[2*q+2:]}
 	return e
 }
 
@@ -61,12 +70,13 @@ func NewMSVEngine(mp *profile.MSVProfile) *MSVEngine {
 // bit-identical to MSVFilterScalar.
 func (e *MSVEngine) Filter(dsq []byte) FilterResult {
 	mp := e.mp
-	dp := e.dp
-	// dp is a biased row (satmath.MSVStepU8x8): every cell carries
-	// +bias, so the inner loop pays a plain word add for it.
+	n := len(e.rsc[0])
+	prev, cur := e.rows[0], e.rows[1]
+	// The rows are biased (satmath.MSVStepU8x8): every cell carries
+	// +bias, so the row primitive pays a plain word add for it.
 	biasv := satmath.SplatU8(mp.Bias)
-	for i := range dp {
-		dp[i] = biasv
+	for i := range prev {
+		prev[i] = biasv
 	}
 
 	const base = uint8(profile.MSVBase)
@@ -75,23 +85,12 @@ func (e *MSVEngine) Filter(dsq []byte) FilterResult {
 	xB := satmath.SubU8(base, mp.TJB)
 
 	for i := 0; i < len(dsq); i++ {
-		rsc := e.rsc[dsq[i]][:len(dp)]
-		var xE0, xE1 uint64
 		xBv := satmath.SplatU8(satmath.AddU8(satmath.SubU8(xB, mp.TBM), mp.Bias))
-
 		// The striped diagonal: the previous row's last stripe, lanes
 		// shifted up one, feeds stripe 0.
-		mp0, mp1 := shiftU8(dp[len(dp)-2], dp[len(dp)-1], mp.Bias)
-		for j := 0; j+1 < len(dp); j += 2 {
-			sv0 := satmath.MSVStepU8x8(mp0, xBv, rsc[j])
-			sv1 := satmath.MSVStepU8x8(mp1, xBv, rsc[j+1])
-			xE0 = satmath.MaxU8x8(xE0, sv0)
-			xE1 = satmath.MaxU8x8(xE1, sv1)
-			mp0, mp1 = dp[j], dp[j+1]
-			dp[j], dp[j+1] = sv0+biasv, sv1+biasv
-		}
-
-		xE := satmath.HMaxU8x8(satmath.MaxU8x8(xE0, xE1))
+		prev[0], prev[1] = shiftU8(prev[n], prev[n+1], mp.Bias)
+		xE := satmath.HMaxU8x8(satmath.MSVRowU8(cur[2:], prev[:n], e.rsc[dsq[i]], xBv, biasv))
+		prev, cur = cur, prev
 		if xE >= overflowAt {
 			return FilterResult{Score: math.Inf(1), Overflowed: true}
 		}

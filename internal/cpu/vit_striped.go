@@ -13,7 +13,10 @@ import (
 // use; each worker owns its own engine.
 //
 // Every striped table and DP row is two words per stripe: index 2*q
-// holds lanes 0-3 of stripe q, index 2*q+1 lanes 4-7.
+// holds lanes 0-3 of stripe q, index 2*q+1 lanes 4-7. Each row runs
+// through satmath's row primitives: the M/I update, the D seeds, and
+// the D-D chain as rounds over the D row read two words (one stripe)
+// behind itself.
 type VitEngine struct {
 	vp *profile.VitProfile
 	q  int
@@ -28,9 +31,16 @@ type VitEngine struct {
 	// transition out of node q + l*Q + 1 (= k).
 	tMI, tII, tMD, tDD []uint64
 
-	mmx, imx, dmx []uint64
+	// The DP rows, each led by two words of wrap that the row's last
+	// stripe, shifted up one lane, fills for the next row's stripe 0:
+	// M and I double-buffered, so the next row reads stripe q-1 of the
+	// previous one at word 2*q, and one D row, which also ends in two
+	// words holding the chain's carry out of the last stripe. The D
+	// row is rewritten only after the M/I update has read it.
+	mrow, irow [2][]uint64
+	drow       []uint64
 
-	// wM and sM locate node M in dmx (word index, bit offset of its
+	// wM and sM locate node M in a D row (word index, bit offset of its
 	// lane) for the D_M local exit contribution to E.
 	wM int
 	sM uint
@@ -86,9 +96,11 @@ func NewVitEngine(vp *profile.VitProfile) *VitEngine {
 	e.tMD = stripe(vp.TMD, 0)
 	e.tDD = stripe(vp.TDD, 0)
 
-	e.mmx = make([]uint64, 2*q)
-	e.imx = make([]uint64, 2*q)
-	e.dmx = make([]uint64, 2*q)
+	n := 2*q + 2
+	rows := make([]uint64, 5*n+2)
+	e.mrow = [2][]uint64{rows[:n], rows[n : 2*n]}
+	e.irow = [2][]uint64{rows[2*n : 3*n], rows[3*n : 4*n]}
+	e.drow = rows[4*n:]
 
 	qM, lM := (vp.M-1)%q, (vp.M-1)/q
 	e.wM = 2*qM + lM/4
@@ -115,90 +127,71 @@ func (e *VitEngine) run(dsq []byte) (FilterResult, LazyFInfo) {
 	neg := satmath.NegInf16
 	negv := satmath.SplatI16(neg)
 	var info LazyFInfo
-	// Reslicing every row to one length lets the compiler drop the
-	// bounds checks in the stripe loops.
-	mmx, imx, dmx := e.mmx[:n], e.imx[:n], e.dmx[:n]
-	tMM, tIM, tDM := e.tMM[:n], e.tIM[:n], e.tDM[:n]
-	tMI, tII, tMD, tDD := e.tMI[:n], e.tII[:n], e.tMD[:n], e.tDD[:n]
-	for j := range mmx {
-		mmx[j], imx[j], dmx[j] = negv, negv, negv
+	mPrev, mCur := e.mrow[0], e.mrow[1]
+	iPrev, iCur := e.irow[0], e.irow[1]
+	d := e.drow
+	for j := range mPrev {
+		mPrev[j], iPrev[j] = negv, negv
 	}
+	for j := range d {
+		d[j] = negv
+	}
+	mi := satmath.VitMI{TMM: e.tMM, TIM: e.tIM, TDM: e.tDM, TMI: e.tMI, TII: e.tII}
 
 	xJ, xC := neg, neg
 	xB := vp.TMove
 
 	for i := 0; i < len(dsq); i++ {
-		msc := e.msc[dsq[i]][:n]
-		xE0, xE1 := negv, negv
 		xBv := satmath.SplatI16(satmath.AddI16(xB, vp.TBM))
+		mPrev[0], mPrev[1] = shiftI16(mPrev[n], mPrev[n+1], neg)
+		iPrev[0], iPrev[1] = shiftI16(iPrev[n], iPrev[n+1], neg)
+		d[0], d[1] = shiftI16(d[n], d[n+1], neg)
+		mi.M, mi.I = mCur[2:], iCur[2:]
+		mi.SrcM, mi.SrcI, mi.SrcD = mPrev[:n], iPrev[:n], d[:n]
+		mi.PrevM, mi.PrevI = mPrev[2:], iPrev[2:]
+		mi.Emit = e.msc[dsq[i]]
+		xE := satmath.HMaxI16x4(satmath.VitMIRowI16(&mi, xBv))
 
-		mp0, mp1 := shiftI16(mmx[n-2], mmx[n-1], neg)
-		ip0, ip1 := shiftI16(imx[n-2], imx[n-1], neg)
-		dp0, dp1 := shiftI16(dmx[n-2], dmx[n-1], neg)
-		dc0, dc1 := negv, negv
+		// D: stripe 0 starts the chain at -inf; each stripe's M-D seed
+		// lands one stripe on (the last one's in the carry), and one
+		// round runs the serial chain D(q+1) = max(seed, D(q) + D-D).
+		d[2], d[3] = negv, negv
+		satmath.AddRowI16(d[4:], mCur[2:], e.tMD)
+		satmath.DDRoundI16(d[4:], d[2:n+2], e.tDD)
 
-		for j := 0; j+1 < n; j += 2 {
-			sv0 := satmath.MaxI16x4(
-				satmath.MaxI16x4(satmath.AddI16x4(mp0, tMM[j]), satmath.AddI16x4(ip0, tIM[j])),
-				satmath.MaxI16x4(satmath.AddI16x4(dp0, tDM[j]), xBv),
-			)
-			sv1 := satmath.MaxI16x4(
-				satmath.MaxI16x4(satmath.AddI16x4(mp1, tMM[j+1]), satmath.AddI16x4(ip1, tIM[j+1])),
-				satmath.MaxI16x4(satmath.AddI16x4(dp1, tDM[j+1]), xBv),
-			)
-			sv0 = satmath.AddI16x4(sv0, msc[j])
-			sv1 = satmath.AddI16x4(sv1, msc[j+1])
-			xE0 = satmath.MaxI16x4(xE0, sv0)
-			xE1 = satmath.MaxI16x4(xE1, sv1)
-
-			mp0, mp1, ip0, ip1, dp0, dp1 = mmx[j], mmx[j+1], imx[j], imx[j+1], dmx[j], dmx[j+1]
-			mmx[j], mmx[j+1] = sv0, sv1
-			imx[j] = satmath.MaxI16x4(satmath.AddI16x4(mp0, tMI[j]), satmath.AddI16x4(ip0, tII[j]))
-			imx[j+1] = satmath.MaxI16x4(satmath.AddI16x4(mp1, tMI[j+1]), satmath.AddI16x4(ip1, tII[j+1]))
-
-			dmx[j], dmx[j+1] = dc0, dc1
-			dc0 = satmath.MaxI16x4(satmath.AddI16x4(sv0, tMD[j]), satmath.AddI16x4(dc0, tDD[j]))
-			dc1 = satmath.MaxI16x4(satmath.AddI16x4(sv1, tMD[j+1]), satmath.AddI16x4(dc1, tDD[j+1]))
-		}
-
-		// Mandatory completion sweep: the D-D chain wraps from the last
-		// stripe into lane l+1 of stripe 0.
-		dc0, dc1 = shiftI16(dc0, dc1, neg)
-		for j := 0; j+1 < n; j += 2 {
-			dmx[j], dmx[j+1] = satmath.MaxI16x4(dmx[j], dc0), satmath.MaxI16x4(dmx[j+1], dc1)
-			dc0, dc1 = satmath.AddI16x4(dmx[j], tDD[j]), satmath.AddI16x4(dmx[j+1], tDD[j+1])
-		}
-
-		// Lazy-F: iterate only while the wrapped chain still improves
-		// some D cell. The chain decays monotonically (D-D costs are
-		// negative), so as soon as one stripe shows no improvement the
-		// whole remaining chain is dominated and we can stop. At most
-		// VitWidth-1 iterated passes can ever be needed; in practice
-		// rows almost never need any — that rarity is the premise of
-		// the paper's parallel Lazy-F.
+		// The chain wraps from the last stripe into lane l+1 of stripe
+		// 0: pass 0 is the mandatory completion sweep, and a Lazy-F
+		// pass runs only while the wrapped carry still improves stripe
+		// 0 (otherwise every later stripe already holds its
+		// predecessor's candidate). A pass whose improvement dies out
+		// part-way stores unchanged words from there on and leaves the
+		// carry as it was, so the next pass's stripe-0 test ends the
+		// loop: the pass counts are those of a test at every stripe.
+		// At most VitWidth-1 iterated passes can ever be needed; in
+		// practice rows almost never need any — that rarity is the
+		// premise of the paper's parallel Lazy-F.
 		info.Rows++
 		rowPasses := 0
-	lazyf:
-		for pass := 0; pass < VitWidth-1; pass++ {
-			dc0, dc1 = shiftI16(dc0, dc1, neg)
-			for j := 0; j+1 < n; j += 2 {
-				if !satmath.AnyGtI16x4(dc0, dmx[j]) && !satmath.AnyGtI16x4(dc1, dmx[j+1]) {
-					break lazyf
+		for pass := 0; pass < VitWidth; pass++ {
+			dc0, dc1 := shiftI16(d[n+2], d[n+3], neg)
+			if pass > 0 {
+				if !satmath.AnyGtI16x4(dc0, d[2]) && !satmath.AnyGtI16x4(dc1, d[3]) {
+					break
 				}
-				dmx[j], dmx[j+1] = satmath.MaxI16x4(dmx[j], dc0), satmath.MaxI16x4(dmx[j+1], dc1)
-				dc0, dc1 = satmath.AddI16x4(dmx[j], tDD[j]), satmath.AddI16x4(dmx[j+1], tDD[j+1])
-				if j == 0 {
-					rowPasses++
-				}
+				rowPasses++
 			}
+			d[2], d[3] = satmath.MaxI16x4(d[2], dc0), satmath.MaxI16x4(d[3], dc1)
+			d[n+2], d[n+3] = negv, negv // the round leaves the new carry here
+			satmath.DDRoundI16(d[4:], d[2:n+2], e.tDD)
 		}
 		if rowPasses > 0 {
 			info.RowsIterated++
 			info.IteratedPasses += rowPasses
 		}
 
-		xE := satmath.HMaxI16x4(satmath.MaxI16x4(xE0, xE1))
-		xE = satmath.MaxI16(xE, int16(dmx[e.wM]>>e.sM)) // local exit from D_M
+		xE = satmath.MaxI16(xE, int16(d[2+e.wM]>>e.sM)) // local exit from D_M
+		mPrev, mCur = mCur, mPrev
+		iPrev, iCur = iCur, iPrev
 
 		xJ = satmath.MaxI16(xJ, satmath.AddI16(xE, vp.TEJ))
 		xC = satmath.MaxI16(xC, satmath.AddI16(xE, vp.TEC))

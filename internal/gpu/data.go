@@ -107,6 +107,10 @@ type DeviceMSVProfile struct {
 	// Cost[r][k] for device residue r, node k (row devInvalid is all
 	// 255 so gap codes score as impossible).
 	Cost [][]uint8
+	// costWords[r] is Cost[r][1:], the costs of targets 1..M, packed
+	// once into u8 register words (zero past M) for the kernel's
+	// global-memory variant.
+	costWords [][]uint64
 	// TableAddr is the logical global address of the emission table.
 	TableAddr int64
 }
@@ -126,6 +130,11 @@ func UploadMSVProfile(dev *simt.Device, mp *profile.MSVProfile) *DeviceMSVProfil
 			row[0] = 255
 		}
 		d.Cost[r] = row
+	}
+	d.costWords = make([][]uint64, devInvalid+1)
+	for r, row := range d.Cost {
+		d.costWords[r] = make([]uint64, (mp.M+lanesPerWordU8-1)/lanesPerWordU8)
+		satmath.PackLanes(d.costWords[r], row[1:])
 	}
 	d.TableAddr = dev.AllocGlobal(int64(deviceAlphaSize * (mp.M + 1)))
 	return d

@@ -85,9 +85,10 @@ func (r *msvRun) kernel(w *simt.Warp) {
 	chunks := (m + lanes - 1) / lanes
 	// Each chunk reads its 32 sources; the last one's stop at cell m.
 	srcCells := min(m+1, chunks*lanes)
-	// The words holding the M targets, and the lanes of the last one
-	// inside the model.
-	nw := (m + lanesPerWordU8 - 1) / lanesPerWordU8
+	// The words holding the M targets: full ones, then a ragged last
+	// one when m is not a whole number of words, and the lanes of that
+	// one inside the model.
+	full, nw := m/lanesPerWordU8, (m+lanesPerWordU8-1)/lanesPerWordU8
 	tailKeep := keepWord(m, lanesPerWordU8)
 	const base = uint8(profile.MSVBase)
 	overflowAt := mp.OverflowThreshold()
@@ -161,27 +162,27 @@ func (r *msvRun) kernel(w *simt.Warp) {
 			w.SharedSpanLoadWords(st.row, rowBase, srcCells, 1)
 
 			// Emission costs for every target 1..M.
+			var cost []uint64
 			if r.plan.MemConfig == MemShared {
 				w.SharedSpanLoadWords(st.cost, modelBase+int(res)*(m+1)+1, m, 1)
+				cost = st.cost
 			} else {
 				w.GlobalSpanLoadCached(r.prof.TableAddr+int64(int(res)*(m+1)+1), 1, m)
-				satmath.PackLanes(st.cost, r.prof.Cost[res][1:])
+				cost = r.prof.costWords[res]
 			}
 
 			// temp = max(mmx, xB) + bias - em(res, p)  (line 15), in
 			// place, on the biased row.
 			xBv := satmath.SplatU8(satmath.AddU8(satmath.SubU8(xB, mp.TBM), mp.Bias))
-			// Lanes past the model in a ragged last chunk are inactive:
-			// they are forced to 0, the max identity, so they never
-			// reach the row maximum, which is folded as the words are.
-			row, cost := st.row[:nw], st.cost[:nw]
-			var xEv uint64
-			for j, cell := range row {
-				sv := satmath.MSVStepU8x8(cell, xBv, cost[j])
-				if j == nw-1 {
-					sv &= tailKeep
-				}
-				row[j] = sv + bias
+			row := st.row[:nw]
+			xEv := satmath.MSVRowU8(row[:full], row[:full], cost[:full], xBv, bias)
+			if full < nw {
+				// Lanes past the model in the ragged last word are
+				// inactive: they are forced to 0, the max identity, so
+				// they never reach the row maximum, which is folded as
+				// the words are.
+				sv := satmath.MSVStepU8x8(row[full], xBv, cost[full]) & tailKeep
+				row[full] = sv + bias
 				xEv = satmath.MaxU8x8(xEv, sv)
 			}
 

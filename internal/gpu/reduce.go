@@ -10,7 +10,9 @@ import (
 // Warp registers. The MSV and P7Viterbi kernels hold a warp's
 // registers as satmath SWAR words — lane l of a 32-lane register is
 // lane l%8 of word l/8 (u8 cells) or l%4 of word l/4 (i16 cells) — so
-// one Go word operation advances eight or four SIMT lanes. A kernel
+// one word operation advances eight or four SIMT lanes, and satmath's
+// row primitives, which the kernels run each recurrence through (SSE2
+// on amd64), advance sixteen or eight per instruction. A kernel
 // holds a whole DP row this way, chunk c of Algorithm 1/2 in words
 // [c*lanes/8, (c+1)*lanes/8) (or /4), and moves it between registers
 // and shared memory in one span (simt.SharedSpanLoadWords /

@@ -122,9 +122,10 @@ func (r *vitRun) kernel(w *simt.Warp) {
 	chunks := (m + lanes - 1) / lanes
 	// Each chunk reads its 32 sources; the last one's stop at cell m.
 	srcCells := min(m+1, chunks*lanes)
-	// The words holding the M targets, and the lanes of the last one
-	// inside the model.
-	nw := (m + lanesPerWordI16 - 1) / lanesPerWordI16
+	// The words holding the M targets: full ones, then a ragged last
+	// one when m is not a whole number of words, and the lanes of that
+	// one inside the model.
+	full, nw := m/lanesPerWordI16, (m+lanesPerWordI16-1)/lanesPerWordI16
 	tailKeep := keepWord(m, lanesPerWordI16)
 	neg := satmath.NegInf16
 	negInf := satmath.SplatI16(neg)
@@ -204,38 +205,19 @@ func (r *vitRun) kernel(w *simt.Warp) {
 			r.load(w, st, st.prevIT, iOff(1), m)
 			r.meterModel(w, res, exact)
 
-			// temp_m / temp_i (Algorithm 2, lines 15-18). Lanes past the
-			// model in a ragged last chunk are inactive, which on i16
-			// cells means forced to NegInf16 (a zero lane would win the
-			// row maximum, folded as the words are).
+			// temp_m / temp_i (Algorithm 2, lines 15-18).
 			xBtbm := satmath.SplatI16(satmath.AddI16(xB, vp.TBM))
-			tmm, tim, tdm := r.prof.tmm[:nw], r.prof.tim[:nw], r.prof.tdm[:nw]
-			tmi, tii, msc := r.prof.tmi[:nw], r.prof.tii[:nw], r.prof.matUnit[res][:nw]
-			pm, pi, pd := st.prevM[:nw], st.prevI[:nw], st.prevD[:nw]
-			pmT, piT := st.prevMT[:nw], st.prevIT[:nw]
-			mv, iv := st.mv[:nw], st.iv[:nw]
-			xEv := negInf
-			for j := range mv {
-				v := satmath.MaxI16x4(
-					satmath.MaxI16x4(
-						satmath.AddI16x4(pm[j], tmm[j]),
-						satmath.AddI16x4(pi[j], tim[j]),
-					),
-					satmath.MaxI16x4(
-						satmath.AddI16x4(pd[j], tdm[j]),
-						xBtbm,
-					),
-				)
-				v = satmath.AddI16x4(v, msc[j])
-				if j == nw-1 {
-					v = v&tailKeep | negInf&^tailKeep
-				}
-				mv[j] = v
-				xEv = satmath.MaxI16x4(xEv, v)
-				iv[j] = satmath.MaxI16x4(
-					satmath.AddI16x4(pmT[j], tmi[j]),
-					satmath.AddI16x4(piT[j], tii[j]),
-				)
+			mi := r.miRows(st, res, 0, full)
+			xEv := satmath.VitMIRowI16(&mi, xBtbm)
+			if full < nw {
+				// Lanes past the model in the ragged last word are
+				// inactive, which on i16 cells means forced to NegInf16
+				// (a zero lane would win the row maximum, folded as the
+				// words are).
+				mi = r.miRows(st, res, full, nw)
+				satmath.VitMIRowI16(&mi, xBtbm)
+				st.mv[full] = st.mv[full]&tailKeep | negInf&^tailKeep
+				xEv = satmath.MaxI16x4(xEv, st.mv[full])
 			}
 
 			// Store M and I (line 20).
@@ -246,10 +228,8 @@ func (r *vitRun) kernel(w *simt.Warp) {
 			// t-1 is read back through shared memory — each chunk's
 			// lane 0 picks up the previous chunk's boundary cell.
 			r.load(w, st, st.prevMT, mOff(0), srcCells)
-			dv, back, tmd := st.dv[:chunks*regWords], st.prevMT[:chunks*regWords], r.prof.tmd
-			for j := range dv {
-				dv[j] = satmath.AddI16x4(back[j], tmd[j])
-			}
+			dv := st.dv[:chunks*regWords]
+			satmath.AddRowI16(dv, st.prevMT[:len(dv)], r.prof.tmd[:len(dv)])
 
 			// The D-D chain, chunk by chunk: the cross-chunk link into
 			// lane 0, then the §VI scan or the parallel Lazy-F.
@@ -303,7 +283,7 @@ func (r *vitRun) kernel(w *simt.Warp) {
 			// specials (line 24).
 			xE := satmath.HMaxI16x4(xEv)
 			if !folds {
-				xE = scratchMaxI16(w, mv, st.xEv, st.red, scratchBase)
+				xE = scratchMaxI16(w, st.mv[:nw], st.xEv, st.red, scratchBase)
 			}
 			xE = satmath.MaxI16(xE, dAtM)
 			xJ = satmath.MaxI16(xJ, satmath.AddI16(xE, vp.TEJ))
@@ -338,25 +318,26 @@ func (r *vitRun) lazyF(w *simt.Warp, st *vitWarpState, d, tdd []uint64, at, acti
 	n := min(lanes, active+1) // cells a round reads: D(p0) and the chunk's
 	negInf := satmath.SplatI16(satmath.NegInf16)
 	cand := st.ddCand
+	// The words whose lanes are all active, then a ragged one; words
+	// past it have no active lane, and a round leaves them as they are.
+	full := active / lanesPerWordI16
 	r.store(w, st, d, at+2, active)
 	for iter := 0; iter < lanes; iter++ {
 		r.load(w, st, cand, at, n)
 		// Each position takes its predecessor's candidate where it is
 		// higher; the vote predicate — nothing changed — folds into a
 		// host flag in the same pass.
-		var changed uint64
-		for j, v := range d {
-			c := satmath.AddI16x4(cand[j], tdd[j])
-			if active < lanes {
-				c = c&st.tail[j] | negInf&^st.tail[j]
-			}
-			nv := satmath.MaxI16x4(v, c)
-			changed |= nv ^ v
-			d[j] = nv
+		changed := satmath.DDRoundI16(d[:full], cand[:full], tdd[:full])
+		if active%lanesPerWordI16 != 0 {
+			c := satmath.AddI16x4(cand[full], tdd[full])
+			c = c&st.tail[full] | negInf&^st.tail[full]
+			nv := satmath.MaxI16x4(d[full], c)
+			changed = changed || nv != d[full]
+			d[full] = nv
 		}
 		if !r.eager {
 			w.Vote()
-			if changed == 0 {
+			if !changed {
 				break
 			}
 		}
@@ -364,6 +345,20 @@ func (r *vitRun) lazyF(w *simt.Warp, st *vitWarpState, d, tdd []uint64, at, acti
 		r.store(w, st, d, at+2, active)
 	}
 	return iters
+}
+
+// miRows names the M/I update's rows over register words [lo, hi)
+// for residue res: the previous row at sources k and targets k+1 as
+// loaded, the new M and I, and the packed tables.
+func (r *vitRun) miRows(st *vitWarpState, res byte, lo, hi int) satmath.VitMI {
+	p := r.prof
+	return satmath.VitMI{
+		M: st.mv[lo:hi], I: st.iv[lo:hi],
+		SrcM: st.prevM[lo:hi], SrcI: st.prevI[lo:hi], SrcD: st.prevD[lo:hi],
+		PrevM: st.prevMT[lo:hi], PrevI: st.prevIT[lo:hi],
+		TMM: p.tmm[lo:hi], TIM: p.tim[lo:hi], TDM: p.tdm[lo:hi],
+		TMI: p.tmi[lo:hi], TII: p.tii[lo:hi], Emit: p.matUnit[res][lo:hi],
+	}
 }
 
 // The row helpers address a warp's row area by byte offset (position

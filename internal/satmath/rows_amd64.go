@@ -1,0 +1,17 @@
+package satmath
+
+// SSE2 row primitives (rows_amd64.s). SSE2 is part of the amd64
+// baseline, so they need no CPU feature check. Their callers in
+// rows.go have already checked the slice lengths.
+
+//go:noescape
+func msvRow(dst, src, cost []uint64, xB, bias uint64) (xE uint64)
+
+//go:noescape
+func vitMIRow(r *VitMI, xB uint64) (xE uint64)
+
+//go:noescape
+func addRow(dst, a, b []uint64)
+
+//go:noescape
+func ddRound(d, src, w []uint64) (changed bool)

@@ -1,0 +1,13 @@
+//go:build !amd64
+
+package satmath
+
+func msvRow(dst, src, cost []uint64, xB, bias uint64) uint64 {
+	return msvRowGeneric(dst, src, cost, xB, bias)
+}
+
+func vitMIRow(r *VitMI, xB uint64) uint64 { return vitMIRowGeneric(r, xB) }
+
+func addRow(dst, a, b []uint64) { addRowGeneric(dst, a, b) }
+
+func ddRound(d, src, w []uint64) bool { return ddRoundGeneric(d, src, w) }

@@ -1,0 +1,255 @@
+package satmath
+
+import (
+	"math/bits"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// The row primitives (msvRow, vitMIRow, addRow, ddRound: SSE2 on
+// amd64) are held word for word to their generic twins, which are the
+// single-word ops the rest of this package tests against the scalar
+// helpers. Each check runs both on copies of the same inputs and
+// compares every output word and the returned value.
+
+func randWords(rng *rand.Rand, n int, lane func(*rand.Rand) uint64) []uint64 {
+	w := make([]uint64, n)
+	for i := range w {
+		w[i] = lane(rng)
+	}
+	return w
+}
+
+func anyWord(rng *rand.Rand) uint64 { return rng.Uint64() }
+
+// edgeWord packs four edgeI16 lanes.
+func edgeWord(rng *rand.Rand) uint64 {
+	var l [4]int16
+	for i := range l {
+		l[i] = edgeI16(rng)
+	}
+	return packI16(l)
+}
+
+func checkMSVRow(t *testing.T, what string, src, cost []uint64, xB, bias uint64) {
+	t.Helper()
+	got, want := slices.Clone(src), slices.Clone(src)
+	gx := msvRow(got, src, cost, xB, bias)
+	wx := msvRowGeneric(want, src, cost, xB, bias)
+	// In place, as the device kernel runs it.
+	alias := slices.Clone(src)
+	ax := msvRow(alias, alias, cost, xB, bias)
+	if gx != wx || ax != wx || !slices.Equal(got, want) || !slices.Equal(alias, want) {
+		t.Fatalf("%s: msvRow(%d words, xB %#x, bias %#x) = %#x %#x, in place %#x %#x; generic %#x %#x",
+			what, len(src), xB, bias, got, gx, alias, ax, want, wx)
+	}
+}
+
+func newVitMI(rng *rand.Rand, n int, lane func(*rand.Rand) uint64) *VitMI {
+	w := func() []uint64 { return randWords(rng, n, lane) }
+	return &VitMI{
+		M: w(), I: w(),
+		SrcM: w(), SrcI: w(), SrcD: w(), PrevM: w(), PrevI: w(),
+		TMM: w(), TIM: w(), TDM: w(), TMI: w(), TII: w(), Emit: w(),
+	}
+}
+
+func checkVitMIRow(t *testing.T, what string, r *VitMI, xB uint64) {
+	t.Helper()
+	want := *r
+	want.M, want.I = slices.Clone(r.M), slices.Clone(r.I)
+	wx := vitMIRowGeneric(&want, xB)
+	gx := vitMIRow(r, xB)
+	if gx != wx || !slices.Equal(r.M, want.M) || !slices.Equal(r.I, want.I) {
+		t.Fatalf("%s: vitMIRow(%d words, xB %#x) = M %#x I %#x max %#x; generic M %#x I %#x max %#x",
+			what, len(r.M), xB, r.M, r.I, gx, want.M, want.I, wx)
+	}
+}
+
+func checkAddRow(t *testing.T, what string, a, b []uint64) {
+	t.Helper()
+	want := make([]uint64, len(a))
+	addRowGeneric(want, a, b)
+	got := make([]uint64, len(a))
+	addRow(got, a, b)
+	inA, inB := slices.Clone(a), slices.Clone(b)
+	addRow(inA, inA, b)
+	addRow(inB, a, inB)
+	if !slices.Equal(got, want) || !slices.Equal(inA, want) || !slices.Equal(inB, want) {
+		t.Fatalf("%s: addRow(%d words) = %#x, into a %#x, into b %#x; generic %#x", what, len(a), got, inA, inB, want)
+	}
+}
+
+func checkDDRound(t *testing.T, what string, d, src, w []uint64) {
+	t.Helper()
+	got, want := slices.Clone(d), slices.Clone(d)
+	gc := ddRound(got, src, w)
+	wc := ddRoundGeneric(want, src, w)
+	if gc != wc || !slices.Equal(got, want) {
+		t.Fatalf("%s: ddRound(%d words) = %#x changed %v; generic %#x changed %v", what, len(d), got, gc, want, wc)
+	}
+	// In place (src is d), and as the striped engines' serial chain:
+	// src the same array two and three words behind d.
+	for _, back := range []int{0, 2, 3} {
+		lead := make([]uint64, back)
+		copy(lead, src)
+		buf := append(lead, d...)
+		buf2 := slices.Clone(buf)
+		n := len(d)
+		gc := ddRound(buf[back:back+n], buf[:n], w)
+		wc := ddRoundGeneric(buf2[back:back+n], buf2[:n], w)
+		if gc != wc || !slices.Equal(buf, buf2) {
+			t.Fatalf("%s: ddRound(%d words, src %d words behind) = %#x changed %v; generic %#x changed %v",
+				what, n, back, buf, gc, buf2, wc)
+		}
+	}
+}
+
+// TestRowsU8LanePairs runs the MSV row over every u8 pair of
+// TestU8x8Exhaustive — the cell against the emission cost — in every
+// lane position of a 128-bit register and of an odd last word, with
+// random neighbours, across xB and bias values at the lane edges.
+func TestRowsU8LanePairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const pairs = 256 * 256
+	xBs := []uint64{0, SplatU8(1), SplatU8(127), SplatU8(128), SplatU8(254), SplatU8(255), rng.Uint64()}
+	biases := []uint64{0, SplatU8(1), SplatU8(0x80), SplatU8(0xFF)}
+	for pos := 0; pos < 8; pos++ {
+		// Word 0 is a random lead-in that moves every pair into the
+		// other half of its register; each row has an odd length, so
+		// its last pair sits in the single-word tail.
+		for lead := 0; lead <= 1; lead++ {
+			src := randWords(rng, lead+pairs, anyWord)
+			cost := randWords(rng, lead+pairs, anyWord)
+			sh := 8 * pos
+			for p := 0; p < pairs; p++ {
+				x, y := uint64(p>>8), uint64(p&0xFF)
+				j := lead + p
+				src[j] = src[j]&^(0xFF<<sh) | x<<sh
+				cost[j] = cost[j]&^(0xFF<<sh) | y<<sh
+			}
+			if len(src)%2 == 0 {
+				src, cost = src[:len(src)-1], cost[:len(cost)-1]
+			}
+			for _, xB := range xBs {
+				for _, bias := range biases {
+					checkMSVRow(t, "lane pairs", src, cost, xB, bias)
+				}
+			}
+		}
+	}
+}
+
+// TestRowsI16Edges runs the word-lane rows over the i16 edges
+// (edgeI16: -32768, -32767, -1, 0, 1, 32766, 32767 in two lanes of
+// three) at every length from 0 to 40 words, so both the paired loop
+// and the odd last word see them.
+func TestRowsI16Edges(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for rep := 0; rep < 50; rep++ {
+		for n := 0; n <= 40; n++ {
+			checkVitMIRow(t, "edges", newVitMI(rng, n, edgeWord), edgeWord(rng))
+			checkAddRow(t, "edges", randWords(rng, n, edgeWord), randWords(rng, n, edgeWord))
+			checkDDRound(t, "edges", randWords(rng, n, edgeWord), randWords(rng, n, edgeWord), randWords(rng, n, edgeWord))
+		}
+	}
+}
+
+// TestRowsLengths runs every primitive on random words at every length
+// from 0 to 40 words, odd and even.
+func TestRowsLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for rep := 0; rep < 50; rep++ {
+		for n := 0; n <= 40; n++ {
+			checkMSVRow(t, "lengths", randWords(rng, n, anyWord), randWords(rng, n, anyWord), rng.Uint64(), rng.Uint64())
+			checkVitMIRow(t, "lengths", newVitMI(rng, n, anyWord), rng.Uint64())
+			checkAddRow(t, "lengths", randWords(rng, n, anyWord), randWords(rng, n, anyWord))
+			checkDDRound(t, "lengths", randWords(rng, n, anyWord), randWords(rng, n, anyWord), randWords(rng, n, anyWord))
+		}
+	}
+	if xE := msvRow(nil, nil, nil, ^uint64(0), 0); xE != 0 {
+		t.Errorf("msvRow of an empty row = %#x, want 0", xE)
+	}
+	if xE := vitMIRow(&VitMI{}, SplatI16(32767)); xE != SplatI16(NegInf16) {
+		t.Errorf("vitMIRow of an empty row = %#x, want NegInf16 lanes", xE)
+	}
+}
+
+// TestMSVRowBiasCarries drives cells past OverflowThreshold, so the
+// bias add carries from one byte lane into the next: the stored word
+// is the 64-bit sum, in both the paired loop and the odd last word.
+func TestMSVRowBiasCarries(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		src := make([]uint64, n)
+		for j := range src {
+			src[j] = packU8([8]uint8{0xFF, 0xFE, 0xFF, 0x00, 0xF0, 0xFF, 0xFF, 0x7F})
+		}
+		cost := make([]uint64, n)
+		bias := SplatU8(0x11)
+		checkMSVRow(t, "bias carry", src, cost, 0, bias)
+		dst := make([]uint64, n)
+		MSVRowU8(dst, src, cost, 0, bias)
+		for j, w := range dst {
+			if want := src[j] + bias; w != want {
+				t.Fatalf("%d words: word %d = %#x, want the word sum %#x", n, j, w, want)
+			}
+		}
+	}
+}
+
+// TestRowsPanicOnLengthMismatch: a length mismatch is a caller bug and
+// panics in Go, before any assembly could run past a slice.
+func TestRowsPanicOnLengthMismatch(t *testing.T) {
+	short, long := make([]uint64, 3), make([]uint64, 4)
+	mi := newVitMI(rand.New(rand.NewSource(14)), 4, anyWord)
+	mi.TII = short
+	for name, call := range map[string]func(){
+		"MSVRowU8":    func() { MSVRowU8(long, long, short, 0, 0) },
+		"VitMIRowI16": func() { VitMIRowI16(mi, 0) },
+		"AddRowI16":   func() { AddRowI16(short, long, long) },
+		"DDRoundI16":  func() { DDRoundI16(long, short, long) },
+	} {
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "differ in length") {
+					t.Errorf("%s with mismatched rows: recovered %q, want the length panic", name, r)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// FuzzRowsMatchGeneric holds every primitive to its generic twin on
+// rows cut from the fuzzed bytes: row r is the input words rotated by
+// r words and 8r bits, so each row differs and every length the input
+// allows is reached.
+func FuzzRowsMatchGeneric(f *testing.F) {
+	f.Add([]byte{}, uint64(0), uint64(0))
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\x00\x80\x00\x80\x01\x00\xff\x7f"), SplatU8(0x80), SplatU8(0x11))
+	f.Add([]byte(strings.Repeat("\x00\x80\xff\x7f\x01\x00\xfe\xff", 9)), SplatI16(NegInf16), SplatU8(1))
+	f.Fuzz(func(t *testing.T, raw []byte, xB, bias uint64) {
+		words := make([]uint64, len(raw)/8)
+		for i := range words {
+			words[i] = packU8([8]uint8(raw[8*i : 8*i+8]))
+		}
+		n := len(words)
+		row := func(r int) []uint64 {
+			out := make([]uint64, n)
+			for j := range out {
+				out[j] = bits.RotateLeft64(words[(j+r)%n], 8*r)
+			}
+			return out
+		}
+		checkMSVRow(t, "fuzz", row(0), row(1), xB, bias)
+		checkVitMIRow(t, "fuzz", &VitMI{
+			M: row(0), I: row(1),
+			SrcM: row(2), SrcI: row(3), SrcD: row(4), PrevM: row(5), PrevI: row(6),
+			TMM: row(7), TIM: row(8), TDM: row(9), TMI: row(10), TII: row(11), Emit: row(12),
+		}, xB)
+		checkAddRow(t, "fuzz", row(0), row(1))
+		checkDDRound(t, "fuzz", row(0), row(1), row(2))
+	})
+}

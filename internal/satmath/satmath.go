@@ -10,7 +10,9 @@
 //   - SIMD within a register (swar.go): eight byte lanes or four word
 //     lanes per uint64, branch-free, what the striped CPU engines in
 //     internal/cpu and the simulated-GPU kernels in internal/gpu run
-//     their DP cells on.
+//     their DP cells on;
+//   - whole rows of those words (rows.go), one primitive per filter
+//     recurrence, SSE2 assembly on amd64 and the word ops elsewhere.
 package satmath
 
 // AddU8 returns a+b saturated to 255.

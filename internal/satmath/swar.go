@@ -17,6 +17,15 @@ import "encoding/binary"
 // and so does a simulated warp's register file in internal/gpu (32
 // lanes in four or eight words), which loads and stores them through
 // internal/simt's word-shaped shared-memory spans.
+//
+// Two consecutive words are one 128-bit vector of HMMER 3.0's SSE
+// filters (16 u8 or 8 i16 lanes), the low word holding the low lanes,
+// and on amd64 the row primitives of rows.go run them as one SSE2
+// register: MaxU8x8 is HMMER's _mm_max_epu8 (PMAXUB), MSVStepU8x8's
+// subtract after its maxes is _mm_subs_epu8 (PSUBUSB), AddI16x4 is
+// _mm_adds_epi16 (PADDSW) and MaxI16x4 is _mm_max_epi16 (PMAXSW). The
+// single-word ops below stay for ragged row tails, the once-per-row
+// specials and the generic (non-amd64) row loops.
 const (
 	lsb8  = 0x0101010101010101
 	msb8  = 0x8080808080808080

@@ -168,6 +168,9 @@ type session struct {
 	once     sync.Once
 	deadFlag bool
 	cause    error
+	// lost marks a session that died with the worker still in service
+	// and work outstanding: the worker owes the run a reconnect episode.
+	lost bool
 
 	lastSeen atomic.Int64 // clock nanos of the last frame from the worker
 
@@ -207,6 +210,7 @@ func (s *session) kill(cr *coordRun, cause error) {
 			cr.rep.Requeues += n
 			cr.rep.Workers[s.worker].Requeues += n
 		}
+		s.lost = cause != nil && !r.Stopped(s.worker)
 		close(s.dead)
 		r.Wake()
 		r.Unlock()
@@ -262,6 +266,12 @@ func (cr *coordRun) local(b Batch) (bool, error) {
 // runWorker owns worker i for the run: connect (with backoff),
 // serve the session until it dies, strike, reconnect — until the run
 // completes, aborts, or the worker is quarantined.
+//
+// A session lost with work outstanding opens a reconnect episode that
+// runs to its outcome, reconnected or quarantined, even when the rest
+// of the stream finishes first. Whether a lost worker ends the run
+// quarantined then depends on its dials, not on how fast the other
+// workers drain the stream.
 func (cr *coordRun) runWorker(i int) {
 	r := cr.run
 	ws := &cr.rep.Workers[i]
@@ -272,14 +282,13 @@ func (cr *coordRun) runWorker(i int) {
 		passFence = sync.OnceFunc(cr.fence.Done)
 	}
 	defer passFence()
+	r.Lock()
+	stopped := r.Stopped(i)
+	r.Unlock()
+	if stopped {
+		return
+	}
 	for {
-		r.Lock()
-		stopped := r.Stopped(i)
-		r.Unlock()
-		if stopped {
-			return
-		}
-
 		sess, err := cr.connect(i)
 		if err != nil {
 			r.Lock()
@@ -296,7 +305,7 @@ func (cr *coordRun) runWorker(i int) {
 			ws.Disconnects++
 			ws.LastError = sess.cause.Error()
 		}
-		if r.Stopped(i) {
+		if !sess.lost {
 			r.Unlock()
 			return
 		}

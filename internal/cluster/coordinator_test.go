@@ -258,6 +258,86 @@ func TestWorkerKillRequeuesExactlyOnce(t *testing.T) {
 	}
 }
 
+// gatedClock is the wall clock, except that every wait of exactly d
+// lasts until gate closes.
+type gatedClock struct {
+	d    time.Duration
+	gate <-chan struct{}
+}
+
+func (c gatedClock) Now() time.Time { return time.Now() }
+
+func (c gatedClock) After(d time.Duration) <-chan time.Time {
+	if d != c.d {
+		return time.After(d)
+	}
+	ch := make(chan time.Time, 1)
+	go func() {
+		<-c.gate
+		ch <- time.Now()
+	}()
+	return ch
+}
+
+// closeHook closes closed when the connection is first closed.
+type closeHook struct {
+	net.Conn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *closeHook) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// A worker killed mid-run owes the run its reconnect episode even when
+// the other workers finish the stream first: its backoff here outlasts
+// the whole stream, and it still ends the run quarantined, not in
+// limbo between its lost session and its first redial.
+func TestKilledWorkerQuarantinedAfterStreamEnds(t *testing.T) {
+	inject := injectWorker(1, 0, func(p *FaultPlan) { p.KillAtBatch, p.StayDead = 0, true })
+	cl := newCommitLog()
+	workers := pipeWorkers(2, 0, testExec)
+	// Worker 1 connects once worker 0 has lost batch 0, runs the whole
+	// stream, and its goodbye (the run is done) opens the backoff gate.
+	var logf func(string, ...any)
+	workers[1], logf = afterLog(workers[1], "cluster: worker w0 session ended")
+	done := make(chan struct{})
+	dial := workers[1].Dial
+	workers[1].Dial = func(ctx context.Context) (net.Conn, error) {
+		conn, err := dial(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return &closeHook{Conn: conn, closed: done}, nil
+	}
+	const backoff = 3 * time.Millisecond
+	c := &Coordinator{Cfg: Config{
+		Workers:     workers,
+		Fingerprint: testFP,
+		Policy: dispatch.Policy{BackoffBase: backoff, BackoffCap: backoff,
+			Clock: gatedClock{d: backoff, gate: done}},
+		Inject: inject,
+		Logf:   logf,
+	}}
+	rep, err := c.Run(context.Background(), produceN(4), cl.fn)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	wantExact(t, cl, 4)
+	if rep.Requeues != 1 || rep.Workers[1].Batches != 4 {
+		t.Fatalf("want 1 requeue and all 4 batches on worker 1: %s", rep)
+	}
+	if !rep.Workers[0].Quarantined || rep.Quarantines != 1 {
+		t.Fatalf("worker 0 not quarantined after the stream ended: %s", rep)
+	}
+	if rep.Workers[0].ConnectFailures != DefaultMaxConnects {
+		t.Fatalf("worker 0 made %d refused dials, want %d: %s",
+			rep.Workers[0].ConnectFailures, DefaultMaxConnects, rep)
+	}
+}
+
 func TestTornFrameDiscardedAndRequeuedOnce(t *testing.T) {
 	inject := injectWorker(1, 0, func(p *FaultPlan) { p.TornAtBatch, p.StayDead = 0, true })
 	cl := newCommitLog()

@@ -78,7 +78,7 @@ func newConfig(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.inProcess, "cluster", 0, "shard the streamed search across this many in-process worker nodes, each with -devices simulated devices (exercises the full cluster wire protocol; see cmd/hmmworker for real worker processes)")
 	fs.StringVar(&c.workerList, "cluster-workers", "", "comma-separated hmmworker addresses (host:port) to shard the streamed search across over TCP")
 	fs.DurationVar(&c.cluster.BatchDeadline, "cluster-deadline", 0, "per-batch assignment deadline in cluster mode (0 disables); a batch not answered in time is reclaimed and requeued, the late reply fenced")
-	fs.BoolVar(&c.standby, "ha-standby", false, "run as the hot-standby coordinator: keep warm connections to -cluster-workers, tail the -journal, and take over the run (fencing the dead primary by epoch) when the primary's <journal>.lock frees")
+	fs.BoolVar(&c.standby, "ha-standby", false, "run as the hot-standby coordinator: keep warm connections to -cluster-workers, check that the -journal belongs to this run, and when the primary's <journal>.lock frees, resume the journal and take over the run (fencing the dead primary by epoch)")
 	fs.Uint64Var(&c.cluster.Epoch, "ha-epoch", 0, "coordinator epoch for fencing: the primary runs at 1 (default), a standby takes over at 2; chain further standbys with higher epochs")
 
 	fs.StringVar(&c.ckpt.Path, "journal", "", "journal committed batches to this crash-safe file (-engine multigpu -stream, or a cluster); an interrupted run resumes with -resume")
@@ -112,7 +112,7 @@ func (c *config) vet() (err error) {
 	case streamed && clustered && c.standby && c.ckpt.Path == "":
 		return errors.New("-ha-standby requires -journal: the primary's commit log is the handoff medium")
 	case streamed && clustered && c.standby && c.ckpt.Resume:
-		return errors.New("-ha-standby replaces -resume: the standby tails the journal live and settles it at takeover")
+		return errors.New("-ha-standby replaces -resume: the standby resumes the journal itself when it takes over")
 	case streamed && !clustered && c.engine == "cpu" && journaled:
 		return errors.New("-journal/-resume require -engine multigpu or -cluster/-cluster-workers")
 	case streamed && !clustered && c.engine != "cpu" && c.engine != "multigpu":
@@ -334,7 +334,7 @@ func (c *config) stream(ctx context.Context, drain <-chan struct{}, pl *pipeline
 		balanced(rep.Batches)
 		fmt.Println(rep.String())
 		if rep.Failovers > 0 {
-			fmt.Printf("Failover: took over at epoch %d after tailing %d committed batches from the primary's journal\n",
+			fmt.Printf("Failover: took over at epoch %d after reading %d committed batches from the primary's journal\n",
 				rep.Epoch, rep.StandbyTailed)
 		}
 		c.printRecovery(extra.Checkpoint, extra.Drained, "hmmsearch -stream", budget)

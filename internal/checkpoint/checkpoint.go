@@ -19,7 +19,7 @@
 // File layout:
 //
 //	magic (12 bytes) | fingerprint (32 bytes) | sim mode (1 byte) | record*
-//	record: u32 frame length | u32 CRC-32 (IEEE) of body | body
+//	record: u32 frame length | u32 CRC-32 (IEEE) of body | body  (package frame)
 //	body:   u64 seq | u64 offset | u64 numSeqs | u64 residues | payload
 //
 // All integers are little-endian. The payload is the engine's opaque
@@ -30,11 +30,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
 
+	"hmmer3gpu/internal/frame"
 	"hmmer3gpu/internal/obs"
 )
 
@@ -46,9 +46,6 @@ const magic = "HMM3GPUCKPT\x02"
 // headerSize is the byte length of the magic + fingerprint + mode
 // prologue.
 const headerSize = len(magic) + 32 + 1
-
-// recordHeaderSize frames every record body: u32 length + u32 CRC.
-const recordHeaderSize = 8
 
 // bodyFixedSize is the fixed portion of a record body (seq, offset,
 // numSeqs, residues) preceding the payload.
@@ -251,20 +248,50 @@ func Create(path string, fp Fingerprint, opts Options) (*Journal, error) {
 // Resume replays the journal at path and reopens it for appending.
 // Every intact record is returned in journal (commit) order; a
 // truncated tail record is dropped (counted in Stats.DroppedTail) and
-// the file truncated back to its last intact record, so subsequent
-// appends start from a clean frame boundary. A checksum failure,
-// structural damage, or a fingerprint mismatch aborts with a typed
-// error — those journals must not be resumed from.
+// the file truncated back to its last intact record, durably, so
+// subsequent appends start from a clean frame boundary. A checksum
+// failure, structural damage, or a fingerprint mismatch aborts with a
+// typed error — those journals must not be resumed from.
 func Resume(path string, fp Fingerprint, opts Options) (*Journal, []Record, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := readHeader(f, fp, opts.Mode); err != nil {
+	fail := func(err error) (*Journal, []Record, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return settle(f, opts, int64(headerSize), 0)
+	if err := readHeader(f, fp, opts.Mode); err != nil {
+		return fail(err)
+	}
+	if _, err := f.Seek(int64(headerSize), io.SeekStart); err != nil {
+		return fail(fmt.Errorf("checkpoint: %w", err))
+	}
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return fail(fmt.Errorf("checkpoint: %w", err))
+	}
+	j := &Journal{f: f, opts: opts}
+	recs, n, err := readRecords(data, int64(headerSize))
+	if err == io.ErrUnexpectedEOF {
+		j.stats.DroppedTail++
+	} else if err != nil {
+		return fail(err)
+	}
+	off := int64(headerSize + n)
+	if err := f.Truncate(off); err != nil {
+		return fail(fmt.Errorf("checkpoint: truncating torn tail: %w", err))
+	}
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return fail(fmt.Errorf("checkpoint: %w", err))
+	}
+	if err := f.Sync(); err != nil {
+		return fail(fmt.Errorf("checkpoint: %w", err))
+	}
+	j.stats.Syncs++
+	j.written, j.synced = off, off
+	j.stats.Replayed = len(recs)
+	return j, recs, nil
 }
 
 // readHeader validates the journal prologue at the start of f.
@@ -290,101 +317,37 @@ func readHeader(f *os.File, fp Fingerprint, mode byte) error {
 	return nil
 }
 
-// errTornFrame marks bytes at a frame offset that do not (yet) form a
-// complete frame: a short frame header or a short body.
-var errTornFrame = errors.New("checkpoint: incomplete frame")
+// journalFrame bounds a record frame's body: the fixed record prefix,
+// then at most MaxRecordSize bytes in all.
+var journalFrame = frame.Limits{Min: bodyFixedSize, Max: MaxRecordSize}
 
-// readFrameAt reads the record framed at offset off of a file of the
-// given size and returns it with the offset just past it. Bytes too
-// short to hold the frame are errTornFrame; an implausible length or a
-// complete body failing its checksum is a *CorruptError (Index unset).
-func readFrameAt(f *os.File, off, size int64) (Record, int64, error) {
-	if off+recordHeaderSize > size {
-		return Record{}, 0, errTornFrame
-	}
-	var hdr [recordHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
-		return Record{}, 0, fmt.Errorf("checkpoint: %w", err)
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length < bodyFixedSize || length > MaxRecordSize {
-		return Record{}, 0, &CorruptError{Off: off, Reason: fmt.Sprintf("implausible frame length %d", length)}
-	}
-	next := off + recordHeaderSize + int64(length)
-	if next > size {
-		return Record{}, 0, errTornFrame
-	}
-	body := make([]byte, length)
-	if _, err := f.ReadAt(body, off+recordHeaderSize); err != nil {
-		return Record{}, 0, fmt.Errorf("checkpoint: %w", err)
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		// A torn write cannot produce a full-length body.
-		return Record{}, 0, &CorruptError{Off: off, Reason: "checksum mismatch"}
-	}
-	return Record{
-		Seq:      binary.LittleEndian.Uint64(body[0:8]),
-		Offset:   binary.LittleEndian.Uint64(body[8:16]),
-		NumSeqs:  binary.LittleEndian.Uint64(body[16:24]),
-		Residues: binary.LittleEndian.Uint64(body[24:32]),
-		Payload:  body[bodyFixedSize:],
-	}, next, nil
-}
-
-// settle reads f's records from offset off to its end and returns a
-// Journal appending just past the last intact one. It is the strict
-// reader a resumed or promoted appender needs: a corrupt frame refuses
-// with *CorruptError (index is the ordinal of the record at off), and
-// a torn tail — the signature of dying mid-append — is truncated away
-// and counted in Stats.DroppedTail, durably, before settle returns. f
-// is closed on error.
-func settle(f *os.File, opts Options, off int64, index int) (*Journal, []Record, error) {
-	fail := func(err error) (*Journal, []Record, error) {
-		f.Close()
-		return nil, nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return fail(fmt.Errorf("checkpoint: %w", err))
-	}
-	size := fi.Size()
-	if size < off {
-		return fail(fmt.Errorf("checkpoint: journal shrank from %d to %d bytes: truncated or replaced underneath the reader", off, size))
-	}
-	j := &Journal{f: f, opts: opts}
+// readRecords decodes the record frames in data, which starts at file
+// offset off, up to the first that is not whole. It returns those
+// records, the bytes they span, and why it stopped: nil at the end of
+// data, io.ErrUnexpectedEOF at a torn frame, or a *CorruptError whose
+// Index is the bad frame's ordinal in data.
+func readRecords(data []byte, off int64) ([]Record, int, error) {
 	var recs []Record
-	for i := index; ; i++ {
-		rec, next, err := readFrameAt(f, off, size)
-		if errors.Is(err, errTornFrame) {
-			if off < size {
-				j.stats.DroppedTail++
-			}
-			break
-		}
-		var ce *CorruptError
+	n := 0
+	for n < len(data) {
+		body, rest, err := journalFrame.Decode(data[n:])
+		var ce *frame.CorruptError
 		if errors.As(err, &ce) {
-			ce.Index = i
+			return recs, n, &CorruptError{Index: len(recs), Off: off + int64(n), Reason: ce.Reason}
 		}
 		if err != nil {
-			return fail(err)
+			return recs, n, err
 		}
-		recs = append(recs, rec)
-		off = next
+		recs = append(recs, Record{
+			Seq:      binary.LittleEndian.Uint64(body[0:8]),
+			Offset:   binary.LittleEndian.Uint64(body[8:16]),
+			NumSeqs:  binary.LittleEndian.Uint64(body[16:24]),
+			Residues: binary.LittleEndian.Uint64(body[24:32]),
+			Payload:  body[bodyFixedSize:len(body):len(body)], // appends must not run into the next frame
+		})
+		n = len(data) - len(rest)
 	}
-	if err := f.Truncate(off); err != nil {
-		return fail(fmt.Errorf("checkpoint: truncating torn tail: %w", err))
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return fail(fmt.Errorf("checkpoint: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("checkpoint: %w", err))
-	}
-	j.stats.Syncs++
-	j.written, j.synced = off, off
-	j.stats.Replayed = len(recs)
-	return j, recs, nil
+	return recs, n, nil
 }
 
 // Append journals one batch result. The record is made durable (per
@@ -411,21 +374,18 @@ func (j *Journal) Append(rec Record) error {
 	binary.LittleEndian.PutUint64(body[16:24], rec.NumSeqs)
 	binary.LittleEndian.PutUint64(body[24:32], rec.Residues)
 	copy(body[bodyFixedSize:], rec.Payload)
-	frame := make([]byte, recordHeaderSize, recordHeaderSize+len(body))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-	frame = append(frame, body...)
+	framed := frame.Append(make([]byte, 0, frame.HeaderSize+len(body)), body)
 
-	if _, err := j.f.Write(frame); err != nil {
+	if _, err := j.f.Write(framed); err != nil {
 		return fmt.Errorf("checkpoint: append: %w", err)
 	}
-	j.written += int64(len(frame))
+	j.written += int64(len(framed))
 
 	if j.opts.Crash.fires(ordinal, WindowAfterAppend) {
 		// Died after write(2), before fsync: the record sits in the page
 		// cache. Power loss can persist any prefix; keep a torn half so
 		// replay exercises the truncated-tail path.
-		return j.crashLocked(int64(len(frame)) / 2)
+		return j.crashLocked(int64(len(framed)) / 2)
 	}
 
 	j.pending++

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hmmer3gpu/internal/frame"
 )
 
 func tmpJournal(t *testing.T) string {
@@ -182,7 +184,7 @@ func TestTornTailDropped(t *testing.T) {
 
 	// Tear at every byte depth of the final record: frame header cut,
 	// body cut, single trailing byte.
-	for _, keep := range []int64{whole + 1, whole + recordHeaderSize - 1, whole + recordHeaderSize + 3, torn - 1} {
+	for _, keep := range []int64{whole + 1, whole + frame.HeaderSize - 1, whole + frame.HeaderSize + 3, torn - 1} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -233,7 +235,7 @@ func TestFlippedBitRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[headerSize+recordHeaderSize+bodyFixedSize+2] ^= 0x40
+	data[headerSize+frame.HeaderSize+bodyFixedSize+2] ^= 0x40
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"testing"
+
+	"hmmer3gpu/internal/frame"
 )
 
 func mustPoll(t *testing.T, fo *Follower) []Record {
@@ -49,9 +51,6 @@ func TestFollowLiveAppends(t *testing.T) {
 	got = mustPoll(t, fo)
 	if len(got) != 1 || got[0].Seq != 2 {
 		t.Fatalf("Poll after third append = %+v", got)
-	}
-	if fo.Delivered() != 3 {
-		t.Fatalf("Delivered = %d, want 3", fo.Delivered())
 	}
 }
 
@@ -110,7 +109,7 @@ func TestFollowMidRecordTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := whole[len(full):]
+	framed := whole[len(full):]
 	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +131,10 @@ func TestFollowMidRecordTail(t *testing.T) {
 	// Land the frame in three slices: cut inside the frame header, then
 	// inside the body, then the rest. After each partial write the
 	// frontier must hold (no records, no error).
-	cuts := []int{recordHeaderSize - 3, recordHeaderSize + 5, len(frame)}
+	cuts := []int{frame.HeaderSize - 3, frame.HeaderSize + 5, len(framed)}
 	prev := 0
 	for _, cut := range cuts[:len(cuts)-1] {
-		if _, err := f.Write(frame[prev:cut]); err != nil {
+		if _, err := f.Write(framed[prev:cut]); err != nil {
 			t.Fatal(err)
 		}
 		prev = cut
@@ -143,7 +142,7 @@ func TestFollowMidRecordTail(t *testing.T) {
 			t.Fatalf("Poll mid-write (at %d bytes) returned %d records", cut, len(got))
 		}
 	}
-	if _, err := f.Write(frame[prev:]); err != nil {
+	if _, err := f.Write(framed[prev:]); err != nil {
 		t.Fatal(err)
 	}
 	got := mustPoll(t, fo)
@@ -196,40 +195,6 @@ func TestFollowTornTailOverwritten(t *testing.T) {
 	got := mustPoll(t, fo)
 	if len(got) != 1 || got[0].Seq != 1 || string(got[0].Payload) != "retried-after-restart" {
 		t.Fatalf("Poll after overwrite = %+v, want the retried record", got)
-	}
-}
-
-// TestFollowerRestartFromOffset persists the frontier and reopens a
-// new follower there: only records past the offset are delivered.
-func TestFollowerRestartFromOffset(t *testing.T) {
-	path := tmpJournal(t)
-	j, err := Create(path, fp(1), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	mustAppend(t, j, rec(0, "before"))
-	mustAppend(t, j, rec(1, "before-too"))
-
-	fo, err := OpenFollower(path, fp(1), FollowerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustPoll(t, fo); len(got) != 2 {
-		t.Fatalf("first reader got %d records, want 2", len(got))
-	}
-	frontier := fo.Offset()
-	fo.Close()
-
-	mustAppend(t, j, rec(2, "after"))
-	fo2, err := OpenFollower(path, fp(1), FollowerOptions{Offset: frontier})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fo2.Close()
-	got := mustPoll(t, fo2)
-	if len(got) != 1 || got[0].Seq != 2 {
-		t.Fatalf("restarted reader Poll = %+v, want only record 2", got)
 	}
 }
 
@@ -288,94 +253,5 @@ func TestFollowerShrinkDetected(t *testing.T) {
 	}
 	if _, err := fo.Poll(); err == nil {
 		t.Fatal("Poll over a shrunk journal succeeded")
-	}
-}
-
-// TestTakeOverSettlesTail promotes a follower whose journal holds two
-// polled records, one unpolled tail record, and a torn half-frame: the
-// tail record comes back from TakeOver, the torn bytes are truncated,
-// and the returned journal appends cleanly from the settled boundary.
-func TestTakeOverSettlesTail(t *testing.T) {
-	path := tmpJournal(t)
-	j, err := Create(path, fp(1), Options{Crash: CrashAfter(3, WindowAfterAppend)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo, err := OpenFollower(path, fp(1), FollowerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mustAppend(t, j, rec(0, "polled-a"))
-	mustAppend(t, j, rec(1, "polled-b"))
-	if got := mustPoll(t, fo); len(got) != 2 {
-		t.Fatalf("Poll = %d records, want 2", len(got))
-	}
-	mustAppend(t, j, rec(2, "unpolled-tail"))
-	if err := j.Append(rec(3, "dies-mid-append")); !errors.Is(err, ErrInjectedCrash) {
-		t.Fatalf("err = %v, want ErrInjectedCrash", err)
-	}
-	j.Close()
-
-	j2, tail, err := fo.TakeOver(Options{})
-	if err != nil {
-		t.Fatalf("TakeOver: %v", err)
-	}
-	if len(tail) != 1 || tail[0].Seq != 2 || string(tail[0].Payload) != "unpolled-tail" {
-		t.Fatalf("TakeOver tail = %+v, want record 2", tail)
-	}
-	st := j2.Stats()
-	if st.Replayed != 3 || st.DroppedTail != 1 {
-		t.Fatalf("stats = %+v, want Replayed 3, DroppedTail 1", st)
-	}
-	mustAppend(t, j2, rec(3, "appended-by-standby"))
-	j2.Close()
-
-	// The settled journal resumes as 4 clean records.
-	j3, recs, err := Resume(path, fp(1), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	if len(recs) != 4 || string(recs[3].Payload) != "appended-by-standby" {
-		t.Fatalf("Resume after takeover = %d records", len(recs))
-	}
-	// The follower is consumed.
-	if _, err := fo.Poll(); err == nil {
-		t.Fatal("Poll after TakeOver succeeded")
-	}
-}
-
-// TestTakeOverRejectsBitRot: a complete frame with a bad checksum past
-// the frontier is corruption, not a torn tail — TakeOver must refuse.
-func TestTakeOverRejectsBitRot(t *testing.T) {
-	path := tmpJournal(t)
-	j, err := Create(path, fp(1), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, j, rec(0, "clean"))
-	fo, err := OpenFollower(path, fp(1), FollowerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustPoll(t, fo); len(got) != 1 {
-		t.Fatalf("Poll = %d records, want 1", len(got))
-	}
-	mustAppend(t, j, rec(1, "rotten-payload"))
-	j.Close()
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = fo.TakeOver(Options{})
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("TakeOver over bit rot: err = %v, want *CorruptError", err)
 	}
 }

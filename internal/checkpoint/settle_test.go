@@ -7,10 +7,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"hmmer3gpu/internal/frame"
 )
 
-// settleOutcome is everything a resumed or promoted appender reports
-// about the journal it settled.
+// settleOutcome is everything a resumed appender, or the refusal
+// before it, reports about the journal it settled.
 type settleOutcome struct {
 	Recs        []Record
 	Replayed    int
@@ -18,11 +20,18 @@ type settleOutcome struct {
 	Size        int64
 	ErrType     string
 	Err         string
+	// Early marks a refusal by the standby's header check, before
+	// Resume ran.
+	Early bool
 }
 
-// TestResumeAndTakeOverSettleAlike holds Resume and a fresh
-// OpenFollower+TakeOver to one reader: on the same bytes they must
-// return the same records, counters, final file size and typed error.
+// TestResumeAndTakeOverSettleAlike holds a hot standby's takeover to
+// Resume. While it waits for the lease, the standby checks only the
+// journal header (OpenFollower, then Close); once it holds the lease,
+// it resumes. On the same bytes that sequence must return what Resume
+// alone does: the same records, counters, final file size and typed
+// error. So the header check refuses early exactly the journals
+// Resume would refuse for their header, and nothing Resume accepts.
 func TestResumeAndTakeOverSettleAlike(t *testing.T) {
 	const mode = 1
 	// intact is a header plus two records; frame1 is the second
@@ -45,7 +54,7 @@ func TestResumeAndTakeOverSettleAlike(t *testing.T) {
 		return b
 	}
 	intact := build(t)
-	frame1 := int64(headerSize + recordHeaderSize + bodyFixedSize + len("alpha"))
+	frame1 := int64(headerSize + frame.HeaderSize + bodyFixedSize + len("alpha"))
 
 	cases := []struct {
 		name    string
@@ -56,7 +65,7 @@ func TestResumeAndTakeOverSettleAlike(t *testing.T) {
 	}{
 		{"header only", func(b []byte) []byte { return b[:headerSize] }, "", 0, 0},
 		{"intact records", func(b []byte) []byte { return b }, "", 2, 0},
-		{"torn frame header", func(b []byte) []byte { return b[:frame1+recordHeaderSize/2] }, "", 1, 1},
+		{"torn frame header", func(b []byte) []byte { return b[:frame1+frame.HeaderSize/2] }, "", 1, 1},
 		{"torn body", func(b []byte) []byte { return b[:len(b)-3] }, "", 1, 1},
 		{"bad crc", func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b }, "*checkpoint.CorruptError", 0, 0},
 		{"implausible length", func(b []byte) []byte {
@@ -106,13 +115,20 @@ func TestResumeAndTakeOverSettleAlike(t *testing.T) {
 			var took settleOutcome
 			if err != nil {
 				took = outcome(tpath, nil, nil, err)
+				took.Early = true
 			} else {
-				j, recs, err := fo.TakeOver(Options{})
+				fo.Close()
+				j, recs, err := Resume(tpath, fp(1), Options{Mode: mode})
 				took = outcome(tpath, j, recs, err)
 			}
 
+			early := took.Early
+			took.Early = false
 			if !reflect.DeepEqual(resumed, took) {
-				t.Fatalf("Resume and TakeOver disagree:\nresume   %+v\ntakeover %+v", resumed, took)
+				t.Fatalf("Resume and the takeover disagree:\nresume   %+v\ntakeover %+v", resumed, took)
+			}
+			if header := tc.wantErr != "" && tc.wantErr != "*checkpoint.CorruptError"; early != header {
+				t.Fatalf("header check refused: %v, want %v", early, header)
 			}
 			if resumed.ErrType != tc.wantErr {
 				t.Fatalf("error type %q, want %q", resumed.ErrType, tc.wantErr)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hmmer3gpu/internal/dispatch"
+	"hmmer3gpu/internal/frame"
 )
 
 // ErrInjectedRefusal marks a dial the fault injector refused, standing
@@ -222,7 +223,7 @@ func (fi *FaultInjector) WrapConn(worker int, conn net.Conn) net.Conn {
 // faultConn intercepts writes on the coordinator side of a worker
 // connection. Frames are written as single contiguous buffers
 // (writeFrame), so each Write carries exactly one frame and the
-// message type sits at offset frameHeaderSize.
+// message type sits at offset frame.HeaderSize.
 type faultConn struct {
 	net.Conn
 	fi     *FaultInjector
@@ -241,8 +242,8 @@ func (fc *faultConn) Write(b []byte) (int, error) {
 		return 0, ErrInjectedKill
 	}
 	typ := byte(0)
-	if len(b) > frameHeaderSize {
-		typ = b[frameHeaderSize]
+	if len(b) > frame.HeaderSize {
+		typ = b[frame.HeaderSize]
 	}
 	if typ == msgHello && !fc.wroteHello {
 		fc.wroteHello = true

@@ -273,16 +273,11 @@ func TestStandbyPromoteTakesOverWorkers(t *testing.T) {
 	}
 
 	// The standby warms its connections before the primary dies.
+	logf, warm := warmLog()
 	sb := NewStandby(StandbyConfig{Workers: specs, Fingerprint: testFP, Mode: 1,
-		PingEvery: 20 * time.Millisecond})
+		PingEvery: 20 * time.Millisecond, Logf: logf})
 	sb.Start(context.Background())
-	deadline := time.Now().Add(5 * time.Second)
-	for sb.Warm() < nWorkers {
-		if time.Now().After(deadline) {
-			t.Fatalf("standby warmed %d/%d connections", sb.Warm(), nWorkers)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitWarm(t, sb, warm, nWorkers)
 
 	// Primary run at epoch 1, killed after 4 assignments.
 	fi := NewFaultInjector(1)
@@ -431,16 +426,11 @@ func TestTakeoverReportsUnfencedWorker(t *testing.T) {
 // Standby.Close tears the warm connections down without promoting.
 func TestStandbyCloseWithoutPromote(t *testing.T) {
 	specs := pipeWorkers(2, 1, testExec)
+	logf, warm := warmLog()
 	sb := NewStandby(StandbyConfig{Workers: specs, Fingerprint: testFP, Mode: 1,
-		PingEvery: 20 * time.Millisecond})
+		PingEvery: 20 * time.Millisecond, Logf: logf})
 	sb.Start(context.Background())
-	deadline := time.Now().Add(5 * time.Second)
-	for sb.Warm() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("standby warmed %d/2 connections", sb.Warm())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitWarm(t, sb, warm, 2)
 	sb.Close()
 	if got := sb.Warm(); got != 0 {
 		t.Fatalf("Warm after Close = %d, want 0", got)
@@ -469,29 +459,44 @@ func TestStandbyRedialsLostWorker(t *testing.T) {
 		defer mu.Unlock()
 		return dials, lastServer
 	}
+	logf, warm := warmLog()
 	sb := NewStandby(StandbyConfig{Workers: []WorkerSpec{spec}, Fingerprint: testFP,
-		Mode: 1, PingEvery: 10 * time.Millisecond,
+		Mode: 1, PingEvery: 10 * time.Millisecond, Logf: logf,
 		Policy: dispatch.Policy{BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond}})
 	sb.Start(context.Background())
 	defer sb.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for sb.Warm() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("standby never warmed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitWarm(t, sb, warm, 1)
 	_, server := dialed()
 	server.Close() // worker "crashes"
-	for {
-		n, _ := dialed()
-		if n >= 2 && sb.Warm() >= 1 {
-			break
+	awaitWarm(t, sb, warm, 1)
+	if n, _ := dialed(); n < 2 {
+		t.Fatalf("standby re-warmed after %d dials, want a redial", n)
+	}
+}
+
+// warmLog returns a StandbyConfig.Logf that signals on warm once per
+// "connection warm" line, which the standby logs once the connection
+// counts in Warm.
+func warmLog() (func(string, ...any), <-chan struct{}) {
+	// Room for every warm line a test can log, so a maintainer never
+	// blocks on logging once the test has stopped reading.
+	warm := make(chan struct{}, 16)
+	return func(format string, _ ...any) {
+		if strings.Contains(format, "connection warm") {
+			warm <- struct{}{}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("standby never re-warmed (dials=%d warm=%d)", n, sb.Warm())
+	}, warm
+}
+
+// awaitWarm waits for n more "connection warm" lines from sb.
+func awaitWarm(t *testing.T, sb *Standby, warm <-chan struct{}, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-warm:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("standby warmed %d of %d connections (Warm = %d)", i, n, sb.Warm())
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -6,9 +6,10 @@ import (
 )
 
 // AcquireLeadership blocks until the caller holds the cluster
-// leadership lease, returning a release func. The pipeline's standby
-// run path parks on this between tailing the primary's journal and
-// taking it over; the file-backed implementation (AcquireFileLeadership)
+// leadership lease, returning a release func, or returns ctx's error
+// once ctx is done. The pipeline's standby run path parks on this
+// before it resumes the primary's journal; the file-backed
+// implementation (AcquireFileLeadership)
 // keys the lease to an OS advisory lock that the kernel revokes the
 // instant the holder dies, so a crashed primary frees the lease without
 // any timeout tuning. Tests substitute a channel-backed implementation.

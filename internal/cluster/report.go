@@ -51,8 +51,8 @@ type Report struct {
 	// a standby run that assumed a dead primary's journal and workers,
 	// 0 for a plain run).
 	Failovers int
-	// StandbyTailed counts journal records this run consumed while
-	// still a standby (tailing the primary's journal before takeover).
+	// StandbyTailed counts the records a standby run read from the
+	// primary's journal when it took over.
 	StandbyTailed int
 	// Degraded reports that the run lost every worker and finished on
 	// the coordinator's local executor.
@@ -175,7 +175,7 @@ func (r *Report) Record(reg *obs.Registry) {
 	reg.Help("hmmer_cluster_failovers_total",
 		"hot-standby takeovers performed by this run (journal assumed, workers promoted)")
 	reg.Help("hmmer_cluster_standby_tailed_total",
-		"journal records consumed while tailing the primary as a standby")
+		"records a standby read from the primary's journal when it took over")
 	reg.Help("hmmer_cluster_unfenced_workers",
 		"workers that never acked this takeover run's epoch and could still ack the old primary")
 	reg.Help("hmmer_cluster_epoch",

@@ -139,7 +139,6 @@ func (s *Standby) maintain(ctx context.Context, i int) {
 				continue
 			}
 			fails = 0
-			s.cfg.logf("cluster: standby: worker %s connection warm", spec.Name)
 			s.mu.Lock()
 			if s.promoted || s.closed {
 				s.mu.Unlock()
@@ -149,6 +148,7 @@ func (s *Standby) maintain(ctx context.Context, i int) {
 			s.conns[i] = c
 			conn = c
 			s.mu.Unlock()
+			s.cfg.logf("cluster: standby: worker %s connection warm", spec.Name)
 		}
 
 		// One keepalive round trip. The pong read runs under a wall-

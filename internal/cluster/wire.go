@@ -5,8 +5,8 @@
 // worker loss, network failure, and coordinator crash are first-class,
 // survivable events:
 //
-//   - Workers speak a length-prefixed, CRC-framed, versioned wire
-//     protocol over localhost TCP (or an in-process net.Pipe); the
+//   - Workers speak a length-prefixed, CRC-framed (package frame),
+//     versioned wire protocol over localhost TCP (or an in-process net.Pipe); the
 //     handshake carries the run's config fingerprint and simulator
 //     mode, so a mismatched worker is rejected at connect, never after
 //     it has computed a batch under the wrong configuration.
@@ -30,9 +30,9 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"hmmer3gpu/internal/frame"
 	"hmmer3gpu/internal/seq"
 )
 
@@ -55,10 +55,6 @@ const (
 // cannot force a multi-gigabyte allocation. A batch frame holds one
 // residue-budgeted batch (single-digit MB at realistic budgets).
 const MaxFrame = 1 << 28
-
-// frameHeaderSize prefixes every frame: u32 body length + u32 CRC-32
-// (IEEE) of the body.
-const frameHeaderSize = 8
 
 // Message types (the first body byte). The body layouts are
 // little-endian throughout:
@@ -84,16 +80,6 @@ const (
 	msgGoodbye
 )
 
-// FrameError reports a malformed frame: implausible length, checksum
-// mismatch, or a truncated body on a byte slice. Connection-level
-// handlers treat it as fatal for the connection — a peer that frames
-// incorrectly cannot be trusted to resynchronise.
-type FrameError struct {
-	Reason string
-}
-
-func (e *FrameError) Error() string { return "cluster: bad frame: " + e.Reason }
-
 // WireError reports a well-framed body whose message payload is
 // malformed (truncated field, implausible count).
 type WireError struct {
@@ -117,78 +103,27 @@ func (e *HandshakeError) Error() string {
 	return fmt.Sprintf("cluster: handshake with worker %s rejected: %s", e.Worker, e.Reason)
 }
 
-// appendFrame frames body (type byte already first) into buf:
-// u32 length | u32 crc | body.
-func appendFrame(buf, body []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-	buf = append(buf, hdr[:]...)
-	return append(buf, body...)
-}
+// wireFrame bounds a frame's body: the message type byte, then at
+// most MaxFrame bytes in all.
+var wireFrame = frame.Limits{Min: 1, Max: MaxFrame}
 
-// frame returns body framed as a single contiguous buffer, ready for
-// one Write call (frames must hit the wire in one write so fault
-// injection and the torn-frame semantics can reason per frame).
-func frame(body []byte) []byte {
-	return appendFrame(make([]byte, 0, frameHeaderSize+len(body)), body)
-}
-
-// writeFrame writes one framed message to w as a single Write.
+// writeFrame writes body (type byte first) to w as one frame in a
+// single Write, so fault injection and the torn-frame semantics can
+// reason per frame.
 func writeFrame(w io.Writer, body []byte) error {
-	_, err := w.Write(frame(body))
+	_, err := w.Write(frame.Append(make([]byte, 0, frame.HeaderSize+len(body)), body))
 	return err
 }
 
-// readFrame reads one frame from r, validating length bounds and the
-// CRC. io.EOF is returned verbatim only on a clean boundary (no bytes
-// of the next frame read); a frame cut anywhere else surfaces as
-// io.ErrUnexpectedEOF — the torn-frame signature.
+// readFrame reads one frame from r and splits off its message type.
+// Errors are frame.Limits.Read's; connection handlers treat every one
+// as fatal, since a peer that frames incorrectly cannot resynchronise.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	body, err := wireFrame.Read(r)
+	if err != nil {
 		return 0, nil, err
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length < 1 || length > MaxFrame {
-		return 0, nil, &FrameError{Reason: fmt.Sprintf("implausible frame length %d", length)}
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		return 0, nil, &FrameError{Reason: "checksum mismatch"}
 	}
 	return body[0], body[1:], nil
-}
-
-// decodeFrame parses one frame from the front of data, returning the
-// message type, its payload, and the unconsumed remainder. It is the
-// byte-slice twin of readFrame (shared validation, no I/O), used by
-// the FuzzDecodeFrame fuzzer and anywhere a frame is already in
-// memory.
-func decodeFrame(data []byte) (typ byte, payload, rest []byte, err error) {
-	if len(data) < frameHeaderSize {
-		return 0, nil, nil, &FrameError{Reason: "short header"}
-	}
-	length := binary.LittleEndian.Uint32(data[0:4])
-	sum := binary.LittleEndian.Uint32(data[4:8])
-	if length < 1 || length > MaxFrame {
-		return 0, nil, nil, &FrameError{Reason: fmt.Sprintf("implausible frame length %d", length)}
-	}
-	if uint64(len(data)-frameHeaderSize) < uint64(length) {
-		return 0, nil, nil, &FrameError{Reason: "truncated body"}
-	}
-	body := data[frameHeaderSize : frameHeaderSize+int(length)]
-	if crc32.ChecksumIEEE(body) != sum {
-		return 0, nil, nil, &FrameError{Reason: "checksum mismatch"}
-	}
-	return body[0], body[1:], data[frameHeaderSize+int(length):], nil
 }
 
 // Handshake is the hello the coordinator opens every connection with.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"hmmer3gpu/internal/frame"
 	"hmmer3gpu/internal/seq"
 )
 
@@ -45,7 +46,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameCorruptionDetected(t *testing.T) {
-	raw := frame(encodeHello(Handshake{Version: ProtoVersion, Mode: 1}))
+	raw := framed(encodeHello(Handshake{Version: ProtoVersion, Mode: 1}))
 	for i := range raw {
 		bad := append([]byte(nil), raw...)
 		bad[i] ^= 0xff
@@ -57,8 +58,8 @@ func TestFrameCorruptionDetected(t *testing.T) {
 }
 
 func TestTornFrameIsUnexpectedEOF(t *testing.T) {
-	raw := frame(encodeBatchMsg(1, 2, 3, testBatchDB(0)))
-	for _, cut := range []int{frameHeaderSize + 1, len(raw) / 2, len(raw) - 1} {
+	raw := framed(encodeBatchMsg(1, 2, 3, testBatchDB(0)))
+	for _, cut := range []int{frame.HeaderSize + 1, len(raw) / 2, len(raw) - 1} {
 		_, _, err := readFrame(bytes.NewReader(raw[:cut]))
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut at %d: err = %v, want unexpected EOF", cut, err)
@@ -144,8 +145,8 @@ func TestParseBatchRejectsImplausibleCounts(t *testing.T) {
 }
 
 func TestDecodeFrameMatchesReadFrame(t *testing.T) {
-	first := frame(encodePingPong(msgPong, 8))
-	second := frame(encodeHelloNack("no"))
+	first := framed(encodePingPong(msgPong, 8))
+	second := framed(encodeHelloNack("no"))
 	stream := append(append([]byte(nil), first...), second...)
 	typ, payload, rest, err := decodeFrame(stream)
 	if err != nil || typ != msgPong || len(payload) != 8 {

@@ -1,0 +1,86 @@
+// Package frame is the one framing of the cluster wire protocol and
+// the checkpoint journal: u32 body length | u32 CRC-32 (IEEE) of body
+// | body, little-endian. Each use bounds the body length (Limits), so
+// a corrupt or hostile length cannot force a large allocation. Bytes
+// that end before the frame does are torn (io.ErrUnexpectedEOF; io.EOF
+// from Read when no byte of the frame arrived); an out-of-bounds
+// length or a checksum mismatch is a *CorruptError.
+package frame
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+)
+
+// HeaderSize is the length and checksum prefix of every frame.
+const HeaderSize = 8
+
+// Limits is the inclusive range of body lengths one use accepts.
+type Limits struct{ Min, Max uint32 }
+
+// CorruptError reports a frame that is wrong rather than incomplete.
+// A torn write cannot produce one: it never leaves a full-length body.
+type CorruptError struct{ Reason string }
+
+func (e *CorruptError) Error() string { return "frame: " + e.Reason }
+
+// Append appends body, framed, to dst. Writers send the result in one
+// Write, so readers and fault injectors see each frame whole.
+func Append(dst, body []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
+	return append(dst, body...)
+}
+
+// Decode parses the frame at the front of data and returns its body,
+// which aliases data, and the bytes after the frame.
+func (l Limits) Decode(data []byte) (body, rest []byte, err error) {
+	if len(data) < HeaderSize {
+		return nil, nil, io.ErrUnexpectedEOF
+	}
+	n, err := l.length(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(data)-HeaderSize < n {
+		return nil, nil, io.ErrUnexpectedEOF
+	}
+	body, rest = data[HeaderSize:HeaderSize+n], data[HeaderSize+n:]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[4:8]) {
+		return nil, nil, &CorruptError{"checksum mismatch"}
+	}
+	return body, rest, nil
+}
+
+// Read reads one frame from r and returns its body.
+func (l Limits) Read(r io.Reader) ([]byte, error) {
+	var hdr [HeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n, err := l.length(hdr[:])
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, HeaderSize+n)
+	copy(buf, hdr[:])
+	if _, err := io.ReadFull(r, buf[HeaderSize:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	body, _, err := l.Decode(buf)
+	return body, err
+}
+
+// length returns the body length hdr declares, checked against l.
+func (l Limits) length(hdr []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(hdr)
+	if n < l.Min || n > l.Max {
+		return 0, &CorruptError{fmt.Sprintf("implausible frame length %d", n)}
+	}
+	return int(n), nil
+}

@@ -12,10 +12,13 @@ const (
 	// SSE instructions per 16-cell vector on a superscalar core. Like
 	// fwdCPUCellsPerCycle below, this and vitCPUCellsPerCycle are
 	// constants of the paper's i5 baseline model, not measurements of
-	// cpu.MSVEngine / cpu.VitEngine: those run SWAR lanes in uint64
-	// words, several times below real SSE (EXPERIMENTS E16), and the
-	// Fig. 9–11 output and modelled_gcups deliberately do not follow
-	// them.
+	// cpu.MSVEngine / cpu.VitEngine. Those engines issue HMMER 3.0's
+	// own SSE2 instructions on amd64 (internal/satmath's row
+	// primitives); at M = 400 on one core of a nominal 2.0 GHz host
+	// they ran at ≈ 2.8 (MSV) and ≈ 0.28 (Viterbi) cells per cycle, so
+	// MSV agrees with this constant and Viterbi is about half of
+	// vitCPUCellsPerCycle (ROADMAP item 18). The Fig. 9–11 output and
+	// modelled_gcups deliberately do not follow the engines.
 	msvCPUCellsPerCycle = 3.0
 
 	// vitCPUCellsPerCycle is the per-core throughput of the 8-lane

@@ -110,7 +110,7 @@ var entryPoints = []struct {
 		grantLease()
 		return pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(in.fasta), cfg,
 			ClusterConfig{Workers: specs},
-			StandbyClusterConfig{Acquire: acquire, PingEvery: 10 * time.Millisecond, TailPoll: 5 * time.Millisecond})
+			StandbyClusterConfig{Acquire: acquire, PingEvery: 10 * time.Millisecond, Poll: 5 * time.Millisecond})
 	}},
 }
 

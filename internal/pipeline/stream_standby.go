@@ -1,14 +1,15 @@
 package pipeline
 
 // Hot-standby cluster streaming: the failover half of DESIGN §2j. A
-// standby process tails the primary's checkpoint journal (shared file)
-// and holds warm connections to the worker roster; when the primary
-// dies — observed as the journal's flock lease freeing — the standby
-// settles the journal tail, promotes the warm connections, and
-// finishes the stream as a coordinator at a higher fencing epoch. The
-// (seq, epoch) fence plus the workers' epoch memory guarantee no batch
-// the primary committed is ever re-merged, and a primary that was
-// merely paused cannot commit past the takeover.
+// standby process holds warm connections to the worker roster and
+// waits on the primary's leadership lease, checking meanwhile that the
+// primary's checkpoint journal (shared file) belongs to this run. When
+// the primary dies — observed as the journal's flock lease freeing —
+// the standby resumes the journal exactly as -resume does, promotes
+// the warm connections, and finishes the stream as a coordinator at a
+// higher fencing epoch. The (seq, epoch) fence plus the workers' epoch
+// memory guarantee no batch the primary committed is ever re-merged,
+// and a primary that was merely paused cannot commit past the takeover.
 
 import (
 	"context"
@@ -27,7 +28,8 @@ type StandbyClusterConfig struct {
 	// lease. Nil uses an exclusive flock on "<journal>.lock"
 	// (cluster.AcquireFileLeadership) — the kernel frees it the instant
 	// the primary dies, however it dies. Tests substitute
-	// channel-backed implementations.
+	// channel-backed implementations. Either way it must return once
+	// its context is done.
 	Acquire cluster.AcquireLeadership
 	// Epoch is the fencing epoch the takeover coordinator runs at; it
 	// must exceed the primary's. Zero means 2 (primary default + 1).
@@ -35,10 +37,10 @@ type StandbyClusterConfig struct {
 	// PingEvery is the warm-connection keepalive cadence
 	// (cluster.StandbyConfig.PingEvery).
 	PingEvery time.Duration
-	// TailPoll is how often the journal is re-polled while tailing and
-	// how often an absent journal file is retried. Zero means
+	// Poll is how often an absent journal is looked for again and, with
+	// the default Acquire, how often the lease is retried. Zero means
 	// cluster.DefaultLeadershipPoll.
-	TailPoll time.Duration
+	Poll time.Duration
 }
 
 func (c *StandbyClusterConfig) epoch() uint64 {
@@ -48,20 +50,21 @@ func (c *StandbyClusterConfig) epoch() uint64 {
 	return 2
 }
 
-func (c *StandbyClusterConfig) tailPoll() time.Duration {
-	if c.TailPoll > 0 {
-		return c.TailPoll
+func (c *StandbyClusterConfig) poll() time.Duration {
+	if c.Poll > 0 {
+		return c.Poll
 	}
 	return cluster.DefaultLeadershipPoll
 }
 
 // RunStandbyClusterStreamContext runs the hot-standby protocol to
-// completion: warm the worker roster, tail the primary's journal,
-// block on the leadership lease, then take over and finish the
-// stream. The returned Result is byte-identical to what the primary
-// would have produced had it survived — the standby re-chunks the same
-// stream under the same config fingerprint, merges the primary's
-// journaled batches from disk, and computes only the remainder.
+// completion: warm the worker roster, check the primary's journal
+// header, block on the leadership lease, then resume the journal and
+// finish the stream. The returned Result is byte-identical to what the
+// primary would have produced had it survived — the standby re-chunks
+// the same stream under the same config fingerprint, merges the
+// primary's journaled batches from disk, and computes only the
+// remainder.
 //
 // cfg.Checkpoint.Path must name the primary's journal (shared
 // filesystem); the standby keeps journaling to it after takeover, so a
@@ -79,7 +82,7 @@ func (pl *Pipeline) RunStandbyClusterStreamContext(ctx context.Context, r io.Rea
 	}
 	acquire := ha.Acquire
 	if acquire == nil {
-		acquire = cluster.AcquireFileLeadership(ck.Path+".lock", ha.tailPoll())
+		acquire = cluster.AcquireFileLeadership(ck.Path+".lock", ha.poll())
 	}
 	fp := pl.Fingerprint(cfg)
 	logf := ccfg.Logf
@@ -101,129 +104,99 @@ func (pl *Pipeline) RunStandbyClusterStreamContext(ctx context.Context, r io.Rea
 	sb.Start(ctx)
 	defer sb.Close() // no-op after Promote
 
-	// The leadership race runs while we tail: the lease frees when the
-	// primary exits (cleanly or not), which is the takeover signal.
+	// The leadership race runs while we wait: the lease frees when the
+	// primary exits (cleanly or not), which is the takeover signal. It
+	// runs under its own context, so however this call returns, the
+	// race is over and a lease it won is given back: at the end of the
+	// takeover run, or at once if the standby gave up before it.
 	type lease struct {
 		release func()
 		err     error
 	}
+	leaseCtx, stopLease := context.WithCancel(ctx)
 	leaseCh := make(chan lease, 1)
 	go func() {
-		release, err := acquire(ctx)
+		release, err := acquire(leaseCtx)
 		leaseCh <- lease{release, err}
 	}()
-
-	// Wait for the primary's journal to exist with a complete header,
-	// then follow it. Header-level config errors are hard stops — this
-	// standby was launched against the wrong run; an absent or
-	// still-forming file is retried.
-	var fo *checkpoint.Follower
 	var got lease
-	haveLease, waiting := false, false
-	for fo == nil {
-		f, err := checkpoint.OpenFollower(ck.Path, fp, checkpoint.FollowerOptions{Mode: ccfg.Mode})
-		if err == nil {
-			fo = f
-			break
+	received := false
+	defer func() {
+		stopLease()
+		if !received {
+			got = <-leaseCh
 		}
-		switch {
-		case hardFollowerError(err):
-			if haveLease {
-				got.release()
-			}
-			return nil, err
-		case haveLease:
-			// Leadership, and after it still no journal: the primary died
-			// (or never started) pre-header. There is nothing to take
-			// over; refuse rather than silently running a fresh primary
-			// under a flag that promised a takeover.
+		if got.err == nil {
 			got.release()
-			return nil, fmt.Errorf("pipeline: standby acquired leadership but no journal exists at %s: primary never started a run", ck.Path)
-		case !waiting:
-			waiting = true
-			logf("standby: no journal at %s yet, waiting for the primary to start", ck.Path)
+		}
+	}()
+
+	// Until the lease is ours, check the journal header, retrying an
+	// absent or still-forming file. A header-level config error is a
+	// hard stop: this standby was launched against the wrong run.
+	checked, waiting := false, false
+	for !received {
+		var retry <-chan time.Time
+		if !checked {
+			fo, err := checkpoint.OpenFollower(ck.Path, fp, checkpoint.FollowerOptions{Mode: ccfg.Mode})
+			switch {
+			case err == nil:
+				fo.Close()
+				checked = true
+				logf("standby: journal %s belongs to this run, waiting for the lease", ck.Path)
+			case hardFollowerError(err):
+				return nil, err
+			default:
+				if !waiting {
+					waiting = true
+					logf("standby: no journal at %s yet, waiting for the primary to start", ck.Path)
+				}
+				retry = time.After(ha.poll())
+			}
 		}
 		select {
 		case got = <-leaseCh:
-			if got.err != nil {
-				return nil, got.err
-			}
-			// The primary may have written its journal and died since the
-			// failed open above, so look once more now that the lease
-			// says it is gone for good.
-			haveLease = true
+			received = true
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(ha.tailPoll()):
+		case <-retry:
 		}
 	}
-	defer fo.Close() // no-op after TakeOver
-	logf("standby: following journal %s", ck.Path)
+	if got.err != nil {
+		return nil, got.err
+	}
 
-	// Tail until the lease is ours. Every complete, CRC-valid record
-	// the primary commits lands in skip — on takeover those batches
-	// merge from disk, never re-execute.
-	skip := make(map[uint64]checkpoint.Record)
-	tailed := 0
-	absorb := func(recs []checkpoint.Record) error {
-		for _, rec := range recs {
-			if _, dup := skip[rec.Seq]; dup {
-				return fmt.Errorf("pipeline: journal holds two records for batch %d: refusing to take over", rec.Seq)
-			}
-			skip[rec.Seq] = rec
-			tailed++
-		}
-		return nil
+	// The primary is gone for good. It may have written its journal
+	// and died since the last look; with no journal at all there is
+	// nothing to take over, and the flag promised a takeover, not a
+	// fresh primary.
+	if !checkpoint.Exists(ck.Path) {
+		return nil, fmt.Errorf("pipeline: standby acquired leadership but no journal exists at %s: primary never started a run", ck.Path)
 	}
-	for !haveLease {
-		recs, err := fo.Poll()
-		if err != nil {
-			return nil, err
-		}
-		if err := absorb(recs); err != nil {
-			return nil, err
-		}
-		select {
-		case got = <-leaseCh:
-			if got.err != nil {
-				return nil, got.err
-			}
-			haveLease = true
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(ha.tailPoll()):
-		}
-	}
-	defer got.release() // hold the lease for the whole takeover run
-
-	// Takeover: settle the tail (the primary is dead; a torn last
-	// record is its crash artefact, truncated exactly as Resume would),
-	// absorb the settled records, and continue appending to the same
-	// journal.
-	journal, tail, err := fo.TakeOver(checkpoint.Options{SyncEvery: ck.SyncEvery, Crash: ck.Crash})
+	// Takeover is -resume: a torn last record is the primary's crash
+	// artefact, truncated exactly as a resumed run truncates it, and
+	// every record read merges from disk instead of re-executing.
+	resumed := *ck
+	resumed.Resume = true
+	cfg.Checkpoint = &resumed
+	run, err := pl.openStreamRun(cfg, ccfg.Mode)
 	if err != nil {
 		return nil, err
 	}
-	if err := absorb(tail); err != nil {
-		journal.Close()
-		return nil, err
-	}
-	logf("standby: taking over: %d batches tailed from the primary, promoting %d warm workers at epoch %d",
-		tailed, sb.Warm(), ha.epoch())
+	logf("standby: taking over: %d batches read from the primary's journal, promoting %d warm workers at epoch %d",
+		len(run.skip), sb.Warm(), ha.epoch())
 
 	ccfg.Workers = sb.Promote()
 	ccfg.Epoch = ha.epoch()
-	return pl.runClusterCore(ctx, r, cfg, ccfg, &streamRun{journal: journal, skip: skip},
-		haState{failovers: 1, standbyTailed: tailed})
+	return pl.runClusterCore(ctx, r, cfg, ccfg, run,
+		haState{failovers: 1, standbyTailed: len(run.skip)})
 }
 
-// hardFollowerError reports whether an OpenFollower failure is a
+// hardFollowerError reports whether a journal header failure is a
 // config-level mismatch that retrying cannot fix.
 func hardFollowerError(err error) bool {
 	var fpe *checkpoint.FingerprintError
 	var mme *checkpoint.ModeMismatchError
 	var ve *checkpoint.VersionError
-	var ce *checkpoint.CorruptError
-	return errors.As(err, &fpe) || errors.As(err, &mme) ||
-		errors.As(err, &ve) || errors.As(err, &ce)
+	return errors.As(err, &fpe) || errors.As(err, &mme) || errors.As(err, &ve)
 }

@@ -34,8 +34,8 @@ func chanLeadership() (cluster.AcquireLeadership, func()) {
 
 // TestStandbyTakeoverMatchesSingleNode is the in-process end-to-end
 // failover: the primary coordinator is killed mid-run by injection,
-// the hot standby — tailing the journal and holding warm connections
-// to the same three workers — takes over at epoch 2 and finishes the
+// the hot standby — holding warm connections to the same three
+// workers — resumes the journal, takes over at epoch 2 and finishes the
 // stream. The merged result must be bit-identical to the single-node
 // run, with no batch merged twice.
 func TestStandbyTakeoverMatchesSingleNode(t *testing.T) {
@@ -65,7 +65,7 @@ func TestStandbyTakeoverMatchesSingleNode(t *testing.T) {
 		res, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta),
 			cfg, ClusterConfig{Workers: specs},
 			StandbyClusterConfig{Acquire: acquire, PingEvery: 10 * time.Millisecond,
-				TailPoll: 5 * time.Millisecond})
+				Poll: 5 * time.Millisecond})
 		standbyDone <- outcome{res, err}
 	}()
 
@@ -153,7 +153,7 @@ func TestStandbyLeaseBeforeJournalSeen(t *testing.T) {
 					parkOnce.Do(func() { close(parked) })
 				}
 			}},
-			StandbyClusterConfig{Acquire: acquire, TailPoll: time.Hour})
+			StandbyClusterConfig{Acquire: acquire, Poll: time.Hour})
 		standbyDone <- outcome{res, err}
 	}()
 
@@ -192,9 +192,48 @@ func TestStandbyRefusesWithoutJournal(t *testing.T) {
 	grant()
 	_, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
 		ClusterConfig{Workers: cpuWorkers(pl, cfg, 1)},
-		StandbyClusterConfig{Acquire: acquire, TailPoll: time.Millisecond})
+		StandbyClusterConfig{Acquire: acquire, Poll: time.Millisecond})
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("no journal")) {
 		t.Fatalf("err = %v, want a no-journal refusal", err)
+	}
+}
+
+// A standby that gives up before the takeover — here, on a journal
+// another run wrote — ends its lease race before it returns: the
+// acquire's context is cancelled, and a lease already won is released.
+func TestStandbyGivesUpItsLease(t *testing.T) {
+	pl, fasta, _, batchResidues := faultStreamFixture(t)
+	path := filepath.Join(t.TempDir(), "other-run.ckpt")
+	j, err := checkpoint.Create(path, checkpoint.Fingerprint{1}, checkpoint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	cfg := StreamConfig{BatchResidues: batchResidues, Checkpoint: &CheckpointConfig{Path: path}}
+	for _, granted := range []bool{false, true} {
+		var leaseCtx context.Context
+		released := false
+		acquire := func(ctx context.Context) (func(), error) {
+			leaseCtx = ctx
+			if granted {
+				return func() { released = true }, nil
+			}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		_, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
+			ClusterConfig{Workers: cpuWorkers(pl, cfg, 1)},
+			StandbyClusterConfig{Acquire: acquire, Poll: time.Millisecond})
+		var fpe *checkpoint.FingerprintError
+		if !errors.As(err, &fpe) {
+			t.Fatalf("granted=%v: err = %v, want *checkpoint.FingerprintError", granted, err)
+		}
+		if leaseCtx.Err() == nil {
+			t.Errorf("granted=%v: the lease race outlived the standby", granted)
+		}
+		if granted && !released {
+			t.Error("the standby returned holding a lease it won")
+		}
 	}
 }
 
@@ -267,7 +306,7 @@ func TestStandbyRunsOnTheRunsClock(t *testing.T) {
 	go func() {
 		_, err := pl.RunStandbyClusterStreamContext(ctx, bytes.NewReader(fasta), cfg,
 			ClusterConfig{Workers: []cluster.WorkerSpec{spec}},
-			StandbyClusterConfig{Acquire: acquire, PingEvery: time.Hour, TailPoll: time.Hour})
+			StandbyClusterConfig{Acquire: acquire, PingEvery: time.Hour, Poll: time.Hour})
 		done <- err
 	}()
 	select {
@@ -316,7 +355,7 @@ func TestStandbyTakeoverSettlesTornTail(t *testing.T) {
 		res, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta),
 			cfg, ClusterConfig{Workers: specs},
 			StandbyClusterConfig{Acquire: acquire, PingEvery: 10 * time.Millisecond,
-				TailPoll: 5 * time.Millisecond})
+				Poll: 5 * time.Millisecond})
 		standbyDone <- outcome{res, err}
 	}()
 

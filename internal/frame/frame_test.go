@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -44,6 +45,33 @@ func TestTornAndCorrupt(t *testing.T) {
 	if _, _, err := journal.Decode(short); !errors.As(err, &ce) {
 		t.Fatalf("body under Min: err %v, want *CorruptError", err)
 	}
+
+	// A header declaring the wire's largest body, then nothing: torn,
+	// having held no more than the first chunk.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hdr := binary.LittleEndian.AppendUint32(nil, wire.Max)
+	if _, err := wire.Read(bytes.NewReader(append(hdr, 0, 0, 0, 0))); err != io.ErrUnexpectedEOF {
+		t.Fatalf("Read of a bodiless MaxFrame header: err %v, want io.ErrUnexpectedEOF", err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
+		t.Errorf("Read of a bodiless MaxFrame header allocated %d bytes, want < 4 MiB", d)
+	}
+
+	// A frame just over the first chunk takes the growth path, whole
+	// or torn; one within it allocates its header and one buffer.
+	big := Append(nil, bytes.Repeat([]byte{0x5a}, firstChunk+1))
+	if body, err := journal.Read(bytes.NewReader(big)); err != nil || len(body) != firstChunk+1 {
+		t.Fatalf("Read of a %d-byte body: %d bytes, err %v", firstChunk+1, len(body), err)
+	}
+	if _, err := journal.Read(bytes.NewReader(big[:len(big)-1])); err != io.ErrUnexpectedEOF {
+		t.Fatalf("Read of a torn %d-byte body: err %v, want io.ErrUnexpectedEOF", firstChunk+1, err)
+	}
+	rd := bytes.NewReader(raw)
+	if n := testing.AllocsPerRun(10, func() { rd.Reset(raw); journal.Read(rd) }); n != 2 {
+		t.Errorf("Read of a %d-byte frame made %v allocations, want 2", len(raw), n)
+	}
 }
 
 // FuzzDecode holds the slice and stream readers to one verdict on
@@ -61,14 +89,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Read allocates the declared length before it finds the stream
-		// short; keep the fuzzer's memory small.
-		huge := len(data) >= HeaderSize && binary.LittleEndian.Uint32(data) > uint32(len(data))
 		for _, l := range []Limits{wire, journal} {
 			body, rest, err := l.Decode(data)
-			if huge {
-				continue
-			}
 			rbody, rerr := l.Read(bytes.NewReader(data))
 			if len(data) == 0 && rerr == io.EOF {
 				rerr = io.ErrUnexpectedEOF

@@ -61,18 +61,17 @@ func fullGridBlocks(wpb int) int {
 
 // TestCountersCoverEveryKernelStatsField is the reflective pin: every
 // field of simt.KernelStats must surface in LaunchRecord.Counters
-// under its snake_case name, so adding a simulator counter grows the
-// profile automatically.
+// under the name the counter walk gives it, so adding a simulator
+// counter grows the profile automatically.
 func TestCountersCoverEveryKernelStatsField(t *testing.T) {
 	rec := collect(t, simt.ModeCycleAccurate, 6, 2, 1)
-	typ := reflect.TypeOf(simt.KernelStats{})
-	if len(rec.Counters) != typ.NumField() {
-		t.Errorf("counter map has %d entries, KernelStats has %d fields", len(rec.Counters), typ.NumField())
+	names := counterNames()
+	if n := reflect.TypeOf(simt.KernelStats{}).NumField(); len(names) != n || len(rec.Counters) != n {
+		t.Errorf("counter map has %d entries and the walk %d names, KernelStats has %d fields", len(rec.Counters), len(names), n)
 	}
-	for i := 0; i < typ.NumField(); i++ {
-		name := simt.SnakeCase(typ.Field(i).Name)
+	for _, name := range names {
 		if _, ok := rec.Counters[name]; !ok {
-			t.Errorf("KernelStats.%s missing from Counters (want key %q)", typ.Field(i).Name, name)
+			t.Errorf("counter %s missing from Counters", name)
 		}
 	}
 	for name, v := range rec.Counters {
@@ -181,9 +180,8 @@ func TestRecordReachesRegistryAndExporters(t *testing.T) {
 	}
 	text := prom.String()
 
-	typ := reflect.TypeOf(simt.KernelStats{})
-	for i := 0; i < typ.NumField(); i++ {
-		series := "hmmer_kernprof_" + simt.SnakeCase(typ.Field(i).Name) + "_total"
+	for _, name := range counterNames() {
+		series := "hmmer_kernprof_" + name + "_total"
 		if _, ok := reg.Get(obs.WithLabel(series, "kernel", "msv")); !ok {
 			t.Errorf("registry missing %s{kernel=\"msv\"}", series)
 		}
@@ -366,4 +364,12 @@ func TestNilCollectorSafe(t *testing.T) {
 	if p := c.Profile(); p.Schema != Schema || len(p.Launches) != 0 {
 		t.Errorf("nil Profile = %+v", p)
 	}
+}
+
+// counterNames lists the counter names simt's one KernelStats walk
+// yields, in declaration order.
+func counterNames() []string {
+	var names []string
+	(&simt.KernelStats{}).EachCounter(func(name string, _ int64) { names = append(names, name) })
+	return names
 }

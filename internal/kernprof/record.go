@@ -8,9 +8,9 @@ import (
 
 // Record merges the profile into reg under the kernprof subsystem,
 // aggregated per kernel: every raw counter becomes
-// hmmer_kernprof_<counter>_total{kernel="..."} (the reflective
-// counter table, so a new KernelStats field automatically gains a
-// series), the headline ratios become gauges, stall attribution
+// hmmer_kernprof_<counter>_total{kernel="..."} (the counters
+// simt.KernelStats.EachCounter walks, so a new field automatically
+// gains a series), the headline ratios become gauges, stall attribution
 // becomes a cause-labelled counter, and the per-block cycle
 // distribution merges into a histogram (which the Chrome exporter
 // then renders as a counter event).

@@ -1,28 +1,21 @@
 package simt
 
-import (
-	"reflect"
-	"strings"
-	"unicode"
-
-	"hmmer3gpu/internal/obs"
-)
+import "hmmer3gpu/internal/obs"
 
 // Record merges the launch counters into reg under the simt
 // subsystem, one counter per struct field (hmmer_simt_alu_ops_total,
-// hmmer_simt_bank_conflict_replays_total, ...). The field walk is
-// reflective, so a counter added to KernelStats can never silently
-// drop out of the metrics table, and the derived lane-utilization
-// gauge is recomputed from the accumulated totals.
+// hmmer_simt_bank_conflict_replays_total, ...) through EachCounter,
+// and recomputes the derived lane-utilization gauge from the
+// accumulated totals.
 func (s *KernelStats) Record(reg *obs.Registry) {
 	if !reg.Enabled() {
 		return
 	}
-	v := reflect.ValueOf(*s)
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		reg.AddInt("hmmer_simt_"+SnakeCase(t.Field(i).Name)+"_total", v.Field(i).Int())
-	}
+	i := 0
+	s.EachCounter(func(_ string, v int64) {
+		reg.AddInt(counterSeries[i], v)
+		i++
+	})
 	active, _ := reg.Get("hmmer_simt_active_lane_slots_total")
 	total, _ := reg.Get("hmmer_simt_total_lane_slots_total")
 	reg.Set("hmmer_simt_lane_utilization", obs.Ratio(active, total))
@@ -42,27 +35,4 @@ func (r *LaunchReport) Record(reg *obs.Registry, kernel string) {
 	name := obs.WithLabel("hmmer_simt_occupancy", "kernel", kernel)
 	reg.Set(name, r.Occupancy.Fraction)
 	reg.AddInt(obs.WithLabel("hmmer_simt_launches_total", "kernel", kernel), 1)
-}
-
-// SnakeCase converts a Go field name (ALUOps, WarpsExecuted) to the
-// metric-name fragment (alu_ops, warps_executed). Exported so the
-// kernprof profiler names its counters with the same reflective
-// convention and the two tables can never drift apart.
-func SnakeCase(name string) string {
-	var b strings.Builder
-	runes := []rune(name)
-	for i, r := range runes {
-		if unicode.IsUpper(r) {
-			// Open a word at a lower→upper edge, or at the last upper
-			// of an acronym run followed by a lower (ALUOps → alu_ops).
-			if i > 0 && (unicode.IsLower(runes[i-1]) ||
-				(i+1 < len(runes) && unicode.IsLower(runes[i+1]))) {
-				b.WriteByte('_')
-			}
-			b.WriteRune(unicode.ToLower(r))
-		} else {
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
 }

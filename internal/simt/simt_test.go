@@ -363,7 +363,7 @@ func TestShflUpInto(t *testing.T) {
 func TestStringers(t *testing.T) {
 	var st KernelStats
 	st.ALUOps = 5
-	if got := st.String(); !contains(got, "alu=5") {
+	if got := st.String(); !contains(got, "alu_ops=5") {
 		t.Errorf("KernelStats.String() = %q", got)
 	}
 	occ := Occupancy{BlocksPerSM: 2, WarpsPerSM: 64, Fraction: 1, Limiter: "warps"}

@@ -197,152 +197,67 @@ func TestEntryPointsAgree(t *testing.T) {
 // backend now uploads the profiles before the database (the
 // DeviceWorker order every streamed batch always used), and a move in
 // upload order, plan or kernel must not move the cost model.
-func TestRunGPUKernelStatsPinned(t *testing.T) {
-	pins := []struct {
-		m        int
-		mem      gpu.MemConfig
-		msv, vit string // fmt.Sprint of the launch's simt.KernelStats; "" = the plan is refused
-	}{
-		{48, gpu.MemShared,
-			"{960 266890 50792 26966 0 2442 65 320896 0 0 0 44368 63490 0 0 0 0 1957104 2568480 410645}",
-			"{480 51270 23188 8998 0 461 7 59904 0 0 0 46060 2965 6584 0 0 0 806211 1044928 93473}"},
-		{48, gpu.MemGlobal,
-			"{960 266890 25396 25526 0 2142 65 282496 28738 0 3678464 618592 63490 0 0 0 0 1913004 2512800 412247}",
-			"{480 51270 13700 8998 0 101 7 13824 12857 0 1645696 455884 2965 6584 0 0 0 794811 1033408 96482}"},
-		{400, gpu.MemShared,
-			"{960 763202 305188 162799 0 4261 65 553728 0 0 0 297164 58690 0 0 0 0 14547760 15114016 1294205}",
-			"{120 1515036 824700 301944 0 3486 8 447232 0 0 0 375268 16765 214454 0 0 0 34910005 36164416 2876393}"},
-		{400, gpu.MemGlobal,
-			"{960 763202 152594 153439 0 1981 65 261888 186151 0 23827328 4703644 58690 0 0 0 0 14186860 14741536 1316122}",
-			"{300 1515036 475988 301944 0 561 8 72832 492418 0 63029504 21461508 16765 214454 0 0 0 34816765 36070816 3017174}"},
-		{1056, gpu.MemShared, "", ""}, // does not fit shared memory on a K40
-		{1056, gpu.MemGlobal,
-			"{660 1525197 347061 349271 0 1779 65 236032 434034 0 55556352 11113588 52585 0 0 0 0 33443554 33447584 2709992}",
-			"{90 8556788 2756338 1725868 0 1305 7 167936 2956181 0 378391168 131996828 39060 1209562 0 0 0 209467484 209468352 17245109}"},
-	}
-	pls := map[int]*Pipeline{}
-	dbs := map[int]*seq.Database{}
-	for _, pin := range pins {
-		pl, db := pls[pin.m], dbs[pin.m]
-		if pl == nil {
-			h, err := workload.Model("pin", pin.m, abc, int64(pin.m))
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec := workload.EnvnrLike(0.00001, 41) // 65 sequences
-			spec.HomologFrac = 0.1
-			if db, err = workload.Generate(spec, h, abc); err != nil {
-				t.Fatal(err)
-			}
-			opts := DefaultOptions()
-			opts.SkipForward = true
-			opts.Calibration = stats.CalibrateOptions{N: 64, L: 100, Seed: 1, TailMass: 0.04}
-			if pl, err = New(h, int(db.MeanLen()), opts); err != nil {
-				t.Fatal(err)
-			}
-			pls[pin.m], dbs[pin.m] = pl, db
-		}
-		res, err := pl.RunGPU(simt.NewDevice(simt.TeslaK40()), pin.mem, db)
-		if pin.msv == "" {
-			if err == nil {
-				t.Errorf("M=%d %v: ran, want the plan refused as at the parent", pin.m, pin.mem)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("M=%d %v: %v", pin.m, pin.mem, err)
-		}
-		extra := res.Extra.(*GPUExtra)
-		if got := fmt.Sprint(extra.MSVReport.Launch.Stats); got != pin.msv {
-			t.Errorf("M=%d %v MSV stats\n got %s\nwant %s", pin.m, pin.mem, got, pin.msv)
-		}
-		if got := fmt.Sprint(extra.VitReport.Launch.Stats); got != pin.vit {
-			t.Errorf("M=%d %v Viterbi stats\n got %s\nwant %s", pin.m, pin.mem, got, pin.vit)
-		}
-	}
-}
+func TestRunGPUKernelStatsPinned(t *testing.T) { runGPUPinned(t, simt.TeslaK40(), "K40", false) }
 
 // TestRunGPUKernelStatsPinnedFermi is TestRunGPUKernelStatsPinned on
 // the GTX 580, whose row maxima go through the shared-memory scratch
 // reduction, with a fast-mode run of every launch beside it: the same
 // hits and the warps it ran, nothing else recorded.
-func TestRunGPUKernelStatsPinnedFermi(t *testing.T) {
-	pins := []struct {
-		m        int
-		mem      gpu.MemConfig
-		msv, vit string // as in TestRunGPUKernelStatsPinned
-	}{
-		{48, gpu.MemShared,
-			"{512 266890 126980 102482 0 2302 65 302976 0 0 0 27904 0 0 0 0 0 3536472 7418528 498719}",
-			"{256 51270 26746 12556 0 485 7 62976 0 0 0 49100 0 6584 0 0 0 881689 1273408 97648}"},
-		{48, gpu.MemGlobal,
-			"{512 266890 101584 101714 0 2142 65 282496 28738 0 3678464 618592 0 0 0 0 0 3512952 7388832 501133}",
-			"{256 51270 17258 12556 0 101 7 13824 12857 0 1645696 455884 0 6584 0 0 0 869529 1261120 100633}"},
-		{400, gpu.MemShared,
-			"{512 763202 375616 228859 0 3197 65 417536 0 0 0 162428 0 0 0 0 0 15858328 19447584 1370939}",
-			"{128 1515036 844818 322062 0 3681 8 472192 0 0 0 400132 0 214454 0 0 0 35338699 37458208 2900059}"},
-		{400, gpu.MemGlobal,
-			"{512 763202 223022 223867 0 1981 65 261888 186151 0 23827328 4703644 0 0 0 0 0 15665848 19248928 1398288}",
-			"{256 1515036 496106 322062 0 561 8 72832 492418 0 63029504 21461508 0 214454 0 0 0 35239243 37358368 3040645}"},
-		{1056, gpu.MemShared, "", ""}, // the Viterbi tables do not fit a GTX 580's shared memory
-		{1056, gpu.MemGlobal,
-			"{512 1525197 410163 412373 0 1779 65 236032 434034 0 55556352 11113588 0 0 0 0 0 34768696 37486112 2783611}",
-			"{96 8556788 2803210 1772740 0 1305 7 167936 2956181 0 378391168 131996828 0 1209562 0 0 0 210451796 212468160 17299793}"},
-	}
-	pls := map[int]*Pipeline{}
-	dbs := map[int]*seq.Database{}
-	for _, pin := range pins {
-		pl, db := pls[pin.m], dbs[pin.m]
-		if pl == nil {
-			h, err := workload.Model("pin", pin.m, abc, int64(pin.m))
+func TestRunGPUKernelStatsPinnedFermi(t *testing.T) { runGPUPinned(t, simt.GTX580(), "GTX580", true) }
+
+// runGPUPinned runs RunGPU on spec at three model sizes in shared and
+// global memory, and holds every launch's counters, or the refused
+// plan (M = 1056 does not fit shared memory), to the test's table.
+func runGPUPinned(t *testing.T, spec simt.DeviceSpec, name string, fast bool) {
+	var tab pinTable
+	for _, m := range []int{48, 400, 1056} {
+		h, err := workload.Model("pin", m, abc, int64(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbSpec := workload.EnvnrLike(0.00001, 41) // 65 sequences
+		dbSpec.HomologFrac = 0.1
+		db, err := workload.Generate(dbSpec, h, abc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.SkipForward = true
+		opts.Calibration = stats.CalibrateOptions{N: 64, L: 100, Seed: 1, TailMass: 0.04}
+		pl, err := New(h, int(db.MeanLen()), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mem := range []gpu.MemConfig{gpu.MemShared, gpu.MemGlobal} {
+			pin := fmt.Sprintf("M=%d/%s/%v", m, name, mem)
+			res, err := pl.RunGPU(simt.NewDevice(spec), mem, db)
 			if err != nil {
-				t.Fatal(err)
+				t.Logf("%s: %v", pin, err)
+				tab.add(pin, "refused", "")
+				continue
 			}
-			spec := workload.EnvnrLike(0.00001, 41)
-			spec.HomologFrac = 0.1
-			if db, err = workload.Generate(spec, h, abc); err != nil {
-				t.Fatal(err)
+			extra := res.Extra.(*GPUExtra)
+			msv, vit := extra.MSVReport.Launch.Stats, extra.VitReport.Launch.Stats
+			msv.EachCounter(func(c string, v int64) { tab.add(pin+"/msv", c, v) })
+			vit.EachCounter(func(c string, v int64) { tab.add(pin+"/vit", c, v) })
+			if !fast {
+				continue
 			}
-			opts := DefaultOptions()
-			opts.SkipForward = true
-			opts.Calibration = stats.CalibrateOptions{N: 64, L: 100, Seed: 1, TailMass: 0.04}
-			if pl, err = New(h, int(db.MeanLen()), opts); err != nil {
-				t.Fatal(err)
+			dev := simt.NewDevice(spec)
+			dev.Mode = simt.ModeFast
+			fres, err := pl.RunGPU(dev, mem, db)
+			if err != nil {
+				t.Fatalf("%s fast: %v", pin, err)
 			}
-			pls[pin.m], dbs[pin.m] = pl, db
-		}
-		res, err := pl.RunGPU(simt.NewDevice(simt.GTX580()), pin.mem, db)
-		if pin.msv == "" {
-			if err == nil {
-				t.Errorf("M=%d %v: ran, want the plan refused as at the parent", pin.m, pin.mem)
+			sameHits(t, pin+" fast", res, fres)
+			fx := fres.Extra.(*GPUExtra)
+			if fx.MSVReport.Launch.Stats != (simt.KernelStats{WarpsExecuted: msv.WarpsExecuted}) ||
+				fx.VitReport.Launch.Stats != (simt.KernelStats{WarpsExecuted: vit.WarpsExecuted}) {
+				t.Errorf("%s fast mode recorded %v / %v", pin, &fx.MSVReport.Launch.Stats, &fx.VitReport.Launch.Stats)
 			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("M=%d %v: %v", pin.m, pin.mem, err)
-		}
-		extra := res.Extra.(*GPUExtra)
-		msv, vit := extra.MSVReport.Launch.Stats, extra.VitReport.Launch.Stats
-		if got := fmt.Sprint(msv); got != pin.msv {
-			t.Errorf("M=%d %v MSV stats\n got %s\nwant %s", pin.m, pin.mem, got, pin.msv)
-		}
-		if got := fmt.Sprint(vit); got != pin.vit {
-			t.Errorf("M=%d %v Viterbi stats\n got %s\nwant %s", pin.m, pin.mem, got, pin.vit)
-		}
-		dev := simt.NewDevice(simt.GTX580())
-		dev.Mode = simt.ModeFast
-		fast, err := pl.RunGPU(dev, pin.mem, db)
-		if err != nil {
-			t.Fatalf("M=%d %v fast: %v", pin.m, pin.mem, err)
-		}
-		sameHits(t, fmt.Sprintf("M=%d %v fast", pin.m, pin.mem), res, fast)
-		fx := fast.Extra.(*GPUExtra)
-		if fx.MSVReport.Launch.Stats != (simt.KernelStats{WarpsExecuted: msv.WarpsExecuted}) ||
-			fx.VitReport.Launch.Stats != (simt.KernelStats{WarpsExecuted: vit.WarpsExecuted}) {
-			t.Errorf("M=%d %v fast mode recorded %v / %v", pin.m, pin.mem,
-				fx.MSVReport.Launch.Stats, fx.VitReport.Launch.Stats)
 		}
 	}
+	tab.check(t)
 }
 
 // TestBatchModelledTimeIgnoresDeviceHistory is the assumption the

@@ -78,7 +78,7 @@ func newConfig(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.inProcess, "cluster", 0, "shard the streamed search across this many in-process worker nodes, each with -devices simulated devices (exercises the full cluster wire protocol; see cmd/hmmworker for real worker processes)")
 	fs.StringVar(&c.workerList, "cluster-workers", "", "comma-separated hmmworker addresses (host:port) to shard the streamed search across over TCP")
 	fs.DurationVar(&c.cluster.BatchDeadline, "cluster-deadline", 0, "per-batch assignment deadline in cluster mode (0 disables); a batch not answered in time is reclaimed and requeued, the late reply fenced")
-	fs.BoolVar(&c.standby, "ha-standby", false, "run as the hot-standby coordinator: keep warm connections to -cluster-workers, check that the -journal belongs to this run, and when the primary's <journal>.lock frees, resume the journal and take over the run (fencing the dead primary by epoch)")
+	fs.BoolVar(&c.standby, "ha-standby", false, "run as the hot-standby coordinator: check that the -journal belongs to this run, and when the primary's <journal>.lock frees, resume the journal, dial -cluster-workers and take over the run (fencing the dead primary by epoch)")
 	fs.Uint64Var(&c.cluster.Epoch, "ha-epoch", 0, "coordinator epoch for fencing: the primary runs at 1 (default), a standby takes over at 2; chain further standbys with higher epochs")
 
 	fs.StringVar(&c.ckpt.Path, "journal", "", "journal committed batches to this crash-safe file (-engine multigpu -stream, or a cluster); an interrupted run resumes with -resume")

@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -78,7 +79,7 @@ func main() {
 	}
 	fmt.Println()
 	sys := simt.NewSystem(fermi, 4)
-	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta.Bytes()),
+	res, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta.Bytes()),
 		pipeline.StreamConfig{BatchResidues: db.TotalResidues() / 16})
 	if err != nil {
 		log.Fatal(err)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -69,7 +70,7 @@ func TestModeEquivalenceQuick(t *testing.T) {
 			}
 		}
 		sc.BatchResidues = batchResidues
-		return pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta.Bytes()), sc)
+		return pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta.Bytes()), sc)
 	}
 
 	clean, err := run(simt.ModeCycleAccurate, "", pipeline.StreamConfig{Policy: dispatch.Policy{MaxRetries: 10}})

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"slices"
 
@@ -16,7 +17,7 @@ import (
 
 // StreamScalingRow is one point of the streamed multi-device scaling
 // run: the same Env_nr-like workload streamed through
-// pipeline.RunMultiGPUStream on 1, 2 and 4 GTX 580s with dynamic batch
+// pipeline.RunMultiGPUStreamContext on 1, 2 and 4 GTX 580s with dynamic batch
 // scheduling instead of the static Partition split.
 type StreamScalingRow struct {
 	Devices int
@@ -94,7 +95,7 @@ func StreamScaling(cfg Config, w io.Writer) ([]StreamScalingRow, error) {
 	var base float64
 	for _, n := range []int{1, 2, 4} {
 		sys := cfg.newSystem(spec, n)
-		res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta.Bytes()),
+		res, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta.Bytes()),
 			pipeline.StreamConfig{BatchResidues: batchResidues})
 		if err != nil {
 			return nil, err

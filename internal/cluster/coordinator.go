@@ -56,7 +56,7 @@ type Config struct {
 	Fingerprint [32]byte
 	Mode        byte
 	// Epoch is the coordinator's fencing epoch, carried in every
-	// active hello. Workers remember the highest epoch they have acked
+	// hello. Workers remember the highest epoch they have acked
 	// and nack (or fence batches from) anything lower, which is what
 	// makes hot-standby takeover safe: the standby runs at a higher
 	// epoch, so the old primary — alive but presumed dead — can no
@@ -395,14 +395,11 @@ func (cr *coordRun) countConnectFailure(ws *WorkerStats) {
 
 // handshake sends hello and awaits the ack, bounded by the heartbeat
 // timeout so a corrupt or wedged worker cannot hang the connect loop.
-// Stray pong frames are skipped: a connection inherited warm from a
-// standby (takeover promotion) may still hold the reply to the
-// standby's last keepalive ping.
 func (cr *coordRun) handshake(name string, conn net.Conn) (HelloAck, error) {
 	cfg := &cr.c.Cfg
 	var ack HelloAck
 	hello := Handshake{Version: ProtoVersion, Fingerprint: cfg.Fingerprint, Mode: cfg.Mode,
-		Role: RoleActive, Epoch: cfg.coordEpoch()}
+		Epoch: cfg.coordEpoch()}
 	if err := writeFrame(conn, encodeHello(hello)); err != nil {
 		return ack, fmt.Errorf("cluster: writing hello to %s: %w", name, err)
 	}
@@ -413,14 +410,8 @@ func (cr *coordRun) handshake(name string, conn net.Conn) (HelloAck, error) {
 	}
 	ch := make(chan readRes, 1)
 	go func() {
-		for {
-			typ, payload, err := readFrame(conn)
-			if err == nil && typ == msgPong {
-				continue
-			}
-			ch <- readRes{typ, payload, err}
-			return
-		}
+		typ, payload, err := readFrame(conn)
+		ch <- readRes{typ, payload, err}
 	}()
 	var r readRes
 	select {

@@ -16,14 +16,19 @@ import (
 	"hmmer3gpu/internal/seq"
 )
 
-// haClient extends the frame-by-frame test client with role/epoch
-// hellos for the failover tests.
+// haClient extends the frame-by-frame test client with epoch hellos
+// for the failover tests.
 type haClient struct{ drainClient }
 
-func (c *haClient) helloRole(fp [32]byte, mode, role byte, epoch uint64) (acked bool, nackReason string) {
+// helloEpoch sends a hello at epoch and reports the worker's answer.
+func (c *haClient) helloEpoch(fp [32]byte, mode byte, epoch uint64) (acked bool, nackReason string) {
+	return c.sendHello(encodeHello(Handshake{Version: ProtoVersion, Fingerprint: fp, Mode: mode, Epoch: epoch}))
+}
+
+// sendHello sends an encoded hello and reports the worker's answer.
+func (c *haClient) sendHello(body []byte) (acked bool, nackReason string) {
 	c.t.Helper()
-	h := Handshake{Version: ProtoVersion, Fingerprint: fp, Mode: mode, Role: role, Epoch: epoch}
-	if err := writeFrame(c.conn, encodeHello(h)); err != nil {
+	if err := writeFrame(c.conn, body); err != nil {
 		c.t.Fatalf("hello: %v", err)
 	}
 	typ, payload, err := readFrame(c.conn)
@@ -56,12 +61,18 @@ func haConn(t *testing.T, ws *WorkerServer) *haClient {
 	return &haClient{drainClient{t: t, conn: c1}}
 }
 
+// The epoch round-trips, and the byte that once carried the
+// coordinator's role is written as 0.
 func TestHelloRoleEpochRoundTrip(t *testing.T) {
-	h := Handshake{Version: ProtoVersion, Mode: 3, Role: RoleStandby, Epoch: 7}
+	h := Handshake{Version: ProtoVersion, Mode: 3, Epoch: 7}
 	for i := range h.Fingerprint {
 		h.Fingerprint[i] = byte(i * 5)
 	}
-	got, err := parseHello(encodeHello(h)[1:])
+	body := encodeHello(h)
+	if role := body[1+34]; role != 0 {
+		t.Fatalf("reserved role byte = %d, want 0", role)
+	}
+	got, err := parseHello(body[1:])
 	if err != nil {
 		t.Fatalf("parseHello: %v", err)
 	}
@@ -70,19 +81,41 @@ func TestHelloRoleEpochRoundTrip(t *testing.T) {
 	}
 }
 
-// A worker that has acked a newer active coordinator nacks an active
-// hello from a stale epoch — across connections, not just within one.
+// A hello whose reserved role byte is set (a standby coordinator's
+// hello under the old protocol) is nacked with a reason that names the
+// byte, and raises no fence; a clean hello still acks.
+func TestStandbyRoleByteRefused(t *testing.T) {
+	ws := &WorkerServer{Name: "w", Fingerprint: testFP, Mode: 1, Exec: testExec}
+	body := encodeHello(Handshake{Version: ProtoVersion, Fingerprint: testFP, Mode: 1, Epoch: 3})
+	body[1+34] = 1
+	ok, reason := haConn(t, ws).sendHello(body)
+	if ok {
+		t.Fatal("hello with a nonzero role byte acked")
+	}
+	if !strings.Contains(reason, "byte 34 is 1") {
+		t.Fatalf("nack reason %q does not name the reserved byte", reason)
+	}
+	if got := ws.MaxEpoch(); got != 0 {
+		t.Fatalf("MaxEpoch after a refused hello = %d, want 0", got)
+	}
+	if ok, reason := haConn(t, ws).helloEpoch(testFP, 1, 3); !ok {
+		t.Fatalf("clean hello nacked: %s", reason)
+	}
+}
+
+// A worker that has acked a newer coordinator nacks a hello from a
+// stale epoch — across connections, not just within one.
 func TestStaleActiveHelloNacked(t *testing.T) {
 	ws := &WorkerServer{Name: "w", Fingerprint: testFP, Mode: 1, Exec: testExec}
 
-	if ok, _ := haConn(t, ws).helloRole(testFP, 1, RoleActive, 2); !ok {
+	if ok, _ := haConn(t, ws).helloEpoch(testFP, 1, 2); !ok {
 		t.Fatal("epoch-2 hello nacked")
 	}
 	if got := ws.MaxEpoch(); got != 2 {
 		t.Fatalf("MaxEpoch = %d, want 2", got)
 	}
 
-	ok, reason := haConn(t, ws).helloRole(testFP, 1, RoleActive, 1)
+	ok, reason := haConn(t, ws).helloEpoch(testFP, 1, 1)
 	if ok {
 		t.Fatal("stale epoch-1 hello acked")
 	}
@@ -92,7 +125,7 @@ func TestStaleActiveHelloNacked(t *testing.T) {
 
 	// Equal epoch must still be acked: the same primary reconnecting
 	// after a transient drop is not a failover.
-	if ok, reason := haConn(t, ws).helloRole(testFP, 1, RoleActive, 2); !ok {
+	if ok, reason := haConn(t, ws).helloEpoch(testFP, 1, 2); !ok {
 		t.Fatalf("same-epoch reconnect nacked: %s", reason)
 	}
 }
@@ -108,7 +141,7 @@ func TestBatchFencedOnSupersededSession(t *testing.T) {
 		}}
 
 	old := haConn(t, ws)
-	if ok, _ := old.helloRole(testFP, 1, RoleActive, 1); !ok {
+	if ok, _ := old.helloEpoch(testFP, 1, 1); !ok {
 		t.Fatal("epoch-1 hello nacked")
 	}
 	// The old primary still works before the takeover.
@@ -117,8 +150,8 @@ func TestBatchFencedOnSupersededSession(t *testing.T) {
 		t.Fatalf("pre-takeover batch got (%d, %q)", seqNo, msg)
 	}
 
-	// Takeover: a new active coordinator acks at epoch 2.
-	if ok, _ := haConn(t, ws).helloRole(testFP, 1, RoleActive, 2); !ok {
+	// Takeover: a new coordinator acks at epoch 2.
+	if ok, _ := haConn(t, ws).helloEpoch(testFP, 1, 2); !ok {
 		t.Fatal("epoch-2 hello nacked")
 	}
 
@@ -142,67 +175,6 @@ func TestBatchFencedOnSupersededSession(t *testing.T) {
 	case got := <-executed:
 		t.Fatalf("fenced batch %d was executed", got)
 	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-// A standby session may hold the connection and exchange pings but not
-// assign batches; a mid-session active hello promotes it in place.
-func TestStandbySessionPromotesInPlace(t *testing.T) {
-	ws := &WorkerServer{Name: "w", Fingerprint: testFP, Mode: 1, Exec: testExec}
-
-	cl := haConn(t, ws)
-	if ok, reason := cl.helloRole(testFP, 1, RoleStandby, 0); !ok {
-		t.Fatalf("standby hello nacked: %s", reason)
-	}
-	// A standby hello must not raise the epoch fence.
-	if got := ws.MaxEpoch(); got != 0 {
-		t.Fatalf("MaxEpoch after standby hello = %d, want 0", got)
-	}
-
-	// Pings flow on a standby session.
-	if err := writeFrame(cl.conn, encodePingPong(msgPing, 5)); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(cl.conn)
-	if err != nil || typ != msgPong {
-		t.Fatalf("standby ping: type %d, err %v", typ, err)
-	}
-	if nonce, _ := parsePingPong(typ, payload); nonce != 5 {
-		t.Fatalf("pong nonce %d, want 5", nonce)
-	}
-
-	// Batches do not.
-	cl.sendBatch(0)
-	if seqNo, msg := cl.next(); seqNo != 0 || !strings.Contains(msg, "standby session") {
-		t.Fatalf("standby batch got (%d, %q), want standby refusal", seqNo, msg)
-	}
-
-	// Promotion: an active hello on the same connection.
-	if ok, reason := cl.helloRole(testFP, 1, RoleActive, 2); !ok {
-		t.Fatalf("promotion hello nacked: %s", reason)
-	}
-	cl.sendBatch(1)
-	if seqNo, msg := cl.next(); seqNo != 1 || msg != "" {
-		t.Fatalf("post-promotion batch got (%d, %q), want clean result", seqNo, msg)
-	}
-	if got := ws.MaxEpoch(); got != 2 {
-		t.Fatalf("MaxEpoch after promotion = %d, want 2", got)
-	}
-}
-
-// A promotion whose epoch is already superseded is nacked and the
-// session torn down.
-func TestStalePromotionNacked(t *testing.T) {
-	ws := &WorkerServer{Name: "w", Fingerprint: testFP, Mode: 1, Exec: testExec}
-	if ok, _ := haConn(t, ws).helloRole(testFP, 1, RoleActive, 3); !ok {
-		t.Fatal("epoch-3 hello nacked")
-	}
-	cl := haConn(t, ws)
-	if ok, _ := cl.helloRole(testFP, 1, RoleStandby, 0); !ok {
-		t.Fatal("standby hello nacked")
-	}
-	if ok, reason := cl.helloRole(testFP, 1, RoleActive, 2); ok || !strings.Contains(reason, staleEpochMsg) {
-		t.Fatalf("stale promotion: acked=%v reason=%q", ok, reason)
 	}
 }
 
@@ -252,10 +224,10 @@ func TestCoordinatorKillStopsRun(t *testing.T) {
 }
 
 // End-to-end failover against shared worker state: the primary dies
-// mid-run, a standby holding warm connections promotes at a higher
-// epoch and finishes the work, and a late batch from the stale primary
-// is fenced.
-func TestStandbyPromoteTakesOverWorkers(t *testing.T) {
+// mid-run, a takeover coordinator dials the same workers afresh at a
+// higher epoch and finishes the work, and a stale primary reconnecting
+// at the old epoch is refused.
+func TestStandbyTakeoverRedialsWorkers(t *testing.T) {
 	const nWorkers, nBatches = 3, 8
 	// Persistent servers: the epoch fence lives in the WorkerServer, so
 	// primary and standby must dial the same instances.
@@ -272,13 +244,6 @@ func TestStandbyPromoteTakesOverWorkers(t *testing.T) {
 		}}
 	}
 
-	// The standby warms its connections before the primary dies.
-	logf, warm := warmLog()
-	sb := NewStandby(StandbyConfig{Workers: specs, Fingerprint: testFP, Mode: 1,
-		PingEvery: 20 * time.Millisecond, Logf: logf})
-	sb.Start(context.Background())
-	awaitWarm(t, sb, warm, nWorkers)
-
 	// Primary run at epoch 1, killed after 4 assignments.
 	fi := NewFaultInjector(1)
 	fi.SetCoordinatorKill(4)
@@ -290,13 +255,10 @@ func TestStandbyPromoteTakesOverWorkers(t *testing.T) {
 	}
 	committed := primaryLog.snapshot()
 
-	// Takeover: promote the warm connections, run the remaining batches
-	// at epoch 2. The promoted dials must be the warm conns (pipe conns
-	// whose worker side is already mid-session), exercised by the
-	// mid-session promotion hello.
-	promoted := sb.Promote()
+	// Takeover: fresh dials to the same workers, the remaining batches
+	// at epoch 2.
 	standbyLog := newCommitLog()
-	standby := &Coordinator{Cfg: Config{Workers: promoted, Fingerprint: testFP,
+	standby := &Coordinator{Cfg: Config{Workers: specs, Fingerprint: testFP,
 		Mode: 1, Epoch: 2}}
 	rep, err := standby.Run(context.Background(), func(submit func(b Batch) error) error {
 		off := 0
@@ -420,83 +382,6 @@ func TestTakeoverReportsUnfencedWorker(t *testing.T) {
 	rep.Record(reg)
 	if got, ok := reg.Get("hmmer_cluster_unfenced_workers"); !ok || got != 1 {
 		t.Fatalf("hmmer_cluster_unfenced_workers = %v (present %v), want 1", got, ok)
-	}
-}
-
-// Standby.Close tears the warm connections down without promoting.
-func TestStandbyCloseWithoutPromote(t *testing.T) {
-	specs := pipeWorkers(2, 1, testExec)
-	logf, warm := warmLog()
-	sb := NewStandby(StandbyConfig{Workers: specs, Fingerprint: testFP, Mode: 1,
-		PingEvery: 20 * time.Millisecond, Logf: logf})
-	sb.Start(context.Background())
-	awaitWarm(t, sb, warm, 2)
-	sb.Close()
-	if got := sb.Warm(); got != 0 {
-		t.Fatalf("Warm after Close = %d, want 0", got)
-	}
-}
-
-// A standby redials after its worker drops the connection.
-func TestStandbyRedialsLostWorker(t *testing.T) {
-	ws := &WorkerServer{Name: "w0", Capacity: 1, Fingerprint: testFP, Mode: 1, Exec: testExec}
-	// The standby dials on its own goroutine; mu guards what the dialer
-	// leaves for the test to read.
-	var mu sync.Mutex
-	var dials int
-	var lastServer net.Conn
-	spec := WorkerSpec{Name: "w0", Dial: func(ctx context.Context) (net.Conn, error) {
-		c1, c2 := net.Pipe()
-		go ws.ServeConn(context.Background(), c2)
-		mu.Lock()
-		dials++
-		lastServer = c2
-		mu.Unlock()
-		return c1, nil
-	}}
-	dialed := func() (int, net.Conn) {
-		mu.Lock()
-		defer mu.Unlock()
-		return dials, lastServer
-	}
-	logf, warm := warmLog()
-	sb := NewStandby(StandbyConfig{Workers: []WorkerSpec{spec}, Fingerprint: testFP,
-		Mode: 1, PingEvery: 10 * time.Millisecond, Logf: logf,
-		Policy: dispatch.Policy{BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond}})
-	sb.Start(context.Background())
-	defer sb.Close()
-	awaitWarm(t, sb, warm, 1)
-	_, server := dialed()
-	server.Close() // worker "crashes"
-	awaitWarm(t, sb, warm, 1)
-	if n, _ := dialed(); n < 2 {
-		t.Fatalf("standby re-warmed after %d dials, want a redial", n)
-	}
-}
-
-// warmLog returns a StandbyConfig.Logf that signals on warm once per
-// "connection warm" line, which the standby logs once the connection
-// counts in Warm.
-func warmLog() (func(string, ...any), <-chan struct{}) {
-	// Room for every warm line a test can log, so a maintainer never
-	// blocks on logging once the test has stopped reading.
-	warm := make(chan struct{}, 16)
-	return func(format string, _ ...any) {
-		if strings.Contains(format, "connection warm") {
-			warm <- struct{}{}
-		}
-	}, warm
-}
-
-// awaitWarm waits for n more "connection warm" lines from sb.
-func awaitWarm(t *testing.T, sb *Standby, warm <-chan struct{}, n int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		select {
-		case <-warm:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("standby warmed %d of %d connections (Warm = %d)", i, n, sb.Warm())
-		}
 	}
 }
 

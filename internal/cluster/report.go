@@ -173,7 +173,7 @@ func (r *Report) Record(reg *obs.Registry) {
 	reg.Help("hmmer_cluster_worker_quarantined",
 		"1 when the worker was quarantined by the circuit breaker during the run")
 	reg.Help("hmmer_cluster_failovers_total",
-		"hot-standby takeovers performed by this run (journal assumed, workers promoted)")
+		"hot-standby takeovers performed by this run (journal resumed, workers redialled at a higher epoch)")
 	reg.Help("hmmer_cluster_standby_tailed_total",
 		"records a standby read from the primary's journal when it took over")
 	reg.Help("hmmer_cluster_unfenced_workers",

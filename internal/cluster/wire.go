@@ -38,18 +38,9 @@ import (
 
 // ProtoVersion is the wire protocol version. A worker built from a
 // different protocol version is rejected at handshake. Version 2
-// extended hello with a coordinator role and fencing epoch (the
-// hot-standby handshake of DESIGN §2j).
+// extended hello with a fencing epoch (the takeover handshake of
+// DESIGN §2j) and a byte that is now reserved as 0.
 const ProtoVersion = 2
-
-// Coordinator roles carried in the hello. An active coordinator
-// assigns batches; a standby only holds the connection warm (pings)
-// until it promotes itself by sending a fresh active hello on the same
-// connection.
-const (
-	RoleActive  byte = 0
-	RoleStandby byte = 1
-)
 
 // MaxFrame bounds a single frame so a corrupt or hostile length field
 // cannot force a multi-gigabyte allocation. A batch frame holds one
@@ -59,7 +50,7 @@ const MaxFrame = 1 << 28
 // Message types (the first body byte). The body layouts are
 // little-endian throughout:
 //
-//	hello     (coordinator→worker): u8 version | fingerprint[32] | u8 mode | u8 role | u64 epoch
+//	hello     (coordinator→worker): u8 version | fingerprint[32] | u8 mode | u8 reserved (0) | u64 epoch
 //	helloAck  (worker→coordinator): u8 version | u16 capacity | u16 nameLen | name
 //	helloNack (worker→coordinator): u16 reasonLen | reason
 //	batch     (coordinator→worker): u64 seq | u64 epoch | u64 offset | u32 nSeqs |
@@ -127,20 +118,17 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 }
 
 // Handshake is the hello the coordinator opens every connection with.
-// A standby coordinator re-sends an active hello mid-session to
-// promote the warm connection (takeover); the worker re-vets it
-// against the highest active epoch it has ever acked, so a stale
-// primary reconnecting after a failover is nacked, never assigned to.
+// The worker vets it against the highest epoch it has ever acked, so a
+// stale primary reconnecting after a failover is nacked, never
+// assigned to.
 type Handshake struct {
 	Version     byte
 	Fingerprint [32]byte
 	Mode        byte
-	// Role is RoleActive or RoleStandby.
-	Role byte
 	// Epoch is the coordinator's fencing epoch. A worker that has
-	// acked an active hello at epoch E nacks any later active hello
-	// with epoch < E and answers batch frames from the older session
-	// with a stale-epoch exec error.
+	// acked a hello at epoch E nacks any later hello with epoch < E
+	// and answers batch frames from the older session with a
+	// stale-epoch exec error.
 	Epoch uint64
 }
 
@@ -156,7 +144,7 @@ func encodeHello(h Handshake) []byte {
 	body := make([]byte, 0, 1+1+32+1+1+8)
 	body = append(body, msgHello, h.Version)
 	body = append(body, h.Fingerprint[:]...)
-	body = append(body, h.Mode, h.Role)
+	body = append(body, h.Mode, 0)
 	var u64 [8]byte
 	binary.LittleEndian.PutUint64(u64[:], h.Epoch)
 	return append(body, u64[:]...)
@@ -170,7 +158,11 @@ func parseHello(p []byte) (Handshake, error) {
 	h.Version = p[0]
 	copy(h.Fingerprint[:], p[1:33])
 	h.Mode = p[33]
-	h.Role = p[34]
+	if p[34] != 0 {
+		// Once a standby coordinator's role; a peer that sets it expects
+		// a session this worker no longer serves.
+		return h, &WireError{Msg: msgHello, Reason: fmt.Sprintf("reserved hello byte 34 is %d, want 0", p[34])}
+	}
 	h.Epoch = binary.LittleEndian.Uint64(p[35:43])
 	return h, nil
 }

@@ -44,9 +44,9 @@ type WorkerServer struct {
 	// Logf, when set, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
 
-	// maxEpoch is the highest active-coordinator epoch this server has
-	// ever acked, across every connection in its lifetime. It is the
-	// worker's half of the failover fence: an active hello with a lower
+	// maxEpoch is the highest coordinator epoch this server has ever
+	// acked, across every connection in its lifetime. It is the
+	// worker's half of the failover fence: a hello with a lower
 	// epoch is nacked (a stale primary reconnecting after a takeover),
 	// and a batch frame arriving on a session whose acked epoch has
 	// since been superseded is answered with a stale-epoch exec error,
@@ -57,8 +57,8 @@ type WorkerServer struct {
 	fenced atomic.Int64
 }
 
-// MaxEpoch returns the highest active-coordinator epoch the server has
-// acked (0 before any active coordinator connects).
+// MaxEpoch returns the highest coordinator epoch the server has acked
+// (0 before any coordinator connects).
 func (ws *WorkerServer) MaxEpoch() uint64 { return ws.maxEpoch.Load() }
 
 // FencedBatches returns the number of batch assignments this server
@@ -148,11 +148,8 @@ func (ws *WorkerServer) ServeConn(ctx context.Context, conn net.Conn) error {
 	if typ != msgHello {
 		return &HandshakeError{Worker: ws.Name, Reason: fmt.Sprintf("first frame is type %d, want hello", typ)}
 	}
-	hello, err := parseHello(payload)
-	if err != nil {
-		return err
-	}
-	if reason := ws.vetHello(hello); reason != "" {
+	sessEpoch, reason := ws.vetHello(payload)
+	if reason != "" {
 		writeFrame(conn, encodeHelloNack(reason))
 		return &HandshakeError{Worker: ws.Name, Reason: reason}
 	}
@@ -169,12 +166,7 @@ func (ws *WorkerServer) ServeConn(ctx context.Context, conn net.Conn) error {
 	if err := write(encodeHelloAck(HelloAck{Version: ProtoVersion, Capacity: capacity, Name: ws.Name})); err != nil {
 		return fmt.Errorf("cluster: worker %s: writing helloAck: %w", ws.Name, err)
 	}
-	// The session's role and epoch are only touched from this read
-	// loop (promotion is a mid-session hello, read here too), so plain
-	// variables suffice.
-	sessRole, sessEpoch := hello.Role, hello.Epoch
-	ws.logf("worker %s: %s coordinator connected (capacity %d, epoch %d)",
-		ws.Name, roleName(sessRole), capacity, sessEpoch)
+	ws.logf("worker %s: coordinator connected (capacity %d, epoch %d)", ws.Name, capacity, sessEpoch)
 
 	var execs sync.WaitGroup
 	defer execs.Wait() // cancel() above stops them; wait so conn.Close is last
@@ -196,40 +188,14 @@ func (ws *WorkerServer) ServeConn(ctx context.Context, conn net.Conn) error {
 			if err := write(encodePingPong(msgPong, nonce)); err != nil {
 				return err
 			}
-		case msgHello:
-			// A mid-session hello: the peer is a standby promoting itself
-			// to active after a failover (or an active coordinator
-			// re-asserting itself). Re-vet exactly like the opening hello
-			// — a promotion whose epoch has already been superseded is
-			// nacked and the session torn down.
-			h, err := parseHello(payload)
-			if err != nil {
-				return err
-			}
-			if reason := ws.vetHello(h); reason != "" {
-				write(encodeHelloNack(reason))
-				return &HandshakeError{Worker: ws.Name, Reason: reason}
-			}
-			sessRole, sessEpoch = h.Role, h.Epoch
-			if err := write(encodeHelloAck(HelloAck{Version: ProtoVersion, Capacity: capacity, Name: ws.Name})); err != nil {
-				return fmt.Errorf("cluster: worker %s: writing helloAck: %w", ws.Name, err)
-			}
-			ws.logf("worker %s: session re-helloed as %s (epoch %d)", ws.Name, roleName(sessRole), sessEpoch)
 		case msgBatch:
 			seqNo, epoch, _, db, err := parseBatchMsg(payload)
 			if err != nil {
 				return err
 			}
-			if sessRole != RoleActive {
-				// A standby session must never assign work.
-				if err := write(encodeExecErr(seqNo, epoch, "standby session may not assign batches")); err != nil {
-					return err
-				}
-				break
-			}
 			if max := ws.maxEpoch.Load(); sessEpoch < max {
 				// The fence: a batch from a session whose acked epoch has
-				// been superseded by a newer active coordinator is refused,
+				// been superseded by a newer coordinator is refused,
 				// never executed — the old primary cannot double-commit
 				// work the new primary owns.
 				ws.fenced.Add(1)
@@ -279,41 +245,30 @@ func (ws *WorkerServer) ServeConn(ctx context.Context, conn net.Conn) error {
 	}
 }
 
-// vetHello validates a hello (opening or mid-session). A clean active
-// hello also raises the server-wide epoch fence as a side effect —
-// atomically with the staleness check, so two racing active hellos
-// resolve to one winner and one nack-or-equal.
-func (ws *WorkerServer) vetHello(h Handshake) string {
-	if h.Version != ProtoVersion {
-		return fmt.Sprintf("protocol version %d, worker speaks %d", h.Version, ProtoVersion)
-	}
-	if h.Fingerprint != ws.Fingerprint {
-		return fmt.Sprintf("config fingerprint %x does not match worker's %x",
+// vetHello parses and validates a hello and returns its epoch, or why
+// it is refused. A clean hello also raises the server-wide epoch fence
+// as a side effect — atomically with the staleness check, so two
+// racing hellos resolve to one winner and one nack-or-equal.
+func (ws *WorkerServer) vetHello(payload []byte) (epoch uint64, reason string) {
+	h, err := parseHello(payload)
+	switch {
+	case err != nil:
+		return 0, err.Error()
+	case h.Version != ProtoVersion:
+		return 0, fmt.Sprintf("protocol version %d, worker speaks %d", h.Version, ProtoVersion)
+	case h.Fingerprint != ws.Fingerprint:
+		return 0, fmt.Sprintf("config fingerprint %x does not match worker's %x",
 			h.Fingerprint[:6], ws.Fingerprint[:6])
+	case h.Mode != ws.Mode:
+		return 0, fmt.Sprintf("simulator mode %d does not match worker's %d", h.Mode, ws.Mode)
 	}
-	if h.Mode != ws.Mode {
-		return fmt.Sprintf("simulator mode %d does not match worker's %d", h.Mode, ws.Mode)
-	}
-	if h.Role != RoleActive && h.Role != RoleStandby {
-		return fmt.Sprintf("unknown coordinator role %d", h.Role)
-	}
-	if h.Role == RoleActive {
-		for {
-			max := ws.maxEpoch.Load()
-			if h.Epoch < max {
-				return fmt.Sprintf("%s %d: this worker has acked epoch %d", staleEpochMsg, h.Epoch, max)
-			}
-			if ws.maxEpoch.CompareAndSwap(max, h.Epoch) {
-				break
-			}
+	for {
+		max := ws.maxEpoch.Load()
+		if h.Epoch < max {
+			return 0, fmt.Sprintf("%s %d: this worker has acked epoch %d", staleEpochMsg, h.Epoch, max)
+		}
+		if ws.maxEpoch.CompareAndSwap(max, h.Epoch) {
+			return h.Epoch, ""
 		}
 	}
-	return ""
-}
-
-func roleName(r byte) string {
-	if r == RoleStandby {
-		return "standby"
-	}
-	return "active"
 }

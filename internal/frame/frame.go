@@ -22,6 +22,11 @@ const HeaderSize = 8
 // arrive; a longer body grows the buffer as they do.
 const firstChunk = 1 << 20
 
+// smallBody is the longest body Read serves from the buffer it reads
+// the header into, so a control frame (hello, ack, ping, goodbye, a
+// short exec error) or a short journal record costs one allocation.
+const smallBody = 512
+
 // Limits is the inclusive range of body lengths one use accepts.
 type Limits struct{ Min, Max uint32 }
 
@@ -59,20 +64,24 @@ func (l Limits) Decode(data []byte) (body, rest []byte, err error) {
 	return body, rest, nil
 }
 
-// Read reads one frame from r and returns its body. A body of at most
-// firstChunk bytes is read into one buffer of its size; a header that
-// declares more and then stalls holds no more than firstChunk.
+// Read reads one frame from r and returns its body. The header is read
+// into a buffer with room for smallBody more bytes; a longer body of
+// at most firstChunk bytes is read into one buffer of its size, and a
+// header that declares more and then stalls holds no more than
+// firstChunk.
 func (l Limits) Read(r io.Reader) ([]byte, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	buf := make([]byte, HeaderSize, HeaderSize+smallBody)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	n, err := l.length(hdr[:])
+	n, err := l.length(buf)
 	if err != nil {
 		return nil, err
 	}
 	end := HeaderSize + n
-	buf := append(make([]byte, 0, HeaderSize+min(n, firstChunk)), hdr[:]...)
+	if end > cap(buf) {
+		buf = append(make([]byte, 0, HeaderSize+min(n, firstChunk)), buf...)
+	}
 	for len(buf) < end {
 		buf = slices.Grow(buf, min(len(buf), end-len(buf)))
 		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), end)])

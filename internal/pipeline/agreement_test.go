@@ -56,10 +56,6 @@ var entryPoints = []struct {
 	{"RunCPUStream", func(t *testing.T, pl *Pipeline, in agreeInput) (*Result, error) {
 		return pl.RunCPUStream(bytes.NewReader(in.fasta), 7)
 	}},
-	{"RunMultiGPUStream", func(t *testing.T, pl *Pipeline, in agreeInput) (*Result, error) {
-		return pl.RunMultiGPUStream(simt.NewSystem(simt.GTX580(), 2), gpu.MemAuto, bytes.NewReader(in.fasta),
-			StreamConfig{BatchResidues: in.batchResidues})
-	}},
 	{"RunMultiGPUStreamContext", func(t *testing.T, pl *Pipeline, in agreeInput) (*Result, error) {
 		// Journaled and guarded: the clean results must pass every guard
 		// and merge the same from a journaling commit path.
@@ -110,7 +106,7 @@ var entryPoints = []struct {
 		grantLease()
 		return pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(in.fasta), cfg,
 			ClusterConfig{Workers: specs},
-			StandbyClusterConfig{Acquire: acquire, PingEvery: 10 * time.Millisecond, Poll: 5 * time.Millisecond})
+			StandbyClusterConfig{Acquire: acquire, Poll: 5 * time.Millisecond})
 	}},
 }
 

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func tracedStreamRun(t *testing.T, devices int) (*obs.Tracer, *obs.Registry) {
 		t.Fatal(err)
 	}
 	sys := simt.NewSystem(simt.GTX580(), devices)
-	_, err = pl.RunMultiGPUStream(sys, gpu.MemAuto, &fasta,
+	_, err = pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, &fasta,
 		StreamConfig{BatchResidues: db.TotalResidues() / 6})
 	if err != nil {
 		t.Fatal(err)

@@ -340,7 +340,7 @@ type MultiGPUStreamExtra struct {
 	kernel string
 }
 
-// RunMultiGPUStream searches a FASTA stream across all devices of a
+// RunMultiGPUStreamContext searches a FASTA stream across all devices of a
 // system: the stream is chunked into residue-balanced batches, host
 // parsing overlaps device execution through a bounded queue, and each
 // batch runs on whichever device frees up first (dynamic load
@@ -357,12 +357,8 @@ type MultiGPUStreamExtra struct {
 // Because both engines are deterministic and merges are gated by each
 // batch's commit token, a faulted run's Result is bit-identical to the
 // fault-free run's.
-func (pl *Pipeline) RunMultiGPUStream(sys *simt.System, mem gpu.MemConfig, r io.Reader, cfg StreamConfig) (*Result, error) {
-	return pl.RunMultiGPUStreamContext(context.Background(), sys, mem, r, cfg)
-}
-
-// RunMultiGPUStreamContext is RunMultiGPUStream with cancellation:
-// cancelling ctx aborts the scheduler (producer and workers) and
+//
+// Cancelling ctx aborts the scheduler (producer and workers) and
 // returns ctx's error. With cfg.Checkpoint set the run journals every
 // committed batch and can resume an interrupted run; with cfg.Drain
 // set it stops gracefully when that channel closes.

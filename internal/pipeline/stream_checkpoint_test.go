@@ -24,7 +24,7 @@ func ckptRun(t *testing.T, pl *Pipeline, fasta []byte, batchResidues int64, devi
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta), cfg)
+	return pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta), cfg)
 }
 
 // TestStreamCrashResumeMatchesClean exercises every crash window: the
@@ -119,7 +119,7 @@ func TestStreamCrashResumeUnderFaults(t *testing.T) {
 	cfg := StreamConfig{BatchResidues: batchResidues,
 		Checkpoint: &CheckpointConfig{Path: path, Crash: checkpoint.CrashAfter(1, checkpoint.WindowAfterSync)}}
 	withFaults(&cfg)
-	_, err := pl.RunMultiGPUStream(faultedSys(), gpu.MemAuto, bytes.NewReader(fasta), cfg)
+	_, err := pl.RunMultiGPUStreamContext(context.Background(), faultedSys(), gpu.MemAuto, bytes.NewReader(fasta), cfg)
 	if !errors.Is(err, checkpoint.ErrInjectedCrash) {
 		t.Fatalf("crashed run returned %v, want ErrInjectedCrash", err)
 	}
@@ -127,7 +127,7 @@ func TestStreamCrashResumeUnderFaults(t *testing.T) {
 	cfg = StreamConfig{BatchResidues: batchResidues,
 		Checkpoint: &CheckpointConfig{Path: path, Resume: true}}
 	withFaults(&cfg)
-	res, err := pl.RunMultiGPUStream(faultedSys(), gpu.MemAuto, bytes.NewReader(fasta), cfg)
+	res, err := pl.RunMultiGPUStreamContext(context.Background(), faultedSys(), gpu.MemAuto, bytes.NewReader(fasta), cfg)
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestStreamCrashResumeUnderDMR(t *testing.T) {
 		return sys
 	}
 
-	_, err := pl.RunMultiGPUStream(flippedSys(), gpu.MemAuto, bytes.NewReader(fasta), StreamConfig{
+	_, err := pl.RunMultiGPUStreamContext(context.Background(), flippedSys(), gpu.MemAuto, bytes.NewReader(fasta), StreamConfig{
 		BatchResidues: batchResidues,
 		Verify:        VerifyDMR,
 		Checkpoint:    &CheckpointConfig{Path: path, Crash: checkpoint.CrashAfter(2, checkpoint.WindowAfterAppend)},
@@ -156,7 +156,7 @@ func TestStreamCrashResumeUnderDMR(t *testing.T) {
 	if !errors.Is(err, checkpoint.ErrInjectedCrash) {
 		t.Fatalf("crashed run returned %v, want ErrInjectedCrash", err)
 	}
-	res, err := pl.RunMultiGPUStream(flippedSys(), gpu.MemAuto, bytes.NewReader(fasta), StreamConfig{
+	res, err := pl.RunMultiGPUStreamContext(context.Background(), flippedSys(), gpu.MemAuto, bytes.NewReader(fasta), StreamConfig{
 		BatchResidues: batchResidues,
 		Verify:        VerifyDMR,
 		Checkpoint:    &CheckpointConfig{Path: path, Resume: true},

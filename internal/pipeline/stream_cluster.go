@@ -2,7 +2,7 @@ package pipeline
 
 // Cluster-mode streaming: the two-level tier above the single-node
 // schedulers. A coordinator (this process) chunks the FASTA stream
-// into the same residue-balanced batches as RunMultiGPUStream and
+// into the same residue-balanced batches as RunMultiGPUStreamContext and
 // shards them across worker processes over the cluster wire protocol
 // (see internal/cluster and DESIGN §2h). Workers execute batches with
 // the same deterministic engines, so the sharded hit table is
@@ -128,7 +128,7 @@ func (pl *Pipeline) clusterExec(engine string,
 
 // RunClusterStreamContext searches a FASTA stream across cluster
 // workers: the stream is chunked into residue-balanced batches
-// (identical to RunMultiGPUStream's chunking — enforced by the config
+// (identical to RunMultiGPUStreamContext's chunking — enforced by the config
 // fingerprint) and each batch runs on whichever worker slot frees up
 // first. Worker loss is detected by heartbeat and repaired by
 // exactly-once requeue; once every worker is lost the remaining

@@ -99,7 +99,7 @@ func TestStreamFaultedRunMatchesClean(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 4)
 	applyFaults(t, sys, "dev0:p=0.3;dev1:at=1,hang=3;dev2:dead", 99)
 	holdUntilClaimed(sys, 2, 0)
-	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
+	res, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues, Policy: dispatch.Policy{MaxRetries: 8}})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestStreamAllDevicesDeadFallsBackToCPU(t *testing.T) {
 
 	sys := simt.NewSystem(simt.GTX580(), 2)
 	applyFaults(t, sys, "dev0:dead;dev1:dead", 0)
-	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
+	res, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestStreamDeviceLostMidRunQuarantined(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
 	applyFaults(t, sys, "dev1:dead=2", 0)
 	holdUntilClaimed(sys, 1, 2)
-	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
+	res, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues, Policy: dispatch.Policy{MaxRetries: 8}})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestStreamFallbackDisabledFailsWhenAllDead(t *testing.T) {
 	pl, fasta, _, batchResidues := faultStreamFixture(t)
 	sys := simt.NewSystem(simt.GTX580(), 2)
 	applyFaults(t, sys, "dev0:dead;dev1:dead", 0)
-	_, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
+	_, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues, DisableFallback: true})
 	if !errors.Is(err, gpu.ErrAllQuarantined) {
 		t.Fatalf("err = %v, want ErrAllQuarantined", err)
@@ -192,7 +192,7 @@ func TestStreamProcessErrorOnLaterBatch(t *testing.T) {
 	// batch issues at least one launch).
 	sys.Devices[0].Faults = simt.NewFaultInjector(1).FailAt(2, simt.FaultLaunch)
 	sys.Devices[1].Faults = simt.NewFaultInjector(1).FailAt(2, simt.FaultLaunch)
-	_, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
+	_, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues, Policy: dispatch.Policy{MaxRetries: -1, QuarantineAfter: -1}})
 	if !errors.Is(err, simt.ErrLaunchFailed) {
 		t.Fatalf("err = %v, want wrapped ErrLaunchFailed", err)
@@ -206,7 +206,7 @@ func TestStreamProducerErrorMidStream(t *testing.T) {
 	sys := simt.NewSystem(simt.GTX580(), 2)
 	boom := errors.New("disk gone")
 	r := io.MultiReader(bytes.NewReader(fasta[:len(fasta)/2]), &failingReader{err: boom})
-	_, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, r,
+	_, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, r,
 		StreamConfig{BatchResidues: batchResidues})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the reader's error", err)
@@ -238,7 +238,7 @@ func TestStreamSeededFaultDeterminism(t *testing.T) {
 		sys := simt.NewSystem(simt.GTX580(), 3)
 		applyFaults(t, sys, "dev0:at=0,at=2;dev1:at=1;dev2:dead", 7)
 		holdUntilClaimed(sys, 2, 0)
-		res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
+		res, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta),
 			StreamConfig{BatchResidues: batchResidues, Policy: dispatch.Policy{MaxRetries: 8}})
 		if err != nil {
 			t.Fatal(err)

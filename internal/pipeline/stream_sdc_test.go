@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"hmmer3gpu/internal/dispatch"
@@ -22,7 +23,7 @@ func runSDCStream(t *testing.T, pl *Pipeline, fasta []byte, batchResidues int64,
 	if spec != "" {
 		applyFaults(t, sys, spec, seed)
 	}
-	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
+	res, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues, Policy: dispatch.Policy{MaxRetries: 8}, Verify: mode})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestStreamSDCECCDeviceImmune(t *testing.T) {
 	pl, fasta, whole, batchResidues := faultStreamFixture(t)
 	sys := simt.NewSystem(simt.TeslaK40(), 1)
 	applyFaults(t, sys, "dev0:flip@p=0.05,flip@launch=0", 11)
-	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta),
+	res, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta),
 		StreamConfig{BatchResidues: batchResidues, Verify: VerifyDMR})
 	if err != nil {
 		t.Fatal(err)

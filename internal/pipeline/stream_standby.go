@@ -1,15 +1,15 @@
 package pipeline
 
 // Hot-standby cluster streaming: the failover half of DESIGN §2j. A
-// standby process holds warm connections to the worker roster and
-// waits on the primary's leadership lease, checking meanwhile that the
-// primary's checkpoint journal (shared file) belongs to this run. When
-// the primary dies — observed as the journal's flock lease freeing —
-// the standby resumes the journal exactly as -resume does, promotes
-// the warm connections, and finishes the stream as a coordinator at a
-// higher fencing epoch. The (seq, epoch) fence plus the workers' epoch
-// memory guarantee no batch the primary committed is ever re-merged,
-// and a primary that was merely paused cannot commit past the takeover.
+// standby process waits on the primary's leadership lease, checking
+// meanwhile that the primary's checkpoint journal (shared file)
+// belongs to this run. When the primary dies — observed as the
+// journal's flock lease freeing — the standby resumes the journal
+// exactly as -resume does, dials the worker roster, and finishes the
+// stream as a coordinator at a higher fencing epoch. The (seq, epoch)
+// fence plus the workers' epoch memory guarantee no batch the primary
+// committed is ever re-merged, and a primary that was merely paused
+// cannot commit past the takeover.
 
 import (
 	"context"
@@ -20,6 +20,7 @@ import (
 
 	"hmmer3gpu/internal/checkpoint"
 	"hmmer3gpu/internal/cluster"
+	"hmmer3gpu/internal/dispatch"
 )
 
 // StandbyClusterConfig shapes the standby side of a failover pair.
@@ -34,12 +35,9 @@ type StandbyClusterConfig struct {
 	// Epoch is the fencing epoch the takeover coordinator runs at; it
 	// must exceed the primary's. Zero means 2 (primary default + 1).
 	Epoch uint64
-	// PingEvery is the warm-connection keepalive cadence
-	// (cluster.StandbyConfig.PingEvery).
-	PingEvery time.Duration
-	// Poll is how often an absent journal is looked for again and, with
-	// the default Acquire, how often the lease is retried. Zero means
-	// cluster.DefaultLeadershipPoll.
+	// Poll is how often an absent journal is looked for again (on the
+	// run's Policy.Clock) and, with the default Acquire, how often the
+	// lease is retried. Zero means cluster.DefaultLeadershipPoll.
 	Poll time.Duration
 }
 
@@ -58,13 +56,14 @@ func (c *StandbyClusterConfig) poll() time.Duration {
 }
 
 // RunStandbyClusterStreamContext runs the hot-standby protocol to
-// completion: warm the worker roster, check the primary's journal
-// header, block on the leadership lease, then resume the journal and
-// finish the stream. The returned Result is byte-identical to what the
-// primary would have produced had it survived — the standby re-chunks
-// the same stream under the same config fingerprint, merges the
-// primary's journaled batches from disk, and computes only the
-// remainder.
+// completion: check the primary's journal header, block on the
+// leadership lease, then resume the journal and finish the stream. The
+// returned Result is byte-identical to what the primary would have
+// produced had it survived — the standby re-chunks the same stream
+// under the same config fingerprint, merges the primary's journaled
+// batches from disk, and computes only the remainder. Takeover dials
+// ccfg.Workers afresh: each worker's hello at the higher epoch is what
+// fences the old primary.
 //
 // cfg.Checkpoint.Path must name the primary's journal (shared
 // filesystem); the standby keeps journaling to it after takeover, so a
@@ -89,20 +88,6 @@ func (pl *Pipeline) RunStandbyClusterStreamContext(ctx context.Context, r io.Rea
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-
-	// Warm connections first: they are useful the moment the primary
-	// dies, and the standby handshake also front-loads fingerprint
-	// validation against every reachable worker.
-	sb := cluster.NewStandby(cluster.StandbyConfig{
-		Workers:     ccfg.Workers,
-		Fingerprint: fp,
-		Mode:        ccfg.Mode,
-		PingEvery:   ha.PingEvery,
-		Policy:      cfg.Policy,
-		Logf:        ccfg.Logf,
-	})
-	sb.Start(ctx)
-	defer sb.Close() // no-op after Promote
 
 	// The leadership race runs while we wait: the lease frees when the
 	// primary exits (cleanly or not), which is the takeover signal. It
@@ -151,7 +136,7 @@ func (pl *Pipeline) RunStandbyClusterStreamContext(ctx context.Context, r io.Rea
 					waiting = true
 					logf("standby: no journal at %s yet, waiting for the primary to start", ck.Path)
 				}
-				retry = time.After(ha.poll())
+				retry = dispatch.OrWall(cfg.Policy.Clock).After(ha.poll())
 			}
 		}
 		select {
@@ -183,10 +168,9 @@ func (pl *Pipeline) RunStandbyClusterStreamContext(ctx context.Context, r io.Rea
 	if err != nil {
 		return nil, err
 	}
-	logf("standby: taking over: %d batches read from the primary's journal, promoting %d warm workers at epoch %d",
-		len(run.skip), sb.Warm(), ha.epoch())
+	logf("standby: taking over: %d batches read from the primary's journal, dialling %d workers at epoch %d",
+		len(run.skip), len(ccfg.Workers), ha.epoch())
 
-	ccfg.Workers = sb.Promote()
 	ccfg.Epoch = ha.epoch()
 	return pl.runClusterCore(ctx, r, cfg, ccfg, run,
 		haState{failovers: 1, standbyTailed: len(run.skip)})

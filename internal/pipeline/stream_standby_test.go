@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -34,9 +33,8 @@ func chanLeadership() (cluster.AcquireLeadership, func()) {
 
 // TestStandbyTakeoverMatchesSingleNode is the in-process end-to-end
 // failover: the primary coordinator is killed mid-run by injection,
-// the hot standby — holding warm connections to the same three
-// workers — resumes the journal, takes over at epoch 2 and finishes the
-// stream. The merged result must be bit-identical to the single-node
+// the hot standby resumes the journal, dials the same three workers at
+// epoch 2 and finishes the stream. The merged result must be bit-identical to the single-node
 // run, with no batch merged twice.
 func TestStandbyTakeoverMatchesSingleNode(t *testing.T) {
 	pl, fasta, whole, batchResidues := faultStreamFixture(t)
@@ -53,8 +51,8 @@ func TestStandbyTakeoverMatchesSingleNode(t *testing.T) {
 		specs[i] = InProcessWorkerSpec(servers[i])
 	}
 
-	// The standby starts first (as deployed: it must be warm before the
-	// primary can die) and parks on the leadership lease.
+	// The standby starts first (as deployed: it must be waiting before
+	// the primary can die) and parks on the leadership lease.
 	acquire, grantLease := chanLeadership()
 	type outcome struct {
 		res *Result
@@ -64,8 +62,7 @@ func TestStandbyTakeoverMatchesSingleNode(t *testing.T) {
 	go func() {
 		res, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta),
 			cfg, ClusterConfig{Workers: specs},
-			StandbyClusterConfig{Acquire: acquire, PingEvery: 10 * time.Millisecond,
-				Poll: 5 * time.Millisecond})
+			StandbyClusterConfig{Acquire: acquire, Poll: 5 * time.Millisecond})
 		standbyDone <- outcome{res, err}
 	}()
 
@@ -249,74 +246,52 @@ func (instantClock) After(time.Duration) <-chan time.Time {
 	return ch
 }
 
-// frameConn calls wrote after every frame written through it (each
-// frame is one Write).
-type frameConn struct {
-	net.Conn
-	wrote func()
-}
-
-func (c frameConn) Write(p []byte) (int, error) {
-	c.wrote()
-	return c.Conn.Write(p)
-}
-
-// TestStandbyRunsOnTheRunsClock: the standby's redial backoff and its
-// warm-connection pings wait on the run's Policy.Clock. The backoff
-// and the ping cadence are an hour each, and the clock fires at once,
-// so the standby redials the worker that refused its first dial and
-// then pings it again and again, all before any wall-clock hour ends.
+// TestStandbyRunsOnTheRunsClock: the standby's look for an absent
+// journal waits on the run's Policy.Clock. The poll is an hour and the
+// clock fires at once, so the standby finds the journal that appears
+// after its first look before any wall-clock hour ends.
 func TestStandbyRunsOnTheRunsClock(t *testing.T) {
 	pl, fasta, _, batchResidues := faultStreamFixture(t)
+	path := filepath.Join(t.TempDir(), "run.ckpt")
 	cfg := StreamConfig{BatchResidues: batchResidues,
-		Checkpoint: &CheckpointConfig{Path: filepath.Join(t.TempDir(), "never-created.ckpt")},
-		Policy:     dispatch.Policy{BackoffBase: time.Hour, BackoffCap: time.Hour, Clock: instantClock{}}}
-	inner := InProcessWorkerSpec(pl.NewWorkerServer(cfg, 0, "w0", 1, pl.ClusterExecCPU()))
-
-	// Frames out of the standby: its hello, then one ping per round.
-	const want = 1 + 3
-	var mu sync.Mutex
-	dials, frames := 0, 0
-	pinged := make(chan struct{})
-	spec := cluster.WorkerSpec{Name: inner.Name, Dial: func(ctx context.Context) (net.Conn, error) {
-		mu.Lock()
-		dials++
-		refuse := dials == 1
-		mu.Unlock()
-		if refuse {
-			return nil, errors.New("connection refused")
-		}
-		conn, err := inner.Dial(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return frameConn{conn, func() {
-			mu.Lock()
-			defer mu.Unlock()
-			if frames++; frames == want {
-				close(pinged)
-			}
-		}}, nil
-	}}
+		Checkpoint: &CheckpointConfig{Path: path},
+		Policy:     dispatch.Policy{Clock: instantClock{}}}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	acquire, _ := chanLeadership()
+	looked, found := make(chan struct{}), make(chan struct{})
+	logf := func(format string, _ ...any) {
+		switch {
+		case strings.Contains(format, "no journal"):
+			close(looked)
+		case strings.Contains(format, "belongs to this run"):
+			close(found)
+		}
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, err := pl.RunStandbyClusterStreamContext(ctx, bytes.NewReader(fasta), cfg,
-			ClusterConfig{Workers: []cluster.WorkerSpec{spec}},
-			StandbyClusterConfig{Acquire: acquire, PingEvery: time.Hour, Poll: time.Hour})
+			ClusterConfig{Workers: cpuWorkers(pl, cfg, 1), Logf: logf},
+			StandbyClusterConfig{Acquire: acquire, Poll: time.Hour})
 		done <- err
 	}()
 	select {
-	case <-pinged:
+	case <-looked:
 	case err := <-done:
-		t.Fatalf("standby returned before it pinged: %v", err)
+		t.Fatalf("standby returned before it looked for the journal: %v", err)
+	}
+	j, err := checkpoint.Create(path, pl.Fingerprint(cfg), checkpoint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	select {
+	case <-found:
+	case err := <-done:
+		t.Fatalf("standby returned before it found the journal: %v", err)
 	case <-time.After(30 * time.Second):
-		mu.Lock()
-		defer mu.Unlock()
-		t.Fatalf("after %d dials the standby wrote %d frames, want %d: its waits are not on the run's clock", dials, frames, want)
+		t.Fatal("the standby never looked again: its journal poll is not on the run's clock")
 	}
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
@@ -354,8 +329,7 @@ func TestStandbyTakeoverSettlesTornTail(t *testing.T) {
 	go func() {
 		res, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta),
 			cfg, ClusterConfig{Workers: specs},
-			StandbyClusterConfig{Acquire: acquire, PingEvery: 10 * time.Millisecond,
-				Poll: 5 * time.Millisecond})
+			StandbyClusterConfig{Acquire: acquire, Poll: 5 * time.Millisecond})
 		standbyDone <- outcome{res, err}
 	}()
 

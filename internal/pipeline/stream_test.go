@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -136,7 +137,7 @@ func TestStreamsMatchWholeRunAcrossBatchSizes(t *testing.T) {
 	}
 	sys := simt.NewSystem(simt.GTX580(), 4)
 	for _, budget := range []int64{db.TotalResidues() / 13, toMid} {
-		res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta.Bytes()),
+		res, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta.Bytes()),
 			StreamConfig{BatchResidues: budget})
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +174,7 @@ func TestRunMultiGPUStreamMatchesSingleDeviceRunGPU(t *testing.T) {
 	}
 
 	sys := simt.NewSystem(simt.GTX580(), 4)
-	res, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(fasta.Bytes()),
+	res, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(fasta.Bytes()),
 		StreamConfig{BatchResidues: db.TotalResidues() / 16})
 	if err != nil {
 		t.Fatal(err)
@@ -227,13 +228,13 @@ func TestRunMultiGPUStreamMatchesSingleDeviceRunGPU(t *testing.T) {
 func TestRunMultiGPUStreamValidation(t *testing.T) {
 	pl := testPipeline(t, 40, 150)
 	sys := simt.NewSystem(simt.GTX580(), 2)
-	if _, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(nil), StreamConfig{}); err == nil {
+	if _, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(nil), StreamConfig{}); err == nil {
 		t.Error("zero batch residues accepted")
 	}
-	if _, err := pl.RunMultiGPUStream(nil, gpu.MemAuto, bytes.NewReader(nil), StreamConfig{BatchResidues: 100}); err == nil {
+	if _, err := pl.RunMultiGPUStreamContext(context.Background(), nil, gpu.MemAuto, bytes.NewReader(nil), StreamConfig{BatchResidues: 100}); err == nil {
 		t.Error("nil system accepted")
 	}
-	if _, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(nil), StreamConfig{BatchResidues: 100}); err == nil {
+	if _, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(nil), StreamConfig{BatchResidues: 100}); err == nil {
 		t.Error("empty stream accepted")
 	}
 }

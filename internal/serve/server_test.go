@@ -91,7 +91,7 @@ func buildFixture() (serveFixture, error) {
 		return f, err
 	}
 	sys := simt.NewSystem(simt.GTX580(), 2).SetMode(simt.ModeFast)
-	ref, err := pl.RunMultiGPUStream(sys, gpu.MemAuto, bytes.NewReader(f.fasta),
+	ref, err := pl.RunMultiGPUStreamContext(context.Background(), sys, gpu.MemAuto, bytes.NewReader(f.fasta),
 		pipeline.StreamConfig{BatchResidues: f.budget})
 	if err != nil {
 		return f, err

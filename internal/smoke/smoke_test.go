@@ -791,8 +791,8 @@ func (r *run) load(base, step string, flags ...string) loadSummary {
 
 // haLeg covers both single points of failure. (1) The primary
 // coordinator is killed at its fourth assignment (exit status 3); a hot
-// standby (race detector) holding warm connections to the same three
-// workers resumes the journal, takes over at epoch 2 and finishes
+// standby (race detector) waiting on the journal's lease resumes the
+// journal, dials the same three workers at epoch 2 and finishes
 // byte-identical to the single-node run, with one failover and no
 // double-merged batch. (2) hmmserved is SIGTERMed with queries
 // queued, journals them, and on restart replays each one

@@ -11,6 +11,7 @@ package alphabet
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -183,22 +184,28 @@ func (a *Alphabet) Backgrounds() []float64 {
 	return out
 }
 
-// Digitize converts a text sequence into digital codes. Whitespace is
-// skipped; any other symbol outside the alphabet is an error.
-func (a *Alphabet) Digitize(text string) ([]byte, error) {
-	out := make([]byte, 0, len(text))
-	for i := 0; i < len(text); i++ {
-		s := text[i]
-		if s == ' ' || s == '\t' || s == '\n' || s == '\r' {
-			continue
+// Digitize appends the digital codes of text to dst and returns the
+// extended slice, so a reader can digitise each input line straight
+// into the record it builds. Whitespace (space, tab, CR, LF) is
+// skipped; any other symbol outside the alphabet is an error naming
+// its byte position in text, and the slice returned with it holds the
+// codes appended before that symbol.
+func (a *Alphabet) Digitize(dst, text []byte) ([]byte, error) {
+	n := len(dst)
+	dst = slices.Grow(dst, len(text))[:n+len(text)]
+	for i, s := range text {
+		c := a.symToCode[s]
+		if c < 0 {
+			if s == ' ' || s == '\t' || s == '\n' || s == '\r' {
+				continue
+			}
+			_, err := a.Code(s)
+			return dst[:n], fmt.Errorf("alphabet: position %d: %w", i, err)
 		}
-		c, err := a.Code(s)
-		if err != nil {
-			return nil, fmt.Errorf("alphabet: position %d: %w", i, err)
-		}
-		out = append(out, c)
+		dst[n] = byte(c)
+		n++
 	}
-	return out, nil
+	return dst[:n], nil
 }
 
 // Textize converts digital codes back to a printable string.

@@ -51,7 +51,7 @@ func TestCodeRejectsInvalid(t *testing.T) {
 func TestDigitizeTextizeRoundTrip(t *testing.T) {
 	a := New()
 	const text = "ACDEFGHIKLMNPQRSTVWYBJZOUX"
-	dsq, err := a.Digitize(text)
+	dsq, err := a.Digitize(nil, []byte(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDigitizeTextizeRoundTrip(t *testing.T) {
 
 func TestDigitizeSkipsWhitespace(t *testing.T) {
 	a := New()
-	dsq, err := a.Digitize("AC D\nEF\tG\r")
+	dsq, err := a.Digitize(nil, []byte("AC D\nEF\tG\r"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDigitizeSkipsWhitespace(t *testing.T) {
 
 func TestDigitizeReportsPosition(t *testing.T) {
 	a := New()
-	if _, err := a.Digitize("ACD!EF"); err == nil {
+	if _, err := a.Digitize(nil, []byte("ACD!EF")); err == nil {
 		t.Fatal("expected error for '!'")
 	} else if !strings.Contains(err.Error(), "position 3") {
 		t.Errorf("error %q does not name position 3", err)

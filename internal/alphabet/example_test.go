@@ -10,7 +10,7 @@ import (
 // per 32-bit word, with the sentinel flagging the padding slots.
 func ExamplePack() {
 	abc := alphabet.New()
-	dsq, _ := abc.Digitize("ACDEFGH") // 7 residues -> 2 words
+	dsq, _ := abc.Digitize(nil, []byte("ACDEFGH")) // 7 residues -> 2 words
 	words := alphabet.Pack(dsq)
 	fmt.Println(len(words), abc.Textize(alphabet.Unpack(words, len(dsq))))
 	fmt.Println(alphabet.PackedAt(words, 7) == alphabet.PackSentinel)

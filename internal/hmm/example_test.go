@@ -13,7 +13,7 @@ import (
 // prints its consensus back.
 func ExampleFromConsensus() {
 	abc := alphabet.New()
-	cons, _ := abc.Digitize("ACDEFW")
+	cons, _ := abc.Digitize(nil, []byte("ACDEFW"))
 	h, err := hmm.FromConsensus("tiny", cons, abc, hmm.DefaultBuildParams())
 	if err != nil {
 		panic(err)

@@ -44,7 +44,7 @@ func TestRandomModelValidates(t *testing.T) {
 }
 
 func TestFromConsensusPeaksOnConsensus(t *testing.T) {
-	cons, err := abc.Digitize("ACDEFGHIKW")
+	cons, err := abc.Digitize(nil, []byte("ACDEFGHIKW"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSampleSequencePlausible(t *testing.T) {
 }
 
 func TestSampleSequenceMatchesConsensusOften(t *testing.T) {
-	cons, _ := abc.Digitize("ACDEFGHIKLMNPQRSTVWY")
+	cons, _ := abc.Digitize(nil, []byte("ACDEFGHIKLMNPQRSTVWY"))
 	h, err := FromConsensus("c", cons, abc, BuildParams{MatchIdentity: 0.9, GapOpen: 0.001, GapExtend: 0.3})
 	if err != nil {
 		t.Fatal(err)

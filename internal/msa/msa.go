@@ -6,9 +6,9 @@ package msa
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
 
 	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/hmm"
@@ -57,28 +57,28 @@ func Read(r io.Reader, abc *alphabet.Alphabet) (*MSA, error) {
 	}
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
 		if text[0] == '>' {
 			if err := flush(); err != nil {
 				return nil, err
 			}
-			curName = strings.Fields(strings.TrimSpace(text[1:] + " "))[0]
-			if curName == "" {
+			fields := bytes.Fields(text[1:])
+			if len(fields) == 0 {
 				return nil, fmt.Errorf("msa: line %d: empty row name", line)
 			}
+			curName = string(fields[0])
 			continue
 		}
 		if curName == "" {
 			return nil, fmt.Errorf("msa: line %d: data before first header", line)
 		}
-		dsq, err := abc.Digitize(text)
-		if err != nil {
+		var err error
+		if cur, err = abc.Digitize(cur, text); err != nil {
 			return nil, fmt.Errorf("msa: line %d: %w", line, err)
 		}
-		cur = append(cur, dsq...)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -1,7 +1,9 @@
 package msa
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -300,4 +302,25 @@ func TestBuildWeightsResistRedundancy(t *testing.T) {
 		t.Errorf("weighting should lift the minority residue: %.3f vs %.3f",
 			weighted.Mat[1][wCode], unweighted.Mat[1][wCode])
 	}
+}
+
+// WriteStockholm emits the alignment in single-block Stockholm form,
+// the writer half of the Stockholm round trip.
+func WriteStockholm(w io.Writer, m *MSA, abc *alphabet.Alphabet) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "# STOCKHOLM 1.0")
+	if m.Name != "" {
+		fmt.Fprintf(bw, "#=GF ID %s\n", m.Name)
+	}
+	width := 0
+	for _, n := range m.Names {
+		if len(n) > width {
+			width = len(n)
+		}
+	}
+	for i, row := range m.Rows {
+		fmt.Fprintf(bw, "%-*s %s\n", width, m.Names[i], abc.Textize(row))
+	}
+	fmt.Fprintln(bw, "//")
+	return bw.Flush()
 }

@@ -55,16 +55,16 @@ func ReadStockholm(r io.Reader, abc *alphabet.Alphabet) (*MSA, error) {
 			return nil, fmt.Errorf("stockholm: line %d: expected 'name sequence', got %d fields", line, len(fields))
 		}
 		name, data := fields[0], fields[1]
-		dsq, err := abc.Digitize(data)
-		if err != nil {
-			return nil, fmt.Errorf("stockholm: line %d: %w", line, err)
-		}
-		if idx, ok := rows[name]; ok {
-			msa.Rows[idx] = append(msa.Rows[idx], dsq...)
-		} else {
-			rows[name] = len(msa.Rows)
+		idx, ok := rows[name]
+		if !ok {
+			idx = len(msa.Rows)
+			rows[name] = idx
 			msa.Names = append(msa.Names, name)
-			msa.Rows = append(msa.Rows, dsq)
+			msa.Rows = append(msa.Rows, nil)
+		}
+		var err error
+		if msa.Rows[idx], err = abc.Digitize(msa.Rows[idx], []byte(data)); err != nil {
+			return nil, fmt.Errorf("stockholm: line %d: %w", line, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -89,24 +89,4 @@ done:
 		}
 	}
 	return msa, nil
-}
-
-// WriteStockholm emits the alignment in single-block Stockholm form.
-func WriteStockholm(w io.Writer, m *MSA, abc *alphabet.Alphabet) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# STOCKHOLM 1.0")
-	if m.Name != "" {
-		fmt.Fprintf(bw, "#=GF ID %s\n", m.Name)
-	}
-	width := 0
-	for _, n := range m.Names {
-		if len(n) > width {
-			width = len(n)
-		}
-	}
-	for i, row := range m.Rows {
-		fmt.Fprintf(bw, "%-*s %s\n", width, m.Names[i], abc.Textize(row))
-	}
-	fmt.Fprintln(bw, "//")
-	return bw.Flush()
 }

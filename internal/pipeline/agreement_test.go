@@ -71,12 +71,12 @@ var entryPoints = []struct {
 		return pl.RunResidentStreamContext(context.Background(), simt.NewSystem(simt.GTX580(), 2), gpu.MemAuto,
 			rdb, StreamConfig{})
 	}},
-	{"RunResidentCPUContext", func(t *testing.T, pl *Pipeline, in agreeInput) (*Result, error) {
+	{"RunResidentStreamContext/host", func(t *testing.T, pl *Pipeline, in agreeInput) (*Result, error) {
 		rdb, err := LoadResidentDB("agree", bytes.NewReader(in.fasta), abc, in.batchResidues)
 		if err != nil {
 			return nil, err
 		}
-		return pl.RunResidentCPUContext(context.Background(), rdb)
+		return pl.RunResidentStreamContext(context.Background(), nil, gpu.MemAuto, rdb, StreamConfig{})
 	}},
 	{"RunClusterStreamContext", func(t *testing.T, pl *Pipeline, in agreeInput) (*Result, error) {
 		cfg := StreamConfig{BatchResidues: in.batchResidues}

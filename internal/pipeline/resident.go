@@ -77,27 +77,19 @@ func (rdb *ResidentDB) batches(emit func(db *seq.Database) error) error {
 // (a service query is retried by its client, not resumed from disk;
 // cfg.Checkpoint is rejected). Devices that quarantine mid-run drain
 // the remaining batches onto the host CPU, and because both engines
-// are deterministic the degraded result is byte-identical.
+// are deterministic the degraded result is byte-identical. A nil or
+// empty sys runs the whole query on the host CPU — the fully-degraded
+// service path when every device in the pool is cordoned — over the
+// same batches and merge, so its hits are byte-identical too.
 func (pl *Pipeline) RunResidentStreamContext(ctx context.Context, sys *simt.System, mem gpu.MemConfig, rdb *ResidentDB, cfg StreamConfig) (*Result, error) {
 	if rdb == nil || len(rdb.Batches) == 0 {
 		return nil, fmt.Errorf("pipeline: resident database is empty")
 	}
-	if sys == nil || len(sys.Devices) == 0 {
-		return nil, fmt.Errorf("pipeline: no devices")
-	}
 	if cfg.Checkpoint != nil {
 		return nil, fmt.Errorf("pipeline: resident runs do not journal (checkpointing is the one-shot CLI's crash story; a service query is simply retried)")
 	}
-	return pl.runDeviceStream(ctx, "resident-stream", "resident", sys, mem, rdb.batches, cfg, &streamRun{})
-}
-
-// RunResidentCPUContext searches a resident database entirely on the
-// host CPU — the fully-degraded service path when every device in the
-// pool is cordoned. Batch boundaries and the merge/finalize sequence
-// match the device path exactly, so the hits are byte-identical.
-func (pl *Pipeline) RunResidentCPUContext(ctx context.Context, rdb *ResidentDB) (*Result, error) {
-	if rdb == nil || len(rdb.Batches) == 0 {
-		return nil, fmt.Errorf("pipeline: resident database is empty")
+	if sys == nil || len(sys.Devices) == 0 {
+		return pl.runHostStream(ctx, "resident-cpu", rdb.batches)
 	}
-	return pl.runHostStream(ctx, "resident-cpu", rdb.batches)
+	return pl.runDeviceStream(ctx, "resident-stream", "resident", sys, mem, rdb.batches, cfg, &streamRun{})
 }

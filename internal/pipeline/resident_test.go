@@ -64,7 +64,7 @@ func TestResidentStreamMatchesOneShot(t *testing.T) {
 		t.Error("resident tblout differs from whole-database tblout")
 	}
 
-	cpuRes, err := pl.RunResidentCPUContext(t.Context(), rdb)
+	cpuRes, err := pl.RunResidentStreamContext(t.Context(), nil, gpu.MemAuto, rdb, StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func PosteriorDecode(p *profile.Profile, dsq []byte) (*Posterior, error) {
 	}
 	total := fC[L] + p.TMove
 
-	// Backward matrices (indexing as in Backward; bM[i][k] is the
+	// Backward matrices (bM[i][k] is the
 	// probability of finishing from M_k after i residues are consumed).
 	bM := make([]float64, (L+1)*(m+1))
 	bI := make([]float64, (L+1)*(m+1))

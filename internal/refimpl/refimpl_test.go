@@ -198,3 +198,89 @@ func TestLogSum(t *testing.T) {
 		}
 	}
 }
+
+// Backward computes the full-precision Backward score (nats). For a
+// correct implementation Backward(dsq) == Forward(dsq) up to floating
+// point error, which makes it the oracle for Forward in these tests.
+func Backward(p *profile.Profile, dsq []byte) float64 {
+	m := p.M
+	L := len(dsq)
+	type row struct{ mx, ix, dx []float64 }
+	newRow := func() row {
+		r := row{
+			mx: make([]float64, m+2),
+			ix: make([]float64, m+2),
+			dx: make([]float64, m+2),
+		}
+		for k := range r.mx {
+			r.mx[k], r.ix[k], r.dx[k] = profile.NegInf, profile.NegInf, profile.NegInf
+		}
+		return r
+	}
+	next, cur := newRow(), newRow()
+
+	// Special states at position i, computed backwards. At i = L:
+	xC := p.TMove // C -> T
+	xJ := profile.NegInf
+	xB := profile.NegInf
+	xE := logSum(p.TEC+xC, p.TEJ+xJ)
+	xN := logSum(p.TMove+xB, profile.NegInf)
+
+	// Row L: no residues remain, so match states can only exit locally
+	// through E, possibly after deleting through to D_M.
+	for k := m; k >= 1; k-- {
+		if k == m {
+			cur.dx[k] = xE // D_M -> E
+		} else {
+			cur.dx[k] = p.TDD[k] + cur.dx[k+1]
+		}
+		cur.mx[k] = logSum(xE, p.TMD[k]+cur.dx[k+1])
+		cur.ix[k] = profile.NegInf
+	}
+
+	for i := L - 1; i >= 0; i-- {
+		// Entering M_k at DP row i+1 emits dsq[i] (0-based), so every
+		// transition from row i into a next-row match state carries the
+		// msc term over dsq[i].
+		msc := p.MSC[dsq[i]]
+		next, cur = cur, next
+
+		// Specials at position i (order matters: B before J/N, E last).
+		xB = profile.NegInf
+		for k := 1; k <= m; k++ {
+			xB = logSum(xB, p.TBM+msc[k]+next.mx[k])
+		}
+		xJ = logSum(p.TMove+xB, p.TLoop+xJ)
+		// C can only reach T once every residue is emitted, so before
+		// time L its only outgoing option is the emitting self-loop.
+		xC = p.TLoop + xC
+		xE = logSum(p.TEC+xC, p.TEJ+xJ)
+		xN = logSum(p.TMove+xB, p.TLoop+xN)
+
+		for k := m; k >= 1; k-- {
+			if k == m {
+				// M_M and D_M can only exit through E.
+				cur.dx[k] = xE
+				cur.mx[k] = xE
+				cur.ix[k] = profile.NegInf
+				continue
+			}
+			cur.dx[k] = logSum(
+				p.TDM[k]+msc[k+1]+next.mx[k+1],
+				p.TDD[k]+cur.dx[k+1],
+			)
+			cur.ix[k] = logSum(
+				p.TIM[k]+msc[k+1]+next.mx[k+1],
+				p.TII[k]+next.ix[k],
+			)
+			cur.mx[k] = logSum(
+				logSum(
+					p.TMM[k]+msc[k+1]+next.mx[k+1],
+					p.TMI[k]+next.ix[k],
+				),
+				logSum(p.TMD[k]+cur.dx[k+1], xE),
+			)
+		}
+	}
+	return xN
+}

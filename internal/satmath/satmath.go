@@ -52,18 +52,6 @@ func AddI16(a, b int16) int16 {
 	return int16(s)
 }
 
-// SubI16 returns a-b saturated to [-32768, 32767].
-func SubI16(a, b int16) int16 {
-	s := int32(a) - int32(b)
-	if s > 32767 {
-		return 32767
-	}
-	if s < -32768 {
-		return -32768
-	}
-	return int16(s)
-}
-
 // MaxI16 returns the larger of a and b.
 func MaxI16(a, b int16) int16 {
 	if a > b {

@@ -47,22 +47,6 @@ func TestAddI16Property(t *testing.T) {
 	}
 }
 
-func TestSubI16Property(t *testing.T) {
-	f := func(a, b int16) bool {
-		want := int(a) - int(b)
-		if want > 32767 {
-			want = 32767
-		}
-		if want < -32768 {
-			want = -32768
-		}
-		return int(SubI16(a, b)) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMaxOps(t *testing.T) {
 	if MaxU8(3, 250) != 250 || MaxU8(250, 3) != 250 || MaxU8(7, 7) != 7 {
 		t.Error("MaxU8 broken")
@@ -91,8 +75,5 @@ func TestSaturationEdges(t *testing.T) {
 	}
 	if AddI16(32767, 1) != 32767 || AddI16(-32768, -1) != -32768 {
 		t.Error("AddI16 edges")
-	}
-	if SubI16(-32768, 1) != -32768 || SubI16(32767, -1) != 32767 {
-		t.Error("SubI16 edges")
 	}
 }

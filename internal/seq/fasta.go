@@ -4,73 +4,23 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 
 	"hmmer3gpu/internal/alphabet"
 )
 
 // ReadFASTA parses FASTA-format sequences from r, digitising residues
 // with abc. Header lines start with '>'; the token up to the first
-// whitespace becomes Name and the remainder Desc.
+// whitespace becomes Name and the remainder Desc. It is the stream
+// scanner with a batch that never fills: one unnamed Database, and the
+// same errors as StreamFASTA.
 func ReadFASTA(r io.Reader, abc *alphabet.Alphabet) (*Database, error) {
-	db := NewDatabase("")
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-
-	var cur *Sequence
-	line := 0
-	flush := func() error {
-		if cur == nil {
-			return nil
-		}
-		if err := cur.Validate(abc); err != nil {
-			return parseErrf(line, cur.Name, "%v", err)
-		}
-		db.Add(cur)
-		cur = nil
+	var db *Database
+	err := streamFASTA(r, abc, "", func(int, int64) bool { return false }, func(batch *Database) error {
+		db = batch
 		return nil
-	}
-	for sc.Scan() {
-		line++
-		text := strings.TrimRight(sc.Text(), " \t\r")
-		if text == "" {
-			continue
-		}
-		if text[0] == '>' {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			header := strings.TrimSpace(text[1:])
-			name, desc := header, ""
-			if i := strings.IndexAny(header, " \t"); i >= 0 {
-				name, desc = header[:i], strings.TrimSpace(header[i+1:])
-			}
-			if name == "" {
-				return nil, parseErrf(line, "", "empty sequence name")
-			}
-			cur = &Sequence{Name: name, Desc: desc}
-			continue
-		}
-		if cur == nil {
-			return nil, parseErrf(line, "", "sequence data before first header")
-		}
-		dsq, err := abc.Digitize(text)
-		if err != nil {
-			return nil, parseErrf(line, cur.Name, "%v", err)
-		}
-		if MaxRecordLen > 0 && len(cur.Residues)+len(dsq) > MaxRecordLen {
-			return nil, parseErrf(line, cur.Name, "sequence exceeds MaxRecordLen (%d residues)", MaxRecordLen)
-		}
-		cur.Residues = append(cur.Residues, dsq...)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fasta: %w", err)
-	}
-	if err := flush(); err != nil {
+	})
+	if err != nil {
 		return nil, err
-	}
-	if db.NumSeqs() == 0 {
-		return nil, fmt.Errorf("fasta: no sequences found")
 	}
 	return db, nil
 }

@@ -15,7 +15,7 @@ var abc = alphabet.New()
 
 func mkSeq(t testing.TB, name, text string) *Sequence {
 	t.Helper()
-	dsq, err := abc.Digitize(text)
+	dsq, err := abc.Digitize(nil, []byte(text))
 	if err != nil {
 		t.Fatal(err)
 	}

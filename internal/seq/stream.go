@@ -2,6 +2,7 @@ package seq
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -18,7 +19,7 @@ func StreamFASTA(r io.Reader, abc *alphabet.Alphabet, batchSize int, fn func(bat
 	if batchSize < 1 {
 		return fmt.Errorf("fasta: batch size %d < 1", batchSize)
 	}
-	return streamFASTA(r, abc, func(seqs int, residues int64) bool {
+	return streamFASTA(r, abc, "stream", func(seqs int, residues int64) bool {
 		return seqs >= batchSize
 	}, fn)
 }
@@ -34,19 +35,23 @@ func StreamFASTAResidues(r io.Reader, abc *alphabet.Alphabet, residueBudget int6
 	if residueBudget < 1 {
 		return fmt.Errorf("fasta: residue budget %d < 1", residueBudget)
 	}
-	return streamFASTA(r, abc, func(seqs int, residues int64) bool {
+	return streamFASTA(r, abc, "stream", func(seqs int, residues int64) bool {
 		return residues >= residueBudget
 	}, fn)
 }
 
-// streamFASTA is the shared scanner behind both batching policies:
-// full(seqs, residues) is consulted after each complete sequence and
-// closes the current batch when it returns true.
-func streamFASTA(r io.Reader, abc *alphabet.Alphabet, full func(seqs int, residues int64) bool, fn func(batch *Database) error) error {
+// streamFASTA is the one FASTA line scanner, behind all three batching
+// policies (a sequence count, a residue budget, and ReadFASTA's batch
+// that never fills): full(seqs, residues) is consulted after each
+// complete sequence and closes the current batch, named batchName,
+// when it returns true. Lines are read as bytes from the scanner's
+// buffer; a header is copied into one string, and residues are
+// digitised straight into the record.
+func streamFASTA(r io.Reader, abc *alphabet.Alphabet, batchName string, full func(seqs int, residues int64) bool, fn func(batch *Database) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 
-	batch := NewDatabase("stream")
+	batch := NewDatabase(batchName)
 	var batchResidues int64
 	var cur *Sequence
 	line := 0
@@ -59,7 +64,7 @@ func streamFASTA(r io.Reader, abc *alphabet.Alphabet, full func(seqs int, residu
 		if err := fn(batch); err != nil {
 			return err
 		}
-		batch = NewDatabase("stream")
+		batch = NewDatabase(batchName)
 		batchResidues = 0
 		return nil
 	}
@@ -82,15 +87,15 @@ func streamFASTA(r io.Reader, abc *alphabet.Alphabet, full func(seqs int, residu
 
 	for sc.Scan() {
 		line++
-		text := strings.TrimRight(sc.Text(), " \t\r")
-		if text == "" {
+		text := bytes.TrimRight(sc.Bytes(), " \t\r")
+		if len(text) == 0 {
 			continue
 		}
 		if text[0] == '>' {
 			if err := flush(); err != nil {
 				return err
 			}
-			header := strings.TrimSpace(text[1:])
+			header := string(bytes.TrimSpace(text[1:]))
 			name, desc := header, ""
 			if i := strings.IndexAny(header, " \t"); i >= 0 {
 				name, desc = header[:i], strings.TrimSpace(header[i+1:])
@@ -104,14 +109,13 @@ func streamFASTA(r io.Reader, abc *alphabet.Alphabet, full func(seqs int, residu
 		if cur == nil {
 			return parseErrf(line, "", "sequence data before first header")
 		}
-		dsq, err := abc.Digitize(text)
-		if err != nil {
+		var err error
+		if cur.Residues, err = abc.Digitize(cur.Residues, text); err != nil {
 			return parseErrf(line, cur.Name, "%v", err)
 		}
-		if MaxRecordLen > 0 && len(cur.Residues)+len(dsq) > MaxRecordLen {
+		if MaxRecordLen > 0 && len(cur.Residues) > MaxRecordLen {
 			return parseErrf(line, cur.Name, "sequence exceeds MaxRecordLen (%d residues)", MaxRecordLen)
 		}
-		cur.Residues = append(cur.Residues, dsq...)
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("fasta: %w", err)

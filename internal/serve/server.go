@@ -633,10 +633,6 @@ func (s *Server) execute(ctx context.Context, entry *profileEntry, rdb *pipeline
 	if err != nil {
 		return nil, "", err
 	}
-	if lease == nil {
-		res, err := entry.pl.RunResidentCPUContext(ctx, rdb)
-		return res, "cpu", err
-	}
 	devs := make([]*simt.Device, len(lease))
 	for i, d := range lease {
 		devs[i] = d.dev
@@ -646,7 +642,11 @@ func (s *Server) execute(ctx context.Context, entry *profileEntry, rdb *pipeline
 		Policy:        s.cfg.Policy,
 		Verify:        s.cfg.Verify,
 	}
+	// With no devices leased the same call runs the query on the host.
 	res, err = entry.pl.RunResidentStreamContext(ctx, &simt.System{Devices: devs}, s.cfg.Mem, rdb, scfg)
+	if lease == nil {
+		return res, "cpu", err
+	}
 	if err != nil {
 		// The run never produced a fault report; release without
 		// touching strikes.

@@ -745,8 +745,11 @@ func serveLeg(r *run) {
 	}
 	r.pins["overload shed"] = "> 0"
 	r.t.Logf("%s/%s: p99 uncontended %.3fs, overloaded %.3fs", r.leg, r.side, uncontended.P99, overload.P99)
+	// Not fatal: the leg still fails, but the drain and degraded checks
+	// below run and report too.
 	if overload.P99 > 2*uncontended.P99 {
-		r.fatalf("admitted p99 %.3fs exceeds twice the uncontended %.3fs", overload.P99, uncontended.P99)
+		r.t.Errorf("%s/%s: admitted p99 %.3fs exceeds twice the uncontended %.3fs",
+			r.leg, r.side, overload.P99, uncontended.P99)
 	}
 
 	if h := r.get(base + "/healthz"); !strings.Contains(h, `"status":"ok"`) {

@@ -79,7 +79,7 @@ func newConfig(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.workerList, "cluster-workers", "", "comma-separated hmmworker addresses (host:port) to shard the streamed search across over TCP")
 	fs.DurationVar(&c.cluster.BatchDeadline, "cluster-deadline", 0, "per-batch assignment deadline in cluster mode (0 disables); a batch not answered in time is reclaimed and requeued, the late reply fenced")
 	fs.BoolVar(&c.standby, "ha-standby", false, "run as the hot-standby coordinator: check that the -journal belongs to this run, and when the primary's <journal>.lock frees, resume the journal, dial -cluster-workers and take over the run (fencing the dead primary by epoch)")
-	fs.Uint64Var(&c.cluster.Epoch, "ha-epoch", 0, "coordinator epoch for fencing: the primary runs at 1 (default), a standby takes over at 2; chain further standbys with higher epochs")
+	fs.Uint64Var(&c.cluster.Epoch, "ha-epoch", 0, "coordinator epoch for fencing: the primary runs at 1 (default), a standby takes over at 2 (default; below 2 is refused); chain further standbys with higher epochs")
 
 	fs.StringVar(&c.ckpt.Path, "journal", "", "journal committed batches to this crash-safe file (-engine multigpu -stream, or a cluster); an interrupted run resumes with -resume")
 	fs.BoolVar(&c.ckpt.Resume, "resume", false, "resume from the -journal file when it exists: journaled batches merge from disk and are not re-executed")
@@ -374,11 +374,8 @@ func (c *config) runCluster(ctx context.Context, pl *pipeline.Pipeline, fasta io
 		})
 	}
 	if c.standby {
-		// -ha-epoch is the epoch the standby takes over at; the
-		// primary's stays the default.
-		ha := pipeline.StandbyClusterConfig{Epoch: ccfg.Epoch}
-		ccfg.Epoch = 0
-		return pl.RunStandbyClusterStreamContext(ctx, fasta, cfg, ccfg, ha)
+		// -ha-epoch is the epoch the standby takes over at (2 unless set).
+		ccfg.Standby = &cluster.Lease{}
 	}
 	return pl.RunClusterStreamContext(ctx, fasta, cfg, ccfg)
 }

@@ -93,7 +93,7 @@ func newConfig(fs *flag.FlagSet) *config {
 	fs.IntVar(&srv.ResultCap, "cache", 256, "result cache capacity (entries)")
 	fs.IntVar(&srv.CordonAfter, "cordon-after", 2, "consecutive quarantined leases before a device is cordoned out of the pool (0 = default, negative never cordons)")
 
-	fs.StringVar(&srv.DrainJournal, "drain-journal", "", "journal queries refused during drain to this file, one JSON line each; on startup any existing journal is replayed before /readyz flips healthy")
+	fs.StringVar(&srv.DrainJournal, "drain-journal", "", "journal queries refused during drain to this checkpoint journal, each record fsync'd before its 503; on startup any existing journal is replayed, then emptied, before /readyz flips healthy")
 	fs.StringVar(&c.replayOut, "replay-out", "", "write each replayed query's response to this directory as replay-<n>.tbl (audit artifacts)")
 	return c
 }
@@ -161,7 +161,8 @@ func main() {
 	// normal admission path, before advertising readiness: a restarted
 	// process answers every query it accepted before dying, and /readyz
 	// stays 503 until it has. Replay errors are logged, not fatal — a
-	// corrupt journal must not turn a restart into a crash loop.
+	// corrupt journal must not turn a restart into a crash loop — and
+	// such a journal is left as it was found.
 	if c.srv.DrainJournal != "" {
 		rsum, err := srv.ReplayDrainJournal(c.srv.DrainJournal, c.replayOut)
 		if err != nil {
@@ -196,8 +197,8 @@ func main() {
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	httpSrv.Shutdown(shutCtx)
 	cancel()
-	fmt.Printf("hmmserved: drained: %d in-flight completed, %d queued journaled\n",
-		sum.Completed, sum.Journaled)
+	fmt.Printf("hmmserved: drained: %d in-flight completed, %d queued journaled, %d lost\n",
+		sum.Completed, sum.Journaled, sum.Lost)
 	if ctx.Err() != nil {
 		os.Exit(1)
 	}

@@ -16,6 +16,11 @@
 // a typed error, because silently merging a corrupt or mismatched
 // record would be worse than rerunning the whole search.
 //
+// The journal is the tree's one durable record log: streamed and
+// cluster searches journal their batches here, and hmmserved's drain
+// journal (internal/serve) is a Journal of refused queries under a
+// fixed fingerprint that names it.
+//
 // File layout:
 //
 //	magic (12 bytes) | fingerprint (32 bytes) | sim mode (1 byte) | record*

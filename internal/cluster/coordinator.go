@@ -60,9 +60,12 @@ type Config struct {
 	// and nack (or fence batches from) anything lower, which is what
 	// makes hot-standby takeover safe: the standby runs at a higher
 	// epoch, so the old primary — alive but presumed dead — can no
-	// longer commit through the workers. Zero means 1 (a plain
-	// single-coordinator run).
+	// longer commit through the workers. Zero means 1 for a plain
+	// run and 2 for a standby's takeover.
 	Epoch uint64
+	// Standby, when non-nil, makes the run a hot standby's takeover
+	// (pipeline.RunClusterStreamContext).
+	Standby *Lease
 
 	// QueueDepth bounds parsed-but-unassigned batches (backpressure on
 	// the producer); 0 means two per worker. Requeues are exempt.

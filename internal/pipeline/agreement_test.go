@@ -85,7 +85,7 @@ var entryPoints = []struct {
 		return pl.RunClusterStreamContext(context.Background(), bytes.NewReader(in.fasta), cfg,
 			ClusterConfig{Workers: append(cpuWorkers(pl, cfg, 1), InProcessWorkerSpec(deviceNode))})
 	}},
-	{"RunStandbyClusterStreamContext", func(t *testing.T, pl *Pipeline, in agreeInput) (*Result, error) {
+	{"RunClusterStreamContext (standby)", func(t *testing.T, pl *Pipeline, in agreeInput) (*Result, error) {
 		cfg := StreamConfig{BatchResidues: in.batchResidues,
 			Checkpoint: &CheckpointConfig{Path: filepath.Join(t.TempDir(), "run.ckpt")}}
 		// The epoch fence lives in the servers, so primary and standby
@@ -104,9 +104,9 @@ var entryPoints = []struct {
 		}
 		acquire, grantLease := chanLeadership()
 		grantLease()
-		return pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(in.fasta), cfg,
-			ClusterConfig{Workers: specs},
-			StandbyClusterConfig{Acquire: acquire, Poll: 5 * time.Millisecond})
+		return pl.RunClusterStreamContext(context.Background(), bytes.NewReader(in.fasta), cfg,
+			ClusterConfig{Workers: specs,
+				Standby: &cluster.Lease{Acquire: acquire, Poll: 5 * time.Millisecond}})
 	}},
 }
 

@@ -6,11 +6,12 @@ package pipeline
 // shards them across worker processes over the cluster wire protocol
 // (see internal/cluster and DESIGN §2h). Workers execute batches with
 // the same deterministic engines, so the sharded hit table is
-// byte-identical to the single-node run's — clean, faulted, or
-// crash-resumed.
+// byte-identical to the single-node run's — clean, faulted,
+// crash-resumed, or taken over by a hot standby.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -140,10 +141,14 @@ func (pl *Pipeline) clusterExec(engine string,
 //
 // The merged Result is bit-identical to the single-node run's for
 // every outcome the run can survive: clean, worker-faulted, degraded,
-// drained-then-resumed, or crashed-then-resumed.
+// drained-then-resumed, crashed-then-resumed, or (with ccfg.Standby
+// set) taken over by a hot standby (takeOver).
 func (pl *Pipeline) RunClusterStreamContext(ctx context.Context, r io.Reader, cfg StreamConfig, ccfg ClusterConfig) (*Result, error) {
 	if err := pl.vetClusterRun(cfg, ccfg); err != nil {
 		return nil, err
+	}
+	if ccfg.Standby != nil {
+		return pl.takeOver(ctx, r, cfg, ccfg)
 	}
 
 	// The journal opens (and replays) before any worker connects: a
@@ -154,11 +159,140 @@ func (pl *Pipeline) RunClusterStreamContext(ctx context.Context, r io.Reader, cf
 	if err != nil {
 		return nil, err
 	}
-	return pl.runClusterCore(ctx, r, cfg, ccfg, run, haState{})
+	return pl.runClusterCore(ctx, r, cfg, ccfg, run)
 }
 
-// vetClusterRun is the shared precondition check for the primary and
-// standby cluster paths.
+// takeOver is the failover half of DESIGN §2j: check the primary's
+// journal header, block on the leadership lease (the primary's death
+// frees it), then resume the journal exactly as -resume does and
+// finish the stream at ccfg.Epoch, 2 unless set. The Result is
+// byte-identical to what the primary would have produced. Takeover
+// dials ccfg.Workers afresh: each worker's hello at the higher epoch
+// is what fences the old primary. cfg.Checkpoint.Path names the
+// primary's journal (shared filesystem); the standby keeps journaling
+// to it, so a second failover layers on the same file.
+func (pl *Pipeline) takeOver(ctx context.Context, r io.Reader, cfg StreamConfig, ccfg ClusterConfig) (*Result, error) {
+	ck := cfg.Checkpoint
+	if ck == nil || ck.Path == "" {
+		return nil, fmt.Errorf("pipeline: standby mode requires a checkpoint journal (the primary's commit log is the handoff medium)")
+	}
+	if ccfg.Epoch == 0 {
+		ccfg.Epoch = 2
+	}
+	if ccfg.Epoch < 2 {
+		// Workers accept a hello at their current epoch, so a takeover
+		// at the primary's epoch 1 would leave a paused primary unfenced.
+		return nil, fmt.Errorf("pipeline: standby epoch %d does not fence the primary's epoch 1: a takeover runs at epoch 2 or higher", ccfg.Epoch)
+	}
+	poll := ccfg.Standby.Poll
+	if poll <= 0 {
+		poll = cluster.DefaultLeadershipPoll
+	}
+	acquire := ccfg.Standby.Acquire
+	if acquire == nil {
+		acquire = cluster.AcquireFileLeadership(ck.Path+".lock", poll)
+	}
+	fp := pl.Fingerprint(cfg)
+	logf := ccfg.Logf
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+
+	// The leadership race runs while we wait: the lease frees when the
+	// primary exits (cleanly or not), which is the takeover signal. It
+	// runs under its own context, so however this call returns, the
+	// race is over and a lease it won is given back: at the end of the
+	// takeover run, or at once if the standby gave up before it.
+	type lease struct {
+		release func()
+		err     error
+	}
+	leaseCtx, stopLease := context.WithCancel(ctx)
+	leaseCh := make(chan lease, 1)
+	go func() {
+		release, err := acquire(leaseCtx)
+		leaseCh <- lease{release, err}
+	}()
+	var got lease
+	received := false
+	defer func() {
+		stopLease()
+		if !received {
+			got = <-leaseCh
+		}
+		if got.err == nil {
+			got.release()
+		}
+	}()
+
+	// Until the lease is ours, check the journal header, retrying an
+	// absent or still-forming file. A header-level config error is a
+	// hard stop: this standby was launched against the wrong run.
+	checked, waiting := false, false
+	for !received {
+		var retry <-chan time.Time
+		if !checked {
+			fo, err := checkpoint.OpenFollower(ck.Path, fp, checkpoint.FollowerOptions{Mode: ccfg.Mode})
+			switch {
+			case err == nil:
+				fo.Close()
+				checked = true
+				logf("standby: journal %s belongs to this run, waiting for the lease", ck.Path)
+			case hardFollowerError(err):
+				return nil, err
+			default:
+				if !waiting {
+					waiting = true
+					logf("standby: no journal at %s yet, waiting for the primary to start", ck.Path)
+				}
+				retry = dispatch.OrWall(cfg.Policy.Clock).After(poll)
+			}
+		}
+		select {
+		case got = <-leaseCh:
+			received = true
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-retry:
+		}
+	}
+	if got.err != nil {
+		return nil, got.err
+	}
+
+	// The primary is gone for good. It may have written its journal
+	// and died since the last look; with no journal at all there is
+	// nothing to take over, and the flag promised a takeover, not a
+	// fresh primary.
+	if !checkpoint.Exists(ck.Path) {
+		return nil, fmt.Errorf("pipeline: standby acquired leadership but no journal exists at %s: primary never started a run", ck.Path)
+	}
+	// Takeover is -resume: a torn last record is the primary's crash
+	// artefact, truncated exactly as a resumed run truncates it, and
+	// every record read merges from disk instead of re-executing.
+	resumed := *ck
+	resumed.Resume = true
+	cfg.Checkpoint = &resumed
+	run, err := pl.openStreamRun(cfg, ccfg.Mode)
+	if err != nil {
+		return nil, err
+	}
+	logf("standby: taking over: %d batches read from the primary's journal, dialling %d workers at epoch %d",
+		len(run.skip), len(ccfg.Workers), ccfg.Epoch)
+
+	return pl.runClusterCore(ctx, r, cfg, ccfg, run)
+}
+
+// hardFollowerError reports whether a journal header failure is a
+// config-level mismatch that retrying cannot fix.
+func hardFollowerError(err error) bool {
+	var fpe *checkpoint.FingerprintError
+	var mme *checkpoint.ModeMismatchError
+	var ve *checkpoint.VersionError
+	return errors.As(err, &fpe) || errors.As(err, &mme) || errors.As(err, &ve)
+}
+
+// vetClusterRun is the precondition check of every cluster run.
 func (pl *Pipeline) vetClusterRun(cfg StreamConfig, ccfg ClusterConfig) error {
 	if cfg.BatchResidues < 1 {
 		return fmt.Errorf("pipeline: stream batch residues %d < 1", cfg.BatchResidues)
@@ -190,14 +324,6 @@ func (pl *Pipeline) vetClusterRun(cfg StreamConfig, ccfg ClusterConfig) error {
 	return nil
 }
 
-// haState carries what a hot-standby takeover knows that a plain run
-// does not; the zero value is a plain run.
-type haState struct {
-	// failovers and standbyTailed flow into the coordinator report.
-	failovers     int
-	standbyTailed int
-}
-
 func clusterBatch(b cluster.Batch) streamBatch {
 	return streamBatch{seq: b.Seq, offset: b.Offset, db: b.DB, claim: b.Commit}
 }
@@ -207,8 +333,9 @@ func clusterBatch(b cluster.Batch) streamBatch {
 // re-chunked stream ships to whichever worker slot frees up first and
 // its payload commits through run.commit. It fills in the fields of the
 // caller's ccfg that the run owns (see ClusterConfig).
-func (pl *Pipeline) runClusterCore(ctx context.Context, r io.Reader, cfg StreamConfig, ccfg ClusterConfig, run *streamRun, ha haState) (*Result, error) {
+func (pl *Pipeline) runClusterCore(ctx context.Context, r io.Reader, cfg StreamConfig, ccfg ClusterConfig, run *streamRun) (*Result, error) {
 	defer run.closeJournal()
+	tailed := len(run.skip) // a takeover read these from the primary's journal
 
 	root := pl.startSearch("cluster-stream", nil)
 	defer root.End()
@@ -248,8 +375,9 @@ func (pl *Pipeline) runClusterCore(ctx context.Context, r io.Reader, cfg StreamC
 	if err != nil {
 		return nil, err
 	}
-	rep.Failovers = ha.failovers
-	rep.StandbyTailed = ha.standbyTailed
+	if ccfg.Standby != nil {
+		rep.Failovers, rep.StandbyTailed = 1, tailed
+	}
 	final.Extra = &ClusterStreamExtra{Cluster: rep, Drained: rep.Drained, Replayed: run.replayed, Checkpoint: ckpt}
 	final.Record(pl.Opts.Metrics)
 	return final, nil

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,9 +61,9 @@ func TestStandbyTakeoverMatchesSingleNode(t *testing.T) {
 	}
 	standbyDone := make(chan outcome, 1)
 	go func() {
-		res, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta),
-			cfg, ClusterConfig{Workers: specs},
-			StandbyClusterConfig{Acquire: acquire, Poll: 5 * time.Millisecond})
+		res, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta),
+			cfg, ClusterConfig{Workers: specs,
+				Standby: &cluster.Lease{Acquire: acquire, Poll: 5 * time.Millisecond}})
 		standbyDone <- outcome{res, err}
 	}()
 
@@ -144,13 +145,13 @@ func TestStandbyLeaseBeforeJournalSeen(t *testing.T) {
 	}
 	standbyDone := make(chan outcome, 1)
 	go func() {
-		res, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
+		res, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
 			ClusterConfig{Workers: specs, Logf: func(format string, _ ...any) {
 				if strings.Contains(format, "no journal") {
 					parkOnce.Do(func() { close(parked) })
 				}
-			}},
-			StandbyClusterConfig{Acquire: acquire, Poll: time.Hour})
+			},
+				Standby: &cluster.Lease{Acquire: acquire, Poll: time.Hour}})
 		standbyDone <- outcome{res, err}
 	}()
 
@@ -187,9 +188,9 @@ func TestStandbyRefusesWithoutJournal(t *testing.T) {
 		Checkpoint: &CheckpointConfig{Path: path}}
 	acquire, grant := chanLeadership()
 	grant()
-	_, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
-		ClusterConfig{Workers: cpuWorkers(pl, cfg, 1)},
-		StandbyClusterConfig{Acquire: acquire, Poll: time.Millisecond})
+	_, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
+		ClusterConfig{Workers: cpuWorkers(pl, cfg, 1),
+			Standby: &cluster.Lease{Acquire: acquire, Poll: time.Millisecond}})
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("no journal")) {
 		t.Fatalf("err = %v, want a no-journal refusal", err)
 	}
@@ -218,9 +219,9 @@ func TestStandbyGivesUpItsLease(t *testing.T) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
-		_, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
-			ClusterConfig{Workers: cpuWorkers(pl, cfg, 1)},
-			StandbyClusterConfig{Acquire: acquire, Poll: time.Millisecond})
+		_, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
+			ClusterConfig{Workers: cpuWorkers(pl, cfg, 1),
+				Standby: &cluster.Lease{Acquire: acquire, Poll: time.Millisecond}})
 		var fpe *checkpoint.FingerprintError
 		if !errors.As(err, &fpe) {
 			t.Fatalf("granted=%v: err = %v, want *checkpoint.FingerprintError", granted, err)
@@ -271,9 +272,9 @@ func TestStandbyRunsOnTheRunsClock(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := pl.RunStandbyClusterStreamContext(ctx, bytes.NewReader(fasta), cfg,
-			ClusterConfig{Workers: cpuWorkers(pl, cfg, 1), Logf: logf},
-			StandbyClusterConfig{Acquire: acquire, Poll: time.Hour})
+		_, err := pl.RunClusterStreamContext(ctx, bytes.NewReader(fasta), cfg,
+			ClusterConfig{Workers: cpuWorkers(pl, cfg, 1), Logf: logf,
+				Standby: &cluster.Lease{Acquire: acquire, Poll: time.Hour}})
 		done <- err
 	}()
 	select {
@@ -299,12 +300,34 @@ func TestStandbyRunsOnTheRunsClock(t *testing.T) {
 	}
 }
 
+// A takeover below epoch 2 is refused before the lease race: workers
+// accept a hello at the epoch they last acked, so a standby at the
+// primary's epoch 1 would leave a paused but live primary unfenced.
+func TestStandbyRefusesEpochBelowTwo(t *testing.T) {
+	pl, fasta, _, batchResidues := faultStreamFixture(t)
+	cfg := StreamConfig{BatchResidues: batchResidues,
+		Checkpoint: &CheckpointConfig{Path: filepath.Join(t.TempDir(), "run.ckpt")}}
+	var raced atomic.Bool
+	acquire := func(context.Context) (func(), error) {
+		raced.Store(true)
+		return func() {}, nil
+	}
+	_, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
+		ClusterConfig{Workers: cpuWorkers(pl, cfg, 1), Epoch: 1, Standby: &cluster.Lease{Acquire: acquire}})
+	if err == nil || !strings.Contains(err.Error(), "standby epoch 1") {
+		t.Fatalf("err = %v, want a refusal of takeover epoch 1", err)
+	}
+	if raced.Load() {
+		t.Error("the standby raced for the lease at an epoch it refuses")
+	}
+}
+
 // A standby requires the checkpoint journal: it is the handoff medium.
 func TestStandbyRequiresCheckpoint(t *testing.T) {
 	pl, fasta, _, batchResidues := faultStreamFixture(t)
 	cfg := StreamConfig{BatchResidues: batchResidues}
-	_, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
-		ClusterConfig{Workers: cpuWorkers(pl, cfg, 1)}, StandbyClusterConfig{})
+	_, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta), cfg,
+		ClusterConfig{Workers: cpuWorkers(pl, cfg, 1), Standby: &cluster.Lease{}})
 	if err == nil {
 		t.Fatal("standby ran without a checkpoint journal")
 	}
@@ -327,9 +350,9 @@ func TestStandbyTakeoverSettlesTornTail(t *testing.T) {
 	}
 	standbyDone := make(chan outcome, 1)
 	go func() {
-		res, err := pl.RunStandbyClusterStreamContext(context.Background(), bytes.NewReader(fasta),
-			cfg, ClusterConfig{Workers: specs},
-			StandbyClusterConfig{Acquire: acquire, Poll: 5 * time.Millisecond})
+		res, err := pl.RunClusterStreamContext(context.Background(), bytes.NewReader(fasta),
+			cfg, ClusterConfig{Workers: specs,
+				Standby: &cluster.Lease{Acquire: acquire, Poll: 5 * time.Millisecond}})
 		standbyDone <- outcome{res, err}
 	}()
 

@@ -1,15 +1,17 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/base64"
-	"encoding/json"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
+
+	"hmmer3gpu/internal/checkpoint"
 )
 
 // ReplaySummary reports what a drain-journal replay did.
@@ -17,44 +19,81 @@ type ReplaySummary struct {
 	// Replayed is how many journaled queries were re-admitted and
 	// answered 200.
 	Replayed int
-	// Failed is how many could not be replayed (decode error or
+	// Failed is how many could not be replayed (undecodable record or
 	// non-200 response); each is logged.
 	Failed int
 }
 
-// drainRecord is one journalRefusal line.
+// drainJournalFP is the drain journal's header fingerprint, a fixed
+// digest naming the format, so a search journal passed as
+// -drain-journal (or the reverse) is refused with a FingerprintError.
+var drainJournalFP = checkpoint.Fingerprint(sha256.Sum256([]byte("hmmserved drain journal")))
+
+// drainRecord is one query refused during drain, with the raw model
+// upload replay re-POSTs: the payload of a checkpoint record whose Seq
+// is the refusal's ordinal.
 type drainRecord struct {
-	Tenant      string `json:"tenant"`
-	DB          string `json:"db"`
-	Query       string `json:"query"`
-	Fingerprint string `json:"fingerprint"`
-	Model       string `json:"model"`
-	Reason      string `json:"reason"`
+	Tenant, DB, Query string
+	Model             []byte
+}
+
+// encode writes tenant, database and query name, each after its u32
+// little-endian length, then the model bytes to the end.
+func (r drainRecord) encode() []byte {
+	b := make([]byte, 0, 12+len(r.Tenant)+len(r.DB)+len(r.Query)+len(r.Model))
+	for _, f := range []string{r.Tenant, r.DB, r.Query} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(f)))
+		b = append(b, f...)
+	}
+	return append(b, r.Model...)
+}
+
+// decodeDrainRecord is encode's inverse. It refuses a length that runs
+// past the payload and a record with no model.
+func decodeDrainRecord(p []byte) (drainRecord, error) {
+	var f [3]string
+	for i := range f {
+		if len(p) < 4 || uint64(binary.LittleEndian.Uint32(p)) > uint64(len(p)-4) {
+			return drainRecord{}, fmt.Errorf("field %d runs past the record", i)
+		}
+		n := 4 + binary.LittleEndian.Uint32(p)
+		f[i], p = string(p[4:n]), p[n:]
+	}
+	if len(p) == 0 {
+		return drainRecord{}, errors.New("no model payload")
+	}
+	return drainRecord{Tenant: f[0], DB: f[1], Query: f[2], Model: p}, nil
 }
 
 // ReplayDrainJournal re-admits every query journaled by a previous
-// process's drain, before this one advertises readiness: each line's
+// process's drain, before this one advertises readiness: each record's
 // model upload is re-POSTed through the server's own /search handler —
 // the normal admission, cache, and execution path — so the replayed
 // response is byte-identical to what the dead process would have
 // returned. Call it after New and before MarkReady; a missing journal
 // is a clean no-op (first boot). When outDir is non-empty, each 200
-// response body is written to outDir/replay-<n>.tbl for auditing
-// (byte-diff against a fresh query in CI).
+// response body is written to outDir/replay-<seq>.tbl for auditing.
 //
-// Replay failures don't abort the remaining lines: one malformed
-// record must not turn a restart into a crash loop. They are counted,
-// logged, and exported as hmmer_serve_replay_failed_total.
+// checkpoint.Resume drops a torn last record (a drain killed
+// mid-append); a damaged record, another kind of journal or an older
+// hmmserved's JSON lines refuse the whole file. A record that fails
+// to replay is counted, logged and exported as
+// hmmer_serve_replay_failed_total, and the rest still run. Once every
+// record is answered the journal is settled empty, durably, so a
+// process killed after its replay replays nothing on its next start.
 func (s *Server) ReplayDrainJournal(path, outDir string) (ReplaySummary, error) {
 	var sum ReplaySummary
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return sum, nil
-		}
-		return sum, fmt.Errorf("serve: drain journal: %w", err)
+	if !checkpoint.Exists(path) {
+		return sum, nil
 	}
-	defer f.Close()
+	j, recs, err := checkpoint.Resume(path, drainJournalFP, checkpoint.Options{})
+	if err != nil {
+		if b, _ := os.ReadFile(path); bytes.HasPrefix(b, []byte("{")) {
+			return sum, fmt.Errorf("serve: %s is a JSON-lines drain journal from an older hmmserved; this build reads only checkpoint-format drain journals", path)
+		}
+		return sum, fmt.Errorf("serve: drain journal %s refused: %w", path, err)
+	}
+	j.Close()
 	// Materialise both counters at zero so a clean replay still
 	// exports hmmer_serve_replay_failed_total 0 (CI pins it).
 	s.reg.AddInt("hmmer_serve_replayed_total", 0)
@@ -65,32 +104,18 @@ func (s *Server) ReplayDrainJournal(path, outDir string) (ReplaySummary, error) 
 		}
 	}
 
-	sc := bufio.NewScanner(f)
-	// Journal lines carry whole model uploads in base64; size the
-	// scanner for them rather than the 64 KiB default.
-	sc.Buffer(make([]byte, 64*1024), int(2*s.cfg.MaxModelBytes)+4096)
-	line := 0
-	fail := func(format string, args ...any) {
-		sum.Failed++
-		s.reg.AddInt("hmmer_serve_replay_failed_total", 1)
-		s.cfg.Logf("replay line %d: %s", line, fmt.Sprintf(format, args...))
-	}
-	for sc.Scan() {
-		line++
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
+	for _, r := range recs {
+		fail := func(format string, args ...any) {
+			sum.Failed++
+			s.reg.AddInt("hmmer_serve_replay_failed_total", 1)
+			s.cfg.Logf("replay record %d: %s", r.Seq, fmt.Sprintf(format, args...))
 		}
-		var rec drainRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		rec, err := decodeDrainRecord(r.Payload)
+		if err != nil {
 			fail("bad record: %v", err)
 			continue
 		}
-		model, err := base64.StdEncoding.DecodeString(rec.Model)
-		if err != nil || len(model) == 0 {
-			fail("query %q has no replayable model payload (journal from an older version?)", rec.Query)
-			continue
-		}
-		status, body, err := s.selfPost(rec, model)
+		status, body, err := s.selfPost(rec)
 		if err != nil {
 			fail("query %q: %v", rec.Query, err)
 			continue
@@ -102,14 +127,18 @@ func (s *Server) ReplayDrainJournal(path, outDir string) (ReplaySummary, error) 
 		sum.Replayed++
 		s.reg.AddInt("hmmer_serve_replayed_total", 1)
 		if outDir != "" {
-			out := filepath.Join(outDir, fmt.Sprintf("replay-%d.tbl", line-1))
+			out := filepath.Join(outDir, fmt.Sprintf("replay-%d.tbl", r.Seq))
 			if err := os.WriteFile(out, body, 0o644); err != nil {
 				return sum, fmt.Errorf("serve: replay output: %w", err)
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return sum, fmt.Errorf("serve: drain journal: %w", err)
+	settled, err := checkpoint.Create(path, drainJournalFP, checkpoint.Options{})
+	if err == nil {
+		err = settled.Close()
+	}
+	if err != nil {
+		return sum, fmt.Errorf("serve: settling drain journal: %w", err)
 	}
 	s.cfg.Logf("drain-journal replay: %d replayed, %d failed", sum.Replayed, sum.Failed)
 	return sum, nil
@@ -117,9 +146,9 @@ func (s *Server) ReplayDrainJournal(path, outDir string) (ReplaySummary, error) 
 
 // selfPost drives one journaled query through the server's own mux —
 // the identical code path an external client hits.
-func (s *Server) selfPost(rec drainRecord, model []byte) (int, []byte, error) {
+func (s *Server) selfPost(rec drainRecord) (int, []byte, error) {
 	u := "/search?db=" + url.QueryEscape(rec.DB) + "&tenant=" + url.QueryEscape(rec.Tenant)
-	req, err := http.NewRequest(http.MethodPost, u, bytes.NewReader(model))
+	req, err := http.NewRequest(http.MethodPost, u, bytes.NewReader(rec.Model))
 	if err != nil {
 		return 0, nil, err
 	}

@@ -3,7 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hmmer3gpu/internal/checkpoint"
 	"hmmer3gpu/internal/pipeline"
 	"hmmer3gpu/internal/simt"
 )
@@ -64,68 +66,96 @@ func TestReadyzGatedUntilMarkReady(t *testing.T) {
 	}
 }
 
-// The restart contract: queries journaled at drain are re-admitted by
-// a fresh server through its normal /search path, and the replayed
-// responses are byte-identical to what a fresh query returns.
-func TestRestartReplaysDrainJournalByteIdentical(t *testing.T) {
+// drainQueued is a server's first life: n queries queued behind a held
+// slot are refused at drain into the journal at path. It returns the
+// drain's summary, the bodies of the n 503s and the drain's log lines.
+func drainQueued(t *testing.T, path string, n int) (DrainSummary, []string, []string) {
+	t.Helper()
 	f := fixture(t)
-	journal := filepath.Join(t.TempDir(), "drain.jsonl")
-	outDir := filepath.Join(t.TempDir(), "replayed")
-
-	// First life: two queries queued behind a held slot get journaled
-	// at drain.
-	s1, ts1 := newTestServer(t, func(cfg *Config) {
+	var logMu sync.Mutex
+	var logs []string
+	s, ts := newTestServer(t, func(cfg *Config) {
 		cfg.MaxConcurrent = 1
-		cfg.MaxQueue = 4
-		cfg.DrainJournal = journal
+		cfg.MaxQueue = n + 2
+		cfg.DrainJournal = path
+		cfg.Logf = func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}
 	})
-	if err := s1.adm.acquire(context.Background(), "inflight"); err != nil {
+	if err := s.adm.acquire(context.Background(), "inflight"); err != nil {
 		t.Fatal(err)
 	}
+	bodies := make([]string, n)
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := range bodies {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, _ := postQuery(t, ts1, "db=test&cache=off&tenant=queued", f.modelText)
+			resp, body := postQuery(t, ts, "db=test&cache=off&tenant=queued", f.modelText)
 			if resp.StatusCode != http.StatusServiceUnavailable {
 				t.Errorf("queued query at drain: status %d, want 503", resp.StatusCode)
 			}
+			bodies[i] = string(body)
 		}()
 	}
-	waitDepth(t, s1.adm, 2)
+	waitDepth(t, s.adm, n)
 	done := make(chan DrainSummary, 1)
-	go func() { done <- s1.Drain() }()
+	go func() { done <- s.Drain() }()
 	wg.Wait()
-	s1.adm.release()
+	s.adm.release()
 	var sum DrainSummary
 	select {
 	case sum = <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Drain did not return")
 	}
-	if sum.Journaled != 2 {
-		t.Fatalf("journaled %d, want 2", sum.Journaled)
+	logMu.Lock()
+	defer logMu.Unlock()
+	return sum, bodies, logs
+}
+
+// replayFresh replays the journal at path on a fresh, not yet ready
+// server, as a restarted hmmserved does.
+func replayFresh(t *testing.T, path, outDir string) (ReplaySummary, *Server, *httptest.Server, error) {
+	t.Helper()
+	s, ts := rawTestServer(t, nil)
+	sum, err := s.ReplayDrainJournal(path, outDir)
+	return sum, s, ts, err
+}
+
+// The restart contract: queries journaled at drain are re-admitted by
+// a fresh server through its normal /search path, and the replayed
+// responses are byte-identical to what a fresh query returns.
+func TestRestartReplaysDrainJournalByteIdentical(t *testing.T) {
+	f := fixture(t)
+	journal := filepath.Join(t.TempDir(), "drain.journal")
+	outDir := filepath.Join(t.TempDir(), "replayed")
+
+	sum, _, _ := drainQueued(t, journal, 2)
+	if sum.Journaled != 2 || sum.Lost != 0 {
+		t.Fatalf("drain summary %+v, want 2 journaled, 0 lost", sum)
 	}
 
-	// Every journal line must carry a replayable model payload.
-	raw, err := os.ReadFile(journal)
+	// Every journal record must carry a replayable model payload.
+	j, recs, err := checkpoint.Resume(journal, drainJournalFP, checkpoint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		var rec drainRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+	j.Close()
+	for i, r := range recs {
+		rec, err := decodeDrainRecord(r.Payload)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Model == "" {
-			t.Fatal("journal record without model payload")
+		if r.Seq != uint64(i) || !bytes.Equal(rec.Model, f.modelText) {
+			t.Fatalf("record %d: seq %d, model of %d bytes: want seq %d and the uploaded model", i, r.Seq, len(rec.Model), i)
 		}
 	}
 
 	// Second life: a fresh server replays the journal before readiness.
-	s2, ts2 := rawTestServer(t, nil)
-	rsum, err := s2.ReplayDrainJournal(journal, outDir)
+	rsum, s2, ts2, err := replayFresh(t, journal, outDir)
 	if err != nil {
 		t.Fatalf("ReplayDrainJournal: %v", err)
 	}
@@ -141,7 +171,7 @@ func TestRestartReplaysDrainJournalByteIdentical(t *testing.T) {
 	// and to a fresh query against the restarted server.
 	_, fresh := postQuery(t, ts2, "db=test", f.modelText)
 	for i := 0; i < 2; i++ {
-		b, err := os.ReadFile(filepath.Join(outDir, "replay-"+string(rune('0'+i))+".tbl"))
+		b, err := os.ReadFile(filepath.Join(outDir, fmt.Sprintf("replay-%d.tbl", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,21 +184,111 @@ func TestRestartReplaysDrainJournalByteIdentical(t *testing.T) {
 	}
 
 	// A missing journal is a clean first-boot no-op.
-	none, err := s2.ReplayDrainJournal(filepath.Join(t.TempDir(), "absent.jsonl"), "")
+	none, err := s2.ReplayDrainJournal(filepath.Join(t.TempDir(), "absent.journal"), "")
 	if err != nil || none.Replayed != 0 || none.Failed != 0 {
 		t.Errorf("missing journal: %+v, %v", none, err)
 	}
 }
 
-// A record without a model payload fails that line but not the replay.
-func TestReplayToleratesBadRecords(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "drain.jsonl")
-	lines := `{"tenant":"a","db":"test","query":"old","fingerprint":"ff","reason":"queued-at-drain"}
-not json at all
-`
-	if err := os.WriteFile(journal, []byte(lines), 0o644); err != nil {
+// A replay settles the journal once every record is answered: a
+// process killed after its replay answers nothing on its next start.
+func TestReplaySettlesJournal(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "drain.journal")
+	drainQueued(t, journal, 2)
+	first, _, _, err := replayFresh(t, journal, "")
+	if err != nil || first.Replayed != 2 {
+		t.Fatalf("first replay: %+v, %v; want 2 replayed", first, err)
+	}
+	again, _, _, err := replayFresh(t, journal, "")
+	if err != nil || again.Replayed != 0 || again.Failed != 0 {
+		t.Fatalf("replay after a kill: %+v, %v; want nothing answered", again, err)
+	}
+}
+
+// A drain killed mid-append leaves a torn last record: replay drops it
+// and answers the rest, with no failure.
+func TestReplayDropsTornLastRecord(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "drain.journal")
+	drainQueued(t, journal, 3)
+	fi, err := os.Stat(journal)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.Truncate(journal, fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	sum, _, _, err := replayFresh(t, journal, "")
+	if err != nil || sum.Replayed != 2 || sum.Failed != 0 {
+		t.Fatalf("torn journal: %+v, %v; want 2 replayed, 0 failed", sum, err)
+	}
+}
+
+// A flipped byte inside a whole record refuses the journal: no query is
+// answered from damaged bytes, and the error names the record.
+func TestReplayRefusesFlippedByte(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "drain.journal")
+	drainQueued(t, journal, 2)
+	b, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-10] ^= 0x20 // inside the last record's model
+	if err := os.WriteFile(journal, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum, s, _, err := replayFresh(t, journal, "")
+	if err == nil || !strings.Contains(err.Error(), "record 1") {
+		t.Fatalf("err = %v, want a refusal naming record 1", err)
+	}
+	if sum.Replayed != 0 || counter(t, s, "hmmer_serve_replayed_total") != 0 {
+		t.Errorf("summary %+v: a query was answered from a damaged journal", sum)
+	}
+}
+
+// The JSON-lines journal of an older hmmserved is refused by name, and
+// so is a search journal given as the drain journal.
+func TestReplayRefusesOtherFormats(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old.jsonl")
+	line := `{"time":"2026-01-01T00:00:00Z","tenant":"queued","db":"test","query":"servetest","fingerprint":"ff","model":"SE1NRVIzL2YK","reason":"queued-at-drain"}` + "\n"
+	if err := os.WriteFile(old, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum, _, _, err := replayFresh(t, old, "")
+	if err == nil || !strings.Contains(err.Error(), "JSON-lines") || sum.Replayed != 0 {
+		t.Errorf("older journal: %+v, %v; want a refusal naming the JSON-lines format", sum, err)
+	}
+
+	search := filepath.Join(dir, "run.ckpt")
+	j, err := checkpoint.Create(search, checkpoint.Fingerprint{1}, checkpoint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	_, _, _, err = replayFresh(t, search, "")
+	var fpe *checkpoint.FingerprintError
+	if !errors.As(err, &fpe) {
+		t.Errorf("search journal: %v; want a *checkpoint.FingerprintError", err)
+	}
+}
+
+// A record that does not decode, or carries no model, fails that record
+// but not the replay.
+func TestReplayToleratesBadRecords(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "drain.journal")
+	j, err := checkpoint.Create(journal, drainJournalFP, checkpoint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, payload := range [][]byte{
+		{1, 0}, // truncated field length
+		drainRecord{Tenant: "a", DB: "test", Query: "old"}.encode(), // no model
+	} {
+		if err := j.Append(checkpoint.Record{Seq: uint64(i), Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
 	s, _ := newTestServer(t, nil)
 	sum, err := s.ReplayDrainJournal(journal, "")
 	if err != nil {
@@ -180,6 +300,44 @@ not json at all
 	if got := counter(t, s, "hmmer_serve_replay_failed_total"); got != 2 {
 		t.Errorf("hmmer_serve_replay_failed_total = %v, want 2", got)
 	}
+}
+
+// A drain whose journal cannot be opened journals nothing: each queued
+// query is counted lost, its 503 says it was not journaled, and the
+// drain does not log "0 lost".
+func TestDrainUnopenableJournalCountsLost(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "missing", "drain.journal")
+	sum, bodies, logs := drainQueued(t, journal, 1)
+	if sum.Journaled != 0 || sum.Lost != 1 {
+		t.Errorf("drain summary %+v, want 0 journaled, 1 lost", sum)
+	}
+	if !strings.Contains(bodies[0], "not journaled") {
+		t.Errorf("503 body %q does not say the query was not journaled", bodies[0])
+	}
+	last := logs[len(logs)-1]
+	if !strings.Contains(last, "drain complete") || !strings.Contains(last, " 1 lost") {
+		t.Errorf("drain logged %q, want it to count 1 lost", last)
+	}
+}
+
+// The drain-record decoder reads a file from outside the process: it
+// must never panic, and every payload it accepts must re-encode to the
+// same bytes.
+func FuzzDecodeDrainRecord(f *testing.F) {
+	f.Add(drainRecord{Tenant: "t", DB: "test", Query: "q", Model: []byte("HMMER3/f\n//\n")}.encode())
+	f.Add([]byte{1, 0})                                              // truncated length
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 100, 0, 0, 0, 'q'})         // overrunning length
+	f.Add(drainRecord{Tenant: "t", DB: "test", Query: "q"}.encode()) // empty model
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		rec, err := decodeDrainRecord(p)
+		if err != nil {
+			return
+		}
+		if got := rec.encode(); !bytes.Equal(got, p) {
+			t.Fatalf("accepted %x, re-encoded %x", p, got)
+		}
+	})
 }
 
 // The thundering herd: N concurrent identical cache-misses coalesce

@@ -27,7 +27,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -35,7 +34,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,8 +109,10 @@ type Config struct {
 	// MaxModelBytes bounds an uploaded model (default 8 MiB).
 	MaxModelBytes int64
 
-	// DrainJournal, when set, receives one JSON line per query refused
-	// during drain, so an orchestrator can replay them.
+	// DrainJournal, when set, is the checkpoint journal that receives
+	// one record per query refused during drain, fsync'd before the
+	// refusal is answered; ReplayDrainJournal re-admits them on the
+	// next start.
 	DrainJournal string
 
 	// Logf receives operational log lines (default: silent).
@@ -143,6 +143,10 @@ type DrainSummary struct {
 	Completed int
 	// Journaled is how many queued queries were refused and journaled.
 	Journaled int
+	// Lost is how many queued queries were refused without a durable
+	// journal record: no journal was configured or opened, or the
+	// append failed.
+	Lost int
 }
 
 // Server is the resident search service. Create with New, expose
@@ -173,8 +177,9 @@ type Server struct {
 
 	stateMu   sync.Mutex
 	draining  bool
-	journal   *os.File
+	journal   *checkpoint.Journal
 	journaled int
+	lost      int
 
 	abortCtx    context.Context
 	abortCancel context.CancelFunc
@@ -300,7 +305,8 @@ func (s *Server) Abort() { s.abortCancel() }
 // journal queued waiters, then block until in-flight queries have
 // finished. It returns a summary the caller logs; "0 lost" is the
 // contract — every query past admission either completed or has a
-// journal line.
+// durable journal record — and Lost counts every query that has
+// neither.
 func (s *Server) Drain() DrainSummary {
 	s.stateMu.Lock()
 	if s.draining {
@@ -310,12 +316,11 @@ func (s *Server) Drain() DrainSummary {
 	}
 	s.draining = true
 	if s.cfg.DrainJournal != "" {
-		fh, err := os.Create(s.cfg.DrainJournal)
+		j, err := checkpoint.Create(s.cfg.DrainJournal, drainJournalFP, checkpoint.Options{})
 		if err != nil {
 			s.cfg.Logf("drain journal: %v", err)
-		} else {
-			s.journal = fh
 		}
+		s.journal = j
 	}
 	s.stateMu.Unlock()
 
@@ -324,14 +329,16 @@ func (s *Server) Drain() DrainSummary {
 	s.wg.Wait()
 
 	s.stateMu.Lock()
-	journaled := s.journaled
+	sum := DrainSummary{Completed: inflight, Journaled: s.journaled, Lost: s.lost}
 	if s.journal != nil {
-		s.journal.Close()
+		if err := s.journal.Close(); err != nil {
+			s.cfg.Logf("drain journal: %v", err)
+		}
 		s.journal = nil
 	}
 	s.stateMu.Unlock()
-	s.cfg.Logf("drain complete: %d in-flight completed, %d queued journaled, 0 lost", inflight, journaled)
-	return DrainSummary{Completed: inflight, Journaled: journaled}
+	s.cfg.Logf("drain complete: %d in-flight completed, %d queued journaled, %d lost", sum.Completed, sum.Journaled, sum.Lost)
+	return sum
 }
 
 func (s *Server) isDraining() bool {
@@ -340,30 +347,28 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-// journalRefusal appends one JSON line for a query refused during
-// drain, so nothing admitted-then-abandoned is silently lost. The
-// record carries the full model upload (base64), which is what makes
-// the journal replayable: a restarted server re-POSTs each line
-// through its own admission path and produces byte-identical
-// responses (ReplayDrainJournal).
-func (s *Server) journalRefusal(tenant, db, query, fp string, model []byte, reason string) {
+// journalRefusal appends one drain-journal record, fsync'd, for a query
+// refused during drain and reports whether it did. The record carries
+// the full model upload, so a restarted server can re-POST it
+// (ReplayDrainJournal). A refusal with no journal, or whose append
+// fails, is counted lost; a failed append also closes the journal, so
+// no later record lands behind a damaged one.
+func (s *Server) journalRefusal(tenant, db, query string, model []byte) bool {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	s.journaled++
-	if s.journal == nil {
-		return
+	if s.journal != nil {
+		rec := drainRecord{Tenant: tenant, DB: db, Query: query, Model: model}
+		err := s.journal.Append(checkpoint.Record{Seq: uint64(s.journaled), Payload: rec.encode()})
+		if err == nil {
+			s.journaled++
+			return true
+		}
+		s.cfg.Logf("drain journal: %v", err)
+		s.journal.Close()
+		s.journal = nil
 	}
-	rec := map[string]string{
-		"time":        s.cfg.Now().UTC().Format(time.RFC3339Nano),
-		"tenant":      tenant,
-		"db":          db,
-		"query":       query,
-		"fingerprint": fp,
-		"model":       base64.StdEncoding.EncodeToString(model),
-		"reason":      reason,
-	}
-	b, _ := json.Marshal(rec)
-	s.journal.Write(append(b, '\n'))
+	s.lost++
+	return false
 }
 
 // getPipeline returns the calibrated pipeline for a model upload,
@@ -607,16 +612,19 @@ type searchCall struct {
 // admitErr maps an admission (or coalesced-leader) failure to its
 // response. A query refused because drain started while it was queued
 // is journaled — coalesced followers too: each was an accepted query,
-// and each must be replayable.
+// and each must be replayable. Its 503 says whether it was.
 func (s *Server) admitErr(w http.ResponseWriter, ctx context.Context, err error, tenant, dbName string, entry *profileEntry, body []byte) {
 	switch {
 	case errors.Is(err, ErrShed):
 		s.shed(w, time.Second)
 	case errors.Is(err, ErrDraining):
 		s.reg.AddInt("hmmer_serve_refused_drain_total", 1)
-		s.journalRefusal(tenant, dbName, entry.name, hex.EncodeToString(entry.fp[:]), body, "queued-at-drain")
+		msg := "draining: queued query refused (journaled)"
+		if !s.journalRefusal(tenant, dbName, entry.name, body) {
+			msg = "draining: queued query refused (not journaled)"
+		}
 		w.Header().Set("Retry-After", "1")
-		http.Error(w, "draining: queued query refused (journaled)", http.StatusServiceUnavailable)
+		http.Error(w, msg, http.StatusServiceUnavailable)
 	default:
 		s.queryErr(w, ctx, err)
 	}

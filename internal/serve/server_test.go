@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"hmmer3gpu/internal/alphabet"
+	"hmmer3gpu/internal/checkpoint"
 	"hmmer3gpu/internal/gpu"
 	"hmmer3gpu/internal/hmm"
 	"hmmer3gpu/internal/pipeline"
@@ -402,7 +402,7 @@ func TestBadModel400(t *testing.T) {
 // the summary reports zero loss.
 func TestDrainJournalsQueuedAndRefusesNew(t *testing.T) {
 	f := fixture(t)
-	journal := filepath.Join(t.TempDir(), "drain.jsonl")
+	journal := filepath.Join(t.TempDir(), "drain.journal")
 	s, ts := newTestServer(t, func(cfg *Config) {
 		cfg.MaxConcurrent = 1
 		cfg.MaxQueue = 4
@@ -438,27 +438,27 @@ func TestDrainJournalsQueuedAndRefusesNew(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Drain did not return")
 	}
-	if sum.Journaled != 1 {
-		t.Errorf("drain journaled %d, want 1", sum.Journaled)
+	if sum.Journaled != 1 || sum.Lost != 0 {
+		t.Errorf("drain journaled %d and lost %d, want 1 and 0", sum.Journaled, sum.Lost)
 	}
 	if sum.Completed != 1 {
 		t.Errorf("drain completed %d, want 1", sum.Completed)
 	}
 
-	b, err := os.ReadFile(journal)
+	j, recs, err := checkpoint.Resume(journal, drainJournalFP, checkpoint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("journal has %d lines, want 1:\n%s", len(lines), b)
+	j.Close()
+	if len(recs) != 1 {
+		t.Fatalf("journal has %d records, want 1", len(recs))
 	}
-	var rec map[string]string
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+	rec, err := decodeDrainRecord(recs[0].Payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rec["tenant"] != "queued" || rec["reason"] != "queued-at-drain" || rec["db"] != "test" || len(rec["fingerprint"]) != 64 {
-		t.Errorf("journal record %v", rec)
+	if rec.Tenant != "queued" || rec.DB != "test" || rec.Query != "servetest" || !bytes.Equal(rec.Model, f.modelText) {
+		t.Errorf("journal record %+v", rec)
 	}
 
 	// New arrivals are refused while (and after) draining.

@@ -161,7 +161,7 @@ func TestSmoke(t *testing.T) {
 			start := time.Now()
 			this := binsIn(binDir)
 			change := runLeg(t, l, "change", this)
-			if *parentDir == "" || t.Failed() {
+			if *parentDir == "" {
 				t.Logf("%s: %s", l.name, time.Since(start).Round(time.Millisecond))
 				return
 			}
@@ -195,8 +195,13 @@ func runLeg(t *testing.T, l leg, side string, b bins) *run {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	r := &run{t: t, leg: l.name, side: side, bin: b, dir: dir, pins: map[string]string{}}
-	l.run(r)
+	r := &run{leg: l.name, side: side, bin: b, dir: dir, pins: map[string]string{}}
+	// Each side is a subtest, so a side that stops at a fatal check
+	// still leaves the other sides to run and be compared.
+	t.Run(side, func(t *testing.T) {
+		r.t = t
+		l.run(r)
+	})
 	return r
 }
 
@@ -726,7 +731,7 @@ func clusterLeg(r *run) {
 func serveLeg(r *run) {
 	r.search(0, "ref", false, "-engine", "multigpu", "-stream", "32", "-devices", "2", "-sim", "fast",
 		"-tblout", r.path("ref.tbl"))
-	srv, base := r.startServed("hmmserved", "-max-queue", "1", "-drain-journal", r.path("drain.jsonl"))
+	srv, base := r.startServed("hmmserved", "-max-queue", "1", "-drain-journal", r.path("drain.journal"))
 	r.query(base, "db=swiss", "served.tbl")
 	r.same("ref.tbl", "served.tbl")
 	if h := r.query(base, "db=swiss", "cached.tbl"); !strings.EqualFold(h.Get("X-Cache"), "hit") {
@@ -839,7 +844,7 @@ func haLeg(r *run) {
 	// With one slot and cache=off, a burst of four must queue; drain
 	// once /healthz reports queued waiters, and the drain refuses them
 	// into the journal.
-	admit := []string{"-max-concurrent", "1", "-max-queue", "3", "-drain-journal", r.path("drain.jsonl")}
+	admit := []string{"-max-concurrent", "1", "-max-queue", "3", "-drain-journal", r.path("drain.journal")}
 	first, base := r.startServed("served-1", admit...)
 	first.waitLine(`^hmmserved: ready`, 20*time.Second)
 	body, err := os.ReadFile(model)
@@ -871,7 +876,7 @@ func haLeg(r *run) {
 	first.wait(20 * time.Second)
 	burst.Wait()
 	first.waitLine(`drained: [0-9]+ in-flight completed, [1-9][0-9]* queued journaled`, time.Second)
-	if fi, err := os.Stat(r.path("drain.jsonl")); err != nil || fi.Size() == 0 {
+	if fi, err := os.Stat(r.path("drain.journal")); err != nil || fi.Size() == 0 {
 		r.fatalf("drain journal empty or missing (%v)", err)
 	}
 
@@ -904,12 +909,19 @@ func haLeg(r *run) {
 }
 
 // compare fails unless two sides of a leg wrote byte-identical tables,
-// metrics files with the same series, and the same pins. It runs only
-// on a leg that has not failed yet. Replayed
+// metrics files with the same series, and the same pins. It runs
+// whatever either side's own checks found, so a side that failed is
+// still compared as far as it got. Replayed
 // service tables are left out: how many queries a drain catches queued
 // is timing, and each side already diffs every one it wrote.
 func compare(t *testing.T, leg string, a, b *run) {
 	t.Helper()
+	differ := false
+	errorf := func(format string, args ...any) {
+		t.Helper()
+		differ = true
+		t.Errorf(format, args...)
+	}
 	files := func(r *run, ext string) []string {
 		var out []string
 		filepath.WalkDir(r.dir, func(p string, d fs.DirEntry, err error) error {
@@ -926,11 +938,11 @@ func compare(t *testing.T, leg string, a, b *run) {
 	}
 	tables := files(a, ".tbl")
 	if got := files(b, ".tbl"); strings.Join(got, " ") != strings.Join(tables, " ") {
-		t.Errorf("%s: %s wrote tables %v, %s wrote %v", leg, a.side, tables, b.side, got)
+		errorf("%s: %s wrote tables %v, %s wrote %v", leg, a.side, tables, b.side, got)
 	}
 	for _, f := range tables {
 		if d := diffFiles(a.path(f), b.path(f)); d != "" {
-			t.Errorf("%s: %s differs between %s and %s: %s", leg, f, a.side, b.side, d)
+			errorf("%s: %s differs between %s and %s: %s", leg, f, a.side, b.side, d)
 		}
 	}
 	for _, f := range files(a, ".prom") {
@@ -948,20 +960,20 @@ func compare(t *testing.T, leg string, a, b *run) {
 		}
 		if len(only) > 0 {
 			sort.Strings(only)
-			t.Errorf("%s: %s series differ:\n%s", leg, f, strings.Join(only, "\n"))
+			errorf("%s: %s series differ:\n%s", leg, f, strings.Join(only, "\n"))
 		}
 	}
 	for k, v := range a.pins {
 		if b.pins[k] != v {
-			t.Errorf("%s: %s is %q under %s, %q under %s", leg, k, v, a.side, b.pins[k], b.side)
+			errorf("%s: %s is %q under %s, %q under %s", leg, k, v, a.side, b.pins[k], b.side)
 		}
 	}
 	for k, v := range b.pins {
 		if _, ok := a.pins[k]; !ok {
-			t.Errorf("%s: %s pinned %q under %s only", leg, k, v, b.side)
+			errorf("%s: %s pinned %q under %s only", leg, k, v, b.side)
 		}
 	}
-	if !t.Failed() {
+	if !differ {
 		t.Logf("%s: %s and %s agree on %d tables and %d pins", leg, a.side, b.side, len(tables), len(a.pins))
 	}
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -436,5 +437,37 @@ func TestSyncEveryCadence(t *testing.T) {
 	// sync for the final 2 pending.
 	if st := j.Stats(); st.Syncs != 4 {
 		t.Fatalf("Syncs = %d, want 4", st.Syncs)
+	}
+}
+
+// A journal's bytes are pinned: the header from Create and two
+// appended records, so journals written by one build resume under the
+// next.
+func TestJournalFormatPinned(t *testing.T) {
+	path := tmpJournal(t)
+	j, err := Create(path, fp(0xa5), Options{Mode: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, rec(0, "first"))
+	mustAppend(t, j, Record{Seq: 1 << 40, Offset: 7, NumSeqs: 3, Residues: 0xfedcba9876543210, Payload: []byte("sécond")})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "484d4d33475055434b505402a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a50125000000f190b032000000000000000000000000000000000a00000000000000e803000000000000666972737427000000deb31cf80000000000010000070000000000000003000000000000001032547698badcfe73c3a9636f6e64"
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(raw); got != want {
+		t.Fatalf("journal encodes to\n%s\nwant\n%s", got, want)
+	}
+	j, recs, err := Resume(path, fp(0xa5), Options{Mode: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(recs) != 2 || recs[1].Seq != 1<<40 || recs[1].Residues != 0xfedcba9876543210 || string(recs[1].Payload) != "sécond" {
+		t.Fatalf("golden journal resumes to %+v", recs)
 	}
 }

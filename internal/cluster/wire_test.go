@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
@@ -156,4 +157,69 @@ func TestDecodeFrameMatchesReadFrame(t *testing.T) {
 	if err != nil || typ != msgHelloNack || len(rest) != 0 {
 		t.Fatalf("decodeFrame second: typ %d rest %d err %v", typ, len(rest), err)
 	}
+}
+
+// Every wire message's bytes are pinned (ProtoVersion 2): a coordinator
+// and a worker from different builds of the same protocol version must
+// agree on them, and the golden bytes must parse back to themselves.
+func TestWireFormatPinned(t *testing.T) {
+	var fp [32]byte
+	for i := range fp {
+		fp[i] = byte(i)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+		hex  string
+	}{
+		{"hello", encodeHello(Handshake{Version: ProtoVersion, Fingerprint: fp, Mode: 1, Epoch: 0x0102030405060708}), "0102000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f01000807060504030201"},
+		{"helloAck", encodeHelloAck(HelloAck{Version: ProtoVersion, Capacity: 4, Name: "wörker-0"}), "02020400090077c3b6726b65722d30"},
+		{"helloNack", encodeHelloNack("stale epoch 3 < 5"), "0311007374616c652065706f63682033203c2035"},
+		{"batch", encodeBatchMsg(3, 7, 64, testBatchDB(1)), "040300000000000000070000000000000040000000000000000300000004000000627365710a000000626174636820646573630600000001020304050604000000627365710a0000006261746368206465736308000000020304050607080904000000627365710a000000626174636820646573630a000000030405060708090a0b0c"},
+		{"result", encodeResultMsg(3, 7, []byte("payload")), "05030000000000000007000000000000007061796c6f6164"},
+		{"execErr", encodeExecErr(3, 7, "device lost"), "0603000000000000000700000000000000646576696365206c6f7374"},
+		{"ping", encodePingPong(msgPing, 0xfeedface), "07cefaedfe00000000"},
+	} {
+		if got := hex.EncodeToString(c.body); got != c.hex {
+			t.Errorf("%s encodes to\n%s\nwant\n%s", c.name, got, c.hex)
+			continue
+		}
+		golden, _ := hex.DecodeString(c.hex)
+		if again, err := reencode(golden); err != nil || !bytes.Equal(again, golden) {
+			t.Errorf("%s: golden bytes parse and re-encode to %x, %v", c.name, again, err)
+		}
+	}
+}
+
+// reencode parses a message body (type byte first) and encodes what it
+// parsed, so a caller can check the two agree.
+func reencode(body []byte) ([]byte, error) {
+	typ, p := body[0], body[1:]
+	switch typ {
+	case msgHello:
+		h, err := parseHello(p)
+		return encodeHello(h), err
+	case msgHelloAck:
+		a, err := parseHelloAck(p)
+		return encodeHelloAck(a), err
+	case msgHelloNack:
+		reason, err := parseHelloNack(p)
+		return encodeHelloNack(reason), err
+	case msgBatch:
+		seqNo, epoch, offset, db, err := parseBatchMsg(p)
+		if err != nil {
+			return nil, err
+		}
+		return encodeBatchMsg(seqNo, epoch, offset, db), nil
+	case msgResult:
+		seqNo, epoch, payload, err := parseResultMsg(p)
+		return encodeResultMsg(seqNo, epoch, payload), err
+	case msgExecErr:
+		seqNo, epoch, msg, err := parseExecErr(p)
+		return encodeExecErr(seqNo, epoch, msg), err
+	case msgPing, msgPong:
+		nonce, err := parsePingPong(typ, p)
+		return encodePingPong(typ, nonce), err
+	}
+	return body, nil
 }

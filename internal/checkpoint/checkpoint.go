@@ -233,11 +233,7 @@ func Create(path string, fp Fingerprint, opts Options) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	hdr := make([]byte, 0, headerSize)
-	hdr = append(hdr, magic...)
-	hdr = append(hdr, fp[:]...)
-	hdr = append(hdr, opts.Mode)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(append(append([]byte(magic), fp[:]...), opts.Mode)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("checkpoint: writing header: %w", err)
 	}
@@ -305,18 +301,19 @@ func readHeader(f *os.File, fp Fingerprint, mode byte) error {
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return fmt.Errorf("checkpoint: journal header unreadable (file shorter than %d bytes): %w", headerSize, err)
 	}
-	if string(hdr[:len(magic)-1]) != magic[:len(magic)-1] {
-		return fmt.Errorf("checkpoint: not a journal file (bad magic)")
-	}
-	if hdr[len(magic)-1] != magic[len(magic)-1] {
-		return &VersionError{Want: magic[len(magic)-1], Got: hdr[len(magic)-1]}
-	}
+	r := frame.NewReader(hdr)
+	name, version := string(r.Bytes(uint64(len(magic)-1))), r.U8()
 	var got Fingerprint
-	copy(got[:], hdr[len(magic):len(magic)+32])
-	if got != fp {
+	copy(got[:], r.Bytes(32))
+	m := r.U8()
+	switch {
+	case name != magic[:len(magic)-1]:
+		return fmt.Errorf("checkpoint: not a journal file (bad magic)")
+	case version != magic[len(magic)-1]:
+		return &VersionError{Want: magic[len(magic)-1], Got: version}
+	case got != fp:
 		return &FingerprintError{Want: fp, Got: got}
-	}
-	if m := hdr[len(magic)+32]; m != mode {
+	case m != mode:
 		return &ModeMismatchError{Want: mode, Got: m}
 	}
 	return nil
@@ -343,13 +340,8 @@ func readRecords(data []byte, off int64) ([]Record, int, error) {
 		if err != nil {
 			return recs, n, err
 		}
-		recs = append(recs, Record{
-			Seq:      binary.LittleEndian.Uint64(body[0:8]),
-			Offset:   binary.LittleEndian.Uint64(body[8:16]),
-			NumSeqs:  binary.LittleEndian.Uint64(body[16:24]),
-			Residues: binary.LittleEndian.Uint64(body[24:32]),
-			Payload:  body[bodyFixedSize:len(body):len(body)], // appends must not run into the next frame
-		})
+		r := frame.NewReader(body) // journalFrame's Min holds the fixed prefix
+		recs = append(recs, Record{Seq: r.U64(), Offset: r.U64(), NumSeqs: r.U64(), Residues: r.U64(), Payload: r.Rest()})
 		n = len(data) - len(rest)
 	}
 	return recs, n, nil
@@ -373,12 +365,11 @@ func (j *Journal) Append(rec Record) error {
 		return j.crashLocked(0)
 	}
 
-	body := make([]byte, bodyFixedSize+len(rec.Payload))
-	binary.LittleEndian.PutUint64(body[0:8], rec.Seq)
-	binary.LittleEndian.PutUint64(body[8:16], rec.Offset)
-	binary.LittleEndian.PutUint64(body[16:24], rec.NumSeqs)
-	binary.LittleEndian.PutUint64(body[24:32], rec.Residues)
-	copy(body[bodyFixedSize:], rec.Payload)
+	body := make([]byte, 0, bodyFixedSize+len(rec.Payload))
+	for _, v := range []uint64{rec.Seq, rec.Offset, rec.NumSeqs, rec.Residues} {
+		body = binary.LittleEndian.AppendUint64(body, v)
+	}
+	body = append(body, rec.Payload...)
 	framed := frame.Append(make([]byte, 0, frame.HeaderSize+len(body)), body)
 
 	if _, err := j.f.Write(framed); err != nil {

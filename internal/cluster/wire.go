@@ -114,7 +114,17 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	return body[0], body[1:], nil
+	br := frame.NewReader(body) // wireFrame's Min holds the type byte
+	return br.U8(), br.Rest(), nil
+}
+
+// parsed is every message parser's one end check: a field that ran
+// past the body, or bytes after the last field, is a *WireError.
+func parsed(typ byte, r *frame.Reader) error {
+	if err := r.Err(); err != nil {
+		return &WireError{Msg: typ, Reason: err.Error()}
+	}
+	return nil
 }
 
 // Handshake is the hello the coordinator opens every connection with.
@@ -141,29 +151,25 @@ type HelloAck struct {
 }
 
 func encodeHello(h Handshake) []byte {
-	body := make([]byte, 0, 1+1+32+1+1+8)
-	body = append(body, msgHello, h.Version)
-	body = append(body, h.Fingerprint[:]...)
-	body = append(body, h.Mode, 0)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], h.Epoch)
-	return append(body, u64[:]...)
+	body := append([]byte{msgHello, h.Version}, h.Fingerprint[:]...)
+	return binary.LittleEndian.AppendUint64(append(body, h.Mode, 0), h.Epoch)
 }
 
 func parseHello(p []byte) (Handshake, error) {
-	var h Handshake
-	if len(p) != 1+32+1+1+8 {
-		return h, &WireError{Msg: msgHello, Reason: fmt.Sprintf("hello body is %d bytes, want %d", len(p), 1+32+1+1+8)}
+	r := frame.NewReader(p)
+	h := Handshake{Version: r.U8()}
+	copy(h.Fingerprint[:], r.Bytes(32))
+	h.Mode = r.U8()
+	reserved := r.U8()
+	h.Epoch = r.U64()
+	if err := parsed(msgHello, r); err != nil {
+		return h, err
 	}
-	h.Version = p[0]
-	copy(h.Fingerprint[:], p[1:33])
-	h.Mode = p[33]
-	if p[34] != 0 {
+	if reserved != 0 {
 		// Once a standby coordinator's role; a peer that sets it expects
 		// a session this worker no longer serves.
-		return h, &WireError{Msg: msgHello, Reason: fmt.Sprintf("reserved hello byte 34 is %d, want 0", p[34])}
+		return h, &WireError{Msg: msgHello, Reason: fmt.Sprintf("reserved hello byte 34 is %d, want 0", reserved)}
 	}
-	h.Epoch = binary.LittleEndian.Uint64(p[35:43])
 	return h, nil
 }
 
@@ -171,52 +177,28 @@ func encodeHelloAck(a HelloAck) []byte {
 	if len(a.Name) > 0xffff {
 		a.Name = a.Name[:0xffff]
 	}
-	body := make([]byte, 0, 1+1+2+2+len(a.Name))
-	body = append(body, msgHelloAck, a.Version)
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(a.Capacity))
-	body = append(body, u16[:]...)
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(a.Name)))
-	body = append(body, u16[:]...)
-	return append(body, a.Name...)
+	body := binary.LittleEndian.AppendUint16([]byte{msgHelloAck, a.Version}, uint16(a.Capacity))
+	return append(binary.LittleEndian.AppendUint16(body, uint16(len(a.Name))), a.Name...)
 }
 
 func parseHelloAck(p []byte) (HelloAck, error) {
-	var a HelloAck
-	if len(p) < 1+2+2 {
-		return a, &WireError{Msg: msgHelloAck, Reason: "short helloAck body"}
-	}
-	a.Version = p[0]
-	a.Capacity = int(binary.LittleEndian.Uint16(p[1:3]))
-	n := int(binary.LittleEndian.Uint16(p[3:5]))
-	if len(p) != 5+n {
-		return a, &WireError{Msg: msgHelloAck, Reason: "helloAck name length does not match body"}
-	}
-	a.Name = string(p[5:])
-	return a, nil
+	r := frame.NewReader(p)
+	a := HelloAck{Version: r.U8(), Capacity: int(r.U16())}
+	a.Name = string(r.Bytes(uint64(r.U16())))
+	return a, parsed(msgHelloAck, r)
 }
 
 func encodeHelloNack(reason string) []byte {
 	if len(reason) > 0xffff {
 		reason = reason[:0xffff]
 	}
-	body := make([]byte, 0, 1+2+len(reason))
-	body = append(body, msgHelloNack)
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(reason)))
-	body = append(body, u16[:]...)
-	return append(body, reason...)
+	return append(binary.LittleEndian.AppendUint16([]byte{msgHelloNack}, uint16(len(reason))), reason...)
 }
 
 func parseHelloNack(p []byte) (string, error) {
-	if len(p) < 2 {
-		return "", &WireError{Msg: msgHelloNack, Reason: "short helloNack body"}
-	}
-	n := int(binary.LittleEndian.Uint16(p[0:2]))
-	if len(p) != 2+n {
-		return "", &WireError{Msg: msgHelloNack, Reason: "helloNack reason length does not match body"}
-	}
-	return string(p[2:]), nil
+	r := frame.NewReader(p)
+	reason := string(r.Bytes(uint64(r.U16())))
+	return reason, parsed(msgHelloNack, r)
 }
 
 // encodeBatchMsg serialises one batch assignment: identity, fencing
@@ -228,118 +210,74 @@ func encodeBatchMsg(seqNo, epoch, offset uint64, db *seq.Database) []byte {
 	for _, s := range db.Seqs {
 		size += 12 + len(s.Name) + len(s.Desc) + len(s.Residues)
 	}
-	body := make([]byte, 0, size)
-	body = append(body, msgBatch)
-	var u64 [8]byte
+	body := append(make([]byte, 0, size), msgBatch)
 	for _, v := range []uint64{seqNo, epoch, offset} {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		body = append(body, u64[:]...)
+		body = binary.LittleEndian.AppendUint64(body, v)
 	}
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(db.NumSeqs()))
-	body = append(body, u32[:]...)
+	body = binary.LittleEndian.AppendUint32(body, uint32(db.NumSeqs()))
 	for _, s := range db.Seqs {
-		for _, field := range [][]byte{[]byte(s.Name), []byte(s.Desc), s.Residues} {
-			binary.LittleEndian.PutUint32(u32[:], uint32(len(field)))
-			body = append(body, u32[:]...)
-			body = append(body, field...)
-		}
+		body = append(binary.LittleEndian.AppendUint32(body, uint32(len(s.Name))), s.Name...)
+		body = append(binary.LittleEndian.AppendUint32(body, uint32(len(s.Desc))), s.Desc...)
+		body = append(binary.LittleEndian.AppendUint32(body, uint32(len(s.Residues))), s.Residues...)
 	}
 	return body
 }
 
 func parseBatchMsg(p []byte) (seqNo, epoch, offset uint64, db *seq.Database, err error) {
-	pos := 0
-	need := func(n int) bool { return pos+n <= len(p) }
-	if !need(8 + 8 + 8 + 4) {
-		return 0, 0, 0, nil, &WireError{Msg: msgBatch, Reason: "short batch header"}
-	}
-	seqNo = binary.LittleEndian.Uint64(p[pos:])
-	epoch = binary.LittleEndian.Uint64(p[pos+8:])
-	offset = binary.LittleEndian.Uint64(p[pos+16:])
-	nSeqs := binary.LittleEndian.Uint32(p[pos+24:])
-	pos += 28
+	r := frame.NewReader(p)
+	seqNo, epoch, offset = r.U64(), r.U64(), r.U64()
+	nSeqs := r.U32()
 	// Each sequence costs at least 12 bytes of length prefixes, so an
 	// implausible count is rejected before any allocation.
-	if uint64(nSeqs)*12 > uint64(len(p)-pos) {
+	if uint64(nSeqs)*12 > uint64(r.Len()) {
 		return 0, 0, 0, nil, &WireError{Msg: msgBatch, Reason: fmt.Sprintf("implausible sequence count %d", nSeqs)}
 	}
 	db = seq.NewDatabase("cluster-batch")
 	for i := uint32(0); i < nSeqs; i++ {
-		var fields [3][]byte
-		for f := range fields {
-			if !need(4) {
-				return 0, 0, 0, nil, &WireError{Msg: msgBatch, Reason: fmt.Sprintf("seq %d: truncated length", i)}
-			}
-			n := binary.LittleEndian.Uint32(p[pos:])
-			pos += 4
-			if uint64(n) > uint64(len(p)-pos) {
-				return 0, 0, 0, nil, &WireError{Msg: msgBatch, Reason: fmt.Sprintf("seq %d: field length %d exceeds body", i, n)}
-			}
-			fields[f] = p[pos : pos+int(n)]
-			pos += int(n)
-		}
-		if len(fields[0]) == 0 {
+		name := string(r.Bytes(uint64(r.U32())))
+		desc := string(r.Bytes(uint64(r.U32())))
+		res := r.Bytes(uint64(r.U32()))
+		db.Add(&seq.Sequence{Name: name, Desc: desc, Residues: append([]byte(nil), res...)})
+	}
+	if err := parsed(msgBatch, r); err != nil {
+		return 0, 0, 0, nil, err
+	}
+	for i, s := range db.Seqs {
+		if s.Name == "" {
 			return 0, 0, 0, nil, &WireError{Msg: msgBatch, Reason: fmt.Sprintf("seq %d: empty name", i)}
 		}
-		db.Add(&seq.Sequence{
-			Name:     string(fields[0]),
-			Desc:     string(fields[1]),
-			Residues: append([]byte(nil), fields[2]...),
-		})
-	}
-	if pos != len(p) {
-		return 0, 0, 0, nil, &WireError{Msg: msgBatch, Reason: fmt.Sprintf("%d trailing bytes", len(p)-pos)}
 	}
 	return seqNo, epoch, offset, db, nil
 }
 
 func encodeResultMsg(seqNo, epoch uint64, payload []byte) []byte {
-	body := make([]byte, 0, 1+16+len(payload))
-	body = append(body, msgResult)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], seqNo)
-	body = append(body, u64[:]...)
-	binary.LittleEndian.PutUint64(u64[:], epoch)
-	body = append(body, u64[:]...)
-	return append(body, payload...)
+	body := binary.LittleEndian.AppendUint64(append(make([]byte, 0, 1+16+len(payload)), msgResult), seqNo)
+	return append(binary.LittleEndian.AppendUint64(body, epoch), payload...)
 }
 
 func parseResultMsg(p []byte) (seqNo, epoch uint64, payload []byte, err error) {
-	if len(p) < 16 {
-		return 0, 0, nil, &WireError{Msg: msgResult, Reason: "short result body"}
-	}
-	return binary.LittleEndian.Uint64(p[0:8]), binary.LittleEndian.Uint64(p[8:16]), p[16:], nil
+	r := frame.NewReader(p)
+	seqNo, epoch = r.U64(), r.U64()
+	return seqNo, epoch, r.Rest(), parsed(msgResult, r)
 }
 
 func encodeExecErr(seqNo, epoch uint64, msg string) []byte {
-	body := make([]byte, 0, 1+16+len(msg))
-	body = append(body, msgExecErr)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], seqNo)
-	body = append(body, u64[:]...)
-	binary.LittleEndian.PutUint64(u64[:], epoch)
-	body = append(body, u64[:]...)
-	return append(body, msg...)
+	body := binary.LittleEndian.AppendUint64(append(make([]byte, 0, 1+16+len(msg)), msgExecErr), seqNo)
+	return append(binary.LittleEndian.AppendUint64(body, epoch), msg...)
 }
 
 func parseExecErr(p []byte) (seqNo, epoch uint64, msg string, err error) {
-	if len(p) < 16 {
-		return 0, 0, "", &WireError{Msg: msgExecErr, Reason: "short execErr body"}
-	}
-	return binary.LittleEndian.Uint64(p[0:8]), binary.LittleEndian.Uint64(p[8:16]), string(p[16:]), nil
+	r := frame.NewReader(p)
+	seqNo, epoch = r.U64(), r.U64()
+	return seqNo, epoch, string(r.Rest()), parsed(msgExecErr, r)
 }
 
 func encodePingPong(typ byte, nonce uint64) []byte {
-	body := make([]byte, 9)
-	body[0] = typ
-	binary.LittleEndian.PutUint64(body[1:], nonce)
-	return body
+	return binary.LittleEndian.AppendUint64([]byte{typ}, nonce)
 }
 
 func parsePingPong(typ byte, p []byte) (uint64, error) {
-	if len(p) != 8 {
-		return 0, &WireError{Msg: typ, Reason: "ping/pong body is not 8 bytes"}
-	}
-	return binary.LittleEndian.Uint64(p), nil
+	r := frame.NewReader(p)
+	nonce := r.U64()
+	return nonce, parsed(typ, r)
 }

@@ -5,6 +5,13 @@
 // that end before the frame does are torn (io.ErrUnexpectedEOF; io.EOF
 // from Read when no byte of the frame arrived); an out-of-bounds
 // length or a checksum mismatch is a *CorruptError.
+//
+// Reader is the one field reader under every binary body: wire
+// messages, journal records and their headers, result payloads and
+// drain records. Its bounds rule is the tree's only one for input from
+// remote workers, from disk and from a restarted server: a read that
+// would run past the end of the body takes nothing and marks the body
+// short, so a parser makes its reads and checks Err once.
 package frame
 
 import (
@@ -104,4 +111,61 @@ func (l Limits) length(hdr []byte) (int, error) {
 		return 0, &CorruptError{fmt.Sprintf("implausible frame length %d", n)}
 	}
 	return int(n), nil
+}
+
+// Reader reads little-endian fields from the front of a body. A read
+// that would run past the end takes nothing, returns zero or nil, and
+// marks the body short; every later read then does the same.
+type Reader struct {
+	b     []byte
+	off   int
+	short bool
+}
+
+// NewReader returns a Reader at the start of body.
+func NewReader(body []byte) *Reader { return &Reader{b: body} }
+
+// Bytes returns the next n bytes, aliasing the body; appending to
+// them never overwrites the bytes after them.
+func (r *Reader) Bytes(n uint64) []byte {
+	if r.short || n > uint64(len(r.b)-r.off) {
+		r.short = true
+		return nil
+	}
+	end := r.off + int(n)
+	p := r.b[r.off:end:end]
+	r.off = end
+	return p
+}
+
+// Rest returns every unread byte.
+func (r *Reader) Rest() []byte { return r.Bytes(uint64(r.Len())) }
+
+// Len is the number of unread bytes.
+func (r *Reader) Len() int { return len(r.b) - r.off }
+
+// U8, U16, U32 and U64 read the next field of that width.
+func (r *Reader) U8() byte    { return r.fixed(1)[0] }
+func (r *Reader) U16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2)) }
+func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
+func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
+
+// fixed returns the next n bytes, or n zero bytes when fewer remain.
+func (r *Reader) fixed(n uint64) []byte {
+	if p := r.Bytes(n); p != nil {
+		return p
+	}
+	return make([]byte, n)
+}
+
+// Err reports whether the body parsed whole: nil when every read fit
+// and no byte is left unread.
+func (r *Reader) Err() error {
+	switch {
+	case r.short:
+		return fmt.Errorf("field at byte %d runs past the %d-byte body", r.off, len(r.b))
+	case r.Len() > 0:
+		return fmt.Errorf("%d trailing bytes", r.Len())
+	}
+	return nil
 }

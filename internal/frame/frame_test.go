@@ -140,3 +140,35 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// The reader's bounds rule: a read that would run past the body takes
+// nothing and marks it short, every later read then takes nothing, and
+// Err reports a short body or unread bytes.
+func TestReaderBounds(t *testing.T) {
+	body := binary.LittleEndian.AppendUint32([]byte{7}, 0xdeadbeef)
+	body = append(binary.LittleEndian.AppendUint16(body, 3), "abc!"...)
+	r := NewReader(body)
+	if r.U8() != 7 || r.U32() != 0xdeadbeef {
+		t.Fatal("fixed fields misread")
+	}
+	name := r.Bytes(uint64(r.U16()))
+	if string(name) != "abc" || cap(name) != 3 {
+		t.Fatalf("Bytes = %q with cap %d, want \"abc\" with cap 3", name, cap(name))
+	}
+	if err := r.Err(); err == nil || err.Error() != "1 trailing bytes" {
+		t.Fatalf("Err with a byte unread = %v", err)
+	}
+	if r.U16() != 0 || r.U8() != 0 || r.Rest() != nil {
+		t.Fatal("reads after a short read took bytes")
+	}
+	if err := r.Err(); err == nil || err.Error() != "field at byte 10 runs past the 11-byte body" {
+		t.Fatalf("Err after a short read = %v", err)
+	}
+	whole := NewReader(body)
+	if whole.Bytes(1<<63) != nil || whole.Len() != len(body) {
+		t.Fatal("an overlong length took bytes")
+	}
+	if r := NewReader(body); len(r.Rest()) != len(body) || r.Err() != nil {
+		t.Fatal("Rest did not read the whole body")
+	}
+}

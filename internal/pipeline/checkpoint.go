@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hmmer3gpu/internal/checkpoint"
+	"hmmer3gpu/internal/frame"
 )
 
 // CheckpointConfig enables crash-safe journaling of a streamed
@@ -85,40 +86,26 @@ func (pl *Pipeline) openStreamRun(cfg StreamConfig, mode byte) (*streamRun, erro
 // thresholds, or batch budget is rejected at connect) and
 // cmd/hmmworker computes its own side from the same inputs.
 func (pl *Pipeline) Fingerprint(cfg StreamConfig) checkpoint.Fingerprint {
-	h := sha256.New()
-	w := func(vs ...uint64) {
-		var buf [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], v)
-			h.Write(buf[:])
-		}
-	}
-	f := func(vs ...float64) {
-		for _, v := range vs {
-			w(math.Float64bits(v))
-		}
-	}
-	b := func(v bool) {
+	bit := func(v bool) uint64 {
 		if v {
-			w(1)
-		} else {
-			w(0)
+			return 1
 		}
+		return 0
 	}
-	h.Write([]byte("hmmer3gpu-ckpt-v1\x00"))
-	h.Write([]byte(pl.Prof.Name))
-	h.Write([]byte{0})
-	w(uint64(pl.Prof.M), uint64(pl.Prof.L))
-	f(pl.Opts.Thresholds.MSV, pl.Opts.Thresholds.Viterbi, pl.Opts.Thresholds.Forward)
-	b(pl.Opts.SkipForward)
-	b(pl.Opts.UseNull2)
-	f(pl.MSVGumbel.Mu, pl.MSVGumbel.Lambda)
-	f(pl.VitGumbel.Mu, pl.VitGumbel.Lambda)
-	f(pl.FwdExp.Tau, pl.FwdExp.Lambda)
-	w(uint64(cfg.BatchResidues))
-	var fp checkpoint.Fingerprint
-	h.Sum(fp[:0])
-	return fp
+	b := append([]byte("hmmer3gpu-ckpt-v1\x00"), pl.Prof.Name...)
+	b = append(b, 0)
+	for _, v := range []uint64{
+		uint64(pl.Prof.M), uint64(pl.Prof.L),
+		math.Float64bits(pl.Opts.Thresholds.MSV), math.Float64bits(pl.Opts.Thresholds.Viterbi), math.Float64bits(pl.Opts.Thresholds.Forward),
+		bit(pl.Opts.SkipForward), bit(pl.Opts.UseNull2),
+		math.Float64bits(pl.MSVGumbel.Mu), math.Float64bits(pl.MSVGumbel.Lambda),
+		math.Float64bits(pl.VitGumbel.Mu), math.Float64bits(pl.VitGumbel.Lambda),
+		math.Float64bits(pl.FwdExp.Tau), math.Float64bits(pl.FwdExp.Lambda),
+		uint64(cfg.BatchResidues),
+	} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return sha256.Sum256(b)
 }
 
 // EncodeResultPayload serialises one batch result — stage stats and
@@ -129,30 +116,26 @@ func (pl *Pipeline) Fingerprint(cfg StreamConfig) checkpoint.Fingerprint {
 // wire payload verbatim and a replayed record is indistinguishable
 // from a freshly received one.
 func EncodeResultPayload(res *Result) []byte {
-	var p []byte
-	u64 := func(vs ...uint64) {
-		var buf [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(buf[:], v)
-			p = append(p, buf[:]...)
+	p := make([]byte, 0, 3*32+8+len(res.Hits)*hitFixedSize)
+	for _, s := range []StageStats{res.MSV, res.Viterbi, res.Forward} {
+		for _, v := range []uint64{uint64(s.In), uint64(s.Out), uint64(s.Cells), uint64(s.Wall)} {
+			p = binary.LittleEndian.AppendUint64(p, v)
 		}
 	}
-	stage := func(s StageStats) {
-		u64(uint64(s.In), uint64(s.Out), uint64(s.Cells), uint64(s.Wall))
-	}
-	stage(res.MSV)
-	stage(res.Viterbi)
-	stage(res.Forward)
-	u64(uint64(len(res.Hits)))
+	p = binary.LittleEndian.AppendUint64(p, uint64(len(res.Hits)))
 	for _, h := range res.Hits {
-		u64(uint64(h.Index), uint64(len(h.Name)))
-		p = append(p, h.Name...)
-		u64(math.Float64bits(h.MSVBits), math.Float64bits(h.VitBits),
-			math.Float64bits(h.FwdBits), math.Float64bits(h.PValue),
-			math.Float64bits(h.EValue))
+		p = binary.LittleEndian.AppendUint64(p, uint64(h.Index))
+		p = append(binary.LittleEndian.AppendUint64(p, uint64(len(h.Name))), h.Name...)
+		for _, f := range []float64{h.MSVBits, h.VitBits, h.FwdBits, h.PValue, h.EValue} {
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(f))
+		}
 	}
 	return p
 }
+
+// hitFixedSize is a hit's payload length less its name: index, name
+// length and five scores.
+const hitFixedSize = 7 * 8
 
 // DecodeResultPayload reverses EncodeResultPayload, validating the
 // payload's structure: a corrupt or version-skewed worker payload must
@@ -160,73 +143,25 @@ func EncodeResultPayload(res *Result) []byte {
 // structural checks catch encoding drift (a journal from a different
 // code version).
 func DecodeResultPayload(p []byte) (*Result, error) {
-	pos := 0
-	u64 := func() (uint64, error) {
-		if pos+8 > len(p) {
-			return 0, fmt.Errorf("payload truncated at byte %d", pos)
-		}
-		v := binary.LittleEndian.Uint64(p[pos:])
-		pos += 8
-		return v, nil
-	}
-	stage := func(s *StageStats) error {
-		vals := make([]uint64, 4)
-		for i := range vals {
-			v, err := u64()
-			if err != nil {
-				return err
-			}
-			vals[i] = v
-		}
-		s.In, s.Out = int(vals[0]), int(vals[1])
-		s.Cells = int64(vals[2])
-		s.Wall = time.Duration(vals[3])
-		return nil
-	}
+	r := frame.NewReader(p)
 	res := &Result{}
-	if err := stage(&res.MSV); err != nil {
-		return nil, err
+	for _, s := range []*StageStats{&res.MSV, &res.Viterbi, &res.Forward} {
+		s.In, s.Out, s.Cells, s.Wall = int(r.U64()), int(r.U64()), int64(r.U64()), time.Duration(r.U64())
 	}
-	if err := stage(&res.Viterbi); err != nil {
-		return nil, err
-	}
-	if err := stage(&res.Forward); err != nil {
-		return nil, err
-	}
-	n, err := u64()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(p)) { // each hit takes well over 1 byte
+	n := r.U64()
+	if n > uint64(r.Len()/hitFixedSize) {
 		return nil, fmt.Errorf("implausible hit count %d", n)
 	}
 	for i := uint64(0); i < n; i++ {
-		var h Hit
-		idx, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		h.Index = int(idx)
-		nameLen, err := u64()
-		if err != nil {
-			return nil, err
-		}
-		if pos+int(nameLen) > len(p) || nameLen > uint64(len(p)) {
-			return nil, fmt.Errorf("hit %d: name truncated at byte %d", i, pos)
-		}
-		h.Name = string(p[pos : pos+int(nameLen)])
-		pos += int(nameLen)
+		h := Hit{Index: int(r.U64())}
+		h.Name = string(r.Bytes(r.U64()))
 		for _, dst := range []*float64{&h.MSVBits, &h.VitBits, &h.FwdBits, &h.PValue, &h.EValue} {
-			bits, err := u64()
-			if err != nil {
-				return nil, err
-			}
-			*dst = math.Float64frombits(bits)
+			*dst = math.Float64frombits(r.U64())
 		}
 		res.Hits = append(res.Hits, h)
 	}
-	if pos != len(p) {
-		return nil, fmt.Errorf("%d trailing bytes after %d hits", len(p)-pos, n)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("result payload of %d hits: %w", n, err)
 	}
 	return res, nil
 }

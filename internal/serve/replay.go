@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 
 	"hmmer3gpu/internal/checkpoint"
+	"hmmer3gpu/internal/frame"
 )
 
 // ReplaySummary reports what a drain-journal replay did.
@@ -51,18 +52,19 @@ func (r drainRecord) encode() []byte {
 // decodeDrainRecord is encode's inverse. It refuses a length that runs
 // past the payload and a record with no model.
 func decodeDrainRecord(p []byte) (drainRecord, error) {
-	var f [3]string
-	for i := range f {
-		if len(p) < 4 || uint64(binary.LittleEndian.Uint32(p)) > uint64(len(p)-4) {
-			return drainRecord{}, fmt.Errorf("field %d runs past the record", i)
-		}
-		n := 4 + binary.LittleEndian.Uint32(p)
-		f[i], p = string(p[4:n]), p[n:]
+	r := frame.NewReader(p)
+	var rec drainRecord
+	for _, f := range []*string{&rec.Tenant, &rec.DB, &rec.Query} {
+		*f = string(r.Bytes(uint64(r.U32())))
 	}
-	if len(p) == 0 {
+	rec.Model = r.Rest()
+	if err := r.Err(); err != nil {
+		return drainRecord{}, err
+	}
+	if len(rec.Model) == 0 {
 		return drainRecord{}, errors.New("no model payload")
 	}
-	return drainRecord{Tenant: f[0], DB: f[1], Query: f[2], Model: p}, nil
+	return rec, nil
 }
 
 // ReplayDrainJournal re-admits every query journaled by a previous
@@ -76,7 +78,8 @@ func decodeDrainRecord(p []byte) (drainRecord, error) {
 //
 // checkpoint.Resume drops a torn last record (a drain killed
 // mid-append); a damaged record, another kind of journal or an older
-// hmmserved's JSON lines refuse the whole file. A record that fails
+// hmmserved's JSON lines refuse the whole file, which Drain then keeps
+// as found rather than journal into it. A record that fails
 // to replay is counted, logged and exported as
 // hmmer_serve_replay_failed_total, and the rest still run. Once every
 // record is answered the journal is settled empty, durably, so a
@@ -88,6 +91,9 @@ func (s *Server) ReplayDrainJournal(path, outDir string) (ReplaySummary, error) 
 	}
 	j, recs, err := checkpoint.Resume(path, drainJournalFP, checkpoint.Options{})
 	if err != nil {
+		s.stateMu.Lock()
+		s.refused = path
+		s.stateMu.Unlock()
 		if b, _ := os.ReadFile(path); bytes.HasPrefix(b, []byte("{")) {
 			return sum, fmt.Errorf("serve: %s is a JSON-lines drain journal from an older hmmserved; this build reads only checkpoint-format drain journals", path)
 		}

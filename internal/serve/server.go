@@ -144,8 +144,8 @@ type DrainSummary struct {
 	// Journaled is how many queued queries were refused and journaled.
 	Journaled int
 	// Lost is how many queued queries were refused without a durable
-	// journal record: no journal was configured or opened, or the
-	// append failed.
+	// journal record: no journal was configured or opened, the
+	// startup replay refused it, or the append failed.
 	Lost int
 }
 
@@ -180,6 +180,7 @@ type Server struct {
 	journal   *checkpoint.Journal
 	journaled int
 	lost      int
+	refused   string // the drain journal ReplayDrainJournal refused, kept as found
 
 	abortCtx    context.Context
 	abortCancel context.CancelFunc
@@ -315,8 +316,12 @@ func (s *Server) Drain() DrainSummary {
 		return DrainSummary{}
 	}
 	s.draining = true
-	if s.cfg.DrainJournal != "" {
-		j, err := checkpoint.Create(s.cfg.DrainJournal, drainJournalFP, checkpoint.Options{})
+	switch path := s.cfg.DrainJournal; path {
+	case "": // no drain journal configured
+	case s.refused:
+		s.cfg.Logf("drain journal: keeping %s as found (the startup replay refused it); queued queries are not journaled", path)
+	default:
+		j, err := checkpoint.Create(path, drainJournalFP, checkpoint.Options{})
 		if err != nil {
 			s.cfg.Logf("drain journal: %v", err)
 		}

@@ -232,12 +232,13 @@ func parseBatchMsg(p []byte) (seqNo, epoch, offset uint64, db *seq.Database, err
 	if uint64(nSeqs)*12 > uint64(r.Len()) {
 		return 0, 0, 0, nil, &WireError{Msg: msgBatch, Reason: fmt.Sprintf("implausible sequence count %d", nSeqs)}
 	}
-	db = seq.NewDatabase("cluster-batch")
+	// Residues stay in p: the frame reader allocated it for this message
+	// alone, nothing on the worker path writes them, and r.Bytes caps them.
+	db = &seq.Database{Name: "cluster-batch", Seqs: make([]*seq.Sequence, 0, nSeqs)}
 	for i := uint32(0); i < nSeqs; i++ {
 		name := string(r.Bytes(uint64(r.U32())))
 		desc := string(r.Bytes(uint64(r.U32())))
-		res := r.Bytes(uint64(r.U32()))
-		db.Add(&seq.Sequence{Name: name, Desc: desc, Residues: append([]byte(nil), res...)})
+		db.Add(&seq.Sequence{Name: name, Desc: desc, Residues: r.Bytes(uint64(r.U32()))})
 	}
 	if err := parsed(msgBatch, r); err != nil {
 		return 0, 0, 0, nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -120,6 +121,27 @@ func TestBatchMsgRoundTrip(t *testing.T) {
 		if s.Name != orig.Name || s.Desc != orig.Desc || !bytes.Equal(s.Residues, orig.Residues) {
 			t.Fatalf("seq %d differs after round trip", i)
 		}
+	}
+}
+
+// TestParseBatchAllocsPerSeq: a parsed sequence costs its name, its
+// description and its record, and its residues nothing: they stay in
+// the message body.
+func TestParseBatchAllocsPerSeq(t *testing.T) {
+	allocs := func(n int) float64 {
+		db := seq.NewDatabase("allocs")
+		for i := 0; i < n; i++ {
+			db.Add(&seq.Sequence{Name: fmt.Sprintf("s%d", i), Desc: "desc", Residues: make([]byte, 40+i)})
+		}
+		body := encodeBatchMsg(1, 1, 0, db)[1:]
+		return testing.AllocsPerRun(20, func() {
+			if _, _, _, _, err := parseBatchMsg(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(2), allocs(20); many-few > 3*18 {
+		t.Errorf("parseBatchMsg allocates %v times for 2 sequences and %v for 20: more than 3 per sequence", few, many)
 	}
 }
 

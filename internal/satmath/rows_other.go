@@ -11,3 +11,7 @@ func vitMIRow(r *VitMI, xB uint64) uint64 { return vitMIRowGeneric(r, xB) }
 func addRow(dst, a, b []uint64) { addRowGeneric(dst, a, b) }
 
 func ddRound(d, src, w []uint64) bool { return ddRoundGeneric(d, src, w) }
+
+func packLanes(dst []uint64, src []byte) { packLanesGeneric(dst, src) }
+
+func unpackLanes(dst []byte, src []uint64) { unpackLanesGeneric(dst, src) }

@@ -1,6 +1,7 @@
 package satmath
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -103,6 +104,70 @@ func checkDDRound(t *testing.T, what string, d, src, w []uint64) {
 		if gc != wc || !slices.Equal(buf, buf2) {
 			t.Fatalf("%s: ddRound(%d words, src %d words behind) = %#x changed %v; generic %#x changed %v",
 				what, n, back, buf, gc, buf2, wc)
+		}
+	}
+}
+
+// laneFill is the stale content of a lane-move buffer's word i: every
+// word differs and none is zero, so a lane left unwritten, or a word
+// written past a slice, shows.
+func laneFill(sentinel uint64, i int) uint64 {
+	return sentinel ^ uint64(i+1)*0x9E3779B97F4A7C15
+}
+
+// checkLanes holds PackLanes and UnpackLanes to their generic loops.
+// PackLanes fills a words-long dst, off words into a buffer with a
+// sentinel word on each side, from src placed off bytes into its own
+// buffer; UnpackLanes writes len(src) bytes, off bytes into a buffer
+// with a sentinel word on each side, from the packed words. Every
+// word and byte of both buffers must match, so a write past either
+// slice, a lane past src left stale, or an over-long src or dst not
+// cut short fails.
+func checkLanes(t *testing.T, what string, words, off int, src []byte, sentinel uint64) {
+	t.Helper()
+	got := make([]uint64, off+words+2)
+	for i := range got {
+		got[i] = laneFill(sentinel, i)
+	}
+	want := slices.Clone(got)
+	in := append(make([]byte, off), src...)[off:]
+	PackLanes(got[off+1:off+1+words], in)
+	packLanesGeneric(want[off+1:off+1+words], src)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: PackLanes(%d words at word %d, %d bytes at byte %d) = %#x; generic %#x",
+			what, words, off, len(src), off, got, want)
+	}
+
+	lanes := make([]uint64, words)
+	for i := range lanes {
+		lanes[i] = want[off+1+i] ^ laneFill(^sentinel, i)
+	}
+	n := len(src)
+	gotB := make([]byte, off+8+n+8)
+	for i := range gotB {
+		gotB[i] = byte(laneFill(sentinel, i>>3) >> (8 * (i & 7)))
+	}
+	wantB := slices.Clone(gotB)
+	UnpackLanes(gotB[off+8:off+8+n], lanes)
+	unpackLanesGeneric(wantB[off+8:off+8+n], lanes)
+	if !slices.Equal(gotB, wantB) {
+		t.Fatalf("%s: UnpackLanes(%d bytes at byte %d, %d words) = %#x; generic %#x",
+			what, n, off, words, gotB, wantB)
+	}
+}
+
+// TestLanesMatchGeneric runs the lane moves at every dst length from
+// 0 to 40 words, every src length from empty to nine bytes past the
+// words, and every buffer offset from 0 to 7.
+func TestLanesMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	src := make([]byte, 8*40+9)
+	for words := 0; words <= 40; words++ {
+		for n := 0; n <= 8*words+9; n++ {
+			for off := 0; off < 8; off++ {
+				rng.Read(src[:n])
+				checkLanes(t, "lengths", words, off, src[:n], rng.Uint64())
+			}
 		}
 	}
 }
@@ -251,5 +316,40 @@ func FuzzRowsMatchGeneric(f *testing.F) {
 		}, xB)
 		checkAddRow(t, "fuzz", row(0), row(1))
 		checkDDRound(t, "fuzz", row(0), row(1), row(2))
+		// The raw bytes as lanes, into one word fewer than they need
+		// (an over-long src), exactly enough, and one and two more.
+		for words := max(n-1, 0); words <= n+2; words++ {
+			checkLanes(t, "fuzz", words, int(bias&7), raw, xB)
+		}
 	})
+}
+
+// BenchmarkPackLanes and BenchmarkUnpackLanes move the device kernels'
+// row spans at model size M on 32-lane warps: the MSV row (M+1 u8
+// cells into (M/32+1)*4 words) and the Viterbi row (M+1 i16 cells into
+// (M/32+1)*8 words).
+func BenchmarkPackLanes(b *testing.B) {
+	benchLaneMoves(b, func(reg []uint64, row []byte) { PackLanes(reg, row) })
+}
+
+func BenchmarkUnpackLanes(b *testing.B) {
+	benchLaneMoves(b, func(reg []uint64, row []byte) { UnpackLanes(row, reg) })
+}
+
+func benchLaneMoves(b *testing.B, move func(reg []uint64, row []byte)) {
+	for _, m := range []int{48, 100, 400, 1056} {
+		for _, c := range []struct {
+			lane  string
+			width int
+		}{{"u8", 1}, {"i16", 2}} {
+			reg := make([]uint64, (m/32+1)*4*c.width)
+			row := make([]byte, (m+1)*c.width)
+			b.Run(fmt.Sprintf("%s/M=%d", c.lane, m), func(b *testing.B) {
+				b.SetBytes(int64(len(row)))
+				for i := 0; i < b.N; i++ {
+					move(reg, row)
+				}
+			})
+		}
+	}
 }

@@ -16,7 +16,10 @@ import "encoding/binary"
 // only place that knows it: the striped CPU engines run on these lanes,
 // and so does a simulated warp's register file in internal/gpu (32
 // lanes in four or eight words), which loads and stores them through
-// internal/simt's word-shaped shared-memory spans.
+// internal/simt's word-shaped shared-memory spans. On a little-endian
+// host a move is a plain copy, so on amd64 each is one SSE2 copy
+// (lanes_amd64.s); the generic word loops below run everywhere else and
+// are the reference the tests hold the copy to.
 //
 // Two consecutive words are one 128-bit vector of HMMER 3.0's SSE
 // filters (16 u8 or 8 i16 lanes), the low word holding the low lanes,
@@ -35,8 +38,19 @@ const (
 
 // PackLanes fills dst with the lanes held in src as consecutive
 // little-endian bytes (one byte per u8 lane, two per i16 lane), lane 0
-// first; lanes of dst past the end of src are zero.
+// first; lanes of dst past the end of src are zero, and bytes of src
+// past the end of dst are ignored.
 func PackLanes(dst []uint64, src []byte) {
+	packLanes(dst, src[:min(len(src), 8*len(dst))])
+}
+
+// UnpackLanes is the inverse of PackLanes: it writes the first
+// len(dst) lane bytes of src to dst and nothing past them.
+func UnpackLanes(dst []byte, src []uint64) {
+	unpackLanes(dst[:min(len(dst), 8*len(src))], src)
+}
+
+func packLanesGeneric(dst []uint64, src []byte) {
 	i := 0
 	for ; i < len(dst) && len(src) >= 8; i++ {
 		dst[i] = binary.LittleEndian.Uint64(src)
@@ -53,9 +67,7 @@ func PackLanes(dst []uint64, src []byte) {
 	clear(dst[i+1:])
 }
 
-// UnpackLanes is the inverse of PackLanes: it writes the first
-// len(dst) lane bytes of src to dst and nothing past them.
-func UnpackLanes(dst []byte, src []uint64) {
+func unpackLanesGeneric(dst []byte, src []uint64) {
 	i := 0
 	for ; i < len(src) && len(dst) >= 8; i++ {
 		binary.LittleEndian.PutUint64(dst, src[i])

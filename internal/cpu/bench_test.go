@@ -19,7 +19,7 @@ import (
 // fatal.
 func benchFilter(b *testing.B, filter func(*profile.MSVProfile, *profile.VitProfile) func([]byte) FilterResult) {
 	const L = 250
-	for _, m := range []int{100, 400} {
+	for _, m := range []int{48, 100, 200, 400, 1000} {
 		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
 			_, mp, vp := buildProfiles(b, m, L, int64(m))
 			dsq := randomSeq(rand.New(rand.NewSource(int64(m)+1000)), L)

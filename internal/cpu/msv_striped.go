@@ -12,24 +12,16 @@ import (
 // paper's CPU baseline is exactly this configuration. Here one such
 // vector is two uint64 words of satmath SWAR lanes, the low word
 // holding the low lanes, and on amd64 it is an SSE2 register again:
-// the engines run each row through satmath's row primitives, which
-// are HMMER's intrinsics in Go assembly — _mm_max_epu8 and
-// _mm_subs_epu8 for the MSV step, _mm_adds_epi16 and _mm_max_epi16 for
-// the Viterbi M/I update, its D seeds and the D-D chain — and the
-// single-word SWAR ops elsewhere.
+// HMMER's intrinsics in Go assembly. The MSV engine scores a sequence
+// in one satmath call (_mm_max_epu8, _mm_subs_epu8), as p7_MSVFilter
+// is one loop; the Viterbi engine makes one per row and recurrence
+// (_mm_adds_epi16, _mm_max_epi16), with single-word SWAR ops elsewhere.
 const (
 	// MSVWidth is the byte-lane count of the MSV filter vectors.
 	MSVWidth = 16
 	// VitWidth is the word-lane count of the Viterbi filter vectors.
 	VitWidth = 8
 )
-
-// shiftU8 moves every byte lane of the vector (w0, w1) up by one (lane
-// l takes lane l-1, lane 8 takes the top lane of w0) and fills lane 0
-// with fill — the striped-diagonal wrap (SSE pslldq by one element).
-func shiftU8(w0, w1 uint64, fill uint8) (uint64, uint64) {
-	return w0<<8 | uint64(fill), w1<<8 | w0>>56
-}
 
 // MSVEngine is the striped 16-lane byte MSV filter — the CPU side of
 // the paper's comparison ("16, 8-bit SIMD registers thus achieving
@@ -38,10 +30,9 @@ func shiftU8(w0, w1 uint64, fill uint8) (uint64, uint64) {
 // worker goroutine owns its own engine).
 type MSVEngine struct {
 	mp *profile.MSVProfile
-	// rsc[r] is the striped emission cost row for residue r, two words
-	// per stripe: rsc[r][2*q] holds lanes 0-7 of stripe q, rsc[r][2*q+1]
-	// lanes 8-15.
-	rsc [][]uint64
+	// rsc holds the striped cost rows, residue r's at rsc[r*n:(r+1)*n]
+	// (n = 2Q): word 2q holds lanes 0-7 of stripe q, word 2q+1 8-15.
+	rsc []uint64
 	// rows double-buffers the DP row: two words of wrap (the row's last
 	// stripe shifted up one lane, which feeds the next row's stripe 0)
 	// and then the row, so the next row reads stripe q-1 at word 2*q.
@@ -50,19 +41,14 @@ type MSVEngine struct {
 
 // NewMSVEngine prepares the striped emission layout for mp.
 func NewMSVEngine(mp *profile.MSVProfile) *MSVEngine {
-	q := profile.StripedSegments(mp.M, MSVWidth)
+	n := 2 * profile.StripedSegments(mp.M, MSVWidth)
 	striped := mp.Striped(MSVWidth)
-	e := &MSVEngine{mp: mp}
-	e.rsc = make([][]uint64, len(striped))
-	for r := range striped {
-		row := make([]uint64, 2*q)
-		for i, c := range striped[r] {
-			row[i/8] |= uint64(c) << (8 * (i % 8))
-		}
-		e.rsc[r] = row
+	e := &MSVEngine{mp: mp, rsc: make([]uint64, len(striped)*n)}
+	for r, row := range striped {
+		satmath.PackLanes(e.rsc[r*n:(r+1)*n], row)
 	}
-	rows := make([]uint64, 2*(2*q+2))
-	e.rows = [2][]uint64{rows[:2*q+2], rows[2*q+2:]}
+	rows := make([]uint64, 2*(n+2))
+	e.rows = [2][]uint64{rows[:n+2], rows[n+2:]}
 	return e
 }
 
@@ -70,32 +56,17 @@ func NewMSVEngine(mp *profile.MSVProfile) *MSVEngine {
 // bit-identical to MSVFilterScalar.
 func (e *MSVEngine) Filter(dsq []byte) FilterResult {
 	mp := e.mp
-	n := len(e.rsc[0])
-	prev, cur := e.rows[0], e.rows[1]
-	// The rows are biased (satmath.MSVStepU8x8): every cell carries
-	// +bias, so the row primitive pays a plain word add for it.
+	// The rows are biased (satmath.MSVStepU8x8): cells start at +bias.
 	biasv := satmath.SplatU8(mp.Bias)
-	for i := range prev {
-		prev[i] = biasv
+	for i := range e.rows[0] {
+		e.rows[0][i] = biasv
 	}
-
-	const base = uint8(profile.MSVBase)
-	overflowAt := mp.OverflowThreshold()
-	xJ := uint8(0)
-	xB := satmath.SubU8(base, mp.TJB)
-
-	for i := 0; i < len(dsq); i++ {
-		xBv := satmath.SplatU8(satmath.AddU8(satmath.SubU8(xB, mp.TBM), mp.Bias))
-		// The striped diagonal: the previous row's last stripe, lanes
-		// shifted up one, feeds stripe 0.
-		prev[0], prev[1] = shiftU8(prev[n], prev[n+1], mp.Bias)
-		xE := satmath.HMaxU8x8(satmath.MSVRowU8(cur[2:], prev[:n], e.rsc[dsq[i]], xBv, biasv))
-		prev, cur = cur, prev
-		if xE >= overflowAt {
-			return FilterResult{Score: math.Inf(1), Overflowed: true}
-		}
-		xJ = satmath.MaxU8(xJ, satmath.SubU8(xE, mp.TEC))
-		xB = satmath.SubU8(satmath.MaxU8(base, xJ), mp.TJB)
+	xJ, overflowed := satmath.MSVFilterU8(e.rows[0], e.rows[1], e.rsc, dsq, satmath.MSVParams{
+		Bias: mp.Bias, TBM: mp.TBM, TEC: mp.TEC, TJB: mp.TJB,
+		Base: profile.MSVBase, Overflow: mp.OverflowThreshold(),
+	})
+	if overflowed {
+		return FilterResult{Score: math.Inf(1), Overflowed: true}
 	}
 	return FilterResult{Score: mp.ScoreToNats(xJ)}
 }

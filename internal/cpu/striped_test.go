@@ -1,7 +1,10 @@
 package cpu
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"hmmer3gpu/internal/hmm"
@@ -122,6 +125,76 @@ func TestStripedMSVArbitraryProfile(t *testing.T) {
 	}
 	if finite < 40 || overflowed < 40 {
 		t.Errorf("%d finite scores, %d overflow exits: the profiles should split between the two", finite, overflowed)
+	}
+}
+
+// TestStripedMSVTable holds the engine to MSVFilterScalar at the
+// paper's model sizes and the stripe edges, on an empty target, one
+// residue of every code, all the codes in one target, a planted
+// homolog cut to overflow on its last row, and a profile whose first
+// row already overflows. A code at or past the cost table's rows
+// panics, as indexing MatCost does in the scalar filter.
+func TestStripedMSVTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	every := make([]byte, abc.SizeAll())
+	for r := range every {
+		every[r] = byte(r)
+	}
+	lastRows := 0
+	for _, m := range []int{1, 15, 16, 17, 48, 100, 400, 1056} {
+		h, err := hmm.Random("msv", m, abc, hmm.DefaultBuildParams(), rand.New(rand.NewSource(int64(m))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp := profile.NewMSVProfile(profile.Config(h))
+		eng := NewMSVEngine(mp)
+		check := func(what string, mp *profile.MSVProfile, eng *MSVEngine, dsq []byte) FilterResult {
+			t.Helper()
+			want := MSVFilterScalar(mp, dsq)
+			if got := eng.Filter(dsq); got != want {
+				t.Fatalf("M=%d %s (L=%d): striped %+v != scalar %+v", m, what, len(dsq), got, want)
+			}
+			return want
+		}
+		check("empty", mp, eng, nil)
+		for _, r := range every {
+			check(fmt.Sprintf("code %d", r), mp, eng, []byte{r})
+		}
+		check("every code", mp, eng, every)
+
+		planted := randomSeq(rng, 30)
+		for len(planted) < 30+max(600, 4*m) {
+			planted = append(planted, h.Consensus()...)
+		}
+		for l := 1; l <= len(planted); l++ {
+			if res := check("planted homolog", mp, eng, planted[:l]); res.Overflowed {
+				if l > 1 && MSVFilterScalar(mp, planted[:l-1]).Overflowed {
+					t.Fatalf("M=%d: the planted homolog's first overflowing prefix is not %d residues", m, l)
+				}
+				lastRows++
+				break
+			}
+		}
+
+		hot := *mp
+		hot.Bias = 200 // the threshold is 55: the first row reaches it
+		if res := check("first row", &hot, NewMSVEngine(&hot), planted[:1]); !res.Overflowed {
+			t.Fatalf("M=%d: bias 200 did not overflow on the first row: %+v", m, res)
+		}
+
+		bad := slices.Clone(planted[:40])
+		bad[20] = byte(len(mp.MatCost))
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "past the cost table") {
+					t.Errorf("M=%d: code %d recovered %q, want the cost-table panic", m, bad[20], r)
+				}
+			}()
+			eng.Filter(bad)
+		}()
+	}
+	if lastRows < 6 {
+		t.Errorf("%d planted homologs overflowed, want at least 6 of 8", lastRows)
 	}
 }
 
@@ -249,7 +322,8 @@ func FuzzStripedMatchesScalar(f *testing.F) {
 // without allocating, and building one costs no more allocations than
 // the per-lane engines did (62 and 41 for the 29-code alphabet: the
 // residue rows, their index, the transition and DP rows and the
-// engine; MSV also pays profile.Striped's intermediate rows).
+// engine; MSV also pays profile.Striped's intermediate rows). MSV's
+// residue rows are now one flat table, so it makes 33.
 func TestStripedEnginesAllocations(t *testing.T) {
 	_, mp, vp := buildProfiles(t, 100, 200, 70)
 	dsq := randomSeq(rand.New(rand.NewSource(71)), 200)

@@ -58,7 +58,7 @@ type LazyFInfo struct {
 	IteratedPasses int // total iterated passes
 }
 
-// shiftI16 is shiftU8 for word lanes.
+// shiftI16 is the striped-diagonal wrap of word lanes (SSE pslldq).
 func shiftI16(w0, w1 uint64, fill int16) (uint64, uint64) {
 	return w0<<16 | uint64(uint16(fill)), w1<<16 | w0>>48
 }

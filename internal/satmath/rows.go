@@ -9,14 +9,14 @@ package satmath
 // are always compiled: the tests hold the SSE2 code to them word for
 // word.
 //
-// Every slice a primitive takes must have the same length; a mismatch
-// is a bug in the caller and panics before any assembly runs, so no
-// loop reads or writes past a slice. An output may be one of the
-// inputs at the same index (an update in place), and DDRoundI16's src
-// may be d itself two or more words behind; no other overlap is
-// allowed. The SSE2 code loads two words at a time, so an output one
-// word ahead of its input would read a word the generic loop has
-// already replaced.
+// Every slice a row primitive takes (MSVFilterU8 has its own shapes)
+// must have the same length; a mismatch is a caller bug and panics
+// before any assembly runs, so no loop reads or writes past a slice.
+// An output may be one of the inputs at the same index (an update in
+// place), and DDRoundI16's src may be d itself two or more words
+// behind; no other overlap is allowed. The SSE2 code loads two words
+// at a time, so an output one word ahead of its input would read a
+// word the generic loop has already replaced.
 
 const rowLenPanic = "satmath: row slices differ in length"
 
@@ -41,6 +41,55 @@ func msvRowGeneric(dst, src, cost []uint64, xB, bias uint64) (xE uint64) {
 		dst[j] = sv + bias
 	}
 	return xE
+}
+
+// MSVParams are a profile.MSVProfile's byte constants, its xJ floor
+// (MSVBase) and the row maximum it overflows at (OverflowThreshold).
+type MSVParams struct {
+	Bias, TBM, TEC, TJB, Base, Overflow uint8
+}
+
+const msvRowsPanic, residuePanic = "satmath: MSV rows are not two wrap words and whole stripes", "satmath: residue code past the cost table"
+
+// MSVFilterU8 runs the striped MSV filter over dsq in one call, as
+// HMMER's p7_MSVFilter is one loop. Per residue r: the diagonal wrap
+// (the last stripe up one lane, Bias in lane 0), MSVRowU8 over
+// cost[r*n:(r+1)*n] with xBv = splat(max(Base, xJ) - TJB - TBM + Bias),
+// the exit once the row's largest lane xE reaches Overflow, and xJ =
+// max(xJ, xE - TEC). prev (holding the first row) and cur are two wrap
+// words then n row words, n even. A code whose row ends past cost
+// panics before that row is read.
+func MSVFilterU8(prev, cur, cost []uint64, dsq []byte, p MSVParams) (xJ uint8, overflowed bool) {
+	if n := len(prev) - 2; len(cur) != len(prev) || n < 2 || n%2 != 0 {
+		panic(msvRowsPanic)
+	}
+	xJ, overflowed, at := msvFilter(prev, cur, cost, dsq, p)
+	if !overflowed && at < len(dsq) {
+		panic(residuePanic)
+	}
+	return xJ, overflowed
+}
+
+// msvFilterGeneric is MSVFilterU8's loop; at is the residue it stopped
+// on (an overflow, or a code past the table), or len(dsq).
+func msvFilterGeneric(prev, cur, cost []uint64, dsq []byte, p MSVParams) (xJ uint8, overflowed bool, at int) {
+	n := len(prev) - 2
+	biasv := SplatU8(p.Bias)
+	for i, r := range dsq {
+		lo := int(r) * n
+		if lo+n > len(cost) {
+			return xJ, false, i
+		}
+		xBv := SplatU8(AddU8(SubU8(SubU8(MaxU8(p.Base, xJ), p.TJB), p.TBM), p.Bias))
+		prev[0], prev[1] = prev[n]<<8|uint64(p.Bias), prev[n+1]<<8|prev[n]>>56
+		xE := HMaxU8x8(msvRowGeneric(cur[2:], prev[:n], cost[lo:lo+n], xBv, biasv))
+		prev, cur = cur, prev
+		if xE >= p.Overflow {
+			return xJ, true, i
+		}
+		xJ = MaxU8(xJ, SubU8(xE, p.TEC))
+	}
+	return xJ, false, len(dsq)
 }
 
 // VitMI names the rows of one Viterbi M/I update (Algorithm 2, lines

@@ -11,6 +11,9 @@ package satmath
 func msvRow(dst, src, cost []uint64, xB, bias uint64) (xE uint64)
 
 //go:noescape
+func msvFilter(prev, cur, cost []uint64, dsq []byte, p MSVParams) (xJ uint8, overflowed bool, at int)
+
+//go:noescape
 func vitMIRow(r *VitMI, xB uint64) (xE uint64)
 
 //go:noescape

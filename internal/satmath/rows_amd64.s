@@ -56,6 +56,108 @@ msvdone:
 	MOVQ X2, xE+88(FP)
 	RET
 
+// func msvFilter(prev, cur, cost []uint64, dsq []byte, p MSVParams) (xJ uint8, overflowed bool, at int)
+//
+// msvFilterGeneric's loop with its state in registers. Each special is
+// one lane op on a register splatted to all 16 lanes: xB and xBv are
+// PMAXUB, PSUBUSB and PADDUSB of xJ, the row maximum is folded across
+// the lanes by four shuffle steps (quadwords, doublewords, words,
+// bytes), and the overflow test is Overflow - xE saturating to zero.
+#define SPLAT(arg, reg) MOVBQZX arg(FP), AX; MOVQ AX, reg; PUNPCKLBW reg, reg; PSHUFLW $0, reg, reg; PSHUFD $0, reg, reg
+
+TEXT ·msvFilter(SB), NOSPLIT, $0-120
+	MOVQ prev_base+0(FP), R8
+	MOVQ prev_len+8(FP), R11
+	SUBQ $2, R11
+	SHLQ $3, R11 // row bytes
+	MOVQ cur_base+24(FP), R9
+	MOVQ cost_base+48(FP), DX
+	MOVQ cost_len+56(FP), R10
+	SHLQ $3, R10
+	SUBQ R11, R10 // the last offset a cost row may start at
+	MOVQ dsq_base+72(FP), SI
+	MOVQ dsq_len+80(FP), CX
+	SPLAT(p_Bias+96, X1)
+	MOVQ AX, X5 // the bias in lane 0 alone: the diagonal's fill
+	SPLAT(p_TBM+97, X8)
+	SPLAT(p_TEC+98, X6)
+	SPLAT(p_TJB+99, X7)
+	SPLAT(p_Base+100, X9)
+	SPLAT(p_Overflow+101, X10)
+	PXOR X11, X11 // xJ
+	XORQ BX, BX   // residue index
+	TESTQ CX, CX
+	JZ msvfdone
+
+msvfresidue:
+	MOVBQZX (SI)(BX*1), R12
+	IMULQ R11, R12
+	CMPQ R12, R10
+	JGT msvfdone // past the table: stop before reading the row
+	ADDQ DX, R12
+	MOVO X11, X0
+	PMAXUB X9, X0
+	PSUBUSB X7, X0 // xB
+	PSUBUSB X8, X0
+	PADDUSB X1, X0 // xBv
+	MOVOU (R8)(R11*1), X3
+	PSLLO $1, X3
+	POR X5, X3
+	MOVOU X3, (R8) // the striped diagonal
+	PXOR X2, X2    // row maximum
+	XORQ AX, AX
+
+msvfpair:
+	MOVOU (R8)(AX*1), X3
+	MOVOU (R12)(AX*1), X4
+	PMAXUB X0, X3
+	PSUBUSB X4, X3
+	PMAXUB X3, X2
+	PADDQ X1, X3
+	MOVOU X3, 16(R9)(AX*1)
+	ADDQ $16, AX
+	CMPQ AX, R11
+	JNE msvfpair
+
+	XCHGQ R8, R9
+	PSHUFD $0x4e, X2, X3
+	PMAXUB X3, X2
+	PSHUFD $0xb1, X2, X3
+	PMAXUB X3, X2
+	PSHUFLW $0xb1, X2, X3
+	PSHUFHW $0xb1, X3, X3
+	PMAXUB X3, X2
+	MOVO X2, X3
+	PSLLW $8, X3
+	MOVO X2, X4
+	PSRLW $8, X4
+	POR X4, X3
+	PMAXUB X3, X2 // xE
+	MOVO X10, X3
+	PSUBUSB X2, X3
+	MOVQ X3, AX
+	TESTQ AX, AX
+	JZ msvfoverflow
+	PSUBUSB X6, X2
+	PMAXUB X2, X11
+	INCQ BX
+	CMPQ BX, CX
+	JLT msvfresidue
+
+msvfdone:
+	MOVQ X11, AX
+	MOVB AL, xJ+104(FP)
+	MOVB $0, overflowed+105(FP)
+	MOVQ BX, at+112(FP)
+	RET
+
+msvfoverflow:
+	MOVQ X11, AX
+	MOVB AL, xJ+104(FP)
+	MOVB $1, overflowed+105(FP)
+	MOVQ BX, at+112(FP)
+	RET
+
 // func vitMIRow(r *VitMI, xB uint64) (xE uint64)
 //
 // Thirteen rows and one offset take every general register but SP and

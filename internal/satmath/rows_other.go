@@ -6,6 +6,10 @@ func msvRow(dst, src, cost []uint64, xB, bias uint64) uint64 {
 	return msvRowGeneric(dst, src, cost, xB, bias)
 }
 
+func msvFilter(prev, cur, cost []uint64, dsq []byte, p MSVParams) (uint8, bool, int) {
+	return msvFilterGeneric(prev, cur, cost, dsq, p)
+}
+
 func vitMIRow(r *VitMI, xB uint64) uint64 { return vitMIRowGeneric(r, xB) }
 
 func addRow(dst, a, b []uint64) { addRowGeneric(dst, a, b) }

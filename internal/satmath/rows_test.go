@@ -9,8 +9,9 @@ import (
 	"testing"
 )
 
-// The row primitives (msvRow, vitMIRow, addRow, ddRound: SSE2 on
-// amd64) are held word for word to their generic twins, which are the
+// The row primitives (msvRow, vitMIRow, addRow, ddRound) and the MSV
+// sequence loop (msvFilter), SSE2 on amd64, are held word for word to
+// their generic twins, which are the
 // single-word ops the rest of this package tests against the scalar
 // helpers. Each check runs both on copies of the same inputs and
 // compares every output word and the returned value.
@@ -46,6 +47,22 @@ func checkMSVRow(t *testing.T, what string, src, cost []uint64, xB, bias uint64)
 		t.Fatalf("%s: msvRow(%d words, xB %#x, bias %#x) = %#x %#x, in place %#x %#x; generic %#x %#x",
 			what, len(src), xB, bias, got, gx, alias, ax, want, wx)
 	}
+}
+
+// checkMSVFilter holds msvFilter to msvFilterGeneric: the same xJ,
+// exit and stopping residue, and every word of both DP rows, from prev
+// as the first row.
+func checkMSVFilter(t *testing.T, what string, prev, cost []uint64, dsq []byte, p MSVParams) (overflowed bool, at int) {
+	t.Helper()
+	gp, gc := slices.Clone(prev), make([]uint64, len(prev))
+	wp, wc := slices.Clone(prev), make([]uint64, len(prev))
+	gx, gov, gat := msvFilter(gp, gc, cost, dsq, p)
+	wx, wov, wat := msvFilterGeneric(wp, wc, cost, dsq, p)
+	if gx != wx || gov != wov || gat != wat || !slices.Equal(gp, wp) || !slices.Equal(gc, wc) {
+		t.Fatalf("%s: msvFilter(%d words, %d residues, %+v) = xJ %d overflowed %v at %d, rows %#x %#x; generic %d %v %d, %#x %#x",
+			what, len(prev)-2, len(dsq), p, gx, gov, gat, gp, gc, wx, wov, wat, wp, wc)
+	}
+	return wov, wat
 }
 
 func newVitMI(rng *rand.Rand, n int, lane func(*rand.Rand) uint64) *VitMI {
@@ -207,6 +224,118 @@ func TestRowsU8LanePairs(t *testing.T) {
 	}
 }
 
+// msvTable is a 29-row cost table (the alphabet's codes) for an
+// M-node model in 16-lane stripes, n = 2*ceil(M/16) words a row: costs
+// within a few units of bias, and now and then a cheap one, as
+// profile.MSVProfile's are; the lanes past M cost 255.
+func msvTable(rng *rand.Rand, m int, bias uint8) (cost []uint64, n int) {
+	q := (m + 15) / 16
+	n = 2 * q
+	row := make([]byte, 16*q)
+	cost = make([]uint64, 29*n)
+	for r := 0; r < 29; r++ {
+		for i := range row {
+			c := int(bias) + rng.Intn(9) - 2
+			if rng.Intn(8) == 0 {
+				c = rng.Intn(256)
+			}
+			if k := i/16 + (i%16)*q; k >= m {
+				c = 255
+			}
+			row[i] = uint8(min(max(c, 0), 255))
+		}
+		PackLanes(cost[r*n:(r+1)*n], row)
+	}
+	return cost, n
+}
+
+// TestMSVFilterMatchesGeneric runs the whole MSV residue loop at the
+// paper's model sizes and every stripe edge, on an empty sequence, one
+// residue, every code, and random targets, with constants as
+// profile.MSVProfile derives them and at the saturating extremes. It
+// also reaches an overflow on the first and on the last row, and a
+// residue past the table: the loop stops on it before reading its row,
+// and MSVFilterU8 panics.
+func TestMSVFilterMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	every := make([]byte, 29)
+	for r := range every {
+		every[r] = byte(r)
+	}
+	panics, lastRows := 0, 0
+	for _, m := range []int{1, 15, 16, 17, 48, 100, 400, 1056} {
+		for _, p := range []MSVParams{
+			{Bias: 19, TBM: 27, TEC: 2, TJB: 9, Base: 190, Overflow: 236},
+			{Bias: 66, TBM: 5, TEC: 0, TJB: 0, Base: 190, Overflow: 189},
+			{Bias: 255, TBM: 0, TEC: 255, TJB: 255, Base: 255, Overflow: 255},
+			{Bias: 0, TBM: 255, TEC: 1, TJB: 1, Base: 0, Overflow: 255},
+		} {
+			cost, n := msvTable(rng, m, p.Bias)
+			start := make([]uint64, n+2)
+			for i := range start {
+				start[i] = SplatU8(p.Bias)
+			}
+			what := fmt.Sprintf("M=%d", m)
+			checkMSVFilter(t, what+" empty", start, cost, nil, p)
+			checkMSVFilter(t, what+" one residue", start, cost, []byte{byte(rng.Intn(29))}, p)
+			checkMSVFilter(t, what+" every code", start, cost, every, p)
+			dsq := make([]byte, 300)
+			for i := range dsq {
+				dsq[i] = byte(rng.Intn(29))
+			}
+			checkMSVFilter(t, what+" random", start, cost, dsq, p)
+			checkMSVFilter(t, what+" random start row", randWords(rng, n+2, anyWord), cost, dsq, p)
+
+			// Overflow on the first row: nothing is below a zero
+			// threshold. On the last: the highest threshold a row
+			// maximum reaches first trips on that row; cut dsq there.
+			tp := p
+			tp.Overflow = 0
+			if ov, at := checkMSVFilter(t, what+" overflow first row", start, cost, dsq, tp); !ov || at != 0 {
+				t.Fatalf("%s: threshold 0 stopped at %d, overflowed %v; want the first row", what, at, ov)
+			}
+			for tp.Overflow = 255; tp.Overflow > 0; tp.Overflow-- {
+				if _, ov, at := msvFilterGeneric(slices.Clone(start), make([]uint64, n+2), cost, dsq, tp); ov {
+					if at > 0 {
+						if ov, last := checkMSVFilter(t, what+" overflow last row", start, cost, dsq[:at+1], tp); !ov || last != at {
+							t.Fatalf("%s: %d residues with threshold %d stopped at %d, overflowed %v", what, at+1, tp.Overflow, last, ov)
+						}
+						lastRows++
+					}
+					break
+				}
+			}
+
+			// A code past the table at the first, a middle and the last
+			// residue, unless a row before it overflows.
+			for _, at := range []int{0, 150, 299} {
+				bad := slices.Clone(dsq)
+				bad[at] = []byte{29, 30, 255}[rng.Intn(3)]
+				ov, got := checkMSVFilter(t, what+" bad residue", start, cost, bad, p)
+				if !ov && got != at {
+					t.Fatalf("%s: code %d at %d stopped the loop at %d", what, bad[at], at, got)
+				}
+				func() {
+					defer func() {
+						r, _ := recover().(string)
+						if (r == residuePanic) == ov {
+							t.Errorf("%s: MSVFilterU8 with code %d at %d (overflow before it: %v) recovered %q",
+								what, bad[at], at, ov, r)
+						}
+						if r == residuePanic {
+							panics++
+						}
+					}()
+					MSVFilterU8(slices.Clone(start), make([]uint64, n+2), cost, bad, p)
+				}()
+			}
+		}
+	}
+	if panics < 48 || lastRows < 16 {
+		t.Errorf("%d bad residues reached, want at least 48; %d overflows on the last row, want at least 16", panics, lastRows)
+	}
+}
+
 // TestRowsI16Edges runs the word-lane rows over the i16 edges
 // (edgeI16: -32768, -32767, -1, 0, 1, 32766, 32767 in two lanes of
 // three) at every length from 0 to 40 words, so both the paired loop
@@ -275,10 +404,13 @@ func TestRowsPanicOnLengthMismatch(t *testing.T) {
 		"VitMIRowI16": func() { VitMIRowI16(mi, 0) },
 		"AddRowI16":   func() { AddRowI16(short, long, long) },
 		"DDRoundI16":  func() { DDRoundI16(long, short, long) },
+		// The MSV rows must also hold whole two-word stripes.
+		"MSVFilterU8":          func() { MSVFilterU8(long, short, long, nil, MSVParams{}) },
+		"MSVFilterU8 odd rows": func() { MSVFilterU8(short, short, long, nil, MSVParams{}) },
 	} {
 		func() {
 			defer func() {
-				if r, _ := recover().(string); !strings.Contains(r, "differ in length") {
+				if r, _ := recover().(string); r != rowLenPanic && r != msvRowsPanic {
 					t.Errorf("%s with mismatched rows: recovered %q, want the length panic", name, r)
 				}
 			}()
@@ -295,6 +427,9 @@ func FuzzRowsMatchGeneric(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint64(0))
 	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\x00\x80\x00\x80\x01\x00\xff\x7f"), SplatU8(0x80), SplatU8(0x11))
 	f.Add([]byte(strings.Repeat("\x00\x80\xff\x7f\x01\x00\xfe\xff", 9)), SplatI16(NegInf16), SplatU8(1))
+	// An MSV run with profile.MSVProfile's constants: M = 32, six
+	// cost rows and a seventh code past them.
+	f.Add([]byte(strings.Repeat("\x13\x15\x00\x02\x1c\xff\x11\x13", 24)), uint64(0xecbe0f), uint64(0x09021b13))
 	f.Fuzz(func(t *testing.T, raw []byte, xB, bias uint64) {
 		words := make([]uint64, len(raw)/8)
 		for i := range words {
@@ -316,6 +451,22 @@ func FuzzRowsMatchGeneric(f *testing.F) {
 		}, xB)
 		checkAddRow(t, "fuzz", row(0), row(1))
 		checkDDRound(t, "fuzz", row(0), row(1), row(2))
+		// An MSV filter run: M from xB, the cost table's rows and the
+		// residues from the words and bytes, the constants from xB's
+		// and bias's bytes. Codes run one past the table's rows, so
+		// some sequences stop on a residue past it.
+		if q := 1 + int(xB%70); n >= 2*q+2 {
+			rows := n / (2 * q)
+			dsq := make([]byte, len(raw))
+			for i, b := range raw {
+				dsq[i] = b % byte(min(rows+1, 255))
+			}
+			p := MSVParams{
+				Bias: uint8(bias), TBM: uint8(bias >> 8), TEC: uint8(bias >> 16), TJB: uint8(bias >> 24),
+				Base: uint8(xB >> 8), Overflow: uint8(xB >> 16),
+			}
+			checkMSVFilter(t, "fuzz", row(1)[:2*q+2], words, dsq, p)
+		}
 		// The raw bytes as lanes, into one word fewer than they need
 		// (an over-long src), exactly enough, and one and two more.
 		for words := max(n-1, 0); words <= n+2; words++ {

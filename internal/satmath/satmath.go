@@ -12,7 +12,7 @@
 //     internal/cpu and the simulated-GPU kernels in internal/gpu run
 //     their DP cells on;
 //   - whole rows of those words (rows.go), one primitive per filter
-//     recurrence, SSE2 assembly on amd64 and the word ops elsewhere.
+//     recurrence and the MSV loop, SSE2 on amd64, word ops elsewhere.
 package satmath
 
 // AddU8 returns a+b saturated to 255.

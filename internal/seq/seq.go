@@ -27,11 +27,13 @@ func (s *Sequence) Len() int { return len(s.Residues) }
 func (s *Sequence) Validate(abc *alphabet.Alphabet) error {
 	for i, c := range s.Residues {
 		if !abc.IsResidue(c) {
-			return fmt.Errorf("seq %s: position %d holds non-residue code %d", s.Name, i, c)
+			return fmt.Errorf(nonResidueMsg, s.Name, i, c)
 		}
 	}
 	return nil
 }
+
+const nonResidueMsg = "seq %s: position %d holds non-residue code %d"
 
 // Packed returns the 5-bit packed representation of the sequence (the
 // layout uploaded to the device).

@@ -46,7 +46,8 @@ func StreamFASTAResidues(r io.Reader, abc *alphabet.Alphabet, residueBudget int6
 // complete sequence and closes the current batch, named batchName,
 // when it returns true. Lines are read as bytes from the scanner's
 // buffer; a header is copied into one string, and residues are
-// digitised straight into the record.
+// digitised into one reused buffer, checked for gap-like codes line by
+// line, and copied into the record once at its exact length.
 func streamFASTA(r io.Reader, abc *alphabet.Alphabet, batchName string, full func(seqs int, residues int64) bool, fn func(batch *Database) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -54,6 +55,7 @@ func streamFASTA(r io.Reader, abc *alphabet.Alphabet, batchName string, full fun
 	batch := NewDatabase(batchName)
 	var batchResidues int64
 	var cur *Sequence
+	res, bad := []byte(nil), -1 // cur's residues, and its first gap-like one or -1
 	line := 0
 	total := 0
 
@@ -72,8 +74,11 @@ func streamFASTA(r io.Reader, abc *alphabet.Alphabet, batchName string, full fun
 		if cur == nil {
 			return nil
 		}
-		if err := cur.Validate(abc); err != nil {
-			return parseErrf(line, cur.Name, "%v", err)
+		if bad >= 0 {
+			return parseErrf(line, cur.Name, nonResidueMsg, cur.Name, bad, res[bad])
+		}
+		if len(res) > 0 {
+			cur.Residues = append(make([]byte, 0, len(res)), res...)
 		}
 		batch.Add(cur)
 		batchResidues += int64(cur.Len())
@@ -103,17 +108,23 @@ func streamFASTA(r io.Reader, abc *alphabet.Alphabet, batchName string, full fun
 			if name == "" {
 				return parseErrf(line, "", "empty sequence name")
 			}
-			cur = &Sequence{Name: name, Desc: desc}
+			cur, res, bad = &Sequence{Name: name, Desc: desc}, res[:0], -1
 			continue
 		}
 		if cur == nil {
 			return parseErrf(line, "", "sequence data before first header")
 		}
 		var err error
-		if cur.Residues, err = abc.Digitize(cur.Residues, text); err != nil {
+		from := len(res)
+		if res, err = abc.Digitize(res, text); err != nil {
 			return parseErrf(line, cur.Name, "%v", err)
 		}
-		if MaxRecordLen > 0 && len(cur.Residues) > MaxRecordLen {
+		for i := from; bad < 0 && i < len(res); i++ {
+			if !abc.IsResidue(res[i]) {
+				bad = i
+			}
+		}
+		if MaxRecordLen > 0 && len(res) > MaxRecordLen {
 			return parseErrf(line, cur.Name, "sequence exceeds MaxRecordLen (%d residues)", MaxRecordLen)
 		}
 	}

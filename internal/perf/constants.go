@@ -29,10 +29,11 @@ const (
 	// fwdCPUCellsPerCycle is the modelled per-core throughput of the
 	// full-precision Forward stage on the paper's baseline host — the
 	// reason 0.1% of sequences account for ~5% of pipeline time in
-	// Figure 1. It is a constant of the model, not a measurement of
-	// refimpl.Forward: that function left log-sum-exp for odds-ratio
-	// multiply-adds and runs tens of times faster on this host, and the
-	// Figure 1 / E6 output deliberately does not follow it.
+	// Figure 1. It is a constant of the model, not a measurement of the
+	// host Forward: on a 2.1 GHz Xeon, refimpl.Forward's odds-ratio
+	// multiply-adds run at ≈ 0.1–0.15 cells per cycle and ForwardPair's
+	// two SSE2 lanes at about twice that (EXPERIMENTS E30), and the
+	// Figure 1 / E6 output deliberately does not follow either.
 	fwdCPUCellsPerCycle = 0.05
 
 	// dualIssueBonus is the fraction of a second instruction slot the

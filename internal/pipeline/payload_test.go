@@ -16,13 +16,19 @@ import (
 // coordinator and the journal stores it, so builds must agree on it.
 // Scores include both infinities and a NaN, which must cross bit-exact.
 func TestResultPayloadPinned(t *testing.T) {
+	// The second hit's index is past 32 bits, to pin that Index crosses
+	// as 64: a build whose int is 32 bits cannot hold it.
+	big := int64(1) << 40
+	if int64(math.MaxInt) < big {
+		t.Skip("the pinned payload holds a hit index past a 32-bit int")
+	}
 	res := &Result{
 		MSV:     StageStats{In: 1000, Out: 21, Cells: 1 << 33, Wall: 1500},
 		Viterbi: StageStats{In: 21, Out: 2, Cells: 123456, Wall: 2},
 		Forward: StageStats{In: 2, Out: 2, Cells: 654321, Wall: 0},
 		Hits: []Hit{
 			{Index: 7, Name: "sp|P1|ΑΒΓ_human", MSVBits: math.Inf(1), VitBits: 31.25, FwdBits: 29.5, PValue: 1e-12, EValue: 3e-9},
-			{Index: 1 << 40, Name: "", MSVBits: math.Inf(-1), VitBits: math.NaN(), FwdBits: -0.5, PValue: 1, EValue: math.MaxFloat64},
+			{Index: int(big), Name: "", MSVBits: math.Inf(-1), VitBits: math.NaN(), FwdBits: -0.5, PValue: 1, EValue: math.MaxFloat64},
 		},
 	}
 	const want = "e80300000000000015000000000000000000000002000000dc050000000000001500000000000000020000000000000040e2010000000000020000000000000002000000000000000200000000000000f1fb090000000000000000000000000002000000000000000700000000000000120000000000000073707c50317cce91ce92ce935f68756d616e000000000000f07f0000000000403f400000000000803d4011ea2d819997713ddf413adc11c5293e00000000000100000000000000000000000000000000f0ff010000000000f87f000000000000e0bf000000000000f03fffffffffffffef7f"

@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -241,8 +242,12 @@ func Calibrate(p *profile.Profile, mp *profile.MSVProfile, vp *profile.VitProfil
 	}
 	db := sample()
 	bits := make([]float64, db.NumSeqs())
-	eng.ForEach(len(bits), func(i int) {
-		bits[i] = stats.BitsFromNats(refimpl.Forward(p, db.Seqs[i].Residues))
+	// Samples 2j and 2j+1, both of length L, are one ForwardPair; an odd
+	// last sample is paired with itself.
+	eng.ForEach((len(bits)+1)/2, func(j int) {
+		a, b := 2*j, min(2*j+1, len(bits)-1)
+		fa, fb := refimpl.ForwardPair(p, db.Seqs[a].Residues, db.Seqs[b].Residues)
+		bits[a], bits[b] = stats.BitsFromNats(fa), stats.BitsFromNats(fb)
 	})
 	if cal.Fwd, err = stats.FitExpTailFixedLambda(bits, stats.Lambda, opts.TailMass); err != nil {
 		return cal, fmt.Errorf("pipeline: Forward calibration: %w", err)
@@ -268,16 +273,24 @@ func (pl *Pipeline) vitPass(res cpu.FilterResult) bool {
 
 // hostForward scores the Viterbi survivors (a view of them, in survivor
 // order) with the host's Forward recurrence: one score in nats per
-// survivor. It is the Forward stage of every engine. ctx is checked
-// before every survivor — Forward is the pipeline's most expensive
-// per-sequence work, so this is where a deadline lands mid-stage.
+// survivor. It is the Forward stage of every engine. Sorted by length,
+// neighbours are one refimpl.ForwardPair. ctx is checked before every
+// pair — Forward is the pipeline's most expensive per-sequence work,
+// so this is where a deadline lands mid-stage.
 func (pl *Pipeline) hostForward(ctx context.Context, survivors *seq.Database) ([]float64, error) {
-	nats := make([]float64, survivors.NumSeqs())
-	for j, s := range survivors.Seqs {
+	seqs := survivors.Seqs
+	order := make([]int, len(seqs))
+	for j := range order {
+		order[j] = j
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return len(seqs[x].Residues) - len(seqs[y].Residues) })
+	nats := make([]float64, len(seqs))
+	for j := 0; j < len(order); j += 2 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		nats[j] = refimpl.Forward(pl.Prof, s.Residues)
+		a, b := order[j], order[min(j+1, len(order)-1)] // an odd last one pairs with itself
+		nats[a], nats[b] = refimpl.ForwardPair(pl.Prof, seqs[a].Residues, seqs[b].Residues)
 	}
 	return nats, nil
 }

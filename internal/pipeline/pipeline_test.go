@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"hmmer3gpu/internal/alphabet"
@@ -301,9 +302,9 @@ func TestCalibrationIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestForwardPathAllocatesOneRow: a Forward call on a configured
-// pipeline allocates its DP row and nothing else — the odds tables
-// were built once, with the profile.
+// TestForwardPathAllocatesOneRow: a Forward or ForwardPair call on a
+// configured pipeline allocates its DP row and nothing else — the odds
+// tables were built once, with the profile.
 func TestForwardPathAllocatesOneRow(t *testing.T) {
 	pl := testPipeline(t, 100, 200)
 	dsq := make([]byte, 200)
@@ -313,6 +314,18 @@ func TestForwardPathAllocatesOneRow(t *testing.T) {
 	var sink float64
 	if allocs := testing.AllocsPerRun(50, func() { sink += refimpl.Forward(pl.Prof, dsq) }); allocs != 1 {
 		t.Errorf("Forward made %v allocations per call, want 1 (the DP row)", allocs)
+	}
+	pair := func() {
+		a, b := refimpl.ForwardPair(pl.Prof, dsq, dsq[:150])
+		sink += a + b
+	}
+	// Off amd64, ForwardPair is two Forward calls: a row each.
+	want := 1.0
+	if runtime.GOARCH != "amd64" {
+		want = 2
+	}
+	if allocs := testing.AllocsPerRun(50, pair); allocs != want {
+		t.Errorf("ForwardPair made %v allocations per call, want %v (its rows)", allocs, want)
 	}
 	if math.IsNaN(sink) {
 		t.Error("Forward returned NaN")

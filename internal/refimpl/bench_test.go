@@ -33,6 +33,21 @@ func benchmarkForward(b *testing.B, forward func(*profile.Profile, []byte) float
 
 func BenchmarkGenericForward(b *testing.B) { benchmarkForward(b, Forward) }
 
+// BenchmarkForwardPair is BenchmarkGenericForward's input with a second
+// target of the same length beside it; MB/s counts both lanes' cells,
+// so it reads against BenchmarkGenericForward's directly.
+func BenchmarkForwardPair(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	p := testProfile(b, 100, 2)
+	p.SetLength(200)
+	dsq, other := randomSeq(rng, 200), randomSeq(rng, 200)
+	b.SetBytes(int64(2 * 100 * 200))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ForwardPair(p, dsq, other)
+	}
+}
+
 // The log-space oracle on the same input, so that bench-smoke shows the
 // ratio the odds-space recurrence buys (MB/s here is Mcell/s).
 func BenchmarkGenericForwardLogSpace(b *testing.B) { benchmarkForward(b, forwardLogSpace) }

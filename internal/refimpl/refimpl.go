@@ -6,6 +6,8 @@
 // also the pipeline's host Forward stage, so it alone runs in
 // odds-ratio space with rescaling; the package's tests hold it to the
 // log-space recurrence and to a log-space Backward kept in the tests.
+// ForwardPair scores two targets side by side in SSE2 on amd64; scalar
+// Forward is its oracle, bit for bit, and its path on other GOARCHes.
 package refimpl
 
 import (
@@ -141,13 +143,11 @@ func Forward(p *profile.Profile, dsq []byte) float64 {
 	m := p.M
 	// row[3k], row[3k+1], row[3k+2] are M_k, I_k, D_k; node 0 stays 0.
 	row := make([]float64, 3*(m+1))
-	xN, xJ, xC := 1.0, 0.0, 0.0
-	xB := o.TMove
-	shift := 0 // the true values are the stored ones times 2^shift
+	s := fwdSpecials{xN: 1, xB: o.TMove}
 
 	for _, x := range dsq {
 		msc := o.MSC[x][:m+1]
-		entry := xB * o.TBM
+		entry := s.xB * o.TBM
 		xE := 0.0
 		var pm, pi, pd float64 // previous row, node k-1
 		var cm, cd float64     // this row, node k-1
@@ -165,20 +165,36 @@ func Forward(p *profile.Profile, dsq []byte) float64 {
 			cm, cd = mv, dv
 		}
 		xE += cd // local exit from D_M
-		xJ = xJ*o.TLoop + xE*o.TEJ
-		xC = xC*o.TLoop + xE*o.TEC
-		xN *= o.TLoop
-		xB = (xN + xJ) * o.TMove
-
-		if mass := xN + xJ + xC + xE; mass > fwdHigh || (mass < fwdLow && mass > 0) {
-			_, e := math.Frexp(mass)
-			scale := math.Ldexp(1, -e)
-			for i := range row {
-				row[i] *= scale
-			}
-			xN, xB, xJ, xC = xN*scale, xB*scale, xJ*scale, xC*scale
-			shift += e
-		}
+		s.endRow(o, xE, row, 0, 1)
 	}
-	return math.Log(xC) + p.TMove + float64(shift)*math.Ln2
+	return s.score(p)
+}
+
+// fwdSpecials is one target's Forward special states between rows.
+type fwdSpecials struct {
+	xN, xJ, xC, xB float64
+	shift          int // the true values are the stored ones times 2^shift
+}
+
+// endRow moves the specials past a row whose E state summed to xE. If
+// the mass has left the window, it rescales them and the target's
+// cells of the row, row[lane], row[lane+lanes], ...
+func (s *fwdSpecials) endRow(o *profile.Odds, xE float64, row []float64, lane, lanes int) {
+	s.xJ = s.xJ*o.TLoop + xE*o.TEJ
+	s.xC = s.xC*o.TLoop + xE*o.TEC
+	s.xN *= o.TLoop
+	s.xB = (s.xN + s.xJ) * o.TMove
+	if mass := s.xN + s.xJ + s.xC + xE; mass > fwdHigh || (mass < fwdLow && mass > 0) {
+		_, e := math.Frexp(mass)
+		scale := math.Ldexp(1, -e)
+		for i := lane; i < len(row); i += lanes {
+			row[i] *= scale
+		}
+		s.xN, s.xB, s.xJ, s.xC = s.xN*scale, s.xB*scale, s.xJ*scale, s.xC*scale
+		s.shift += e
+	}
+}
+
+func (s *fwdSpecials) score(p *profile.Profile) float64 {
+	return math.Log(s.xC) + p.TMove + float64(s.shift)*math.Ln2
 }

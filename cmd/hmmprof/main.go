@@ -9,7 +9,6 @@
 //	hmmprof -flame profile.json      folded stacks of the stall
 //	                                 attribution (flamegraph.pl /
 //	                                 speedscope input)
-//	hmmprof -validate profile.json   schema/invariant check only
 //
 // Multiple profile files merge into one report in argument order.
 package main
@@ -36,13 +35,12 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("hmmprof", flag.ContinueOnError)
 	flame := fs.Bool("flame", false, "emit folded stall stacks instead of the report")
 	occupancy := fs.Bool("occupancy", false, "emit the occupancy table only")
-	validate := fs.Bool("validate", false, "validate the artifacts and print a summary line per file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() < 1 {
 		fs.Usage()
-		return fmt.Errorf("usage: hmmprof [-flame|-occupancy|-validate] <profile.json>...")
+		return fmt.Errorf("usage: hmmprof [-flame|-occupancy] <profile.json>...")
 	}
 
 	merged := &kernprof.Profile{Schema: kernprof.Schema}
@@ -51,14 +49,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *validate {
-			fmt.Fprintf(stdout, "%s: ok (%d launches, schema %s)\n", path, len(p.Launches), p.Schema)
-			continue
-		}
 		merged.Merge(p)
-	}
-	if *validate {
-		return nil
 	}
 	switch {
 	case *flame:

@@ -58,16 +58,6 @@ func TestReportFlagsCollapse(t *testing.T) {
 	}
 }
 
-func TestValidateMode(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-validate", "testdata/profile.json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "ok (3 launches") {
-		t.Errorf("validate summary = %q", buf.String())
-	}
-}
-
 func TestRejectsGarbage(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"schema":"wrong/v0","launches":[]}`), 0o644); err != nil {

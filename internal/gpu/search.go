@@ -89,22 +89,7 @@ func (s *Searcher) MSVSearch(dp *DeviceMSVProfile, db *DeviceDB) (*SearchReport,
 		packed: !s.DisablePacking,
 		out:    make([]cpu.FilterResult, len(db.Packed)),
 	}
-	rep, err := s.Dev.Launch(simt.LaunchConfig{
-		Blocks:              plan.Blocks,
-		WarpsPerBlock:       plan.WarpsPerBlock,
-		SharedBytesPerBlock: plan.SharedPerBlock,
-		RegsPerThread:       msvRegsPerThread,
-		DetectRaces:         s.DetectRaces,
-		HostWorkers:         s.HostWorkers,
-		Name:                "msv",
-		Trace:               s.Trace,
-		Cancel:              s.Cancel,
-	}, run.kernel)
-	if err != nil {
-		return nil, err
-	}
-	applyReadbackFaults(s.Dev, run.out)
-	return &SearchReport{Results: run.out, Plan: plan, Launch: rep}, nil
+	return s.launch(plan, msvRegsPerThread, "msv", run.kernel, run.out)
 }
 
 // ViterbiSearch scores every sequence of db with the P7Viterbi kernel.
@@ -125,23 +110,33 @@ func (s *Searcher) ViterbiSearch(dp *DeviceVitProfile, db *DeviceDB) (*SearchRep
 		nWarps := plan.Blocks * plan.WarpsPerBlock
 		run.rowAddr = s.Dev.AllocGlobal(int64(nWarps) * int64(6*(dp.VP.M+1)))
 	}
+	sr, err := s.launch(plan, vitRegsPerThread, "p7viterbi", run.kernel, run.out)
+	if err != nil {
+		return nil, err
+	}
+	sr.LazyF = LazyFStats{RowsIterated: run.lazyRows.Load(), Iterations: run.lazyIters.Load()}
+	return sr, nil
+}
+
+// launch runs one filter kernel over the grid plan describes, lands
+// the device's readback faults in out, the kernel's per-sequence
+// results, and reports the pass.
+func (s *Searcher) launch(plan LaunchPlan, regs int, name string, kernel func(*simt.Warp),
+	out []cpu.FilterResult) (*SearchReport, error) {
 	rep, err := s.Dev.Launch(simt.LaunchConfig{
 		Blocks:              plan.Blocks,
 		WarpsPerBlock:       plan.WarpsPerBlock,
 		SharedBytesPerBlock: plan.SharedPerBlock,
-		RegsPerThread:       vitRegsPerThread,
+		RegsPerThread:       regs,
 		DetectRaces:         s.DetectRaces,
 		HostWorkers:         s.HostWorkers,
-		Name:                "p7viterbi",
+		Name:                name,
 		Trace:               s.Trace,
 		Cancel:              s.Cancel,
-	}, run.kernel)
+	}, kernel)
 	if err != nil {
 		return nil, err
 	}
-	applyReadbackFaults(s.Dev, run.out)
-	return &SearchReport{
-		Results: run.out, Plan: plan, Launch: rep,
-		LazyF: LazyFStats{RowsIterated: run.lazyRows.Load(), Iterations: run.lazyIters.Load()},
-	}, nil
+	applyReadbackFaults(s.Dev, out)
+	return &SearchReport{Results: out, Plan: plan, Launch: rep}, nil
 }

@@ -67,15 +67,12 @@ type Options struct {
 	SkipForward bool
 	// ComputeAlignments attaches Viterbi-traceback domain alignments
 	// and posterior envelopes to each hit (O(L*M) memory per hit;
-	// skipped for hits beyond AlignmentCellCap DP cells).
+	// skipped for hits beyond alignmentCellCap DP cells).
 	ComputeAlignments bool
 	// UseNull2 applies HMMER's biased-composition score correction to
 	// Forward scores before thresholding (posterior decode per
-	// survivor; subject to the same AlignmentCellCap).
+	// survivor; subject to the same alignmentCellCap).
 	UseNull2 bool
-	// AlignmentCellCap bounds the alignment matrices; 0 means the
-	// 10M-cell default.
-	AlignmentCellCap int64
 	// Trace receives a span per search, stage, batch, and kernel
 	// launch (nil disables tracing at ~zero cost).
 	Trace *obs.Tracer
@@ -306,13 +303,9 @@ func sortHits(hits []Hit) {
 	})
 }
 
-// cellCap returns the alignment/decoding matrix budget.
-func (pl *Pipeline) cellCap() int64 {
-	if pl.Opts.AlignmentCellCap > 0 {
-		return pl.Opts.AlignmentCellCap
-	}
-	return 10_000_000
-}
+// alignmentCellCap bounds the alignment and posterior-decoding
+// matrices: a hit whose L*M exceeds it is neither decoded nor aligned.
+const alignmentCellCap = 10_000_000
 
 // maybeDecode runs posterior decoding when any consumer (null2 or
 // alignment annotation) needs it and the matrices fit the cap.
@@ -320,7 +313,7 @@ func (pl *Pipeline) maybeDecode(dsq []byte) *refimpl.Posterior {
 	if !pl.Opts.UseNull2 && !pl.Opts.ComputeAlignments {
 		return nil
 	}
-	if int64(len(dsq))*int64(pl.Prof.M) > pl.cellCap() {
+	if int64(len(dsq))*int64(pl.Prof.M) > alignmentCellCap {
 		return nil
 	}
 	po, err := refimpl.PosteriorDecode(pl.Prof, dsq)
@@ -336,7 +329,7 @@ func (pl *Pipeline) annotate(hit *Hit, dsq []byte, po *refimpl.Posterior) {
 	if !pl.Opts.ComputeAlignments {
 		return
 	}
-	if int64(len(dsq))*int64(pl.Prof.M) > pl.cellCap() {
+	if int64(len(dsq))*int64(pl.Prof.M) > alignmentCellCap {
 		return
 	}
 	if tr, err := refimpl.ViterbiTrace(pl.Prof, dsq); err == nil {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hmmer3gpu/internal/obs"
 )
@@ -30,11 +29,6 @@ type Device struct {
 	// make Launch return typed fault errors on chosen launch ordinals
 	// or probabilistically (see FaultInjector). Nil injects nothing.
 	Faults *FaultInjector
-	// LaunchTimeout is the per-launch deadline: a grid that has not
-	// completed within it makes Launch return ErrDeviceHung (the
-	// abandoned grid finishes on leaked goroutines whose results are
-	// discarded). 0 disables the watchdog.
-	LaunchTimeout time.Duration
 	// Mode selects cycle-accurate accounting (the default) or fast
 	// functional execution with accounting off; see Mode.
 	Mode Mode
@@ -391,15 +385,11 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 		}
 	}
 
-	runGrid := func() {
-		if workers <= 1 {
-			bc := newCtx()
-			workerLoop(bc)
-			ctxMu.Lock()
-			ctxs = append(ctxs, bc)
-			ctxMu.Unlock()
-			return
-		}
+	if workers <= 1 {
+		bc := newCtx()
+		workerLoop(bc)
+		ctxs = append(ctxs, bc)
+	} else {
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for i := 0; i < workers; i++ {
@@ -415,26 +405,6 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 		wg.Wait()
 	}
 
-	if d.LaunchTimeout > 0 {
-		done := make(chan struct{})
-		go func() {
-			runGrid()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(d.LaunchTimeout):
-			// The grid keeps running on leaked goroutines; its stats are
-			// never read (the report below is not built on this path).
-			err := &FaultError{Device: d.Track(), Ordinal: -1, Err: ErrDeviceHung}
-			span.Annotate(obs.String("error", err.Error()))
-			span.End()
-			return nil, err
-		}
-	} else {
-		runGrid()
-	}
-
 	if panicErr != nil {
 		span.Annotate(obs.String("error", panicErr.Error()))
 		span.End()
@@ -447,7 +417,6 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 	}
 
 	rep := &LaunchReport{Occupancy: occ}
-	ctxMu.Lock()
 	var samples []BlockProfile
 	for _, bc := range ctxs {
 		rep.Stats.Add(&bc.stats)
@@ -455,7 +424,6 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 			samples = append(samples, bc.samples...)
 		}
 	}
-	ctxMu.Unlock()
 	if prof != nil {
 		sort.Slice(samples, func(i, j int) bool { return samples[i].Block < samples[j].Block })
 		prof.OnLaunch(&LaunchProfile{

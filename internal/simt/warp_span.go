@@ -19,22 +19,47 @@ import "hmmer3gpu/internal/satmath"
 // overlay exactly as that loop is: one access per chunk, and for global
 // spans the 128-byte segments each chunk touches.
 
+// sharedAccess does the bookkeeping of every shared span and broadcast,
+// in one order: take the block lock if the block's warps run
+// concurrently, charge the access, note it for the race tracker. The
+// access covers the bytes [base, base+bytes); cells is its length, or 0
+// for a same-word broadcast. It returns the block's shared memory; an op
+// on a concurrent block defers the unlock, so a panic releases the lock.
+// The work is out of line so that an uncosted warp-synchronous access
+// inlines to a few loads and no call.
+func (w *Warp) sharedAccess(base, bytes, cells int, store bool) (sm *SharedMem) {
+	if sm = w.block.shared; w.costed || sm.concurrent || sm.trackRaces {
+		w.sharedAccessSlow(base, bytes, cells, store)
+	}
+	return
+}
+
+func (w *Warp) sharedAccessSlow(base, bytes, cells int, store bool) {
+	sm := w.block.shared
+	if sm.concurrent {
+		sm.mu.Lock()
+	}
+	if w.costed {
+		if cells == 0 {
+			w.chargeSharedBroadcast()
+		} else {
+			w.chargeSharedSpan(cells, store)
+		}
+	}
+	if sm.trackRaces {
+		sm.noteSpan(int32(w.WarpInBlock), base, bytes, store)
+	}
+}
+
 // SharedSpanLoadU8 loads the n consecutive shared bytes at
 // [base, base+n) into dst[0:n]; lane l reads byte base+l.
 func (w *Warp) SharedSpanLoadU8(dst []uint8, base, n int) {
 	if n <= 0 {
 		return
 	}
-	sm := w.block.shared
+	sm := w.sharedAccess(base, n, n, false)
 	if sm.concurrent {
-		sm.mu.Lock()
 		defer sm.mu.Unlock()
-	}
-	if w.costed {
-		w.chargeSharedSpan(n, false)
-	}
-	if sm.trackRaces {
-		sm.noteSpan(int32(w.WarpInBlock), base, n, false)
 	}
 	if sm.faults == nil {
 		copy(dst[:n], sm.data[base:base+n])
@@ -51,16 +76,9 @@ func (w *Warp) SharedSpanStoreU8(src []uint8, base, n int) {
 	if n <= 0 {
 		return
 	}
-	sm := w.block.shared
+	sm := w.sharedAccess(base, n, n, true)
 	if sm.concurrent {
-		sm.mu.Lock()
 		defer sm.mu.Unlock()
-	}
-	if w.costed {
-		w.chargeSharedSpan(n, true)
-	}
-	if sm.trackRaces {
-		sm.noteSpan(int32(w.WarpInBlock), base, n, true)
 	}
 	copy(sm.data[base:base+n], src[:n])
 }
@@ -71,16 +89,9 @@ func (w *Warp) SharedSpanLoadI16(dst []int16, base, n int) {
 	if n <= 0 {
 		return
 	}
-	sm := w.block.shared
+	sm := w.sharedAccess(base, 2*n, n, false)
 	if sm.concurrent {
-		sm.mu.Lock()
 		defer sm.mu.Unlock()
-	}
-	if w.costed {
-		w.chargeSharedSpan(n, false)
-	}
-	if sm.trackRaces {
-		sm.noteSpan(int32(w.WarpInBlock), base, 2*n, false)
 	}
 	if sm.faults == nil {
 		src := sm.data[base : base+2*n : base+2*n]
@@ -101,16 +112,9 @@ func (w *Warp) SharedSpanStoreI16(src []int16, base, n int) {
 	if n <= 0 {
 		return
 	}
-	sm := w.block.shared
+	sm := w.sharedAccess(base, 2*n, n, true)
 	if sm.concurrent {
-		sm.mu.Lock()
 		defer sm.mu.Unlock()
-	}
-	if w.costed {
-		w.chargeSharedSpan(n, true)
-	}
-	if sm.trackRaces {
-		sm.noteSpan(int32(w.WarpInBlock), base, 2*n, true)
 	}
 	dst := sm.data[base : base+2*n : base+2*n]
 	for i := 0; i < n; i++ {
@@ -131,17 +135,10 @@ func (w *Warp) SharedSpanLoadWords(dst []uint64, base, cells, width int) {
 		clear(dst)
 		return
 	}
-	sm := w.block.shared
-	if sm.concurrent {
-		sm.mu.Lock()
-		defer sm.mu.Unlock()
-	}
-	if w.costed {
-		w.chargeSharedSpan(cells, false)
-	}
 	n := cells * width
-	if sm.trackRaces {
-		sm.noteSpan(int32(w.WarpInBlock), base, n, false)
+	sm := w.sharedAccess(base, n, cells, false)
+	if sm.concurrent {
+		defer sm.mu.Unlock()
 	}
 	if sm.faults == nil {
 		satmath.PackLanes(dst, sm.data[base:base+n])
@@ -161,17 +158,10 @@ func (w *Warp) SharedSpanStoreWords(src []uint64, base, cells, width int) {
 	if cells <= 0 {
 		return
 	}
-	sm := w.block.shared
-	if sm.concurrent {
-		sm.mu.Lock()
-		defer sm.mu.Unlock()
-	}
-	if w.costed {
-		w.chargeSharedSpan(cells, true)
-	}
 	n := cells * width
-	if sm.trackRaces {
-		sm.noteSpan(int32(w.WarpInBlock), base, n, true)
+	sm := w.sharedAccess(base, n, cells, true)
+	if sm.concurrent {
+		defer sm.mu.Unlock()
 	}
 	satmath.UnpackLanes(sm.data[base:base+n], src)
 }
@@ -188,18 +178,10 @@ func (w *Warp) SharedSpanTouch(base, width, n int, store bool) {
 	if n <= 0 {
 		return
 	}
-	sm := w.block.shared
-	if sm.concurrent {
-		sm.mu.Lock()
-		defer sm.mu.Unlock()
-	}
 	// Keep the load/store ops' out-of-bounds failure mode.
-	_ = sm.data[base+width*n-1]
-	if w.costed {
-		w.chargeSharedSpan(n, store)
-	}
-	if sm.trackRaces {
-		sm.noteSpan(int32(w.WarpInBlock), base, width*n, store)
+	_ = w.block.shared.data[base+width*n-1]
+	if sm := w.sharedAccess(base, width*n, n, store); sm.concurrent {
+		sm.mu.Unlock()
 	}
 }
 
@@ -207,32 +189,18 @@ func (w *Warp) SharedSpanTouch(base, width, n int, store bool) {
 // same-word hardware broadcast, one conflict-free access with all
 // lanes active.
 func (w *Warp) SharedBroadcastU8(addr int) uint8 {
-	sm := w.block.shared
+	sm := w.sharedAccess(addr, 1, 0, false)
 	if sm.concurrent {
-		sm.mu.Lock()
 		defer sm.mu.Unlock()
-	}
-	if w.costed {
-		w.chargeSharedBroadcast()
-	}
-	if sm.trackRaces {
-		sm.noteSpan(int32(w.WarpInBlock), addr, 1, false)
 	}
 	return sm.at(addr)
 }
 
 // SharedBroadcastI16 is the 16-bit same-word broadcast read.
 func (w *Warp) SharedBroadcastI16(addr int) int16 {
-	sm := w.block.shared
+	sm := w.sharedAccess(addr, 2, 0, false)
 	if sm.concurrent {
-		sm.mu.Lock()
 		defer sm.mu.Unlock()
-	}
-	if w.costed {
-		w.chargeSharedBroadcast()
-	}
-	if sm.trackRaces {
-		sm.noteSpan(int32(w.WarpInBlock), addr, 2, false)
 	}
 	return int16(uint16(sm.at(addr)) | uint16(sm.at(addr+1))<<8)
 }
@@ -243,42 +211,28 @@ func (w *Warp) SharedBroadcastI16(addr int) int16 {
 // as above). Only the traffic is metered — data lives in host
 // buffers.
 func (w *Warp) GlobalSpanLoad(base int64, width, active int) {
-	if active <= 0 {
-		return
-	}
-	if w.costed {
-		w.chargeGlobalSpan(base, width, active, false, false)
-	}
+	w.globalSpan(base, width, active, false, false)
 }
 
 // GlobalSpanLoadCached is GlobalSpanLoad through the read-only data
 // cache path.
 func (w *Warp) GlobalSpanLoadCached(base int64, width, active int) {
-	if active <= 0 {
-		return
-	}
-	if w.costed {
-		w.chargeGlobalSpan(base, width, active, true, false)
-	}
+	w.globalSpan(base, width, active, true, false)
 }
 
 // GlobalSpanStore meters a fully-coalesced warp write.
 func (w *Warp) GlobalSpanStore(base int64, width, active int) {
-	if active <= 0 {
-		return
-	}
-	if w.costed {
-		w.chargeGlobalSpan(base, width, active, false, true)
-	}
+	w.globalSpan(base, width, active, false, true)
 }
 
 // GlobalSpanStoreCached meters a coalesced write that stays in L2.
 func (w *Warp) GlobalSpanStoreCached(base int64, width, active int) {
-	if active <= 0 {
-		return
-	}
-	if w.costed {
-		w.chargeGlobalSpan(base, width, active, true, true)
+	w.globalSpan(base, width, active, true, true)
+}
+
+func (w *Warp) globalSpan(base int64, width, active int, cached, store bool) {
+	if active > 0 && w.costed {
+		w.chargeGlobalSpan(base, width, active, cached, store)
 	}
 }
 

@@ -41,19 +41,25 @@ func SampleSeqs(opts CalibrateOptions, bg []float64) [][]byte {
 	for i := range seqs {
 		dsq := flat[i*opts.L : (i+1)*opts.L : (i+1)*opts.L]
 		for j := range dsq {
-			u, acc := rng.Float64(), 0.0
-			dsq[j] = byte(len(bg) - 1)
-			for r, f := range bg {
-				acc += f
-				if u < acc {
-					dsq[j] = byte(r)
-					break
-				}
-			}
+			dsq[j] = DrawResidue(rng, bg)
 		}
 		seqs[i] = dsq
 	}
 	return seqs
+}
+
+// DrawResidue draws one residue code from the background frequencies
+// bg by inverse CDF, consuming exactly one rng.Float64. A draw past the
+// cumulative sum (rounding) yields the last code.
+func DrawResidue(rng *rand.Rand, bg []float64) byte {
+	u, acc := rng.Float64(), 0.0
+	for r, f := range bg {
+		acc += f
+		if u < acc {
+			return byte(r)
+		}
+	}
+	return byte(len(bg) - 1)
 }
 
 func scoreAll(score Scorer, seqs [][]byte) []float64 {

@@ -15,6 +15,7 @@ import (
 	"hmmer3gpu/internal/alphabet"
 	"hmmer3gpu/internal/hmm"
 	"hmmer3gpu/internal/seq"
+	"hmmer3gpu/internal/stats"
 )
 
 // PaperModelSizes is the model-size sweep of Figures 9-11.
@@ -121,15 +122,7 @@ func Generate(spec DBSpec, model *hmm.Plan7, abc *alphabet.Alphabet) (*seq.Datab
 	randomResidues := func(n int) []byte {
 		out := make([]byte, n)
 		for i := range out {
-			u, acc := rng.Float64(), 0.0
-			out[i] = byte(len(bg) - 1)
-			for r, f := range bg {
-				acc += f
-				if u < acc {
-					out[i] = byte(r)
-					break
-				}
-			}
+			out[i] = stats.DrawResidue(rng, bg)
 		}
 		return out
 	}
@@ -191,15 +184,7 @@ func Mutate(dsq []byte, rate float64, abc *alphabet.Alphabet, rng *rand.Rand) []
 	bg := abc.Backgrounds()
 	for i, r := range dsq {
 		if rng.Float64() < rate {
-			u, acc := rng.Float64(), 0.0
-			out[i] = byte(len(bg) - 1)
-			for c, f := range bg {
-				acc += f
-				if u < acc {
-					out[i] = byte(c)
-					break
-				}
-			}
+			out[i] = stats.DrawResidue(rng, bg)
 		} else {
 			out[i] = r
 		}

@@ -344,19 +344,39 @@ func TestSyncedBaselineMatchesGolden(t *testing.T) {
 
 func TestUnsyncedBaselineRaces(t *testing.T) {
 	// Eliding the barriers reproduces the Figure 4 hazard: the race
-	// tracker must flag cross-warp conflicts.
+	// tracker must flag cross-warp conflicts. A block's warps run one
+	// at a time, so the racy launch still reports the same races and
+	// scores however many host workers run it, and on every run.
 	rng := rand.New(rand.NewSource(15))
 	mp, _ := buildProfiles(t, 70, 150, 16)
 	db := testDB(t, rng, 10, 200)
 	dev := simt.NewDevice(simt.TeslaK40())
 	ddb := UploadDB(dev, db)
-	s := &Searcher{Dev: dev}
-	rep, err := s.MSVSearchSynced(UploadMSVProfile(dev, mp), ddb, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Launch.Stats.SharedRaces == 0 {
-		t.Error("unsynchronised multi-warp kernel did not race")
+	dp := UploadMSVProfile(dev, mp)
+	var first *SearchReport
+	for _, workers := range []int{1, 2, 8} {
+		for run := 0; run < 4; run++ {
+			rep, err := (&Searcher{Dev: dev, HostWorkers: workers}).MSVSearchSynced(dp, ddb, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = rep
+				if rep.Launch.Stats.SharedRaces == 0 {
+					t.Fatal("unsynchronised multi-warp kernel did not race")
+				}
+				continue
+			}
+			if got, want := rep.Launch.Stats.SharedRaces, first.Launch.Stats.SharedRaces; got != want {
+				t.Errorf("%d workers, run %d: %d races, first launch %d", workers, run, got, want)
+			}
+			for i := range rep.Results {
+				if rep.Results[i] != first.Results[i] {
+					t.Errorf("%d workers, run %d, seq %d: %+v, first launch %+v",
+						workers, run, i, rep.Results[i], first.Results[i])
+				}
+			}
+		}
 	}
 }
 

@@ -119,8 +119,8 @@ type LaunchReport struct {
 }
 
 type blockRun struct {
-	shared  *SharedMem
-	barrier *blockBarrier
+	shared *SharedMem
+	baton  *baton // nil unless the launch is cooperative
 }
 
 // blockCtx is one worker's reusable execution context: the shared
@@ -212,9 +212,9 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 	}
 
 	// A panic in a kernel is recovered into a *KernelPanicError rather
-	// than killing the process: the first panicking warp wins, its
-	// block's barrier is poisoned so sibling warps parked in
-	// __syncthreads unblock (they re-panic with barrierBroken, which is
+	// than killing the process: the first panicking warp wins, the rest
+	// of its block unwinds (a cooperative block's baton breaks, so warps
+	// parked in __syncthreads re-panic with barrierBroken, which is
 	// swallowed), and remaining blocks are skipped.
 	var panicked atomic.Bool
 	var panicMu sync.Mutex
@@ -241,19 +241,15 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 		panicked.Store(true)
 	}
 
-	// concurrent: only a cooperative multi-warp block runs its warps on
-	// separate goroutines (they must all make progress to reach the
-	// barrier); warp-synchronous blocks — the paper's kernels — run
-	// their warps serially on the claiming worker with no locking.
-	concurrent := cfg.Cooperative && cfg.WarpsPerBlock > 1
-
 	newCtx := func() *blockCtx {
-		return &blockCtx{
-			run: blockRun{
-				shared: newSharedMem(cfg.SharedBytesPerBlock, cfg.DetectRaces),
-			},
+		bc := &blockCtx{
+			run:   blockRun{shared: newSharedMem(cfg.SharedBytesPerBlock, cfg.DetectRaces)},
 			warps: make([]Warp, cfg.WarpsPerBlock),
 		}
+		if cfg.Cooperative {
+			bc.run.baton = newBaton(cfg.WarpsPerBlock)
+		}
+		return bc
 	}
 
 	// runWarp is shared by every block a worker claims; it captures
@@ -266,12 +262,24 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 					return
 				}
 				capture(b, r)
-				if br.barrier != nil {
-					br.barrier.poison()
+				if br.baton != nil {
+					br.baton.broken = true
 				}
 			}
 		}()
 		kernel(w)
+	}
+
+	// coopWarp runs one warp of a cooperative block once it holds the
+	// baton.
+	coopWarp := func(w *Warp, br *blockRun, b int) {
+		bt := br.baton
+		<-bt.turn[w.WarpInBlock]
+		if !bt.broken {
+			runWarp(w, br, b)
+		}
+		bt.returned[w.WarpInBlock] = true
+		bt.pass(w.WarpInBlock, br.shared)
 	}
 
 	runBlock := func(bc *blockCtx, b int) {
@@ -280,12 +288,7 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 			faults = memPlan.shared[b]
 		}
 		br := &bc.run
-		br.shared.reset(faults, concurrent)
-		br.barrier = nil
-		if cfg.Cooperative {
-			// A one-warp cooperative block syncs trivially (n=1).
-			br.barrier = newBlockBarrier(cfg.WarpsPerBlock)
-		}
+		br.shared.reset(faults)
 		// Fast-mode sampling: a sampled block runs with full cycle
 		// accounting. Accounting is pure bookkeeping — data movement,
 		// faults and races are identical — so results stay
@@ -302,17 +305,15 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 				costed:        costed || sampled,
 			}
 		}
-		if concurrent {
-			var wg sync.WaitGroup
-			wg.Add(len(bc.warps) - 1)
+		if bt := br.baton; bt != nil {
+			clear(bt.returned)
+			bt.broken = false
 			for wi := 1; wi < len(bc.warps); wi++ {
-				go func(w *Warp) {
-					defer wg.Done()
-					runWarp(w, br, b)
-				}(&bc.warps[wi])
+				go coopWarp(&bc.warps[wi], br, b)
 			}
-			runWarp(&bc.warps[0], br, b)
-			wg.Wait()
+			bt.turn[0] <- struct{}{}
+			coopWarp(&bc.warps[0], br, b)
+			<-bt.done
 		} else {
 			for wi := range bc.warps {
 				runWarp(&bc.warps[wi], br, b)
@@ -360,11 +361,11 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 	}
 
 	// Block scheduling is a single atomic claim counter: workers pull
-	// the next block index lock-free and only ever park at a true sync
-	// point (a cooperative block barrier) — there is no per-warp
-	// goroutine ping-pong and no scheduler mutex. Worker contexts are
-	// collected for the deterministic stat sum (integer addition, so
-	// claim order cannot change the totals).
+	// the next block index lock-free and only ever park while a
+	// cooperative block's baton is with another warp — there is no
+	// scheduler mutex. Worker contexts are collected for the
+	// deterministic stat sum (integer addition, so claim order cannot
+	// change the totals).
 	var next atomic.Int64
 	var ctxMu sync.Mutex
 	var ctxs []*blockCtx
@@ -450,94 +451,51 @@ func (d *Device) Launch(cfg LaunchConfig, kernel func(*Warp)) (*LaunchReport, er
 	return rep, nil
 }
 
-// blockBarrier is the two-phase __syncthreads implementation: phase
-// one gathers per-warp cycle counts and computes the block maximum
-// (for stall modelling), phase two releases the warps after the
-// epoch bookkeeping.
-type blockBarrier struct {
-	p1, p2 *phaseBarrier
+// baton runs a cooperative block's warps one at a time, in warp order
+// between barriers. Each warp has its own goroutine and runs only while
+// it holds the baton, which it hands on at Warp.Sync or on return. The
+// last warp to arrive at a barrier completes it and hands the baton back
+// to the first; a returned warp takes no part in later barriers. After a
+// panic, broken is set: an unstarted warp skips the kernel and a parked
+// one panics with barrierBroken. Hand-offs are channel sends, so the
+// holder alone touches the block's shared memory and the baton.
+type baton struct {
+	turn     []chan struct{} // warp i runs once it receives on turn[i]
+	done     chan struct{}   // the last warp has returned (buffered: it may be warp 0)
+	returned []bool
+	arrived  int64 // largest cyclesSinceSync of the warps at the barrier
+	stall    int64 // arrived, as of the last completed barrier
+	broken   bool
 }
 
-func newBlockBarrier(n int) *blockBarrier {
-	return &blockBarrier{p1: newPhaseBarrier(n), p2: newPhaseBarrier(n)}
-}
-
-func (b *blockBarrier) wait(cycles int64) int64 { return b.p1.wait(cycles) }
-func (b *blockBarrier) release()                { b.p2.wait(0) }
-
-// poison breaks both phases so warps parked in (or arriving at) the
-// barrier panic with barrierBroken instead of waiting forever for a
-// sibling that has already panicked.
-func (b *blockBarrier) poison() {
-	b.p1.breakBarrier()
-	b.p2.breakBarrier()
-}
-
-// phaseBarrier is event-driven: the last arriver swaps in a fresh
-// generation channel and closes the old one, waking every parked warp
-// with a single close instead of a broadcast-and-recheck loop. Warps
-// therefore park exactly once per barrier (a true sync point) and
-// never spin on a condition variable.
-type phaseBarrier struct {
-	mu      sync.Mutex
-	n       int
-	count   int
-	agg     int64
-	result  int64
-	release chan struct{}
-	broken  atomic.Bool
-}
-
-func newPhaseBarrier(n int) *phaseBarrier {
-	return &phaseBarrier{n: n, release: make(chan struct{})}
-}
-
-// wait blocks until all n participants have arrived and returns the
-// maximum of the submitted values. A broken barrier panics with
-// barrierBroken (recovered and swallowed by the launch).
-//
-// Waiters read b.result without the lock after waking: the two-phase
-// barrier protocol guarantees the next generation cannot overwrite it
-// until every waiter of this generation has re-arrived at the second
-// phase, which orders the read before the write.
-func (b *phaseBarrier) wait(val int64) int64 {
-	b.mu.Lock()
-	if b.broken.Load() {
-		b.mu.Unlock()
-		panic(barrierBroken{})
+func newBaton(n int) *baton {
+	bt := &baton{turn: make([]chan struct{}, n), done: make(chan struct{}, 1), returned: make([]bool, n)}
+	for i := range bt.turn {
+		// Buffered: the worker hands warp 0 its first turn before
+		// running it, and a lone warp hands the baton to itself.
+		bt.turn[i] = make(chan struct{}, 1)
 	}
-	if val > b.agg {
-		b.agg = val
-	}
-	b.count++
-	if b.count == b.n {
-		res := b.agg
-		b.result = res
-		b.agg = 0
-		b.count = 0
-		ch := b.release
-		b.release = make(chan struct{})
-		b.mu.Unlock()
-		close(ch)
-		return res
-	}
-	ch := b.release
-	b.mu.Unlock()
-	<-ch
-	if b.broken.Load() {
-		panic(barrierBroken{})
-	}
-	return b.result
+	return bt
 }
 
-// breakBarrier marks the barrier broken and wakes every waiter. The
-// current generation channel is swapped out under the lock before
-// closing, so a concurrent normal release can never double-close it.
-func (b *phaseBarrier) breakBarrier() {
-	b.broken.Store(true)
-	b.mu.Lock()
-	ch := b.release
-	b.release = make(chan struct{})
-	b.mu.Unlock()
-	close(ch)
+// pass hands the baton on from warp i, which has just reached the
+// barrier or returned: to the next warp that has not returned, else
+// through the barrier to the first such warp, else to the block's
+// claiming worker.
+func (bt *baton) pass(i int, sm *SharedMem) {
+	for j := i + 1; j < len(bt.turn); j++ {
+		if !bt.returned[j] {
+			bt.turn[j] <- struct{}{}
+			return
+		}
+	}
+	for j := 0; j <= i; j++ {
+		if !bt.returned[j] {
+			bt.stall, bt.arrived = bt.arrived, 0
+			sm.advanceEpoch()
+			bt.turn[j] <- struct{}{}
+			return
+		}
+	}
+	bt.done <- struct{}{}
 }

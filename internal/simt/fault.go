@@ -36,7 +36,7 @@ var (
 	// ErrLaunchFailed is a transient kernel-launch failure.
 	ErrLaunchFailed = errors.New("simt: kernel launch failed")
 	// ErrDeviceHung marks an injected hang: a launch that never finished.
-	ErrDeviceHung = errors.New("simt: launch deadline exceeded (device hung)")
+	ErrDeviceHung = errors.New("simt: injected device hang (launch never finished)")
 	// ErrDeviceLost marks a device that has failed permanently; every
 	// launch after the fault returns it again.
 	ErrDeviceLost = errors.New("simt: device lost")
@@ -299,7 +299,7 @@ func (w *Warp) fail(op, format string, args ...any) {
 	})
 }
 
-// barrierBroken is the panic payload used to unblock warps parked in a
-// __syncthreads barrier when a sibling warp has already panicked; it is
+// barrierBroken is the panic payload with which a warp parked in a
+// __syncthreads barrier unwinds once a sibling warp has panicked; it is
 // swallowed at recovery (the original panic is the reported error).
 type barrierBroken struct{}

@@ -171,10 +171,10 @@ func TestRawPanicRecovered(t *testing.T) {
 }
 
 // A panic in one warp of a cooperative block must not deadlock sibling
-// warps parked in __syncthreads: the barrier is poisoned and the launch
-// returns the original panic. A panic inside a shared span, where the
-// warp holds the block lock, must also release that lock: the siblings
-// store to shared memory only once warp 2's panic has unwound.
+// warps parked in __syncthreads: warps 0 and 1 have stored to shared
+// memory and are parked at the barrier when warp 2 panics, before the
+// barrier or inside a shared span. The parked warps and the unstarted
+// warp 3 unwind, and the launch returns the original panic.
 func TestCooperativePanicPoisonsBarrier(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -191,17 +191,14 @@ func TestCooperativePanicPoisonsBarrier(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dev := NewDevice(TeslaK40())
-			fell := make(chan struct{})
 			done := make(chan error, 1)
 			go func() {
 				_, err := dev.Launch(LaunchConfig{Blocks: 1, WarpsPerBlock: 4, Cooperative: true,
 					SharedBytesPerBlock: 4 * 32},
 					func(w *Warp) {
 						if w.WarpInBlock == 2 {
-							defer close(fell)
 							tc.warp2(w)
 						}
-						<-fell
 						var src [32]uint8
 						w.SharedSpanStoreU8(src[:], 32*w.WarpInBlock, 32)
 						w.Sync()

@@ -1,26 +1,17 @@
 package simt
 
-import "sync"
-
 // SharedMem models a block's on-chip shared memory: byte-addressable
 // storage with optional cross-warp race detection between barriers.
 // Warps reach it only through spans and broadcasts (warp_span.go),
 // which never conflict on the banks, so no bank state is kept.
 //
-// The mutex serialises warp accesses within a block so that a
-// simulated racy kernel (the paper's synchronised multi-warp baseline
-// run without its barriers) is detected and reported by the epoch
-// tracker rather than corrupting the host process: lost updates are a
-// modelled hazard, not Go-level undefined behaviour.
+// Only one warp of a block runs at a time (a cooperative block passes
+// a baton, device.go), so the storage takes no lock. A simulated racy
+// kernel (the paper's synchronised multi-warp baseline run without its
+// barriers) is detected and reported by the epoch tracker, and its
+// lost updates fall the same way on every run.
 type SharedMem struct {
-	mu   sync.Mutex
 	data []byte
-
-	// concurrent is set per block by the scheduler: true only when a
-	// cooperative multi-warp block runs its warps on separate
-	// goroutines. Serial (warp-synchronous) blocks skip the mutex
-	// entirely — the common case, and the hot path.
-	concurrent bool
 
 	// faults, when non-nil, is this block's silent-corruption overlay
 	// (byte offset -> XOR mask, drawn once per launch by
@@ -66,10 +57,9 @@ func (sm *SharedMem) Size() int { return len(sm.data) }
 // storage, fresh race-tracking state, and the block's fault overlay.
 // Reuse keeps the per-block cost at one memclr instead of an
 // allocation + GC pressure per block.
-func (sm *SharedMem) reset(faults map[int]byte, concurrent bool) {
+func (sm *SharedMem) reset(faults map[int]byte) {
 	clear(sm.data)
 	sm.faults = faults
-	sm.concurrent = concurrent
 	sm.races = 0
 	sm.epoch = 0
 	if sm.trackRaces {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestOccupancyHandTable checks the occupancy calculator against
@@ -320,6 +321,42 @@ func TestSyncStallModelling(t *testing.T) {
 	}
 	if rep.Stats.SyncStallCycles != 100 {
 		t.Errorf("SyncStallCycles = %d, want 100", rep.Stats.SyncStallCycles)
+	}
+}
+
+// A warp that returns without reaching a barrier takes no part in it:
+// the block's other warps still pass their barriers. Warp 1 of each
+// 3-warp block returns at once; warps 0 and 2 issue 10 and 30 cycles
+// and sync twice, so warp 0 stalls 20 cycles at the first barrier.
+func TestReturnedWarpLeavesBarriers(t *testing.T) {
+	dev := NewDevice(TeslaK40())
+	done := make(chan *LaunchReport, 1)
+	go func() {
+		rep, err := dev.Launch(LaunchConfig{Blocks: 2, WarpsPerBlock: 3, Cooperative: true},
+			func(w *Warp) {
+				if w.WarpInBlock == 1 {
+					return
+				}
+				w.ALU(10 * (w.WarpInBlock + 1))
+				w.Sync()
+				w.Sync()
+			})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- rep
+	}()
+	select {
+	case rep := <-done:
+		if rep == nil {
+			return
+		}
+		if rep.Stats.Syncs != 8 || rep.Stats.SyncStallCycles != 40 {
+			t.Errorf("Syncs = %d, SyncStallCycles = %d; want 8 and 40",
+				rep.Stats.Syncs, rep.Stats.SyncStallCycles)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cooperative launch deadlocked on a warp that returned before the barrier")
 	}
 }
 

@@ -84,25 +84,26 @@ func (w *Warp) Vote() {
 	}
 }
 
-// Sync executes a block-wide __syncthreads barrier. Only legal in a
-// cooperative launch; the warp-synchronous kernels of the paper never
-// call it.
+// Sync executes a block-wide __syncthreads barrier: the warp hands on
+// the block's baton (device.go) and stalls for the block's slowest warp.
+// Only legal in a cooperative launch; the warp-synchronous kernels of
+// the paper never call it.
 func (w *Warp) Sync() {
-	if w.block.barrier == nil {
+	bt := w.block.baton
+	if bt == nil {
 		w.fail("__syncthreads", "barrier in a non-cooperative launch")
 	}
-	maxCycles := w.block.barrier.wait(w.cyclesSinceSync)
+	bt.arrived = max(bt.arrived, w.cyclesSinceSync)
+	bt.pass(w.WarpInBlock, w.block.shared)
+	<-bt.turn[w.WarpInBlock]
+	if bt.broken {
+		panic(barrierBroken{})
+	}
 	if w.costed {
 		w.stats.Syncs++
-		w.stats.SyncStallCycles += maxCycles - w.cyclesSinceSync
+		w.stats.SyncStallCycles += bt.stall - w.cyclesSinceSync
 	}
 	w.cyclesSinceSync = 0
-	if w.WarpInBlock == 0 {
-		// Exactly one warp advances the race-tracking epoch; the
-		// barrier's second phase orders this against all accesses.
-		w.block.shared.advanceEpoch()
-	}
-	w.block.barrier.release()
 }
 
 // ShflUpI32Into is the shfl.up exchange: lane l receives lane

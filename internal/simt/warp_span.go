@@ -20,15 +20,14 @@ import "hmmer3gpu/internal/satmath"
 // spans the 128-byte segments each chunk touches.
 
 // sharedAccess does the bookkeeping of every shared span and broadcast,
-// in one order: take the block lock if the block's warps run
-// concurrently, charge the access, note it for the race tracker. The
+// in one order: charge the access, note it for the race tracker. The
 // access covers the bytes [base, base+bytes); cells is its length, or 0
-// for a same-word broadcast. It returns the block's shared memory; an op
-// on a concurrent block defers the unlock, so a panic releases the lock.
-// The work is out of line so that an uncosted warp-synchronous access
-// inlines to a few loads and no call.
+// for a same-word broadcast. It returns the block's shared memory. It
+// takes no lock: one warp of a block runs at a time. The work is out of
+// line so that an uncosted access without race tracking inlines to a
+// few loads and no call.
 func (w *Warp) sharedAccess(base, bytes, cells int, store bool) (sm *SharedMem) {
-	if sm = w.block.shared; w.costed || sm.concurrent || sm.trackRaces {
+	if sm = w.block.shared; w.costed || sm.trackRaces {
 		w.sharedAccessSlow(base, bytes, cells, store)
 	}
 	return
@@ -36,9 +35,6 @@ func (w *Warp) sharedAccess(base, bytes, cells int, store bool) (sm *SharedMem) 
 
 func (w *Warp) sharedAccessSlow(base, bytes, cells int, store bool) {
 	sm := w.block.shared
-	if sm.concurrent {
-		sm.mu.Lock()
-	}
 	if w.costed {
 		if cells == 0 {
 			w.chargeSharedBroadcast()
@@ -58,9 +54,6 @@ func (w *Warp) SharedSpanLoadU8(dst []uint8, base, n int) {
 		return
 	}
 	sm := w.sharedAccess(base, n, n, false)
-	if sm.concurrent {
-		defer sm.mu.Unlock()
-	}
 	if sm.faults == nil {
 		copy(dst[:n], sm.data[base:base+n])
 		return
@@ -77,9 +70,6 @@ func (w *Warp) SharedSpanStoreU8(src []uint8, base, n int) {
 		return
 	}
 	sm := w.sharedAccess(base, n, n, true)
-	if sm.concurrent {
-		defer sm.mu.Unlock()
-	}
 	copy(sm.data[base:base+n], src[:n])
 }
 
@@ -90,9 +80,6 @@ func (w *Warp) SharedSpanLoadI16(dst []int16, base, n int) {
 		return
 	}
 	sm := w.sharedAccess(base, 2*n, n, false)
-	if sm.concurrent {
-		defer sm.mu.Unlock()
-	}
 	if sm.faults == nil {
 		src := sm.data[base : base+2*n : base+2*n]
 		for i := 0; i < n; i++ {
@@ -113,9 +100,6 @@ func (w *Warp) SharedSpanStoreI16(src []int16, base, n int) {
 		return
 	}
 	sm := w.sharedAccess(base, 2*n, n, true)
-	if sm.concurrent {
-		defer sm.mu.Unlock()
-	}
 	dst := sm.data[base : base+2*n : base+2*n]
 	for i := 0; i < n; i++ {
 		v := uint16(src[i])
@@ -137,9 +121,6 @@ func (w *Warp) SharedSpanLoadWords(dst []uint64, base, cells, width int) {
 	}
 	n := cells * width
 	sm := w.sharedAccess(base, n, cells, false)
-	if sm.concurrent {
-		defer sm.mu.Unlock()
-	}
 	if sm.faults == nil {
 		satmath.PackLanes(dst, sm.data[base:base+n])
 		return
@@ -160,9 +141,6 @@ func (w *Warp) SharedSpanStoreWords(src []uint64, base, cells, width int) {
 	}
 	n := cells * width
 	sm := w.sharedAccess(base, n, cells, true)
-	if sm.concurrent {
-		defer sm.mu.Unlock()
-	}
 	satmath.UnpackLanes(sm.data[base:base+n], src)
 }
 
@@ -180,28 +158,19 @@ func (w *Warp) SharedSpanTouch(base, width, n int, store bool) {
 	}
 	// Keep the load/store ops' out-of-bounds failure mode.
 	_ = w.block.shared.data[base+width*n-1]
-	if sm := w.sharedAccess(base, width*n, n, store); sm.concurrent {
-		sm.mu.Unlock()
-	}
+	w.sharedAccess(base, width*n, n, store)
 }
 
 // SharedBroadcastU8 reads one shared byte that every lane consumes: a
 // same-word hardware broadcast, one conflict-free access with all
 // lanes active.
 func (w *Warp) SharedBroadcastU8(addr int) uint8 {
-	sm := w.sharedAccess(addr, 1, 0, false)
-	if sm.concurrent {
-		defer sm.mu.Unlock()
-	}
-	return sm.at(addr)
+	return w.sharedAccess(addr, 1, 0, false).at(addr)
 }
 
 // SharedBroadcastI16 is the 16-bit same-word broadcast read.
 func (w *Warp) SharedBroadcastI16(addr int) int16 {
 	sm := w.sharedAccess(addr, 2, 0, false)
-	if sm.concurrent {
-		defer sm.mu.Unlock()
-	}
 	return int16(uint16(sm.at(addr)) | uint16(sm.at(addr+1))<<8)
 }
 
